@@ -4,8 +4,8 @@ product x y = (x.y + y.x)/2.
 
 Elements are stored as 27 coordinates (x1, x2, x3, c1, c2, c3) -- three
 diagonal scalars and three octonion slots -- so Gamma-hermitianness is
-structural.  The raw matrix product is materialized only inside matrix_mul
-and when building the sparse Jordan multiplication table.
+structural.  jordan_mul works on the coordinates directly; the raw matrix
+product matrix_mul is kept as the oracle it is checked against.
 
 Slot positions follow the defining matrix:
 
@@ -52,9 +52,10 @@ class AlbertAlgebra:
         self.octonions = octonions
         self.gamma = gamma
         self.field = octonions.field
-        self._jordan_table: dict | None = None
-        half = (self.field.one() + self.field.one()).inv()
-        self._half = half
+        self._half = (self.field.one() + self.field.one()).inv()
+        g1, g2, g3 = gamma
+        # r_i scales conj(c_i) in the defining matrix (see the module docstring)
+        self._ratios = (g2 / g3, g3 / g1, g1 / g2)
 
     # ----------------------------------------------------------------- basics
     def __eq__(self, other):
@@ -111,30 +112,6 @@ class AlbertAlgebra:
             "octonion": self.octonions.to_json(),
             "gamma": [str(g) for g in self.gamma],
         }
-
-    # ---------------------------------------------------------- jordan table
-    def _table(self) -> dict:
-        if self._jordan_table is None:
-            key = (self.field, self.octonions.params, self.gamma)
-            cached = _JORDAN_TABLE_CACHE.get(key)
-            if cached is None:
-                cached = {}
-                for i in range(DIM):
-                    bi = self.basis(i)
-                    for j in range(i, DIM):
-                        bj = self.basis(j)
-                        prod = _jordan_from_matrices(self, bi, bj)
-                        entries = [
-                            (k, c) for k, c in enumerate(prod.coords) if not c.is_zero()
-                        ]
-                        if entries:
-                            cached[(i, j)] = entries
-                _JORDAN_TABLE_CACHE[key] = cached
-            self._jordan_table = cached
-        return self._jordan_table
-
-
-_JORDAN_TABLE_CACHE: dict = {}
 
 
 class AlbertElement:
@@ -274,32 +251,38 @@ def _jordan_from_matrices(a: AlbertAlgebra, x: AlbertElement, y: AlbertElement) 
     return from_matrix(a, sym, check=True)
 
 
-def jordan_mul(x: AlbertElement, y: AlbertElement) -> AlbertElement:
-    """x y = (x.y + y.x)/2.
+_CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
-    Uses the cached sparse structure-constant table; for sparse one-off
-    operands before any table exists, the direct matrix route is cheaper
-    than building the table, and the two routes agree exactly.
+
+def jordan_mul(x: AlbertElement, y: AlbertElement) -> AlbertElement:
+    """x y = (x.y + y.x)/2, by the coordinate formula for H(C; Gamma)
+    (Springer-Veldkamp, Octonions, Jordan Algebras and Exceptional Groups,
+    ch. 5).  With r = (g2/g3, g3/g1, g1/g2), n(c, d) = sum N_i c_i d_i the
+    polar form of the norm, and (i, j, k) cyclic:
+
+        (xy)_i   = x_i y_i + r_j n(c_j, d_j) + r_k n(c_k, d_k)
+        (xy) c_i = [(x_j + x_k) d_i + (y_j + y_k) c_i
+                    + conj(d_j c_k + c_j d_k) / r_i] / 2
+
+    where x = (x_i; c_i) and y = (y_i; d_i).  _jordan_from_matrices is the
+    oracle it is tested against.
     """
     x._check(y)
     a = x.algebra
-    if a._jordan_table is None:
-        nx = sum(1 for c in x.coords if not c.is_zero())
-        ny = sum(1 for c in y.coords if not c.is_zero())
-        if nx <= 6 and ny <= 6:
-            return _jordan_from_matrices(a, x, y)
-    table = a._table()
-    out = [a.field.zero()] * DIM
-    xc, yc = x.coords, y.coords
-    for (i, j), entries in table.items():
-        if i == j:
-            coeff = xc[i] * yc[i]
-        else:
-            coeff = xc[i] * yc[j] + xc[j] * yc[i]
-        if coeff.is_zero():
-            continue
-        for k, c in entries:
-            out[k] = out[k] + coeff * c
+    zero, half, r = a.field.zero(), a._half, a._ratios
+    norm = a.octonions.norm_form().coeffs
+    xs, ys = x.xs, y.xs
+    c = [x.slot(i) for i in (1, 2, 3)]
+    d = [y.slot(i) for i in (1, 2, 3)]
+    rn = [
+        r[i] * sum((m * u * v for m, u, v in zip(norm, c[i].coords, d[i].coords)), zero)
+        for i in range(3)
+    ]
+    out = [xs[i] * ys[i] + rn[j] + rn[k] for i, j, k in _CYCLIC]
+    for i, j, k in _CYCLIC:
+        cross = (d[j] * c[k] + c[j] * d[k]).conj().scale(half / r[i])
+        slot = d[i].scale(half * (xs[j] + xs[k])) + c[i].scale(half * (ys[j] + ys[k])) + cross
+        out.extend(slot.coords)
     return AlbertElement(a, out)
 
 
@@ -334,10 +317,9 @@ def quadratic_trace_form(a: AlbertAlgebra) -> QuadraticForm:
     form, p = diagonalize(GramMatrix(a.field, gram))
     if not linalg.mat_eq(p, linalg.identity(a.field, DIM)):
         raise InternalCheckFailed("canonical Albert basis should be Q-orthogonal")
-    g1, g2, g3 = a.gamma
     n = a.octonions.norm_form().coeffs
     expected = [half, half, half]
-    for ratio in (g2 / g3, g3 / g1, g1 / g2):
+    for ratio in a._ratios:
         expected.extend(ratio * c for c in n)
     if list(form.coeffs) != expected:
         raise InternalCheckFailed("trace form disagrees with its block closed form")
@@ -371,11 +353,11 @@ def is_nilpotent(z: AlbertElement) -> bool:
 # the element diag(.., t, .., -t, ..) + c in the slot between j and k has
 # Jordan square (t^2 + ratio * N(c)) (E_jj + E_kk).
 def _nilpotent_configs(a: AlbertAlgebra):
-    g1, g2, g3 = a.gamma
+    r1, r2, r3 = a._ratios
     return [
-        {"pair": (2, 3), "slot": 1, "diag": (0, 1, -1), "ratio": g2 / g3},
-        {"pair": (3, 1), "slot": 2, "diag": (-1, 0, 1), "ratio": g3 / g1},
-        {"pair": (1, 2), "slot": 3, "diag": (1, -1, 0), "ratio": g1 / g2},
+        {"pair": (2, 3), "slot": 1, "diag": (0, 1, -1), "ratio": r1},
+        {"pair": (3, 1), "slot": 2, "diag": (-1, 0, 1), "ratio": r2},
+        {"pair": (1, 2), "slot": 3, "diag": (1, -1, 0), "ratio": r3},
     ]
 
 
@@ -603,38 +585,17 @@ class Automorphism:
 def phi(a: AlbertAlgebra, x) -> Automorphism:
     """The automorphism theta -> X theta X^(-1) for X in SO(Gamma).
 
-    X has scalar entries, so X^(-1) = Gamma^(-1) X^T Gamma exactly and every
-    triple product below associates.  The result is verified to fix the unit,
-    preserve Q and the Jordan product on seeded samples; the complete
+    conjugation_between builds it and verifies that it fixes the unit and
+    preserves Q and the Jordan product on seeded samples; the complete
     378-pair basis check is available as preserves_jordan_on_basis().
     """
     x = [[a.field.element(v) for v in row] for row in x]
     _check_gamma_orthogonal(a, x)
-    gm = gamma_matrix(a)
-    g_inv = [[gm[i][j].inv() if i == j else gm[i][j] for j in range(3)] for i in range(3)]
-    x_inv = linalg.mat_mul(linalg.mat_mul(g_inv, linalg.transpose(x)), gm)
-    cols = []
-    for idx in range(DIM):
-        m = to_matrix(a.basis(idx))
-        m1 = _scalar_matmul_left(x, m)
-        m2 = _scalar_matmul_right(m1, x_inv)
-        cols.append(from_matrix(a, m2, check=True).coords)
-    matrix = [[cols[c][r] for c in range(DIM)] for r in range(DIM)]
-    out = Automorphism(a, matrix)
-    if out.apply(a.unit()) != a.unit():
-        raise InternalCheckFailed("conjugation does not fix the unit")
-    rng = _random.Random(947)
-    for _ in range(5):
-        p = a.random(rng, 2)
-        q = a.random(rng, 2)
-        if out.apply(jordan_mul(p, q)) != jordan_mul(out.apply(p), out.apply(q)):
-            raise InternalCheckFailed("conjugation is not multiplicative")
-        if norm_Q(out.apply(p)) != norm_Q(p):
-            raise InternalCheckFailed("conjugation does not preserve Q")
-    return out
+    return Automorphism(a, conjugation_between(a, a, x, samples=5, rng=_random.Random(947)))
 
 
-def _scalar_matmul_left(x, m):
+def _scalar_matmul(x, m):
+    """X M for a scalar 3x3 matrix X and a 3x3 octonion matrix M."""
     out = []
     for i in range(3):
         row = []
@@ -647,34 +608,23 @@ def _scalar_matmul_left(x, m):
     return out
 
 
-def _scalar_matmul_right(m, x):
-    out = []
-    for i in range(3):
-        row = []
-        for k in range(3):
-            acc = m[i][0].scale(x[0][k])
-            for j in (1, 2):
-                acc = acc + m[i][j].scale(x[j][k])
-            row.append(acc)
-        out.append(row)
-    return out
-
-
 def conjugation_between(src: AlbertAlgebra, dst: AlbertAlgebra, x, samples: int = 8, rng=None):
     """The isomorphism theta -> X theta X^(-1) from H(C;Gamma) to H(C;Gamma')
     induced by a scalar matrix X with X^T Gamma' X proportional to Gamma.
 
     Returns the 27x27 coordinate matrix.  Structural hermitianness of every
-    image is checked exactly; multiplicativity is verified on sampled pairs.
+    image and the unit are checked exactly; multiplicativity and the
+    preservation of Q are verified on sampled pairs.
     """
     if src.octonions != dst.octonions:
         raise AlgebraMismatch("conjugation needs a common coordinate algebra")
     x = [[src.field.element(v) for v in row] for row in x]
-    x_inv = linalg.inverse(x)
+    # M X^(-1) = (X^(-T) M^T)^T, since scalars commute with octonions
+    x_inv_t = linalg.transpose(linalg.inverse(x))
     cols = []
     for idx in range(DIM):
-        m = to_matrix(src.basis(idx))
-        m2 = _scalar_matmul_right(_scalar_matmul_left(x, m), x_inv)
+        m = linalg.transpose(_scalar_matmul(x, to_matrix(src.basis(idx))))
+        m2 = linalg.transpose(_scalar_matmul(x_inv_t, m))
         cols.append(from_matrix(dst, m2, check=True).coords)
     matrix = [[cols[c][r] for c in range(DIM)] for r in range(DIM)]
 
@@ -685,8 +635,11 @@ def conjugation_between(src: AlbertAlgebra, dst: AlbertAlgebra, x, samples: int 
         for _ in range(samples):
             p = src.random(rng, 3)
             q = src.random(rng, 3)
-            if mapped(jordan_mul(p, q)) != jordan_mul(mapped(p), mapped(q)):
+            mp = mapped(p)
+            if mapped(jordan_mul(p, q)) != jordan_mul(mp, mapped(q)):
                 raise InternalCheckFailed("conjugation is not multiplicative")
+            if norm_Q(mp) != norm_Q(p):
+                raise InternalCheckFailed("conjugation does not preserve Q")
     if mapped(src.unit()) != dst.unit():
         raise InternalCheckFailed("conjugation does not map unit to unit")
     return matrix

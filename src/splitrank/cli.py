@@ -8,7 +8,9 @@ Commands:
     verify      seeded property suites; nonzero exit on any failure
 
 Exit codes: 0 success, 2 invalid input, 3 unsupported case (including
-non-normalizable Gamma), 4 verification failure.
+non-normalizable Gamma), 4 verification failure, 5 internal error (a failed
+self-check; the report repeats the command line so the run can be
+reproduced).
 """
 
 from __future__ import annotations
@@ -19,7 +21,13 @@ import sys
 
 from .albert import albert_from_json
 from .composition import comp_from_json
-from .errors import AlgebraError, InvalidInput, NonNormalizableGamma, UnsupportedCase
+from .errors import (
+    AlgebraError,
+    InternalCheckFailed,
+    InvalidInput,
+    NonNormalizableGamma,
+    UnsupportedCase,
+)
 from .fields import field_from_json
 from .groups import f4_excellence, f4_kernel, f4_rank, g2_excellence, g2_rank
 from .qforms import form_from_json, witt_decompose
@@ -29,6 +37,7 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_UNSUPPORTED = 3
 EXIT_VERIFY_FAILED = 4
+EXIT_INTERNAL = 5
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
@@ -128,14 +137,10 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if payload["passed"] else EXIT_VERIFY_FAILED
 
 
-def _add_io_flags(sub, ext_flag=False):
+def _add_io_flags(sub):
     sub.add_argument("--json", help="inline JSON descriptor")
     sub.add_argument("--in", dest="infile", help="path to a JSON descriptor")
     sub.add_argument("--out", help="write the report to this path instead of stdout")
-    sub.add_argument("--bound", type=int, default=None, help="search bound override")
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED, help="random seed")
-    if ext_flag:
-        sub.add_argument("--ext", required=True, help="extension field JSON")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -145,15 +150,19 @@ def build_parser() -> argparse.ArgumentParser:
         "for composition and Albert algebras",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, fn, ext in [
-        ("classify", _cmd_classify, False),
-        ("witt", _cmd_witt, False),
-        ("kernel", _cmd_kernel, False),
-        ("excellence", _cmd_excellence, True),
+    for name, fn in [
+        ("classify", _cmd_classify),
+        ("witt", _cmd_witt),
+        ("kernel", _cmd_kernel),
+        ("excellence", _cmd_excellence),
     ]:
         sub = subs.add_parser(name)
-        _add_io_flags(sub, ext_flag=ext)
+        _add_io_flags(sub)
         sub.set_defaults(fn=fn)
+        if name == "witt":
+            sub.add_argument("--bound", type=int, default=None, help="search bound override")
+        if name == "excellence":
+            sub.add_argument("--ext", required=True, help="extension field JSON")
     sub = subs.add_parser("verify")
     sub.add_argument("--suite", help="run a single suite (default: all)")
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -162,19 +171,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(exc: Exception, **extra) -> dict:
+    return {"error": {"kind": type(exc).__name__, "message": str(exc), **extra}}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
     except (UnsupportedCase, NonNormalizableGamma) as exc:
-        _emit({"error": {"kind": type(exc).__name__, "message": str(exc)}}, None)
+        _emit(_error(exc), None)
         return EXIT_UNSUPPORTED
-    except (InvalidInput, OSError) as exc:
-        _emit({"error": {"kind": type(exc).__name__, "message": str(exc)}}, None)
-        return EXIT_INVALID
-    except AlgebraError as exc:
-        _emit({"error": {"kind": type(exc).__name__, "message": str(exc)}}, None)
+    except InternalCheckFailed as exc:
+        _emit(_error(exc, argv=list(sys.argv[1:] if argv is None else argv)), None)
+        return EXIT_INTERNAL
+    except (AlgebraError, OSError) as exc:
+        _emit(_error(exc), None)
         return EXIT_INVALID
 
 

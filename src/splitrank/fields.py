@@ -49,24 +49,30 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def prime_factors(n: int) -> dict[int, int]:
+    """{prime: exponent} of |n| by trial division ({} for 0 and +-1)."""
+    n = abs(n)
+    out = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            n //= p
+            out[p] = out.get(p, 0) + 1
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out[n] = 1
+    return out
+
+
 def squarefree_part(n: int) -> int:
     """Squarefree part of a nonzero integer (sign preserved)."""
     if n == 0:
         raise ZeroElement("squarefree part of 0")
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    out = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            if e % 2:
-                out *= p
-        p += 1 if p == 2 else 2
-    return sign * out * n
+    out = -1 if n < 0 else 1
+    for p, e in prime_factors(n).items():
+        if e % 2:
+            out *= p
+    return out
 
 
 def is_squarefree(n: int) -> bool:

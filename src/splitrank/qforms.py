@@ -11,6 +11,7 @@ raises UnsupportedCase rather than guessing.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -31,6 +32,8 @@ from .fields import (
     Field,
     FieldElement,
     legendre,
+    prime_factors,
+    rational_sqrt,
     sqrt_mod_p,
     squarefree_part,
 )
@@ -390,28 +393,12 @@ def _is_square_qp(x: int, place) -> bool:
     return legendre(u, p) == 1
 
 
-def _factor_small(n: int) -> set[int]:
-    """Prime divisors by trial division; inputs here are coefficient-sized."""
-    n = abs(n)
-    out = set()
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.add(p)
-            while n % p == 0:
-                n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.add(n)
-    return out
-
-
 def _bad_primes(*forms: QuadraticForm) -> list[int]:
     primes = {2}
     for q in forms:
         for c in q.coeffs:
-            primes |= _factor_small(c.value.numerator)
-            primes |= _factor_small(c.value.denominator)
+            primes.update(prime_factors(c.value.numerator))
+            primes.update(prime_factors(c.value.denominator))
     return sorted(primes)
 
 
@@ -454,14 +441,8 @@ def witt_index_by_invariants(q: QuadraticForm) -> int:
         best = min(best, (n - 1) // 2)
     else:
         top = ((-1) ** (n // 2)) * det_int
-        best = min(best, n // 2 if _is_rat_square(top) else (n - 2) // 2)
+        best = min(best, n // 2 if rational_sqrt(Fraction(top)) is not None else (n - 2) // 2)
     return best
-
-
-def _is_rat_square(n: int) -> bool:
-    from math import isqrt
-
-    return n > 0 and isqrt(n) ** 2 == n
 
 
 # --------------------------------------------------------------------------
@@ -471,20 +452,10 @@ def _is_rat_square(n: int) -> bool:
 _ENUM_CAP = 4_000_000
 
 
-def _integerize(q: QuadraticForm) -> list[int]:
+def _integerize(coeffs: list[Fraction]) -> list[int]:
     """Scale rational coefficients to integers (same zero set)."""
-    lcm = 1
-    for c in q.coeffs:
-        d = c.value.denominator
-        g = _gcd(lcm, d)
-        lcm = lcm // g * d
-    return [int(c.value * lcm) for c in q.coeffs]
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    return [int(c * lcm) for c in coeffs]
 
 
 def _search_integer(coeffs: list[int], bound: int):
@@ -543,12 +514,7 @@ def _search_qsqrt(q: QuadraticForm, bound: int):
     n = q.dim
     zero = f.zero()
     if all(c.value[1] == 0 for c in q.coeffs):
-        rat = [Fraction(c.value[0]) for c in q.coeffs]
-        lcm = 1
-        for v in rat:
-            g = _gcd(lcm, v.denominator)
-            lcm = lcm // g * v.denominator
-        ints = [int(v * lcm) for v in rat]
+        ints = _integerize([Fraction(c.value[0]) for c in q.coeffs])
         vec = _search_integer(ints, max(bound, 8))
         if vec is not None:
             return [f.element(v) for v in vec]
@@ -622,7 +588,7 @@ def isotropic_vector_search(q: QuadraticForm, height_bound: int):
     """Bounded witness search; None is NOT an anisotropy proof over Q."""
     k = q.field.kind
     if k == RATIONALS:
-        ints = _integerize(q)
+        ints = _integerize([c.value for c in q.coeffs])
         vec = _search_integer(ints, height_bound)
         if vec is None:
             return None

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .albert import (
     AlbertAlgebra,
+    _jordan_from_matrices,
     bilinear,
     e0_subspace,
     jordan_mul,
@@ -478,6 +479,16 @@ def suite_albert(seed: int = DEFAULT_SEED) -> list[CheckResult]:
         if z is None or not jordan_mul(z, z).is_zero():
             ok = False
     _check(out, "albert", "nilpotent witnesses square to zero", ok)
+
+    ok = True
+    detail = ""
+    for a in fixtures:
+        for _ in range(50):
+            x, y = a.random(rng, 3), a.random(rng, 3)
+            if jordan_mul(x, y) != _jordan_from_matrices(a, x, y):
+                ok, detail = False, f"over {a.field}: x={x.to_json()} y={y.to_json()}"
+                break
+    _check(out, "albert", "jordan_mul = matrix route (50 pairs over Q and F7)", ok, detail)
     return out
 
 

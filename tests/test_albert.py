@@ -93,8 +93,15 @@ class TestMatrixProduct:
 
     def test_jordan_table_matches_matrix_route(self):
         rng = random.Random(2)
-        for a in (A_RANK1, AlbertAlgebra(cayley_dickson(F7, [1, 2, 3]), [1, 3, 2])):
-            a._table()
+        for a in (
+            A_RANK1,
+            AlbertAlgebra(cayley_dickson(F7, [1, 2, 3]), [1, 3, 2]),
+            AlbertAlgebra(cayley_dickson(quad_ext(-7), [-1, -1, -2]), [1, -1, 2]),
+        ):
+            basis = [a.basis(i) for i in range(27)]
+            for bi in basis:
+                for bj in basis:
+                    assert jordan_mul(bi, bj) == _jordan_from_matrices(a, bi, bj)
             for _ in range(20):
                 x, y = a.random(rng, 3), a.random(rng, 3)
                 assert jordan_mul(x, y) == _jordan_from_matrices(a, x, y)

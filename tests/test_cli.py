@@ -4,7 +4,11 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from splitrank import cli
 from splitrank.cli import main
+from splitrank.errors import InternalCheckFailed
 
 F4_RANK1 = json.dumps(
     {
@@ -150,6 +154,27 @@ class TestExitCodes:
         code, out = run_cli(["kernel", "--json", alg], capsys)
         assert code == 3
         assert json.loads(out)["error"]["kind"] == "NonNormalizableGamma"
+
+    def test_internal_check_failure_exit(self, monkeypatch, capsys):
+        def failing(_):
+            raise InternalCheckFailed("no explicit vector found")
+
+        monkeypatch.setattr(cli, "f4_rank", failing)
+        argv = ["classify", "--json", F4_RANK1]
+        code, out = run_cli(argv, capsys)
+        assert code == 5
+        error = json.loads(out)["error"]
+        assert error["kind"] == "InternalCheckFailed" and error["argv"] == argv
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [(c, "--seed") for c in ("classify", "witt", "kernel", "excellence")]
+        + [(c, "--bound") for c in ("classify", "kernel", "excellence")],
+    )
+    def test_ignored_options_rejected(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, "1", "--json", F4_RANK1])
+        assert exc.value.code == 2
 
 
 class TestVerify:
