@@ -4,8 +4,10 @@ product x y = (x.y + y.x)/2.
 
 Elements are stored as 27 coordinates (x1, x2, x3, c1, c2, c3) -- three
 diagonal scalars and three octonion slots -- so Gamma-hermitianness is
-structural.  jordan_mul works on the coordinates directly; the raw matrix
-product matrix_mul is kept as the oracle it is checked against.
+structural.  jordan_mul works on the coordinates directly, through the
+coordinate formula compiled once per algebra for the field's packed kernel;
+the raw matrix product matrix_mul is kept as the oracle it is checked
+against.
 
 Slot positions follow the defining matrix:
 
@@ -31,11 +33,14 @@ from .errors import (
     ZeroParameter,
 )
 from .fields import Field, FieldElement
-from .qforms import GramMatrix, IsotropyResult, QuadraticForm, diagonalize, is_isotropic, _escalating_search
+from .qforms import IsotropyResult, QuadraticForm, is_isotropic, _escalating_search
 from . import linalg
 
 DIM = 27
 _SLOT_OFFSET = (3, 11, 19)  # coordinate offsets of the c1, c2, c3 blocks
+# (row, column) of c1, c2, c3 in the defining matrix; the transposed
+# position holds r_i conj(c_i)
+_SLOT_POSITION = ((1, 2), (2, 0), (0, 1))
 
 
 class AlbertAlgebra:
@@ -56,10 +61,14 @@ class AlbertAlgebra:
         g1, g2, g3 = gamma
         # r_i scales conj(c_i) in the defining matrix (see the module docstring)
         self._ratios = (g2 / g3, g3 / g1, g1 / g2)
+        terms = list(_jordan_terms(self))
+        self._product = self.field.kernel.bilinear_table(DIM, DIM, terms)
+        # tr(xy): the three diagonal coordinates of xy, summed
+        self._trace = self.field.kernel.bilinear_table(DIM, 1, [(i, j, 0, c) for i, j, k, c in terms if k < 3])
 
     # ----------------------------------------------------------------- basics
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, AlbertAlgebra)
             and self.octonions == other.octonions
             and self.gamma == other.gamma
@@ -254,6 +263,30 @@ def _jordan_from_matrices(a: AlbertAlgebra, x: AlbertElement, y: AlbertElement) 
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
+def _jordan_terms(a: AlbertAlgebra):
+    """jordan_mul's formula as terms (i, j, k, c), meaning (xy)_k += c x_i y_j."""
+    one, half, r = a.field.one(), a._half, a._ratios
+    norm = a.octonions.norm_form().coeffs
+    table = a.octonions._table
+    off = _SLOT_OFFSET
+    for i, j, k in _CYCLIC:
+        yield i, i, i, one
+        for s in (j, k):
+            for m, n_m in enumerate(norm):
+                yield off[s] + m, off[s] + m, i, r[s] * n_m
+        for m in range(8):
+            for s in (j, k):
+                yield s, off[i] + m, off[i] + m, half
+                yield off[i] + m, s, off[i] + m, half
+        w = half / r[i]
+        for u in range(8):
+            for v in range(8):
+                t, c = table[u][v]  # e_u e_v = c e_t; conj(e_t) = -e_t for t > 0
+                coef = c * w if t == 0 else -(c * w)
+                yield off[k] + v, off[j] + u, off[i] + t, coef  # conj(d_j c_k)
+                yield off[j] + u, off[k] + v, off[i] + t, coef  # conj(c_j d_k)
+
+
 def jordan_mul(x: AlbertElement, y: AlbertElement) -> AlbertElement:
     """x y = (x.y + y.x)/2, by the coordinate formula for H(C; Gamma)
     (Springer-Veldkamp, Octonions, Jordan Algebras and Exceptional Groups,
@@ -264,26 +297,14 @@ def jordan_mul(x: AlbertElement, y: AlbertElement) -> AlbertElement:
         (xy) c_i = [(x_j + x_k) d_i + (y_j + y_k) c_i
                     + conj(d_j c_k + c_j d_k) / r_i] / 2
 
-    where x = (x_i; c_i) and y = (y_i; d_i).  _jordan_from_matrices is the
-    oracle it is tested against.
+    where x = (x_i; c_i) and y = (y_i; d_i).  _jordan_terms spells the
+    formula out term by term; the algebra compiles the terms once and the
+    field's packed kernel evaluates them.  _jordan_from_matrices and
+    verify.reference_jordan_mul are the oracles it is tested against.
     """
     x._check(y)
     a = x.algebra
-    zero, half, r = a.field.zero(), a._half, a._ratios
-    norm = a.octonions.norm_form().coeffs
-    xs, ys = x.xs, y.xs
-    c = [x.slot(i) for i in (1, 2, 3)]
-    d = [y.slot(i) for i in (1, 2, 3)]
-    rn = [
-        r[i] * sum((m * u * v for m, u, v in zip(norm, c[i].coords, d[i].coords)), zero)
-        for i in range(3)
-    ]
-    out = [xs[i] * ys[i] + rn[j] + rn[k] for i, j, k in _CYCLIC]
-    for i, j, k in _CYCLIC:
-        cross = (d[j] * c[k] + c[j] * d[k]).conj().scale(half / r[i])
-        slot = d[i].scale(half * (xs[j] + xs[k])) + c[i].scale(half * (ys[j] + ys[k])) + cross
-        out.extend(slot.coords)
-    return AlbertElement(a, out)
+    return AlbertElement(a, a.field.kernel.bilinear(a._product, x.coords, y.coords))
 
 
 def trace(x: AlbertElement) -> FieldElement:
@@ -292,38 +313,46 @@ def trace(x: AlbertElement) -> FieldElement:
 
 
 def norm_Q(x: AlbertElement) -> FieldElement:
-    """Q(x) = tr(x^2)/2 with x^2 the Jordan square."""
-    return trace(jordan_mul(x, x)) * x.algebra._half
+    """Q(x) = tr(x^2)/2 = <x, x>/2 with x^2 the Jordan square."""
+    return bilinear(x, x) * x.algebra._half
 
 
 def bilinear(x: AlbertElement, y: AlbertElement) -> FieldElement:
-    """<x, y> = tr(xy) = Q(x+y) - Q(x) - Q(y)."""
-    return trace(jordan_mul(x, y))
+    """<x, y> = tr(xy) = Q(x+y) - Q(x) - Q(y), computed directly as
+    sum x_i y_i + 2 sum r_i n(c_i, d_i): the diagonal of jordan_mul's
+    formula, without the rest of the product."""
+    x._check(y)
+    a = x.algebra
+    return a.field.kernel.bilinear(a._trace, x.coords, y.coords)[0]
+
+
+def _checked_gram(a: AlbertAlgebra, basis, expected, name: str):
+    """Gram matrix of the polar form of Q on basis, which must be diagonal
+    with diagonal `expected`, the closed form of the form called name."""
+    half = a._half
+    gram = [[bilinear(bi, bj) * half for bj in basis] for bi in basis]
+    n = len(basis)
+    if any(not gram[i][j].is_zero() for i in range(n) for j in range(n) if i != j):
+        raise InternalCheckFailed(f"the basis of the {name} should be Q-orthogonal")
+    if [gram[i][i] for i in range(n)] != expected:
+        raise InternalCheckFailed(f"{name} disagrees with its block closed form")
+    return gram
 
 
 def quadratic_trace_form(a: AlbertAlgebra) -> QuadraticForm:
     """Q as a 27-dim diagonal form on the canonical coordinates.
 
-    The canonical basis is already Q-orthogonal, so diagonalization is the
-    identity; the result is checked against the closed block form
+    The Gram matrix on the canonical basis is checked to be diagonal and
+    equal to the closed block form
     <1/2,1/2,1/2> + (g2/g3) N + (g3/g1) N + (g1/g2) N.
     """
-    basis = [a.basis(i) for i in range(DIM)]
     half = a._half
-    gram = [
-        [bilinear(basis[i], basis[j]) * half for j in range(DIM)]
-        for i in range(DIM)
-    ]
-    form, p = diagonalize(GramMatrix(a.field, gram))
-    if not linalg.mat_eq(p, linalg.identity(a.field, DIM)):
-        raise InternalCheckFailed("canonical Albert basis should be Q-orthogonal")
     n = a.octonions.norm_form().coeffs
     expected = [half, half, half]
     for ratio in a._ratios:
         expected.extend(ratio * c for c in n)
-    if list(form.coeffs) != expected:
-        raise InternalCheckFailed("trace form disagrees with its block closed form")
-    return QuadraticForm(a.field, form.coeffs, label="trace form")
+    _checked_gram(a, [a.basis(i) for i in range(DIM)], expected, "trace form")
+    return QuadraticForm(a.field, expected, label="trace form")
 
 
 # ---------------------------------------------------------------------------
@@ -483,17 +512,13 @@ def e0_subspace(a: AlbertAlgebra, u: AlbertElement) -> list[AlbertElement]:
 
 
 def q0_data(a: AlbertAlgebra, u: AlbertElement):
-    """(q0 form, E0 basis, 9x9 Gram of the polar form of Q on E0)."""
+    """(q0 form, E0 basis, 9x9 Gram of the polar form of Q on E0).
+
+    The Gram matrix is checked to be diag(1, (g1/g2) N)."""
     basis = e0_subspace(a, u)
-    half = a._half
-    gram = [
-        [bilinear(bi, bj) * half for bj in basis]
-        for bi in basis
-    ]
-    form, p = diagonalize(GramMatrix(a.field, gram))
-    if not linalg.mat_eq(p, linalg.identity(a.field, 9)):
-        raise InternalCheckFailed("E0 basis should diagonalize Q0 on the nose")
-    return QuadraticForm(a.field, form.coeffs, label="Q0"), basis, gram
+    expected = [a.field.one()] + [a._ratios[2] * c for c in a.octonions.norm_form().coeffs]
+    gram = _checked_gram(a, basis, expected, "Q0")
+    return QuadraticForm(a.field, expected, label="Q0"), basis, gram
 
 
 def q0_form(a: AlbertAlgebra, u: AlbertElement) -> QuadraticForm:
@@ -553,16 +578,18 @@ def _check_gamma_orthogonal(a: AlbertAlgebra, x):
 
 
 class Automorphism:
-    """A 27x27 matrix acting on AlbertElements in canonical coordinates."""
+    """A 27x27 matrix acting on AlbertElements in canonical coordinates;
+    apply runs its sparse rows on the field's packed kernel."""
 
     def __init__(self, algebra: AlbertAlgebra, matrix):
         self.algebra = algebra
         self.matrix = matrix
+        self._rows = algebra.field.kernel.linear_table(matrix)
 
     def apply(self, x: AlbertElement) -> AlbertElement:
         if x.algebra != self.algebra:
             raise AlgebraMismatch("element from a different algebra")
-        return AlbertElement(self.algebra, linalg.mat_vec(self.matrix, list(x.coords)))
+        return AlbertElement(self.algebra, self.algebra.field.kernel.linear(self._rows, x.coords))
 
     def __call__(self, x: AlbertElement) -> AlbertElement:
         return self.apply(x)
@@ -571,9 +598,10 @@ class Automorphism:
         return linalg.mat_eq(self.matrix, linalg.identity(self.algebra.field, DIM))
 
     def preserves_jordan_on_basis(self) -> bool:
-        """Exact check phi(b_i b_j) = phi(b_i) phi(b_j) on all 378 basis pairs."""
+        """Exact check phi(b_i b_j) = phi(b_i) phi(b_j) on all 378 basis
+        pairs; the images phi(b_i) are the columns of the matrix."""
         a = self.algebra
-        images = [self.apply(a.basis(i)) for i in range(DIM)]
+        images = [AlbertElement(a, col) for col in zip(*self.matrix)]
         for i in range(DIM):
             for j in range(i, DIM):
                 lhs = self.apply(jordan_mul(a.basis(i), a.basis(j)))
@@ -594,42 +622,58 @@ def phi(a: AlbertAlgebra, x) -> Automorphism:
     return Automorphism(a, conjugation_between(a, a, x, samples=5, rng=_random.Random(947)))
 
 
-def _scalar_matmul(x, m):
-    """X M for a scalar 3x3 matrix X and a 3x3 octonion matrix M."""
-    out = []
-    for i in range(3):
-        row = []
-        for k in range(3):
-            acc = m[0][k].scale(x[i][0])
-            for j in (1, 2):
-                acc = acc + m[j][k].scale(x[i][j])
-            row.append(acc)
-        out.append(row)
-    return out
+def _scalar_image(dst: AlbertAlgebra, s, m: int) -> list[FieldElement]:
+    """Coordinates of the octonion matrix s e_m (s a scalar 3x3 matrix, e_m
+    a basis octonion), which must be Gamma-hermitian for dst with a scalar
+    diagonal; a violation is an internal-consistency failure."""
+    coords = [dst.field.zero()] * DIM
+    for p in range(3):
+        if m == 0:
+            coords[p] = s[p][p]
+        elif not s[p][p].is_zero():
+            raise InternalCheckFailed("diagonal entry is not a scalar")
+    for slot, (row, col) in enumerate(_SLOT_POSITION):
+        partner = dst._ratios[slot] * s[row][col]  # r_i conj(c_i), conj(e_m) = -e_m for m > 0
+        if s[col][row] != (partner if m == 0 else -partner):
+            raise InternalCheckFailed("matrix is not Gamma-hermitian")
+        coords[_SLOT_OFFSET[slot] + m] = s[row][col]
+    return coords
 
 
 def conjugation_between(src: AlbertAlgebra, dst: AlbertAlgebra, x, samples: int = 8, rng=None):
     """The isomorphism theta -> X theta X^(-1) from H(C;Gamma) to H(C;Gamma')
     induced by a scalar matrix X with X^T Gamma' X proportional to Gamma.
 
-    Returns the 27x27 coordinate matrix.  Structural hermitianness of every
-    image and the unit are checked exactly; multiplicativity and the
-    preservation of Q are verified on sampled pairs.
+    Returns the 27x27 coordinate matrix.  Scalars commute with octonions,
+    so a basis element with matrix T e_m (T scalar, e_m a basis octonion)
+    maps to (X T X^(-1)) e_m: each column is a 3x3 scalar product.
+    Structural hermitianness of every image and the unit are checked
+    exactly; multiplicativity and the preservation of Q are verified on
+    sampled pairs.
     """
     if src.octonions != dst.octonions:
         raise AlgebraMismatch("conjugation needs a common coordinate algebra")
-    x = [[src.field.element(v) for v in row] for row in x]
-    # M X^(-1) = (X^(-T) M^T)^T, since scalars commute with octonions
-    x_inv_t = linalg.transpose(linalg.inverse(x))
-    cols = []
-    for idx in range(DIM):
-        m = linalg.transpose(_scalar_matmul(x, to_matrix(src.basis(idx))))
-        m2 = linalg.transpose(_scalar_matmul(x_inv_t, m))
-        cols.append(from_matrix(dst, m2, check=True).coords)
+    f = src.field
+    x = [[f.element(v) for v in row] for row in x]
+    x_inv = linalg.inverse(x)
+
+    def image(j, l):  # X E_jl X^(-1)
+        return [[x[p][j] * x_inv[l][q] for q in range(3)] for p in range(3)]
+
+    cols = [_scalar_image(dst, image(i, i), 0) for i in range(3)]
+    for slot, (row, col) in enumerate(_SLOT_POSITION):
+        # e_m in slot c_i has T = E_(row,col) + (r_i if m == 0 else -r_i) E_(col,row)
+        upper = image(row, col)
+        lower = [[src._ratios[slot] * v for v in r] for r in image(col, row)]
+        plus = [[u + v for u, v in zip(ru, rl)] for ru, rl in zip(upper, lower)]
+        minus = [[u - v for u, v in zip(ru, rl)] for ru, rl in zip(upper, lower)]
+        cols.append(_scalar_image(dst, plus, 0))
+        cols.extend(_scalar_image(dst, minus, m) for m in range(1, 8))
     matrix = [[cols[c][r] for c in range(DIM)] for r in range(DIM)]
+    rows = f.kernel.linear_table(matrix)
 
     def mapped(elem: AlbertElement) -> AlbertElement:
-        return AlbertElement(dst, linalg.mat_vec(matrix, list(elem.coords)))
+        return AlbertElement(dst, f.kernel.linear(rows, elem.coords))
 
     if rng is not None:
         for _ in range(samples):

@@ -7,8 +7,8 @@ over a base field; dimension 2^k.  The product is fixed by the doubling rule
 
 with conjugation (a, b) -> (conj(a), -b), so on the canonical basis every
 product e_i e_j is a scalar multiple of a single basis element and the whole
-multiplication lives in one cached table.  The norm form is the Pfister form
-<1,-g1> (x) ... (x) <1,-gk>.
+multiplication lives in one table, compiled for the field's packed kernel.
+The norm form is the Pfister form <1,-g1> (x) ... (x) <1,-gk>.
 """
 
 from __future__ import annotations
@@ -39,7 +39,13 @@ class CompositionAlgebra:
         self.field = field
         self.params = params
         self.dim = 2 ** len(params)
+        # e_i e_j = c e_k for (k, c) = _table[i][j]
         self._table = self._build_table()
+        self._product = field.kernel.bilinear_table(
+            self.dim,
+            self.dim,
+            ((i, j, k, c) for i, row in enumerate(self._table) for j, (k, c) in enumerate(row)),
+        )
         self._norm_form: QuadraticForm | None = None
 
     def _build_table(self):
@@ -63,7 +69,7 @@ class CompositionAlgebra:
 
     # ----------------------------------------------------------------- basics
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, CompositionAlgebra)
             and self.field == other.field
             and self.params == other.params
@@ -187,18 +193,8 @@ class CompElement:
 
     def __mul__(self, other):
         other = self._check(other)
-        table = self.algebra._table
-        out = [self.algebra.field.zero()] * self.algebra.dim
-        for i, xi in enumerate(self.coords):
-            if xi.is_zero():
-                continue
-            row = table[i]
-            for j, yj in enumerate(other.coords):
-                if yj.is_zero():
-                    continue
-                k, c = row[j]
-                out[k] = out[k] + xi * yj * c
-        return CompElement(self.algebra, out)
+        a = self.algebra
+        return CompElement(a, a.field.kernel.bilinear(a._product, self.coords, other.coords))
 
     def scale(self, factor) -> CompElement:
         factor = self.algebra.field.element(factor)

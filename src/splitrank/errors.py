@@ -49,6 +49,10 @@ class UnsupportedExtension(UnsupportedCase):
     """Requested base change is not a supported field extension."""
 
 
+class InputTooLarge(UnsupportedCase):
+    """An integer is beyond the range where primality is proven."""
+
+
 class SearchSpaceTooLarge(AlgebraError):
     """Bounded search would exceed the enumeration budget."""
 

@@ -4,6 +4,24 @@ Everything is exact: rationals are stdlib Fractions, quadratic elements are
 pairs of Fractions over the fixed basis {1, sqrt(d)}, prime-field elements
 are residues.  No floating point appears anywhere; real-embedding signs are
 decided by integer comparisons.
+
+Packed payloads.  FieldElement is the scalar type of every public function.
+The products that dominate the running time -- octonion products, Jordan
+products, automorphism matrices -- are instead compiled once into tables of
+integer constants and run by `Field.kernel`, which is picked once per field
+kind.  A vector is packed into plain Python ints on entry and unpacked into
+canonical FieldElements on exit, so callers never see the packed form:
+
+    Q         integer numerators over one positive common denominator
+    F_p       integer residues (the denominator is 1), reduced mod p once
+              per output coordinate
+    Q(sqrt d) integer pairs (a, b), meaning a + b sqrt(d), over one positive
+              common denominator
+
+Unpacking normalizes, so the payloads are exactly those of FieldElement
+arithmetic: a reduced Fraction, a residue in [0, p), a pair of reduced
+Fractions.  `verify.reference_octonion_mul` and `verify.reference_jordan_mul`
+are plain FieldElement oracles for the kernels.
 """
 
 from __future__ import annotations
@@ -11,10 +29,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
+from math import gcd, lcm
 
 from .errors import (
     DivisionByZero,
     FieldMismatch,
+    InputTooLarge,
     InvalidInput,
     PrimeFieldHasNoRealPlaces,
     ZeroElement,
@@ -24,19 +45,27 @@ RATIONALS = "Q"
 PRIME_FIELD = "Fp"
 QUAD_EXT = "QSqrt"
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# psi_12: the least strong pseudoprime to all of _MR_BASES (Sorenson and
+# Webster 2015), so Miller-Rabin with these bases is a proof below it.
+PRIMALITY_LIMIT = 318665857834031151167461
+_TRIAL_LIMIT = 1000
+
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for anything this library meets."""
+    """Miller-Rabin with the prime bases up to 37.  A witness proves n
+    composite at any size; passing every base proves n prime only below
+    PRIMALITY_LIMIT, so a larger n that passes raises InputTooLarge."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -46,22 +75,60 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= PRIMALITY_LIMIT:
+        raise InputTooLarge(f"primality of {n} is not proven at or above {PRIMALITY_LIMIT}")
     return True
 
 
+def _pollard_rho(n: int) -> int:
+    """A nontrivial factor of an odd composite n (Brent's variant of Pollard
+    rho, deterministic: x -> x^2 + c from 2 for c = 1, 2, ...)."""
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: redo it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
 def prime_factors(n: int) -> dict[int, int]:
-    """{prime: exponent} of |n| by trial division ({} for 0 and +-1)."""
+    """{prime: exponent} of |n| in increasing order ({} for 0 and +-1):
+    trial division below 1000, then Pollard rho on the cofactor.  Every
+    prime is proven by is_prime, so a factor of PRIMALITY_LIMIT or more that
+    passes every Miller-Rabin base raises InputTooLarge."""
     n = abs(n)
-    out = {}
+    out: dict[int, int] = {}
     p = 2
-    while p * p <= n:
+    while p < _TRIAL_LIMIT and p * p <= n:
         while n % p == 0:
             n //= p
             out[p] = out.get(p, 0) + 1
         p += 1 if p == 2 else 2
-    if n > 1:
-        out[n] = 1
-    return out
+    todo = [n] if n > 1 else []
+    while todo:
+        m = todo.pop()
+        if is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            f = _pollard_rho(m)
+            todo += [f, m // f]
+    return dict(sorted(out.items()))
 
 
 def squarefree_part(n: int) -> int:
@@ -149,6 +216,7 @@ class Field:
                 raise InvalidInput(f"quadratic extension needs squarefree d not in {{0,1}}, got {self.d}")
         else:
             raise InvalidInput(f"unknown field kind {self.kind!r}")
+        object.__setattr__(self, "kernel", _KERNELS[self.kind](self))
 
     # ------------------------------------------------------------------ basics
     def __repr__(self):
@@ -254,8 +322,8 @@ class FieldElement:
     __slots__ = ("field", "value")
 
     def __init__(self, field: Field, value):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "value", value)
+        _set_field(self, field)
+        _set_value(self, value)
 
     def __setattr__(self, *a):
         raise AttributeError("FieldElement is immutable")
@@ -429,6 +497,11 @@ class FieldElement:
         return f"{a}{sign}{rpart}"
 
 
+# the slot setters, bypassing the immutability guard in __setattr__
+_set_field = FieldElement.field.__set__
+_set_value = FieldElement.value.__set__
+
+
 def _sign_a_plus_b_sqrt_d(a: Fraction, b: Fraction, d: int) -> int:
     """Exact sign of a + b*sqrt(d) for d > 0, via integer comparisons."""
     if b == 0:
@@ -497,3 +570,133 @@ def parse_element(field: Field, text) -> FieldElement:
     except ZeroDivisionError:
         raise InvalidInput(f"zero denominator in {text!r}") from None
     return field.element((a, b))
+
+
+# ---------------------------------------------------------------------------
+# packed kernels (see the module docstring)
+# ---------------------------------------------------------------------------
+
+class _Kernel:
+    """Bilinear and linear maps compiled to integer constants over one
+    common denominator.  A bilinear table holds, for each x coordinate i,
+    the terms (j, k, constant...) of out_k += c x_i y_j; a linear table holds
+    one sparse row of (j, constant...) per output coordinate."""
+
+    def __init__(self, field: Field):
+        self.field = field
+
+    def bilinear_table(self, n_x: int, n_out: int, terms):
+        """Compile out_k = sum of c x_i y_j over the terms (i, j, k, c)."""
+        terms = [t for t in terms if not t[3].is_zero()]
+        consts, den = self._constants([t[3] for t in terms])
+        rows = [[] for _ in range(n_x)]
+        for (i, j, k, _), c in zip(terms, consts):
+            rows[i].append((j, k) + c)
+        return rows, n_out, den
+
+    def linear_table(self, matrix):
+        """Compile the sparse rows of a matrix of FieldElements."""
+        entries = [(r, j, c) for r, row in enumerate(matrix) for j, c in enumerate(row) if not c.is_zero()]
+        consts, den = self._constants([c for _, _, c in entries])
+        rows = [[] for _ in matrix]
+        for (r, j, _), c in zip(entries, consts):
+            rows[r].append((j,) + c)
+        return rows, den
+
+
+class _IntegerKernel(_Kernel):
+    """Q and F_p: a packed vector is (ints, den); subclasses convert."""
+
+    def _constants(self, elems):
+        nums, den = self._pack(elems)
+        return [(n,) for n in nums], den
+
+    def bilinear(self, table, xs, ys) -> tuple[FieldElement, ...]:
+        rows, n_out, den = table
+        x, xd = self._pack(xs)
+        y, yd = self._pack(ys)
+        out = [0] * n_out
+        for xi, row in zip(x, rows):
+            if xi:
+                for j, k, c in row:
+                    out[k] += c * xi * y[j]
+        return self._unpack(out, den * xd * yd)
+
+    def linear(self, table, xs) -> tuple[FieldElement, ...]:
+        rows, den = table
+        x, xd = self._pack(xs)
+        return self._unpack([sum(c * x[j] for j, c in row) for row in rows], den * xd)
+
+
+class _RationalKernel(_IntegerKernel):
+    def _pack(self, elems):
+        values = [e.value for e in elems]
+        den = lcm(*[v.denominator for v in values])
+        return [v.numerator * (den // v.denominator) for v in values], den
+
+    def _unpack(self, nums, den):
+        f = self.field
+        return tuple(FieldElement(f, Fraction(n, den)) for n in nums)
+
+
+class _PrimeKernel(_IntegerKernel):
+    def _pack(self, elems):
+        return [e.value for e in elems], 1
+
+    def _unpack(self, nums, den):
+        f, p = self.field, self.field.p
+        return tuple(FieldElement(f, n % p) for n in nums)
+
+
+class _QuadKernel(_Kernel):
+    """Q(sqrt d): a packed vector is ([(a, b), ...], den)."""
+
+    def _pack(self, elems):
+        values = [e.value for e in elems]
+        den = lcm(*[a.denominator for a, _ in values], *[b.denominator for _, b in values])
+        return [
+            (a.numerator * (den // a.denominator), b.numerator * (den // b.denominator))
+            for a, b in values
+        ], den
+
+    def _unpack(self, pairs, den):
+        f = self.field
+        return tuple(FieldElement(f, (Fraction(a, den), Fraction(b, den))) for a, b in pairs)
+
+    def _constants(self, elems):
+        pairs, den = self._pack(elems)
+        d = self.field.d
+        return [(a, b, d * b) for a, b in pairs], den
+
+    def bilinear(self, table, xs, ys) -> tuple[FieldElement, ...]:
+        rows, n_out, den = table
+        x, xd = self._pack(xs)
+        y, yd = self._pack(ys)
+        d = self.field.d
+        out_a, out_b = [0] * n_out, [0] * n_out
+        for (xa, xb), row in zip(x, rows):
+            if xa or xb:
+                dxb = d * xb
+                for j, k, ca, cb, dcb in row:
+                    ya, yb = y[j]
+                    pa = xa * ya + dxb * yb
+                    pb = xa * yb + xb * ya
+                    out_a[k] += ca * pa + dcb * pb
+                    out_b[k] += ca * pb + cb * pa
+        return self._unpack(zip(out_a, out_b), den * xd * yd)
+
+    def linear(self, table, xs) -> tuple[FieldElement, ...]:
+        rows, den = table
+        x, xd = self._pack(xs)
+        out = []
+        for row in rows:
+            a = b = 0
+            for j, ca, cb, dcb in row:
+                xa, xb = x[j]
+                a += ca * xa + dcb * xb
+                b += ca * xb + cb * xa
+            out.append((a, b))
+        return self._unpack(out, den * xd)
+
+
+_KERNELS = {RATIONALS: _RationalKernel, PRIME_FIELD: _PrimeKernel, QUAD_EXT: _QuadKernel}

@@ -65,7 +65,7 @@ def mat_eq(a, b) -> bool:
 
 
 def det(a) -> FieldElement:
-    """Determinant by fraction-free-ish Gaussian elimination (exact fields)."""
+    """Determinant by plain Gaussian elimination over an exact field."""
     n = len(a)
     m = [row[:] for row in a]
     field = a[0][0].field

@@ -3,8 +3,9 @@ command and the test suite.
 
 Each suite returns a list of CheckResult; all randomness flows from one seed
 so runs are reproducible.  The suites also host the independent oracles
-(exhaustive Witt enumeration over F_p, brute-force change-of-basis search)
-used to cross-validate the production decision procedures.
+(exhaustive Witt enumeration over F_p, brute-force change-of-basis search,
+plain FieldElement products) used to cross-validate the production decision
+procedures and the packed kernels.
 """
 
 from __future__ import annotations
@@ -14,8 +15,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import linalg
 from .albert import (
     AlbertAlgebra,
+    AlbertElement,
+    Automorphism,
+    _CYCLIC,
     _jordan_from_matrices,
     bilinear,
     e0_subspace,
@@ -29,7 +34,7 @@ from .albert import (
     torus_element,
     trace,
 )
-from .composition import cayley_dickson
+from .composition import CompElement, cayley_dickson
 from .fields import legendre, prime_field, quad_ext, rationals
 from .groups import (
     KIND_SPIN,
@@ -137,6 +142,55 @@ def witt_index_enumeration(coeffs: list[int], p: int) -> int:
     n = len(coeffs)
     start = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     return recurse(start)
+
+
+def reference_octonion_mul(x: CompElement, y: CompElement) -> CompElement:
+    """x y by the Cayley-Dickson doubling rule
+    (a, b)(c, d) = (a c + g d conj(b), conj(a) d + c b), in plain
+    FieldElement arithmetic: the oracle for CompElement.__mul__."""
+    a = x._check(y).algebra
+    return CompElement(a, _doubling_mul(a.params, list(x.coords), list(y.coords)))
+
+
+def _doubling_mul(params, u, v):
+    if not params:
+        return [u[0] * v[0]]
+    inner, g, h = params[:-1], params[-1], len(u) // 2
+    a, b, c, d = u[:h], u[h:], v[:h], v[h:]
+
+    def conj(w):
+        return w[:1] + [-t for t in w[1:]]
+
+    first = [s + g * t for s, t in zip(_doubling_mul(inner, a, c), _doubling_mul(inner, d, conj(b)))]
+    second = [s + t for s, t in zip(_doubling_mul(inner, conj(a), d), _doubling_mul(inner, c, b))]
+    return first + second
+
+
+def reference_jordan_mul(x: AlbertElement, y: AlbertElement) -> AlbertElement:
+    """jordan_mul's coordinate formula (see its docstring) in plain
+    FieldElement arithmetic: the oracle for the packed Jordan product."""
+    x._check(y)
+    a = x.algebra
+    zero, half, r = a.field.zero(), a._half, a._ratios
+    norm = a.octonions.norm_form().coeffs
+    xs, ys = x.xs, y.xs
+    c = [x.slot(i) for i in (1, 2, 3)]
+    d = [y.slot(i) for i in (1, 2, 3)]
+    rn = [
+        r[i] * sum((m * u * v for m, u, v in zip(norm, c[i].coords, d[i].coords)), zero)
+        for i in range(3)
+    ]
+    out = [xs[i] * ys[i] + rn[j] + rn[k] for i, j, k in _CYCLIC]
+    for i, j, k in _CYCLIC:
+        cross = (reference_octonion_mul(d[j], c[k]) + reference_octonion_mul(c[j], d[k])).conj()
+        slot = d[i].scale(half * (xs[j] + xs[k])) + c[i].scale(half * (ys[j] + ys[k])) + cross.scale(half / r[i])
+        out.extend(slot.coords)
+    return AlbertElement(a, out)
+
+
+def reference_apply(auto: Automorphism, x: AlbertElement) -> AlbertElement:
+    """The dense matrix-vector product: the oracle for Automorphism.apply."""
+    return AlbertElement(auto.algebra, linalg.mat_vec(auto.matrix, list(x.coords)))
 
 
 def fp_equivalent_bruteforce(q1: QuadraticForm, q2: QuadraticForm) -> bool:
@@ -489,6 +543,17 @@ def suite_albert(seed: int = DEFAULT_SEED) -> list[CheckResult]:
                 ok, detail = False, f"over {a.field}: x={x.to_json()} y={y.to_json()}"
                 break
     _check(out, "albert", "jordan_mul = matrix route (50 pairs over Q and F7)", ok, detail)
+
+    ok = True
+    detail = ""
+    for a in fixtures:
+        c = a.octonions
+        for _ in range(50):
+            x, y = c.random(rng, 3), c.random(rng, 3)
+            if x * y != reference_octonion_mul(x, y):
+                ok, detail = False, f"over {c.field}: x={x.to_json()} y={y.to_json()}"
+                break
+    _check(out, "albert", "octonion product = FieldElement reference (50 pairs over Q and F7)", ok, detail)
     return out
 
 

@@ -142,6 +142,12 @@ class TestExitCodes:
         assert code == 3
         assert json.loads(out)["error"]["kind"] == "UnsupportedCase"
 
+    def test_factoring_limit_exit(self, capsys):
+        form = json.dumps({"field": {"kind": "Q"}, "coeffs": ["1", "1", "-318665857834031151167461"]})
+        code, out = run_cli(["witt", "--json", form], capsys)
+        assert code == 3
+        assert json.loads(out)["error"]["kind"] == "InputTooLarge"
+
     def test_nonnormalizable_gamma_exit(self, capsys):
         alg = json.dumps(
             {

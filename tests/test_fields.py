@@ -1,23 +1,32 @@
-"""Field arithmetic, square tests, real signs, Legendre symbols."""
+"""Field arithmetic, square tests, real signs, Legendre symbols, factoring."""
 
+import random
+import time
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from splitrank.errors import (
     DivisionByZero,
     FieldMismatch,
+    InputTooLarge,
     InvalidInput,
     PrimeFieldHasNoRealPlaces,
     ZeroElement,
 )
 from splitrank.fields import (
+    PRIMALITY_LIMIT,
+    is_prime,
     legendre,
     parse_element,
+    prime_factors,
     prime_field,
     quad_ext,
     rationals,
+    squarefree_part,
 )
+from splitrank.qforms import QuadraticForm, witt_decompose
 
 Q = rationals()
 F7 = prime_field(7)
@@ -194,3 +203,61 @@ class TestJson:
             assert field_from_json(f.to_json()) == f
         with pytest.raises(InvalidInput):
             field_from_json({"kind": "R"})
+
+
+def _trial_division(n):
+    out, p = {}, 2
+    while p * p <= n:
+        while n % p == 0:
+            n //= p
+            out[p] = out.get(p, 0) + 1
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+class TestFactoring:
+    def test_matches_trial_division(self):
+        rng = random.Random(3)
+        for n in [rng.randrange(1, 10**8) for _ in range(300)] + [1009 * 1013, 1009**3 * 7, 2**40]:
+            assert prime_factors(n) == _trial_division(n)
+            assert list(prime_factors(n)) == sorted(_trial_division(n))
+
+    def test_products_of_large_primes(self):
+        big = [10**9 + 7, 10**9 + 9, 10000000019, 526315789477]
+        assert all(is_prime(p) for p in big)
+        assert prime_factors(-6 * big[0] ** 2 * 10007) == {2: 1, 3: 1, 10007: 1, big[0]: 2}
+        assert prime_factors(big[1] * big[3] * 997) == {997: 1, big[1]: 1, big[3]: 1}
+
+    def test_semiprime_witt_certified(self):
+        # the form that hung trial-division factoring; the loose bound only
+        # catches a return of the hang
+        n = 10000000019 * 10000000000063
+        assert prime_factors(n) == {19: 1, 10000000019: 1, 526315789477: 1}
+        start = time.perf_counter()
+        dec = witt_decompose(QuadraticForm(Q, [1, 1, -n]))
+        assert time.perf_counter() - start < 30
+        assert dec.witt_index == 0 and dec.method == "local_invariants"
+
+    def test_primality_limit(self):
+        # psi_12 is a strong pseudoprime to every base up to 37
+        assert not is_prime(PRIMALITY_LIMIT - 1)
+        with pytest.raises(InputTooLarge):
+            is_prime(PRIMALITY_LIMIT)
+        with pytest.raises(InputTooLarge):
+            prime_factors(4 * PRIMALITY_LIMIT)
+        assert prime_factors(2**100) == {2: 100}
+
+    def test_composites_past_the_limit(self):
+        # a Miller-Rabin witness proves compositeness at any size
+        assert 1009**8 > PRIMALITY_LIMIT and not is_prime(1009**8)
+        assert prime_factors(1009**8) == {1009: 8}
+        with pytest.raises(InvalidInput):
+            prime_field(10**30 + 1)
+        primes = [100003, 100019, 100043, 100049, 100057]
+        assert all(is_prime(p) for p in primes)
+        form = QuadraticForm(Q, primes)
+        assert prod(primes) > PRIMALITY_LIMIT
+        assert squarefree_part(prod(primes)) == prod(primes)
+        assert witt_decompose(form).witt_index == 0
