@@ -29,11 +29,12 @@ from .errors import (
     NotOnTorus,
     NotPrimitiveIdempotent,
     SingularCayley,
+    UnsupportedCase,
     UnsupportedIdempotent,
     ZeroParameter,
 )
 from .fields import Field, FieldElement
-from .qforms import IsotropyResult, QuadraticForm, is_isotropic, _escalating_search
+from .qforms import IsotropyResult, QuadraticForm, is_isotropic
 from . import linalg
 
 DIM = 27
@@ -417,24 +418,24 @@ def nilpotent_analysis(a: AlbertAlgebra):
 
     Tests the three forms <1> + (g_j/g_k) N; an isotropic one yields an
     explicit square-zero element, all-anisotropic yields None with proofs.
-    An explicit vector is searched only for the first isotropic form.
+    The first isotropic form gets a constructed zero (qforms.is_isotropic:
+    a Legendre lattice or a split through a common value); the later ones
+    carry their decision only.  A slot form with an irrational coefficient
+    over Q(sqrt d) has no constructed zero and raises UnsupportedCase.
     """
     certificates: list[IsotropyResult] = []
     witness = None
     for config in _nilpotent_configs(a):
         form = _nilpotent_test_form(a, config)
-        res = is_isotropic(form, want_witness=False)
+        res = is_isotropic(form, want_witness=witness is None)
         certificates.append(res)
         if res.isotropic and witness is None:
-            vec = _escalating_search(form)
-            if vec is None:
-                raise InternalCheckFailed(
-                    "isotropy certified but no explicit vector found for a "
-                    "slot form; cannot build the nilpotent element"
+            if res.witness is None:
+                raise UnsupportedCase(
+                    f"slot form {form} is isotropic, but no explicit vector is "
+                    "built for irrational coefficients"
                 )
-            res.witness = vec
-            res.method = "explicit_witness"
-            witness = _build_slot_nilpotent(a, config, vec)
+            witness = _build_slot_nilpotent(a, config, res.witness)
     return witness, certificates
 
 
@@ -453,13 +454,9 @@ def orthogonal_nilpotent_pair(a: AlbertAlgebra):
     c_alg = a.octonions
     if not c_alg.is_split():
         return None
-    pure = c_alg.pure_norm_form()
-    vec = _escalating_search(pure)
+    vec = is_isotropic(c_alg.pure_norm_form(), want_witness=True).witness
     if vec is None:
-        res = is_isotropic(pure, want_witness=True)
-        vec = res.witness
-    if vec is None:
-        raise InternalCheckFailed("split octonions but no isotropic pure vector found")
+        raise UnsupportedCase("no explicit vector is built for an irrational pure norm form")
     c = CompElement(c_alg, [c_alg.field.zero()] + list(vec))
     if c.is_zero() or not (c * c).is_zero():
         raise InternalCheckFailed("pure isotropic vector should square to zero")

@@ -90,8 +90,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_witt(args) -> int:
     form = form_from_json(_load_input(args))
-    cap = args.bound if args.bound else 1024
-    _emit(witt_decompose(form, search_cap=cap).to_json(), args.out)
+    _emit(witt_decompose(form).to_json(), args.out)
     return EXIT_OK
 
 
@@ -159,8 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(name)
         _add_io_flags(sub)
         sub.set_defaults(fn=fn)
-        if name == "witt":
-            sub.add_argument("--bound", type=int, default=None, help="search bound override")
         if name == "excellence":
             sub.add_argument("--ext", required=True, help="extension field JSON")
     sub = subs.add_parser("verify")

@@ -29,6 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count
 from math import gcd, lcm
 
@@ -111,8 +112,13 @@ def prime_factors(n: int) -> dict[int, int]:
     """{prime: exponent} of |n| in increasing order ({} for 0 and +-1):
     trial division below 1000, then Pollard rho on the cofactor.  Every
     prime is proven by is_prime, so a factor of PRIMALITY_LIMIT or more that
-    passes every Miller-Rabin base raises InputTooLarge."""
-    n = abs(n)
+    passes every Miller-Rabin base raises InputTooLarge.  Factorizations are
+    remembered per |n|; each call returns a fresh dict."""
+    return dict(_prime_factors(abs(n)))
+
+
+@lru_cache(maxsize=4096)
+def _prime_factors(n: int) -> tuple[tuple[int, int], ...]:
     out: dict[int, int] = {}
     p = 2
     while p < _TRIAL_LIMIT and p * p <= n:
@@ -128,7 +134,7 @@ def prime_factors(n: int) -> dict[int, int]:
         else:
             f = _pollard_rho(m)
             todo += [f, m // f]
-    return dict(sorted(out.items()))
+    return tuple(sorted(out.items()))
 
 
 def squarefree_part(n: int) -> int:
@@ -521,8 +527,8 @@ def _sign_a_plus_b_sqrt_d(a: Fraction, b: Fraction, d: int) -> int:
 
 _FRAC = r"\d+(?:/\d+)?"
 _LIT = re.compile(
-    rf"^(?P<asign>[+-])?(?P<a>{_FRAC})?"
-    rf"(?:(?P<bsign>[+-])?(?:(?P<b>{_FRAC})\*?)?(?P<r>r))?$"
+    rf"^(?P<asign>[+-])?(?P<a>{_FRAC}(?![\d/*r]))?"
+    rf"(?:(?P<bsign>[+-])?(?:(?P<b>{_FRAC})\*)?(?P<r>r))?$"
 )
 
 

@@ -3,8 +3,11 @@ Witt decomposition and equivalence over Q, F_p and Q(sqrt(d)).
 
 All forms are diagonal <a1,...,an> with nonzero coefficients.  Decisions are
 exact and every verdict carries a certificate: an explicit witness vector for
-isotropy, or the invariant/place data that rules a witness out.  Over
-Q(sqrt(d)) only the dim >= 5 real-place fragment is decided; everything else
+isotropy, or the invariant/place data that rules a witness out.  Witnesses
+are constructed (Legendre lattices and local-global splits, see the
+"constructive witnesses" section), never searched for; the bounded search
+stays as an oracle.  Over Q(sqrt(d)) only the dim >= 5 real-place fragment
+is decided, with witnesses for rational coefficients; everything else
 raises UnsupportedCase rather than guessing.
 """
 
@@ -31,6 +34,7 @@ from .fields import (
     RATIONALS,
     Field,
     FieldElement,
+    is_prime,
     legendre,
     prime_factors,
     rational_sqrt,
@@ -111,11 +115,16 @@ class QuadraticForm:
         return acc
 
     def det_squareclass(self):
-        """Canonical representative of the determinant square class."""
-        d = self.det()
+        """Canonical representative of the determinant square class (over
+        Q the squarefree part, built from each coefficient's factors)."""
         k = self.field.kind
         if k == RATIONALS:
-            return squarefree_part(d.value.numerator * d.value.denominator)
+            out = 1
+            for c in self.coeffs:
+                out = _sqf_mul(out, squarefree_part(c.value.numerator))
+                out = _sqf_mul(out, squarefree_part(c.value.denominator))
+            return out
+        d = self.det()
         if k == PRIME_FIELD:
             if legendre(d.value, self.field.p) == 1:
                 return 1
@@ -330,17 +339,24 @@ def _val_unit(n: int, p: int) -> tuple[int, int]:
     return v, n
 
 
+def _check_place(place):
+    if place != INF and not is_prime(int(place)):
+        raise InvalidInput(f"place must be a prime or 'inf', got {place!r}")
+
+
 def hilbert_int(a: int, b: int, place) -> int:
     """Hilbert symbol (a,b) at a rational place; a, b nonzero integers."""
     if a == 0 or b == 0:
         raise InvalidInput("hilbert symbol needs nonzero entries")
+    _check_place(place)
+    return _symbol(a, b, place)
+
+
+def _symbol(a: int, b: int, place) -> int:
+    """hilbert_int without the argument checks."""
     if place == INF:
         return -1 if (a < 0 and b < 0) else 1
     p = int(place)
-    from .fields import is_prime
-
-    if not is_prime(p):
-        raise InvalidInput(f"place must be a prime or 'inf', got {place!r}")
     if p == 2:
         alpha, u = _val_unit(a, 2)
         beta, v = _val_unit(b, 2)
@@ -372,11 +388,12 @@ def hasse_invariant(q: QuadraticForm, place) -> int:
     """prod_{i<j} (a_i, a_j)_place  (the i<j convention, fixed)."""
     if q.field.kind != RATIONALS:
         raise UnsupportedField("Hasse invariants are implemented over Q only")
+    _check_place(place)
     ints = [_as_int_squareclass(c) for c in q.coeffs]
     s = 1
     for i in range(len(ints)):
         for j in range(i + 1, len(ints)):
-            s *= hilbert_int(ints[i], ints[j], place)
+            s *= _symbol(ints[i], ints[j], place)
     return s
 
 
@@ -410,9 +427,9 @@ def _local_isotropic(n: int, det_int: int, eps: int, place) -> bool:
     if n == 2:
         return _is_square_qp(-det_int, place)
     if n == 3:
-        return hilbert_int(-1, -det_int, place) == eps
+        return _symbol(-1, -det_int, place) == eps
     if n == 4:
-        return not (_is_square_qp(det_int, place) and eps == -hilbert_int(-1, -1, place))
+        return not (_is_square_qp(det_int, place) and eps == -_symbol(-1, -1, place))
     return True
 
 
@@ -424,14 +441,14 @@ def witt_index_by_invariants(q: QuadraticForm) -> int:
     n = q.dim
     pos, neg = q.signature()
     best = min(pos, neg)
-    det_int = squarefree_part(_as_int_squareclass(q.det()))
+    det_int = q.det_squareclass()
     for p in _bad_primes(q):
         m, d, e = n, det_int, hasse_invariant(q, p)
         count = 0
         while m > 0 and _local_isotropic(m, d, e, p):
             m -= 2
-            d = squarefree_part(-d)
-            e *= hilbert_int(-1, d, p)
+            d = -d
+            e *= _symbol(-1, d, p)
             count += 1
         best = min(best, count)
         if best == 0:
@@ -446,7 +463,7 @@ def witt_index_by_invariants(q: QuadraticForm) -> int:
 
 
 # --------------------------------------------------------------------------
-# witness searches
+# bounded search: the public oracle, and the height-1 probe of the witnesses
 # --------------------------------------------------------------------------
 
 _ENUM_CAP = 4_000_000
@@ -492,68 +509,6 @@ def _search_integer(coeffs: list[int], bound: int):
     return None
 
 
-def _qsqrt_scalars(f: Field, bound: int, nonzero: bool):
-    out = []
-    for a in range(-bound, bound + 1):
-        for b in range(-bound, bound + 1):
-            if nonzero and a == 0 and b == 0:
-                continue
-            out.append(f.element((Fraction(a), Fraction(b))))
-    return out
-
-
-def _search_qsqrt(q: QuadraticForm, bound: int):
-    """Bounded witness search over Q(sqrt d).
-
-    Stages: the rational restriction (coefficients of base-changed forms are
-    rational, so integer witnesses are common), then vectors supported on two
-    coordinates with small a + b*sqrt(d) entries, then a small dense
-    meet-in-the-middle sweep.
-    """
-    f = q.field
-    n = q.dim
-    zero = f.zero()
-    if all(c.value[1] == 0 for c in q.coeffs):
-        ints = _integerize([Fraction(c.value[0]) for c in q.coeffs])
-        vec = _search_integer(ints, max(bound, 8))
-        if vec is not None:
-            return [f.element(v) for v in vec]
-    scalars = _qsqrt_scalars(f, min(bound, 2), nonzero=True)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for x in scalars:
-                lead = q.coeffs[i] * x * x
-                for y in scalars:
-                    if (lead + q.coeffs[j] * y * y).is_zero():
-                        vec = [zero] * n
-                        vec[i], vec[j] = x, y
-                        return vec
-    dense = _qsqrt_scalars(f, 1, nonzero=False)
-    h1 = list(range((n + 1) // 2))
-    h2 = list(range((n + 1) // 2, n))
-    if len(dense) ** len(h1) > 300_000:
-        raise SearchSpaceTooLarge(f"dim {n} over {f}")
-    table: dict = {}
-    for xs in itertools.product(dense, repeat=len(h1)):
-        acc = zero
-        for i, x in zip(h1, xs):
-            acc = acc + q.coeffs[i] * x * x
-        if acc.value not in table:
-            table[acc.value] = xs
-    for ys in itertools.product(dense, repeat=len(h2)):
-        acc = zero
-        for i, y in zip(h2, ys):
-            acc = acc + q.coeffs[i] * y * y
-        hit = table.get((-acc).value)
-        if hit is None:
-            continue
-        vec = list(hit) + list(ys)
-        if all(v.is_zero() for v in vec):
-            continue
-        return vec
-    return None
-
-
 def _fp_witness(q: QuadraticForm):
     """Deterministic nonzero isotropic vector over F_p, or None.
 
@@ -585,7 +540,8 @@ def _fp_witness(q: QuadraticForm):
 
 
 def isotropic_vector_search(q: QuadraticForm, height_bound: int):
-    """Bounded witness search; None is NOT an anisotropy proof over Q."""
+    """Bounded witness search; None is NOT an anisotropy proof over Q.
+    An oracle for tests and `verify`: the certificates are constructed."""
     k = q.field.kind
     if k == RATIONALS:
         ints = _integerize([c.value for c in q.coeffs])
@@ -607,40 +563,383 @@ def isotropic_vector_search(q: QuadraticForm, height_bound: int):
     raise UnsupportedField("bounded search is for Q and F_p forms")
 
 
-def _escalating_search(q: QuadraticForm, cap: int = 1024):
-    if q.field.kind == QUAD_EXT:
-        try:
-            vec = _search_qsqrt(q, 2)
-        except SearchSpaceTooLarge:
-            return None
-        return tuple(vec) if vec is not None else None
-    bound = 1
-    while bound <= cap:
-        try:
-            vec = isotropic_vector_search(q, bound)
-        except SearchSpaceTooLarge:
-            return None
-        if vec is not None:
-            return tuple(vec)
-        bound *= 2
-    return None
+# --------------------------------------------------------------------------
+# constructive witnesses over Q and Q(sqrt d)
+#
+# The constructive proof of Hasse-Minkowski (Cassels, Rational Quadratic
+# Forms, ch. 6): ternary forms by the Legendre lattice of Cremona and Rusin
+# (Math. Comp. 2003), dimensions 4 and 5 by a value t represented by both
+# halves of a split, dimension >= 6 through an indefinite 5-dim subform.
+# Every routine works on integer coefficients of an isotropic form and
+# returns a nonzero integer zero of it.
+# --------------------------------------------------------------------------
+
+def _square_split(n: int) -> tuple[int, int]:
+    """n = s * m^2 with s squarefree (sign kept), from the cached factors."""
+    s, m = (-1 if n < 0 else 1), 1
+    for p, e in prime_factors(n).items():
+        if e % 2:
+            s *= p
+        m *= p ** (e // 2)
+    return s, m
+
+
+def _sqf_mul(a: int, b: int) -> int:
+    """Squarefree part of a*b for squarefree a and b, without factoring."""
+    g = math.gcd(a, b)
+    return a * b // (g * g)
+
+
+def _definite(ints) -> bool:
+    return min(ints) > 0 or max(ints) < 0
+
+
+def _primes_of(ints) -> list[int]:
+    primes = {2}
+    for c in ints:
+        primes.update(prime_factors(c))
+    return sorted(primes)
+
+
+def _iso_at(ints: list[int], p: int) -> bool:
+    """Isotropy over Q_p of the diagonal form with integer coefficients."""
+    n = len(ints)
+    eps = 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            eps *= _symbol(ints[i], ints[j], p)
+    return _local_isotropic(n, math.prod(ints), eps, p)
+
+
+def _isotropic_ints(ints: list[int]) -> bool:
+    """Hasse-Minkowski over Q for 3 or 4 integer coefficients."""
+    return not _definite(ints) and all(_iso_at(ints, p) for p in _primes_of(ints))
+
+
+def _pad(n: int, idx, sub) -> list[int]:
+    vec = [0] * n
+    for i, v in zip(idx, sub):
+        vec[i] = v
+    return vec
+
+
+def _primitive(vec: list[int]) -> list[int]:
+    g = math.gcd(*vec)
+    return [v // g for v in vec] if g > 1 else vec
+
+
+def _q_witness(ints: list[int]) -> list[int]:
+    """Nonzero integer zero of an isotropic form with integer coefficients:
+    the fixed height-1 probe, then the construction; checked exactly."""
+    vec = _search_integer(ints, 1)
+    if vec is None:
+        vec = _solve(ints)
+    if not any(vec) or sum(c * x * x for c, x in zip(ints, vec)):
+        raise InternalCheckFailed("constructed vector is not a zero of the form")
+    return vec
+
+
+def _solve(ints: list[int]) -> list[int]:
+    """a_i = s_i m_i^2: a zero y of <s_i> gives x_i = y_i M / m_i,
+    M = lcm(m_i)."""
+    split = [_square_split(c) for c in ints]
+    y = _solve_sqf([s for s, _ in split])
+    big = math.lcm(*(m for _, m in split))
+    return _primitive([v * (big // m) for v, (_, m) in zip(y, split)])
+
+
+def _solve_sqf(s: list[int]) -> list[int]:
+    """Zero of an isotropic form with squarefree coefficients, supported on
+    as few and as small coefficients as the local tests allow."""
+    n = len(s)
+    for i, j in itertools.combinations(range(n), 2):
+        if s[i] == -s[j]:
+            return _pad(n, (i, j), (1, 1))
+    if n < 3:
+        raise InternalCheckFailed(f"no zero of the anisotropic form {s}")
+    if n == 3:
+        return _ternary(*s)
+    if n >= 6:
+        idx = _meyer_indices(s)
+        return _pad(n, idx, _solve_sqf([s[i] for i in idx]))
+    for size in range(3, n):
+        for idx in sorted(itertools.combinations(range(n), size), key=lambda c: sorted(abs(s[i]) for i in c)):
+            sub = [s[i] for i in idx]
+            if _isotropic_ints(sub):
+                return _pad(n, idx, _solve_sqf(sub))
+    return _split_solve(s)
+
+
+def _meyer_indices(s: list[int]) -> list[int]:
+    """An indefinite 5-dim subform, isotropic by Meyer's theorem: the five
+    smallest coefficients, the last swapped for the smallest of the other
+    sign when all five share one."""
+    order = sorted(range(len(s)), key=lambda i: (abs(s[i]), i))
+    pick = order[:5]
+    if _definite([s[i] for i in pick]):
+        pick[-1] = next(i for i in order if (s[i] > 0) != (s[pick[0]] > 0))
+    return sorted(pick)
+
+
+def _class_key(t: int, p: int) -> tuple[int, int]:
+    """Square class of t in Q_p: valuation parity and unit class."""
+    v, u = _val_unit(t, p)
+    return v % 2, (u % 8 if p == 2 else legendre(u, p))
+
+
+def _class_reps(p: int) -> list[int]:
+    if p == 2:
+        return [u << v for v in (0, 1) for u in (1, 3, 5, 7)]
+    n = _least_nonresidue(p)
+    return [1, n, p, n * p]
+
+
+def _split_plan(a: list[int], rest: list[int]):
+    """The square classes of t allowed at each prime of S = {2} + primes of
+    the coefficients, for which <a1,a2,-t> and rest + <t> are both
+    isotropic over Q_p, and the product of the primes of S that must divide
+    t to an odd power."""
+    primes = _primes_of(a + rest)
+    allowed = {
+        p: {_class_key(c, p) for c in _class_reps(p) if _iso_at(a + [-c], p) and _iso_at(rest + [c], p)}
+        for p in primes
+    }
+    if not all(allowed.values()):
+        raise InternalCheckFailed(f"<{a}> + <{rest}> has no common value at a prime")
+    forced = math.prod(p for p in primes if all(v for v, _ in allowed[p]))
+    share = math.prod(Fraction(len(allowed[p]), 8 if p == 2 else 4) for p in primes)
+    return forced / share, allowed, forced
+
+
+def _split_value(a: list[int], rest: list[int], allowed, forced: int) -> int:
+    """The least |t| with <a1,a2,-t> and rest + <t> both isotropic: t is a
+    multiple of `forced` in an allowed square class at every prime of S,
+    and its sign makes both forms indefinite.  A prime q outside S dividing
+    t to an odd power leaves the ternary forms isotropic at q only if
+    -a1 a2 (and -r1 r2 for a binary rest) is a square mod q.  Every other
+    place is unramified for both forms."""
+    need = [-a[0] * a[1]] + ([-rest[0] * rest[1]] if len(rest) == 2 else [])
+    for k in itertools.count(1):
+        for t in (forced * k, -forced * k):
+            if _definite(a + [-t]) or _definite(rest + [t]):
+                continue
+            if any(_class_key(t, p) not in classes for p, classes in allowed.items()):
+                continue
+            if all(
+                e % 2 == 0 or p in allowed or all(legendre(x, p) == 1 for x in need)
+                for p, e in prime_factors(k).items()
+            ):
+                return t
+
+
+def _split_solve(s: list[int]) -> list[int]:
+    """q = <a1,a2> + rest (dim 4 or 5), over the pair whose allowed classes
+    promise the smallest t: with t from _split_value, zeros (x1, x2, u) of
+    <a1,a2,-t> and (y, w) of rest + <t> glue to (w x1, w x2, u y)."""
+    n = len(s)
+    plans = []
+    for pair in itertools.combinations(range(n), 2):
+        rest = [i for i in range(n) if i not in pair]
+        plans.append((_split_plan([s[i] for i in pair], [s[i] for i in rest]), pair, rest))
+    (_, allowed, forced), pair, rest = min(plans, key=lambda plan: plan[0][0])
+    a, r = [s[i] for i in pair], [s[i] for i in rest]
+    t = _split_value(a, r, allowed, forced)
+    x = _solve(a + [-t])
+    y = _solve(r + [t])
+    if x[2] == 0:
+        return _pad(n, pair, x[:2])
+    if y[-1] == 0:
+        return _pad(n, rest, y[:-1])
+    vec = _pad(n, pair, [v * y[-1] for v in x[:2]])
+    for i, v in zip(rest, y[:-1]):
+        vec[i] = v * x[2]
+    return _primitive(vec)
+
+
+def _ternary(a: int, b: int, c: int) -> list[int]:
+    """Zero of an isotropic <a,b,c>, squarefree coefficients.  Common
+    factors are moved out first: for g = gcd(a, b), a zero (x, y, z) of
+    <a/g, b/g, g c> gives the zero (x, y, g z) of <a, b, c>."""
+    g = math.gcd(a, b, c)
+    co = [a // g, b // g, c // g]
+    for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+        g = math.gcd(co[i], co[j])
+        if g > 1:
+            co[i] //= g
+            co[j] //= g
+            co[k] *= g
+            vec = _ternary(*co)
+            vec[k] *= g
+            return _primitive(vec)
+    if _definite(co):
+        raise InternalCheckFailed(f"no zero of the definite form {co}")
+    k = next(i for i in range(3) if _definite([co[j] for j in range(3) if j != i]))
+    perm = [i for i in range(3) if i != k] + [k]
+    sign = -1 if co[k] > 0 else 1
+    sub = _legendre(*(sign * co[i] for i in perm))
+    return _primitive(_pad(3, perm, sub))
+
+
+def _legendre(a: int, b: int, c: int) -> list[int]:
+    """Zero of ax^2 + by^2 + cz^2 for a, b > 0 > c squarefree and pairwise
+    coprime (Cremona-Rusin).  The vectors with q = 0 mod abc on one root
+    line per prime (y = ra z mod a, z = rb x mod b, x = rc y mod c) form a
+    lattice of index m = |abc|, with the triangular basis (b|c|, 0, 0),
+    (x2, a, 0), (x3, ra, 1).  By Minkowski it has a nonzero vector in the
+    Holzer box |x| <= sqrt(b|c|), |y| <= sqrt(a|c|), |z| <= sqrt(ab), and
+    there q is 0 or m; the box lies in {a x^2 + b y^2 + |c| z^2 <= 3m},
+    which is enumerated over an LLL-reduced basis.  A vector with q = m
+    gives the zero (xz - by, ax + yz, z^2 + ab), because
+    (a x^2 + b y^2)(z^2 + ab) = a(xz - by)^2 + b(ax + yz)^2."""
+    m = -a * b * c
+    ra = _sqrt_mod(-c * pow(b, -1, a), a)
+    rb = _sqrt_mod(-a * pow(c, -1, b), b)
+    rc = _sqrt_mod(-b * pow(a, -1, -c), -c)
+    x2 = _crt((rc * a, 0), (-c, b))
+    x3 = _crt((rc * ra, pow(rb, -1, b)), (-c, b))
+    weights = (a, b, -c)
+    basis = _lll([[-b * c, 0, 0], [x2, a, 0], [x3, ra, 1]], weights)
+    fallback = None
+    for x, y, z in _short_vectors(basis, weights, 3 * m):
+        value = a * x * x + b * y * y + c * z * z
+        if value == 0:
+            return [x, y, z]
+        if value == m and fallback is None:
+            fallback = [x * z - b * y, a * x + y * z, z * z + a * b]
+    if fallback is None:
+        raise InternalCheckFailed(f"no zero of <{a},{b},{c}> in its Legendre lattice")
+    return fallback
+
+
+def _sqrt_mod(x: int, n: int) -> int:
+    """A square root of x modulo the squarefree n > 0 (CRT over its primes)."""
+    roots, primes = [], []
+    for p in prime_factors(n):
+        r = x % 2 if p == 2 else sqrt_mod_p(x, p)
+        if r is None:
+            raise InternalCheckFailed(f"ternary form is anisotropic at {p}")
+        roots.append(r)
+        primes.append(p)
+    return _crt(roots, primes)
+
+
+def _crt(residues, moduli) -> int:
+    x, big = 0, 1
+    for r, n in zip(residues, moduli):
+        x += big * ((r - x) * pow(big, -1, n) % n)
+        big *= n
+    return x % big
+
+
+def _gso(b, weights):
+    """Gram-Schmidt data (mu, squared norms) for sum w_i u_i v_i, exactly,
+    from the integer Gram matrix."""
+    n = len(b)
+    gram = [[sum(w * x * y for w, x, y in zip(weights, u, v)) for v in b] for u in b]
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    norms = []
+    for i in range(n):
+        for j in range(i):
+            mu[i][j] = (gram[i][j] - sum(mu[j][k] * mu[i][k] * norms[k] for k in range(j))) / norms[j]
+        norms.append(Fraction(gram[i][i]) - sum(mu[i][k] ** 2 * norms[k] for k in range(i)))
+    return mu, norms
+
+
+def _lll(basis, weights) -> list[list[int]]:
+    """LLL reduction (delta = 3/4) of integer rows for sum w_i u_i v_i,
+    with the Gram-Schmidt data updated in place (Cohen, A Course in
+    Computational Algebraic Number Theory, alg. 2.6.3)."""
+    b = [list(v) for v in basis]
+    n = len(b)
+    mu, norms = _gso(b, weights)
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k][j])
+            if q:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                for i in range(j):
+                    mu[k][i] -= q * mu[j][i]
+                mu[k][j] -= q
+        m = mu[k][k - 1]
+        big = norms[k] + m * m * norms[k - 1]
+        if norms[k] >= (Fraction(3, 4) - m * m) * norms[k - 1]:
+            k += 1
+            continue
+        b[k], b[k - 1] = b[k - 1], b[k]
+        mu[k][k - 1] = m * norms[k - 1] / big
+        norms[k], norms[k - 1] = norms[k - 1] * norms[k] / big, big
+        for j in range(k - 1):
+            mu[k][j], mu[k - 1][j] = mu[k - 1][j], mu[k][j]
+        for i in range(k + 1, n):
+            t = mu[i][k]
+            mu[i][k] = mu[i][k - 1] - m * t
+            mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+        k = max(k - 1, 1)
+    return b
+
+
+def _short_vectors(b, weights, bound: int) -> list[list[int]]:
+    """The nonzero vectors of the lattice with rows b whose weighted norm is
+    at most bound, shortest first (Fincke-Pohst in units of bound; the
+    float bounds are widened and every norm is recomputed exactly)."""
+    mu, norms = _gso(b, weights)
+    mu = [[float(x) for x in row] for row in mu]
+    norms = [float(x / bound) for x in norms]
+    n = len(b)
+    coef = [0] * n
+    found = []
+
+    def walk(i, left):
+        if i < 0:
+            vec = [sum(c * row[k] for c, row in zip(coef, b)) for k in range(n)]
+            size = sum(w * x * x for w, x in zip(weights, vec))
+            if any(vec) and size <= bound:
+                found.append((size, vec))
+            return
+        centre = -sum(mu[j][i] * coef[j] for j in range(i + 1, n))
+        half = math.sqrt(max(left, 0.0) / norms[i])
+        for x in range(math.floor(centre - half) - 1, math.ceil(centre + half) + 2):
+            rest = left - norms[i] * (x - centre) ** 2
+            if rest >= -1e-6:
+                coef[i] = x
+                walk(i - 1, rest)
+        coef[i] = 0
+
+    walk(n - 1, 1 + 1e-6)
+    return [vec for _, vec in sorted(found)]
+
+
+def _qsqrt_witness(q: QuadraticForm):
+    """Zero over Q(sqrt d) of a form with rational coefficients: the Q zero
+    when q is indefinite over Q; otherwise (d < 0) a zero (s, x2, ...) of
+    <d a1, a2, ...> over Q, which is indefinite of dim >= 5, gives
+    (s sqrt d, x2, ...).  None when a coefficient is irrational."""
+    f = q.field
+    if any(c.value[1] for c in q.coeffs):
+        return None
+    ints = _integerize([c.value[0] for c in q.coeffs])
+    if not _definite(ints):
+        return tuple(f.element(x) for x in _q_witness(ints))
+    vec = _q_witness([f.d * ints[0]] + ints[1:])
+    return (f.sqrt_gen() * f.element(vec[0]),) + tuple(f.element(x) for x in vec[1:])
 
 
 # --------------------------------------------------------------------------
 # isotropy decisions
 # --------------------------------------------------------------------------
 
-def is_isotropic(
-    q: QuadraticForm, want_witness: bool = True, search_cap: int = 1024
-) -> IsotropyResult:
+def is_isotropic(q: QuadraticForm, want_witness: bool = True) -> IsotropyResult:
     """Exact isotropy decision with certificate.
 
     F_p: Chevalley for dim >= 3, square test for dim 2.
     Q: Hasse-Minkowski through Hilbert symbols; Meyer for dim >= 5.
     Q(sqrt d): the dim >= 5 real-place rule; anything else raises.
 
-    search_cap bounds the escalating witness search; the decision itself
-    never depends on it.
+    The witness is constructed, never searched for: over Q and F_p every
+    isotropic verdict carries one when want_witness is set.  Over Q(sqrt d)
+    it is built for rational coefficients only; with an irrational
+    coefficient the verdict stands without a witness.
     """
     k = q.field.kind
     n = q.dim
@@ -649,7 +948,7 @@ def is_isotropic(
     if k == PRIME_FIELD:
         return _is_isotropic_fp(q, want_witness)
     if k == RATIONALS:
-        return _is_isotropic_q(q, want_witness, search_cap)
+        return _is_isotropic_q(q, want_witness)
     return _is_isotropic_qsqrt(q, want_witness)
 
 
@@ -674,19 +973,22 @@ def _is_isotropic_fp(q: QuadraticForm, want_witness: bool) -> IsotropyResult:
     )
 
 
-def _is_isotropic_q(q: QuadraticForm, want_witness: bool, search_cap: int = 1024) -> IsotropyResult:
+def _q_witness_of(q: QuadraticForm):
+    vec = _q_witness(_integerize([c.value for c in q.coeffs]))
+    return tuple(q.field.element(v) for v in vec)
+
+
+def _is_isotropic_q(q: QuadraticForm, want_witness: bool) -> IsotropyResult:
     n = q.dim
     if n == 1:
         return IsotropyResult(False, METHOD_LOCAL, detail={"reason": "dim 1 regular"})
     if n == 2:
-        s = -q.coeffs[0] * q.coeffs[1]
-        root = s.square_root()
-        if root is None:
+        # q(x, 1) = a1 x^2 + a2 = 0  <=>  x^2 = -a2/a1 (a square iff -a1 a2 is)
+        x = (-q.coeffs[1] / q.coeffs[0]).square_root()
+        if x is None:
             return IsotropyResult(
                 False, METHOD_LOCAL, detail={"reason": "-det is not a square"}
             )
-        # q(x, 1) = a1 x^2 + a2 = 0  <=>  x^2 = -a2/a1
-        x = (-q.coeffs[1] / q.coeffs[0]).square_root()
         return IsotropyResult(True, METHOD_WITNESS, witness=(x, q.field.one()))
     pos, neg = q.signature()
     if pos == 0 or neg == 0:
@@ -694,12 +996,12 @@ def _is_isotropic_q(q: QuadraticForm, want_witness: bool, search_cap: int = 1024
             False, METHOD_REAL, detail={"signature": [pos, neg], "place": INF}
         )
     if n >= 5:
-        wit = _escalating_search(q, search_cap) if want_witness else None
+        wit = _q_witness_of(q) if want_witness else None
         return IsotropyResult(
             True, METHOD_WITNESS if wit else METHOD_LOCAL, witness=wit,
             detail={"reason": "indefinite of dim >= 5 (Meyer)"},
         )
-    det_int = squarefree_part(_as_int_squareclass(q.det()))
+    det_int = q.det_squareclass()
     for p in _bad_primes(q):
         eps = hasse_invariant(q, p)
         if not _local_isotropic(n, det_int, eps, p):
@@ -707,7 +1009,7 @@ def _is_isotropic_q(q: QuadraticForm, want_witness: bool, search_cap: int = 1024
                 False, METHOD_LOCAL,
                 detail={"place": p, "det_squareclass": det_int, "hasse": eps},
             )
-    wit = _escalating_search(q, search_cap) if want_witness else None
+    wit = _q_witness_of(q) if want_witness else None
     return IsotropyResult(
         True, METHOD_WITNESS if wit else METHOD_LOCAL, witness=wit,
         detail={"reason": "isotropic at every place (Hasse-Minkowski)"},
@@ -722,7 +1024,7 @@ def _is_isotropic_qsqrt(q: QuadraticForm, want_witness: bool) -> IsotropyResult:
         )
     d = q.field.d
     if d < 0:
-        wit = _escalating_search(q) if want_witness else None
+        wit = _qsqrt_witness(q) if want_witness else None
         return IsotropyResult(
             True, METHOD_WITNESS if wit else METHOD_REAL, witness=wit,
             detail={"reason": "no real places, dim >= 5"},
@@ -734,7 +1036,7 @@ def _is_isotropic_qsqrt(q: QuadraticForm, want_witness: bool) -> IsotropyResult:
                 False, METHOD_REAL,
                 detail={"real_place": place, "signature": [pos, neg]},
             )
-    wit = _escalating_search(q) if want_witness else None
+    wit = _qsqrt_witness(q) if want_witness else None
     return IsotropyResult(
         True, METHOD_WITNESS if wit else METHOD_REAL, witness=wit,
         detail={"reason": "indefinite at every real place, dim >= 5"},
@@ -788,11 +1090,13 @@ def _split_step(coeffs, witness):
     return u1, u2, comp_columns, sub_form
 
 
-def witt_decompose(q: QuadraticForm, search_cap: int = 1024) -> WittDecomposition:
+def witt_decompose(q: QuadraticForm) -> WittDecomposition:
     """Split hyperbolic planes while isotropy holds; certify the remainder.
 
     The recorded basis T satisfies  T^T G T = diag(1,-1,...,1,-1, a_1..a_m)
-    exactly, where <a_1..a_m> is the anisotropic part.
+    exactly, where <a_1..a_m> is the anisotropic part.  Over Q each
+    complement vector is rescaled by the square factors of its value, so
+    the coefficients carried to the next split are squarefree integers.
     """
     f = q.field
     n = q.dim
@@ -802,19 +1106,24 @@ def witt_decompose(q: QuadraticForm, search_cap: int = 1024) -> WittDecompositio
     index = 0
     while True:
         sub = QuadraticForm(f, current)
-        cert = is_isotropic(sub, want_witness=True, search_cap=search_cap)
+        cert = is_isotropic(sub, want_witness=True)
         if not cert.isotropic:
             break
         if cert.witness is None:
-            return _witt_by_invariants_only(q, index, current)
+            raise UnsupportedCase(
+                f"isotropy of {sub} is proved, but no explicit vector is built "
+                "for irrational coefficients"
+            )
         u1, u2, comp_cols, comp_form = _split_step(current, cert.witness)
+        comp = list(comp_form.coeffs)
+        if f.kind == RATIONALS:
+            comp_cols, comp = _squarefree_scaled(comp_cols, comp)
         pair_cols.append(linalg.mat_vec(embed, u1))
         pair_cols.append(linalg.mat_vec(embed, u2))
-        new_embed_matrix = linalg.mat_mul(
+        embed = linalg.mat_mul(
             embed, [[col[r] for col in comp_cols] for r in range(len(current))]
         )
-        embed = new_embed_matrix
-        current = list(comp_form.coeffs)
+        current = comp
         index += 1
     an_part = QuadraticForm(f, current)
     basis_cols = pair_cols + _columns(embed)
@@ -831,56 +1140,19 @@ def witt_decompose(q: QuadraticForm, search_cap: int = 1024) -> WittDecompositio
     return dec
 
 
-def _witt_by_invariants_only(q, index_so_far, current_coeffs):
-    """Fallback when invariants prove isotropy but bounded search found no
-    vector: index from invariants, representative anisotropic part found by a
-    bounded invariant-matching search."""
-    if q.field.kind != RATIONALS:
-        raise UnsupportedCase(
-            f"isotropy proved without explicit witness over {q.field}"
-        )
-    sub = QuadraticForm(q.field, current_coeffs)
-    total = index_so_far + witt_index_by_invariants(sub)
-    m = q.dim - 2 * total
-    an = _find_anisotropic_representative(sub, m)
-    return WittDecomposition(
-        witt_index=total,
-        anisotropic_part=an,
-        method=METHOD_LOCAL,
-        basis=None,
-        anisotropy_certificate=None,
-    )
-
-
-def _find_anisotropic_representative(q: QuadraticForm, m: int) -> QuadraticForm:
-    if m == 0:
-        return QuadraticForm(q.field, [])
-    pool: set[int] = {1, -1}
-    for c in q.coeffs:
-        pool.add(squarefree_part(_as_int_squareclass(c)))
-        pool.add(-squarefree_part(_as_int_squareclass(c)))
-    for a, b in itertools.product(list(pool), repeat=2):
-        pool.add(squarefree_part(a * b))
-    sig = q.signature()
-    target_sig = (sig[0] - (q.dim - m) // 2, sig[1] - (q.dim - m) // 2)
-    count = 0
-    for combo in itertools.combinations_with_replacement(sorted(pool), m):
-        count += 1
-        if count > 20000:
-            break
-        try:
-            cand = QuadraticForm(q.field, [q.field.element(c) for c in combo])
-        except InvalidInput:
-            continue
-        if cand.signature() != target_sig:
-            continue
-        hyp = QuadraticForm(q.field, [1, -1] * ((q.dim - m) // 2))
-        total = cand.direct_sum(hyp) if hyp.dim else cand
-        if equivalent(total, q) and not is_isotropic(cand, want_witness=False):
-            return cand
-    raise UnsupportedCase(
-        "isotropy proved by invariants but no explicit decomposition found"
-    )
+def _squarefree_scaled(cols, coeffs):
+    """Rescale each column v with q(v) = c = s1 m1^2 / (s2 m2^2) by
+    s2 m2 / m1, so that its value is the squarefree integer s1 s2."""
+    out_cols, out = [], []
+    for col, c in zip(cols, coeffs):
+        s1, m1 = _square_split(c.value.numerator)
+        s2, m2 = _square_split(c.value.denominator)
+        if s2 * m2 != m1:
+            lam = c.field.element(Fraction(s2 * m2, m1))
+            col = [lam * x for x in col]
+        out_cols.append(col)
+        out.append(c.field.element(s1 * s2))
+    return out_cols, out
 
 
 def _verify_decomposition(q: QuadraticForm, dec: WittDecomposition):

@@ -22,6 +22,7 @@ from .albert import (
     Automorphism,
     _CYCLIC,
     _jordan_from_matrices,
+    albert_element_from_json,
     bilinear,
     e0_subspace,
     jordan_mul,
@@ -579,8 +580,6 @@ def suite_groups(seed: int = DEFAULT_SEED) -> list[CheckResult]:
         if (report.rank == 4) != a.octonions.is_split():
             ok = False
         if report.rank == 1:
-            from .albert import albert_element_from_json
-
             z = albert_element_from_json(a, report.certificate["element"])
             if not jordan_mul(z, z).is_zero():
                 ok = False
@@ -624,7 +623,54 @@ def suite_groups(seed: int = DEFAULT_SEED) -> list[CheckResult]:
         if rep.verdict != VERDICT_EXCELLENT or rep.kernel_ext.kind == KIND_SPIN:
             ok = False
     _check(out, "groups", "excellence verdicts over the quadratic panel", ok)
+
+    ok, detail = _f4_sign_panel(rng, 200, 1000)
+    _check(out, "groups", "F4 rank vs sign-pattern oracle (200 inputs over Q and Q(sqrt d), height <= 10^3)", ok, detail)
     return out
+
+
+def sign_oracle_rank(field, params, gamma) -> int:
+    """F4 rank of H(C; Gamma) for rational octonion parameters and Gamma
+    from real signs alone.  The slot forms <1> + (g_j/g_k) N are 9-dim and
+    N is an 8-dim Pfister form, so by Meyer's theorem and the real-place
+    rule: over Q(sqrt d) with d < 0 the rank is 4; otherwise it is 4 iff N
+    is indefinite (some parameter positive), else 0 iff all Gamma entries
+    share one sign, else 1."""
+    if field.kind == "QSqrt" and field.d < 0:
+        return 4
+    if any(g > 0 for g in params):
+        return 4
+    return 0 if len({g > 0 for g in gamma}) == 1 else 1
+
+
+def _f4_sign_panel(rng, count: int, height: int):
+    """f4_rank on random inputs against sign_oracle_rank, with every
+    certificate checked: a rank-4 norm witness is a nonzero zero of N and a
+    rank-1 element squares to zero."""
+    fields = [rationals(), quad_ext(-1), quad_ext(-7), quad_ext(2), quad_ext(5)]
+    for i in range(count):
+        f = fields[i % len(fields)]
+        h = rng.choice((10, 100, height))
+        params = [-rng.randint(1, h) for _ in range(3)]
+        if i % 4 == 3:
+            params[rng.randrange(3)] *= -1
+        gamma = [rng.choice((-1, 1)) * rng.randint(1, h) for _ in range(3)]
+        a = AlbertAlgebra(cayley_dickson(f, params), gamma)
+        report = f4_rank(a)
+        want = sign_oracle_rank(f, params, gamma)
+        cert = report.certificate
+        if report.rank != want:
+            return False, f"{f} params {params} gamma {gamma}: rank {report.rank}, oracle {want}"
+        if want == 4:
+            w = cert["norm_isotropy"].get("witness")
+            vec = [f.element(x) for x in w] if w else None
+            if vec is None or all(x.is_zero() for x in vec) or not a.octonions.norm_form().evaluate(vec).is_zero():
+                return False, f"{f} params {params}: rank 4 without a zero of N"
+        if want == 1:
+            z = albert_element_from_json(a, cert["element"])
+            if not jordan_mul(z, z).is_zero():
+                return False, f"{f} params {params} gamma {gamma}: rank-1 element is not square-zero"
+    return True, ""
 
 
 SUITES = {

@@ -35,6 +35,15 @@ class TestClassify:
         assert report["group"] == "F4" and report["rank"] == 1
         assert report["certificate"]["kind"] == "nilpotent_element"
 
+    def test_f4_one_minus_h_one(self, capsys):
+        # Gamma = (1, -101, 1) exited 5: the bounded search missed its nilpotent
+        alg = json.dumps(
+            {"f4": {"octonion": {"field": {"kind": "Q"}, "params": ["-1", "-1", "-1"]}, "gamma": ["1", "-101", "1"]}}
+        )
+        code, out = run_cli(["classify", "--json", alg], capsys)
+        assert code == 0
+        assert json.loads(out)["rank"] == 1
+
     def test_g2(self, capsys):
         code, out = run_cli(["classify", "--json", G2_GRAVES], capsys)
         assert code == 0
@@ -175,7 +184,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "command,flag",
         [(c, "--seed") for c in ("classify", "witt", "kernel", "excellence")]
-        + [(c, "--bound") for c in ("classify", "kernel", "excellence")],
+        + [(c, "--bound") for c in ("classify", "witt", "kernel", "excellence")],
     )
     def test_ignored_options_rejected(self, command, flag, capsys):
         with pytest.raises(SystemExit) as exc:

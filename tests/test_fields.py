@@ -175,12 +175,14 @@ class TestParsing:
             (R2, "-r", (Fraction(0), Fraction(-1))),
             (R2, "2-r", (Fraction(2), Fraction(-1))),
             (R2, "3*r", (Fraction(0), Fraction(3))),
+            (R2, "-21*r", (Fraction(0), Fraction(-21))),
+            (R2, "12/5*r", (Fraction(0), Fraction(12, 5))),
         ],
     )
     def test_literals(self, field, literal, value):
         assert parse_element(field, literal).value == value
 
-    @pytest.mark.parametrize("bad", ["", "x", "1//2", "2r", "1/0", "1+2"])
+    @pytest.mark.parametrize("bad", ["", "x", "1//2", "2r", "21r", "1/0", "1+2"])
     def test_bad_literals(self, bad):
         with pytest.raises(InvalidInput):
             parse_element(R2, bad)
@@ -190,9 +192,10 @@ class TestParsing:
 
         rng = random.Random(5)
         for f in (Q, F7, R2, RI):
-            for _ in range(50):
-                x = f.random(rng)
-                assert parse_element(f, str(x)) == x
+            for height in (9, 1000):
+                for _ in range(50):
+                    x = f.random(rng, height)
+                    assert parse_element(f, str(x)) == x
 
 
 class TestJson:
@@ -223,6 +226,13 @@ class TestFactoring:
         for n in [rng.randrange(1, 10**8) for _ in range(300)] + [1009 * 1013, 1009**3 * 7, 2**40]:
             assert prime_factors(n) == _trial_division(n)
             assert list(prime_factors(n)) == sorted(_trial_division(n))
+
+    def test_remembered_factorization_is_a_fresh_dict(self):
+        n = 10000000019 * 526315789477
+        first = prime_factors(n)
+        first[2] = 5
+        assert prime_factors(n) == {10000000019: 1, 526315789477: 1}
+        assert prime_factors(-n) == prime_factors(n)
 
     def test_products_of_large_primes(self):
         big = [10**9 + 7, 10**9 + 9, 10000000019, 526315789477]

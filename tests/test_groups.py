@@ -85,6 +85,31 @@ class TestF4Rank:
             assert f4_rank(AlbertAlgebra(comp, gamma)).rank in (0, 1, 4)
 
 
+class TestConstructedWitnesses:
+    def test_rank_one_slot_form_beyond_search_height(self):
+        # the slot form <1> + (-101) N needs a vector of height > 20, which
+        # the bounded search never reached (it raised InternalCheckFailed)
+        a = AlbertAlgebra(GRAVES, [1, -101, 1])
+        report = f4_rank(a)
+        assert report.rank == 1
+        z = albert_element_from_json(a, report.certificate["element"])
+        assert not z.is_zero() and jordan_mul(z, z).is_zero()
+
+    def test_excellence_norm_witness_over_imaginary_field(self):
+        ext = quad_ext(-7)
+        rep = f4_excellence(AlbertAlgebra(GRAVES, [1, -1, 1]), ext)
+        w = [ext.element(x) for x in rep.rank_ext.certificate["norm_isotropy"]["witness"]]
+        norm = base_change_comp(GRAVES, ext).norm_form()
+        assert any(not x.is_zero() for x in w) and norm.evaluate(w).is_zero()
+
+    def test_verify_groups_suite(self):
+        from splitrank.verify import suite_groups
+
+        results = suite_groups(1729)
+        assert results[-1].name.startswith("F4 rank vs sign-pattern oracle")
+        assert all(r.ok for r in results), [r for r in results if not r.ok]
+
+
 class TestNormalizeGamma:
     def test_identity_case(self):
         a = AlbertAlgebra(GRAVES, [1, -1, 1])

@@ -279,6 +279,65 @@ class TestWitt:
             assert witt_decompose(q).witt_index == witt_index_enumeration(coeffs, p)
 
 
+class TestConstructedWitnesses:
+    def test_large_prime_ternary_has_basis(self):
+        # <1,1,-(10^9+9)>: 10^9+9 = 1 mod 4 is a sum of two squares far
+        # beyond any search height; the invariant-only route gave no basis
+        q = QuadraticForm(Q, [1, 1, -(10**9 + 9)])
+        d = witt_decompose(q)
+        assert d.witt_index == 1 and d.basis is not None
+        target = QuadraticForm(Q, [1, -1] + list(d.anisotropic_part.coeffs))
+        assert equivalent_with_witness(q, target, d.basis)
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            [-9] + [421] * 6,
+            [4] + [-107] * 8,
+            [2] + [-449] * 6,
+            [-7] + [239] * 8,
+        ],
+    )
+    def test_search_give_up_family(self, coeffs):
+        # s * (-v, P, ..., P): every zero has |x_0| >= P, past the search cap
+        q = QuadraticForm(Q, coeffs)
+        d = witt_decompose(q)
+        assert d.basis is not None and d.witt_index == witt_index_by_invariants(q)
+        res = is_isotropic(q)
+        assert res.isotropic and q.evaluate(res.witness).is_zero()
+
+    def test_imaginary_field_witness_from_a_definite_rational_form(self):
+        ri = quad_ext(-7)
+        q = QuadraticForm(ri, [1, 2, 3, 5, 7, 11])
+        res = is_isotropic(q)
+        assert res.method == "explicit_witness" and q.evaluate(res.witness).is_zero()
+
+    def test_irrational_coefficients_keep_the_verdict_without_a_witness(self):
+        q = QuadraticForm(quad_ext(-7), [1, 1, 1, 1, (0, 1)])
+        res = is_isotropic(q)
+        assert res.isotropic and res.witness is None
+        with pytest.raises(UnsupportedCase):
+            witt_decompose(q)
+
+    def test_seeded_differential_panel(self):
+        # 150 forms over Q at the benchmark's heights: dims 3-4 up to 100,
+        # 5-6 up to 10, 7-9 up to 5
+        rng = random.Random(2718)
+        heights = {3: 100, 4: 100, 5: 10, 6: 10, 7: 5, 8: 5, 9: 5}
+        for _ in range(150):
+            dim = rng.randint(3, 9)
+            coeffs = [rng.choice((-1, 1)) * rng.randint(1, heights[dim]) for _ in range(dim)]
+            q = QuadraticForm(Q, coeffs)
+            res = is_isotropic(q)
+            if res.isotropic:
+                assert res.witness is not None and q.evaluate(res.witness).is_zero(), coeffs
+            d = witt_decompose(q)
+            assert d.basis is not None, coeffs
+            assert d.witt_index == witt_index_by_invariants(q), coeffs
+            if isotropic_vector_search(q, 2) is not None:
+                assert res.isotropic, coeffs
+
+
 class TestEquivalence:
     def test_square_scaling(self):
         assert equivalent(QuadraticForm(Q, [1, 1]), QuadraticForm(Q, [4, 9]))
