@@ -7,9 +7,10 @@ decided by integer comparisons.
 
 Packed payloads.  FieldElement is the scalar type of every public function.
 The products that dominate the running time -- octonion products, Jordan
-products, automorphism matrices -- are instead compiled once into tables of
-integer constants and run by `Field.kernel`, which is picked once per field
-kind.  A vector is packed into plain Python ints on entry and unpacked into
+products, automorphism matrices, and the Gram and congruence products of the
+quadratic-form engine -- are instead compiled once into tables of integer
+constants and run by `Field.kernel`, which is picked once per field kind.
+A vector is packed into plain Python ints on entry and unpacked into
 canonical FieldElements on exit, so callers never see the packed form:
 
     Q         integer numerators over one positive common denominator
@@ -609,6 +610,19 @@ class _Kernel:
             rows[r].append((j,) + c)
         return rows, den
 
+    def bilinear(self, table, xs, ys) -> tuple[FieldElement, ...]:
+        return self._bilinear(table, self._pack(xs), self._pack(ys))
+
+    def gram(self, table, cols) -> list[list[FieldElement]]:
+        """The symmetric matrix of B(x, y) over every pair of columns, for a
+        bilinear table with the single output B; each column is packed once."""
+        packed = [self._pack(col) for col in cols]
+        out = [[None] * len(cols) for _ in cols]
+        for a, x in enumerate(packed):
+            for b in range(a, len(cols)):
+                out[a][b] = out[b][a] = self._bilinear(table, x, packed[b])[0]
+        return out
+
 
 class _IntegerKernel(_Kernel):
     """Q and F_p: a packed vector is (ints, den); subclasses convert."""
@@ -617,10 +631,9 @@ class _IntegerKernel(_Kernel):
         nums, den = self._pack(elems)
         return [(n,) for n in nums], den
 
-    def bilinear(self, table, xs, ys) -> tuple[FieldElement, ...]:
+    def _bilinear(self, table, xp, yp) -> tuple[FieldElement, ...]:
         rows, n_out, den = table
-        x, xd = self._pack(xs)
-        y, yd = self._pack(ys)
+        (x, xd), (y, yd) = xp, yp
         out = [0] * n_out
         for xi, row in zip(x, rows):
             if xi:
@@ -674,10 +687,9 @@ class _QuadKernel(_Kernel):
         d = self.field.d
         return [(a, b, d * b) for a, b in pairs], den
 
-    def bilinear(self, table, xs, ys) -> tuple[FieldElement, ...]:
+    def _bilinear(self, table, xp, yp) -> tuple[FieldElement, ...]:
         rows, n_out, den = table
-        x, xd = self._pack(xs)
-        y, yd = self._pack(ys)
+        (x, xd), (y, yd) = xp, yp
         d = self.field.d
         out_a, out_b = [0] * n_out, [0] * n_out
         for (xa, xb), row in zip(x, rows):

@@ -2,6 +2,8 @@
 
 Plain Gaussian elimination; matrices are immutable-by-convention lists of
 rows.  Sizes here are tiny (3x3 up to 27x27), so no cleverness is needed.
+The Gram and congruence products of the quadratic-form engine do not come
+here: they run on the packed kernel (`Field.kernel.gram`).
 """
 
 from __future__ import annotations
@@ -10,17 +12,9 @@ from .errors import DivisionByZero, InvalidInput
 from .fields import Field, FieldElement
 
 
-def zeros(field: Field, n: int, m: int) -> list[list[FieldElement]]:
-    z = field.zero()
-    return [[z for _ in range(m)] for _ in range(n)]
-
-
 def identity(field: Field, n: int) -> list[list[FieldElement]]:
-    out = zeros(field, n, n)
-    one = field.one()
-    for i in range(n):
-        out[i][i] = one
-    return out
+    zero, one = field.zero(), field.one()
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a, b):
@@ -47,13 +41,6 @@ def mat_vec(a, v):
             acc = acc + row[j] * x
         out.append(acc)
     return out
-
-
-def sum_elems(elems):
-    acc = elems[0]
-    for e in elems[1:]:
-        acc = acc + e
-    return acc
 
 
 def transpose(a):
@@ -91,7 +78,7 @@ def det(a) -> FieldElement:
 def inverse(a):
     n = len(a)
     field = a[0][0].field
-    m = [row[:] + identity(field, n)[i] for i, row in enumerate(a)]
+    m = [row + unit for row, unit in zip(a, identity(field, n))]
     for col in range(n):
         piv = next((r for r in range(col, n) if not m[r][col].is_zero()), None)
         if piv is None:

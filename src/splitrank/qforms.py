@@ -309,16 +309,20 @@ def diagonalize(gram: GramMatrix):
 
 
 def _assert_congruent(g, p, diag):
-    got = linalg.mat_mul(linalg.mat_mul(linalg.transpose(p), g), p)
+    got = _congruence(g[0][0].field, g, _columns(p))
+    for i, row in enumerate(got):
+        if row[i] != diag[i]:
+            raise InternalCheckFailed("congruence check failed on diagonal")
+        if any(not x.is_zero() for j, x in enumerate(row) if j != i):
+            raise InternalCheckFailed("congruence produced off-diagonal residue")
+
+
+def _congruence(f: Field, g, cols):
+    """The matrix of x^T g y over every pair of columns x, y, on the packed
+    kernel: g is compiled once and each column is packed once."""
     n = len(g)
-    for i in range(n):
-        for j in range(n):
-            want = diag[i] if i == j else None
-            if i == j:
-                if got[i][j] != want:
-                    raise InternalCheckFailed("congruence check failed on diagonal")
-            elif not got[i][j].is_zero():
-                raise InternalCheckFailed("congruence produced off-diagonal residue")
+    table = f.kernel.bilinear_table(n, 1, [(i, j, 0, g[i][j]) for i in range(n) for j in range(n)])
+    return f.kernel.gram(table, cols)
 
 
 # --------------------------------------------------------------------------
@@ -1076,17 +1080,10 @@ def _split_step(coeffs, witness):
         raise InternalCheckFailed("hyperbolic complement has wrong dimension")
     if not comp:
         return u1, u2, [], QuadraticForm(f, [])
-    gram_entries = [
-        [
-            linalg.sum_elems([coeffs[t] * x[t] * y[t] for t in range(n)])
-            for y in comp
-        ]
-        for x in comp
-    ]
+    gram_entries = _congruence(f, QuadraticForm(f, coeffs).gram(), comp)
     sub_form, sub_p = diagonalize(GramMatrix(f, gram_entries))
-    comp_matrix = [[comp[c][r] for c in range(len(comp))] for r in range(n)]
-    new_cols_matrix = linalg.mat_mul(comp_matrix, sub_p)
-    comp_columns = _columns(new_cols_matrix)
+    comp_table = f.kernel.linear_table(_columns(comp))
+    comp_columns = [list(f.kernel.linear(comp_table, col)) for col in _columns(sub_p)]
     return u1, u2, comp_columns, sub_form
 
 
@@ -1101,7 +1098,7 @@ def witt_decompose(q: QuadraticForm) -> WittDecomposition:
     f = q.field
     n = q.dim
     current = list(q.coeffs)
-    embed = linalg.identity(f, n)  # columns: current coords -> original coords
+    embed = linalg.identity(f, n)  # one column per current coordinate, in original coordinates
     pair_cols: list[list[FieldElement]] = []
     index = 0
     while True:
@@ -1118,16 +1115,13 @@ def witt_decompose(q: QuadraticForm) -> WittDecomposition:
         comp = list(comp_form.coeffs)
         if f.kind == RATIONALS:
             comp_cols, comp = _squarefree_scaled(comp_cols, comp)
-        pair_cols.append(linalg.mat_vec(embed, u1))
-        pair_cols.append(linalg.mat_vec(embed, u2))
-        embed = linalg.mat_mul(
-            embed, [[col[r] for col in comp_cols] for r in range(len(current))]
-        )
+        table = f.kernel.linear_table(_columns(embed))
+        pair_cols += [list(f.kernel.linear(table, u)) for u in (u1, u2)]
+        embed = [list(f.kernel.linear(table, col)) for col in comp_cols]
         current = comp
         index += 1
     an_part = QuadraticForm(f, current)
-    basis_cols = pair_cols + _columns(embed)
-    basis = [[basis_cols[c][r] for c in range(len(basis_cols))] for r in range(n)]
+    basis = _columns(pair_cols + embed)
     method = METHOD_WITNESS if not current else cert.method
     dec = WittDecomposition(
         witt_index=index,
@@ -1159,26 +1153,11 @@ def _verify_decomposition(q: QuadraticForm, dec: WittDecomposition):
     n = q.dim
     if dec.anisotropic_part.dim + 2 * dec.witt_index != n:
         raise InternalCheckFailed("Witt decomposition dimension bookkeeping")
-    if dec.basis is not None:
-        g = q.gram()
-        t = dec.basis
-        got = linalg.mat_mul(linalg.mat_mul(linalg.transpose(t), g), t)
-        expect = [1, -1] * dec.witt_index + [c for c in dec.anisotropic_part.coeffs]
-        f = q.field
-        for i in range(n):
-            for j in range(n):
-                want = f.element(expect[i]) if i == j else f.zero()
-                if got[i][j] != want:
-                    raise InternalCheckFailed("recorded Witt basis fails congruence")
-    if q.field.kind == RATIONALS:
-        hyp = QuadraticForm(q.field, [1, -1] * dec.witt_index) if dec.witt_index else None
-        rebuilt = (
-            hyp.direct_sum(dec.anisotropic_part)
-            if hyp and dec.anisotropic_part.dim
-            else (hyp or dec.anisotropic_part)
-        )
-        if rebuilt.dim and not equivalent(rebuilt, q):
-            raise InternalCheckFailed("Witt decomposition invariant bookkeeping")
+    rebuilt = QuadraticForm(q.field, [1, -1] * dec.witt_index + list(dec.anisotropic_part.coeffs))
+    if dec.basis is not None and not equivalent_with_witness(q, rebuilt, dec.basis):
+        raise InternalCheckFailed("recorded Witt basis fails congruence")
+    if q.field.kind == RATIONALS and n and not equivalent(rebuilt, q):
+        raise InternalCheckFailed("Witt decomposition invariant bookkeeping")
 
 
 # --------------------------------------------------------------------------
@@ -1216,8 +1195,9 @@ def equivalent_with_witness(q1: QuadraticForm, q2: QuadraticForm, p) -> bool:
         raise FieldMismatch("equivalence needs a common field")
     if q1.dim != q2.dim or len(p) != q1.dim:
         return False
-    got = linalg.mat_mul(linalg.mat_mul(linalg.transpose(p), q1.gram()), p)
-    return linalg.mat_eq(got, q2.gram())
+    f = q1.field
+    cols = [[f.element(x) for x in col] for col in _columns(p)]
+    return _congruence(f, q1.gram(), cols) == q2.gram()
 
 
 # --------------------------------------------------------------------------

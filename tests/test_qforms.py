@@ -8,12 +8,26 @@ from fractions import Fraction
 
 import pytest
 
-from splitrank.errors import DegenerateForm, InvalidInput, UnsupportedCase, UnsupportedField
+from splitrank import linalg
+from splitrank.errors import (
+    DegenerateForm,
+    FieldMismatch,
+    InternalCheckFailed,
+    InvalidInput,
+    UnsupportedCase,
+    UnsupportedField,
+)
 from splitrank.fields import prime_field, quad_ext, rationals
 from splitrank.qforms import (
     INF,
+    METHOD_WITNESS,
     GramMatrix,
     QuadraticForm,
+    WittDecomposition,
+    _assert_congruent,
+    _congruence,
+    _split_step,
+    _verify_decomposition,
     diagonalize,
     equivalent,
     equivalent_with_witness,
@@ -31,6 +45,7 @@ Q = rationals()
 F5 = prime_field(5)
 F7 = prime_field(7)
 R2 = quad_ext(2)
+RM7 = quad_ext(-7)
 
 
 def hilbert2_oracle(a: int, b: int, k: int = 6) -> int:
@@ -106,6 +121,85 @@ def _gram_form(sym):
             return [[Q.element(x) for x in row] for row in sym]
 
     return _Wrap()
+
+
+def _decomposition(field):
+    """A certified Witt decomposition over Q, F_5 or Q(sqrt -7).  Over
+    Q(sqrt -7) witt_decompose stops at dimension 4 (UnsupportedCase), so the
+    one split of a 6-dimensional form is recorded by hand."""
+    if field != RM7:
+        coeffs = [2, -3, 6, 1, -1] if field == Q else [1, 2, 3, 4]
+        q = QuadraticForm(field, coeffs)
+        return q, witt_decompose(q)
+    q = QuadraticForm(field, [1, 2, 3, 5, 7, 11])
+    u1, u2, comp_cols, comp_form = _split_step(list(q.coeffs), is_isotropic(q).witness)
+    cols = [u1, u2] + comp_cols
+    basis = [[col[r] for col in cols] for r in range(q.dim)]
+    return q, WittDecomposition(1, comp_form, METHOD_WITNESS, basis=basis)
+
+
+def _bumped(matrix, r, c, field):
+    out = [row[:] for row in matrix]
+    out[r][c] = out[r][c] + (field.sqrt_gen() if field == RM7 else field.one())
+    return out
+
+
+def _half_boosted(matrix, field):
+    """Column 1 -> x col0 + y col1 with y^2 - x^2 = 1 and x != 0.  When the
+    two columns have values 1 and -1 and are orthogonal, every value stays
+    in place and only their pairing becomes x: an off-diagonal error."""
+    t = field.element(2)
+    x, y = (t - t.inv()) / 2, (t + t.inv()) / 2
+    return [row[:1] + [x * row[0] + y * row[1]] + row[2:] for row in matrix]
+
+
+class TestChecksBite:
+    """The exact checks reject a certificate with one wrong entry, and one
+    whose values are all right but whose first two columns are not
+    orthogonal."""
+
+    @pytest.mark.parametrize("field", [Q, F5, RM7], ids=str)
+    def test_corrupted_witt_basis_fails_verification(self, field):
+        q, dec = _decomposition(field)
+        _verify_decomposition(q, dec)
+        for r, c in ((0, 0), (q.dim - 1, 1), (1, q.dim - 1)):
+            bad = WittDecomposition(dec.witt_index, dec.anisotropic_part, dec.method, _bumped(dec.basis, r, c, field))
+            with pytest.raises(InternalCheckFailed):
+                _verify_decomposition(q, bad)
+        bad = WittDecomposition(dec.witt_index, dec.anisotropic_part, dec.method, _half_boosted(dec.basis, field))
+        with pytest.raises(InternalCheckFailed, match="congruence"):
+            _verify_decomposition(q, bad)
+
+    @pytest.mark.parametrize("field", [Q, F5, RM7], ids=str)
+    def test_perturbed_witness_is_not_an_equivalence(self, field):
+        q, dec = _decomposition(field)
+        target = QuadraticForm(field, [1, -1] * dec.witt_index + list(dec.anisotropic_part.coeffs))
+        assert equivalent_with_witness(q, target, dec.basis)
+        for r, c in ((0, 0), (2, 3), (q.dim - 1, q.dim - 1)):
+            assert not equivalent_with_witness(q, target, _bumped(dec.basis, r, c, field))
+        assert not equivalent_with_witness(q, target, _half_boosted(dec.basis, field))
+
+    @pytest.mark.parametrize("field", [Q, F5, RM7], ids=str)
+    def test_assert_congruent_rejects_a_wrong_p(self, field):
+        g = [[field.element(x) for x in row] for row in ([1, 1, 0], [1, 0, 2], [0, 2, 3])]
+        form, p = diagonalize(GramMatrix(field, g))
+        assert list(form.coeffs)[:2] == [field.one(), -field.one()]
+        _assert_congruent(g, p, list(form.coeffs))
+        for r, c in ((0, 0), (0, 2), (2, 1)):
+            with pytest.raises(InternalCheckFailed, match="diagonal"):
+                _assert_congruent(g, _bumped(p, r, c, field), list(form.coeffs))
+        with pytest.raises(InternalCheckFailed, match="off-diagonal"):
+            _assert_congruent(g, _half_boosted(p, field), list(form.coeffs))
+
+    @pytest.mark.parametrize("field", [Q, F5, RM7, R2], ids=str)
+    def test_packed_congruence_matches_the_dense_product(self, field):
+        rng = random.Random(31)
+        for n in (1, 3, 6):
+            m = [[field.random(rng) for _ in range(n)] for _ in range(n)]
+            g = [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
+            p = [[field.random(rng) for _ in range(n + 1)] for _ in range(n)]
+            want = linalg.mat_mul(linalg.mat_mul(linalg.transpose(p), g), p)
+            assert _congruence(field, g, [list(col) for col in zip(*p)]) == want
 
 
 class TestHilbert:
@@ -368,6 +462,12 @@ class TestEquivalence:
             equivalent(q, q)
         ident = [[R2.element(1 if i == j else 0) for j in range(4)] for i in range(4)]
         assert equivalent_with_witness(q, q, ident)
+
+    def test_witness_entries_are_coerced_into_the_field(self):
+        q = QuadraticForm(Q, [1, -1])
+        assert equivalent_with_witness(q, QuadraticForm(Q, [4, -9]), [[2, 0], [0, "3"]])
+        with pytest.raises(FieldMismatch):
+            equivalent_with_witness(q, q, [[F5.one(), F5.zero()], [F5.zero(), F5.one()]])
 
 
 class TestPfister:
