@@ -270,20 +270,27 @@ def _jordan_terms(a: AlbertAlgebra):
     norm = a.octonions.norm_form().coeffs
     table = a.octonions._table
     off = _SLOT_OFFSET
+    rn = [[ratio * n_m for n_m in norm] for ratio in r]
     for i, j, k in _CYCLIC:
         yield i, i, i, one
         for s in (j, k):
-            for m, n_m in enumerate(norm):
-                yield off[s] + m, off[s] + m, i, r[s] * n_m
+            for m in range(8):
+                yield off[s] + m, off[s] + m, i, rn[s][m]
         for m in range(8):
             for s in (j, k):
                 yield s, off[i] + m, off[i] + m, half
                 yield off[i] + m, s, off[i] + m, half
         w = half / r[i]
+        # the 64 entries carry a few distinct constants: each is made once,
+        # keyed on its payload (hashing a FieldElement costs a product)
+        coefs = {}
         for u in range(8):
             for v in range(8):
                 t, c = table[u][v]  # e_u e_v = c e_t; conj(e_t) = -e_t for t > 0
-                coef = c * w if t == 0 else -(c * w)
+                key = (c.value, t == 0)
+                coef = coefs.get(key)
+                if coef is None:
+                    coef = coefs[key] = c * w if t == 0 else -(c * w)
                 yield off[k] + v, off[j] + u, off[i] + t, coef  # conj(d_j c_k)
                 yield off[j] + u, off[k] + v, off[i] + t, coef  # conj(c_j d_k)
 
@@ -329,15 +336,18 @@ def bilinear(x: AlbertElement, y: AlbertElement) -> FieldElement:
 
 def _checked_gram(a: AlbertAlgebra, basis, expected, name: str):
     """Gram matrix of the polar form of Q on basis, which must be diagonal
-    with diagonal `expected`, the closed form of the form called name."""
-    half = a._half
-    gram = [[bilinear(bi, bj) * half for bj in basis] for bi in basis]
+    with diagonal `expected`, the closed form of the form called name.
+
+    The traces tr(b_i b_j) = 2 B(b_i, b_j) come from the packed kernel,
+    which packs each basis vector once; the returned Gram is diag(expected)."""
+    traces = a.field.kernel.gram(a._trace, [b.coords for b in basis])
     n = len(basis)
-    if any(not gram[i][j].is_zero() for i in range(n) for j in range(n) if i != j):
+    if any(not traces[i][j].is_zero() for i in range(n) for j in range(n) if i != j):
         raise InternalCheckFailed(f"the basis of the {name} should be Q-orthogonal")
-    if [gram[i][i] for i in range(n)] != expected:
+    if [traces[i][i] * a._half for i in range(n)] != expected:
         raise InternalCheckFailed(f"{name} disagrees with its block closed form")
-    return gram
+    zero = a.field.zero()
+    return [[expected[i] if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def quadratic_trace_form(a: AlbertAlgebra) -> QuadraticForm:

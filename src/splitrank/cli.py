@@ -16,6 +16,7 @@ reproduced).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -142,7 +143,10 @@ def _add_io_flags(sub):
     sub.add_argument("--out", help="write the report to this path instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls."""
     parser = argparse.ArgumentParser(
         prog="splitrank",
         description="exact split-rank / anisotropic-kernel / excellence reports "

@@ -8,12 +8,11 @@ over a base field; dimension 2^k.  The product is fixed by the doubling rule
 with conjugation (a, b) -> (conj(a), -b), so on the canonical basis every
 product e_i e_j is a scalar multiple of a single basis element and the whole
 multiplication lives in one table, compiled for the field's packed kernel.
-The norm form is the Pfister form <1,-g1> (x) ... (x) <1,-gk>.
+The norm form is the Pfister form <1,-g1> (x) ... (x) <1,-gk>; norm_form
+proves it once per algebra by reading x -> x conj(x) off the same table.
 """
 
 from __future__ import annotations
-
-import random as _random
 
 from .errors import (
     AlgebraMismatch,
@@ -110,21 +109,24 @@ class CompositionAlgebra:
     def norm_form(self) -> QuadraticForm:
         """The norm as a diagonal form on the canonical basis.
 
-        On first use the Pfister shape is checked against x -> N(x) on 20
-        seeded random elements (exactly)."""
+        On first use the Pfister shape is checked exactly: x -> x conj(x) is
+        read off the table as a quadratic map (e_i conj(e_j) = s_j c e_k for
+        (k, c) = _table[i][j], s_0 = 1, s_j = -1 for j > 0), whose scalar
+        output must be the Pfister diagonal and whose pure outputs must
+        vanish.  The comparison is of coefficients, so it holds for every x."""
         if self._norm_form is None:
-            if not self.params:
-                form = QuadraticForm(self.field, [1], label="norm")
-            else:
-                form = QuadraticForm(
-                    self.field, pfister(self.field, self.params).coeffs, label="norm"
-                )
-            rng = _random.Random(185)
-            for _ in range(20):
-                x = self.random(rng, 3)
-                if form.evaluate(list(x.coords)) != x.norm():
-                    raise InternalCheckFailed("norm form disagrees with x * conj(x)")
-            self._norm_form = form
+            coeffs = pfister(self.field, self.params).coeffs if self.params else (self.field.one(),)
+            # (k, i, j) -> coefficient of x_i x_j (i <= j) in output k of
+            # x conj(x) minus the Pfister form
+            quad = {(0, i, i): -a for i, a in enumerate(coeffs)}
+            for i, row in enumerate(self._table):
+                for j, (k, c) in enumerate(row):
+                    key = (k, min(i, j), max(i, j))
+                    term = c if j == 0 else -c
+                    quad[key] = quad[key] + term if key in quad else term
+            if any(not v.is_zero() for v in quad.values()):
+                raise InternalCheckFailed("norm form disagrees with x * conj(x)")
+            self._norm_form = QuadraticForm(self.field, coeffs, label="norm")
         return self._norm_form
 
     def pure_norm_form(self) -> QuadraticForm:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from splitrank import albert
 from splitrank.albert import (
     AlbertAlgebra,
     _jordan_from_matrices,
@@ -32,6 +33,7 @@ from splitrank.albert import (
 )
 from splitrank.composition import cayley_dickson
 from splitrank.errors import (
+    InternalCheckFailed,
     InvalidInput,
     NotGammaOrthogonal,
     NotOnTorus,
@@ -40,7 +42,7 @@ from splitrank.errors import (
     ZeroParameter,
 )
 from splitrank.fields import prime_field, quad_ext, rationals
-from splitrank.qforms import witt_decompose
+from splitrank.qforms import QuadraticForm, witt_decompose
 
 Q = rationals()
 F7 = prime_field(7)
@@ -174,6 +176,57 @@ class TestTraceForm:
         for _ in range(20):
             x = A_RANK1.random(rng, 3)
             assert form.evaluate(list(x.coords)) == norm_Q(x)
+
+
+CHECK_ALGEBRAS = {
+    "Q": (Q, [-1, -2, -3], [1, -1, 2]),
+    "F5": (prime_field(5), [2, 3, 4], [1, 2, 3]),
+    "Q(sqrt-7)": (quad_ext(-7), [-1, (1, 1), -2], [1, -1, (0, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_ALGEBRAS))
+class TestCheckedGramRejects:
+    """_checked_gram rejects a non-orthogonal basis and a wrong closed form,
+    through both of its callers."""
+
+    @staticmethod
+    def algebra(name):
+        field, params, gamma = CHECK_ALGEBRAS[name]
+        return AlbertAlgebra(cayley_dickson(field, params), gamma)
+
+    def test_accepts_the_true_forms(self, name):
+        a = self.algebra(name)
+        assert quadratic_trace_form(a).dim == 27
+        form, basis, gram = albert.q0_data(a, a.diag_unit(3))
+        assert len(basis) == 9 and [gram[i][i] for i in range(9)] == list(form.coeffs)
+
+    def test_non_orthogonal_basis(self, name, monkeypatch):
+        a = self.algebra(name)
+        true_e0 = albert.e0_subspace
+
+        def skewed_e0(alg, u):
+            basis = true_e0(alg, u)
+            return [basis[0], basis[1] + basis[2]] + basis[2:]
+
+        monkeypatch.setattr(albert, "e0_subspace", skewed_e0)
+        with pytest.raises(InternalCheckFailed, match="Q-orthogonal"):
+            albert.q0_data(a, a.diag_unit(3))
+        # c1's e_0 + e_1 is not orthogonal to c1's e_1
+        canonical = a.basis
+        monkeypatch.setattr(a, "basis", lambda i: canonical(3) + canonical(4) if i == 3 else canonical(i))
+        with pytest.raises(InternalCheckFailed, match="Q-orthogonal"):
+            quadratic_trace_form(a)
+
+    def test_wrong_expected_diagonal(self, name):
+        a = self.algebra(name)
+        norm = a.octonions.norm_form()
+        wrong = (norm.coeffs[0] + norm.coeffs[0],) + norm.coeffs[1:]
+        a.octonions._norm_form = QuadraticForm(a.field, wrong, label="norm")
+        with pytest.raises(InternalCheckFailed, match="closed form"):
+            albert.q0_data(a, a.diag_unit(3))
+        with pytest.raises(InternalCheckFailed, match="closed form"):
+            quadratic_trace_form(a)
 
 
 class TestIdempotents:

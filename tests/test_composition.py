@@ -13,6 +13,7 @@ from splitrank.composition import (
 )
 from splitrank.errors import (
     AlgebraMismatch,
+    InternalCheckFailed,
     TooManyDoublings,
     UnsupportedExtension,
     ZeroParameter,
@@ -167,6 +168,25 @@ class TestNormForm:
         for _ in range(50):
             x = alg.random(rng)
             assert form.evaluate(list(x.coords)) == x.norm()
+
+    @pytest.mark.parametrize(
+        "field,params",
+        [(Q, [2, -3, 5]), (prime_field(5), [2, 3, 4]), (quad_ext(-7), [-1, (1, 1), 3])],
+        ids=["Q", "F5", "Q(sqrt-7)"],
+    )
+    def test_corrupted_table_entry_rejected(self, field, params):
+        # every single-entry corruption of the table, a flipped sign or a
+        # wrong scalar, changes a coefficient of x -> x conj(x)
+        two = field.element(2)
+        for i in range(8):
+            for j in range(8):
+                for corrupt in (lambda c: -c, lambda c: two * c):
+                    alg = cayley_dickson(field, params)
+                    k, c = alg._table[i][j]
+                    alg._table[i][j] = (k, corrupt(c))
+                    with pytest.raises(InternalCheckFailed):
+                        alg.norm_form()
+        assert cayley_dickson(field, params).norm_form().dim == 8
 
 
 class TestSplit:

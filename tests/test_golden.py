@@ -34,3 +34,26 @@ def test_readme_example_bytes(name, tmp_path, monkeypatch, capsys):
     (tmp_path / "albert.json").write_text(ALBERT_JSON)
     assert main(EXAMPLES[name]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
+
+
+def test_one_process_many_commands(tmp_path, monkeypatch, capsys):
+    # the parser is built once per process: a rejected argv and earlier
+    # commands must leave no state behind in it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "albert.json").write_text(ALBERT_JSON)
+
+    def rejected(argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        capsys.readouterr()
+        return exc.value.code
+
+    assert main(EXAMPLES["witt"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "witt.json").read_text()
+    assert rejected(["witt", "--seed", "1", "--json", "{}"]) == 2
+    for name in ("excellence", "classify_f4"):
+        assert main(EXAMPLES[name]) == 0
+        assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
+    assert rejected(["excellence", "--in", "albert.json"]) == 2
+    assert main(EXAMPLES["classify_g2"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "classify_g2.json").read_text()
