@@ -5,9 +5,12 @@ product x y = (x.y + y.x)/2.
 Elements are stored as 27 coordinates (x1, x2, x3, c1, c2, c3) -- three
 diagonal scalars and three octonion slots -- so Gamma-hermitianness is
 structural.  jordan_mul works on the coordinates directly, through the
-coordinate formula compiled once per algebra for the field's packed kernel;
-the raw matrix product matrix_mul is kept as the oracle it is checked
-against.
+coordinate formula compiled once per algebra for the field's packed kernel.
+The raw matrix product matrix_mul is a second, independent table, derived
+from to_matrix and the octonion table and compiled on its first use; its
+symmetrization is the matrix route that jordan_mul is checked against, and
+verify.reference_matrix_mul is the literal entrywise product in plain
+FieldElement arithmetic that checks matrix_mul.
 
 Slot positions follow the defining matrix:
 
@@ -19,6 +22,7 @@ Slot positions follow the defining matrix:
 from __future__ import annotations
 
 import random as _random
+from functools import cached_property
 
 from .composition import CompElement, CompositionAlgebra, base_change_comp
 from .errors import (
@@ -66,6 +70,12 @@ class AlbertAlgebra:
         self._product = self.field.kernel.bilinear_table(DIM, DIM, terms)
         # tr(xy): the three diagonal coordinates of xy, summed
         self._trace = self.field.kernel.bilinear_table(DIM, 1, [(i, j, 0, c) for i, j, k, c in terms if k < 3])
+
+    @cached_property
+    def _matrix_product(self):
+        """matrix_mul's compiled table, built on the first call: output
+        8 (3 i + k) + t is coordinate t of entry (i, k) of the product."""
+        return self.field.kernel.bilinear_table(DIM, 72, _matrix_terms(self))
 
     # ----------------------------------------------------------------- basics
     def __eq__(self, other):
@@ -206,13 +216,13 @@ def to_matrix(x: AlbertElement) -> list[list[CompElement]]:
     """The literal Gamma-hermitian 3x3 octonion matrix of x."""
     a = x.algebra
     c = a.octonions
-    g1, g2, g3 = a.gamma
+    r1, r2, r3 = a._ratios  # (g2/g3, g3/g1, g1/g2)
     x1, x2, x3 = x.xs
     c1, c2, c3 = x.slot(1), x.slot(2), x.slot(3)
     return [
-        [c.scalar(x1), c3, c2.conj().scale(g3 / g1)],
-        [c3.conj().scale(g1 / g2), c.scalar(x2), c1],
-        [c2, c1.conj().scale(g2 / g3), c.scalar(x3)],
+        [c.scalar(x1), c3, c2.conj().scale(r2)],
+        [c3.conj().scale(r3), c.scalar(x2), c1],
+        [c2, c1.conj().scale(r1), c.scalar(x3)],
     ]
 
 
@@ -222,16 +232,16 @@ def from_matrix(a: AlbertAlgebra, m, check: bool = True) -> AlbertElement:
     With check=True the matrix must be exactly Gamma-hermitian with scalar
     diagonal; a violation is an internal-consistency failure, not user error.
     """
-    g1, g2, g3 = a.gamma
+    r1, r2, r3 = a._ratios  # (g2/g3, g3/g1, g1/g2)
     for i in range(3):
         if not m[i][i].is_scalar():
             raise InternalCheckFailed("diagonal entry is not a scalar")
     c3, c1, c2 = m[0][1], m[1][2], m[2][0]
     if check:
         ok = (
-            m[1][0] == c3.conj().scale(g1 / g2)
-            and m[2][1] == c1.conj().scale(g2 / g3)
-            and m[0][2] == c2.conj().scale(g3 / g1)
+            m[1][0] == c3.conj().scale(r3)
+            and m[2][1] == c1.conj().scale(r1)
+            and m[0][2] == c2.conj().scale(r2)
         )
         if not ok:
             raise InternalCheckFailed("matrix is not Gamma-hermitian")
@@ -239,26 +249,72 @@ def from_matrix(a: AlbertAlgebra, m, check: bool = True) -> AlbertElement:
     return a.element(xs, [c1, c2, c3])
 
 
+def _matrix_terms(a: AlbertAlgebra):
+    """matrix_mul as terms (u, v, 8 (3 i + k) + t, c), meaning coordinate t
+    of entry (i, k) of to_matrix(x) to_matrix(y) gains c x_u y_v.
+
+    The terms are read off to_matrix of the 27 basis vectors, whose entries
+    are scaled basis octonions, and the octonion table: entry (i, k) of
+    to_matrix(b_u) to_matrix(b_v) is the sum over j of products of such
+    entries.  Nothing here comes from _jordan_terms, so the symmetrized
+    matrix route stays an independent derivation of the Jordan product."""
+    # the few distinct scalars get small indices, keyed on their payloads
+    # (hashing a FieldElement costs a product), and each product of three
+    # of them is made once
+    scalars, index = [], {}
+
+    def intern(c: FieldElement) -> int:
+        if c.value not in index:
+            index[c.value] = len(scalars)
+            scalars.append(c)
+        return index[c.value]
+
+    # e_s e_t = scalars[n] e_r for (r, n) = table[s][t]
+    table = [[(r, intern(c)) for r, c in row] for row in a.octonions._table]
+    # the nonzero entries (i, j, s, n) of to_matrix(b_u): scalars[n] e_s at (i, j)
+    entries = [
+        [(i, j, s, intern(c)) for i, row in enumerate(to_matrix(a.basis(u))) for j, e in enumerate(row)
+         for s, c in enumerate(e.coords) if not c.is_zero()]
+        for u in range(DIM)
+    ]
+    products, merged = {}, {}
+    for u, left in enumerate(entries):
+        for v, right in enumerate(entries):
+            for i, j, s, nu in left:
+                for j2, k, t, nv in right:
+                    if j2 != j:
+                        continue
+                    r, n = table[s][t]
+                    key = (nu, nv, n)
+                    coef = products.get(key)
+                    if coef is None:
+                        coef = products[key] = scalars[nu] * scalars[nv] * scalars[n]
+                    out = (u, v, 8 * (3 * i + k) + r)
+                    merged[out] = merged[out] + coef if out in merged else coef
+    return [(u, v, k, c) for (u, v, k), c in merged.items()]
+
+
 def matrix_mul(x: AlbertElement, y: AlbertElement) -> list[list[CompElement]]:
-    """The raw (non-hermitian) matrix product x.y with octonion entries."""
+    """The raw (non-hermitian) matrix product to_matrix(x) to_matrix(y) with
+    octonion entries.
+
+    It runs as one bilinear table from the 27 coordinates of x and of y to
+    the 72 coordinates of the nine entries, compiled by _matrix_terms for the
+    field's packed kernel on the first call and cached on the algebra.  The
+    literal entrywise product is the oracle verify.reference_matrix_mul."""
     x._check(y)
-    mx, my = to_matrix(x), to_matrix(y)
-    out = []
-    for i in range(3):
-        row = []
-        for k in range(3):
-            acc = mx[i][0] * my[0][k]
-            for j in (1, 2):
-                acc = acc + mx[i][j] * my[j][k]
-            row.append(acc)
-        out.append(row)
-    return out
+    a = x.algebra
+    out = a.field.kernel.bilinear(a._matrix_product, x.coords, y.coords)
+    c = a.octonions
+    return [[CompElement(c, out[8 * e : 8 * e + 8]) for e in range(3 * i, 3 * i + 3)] for i in range(3)]
 
 
 def _jordan_from_matrices(a: AlbertAlgebra, x: AlbertElement, y: AlbertElement) -> AlbertElement:
+    """The matrix route to x y = (x.y + y.x)/2: from_matrix reads back
+    x.y + y.x, checking that it is Gamma-hermitian with a scalar diagonal
+    (conditions that halving keeps), and the element read is halved."""
     mx, my = matrix_mul(x, y), matrix_mul(y, x)
-    sym = [[(mx[i][j] + my[i][j]).scale(a._half) for j in range(3)] for i in range(3)]
-    return from_matrix(a, sym, check=True)
+    return from_matrix(a, [[mx[i][j] + my[i][j] for j in range(3)] for i in range(3)], check=True).scale(a._half)
 
 
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
@@ -586,12 +642,16 @@ def _check_gamma_orthogonal(a: AlbertAlgebra, x):
 
 class Automorphism:
     """A 27x27 matrix acting on AlbertElements in canonical coordinates;
-    apply runs its sparse rows on the field's packed kernel."""
+    apply runs its sparse rows on the field's packed kernel.
 
-    def __init__(self, algebra: AlbertAlgebra, matrix):
+    The rows are compiled here from the matrix, unless the caller passes
+    them already compiled (phi hands over the rows its checks ran on);
+    verify.reference_apply is the dense FieldElement oracle."""
+
+    def __init__(self, algebra: AlbertAlgebra, matrix, rows=None):
         self.algebra = algebra
         self.matrix = matrix
-        self._rows = algebra.field.kernel.linear_table(matrix)
+        self._rows = algebra.field.kernel.linear_table(matrix) if rows is None else rows
 
     def apply(self, x: AlbertElement) -> AlbertElement:
         if x.algebra != self.algebra:
@@ -620,13 +680,16 @@ class Automorphism:
 def phi(a: AlbertAlgebra, x) -> Automorphism:
     """The automorphism theta -> X theta X^(-1) for X in SO(Gamma).
 
-    conjugation_between builds it and verifies that it fixes the unit and
-    preserves Q and the Jordan product on seeded samples; the complete
-    378-pair basis check is available as preserves_jordan_on_basis().
+    It is built as conjugation_between builds it: the 27x27 matrix is
+    compiled once for the packed kernel, checked to fix the unit and to
+    preserve Q and the Jordan product on five seeded sample pairs, and the
+    compiled rows go to the Automorphism as they are.  The complete 378-pair
+    basis check is available as preserves_jordan_on_basis().
     """
     x = [[a.field.element(v) for v in row] for row in x]
     _check_gamma_orthogonal(a, x)
-    return Automorphism(a, conjugation_between(a, a, x, samples=5, rng=_random.Random(947)))
+    matrix, rows = _conjugation(a, a, x, 5, _random.Random(947))
+    return Automorphism(a, matrix, rows)
 
 
 def _scalar_image(dst: AlbertAlgebra, s, m: int) -> list[FieldElement]:
@@ -655,9 +718,18 @@ def conjugation_between(src: AlbertAlgebra, dst: AlbertAlgebra, x, samples: int 
     so a basis element with matrix T e_m (T scalar, e_m a basis octonion)
     maps to (X T X^(-1)) e_m: each column is a 3x3 scalar product.
     Structural hermitianness of every image and the unit are checked
-    exactly; multiplicativity and the preservation of Q are verified on
-    sampled pairs.
+    exactly.  With an rng, multiplicativity phi(pq) = phi(p) phi(q) and the
+    preservation of Q are checked exactly on `samples` seeded pairs: the
+    matrix is compiled once for the packed kernel, each sample is packed
+    once, the products and images are chained on packed vectors and
+    compared with packed_eq, and Q(phi(p)) = Q(p) is compared as
+    tr(phi(p)^2) = tr(p^2).
     """
+    return _conjugation(src, dst, x, samples, rng)[0]
+
+
+def _conjugation(src: AlbertAlgebra, dst: AlbertAlgebra, x, samples: int, rng):
+    """conjugation_between's checked matrix and its compiled rows."""
     if src.octonions != dst.octonions:
         raise AlgebraMismatch("conjugation needs a common coordinate algebra")
     f = src.field
@@ -677,23 +749,21 @@ def conjugation_between(src: AlbertAlgebra, dst: AlbertAlgebra, x, samples: int 
         cols.append(_scalar_image(dst, plus, 0))
         cols.extend(_scalar_image(dst, minus, m) for m in range(1, 8))
     matrix = [[cols[c][r] for c in range(DIM)] for r in range(DIM)]
-    rows = f.kernel.linear_table(matrix)
-
-    def mapped(elem: AlbertElement) -> AlbertElement:
-        return AlbertElement(dst, f.kernel.linear(rows, elem.coords))
-
+    kernel = f.kernel
+    rows = kernel.linear_table(matrix)
+    bil, lin, same = kernel.packed_bilinear, kernel.packed_linear, kernel.packed_eq
     if rng is not None:
         for _ in range(samples):
-            p = src.random(rng, 3)
-            q = src.random(rng, 3)
-            mp = mapped(p)
-            if mapped(jordan_mul(p, q)) != jordan_mul(mp, mapped(q)):
+            p = kernel.pack(src.random(rng, 3).coords)
+            q = kernel.pack(src.random(rng, 3).coords)
+            mp, mq = lin(rows, p), lin(rows, q)
+            if not same(lin(rows, bil(src._product, p, q)), bil(dst._product, mp, mq)):
                 raise InternalCheckFailed("conjugation is not multiplicative")
-            if norm_Q(mp) != norm_Q(p):
+            if not same(bil(dst._trace, mp, mp), bil(src._trace, p, p)):
                 raise InternalCheckFailed("conjugation does not preserve Q")
-    if mapped(src.unit()) != dst.unit():
+    if kernel.linear(rows, src.unit().coords) != dst.unit().coords:
         raise InternalCheckFailed("conjugation does not map unit to unit")
-    return matrix
+    return matrix, rows
 
 
 def base_change_albert(a: AlbertAlgebra, ext: Field) -> AlbertAlgebra:

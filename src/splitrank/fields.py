@@ -7,11 +7,13 @@ decided by integer comparisons.
 
 Packed payloads.  FieldElement is the scalar type of every public function.
 The products that dominate the running time -- octonion products, Jordan
-products, automorphism matrices, and the Gram and congruence products of the
-quadratic-form engine -- are instead compiled once into tables of integer
-constants and run by `Field.kernel`, which is picked once per field kind.
-A vector is packed into plain Python ints on entry and unpacked into
-canonical FieldElements on exit, so callers never see the packed form:
+products, the Albert matrix product, automorphism matrices, and the Gram and
+congruence products of the quadratic-form engine -- are instead compiled
+once into tables of integer constants and run by `Field.kernel`, which is
+picked once per field kind.  A vector is packed into plain Python ints on
+entry and unpacked into canonical FieldElements on exit; only checks that
+chain several maps (the sampled checks of `albert.conjugation_between`)
+keep vectors packed in between and compare them with `packed_eq`:
 
     Q         integer numerators over one positive common denominator
     F_p       integer residues (the denominator is 1), reduced mod p once
@@ -21,8 +23,9 @@ canonical FieldElements on exit, so callers never see the packed form:
 
 Unpacking normalizes, so the payloads are exactly those of FieldElement
 arithmetic: a reduced Fraction, a residue in [0, p), a pair of reduced
-Fractions.  `verify.reference_octonion_mul` and `verify.reference_jordan_mul`
-are plain FieldElement oracles for the kernels.
+Fractions.  `verify.reference_octonion_mul`, `verify.reference_jordan_mul`
+and `verify.reference_matrix_mul` are plain FieldElement oracles for the
+kernels.
 """
 
 from __future__ import annotations
@@ -273,16 +276,16 @@ class Field:
 
     def random(self, rng, height: int = 9, nonzero: bool = False) -> FieldElement:
         """Seeded random element with numerators bounded by `height`."""
-        while True:
+        while True:  # the payloads are canonical, so no coercion is needed
             if self.kind == PRIME_FIELD:
-                x = self.element(rng.randrange(self.p))
+                x = FieldElement(self, rng.randrange(self.p))
             elif self.kind == RATIONALS:
-                x = self.element(Fraction(rng.randint(-height, height), rng.randint(1, 3)))
+                x = FieldElement(self, Fraction(rng.randint(-height, height), rng.randint(1, 3)))
             else:
-                x = self.element(
-                    (Fraction(rng.randint(-height, height), rng.randint(1, 3)),
-                     Fraction(rng.randint(-height, height), rng.randint(1, 3)))
-                )
+                x = FieldElement(self, (
+                    Fraction(rng.randint(-height, height), rng.randint(1, 3)),
+                    Fraction(rng.randint(-height, height), rng.randint(1, 3)),
+                ))
             if not nonzero or not x.is_zero():
                 return x
 
@@ -587,7 +590,12 @@ class _Kernel:
     """Bilinear and linear maps compiled to integer constants over one
     common denominator.  A bilinear table holds, for each x coordinate i,
     the terms (j, k, constant...) of out_k += c x_i y_j; a linear table holds
-    one sparse row of (j, constant...) per output coordinate."""
+    one sparse row of (j, constant...) per output coordinate.
+
+    `packed_bilinear` and `packed_linear` take and return packed vectors
+    (`pack` makes one), so maps chain without unpacking, and `packed_eq`
+    compares two packed vectors exactly.  `bilinear` and `linear` are the
+    FieldElement entry points: they pack on entry and unpack on exit."""
 
     def __init__(self, field: Field):
         self.field = field
@@ -611,16 +619,19 @@ class _Kernel:
         return rows, den
 
     def bilinear(self, table, xs, ys) -> tuple[FieldElement, ...]:
-        return self._bilinear(table, self._pack(xs), self._pack(ys))
+        return self._unpack(*self.packed_bilinear(table, self.pack(xs), self.pack(ys)))
+
+    def linear(self, table, xs) -> tuple[FieldElement, ...]:
+        return self._unpack(*self.packed_linear(table, self.pack(xs)))
 
     def gram(self, table, cols) -> list[list[FieldElement]]:
         """The symmetric matrix of B(x, y) over every pair of columns, for a
         bilinear table with the single output B; each column is packed once."""
-        packed = [self._pack(col) for col in cols]
+        packed = [self.pack(col) for col in cols]
         out = [[None] * len(cols) for _ in cols]
         for a, x in enumerate(packed):
             for b in range(a, len(cols)):
-                out[a][b] = out[b][a] = self._bilinear(table, x, packed[b])[0]
+                out[a][b] = out[b][a] = self._unpack(*self.packed_bilinear(table, x, packed[b]))[0]
         return out
 
 
@@ -628,10 +639,10 @@ class _IntegerKernel(_Kernel):
     """Q and F_p: a packed vector is (ints, den); subclasses convert."""
 
     def _constants(self, elems):
-        nums, den = self._pack(elems)
+        nums, den = self.pack(elems)
         return [(n,) for n in nums], den
 
-    def _bilinear(self, table, xp, yp) -> tuple[FieldElement, ...]:
+    def packed_bilinear(self, table, xp, yp):
         rows, n_out, den = table
         (x, xd), (y, yd) = xp, yp
         out = [0] * n_out
@@ -639,16 +650,27 @@ class _IntegerKernel(_Kernel):
             if xi:
                 for j, k, c in row:
                     out[k] += c * xi * y[j]
-        return self._unpack(out, den * xd * yd)
+        return self._reduce(out), den * xd * yd
 
-    def linear(self, table, xs) -> tuple[FieldElement, ...]:
+    def packed_linear(self, table, xp):
         rows, den = table
-        x, xd = self._pack(xs)
-        return self._unpack([sum(c * x[j] for j, c in row) for row in rows], den * xd)
+        x, xd = xp
+        return self._reduce([sum(c * x[j] for j, c in row) for row in rows]), den * xd
+
+    @staticmethod
+    def _reduce(nums):
+        """The packed output coordinates (F_p reduces them mod p)."""
+        return nums
+
+    @staticmethod
+    def packed_eq(u, v) -> bool:
+        """Exact equality of two packed vectors (positive denominators)."""
+        (a, ad), (b, bd) = u, v
+        return all(s * bd == t * ad for s, t in zip(a, b))
 
 
 class _RationalKernel(_IntegerKernel):
-    def _pack(self, elems):
+    def pack(self, elems):
         values = [e.value for e in elems]
         den = lcm(*[v.denominator for v in values])
         return [v.numerator * (den // v.denominator) for v in values], den
@@ -659,18 +681,24 @@ class _RationalKernel(_IntegerKernel):
 
 
 class _PrimeKernel(_IntegerKernel):
-    def _pack(self, elems):
+    """F_p: packed outputs are residues over the denominator 1."""
+
+    def pack(self, elems):
         return [e.value for e in elems], 1
 
+    def _reduce(self, nums):
+        p = self.field.p
+        return [n % p for n in nums]
+
     def _unpack(self, nums, den):
-        f, p = self.field, self.field.p
-        return tuple(FieldElement(f, n % p) for n in nums)
+        f = self.field
+        return tuple(FieldElement(f, n) for n in nums)
 
 
 class _QuadKernel(_Kernel):
     """Q(sqrt d): a packed vector is ([(a, b), ...], den)."""
 
-    def _pack(self, elems):
+    def pack(self, elems):
         values = [e.value for e in elems]
         den = lcm(*[a.denominator for a, _ in values], *[b.denominator for _, b in values])
         return [
@@ -683,11 +711,11 @@ class _QuadKernel(_Kernel):
         return tuple(FieldElement(f, (Fraction(a, den), Fraction(b, den))) for a, b in pairs)
 
     def _constants(self, elems):
-        pairs, den = self._pack(elems)
+        pairs, den = self.pack(elems)
         d = self.field.d
         return [(a, b, d * b) for a, b in pairs], den
 
-    def _bilinear(self, table, xp, yp) -> tuple[FieldElement, ...]:
+    def packed_bilinear(self, table, xp, yp):
         rows, n_out, den = table
         (x, xd), (y, yd) = xp, yp
         d = self.field.d
@@ -701,11 +729,11 @@ class _QuadKernel(_Kernel):
                     pb = xa * yb + xb * ya
                     out_a[k] += ca * pa + dcb * pb
                     out_b[k] += ca * pb + cb * pa
-        return self._unpack(zip(out_a, out_b), den * xd * yd)
+        return list(zip(out_a, out_b)), den * xd * yd
 
-    def linear(self, table, xs) -> tuple[FieldElement, ...]:
+    def packed_linear(self, table, xp):
         rows, den = table
-        x, xd = self._pack(xs)
+        x, xd = xp
         out = []
         for row in rows:
             a = b = 0
@@ -714,7 +742,13 @@ class _QuadKernel(_Kernel):
                 a += ca * xa + dcb * xb
                 b += ca * xb + cb * xa
             out.append((a, b))
-        return self._unpack(out, den * xd)
+        return out, den * xd
+
+    @staticmethod
+    def packed_eq(u, v) -> bool:
+        """Exact equality of two packed vectors (positive denominators)."""
+        (p, pd), (q, qd) = u, v
+        return all(a * qd == c * pd and b * qd == e * pd for (a, b), (c, e) in zip(p, q))
 
 
 _KERNELS = {RATIONALS: _RationalKernel, PRIME_FIELD: _PrimeKernel, QUAD_EXT: _QuadKernel}

@@ -26,12 +26,14 @@ from .albert import (
     bilinear,
     e0_subspace,
     jordan_mul,
+    matrix_mul,
     nilpotent_witness,
     norm_Q,
     phi,
     q0_data,
     quadratic_trace_form,
     so_gamma_sample,
+    to_matrix,
     torus_element,
     trace,
 )
@@ -187,6 +189,23 @@ def reference_jordan_mul(x: AlbertElement, y: AlbertElement) -> AlbertElement:
         slot = d[i].scale(half * (xs[j] + xs[k])) + c[i].scale(half * (ys[j] + ys[k])) + cross.scale(half / r[i])
         out.extend(slot.coords)
     return AlbertElement(a, out)
+
+
+def reference_matrix_mul(x: AlbertElement, y: AlbertElement) -> list[list[CompElement]]:
+    """to_matrix(x) to_matrix(y) entry by entry, each entry the sum over j
+    of the reference_octonion_mul products of entries (i, j) and (j, k), in
+    plain FieldElement arithmetic: the oracle for the compiled matrix_mul.
+    A product with a zero factor is zero, so it is skipped."""
+    x._check(y)
+    mx, my = to_matrix(x), to_matrix(y)
+    zero = x.algebra.octonions.zero()
+    return [
+        [
+            sum((reference_octonion_mul(mx[i][j], my[j][k]) for j in range(3) if mx[i][j] and my[j][k]), zero)
+            for k in range(3)
+        ]
+        for i in range(3)
+    ]
 
 
 def reference_apply(auto: Automorphism, x: AlbertElement) -> AlbertElement:
@@ -555,6 +574,16 @@ def suite_albert(seed: int = DEFAULT_SEED) -> list[CheckResult]:
                 ok, detail = False, f"over {c.field}: x={x.to_json()} y={y.to_json()}"
                 break
     _check(out, "albert", "octonion product = FieldElement reference (50 pairs over Q and F7)", ok, detail)
+
+    ok = True
+    detail = ""
+    for a in fixtures:
+        for _ in range(50):
+            x, y = a.random(rng, 3), a.random(rng, 3)
+            if matrix_mul(x, y) != reference_matrix_mul(x, y):
+                ok, detail = False, f"over {a.field}: x={x.to_json()} y={y.to_json()}"
+                break
+    _check(out, "albert", "matrix_mul = FieldElement reference (50 pairs over Q and F7)", ok, detail)
     return out
 
 
