@@ -4,11 +4,12 @@ product x y = (x.y + y.x)/2.
 
 Elements are stored as 27 coordinates (x1, x2, x3, c1, c2, c3) -- three
 diagonal scalars and three octonion slots -- so Gamma-hermitianness is
-structural.  jordan_mul works on the coordinates directly, through the
-coordinate formula compiled once per algebra for the field's packed kernel.
-The raw matrix product matrix_mul is a second, independent table, derived
-from to_matrix and the octonion table and compiled on its first use; its
-symmetrization is the matrix route that jordan_mul is checked against, and
+structural.  jordan_mul runs the coordinate formula, compiled for the
+field's packed kernel: its 531 terms over 71 symbolic constants are spelled
+out once per process, and an algebra evaluates only the constants.  The raw
+matrix product matrix_mul is a second, independent table, derived likewise
+from to_matrix's slot layout and the octonion table; its symmetrization is
+the matrix route that jordan_mul is checked against, and
 verify.reference_matrix_mul is the literal entrywise product in plain
 FieldElement arithmetic that checks matrix_mul.
 
@@ -22,9 +23,9 @@ Slot positions follow the defining matrix:
 from __future__ import annotations
 
 import random as _random
-from functools import cached_property
+from functools import cache, cached_property
 
-from .composition import CompElement, CompositionAlgebra, base_change_comp
+from .composition import CompElement, CompositionAlgebra, _doubling_template, base_change_comp
 from .errors import (
     AlgebraMismatch,
     InternalCheckFailed,
@@ -66,16 +67,20 @@ class AlbertAlgebra:
         g1, g2, g3 = gamma
         # r_i scales conj(c_i) in the defining matrix (see the module docstring)
         self._ratios = (g2 / g3, g3 / g1, g1 / g2)
-        terms = list(_jordan_terms(self))
-        self._product = self.field.kernel.bilinear_table(DIM, DIM, terms)
+        self._factors = (self._half,) + self._ratios + tuple(self._half / r for r in self._ratios)
+        octonions.norm_form()  # the formula needs a composition algebra: prove the Pfister shape
+        keys, rows, trace_keys, trace_rows = _jordan_template()
+        consts = _constants(self, keys)
+        self._product = self.field.kernel.indexed_table(rows, DIM, consts)
         # tr(xy): the three diagonal coordinates of xy, summed
-        self._trace = self.field.kernel.bilinear_table(DIM, 1, [(i, j, 0, c) for i, j, k, c in terms if k < 3])
+        self._trace = self.field.kernel.indexed_table(trace_rows, 1, [consts[n] for n in trace_keys])
 
     @cached_property
     def _matrix_product(self):
         """matrix_mul's compiled table, built on the first call: output
         8 (3 i + k) + t is coordinate t of entry (i, k) of the product."""
-        return self.field.kernel.bilinear_table(DIM, 72, _matrix_terms(self))
+        keys, rows = _matrix_template()
+        return self.field.kernel.indexed_table(rows, 72, _constants(self, keys))
 
     # ----------------------------------------------------------------- basics
     def __eq__(self, other):
@@ -249,49 +254,53 @@ def from_matrix(a: AlbertAlgebra, m, check: bool = True) -> AlbertElement:
     return a.element(xs, [c1, c2, c3])
 
 
-def _matrix_terms(a: AlbertAlgebra):
-    """matrix_mul as terms (u, v, 8 (3 i + k) + t, c), meaning coordinate t
-    of entry (i, k) of to_matrix(x) to_matrix(y) gains c x_u y_v.
+# positions in AlbertAlgebra._factors = (1/2, r_1, r_2, r_3, 1/(2 r_1), ...)
+_HALF, _RATIO, _HALF_INV = 0, 1, 4
 
-    The terms are read off to_matrix of the 27 basis vectors, whose entries
-    are scaled basis octonions, and the octonion table: entry (i, k) of
-    to_matrix(b_u) to_matrix(b_v) is the sum over j of products of such
-    entries.  Nothing here comes from _jordan_terms, so the symmetrized
-    matrix route stays an independent derivation of the Jordan product."""
-    # the few distinct scalars get small indices, keyed on their payloads
-    # (hashing a FieldElement costs a product), and each product of three
-    # of them is made once
-    scalars, index = [], {}
 
-    def intern(c: FieldElement) -> int:
-        if c.value not in index:
-            index[c.value] = len(scalars)
-            scalars.append(c)
-        return index[c.value]
+def _constants(a: AlbertAlgebra, keys) -> list[FieldElement]:
+    """The constants that a template's keys name, for a: the key (sign,
+    mask, factors) is sign * P_mask * prod(a._factors[f] for f in factors),
+    P the octonions' parameter products; each magnitude is made once."""
+    products, factors = a.octonions._products, a._factors
+    out, magnitudes = [], {}
+    for sign, mask, fs in keys:
+        c = magnitudes.get((mask, fs))
+        if c is None:
+            c = products[mask]
+            for f in fs:  # P_0 = 1 is never multiplied
+                c = factors[f] if c is products[0] else c * factors[f]
+            magnitudes[mask, fs] = c
+        out.append(c if sign > 0 else -c)
+    return out
 
-    # e_s e_t = scalars[n] e_r for (r, n) = table[s][t]
-    table = [[(r, intern(c)) for r, c in row] for row in a.octonions._table]
-    # the nonzero entries (i, j, s, n) of to_matrix(b_u): scalars[n] e_s at (i, j)
-    entries = [
-        [(i, j, s, intern(c)) for i, row in enumerate(to_matrix(a.basis(u))) for j, e in enumerate(row)
-         for s, c in enumerate(e.coords) if not c.is_zero()]
-        for u in range(DIM)
-    ]
-    products, merged = {}, {}
+
+@cache
+def _matrix_template():
+    """matrix_mul as (keys, rows), derived once per process: rows[u] holds
+    ((v, 8 (3 i + k) + t), n), meaning coordinate t of entry (i, k) of
+    to_matrix(x) to_matrix(y) gains (constant n) x_u y_v.  The entries of
+    to_matrix(b_u) follow _SLOT_POSITION, and entry (i, k) of to_matrix(b_u)
+    to_matrix(b_v) is the sum over j of their octonion products.  Nothing
+    here comes from _jordan_template, so the symmetrized matrix route stays
+    an independent derivation of the Jordan product."""
+    _, octonion, _ = _doubling_template(3)
+    # (i, j, s, sign, factors): sign * prod(factors) e_s at (i, j), in row-major order
+    entries = [[(p, p, 0, 1, ())] for p in range(3)]
+    for slot, (row, col) in enumerate(_SLOT_POSITION):
+        for m in range(8):
+            conj = (col, row, m, 1 if m == 0 else -1, (_RATIO + slot,))  # r_i conj(e_m)
+            entries.append(sorted([(row, col, m, 1, ()), conj]))
+    index, rows = {}, [[] for _ in range(DIM)]
     for u, left in enumerate(entries):
         for v, right in enumerate(entries):
-            for i, j, s, nu in left:
-                for j2, k, t, nv in right:
-                    if j2 != j:
-                        continue
-                    r, n = table[s][t]
-                    key = (nu, nv, n)
-                    coef = products.get(key)
-                    if coef is None:
-                        coef = products[key] = scalars[nu] * scalars[nv] * scalars[n]
-                    out = (u, v, 8 * (3 * i + k) + r)
-                    merged[out] = merged[out] + coef if out in merged else coef
-    return [(u, v, k, c) for (u, v, k), c in merged.items()]
+            for i, j, s, s_sign, s_factors in left:
+                for j2, k, t, t_sign, t_factors in right:
+                    if j2 == j:
+                        r, sign, mask = octonion[s][t]  # e_s e_t = sign P_mask e_r
+                        key = (s_sign * t_sign * sign, mask, tuple(sorted(s_factors + t_factors)))
+                        rows[u].append(((v, 8 * (3 * i + k) + r), index.setdefault(key, len(index))))
+    return tuple(index), tuple(map(tuple, rows))
 
 
 def matrix_mul(x: AlbertElement, y: AlbertElement) -> list[list[CompElement]]:
@@ -299,9 +308,9 @@ def matrix_mul(x: AlbertElement, y: AlbertElement) -> list[list[CompElement]]:
     octonion entries.
 
     It runs as one bilinear table from the 27 coordinates of x and of y to
-    the 72 coordinates of the nine entries, compiled by _matrix_terms for the
-    field's packed kernel on the first call and cached on the algebra.  The
-    literal entrywise product is the oracle verify.reference_matrix_mul."""
+    the 72 coordinates of the nine entries, compiled from _matrix_template for
+    the field's packed kernel on the first call and cached on the algebra.
+    The literal entrywise product is the oracle verify.reference_matrix_mul."""
     x._check(y)
     a = x.algebra
     out = a.field.kernel.bilinear(a._matrix_product, x.coords, y.coords)
@@ -320,35 +329,37 @@ def _jordan_from_matrices(a: AlbertAlgebra, x: AlbertElement, y: AlbertElement) 
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
-def _jordan_terms(a: AlbertAlgebra):
-    """jordan_mul's formula as terms (i, j, k, c), meaning (xy)_k += c x_i y_j."""
-    one, half, r = a.field.one(), a._half, a._ratios
-    norm = a.octonions.norm_form().coeffs
-    table = a.octonions._table
+@cache
+def _jordan_template():
+    """jordan_mul's formula as (keys, rows, trace_keys, trace_rows), derived
+    once per process: rows[i] holds ((j, k), n), meaning (xy)_k += (constant
+    n) x_i y_j; trace_rows sums the diagonal outputs, over the constants
+    numbered trace_keys."""
+    _, octonion, _ = _doubling_template(3)
     off = _SLOT_OFFSET
-    rn = [[ratio * n_m for n_m in norm] for ratio in r]
+    index, rows = {}, [[] for _ in range(DIM)]
+
+    def term(i, j, k, sign, mask, *factors):  # (xy)_k += sign P_mask prod(factors) x_i y_j
+        rows[i].append(((j, k), index.setdefault((sign, mask, factors), len(index))))
+
     for i, j, k in _CYCLIC:
-        yield i, i, i, one
+        term(i, i, i, 1, 0)
         for s in (j, k):
-            for m in range(8):
-                yield off[s] + m, off[s] + m, i, rn[s][m]
+            for m in range(8):  # r_s N_m, where N_m = (-1)^|m| P_m
+                term(off[s] + m, off[s] + m, i, (-1) ** bin(m).count("1"), m, _RATIO + s)
         for m in range(8):
             for s in (j, k):
-                yield s, off[i] + m, off[i] + m, half
-                yield off[i] + m, s, off[i] + m, half
-        w = half / r[i]
-        # the 64 entries carry a few distinct constants: each is made once,
-        # keyed on its payload (hashing a FieldElement costs a product)
-        coefs = {}
+                term(s, off[i] + m, off[i] + m, 1, 0, _HALF)
+                term(off[i] + m, s, off[i] + m, 1, 0, _HALF)
         for u in range(8):
             for v in range(8):
-                t, c = table[u][v]  # e_u e_v = c e_t; conj(e_t) = -e_t for t > 0
-                key = (c.value, t == 0)
-                coef = coefs.get(key)
-                if coef is None:
-                    coef = coefs[key] = c * w if t == 0 else -(c * w)
-                yield off[k] + v, off[j] + u, off[i] + t, coef  # conj(d_j c_k)
-                yield off[j] + u, off[k] + v, off[i] + t, coef  # conj(c_j d_k)
+                t, sign, mask = octonion[u][v]  # e_u e_v = sign P_mask e_t; conj(e_t) = -e_t for t > 0
+                sign = sign if t == 0 else -sign
+                term(off[k] + v, off[j] + u, off[i] + t, sign, mask, _HALF_INV + i)  # conj(d_j c_k)
+                term(off[j] + u, off[k] + v, off[i] + t, sign, mask, _HALF_INV + i)  # conj(c_j d_k)
+    used = {}  # the trace table packs only its own constants, renumbered
+    trace_rows = [[((j, 0), used.setdefault(n, len(used))) for (j, k), n in row if k < 3] for row in rows]
+    return tuple(index), tuple(map(tuple, rows)), tuple(used), tuple(map(tuple, trace_rows))
 
 
 def jordan_mul(x: AlbertElement, y: AlbertElement) -> AlbertElement:
@@ -361,9 +372,10 @@ def jordan_mul(x: AlbertElement, y: AlbertElement) -> AlbertElement:
         (xy) c_i = [(x_j + x_k) d_i + (y_j + y_k) c_i
                     + conj(d_j c_k + c_j d_k) / r_i] / 2
 
-    where x = (x_i; c_i) and y = (y_i; d_i).  _jordan_terms spells the
-    formula out term by term; the algebra compiles the terms once and the
-    field's packed kernel evaluates them.  _jordan_from_matrices and
+    where x = (x_i; c_i) and y = (y_i; d_i).  _jordan_template spells the
+    formula out term by term, once per process, with symbolic constants;
+    each algebra evaluates the constants once (_constants) and compiles the
+    terms, and the field's packed kernel evaluates them.  _jordan_from_matrices and
     verify.reference_jordan_mul are the oracles it is tested against.
     """
     x._check(y)

@@ -8,11 +8,14 @@ over a base field; dimension 2^k.  The product is fixed by the doubling rule
 with conjugation (a, b) -> (conj(a), -b), so on the canonical basis every
 product e_i e_j is a scalar multiple of a single basis element and the whole
 multiplication lives in one table, compiled for the field's packed kernel.
-The norm form is the Pfister form <1,-g1> (x) ... (x) <1,-gk>; norm_form
-proves it once per algebra by reading x -> x conj(x) off the same table.
+The rule runs once per process on symbols; an algebra multiplies out only its
+parameter products.  The norm form is the Pfister form <1,-g1> (x) ... (x)
+<1,-gk>; norm_form proves it once per algebra from the same table.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from .errors import (
     AlgebraMismatch,
@@ -38,33 +41,16 @@ class CompositionAlgebra:
         self.field = field
         self.params = params
         self.dim = 2 ** len(params)
+        # _products[mask] = the product of the params[b] over the bits 2^b of mask
+        self._products = [field.one()]
+        for g in params:
+            self._products += [g * c for c in self._products]
+        keys, _, rows = _doubling_template(len(params))
+        consts = [self._products[m] if sign > 0 else -self._products[m] for sign, m in keys]
         # e_i e_j = c e_k for (k, c) = _table[i][j]
-        self._table = self._build_table()
-        self._product = field.kernel.bilinear_table(
-            self.dim,
-            self.dim,
-            ((i, j, k, c) for i, row in enumerate(self._table) for j, (k, c) in enumerate(row)),
-        )
+        self._table = [[(k, consts[n]) for (_, k), n in row] for row in rows]
+        self._product = field.kernel.indexed_table(rows, self.dim, consts)
         self._norm_form: QuadraticForm | None = None
-
-    def _build_table(self):
-        one = self.field.one()
-        table = [[(0, one)]]
-        dim = 1
-        for g in self.params:
-            new = [[None] * (2 * dim) for _ in range(2 * dim)]
-            for i in range(dim):
-                conj_i = one if i == 0 else -one
-                for j in range(dim):
-                    k, c = table[i][j]
-                    new[i][j] = (k, c)
-                    new[i][dim + j] = (dim + k, conj_i * c)
-                    k2, c2 = table[j][i]
-                    new[dim + i][j] = (dim + k2, c2)
-                    new[dim + i][dim + j] = (k2, g * conj_i * c2)
-            table = new
-            dim *= 2
-        return table
 
     # ----------------------------------------------------------------- basics
     def __eq__(self, other):
@@ -113,18 +99,17 @@ class CompositionAlgebra:
         read off the table as a quadratic map (e_i conj(e_j) = s_j c e_k for
         (k, c) = _table[i][j], s_0 = 1, s_j = -1 for j > 0), whose scalar
         output must be the Pfister diagonal and whose pure outputs must
-        vanish.  The comparison is of coefficients, so it holds for every x."""
+        vanish.  The comparison is of coefficients, so it holds for every x;
+        the coefficients are summed as packed integers (kernel.sums_vanish)."""
         if self._norm_form is None:
             coeffs = pfister(self.field, self.params).coeffs if self.params else (self.field.one(),)
-            # (k, i, j) -> coefficient of x_i x_j (i <= j) in output k of
-            # x conj(x) minus the Pfister form
-            quad = {(0, i, i): -a for i, a in enumerate(coeffs)}
-            for i, row in enumerate(self._table):
-                for j, (k, c) in enumerate(row):
-                    key = (k, min(i, j), max(i, j))
-                    term = c if j == 0 else -c
-                    quad[key] = quad[key] + term if key in quad else term
-            if any(not v.is_zero() for v in quad.values()):
+            # the coefficient of x_i x_j (i <= j) in output k of x conj(x)
+            # minus the Pfister form sums the entries keyed (k, i, j)
+            entries = [((0, i, i), -1, a) for i, a in enumerate(coeffs)] + [
+                ((k, i, j) if i <= j else (k, j, i), 1 if j == 0 else -1, c)
+                for i, row in enumerate(self._table) for j, (k, c) in enumerate(row)
+            ]
+            if not self.field.kernel.sums_vanish(entries):
                 raise InternalCheckFailed("norm form disagrees with x * conj(x)")
             self._norm_form = QuadraticForm(self.field, coeffs, label="norm")
         return self._norm_form
@@ -148,6 +133,32 @@ class CompositionAlgebra:
             "field": self.field.to_json(),
             "params": [str(p) for p in self.params],
         }
+
+
+@cache
+def _doubling_template(n: int):
+    """(keys, table, rows): the doubling rule for n doublings, on symbols.
+    table[i][j] = (k, sign, mask) means e_i e_j = sign * P_mask e_k; keys
+    lists the distinct (sign, mask), and rows[i] holds ((j, k), n) for
+    e_i e_j = (constant n) e_k, the index form that Field.kernel compiles."""
+    table = [[(0, 1, 0)]]
+    dim = 1
+    for _ in range(n):
+        new = [[None] * (2 * dim) for _ in range(2 * dim)]
+        for i in range(dim):
+            conj_i = 1 if i == 0 else -1
+            for j in range(dim):
+                k, s, m = table[i][j]
+                new[i][j] = (k, s, m)
+                new[i][dim + j] = (dim + k, conj_i * s, m)
+                k2, s2, m2 = table[j][i]
+                new[dim + i][j] = (dim + k2, s2, m2)
+                new[dim + i][dim + j] = (k2, conj_i * s2, m2 | dim)  # times g = P_dim
+        table = new
+        dim *= 2
+    keys = {}
+    rows = [[((j, k), keys.setdefault((s, m), len(keys))) for j, (k, s, m) in enumerate(row)] for row in table]
+    return tuple(keys), tuple(map(tuple, table)), tuple(map(tuple, rows))
 
 
 class CompElement:

@@ -609,6 +609,28 @@ class _Kernel:
             rows[i].append((j, k) + c)
         return rows, n_out, den
 
+    def indexed_table(self, rows, n_out: int, consts):
+        """Compile out_k = sum of consts[n] x_i y_j over the entries ((j, k), n)
+        of rows[i]; the constants, all nonzero, are packed in one call and
+        the terms filled in by index."""
+        packed, den = self._constants(consts)
+        return [[jk + packed[n] for jk, n in row] for row in rows], n_out, den
+
+    def sums_vanish(self, entries) -> bool:
+        """Whether, for every key, sign * elem summed over the entries
+        (key, sign, elem) with that key is zero: the elements are packed in
+        one call and summed as integers."""
+        sums = {}
+        for (key, sign, _), c in zip(entries, self._constants([e for _, _, e in entries])[0]):
+            for part, v in enumerate(c):  # over Q(sqrt d): a, b and d b
+                sums[key, part] = sums.get((key, part), 0) + sign * v
+        return not any(self._reduce(list(sums.values())))
+
+    @staticmethod
+    def _reduce(nums):
+        """The packed output coordinates (F_p reduces them mod p)."""
+        return nums
+
     def linear_table(self, matrix):
         """Compile the sparse rows of a matrix of FieldElements."""
         entries = [(r, j, c) for r, row in enumerate(matrix) for j, c in enumerate(row) if not c.is_zero()]
@@ -656,11 +678,6 @@ class _IntegerKernel(_Kernel):
         rows, den = table
         x, xd = xp
         return self._reduce([sum(c * x[j] for j, c in row) for row in rows]), den * xd
-
-    @staticmethod
-    def _reduce(nums):
-        """The packed output coordinates (F_p reduces them mod p)."""
-        return nums
 
     @staticmethod
     def packed_eq(u, v) -> bool:

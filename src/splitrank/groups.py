@@ -205,9 +205,8 @@ def normalize_gamma(a: AlbertAlgebra):
     raises NonNormalizableGamma when the square classes do not match."""
     f = a.field
     one = f.one()
-    target = AlbertAlgebra(a.octonions, [one, -one, one])
-    if a.gamma == target.gamma:
-        return target, {"moves": "already normalized"}
+    if a.gamma == (one, -one, one):
+        return a, {"moves": "already normalized"}
     for perm in itertools.permutations((0, 1, 2)):
         ga, gb, gc = (a.gamma[i] for i in perm)
         s2 = (-(gb / ga)).square_root()
@@ -220,6 +219,7 @@ def normalize_gamma(a: AlbertAlgebra):
         m = [f.zero()] * 3
         m[perm[0]], m[perm[1]], m[perm[2]] = one, s2, s3
         x = [[m[j] if perm[i] == j else f.zero() for j in range(3)] for i in range(3)]
+        target = AlbertAlgebra(a.octonions, [one, -one, one])
         rng = random.Random(20514)
         matrix = conjugation_between(a, target, x, samples=6, rng=rng)
         provenance = {
