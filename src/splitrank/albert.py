@@ -11,7 +11,13 @@ matrix product matrix_mul is a second, independent table, derived likewise
 from to_matrix's slot layout and the octonion table; its symmetrization is
 the matrix route that jordan_mul is checked against, and
 verify.reference_matrix_mul is the literal entrywise product in plain
-FieldElement arithmetic that checks matrix_mul.
+FieldElement arithmetic that checks matrix_mul.  The conjugations theta ->
+X theta X^(-1) by a scalar 3x3 matrix X (phi, conjugation_between) come
+from their blocks: a per-process template spells out, bilinear in
+(X, X^(-1)), the 6x6 block on (x1, x2, x3) and the real parts of the slots,
+the 3x3 block that the imaginary parts share, and the hermitian relations;
+one packed-kernel call evaluates them.  verify.reference_conjugation is
+the literal definition.
 
 Slot positions follow the defining matrix:
 
@@ -24,6 +30,8 @@ from __future__ import annotations
 
 import random as _random
 from functools import cache, cached_property
+from itertools import product
+from math import prod
 
 from .composition import CompElement, CompositionAlgebra, _doubling_template, base_change_comp
 from .errors import (
@@ -39,7 +47,7 @@ from .errors import (
     ZeroParameter,
 )
 from .fields import Field, FieldElement
-from .qforms import IsotropyResult, QuadraticForm, is_isotropic
+from .qforms import IsotropyResult, QuadraticForm, _congruence, is_isotropic
 from . import linalg
 
 DIM = 27
@@ -81,6 +89,10 @@ class AlbertAlgebra:
         8 (3 i + k) + t is coordinate t of entry (i, k) of the product."""
         keys, rows = _matrix_template()
         return self.field.kernel.indexed_table(rows, 72, _constants(self, keys))
+
+    @cached_property
+    def _automorphism_table(self):  # the compiled conjugation template for phi, built on the first call
+        return _conjugation_table(self, self)
 
     # ----------------------------------------------------------------- basics
     def __eq__(self, other):
@@ -606,12 +618,6 @@ def q0_form(a: AlbertAlgebra, u: AlbertElement) -> QuadraticForm:
 # Gamma-orthogonal matrices and the automorphisms they induce
 # ---------------------------------------------------------------------------
 
-def gamma_matrix(a: AlbertAlgebra):
-    z = a.field.zero()
-    g1, g2, g3 = a.gamma
-    return [[g1, z, z], [z, g2, z], [z, z, g3]]
-
-
 def torus_element(field: Field, av, bv):
     """[[a,b,0],[b,a,0],[0,0,1]] with a^2 - b^2 = 1 exactly."""
     av, bv = field.element(av), field.element(bv)
@@ -623,32 +629,47 @@ def torus_element(field: Field, av, bv):
 
 def so_gamma_sample(a: AlbertAlgebra, rng, retries: int = 50):
     """Random X with X^T Gamma X = Gamma, det X = 1, via the Cayley transform
-    X = (I - S)(I + S)^(-1) over S = Gamma^(-1) K with K skew."""
+    X = (I - S)(I + S)^(-1) = 2 adj(I + S) / det(I + S) - I over S =
+    Gamma^(-1) K with K skew; X is checked as phi checks its input."""
     f = a.field
-    ident = linalg.identity(f, 3)
+    one, g_inv = f.one(), [g.inv() for g in a.gamma]
     for _ in range(retries):
-        k12 = f.random(rng, 3)
-        k13 = f.random(rng, 3)
-        k23 = f.random(rng, 3)
-        z = f.zero()
-        km = [[z, k12, k13], [-k12, z, k23], [-k13, -k23, z]]
-        s = [[km[i][j] / a.gamma[i] for j in range(3)] for i in range(3)]
-        m_plus = [[ident[i][j] + s[i][j] for j in range(3)] for i in range(3)]
-        if linalg.det(m_plus).is_zero():
+        k12, k13, k23 = (f.random(rng, 3) for _ in range(3))
+        k = [[None, k12, k13], [-k12, None, k23], [-k13, -k23, None]]
+        m = [[one if i == j else k[i][j] * g_inv[i] for j in range(3)] for i in range(3)]  # I + S
+        adj = [[m[(j + 1) % 3][(i + 1) % 3] * m[(j + 2) % 3][(i + 2) % 3]
+                - m[(j + 1) % 3][(i + 2) % 3] * m[(j + 2) % 3][(i + 1) % 3] for j in range(3)] for i in range(3)]
+        det = m[0][0] * adj[0][0] + m[0][1] * adj[1][0] + m[0][2] * adj[2][0]
+        if det.is_zero():
             continue
-        m_minus = [[ident[i][j] - s[i][j] for j in range(3)] for i in range(3)]
-        x = linalg.mat_mul(m_minus, linalg.inverse(m_plus))
+        c = (one + one) / det
+        x = [[c * v - one if i == j else c * v for j, v in enumerate(row)] for i, row in enumerate(adj)]
         _check_gamma_orthogonal(a, x)
         return x
     raise SingularCayley(f"no invertible I + S in {retries} draws")
 
 
+def _similitude(src: AlbertAlgebra, dst: AlbertAlgebra, x) -> FieldElement:
+    """lam with X^T Gamma' X = lam Gamma (Gamma of src, Gamma' of dst), checked
+    exactly on the packed kernel; then X^(-1) = lam^(-1) Gamma^(-1) X^T Gamma'."""
+    zero = src.field.zero()
+
+    def diagonal(gamma):
+        return [[g if i == j else zero for j in range(3)] for i, g in enumerate(gamma)]
+
+    m = _congruence(src.field, diagonal(dst.gamma), [list(col) for col in zip(*x)])
+    lam = m[0][0] / src.gamma[0]
+    if lam.is_zero() or m != diagonal([lam * g for g in src.gamma]):
+        raise NotGammaOrthogonal("X^T Gamma' X is not an invertible multiple of Gamma")
+    return lam
+
+
 def _check_gamma_orthogonal(a: AlbertAlgebra, x):
-    gm = gamma_matrix(a)
-    lhs = linalg.mat_mul(linalg.mat_mul(linalg.transpose(x), gm), x)
-    if not linalg.mat_eq(lhs, gm):
+    one = a.field.one()
+    if _similitude(a, a, x) != one:
         raise NotGammaOrthogonal("X^T Gamma X != Gamma")
-    if linalg.det(x) != a.field.one():
+    cofactors = [x[1][(j + 1) % 3] * x[2][(j + 2) % 3] - x[1][(j + 2) % 3] * x[2][(j + 1) % 3] for j in range(3)]
+    if x[0][0] * cofactors[0] + x[0][1] * cofactors[1] + x[0][2] * cofactors[2] != one:
         raise NotGammaOrthogonal("det X != 1")
 
 
@@ -657,13 +678,19 @@ class Automorphism:
     apply runs its sparse rows on the field's packed kernel.
 
     The rows are compiled here from the matrix, unless the caller passes
-    them already compiled (phi hands over the rows its checks ran on);
+    them already compiled (phi hands over the rows its checks ran on); then
+    the matrix is unpacked from the rows on first use.
     verify.reference_apply is the dense FieldElement oracle."""
 
-    def __init__(self, algebra: AlbertAlgebra, matrix, rows=None):
+    def __init__(self, algebra: AlbertAlgebra, matrix=None, rows=None):
         self.algebra = algebra
-        self.matrix = matrix
+        if matrix is not None:
+            self.matrix = matrix
         self._rows = algebra.field.kernel.linear_table(matrix) if rows is None else rows
+
+    @cached_property
+    def matrix(self):
+        return self.algebra.field.kernel.table_matrix(self._rows, DIM)
 
     def apply(self, x: AlbertElement) -> AlbertElement:
         if x.algebra != self.algebra:
@@ -692,90 +719,111 @@ class Automorphism:
 def phi(a: AlbertAlgebra, x) -> Automorphism:
     """The automorphism theta -> X theta X^(-1) for X in SO(Gamma).
 
-    It is built as conjugation_between builds it: the 27x27 matrix is
-    compiled once for the packed kernel, checked to fix the unit and to
-    preserve Q and the Jordan product on five seeded sample pairs, and the
-    compiled rows go to the Automorphism as they are.  The complete 378-pair
-    basis check is available as preserves_jordan_on_basis().
+    X^T Gamma X = Gamma and det X = 1 are checked first.  The rows are then
+    built and checked as conjugation_between builds them, with five seeded
+    sample pairs, and go to the Automorphism as they are; its matrix is
+    unpacked only when asked for.  The complete 378-pair basis check is
+    preserves_jordan_on_basis().
     """
     x = [[a.field.element(v) for v in row] for row in x]
     _check_gamma_orthogonal(a, x)
-    matrix, rows = _conjugation(a, a, x, 5, _random.Random(947))
-    return Automorphism(a, matrix, rows)
+    return Automorphism(a, rows=_conjugation(a, a, x, 5, _random.Random(947)))
 
 
-def _scalar_image(dst: AlbertAlgebra, s, m: int) -> list[FieldElement]:
-    """Coordinates of the octonion matrix s e_m (s a scalar 3x3 matrix, e_m
-    a basis octonion), which must be Gamma-hermitian for dst with a scalar
-    diagonal; a violation is an internal-consistency failure."""
-    coords = [dst.field.zero()] * DIM
-    for p in range(3):
-        if m == 0:
-            coords[p] = s[p][p]
-        elif not s[p][p].is_zero():
-            raise InternalCheckFailed("diagonal entry is not a scalar")
-    for slot, (row, col) in enumerate(_SLOT_POSITION):
-        partner = dst._ratios[slot] * s[row][col]  # r_i conj(c_i), conj(e_m) = -e_m for m > 0
-        if s[col][row] != (partner if m == 0 else -partner):
-            raise InternalCheckFailed("matrix is not Gamma-hermitian")
-        coords[_SLOT_OFFSET[slot] + m] = s[row][col]
-    return coords
+_BLOCK = (0, 1, 2) + _SLOT_OFFSET  # x1, x2, x3 and the real parts of c1, c2, c3
+
+
+@cache
+def _conjugation_template():
+    """theta -> X theta Y for Y = X^(-1), as (keys, rows, fill, n_out),
+    derived once per process.  A basis element of H(C; Gamma) is T e_m for
+    a scalar 3x3 matrix T and a basis octonion e_m; scalars commute with
+    octonions, so its image is (X T Y) e_m, bilinear in (X, Y).  rows[3p + a]
+    holds ((3b + q, k), n): output k gains (constant n) X_pa Y_bq, the key n
+    being (sign, factors), the factors indexing (r_1, r_2, r_3) of the
+    source and then (r'_1, r'_2, r'_3) of the target.  Output k < len(fill)
+    is the entry at each (row, column) of fill[k]: the 6x6 block on _BLOCK
+    (m = 0), then the 3x3 block of the slots that m = 1..7 share.  The
+    other outputs must vanish: each image is Gamma'-hermitian, and for
+    m > 0 its diagonal is zero."""
+
+    def slot(s, m):  # T of e_m in slot s: E_(row, col) + (r_s if m == 0 else -r_s) E_(col, row)
+        row, col = _SLOT_POSITION[s]
+        return [(row, col, 1, ()), (col, row, 1 if m == 0 else -1, (s,))]
+
+    def hermitian(u, m):  # (X T Y)_(col, row) -+ r'_u (X T Y)_(row, col), zero for slot u of the image
+        row, col = _SLOT_POSITION[u]
+        return [(col, row, 1, ()), (row, col, 1 if m else -1, (3 + u,))]
+
+    sources = [[(i, i, 1, ())] for i in range(3)] + [slot(s, 0) for s in range(3)]
+    reads = [[(p, p, 1, ())] for p in range(3)] + [[(row, col, 1, ())] for row, col in _SLOT_POSITION]
+    specs = [(t, read, ((r, c),)) for c, t in zip(_BLOCK, sources) for r, read in zip(_BLOCK, reads)]
+    specs += [(slot(s, 1), reads[3 + u], tuple((_SLOT_OFFSET[u] + m, _SLOT_OFFSET[s] + m) for m in range(1, 8)))
+              for s in range(3) for u in range(3)]
+    specs += [(t, hermitian(u, 0), None) for t in sources for u in range(3)]
+    specs += [(slot(s, 1), read, None) for s in range(3) for read in reads[:3] + [hermitian(u, 1) for u in range(3)]]
+    index, rows = {}, [[] for _ in range(9)]
+    for k, (t, read, _) in enumerate(specs):  # output k: the sum over read of sign * factors * (X t Y)_pq
+        for (p, q, sign, fs), (a, b, t_sign, t_fs) in product(read, t):
+            key = (sign * t_sign, tuple(sorted(fs + t_fs)))
+            rows[3 * p + a].append(((3 * b + q, k), index.setdefault(key, len(index))))
+    fill = tuple(spots for _, _, spots in specs if spots)
+    return tuple(index), tuple(map(tuple, rows)), fill, len(specs)
+
+
+def _conjugation_table(src: AlbertAlgebra, dst: AlbertAlgebra):
+    """_conjugation_template compiled for the ratios of src and dst."""
+    keys, terms, _, n_out = _conjugation_template()
+    ratios, one = src._ratios + dst._ratios, src.field.one()
+    magnitudes = {fs: prod((ratios[i] for i in fs[1:]), start=ratios[fs[0]]) if fs else one for _, fs in keys}
+    consts = [magnitudes[fs] if sign > 0 else -magnitudes[fs] for sign, fs in keys]
+    return src.field.kernel.indexed_table(terms, n_out, consts)
 
 
 def conjugation_between(src: AlbertAlgebra, dst: AlbertAlgebra, x, samples: int = 8, rng=None):
     """The isomorphism theta -> X theta X^(-1) from H(C;Gamma) to H(C;Gamma')
-    induced by a scalar matrix X with X^T Gamma' X proportional to Gamma.
+    induced by a scalar matrix X with X^T Gamma' X = lam Gamma, as its
+    27x27 coordinate matrix.
 
-    Returns the 27x27 coordinate matrix.  Scalars commute with octonions,
-    so a basis element with matrix T e_m (T scalar, e_m a basis octonion)
-    maps to (X T X^(-1)) e_m: each column is a 3x3 scalar product.
-    Structural hermitianness of every image and the unit are checked
-    exactly.  With an rng, multiplicativity phi(pq) = phi(p) phi(q) and the
-    preservation of Q are checked exactly on `samples` seeded pairs: the
-    matrix is compiled once for the packed kernel, each sample is packed
-    once, the products and images are chained on packed vectors and
-    compared with packed_eq, and Q(phi(p)) = Q(p) is compared as
-    tr(phi(p)^2) = tr(p^2).
+    X^T Gamma' X = lam Gamma is checked exactly first; then X^(-1) = lam^(-1)
+    Gamma^(-1) X^T Gamma', and one packed-kernel call evaluates
+    _conjugation_template, whose relations are checked to vanish.  The
+    sparse rows are filled from its outputs by index, and the matrix is
+    unpacked from them.  The unit is checked exactly.  With an rng,
+    phi(pq) = phi(p) phi(q) and tr(phi(p)^2) = tr(p^2) (Q is preserved) are
+    checked exactly on `samples` seeded pairs, drawn as packed vectors.
     """
-    return _conjugation(src, dst, x, samples, rng)[0]
+    return src.field.kernel.table_matrix(_conjugation(src, dst, x, samples, rng), DIM)
 
 
 def _conjugation(src: AlbertAlgebra, dst: AlbertAlgebra, x, samples: int, rng):
-    """conjugation_between's checked matrix and its compiled rows."""
+    """conjugation_between's checked compiled rows."""
     if src.octonions != dst.octonions:
         raise AlgebraMismatch("conjugation needs a common coordinate algebra")
     f = src.field
-    x = [[f.element(v) for v in row] for row in x]
-    x_inv = linalg.inverse(x)
-
-    def image(j, l):  # X E_jl X^(-1)
-        return [[x[p][j] * x_inv[l][q] for q in range(3)] for p in range(3)]
-
-    cols = [_scalar_image(dst, image(i, i), 0) for i in range(3)]
-    for slot, (row, col) in enumerate(_SLOT_POSITION):
-        # e_m in slot c_i has T = E_(row,col) + (r_i if m == 0 else -r_i) E_(col,row)
-        upper = image(row, col)
-        lower = [[src._ratios[slot] * v for v in r] for r in image(col, row)]
-        plus = [[u + v for u, v in zip(ru, rl)] for ru, rl in zip(upper, lower)]
-        minus = [[u - v for u, v in zip(ru, rl)] for ru, rl in zip(upper, lower)]
-        cols.append(_scalar_image(dst, plus, 0))
-        cols.extend(_scalar_image(dst, minus, m) for m in range(1, 8))
-    matrix = [[cols[c][r] for c in range(DIM)] for r in range(DIM)]
     kernel = f.kernel
-    rows = kernel.linear_table(matrix)
+    x = [[f.element(v) for v in row] for row in x]
+    lam = _similitude(src, dst, x)
+    w = [(lam * g).inv() for g in src.gamma]  # X^(-1) = lam^(-1) Gamma^(-1) X^T Gamma'
+    y = [x[j][i] * dst.gamma[j] * w[i] for i in range(3) for j in range(3)]
+    _, _, fill, n_out = _conjugation_template()
+    table = src._automorphism_table if src is dst else _conjugation_table(src, dst)
+    out, den = kernel.packed_bilinear(table, kernel.pack([v for row in x for v in row]), kernel.pack(y))
+    if not kernel.packed_eq((out[len(fill):], den), kernel.pack([f.zero()] * (n_out - len(fill)))):
+        raise InternalCheckFailed("an image is not Gamma-hermitian with a scalar diagonal")
+    rows = kernel.packed_table(DIM, [(r, j, v) for v, spots in zip(out, fill) for r, j in spots], den)
     bil, lin, same = kernel.packed_bilinear, kernel.packed_linear, kernel.packed_eq
-    if rng is not None:
-        for _ in range(samples):
-            p = kernel.pack(src.random(rng, 3).coords)
-            q = kernel.pack(src.random(rng, 3).coords)
-            mp, mq = lin(rows, p), lin(rows, q)
-            if not same(lin(rows, bil(src._product, p, q)), bil(dst._product, mp, mq)):
-                raise InternalCheckFailed("conjugation is not multiplicative")
-            if not same(bil(dst._trace, mp, mp), bil(src._trace, p, p)):
-                raise InternalCheckFailed("conjugation does not preserve Q")
-    if kernel.linear(rows, src.unit().coords) != dst.unit().coords:
+    for _ in range(samples if rng is not None else 0):
+        p, q = kernel.random_packed(rng, DIM, 3), kernel.random_packed(rng, DIM, 3)
+        mp, mq = lin(rows, p), lin(rows, q)
+        if not same(lin(rows, bil(src._product, p, q)), bil(dst._product, mp, mq)):
+            raise InternalCheckFailed("conjugation is not multiplicative")
+        if not same(bil(dst._trace, mp, mp), bil(src._trace, p, p)):
+            raise InternalCheckFailed("conjugation does not preserve Q")
+    unit = kernel.pack(dst.unit().coords)
+    if not same(lin(rows, unit), unit):
         raise InternalCheckFailed("conjugation does not map unit to unit")
-    return matrix, rows
+    return rows
 
 
 def base_change_albert(a: AlbertAlgebra, ext: Field) -> AlbertAlgebra:

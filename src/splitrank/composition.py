@@ -26,7 +26,7 @@ from .errors import (
     ZeroParameter,
 )
 from .fields import QUAD_EXT, RATIONALS, Field, FieldElement
-from .qforms import QuadraticForm, is_isotropic, pfister, equivalent
+from .qforms import QuadraticForm, is_isotropic, equivalent
 
 
 class CompositionAlgebra:
@@ -98,11 +98,12 @@ class CompositionAlgebra:
         On first use the Pfister shape is checked exactly: x -> x conj(x) is
         read off the table as a quadratic map (e_i conj(e_j) = s_j c e_k for
         (k, c) = _table[i][j], s_0 = 1, s_j = -1 for j > 0), whose scalar
-        output must be the Pfister diagonal and whose pure outputs must
-        vanish.  The comparison is of coefficients, so it holds for every x;
-        the coefficients are summed as packed integers (kernel.sums_vanish)."""
+        output must be the Pfister diagonal (-1)^|m| P_m, from the parameter
+        products, and whose pure outputs must vanish.  The comparison is of
+        coefficients, so it holds for every x; the coefficients are summed as
+        packed integers (kernel.sums_vanish)."""
         if self._norm_form is None:
-            coeffs = pfister(self.field, self.params).coeffs if self.params else (self.field.one(),)
+            coeffs = [-c if bin(m).count("1") % 2 else c for m, c in enumerate(self._products)]
             # the coefficient of x_i x_j (i <= j) in output k of x conj(x)
             # minus the Pfister form sums the entries keyed (k, i, j)
             entries = [((0, i, i), -1, a) for i, a in enumerate(coeffs)] + [

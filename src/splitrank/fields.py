@@ -11,9 +11,12 @@ products, the Albert matrix product, automorphism matrices, and the Gram and
 congruence products of the quadratic-form engine -- are instead compiled
 once into tables of integer constants and run by `Field.kernel`, which is
 picked once per field kind.  A vector is packed into plain Python ints on
-entry and unpacked into canonical FieldElements on exit; only checks that
-chain several maps (the sampled checks of `albert.conjugation_between`)
-keep vectors packed in between and compare them with `packed_eq`:
+entry and unpacked into canonical FieldElements on exit; only work that
+chains several maps keeps vectors packed in between: the conjugations of
+`albert.conjugation_between` fill their rows from packed outputs
+(`packed_table`), and their sampled checks draw packed vectors
+(`random_packed`, with the draws of `Field.random`) and compare them with
+`packed_eq`:
 
     Q         integer numerators over one positive common denominator
     F_p       integer residues (the denominator is 1), reduced mod p once
@@ -245,7 +248,7 @@ class Field:
     def element(self, value) -> FieldElement:
         """Coerce an int, Fraction, (a, b) pair, literal string, or element."""
         if isinstance(value, FieldElement):
-            if value.field != self:
+            if value.field is not self and value.field != self:
                 raise FieldMismatch(f"element of {value.field} is not in {self}")
             return value
         if isinstance(value, str):
@@ -275,17 +278,10 @@ class Field:
         return 0
 
     def random(self, rng, height: int = 9, nonzero: bool = False) -> FieldElement:
-        """Seeded random element with numerators bounded by `height`."""
-        while True:  # the payloads are canonical, so no coercion is needed
-            if self.kind == PRIME_FIELD:
-                x = FieldElement(self, rng.randrange(self.p))
-            elif self.kind == RATIONALS:
-                x = FieldElement(self, Fraction(rng.randint(-height, height), rng.randint(1, 3)))
-            else:
-                x = FieldElement(self, (
-                    Fraction(rng.randint(-height, height), rng.randint(1, 3)),
-                    Fraction(rng.randint(-height, height), rng.randint(1, 3)),
-                ))
+        """Seeded random element with numerators bounded by `height`, drawn
+        as kernel.random_packed draws a coordinate."""
+        while True:
+            x = self.kernel._unpack(*self.kernel.random_packed(rng, 1, height))[0]
             if not nonzero or not x.is_zero():
                 return x
 
@@ -342,7 +338,7 @@ class FieldElement:
     def _check(self, other) -> FieldElement:
         if not isinstance(other, FieldElement):
             return self.field.element(other)
-        if other.field != self.field:
+        if other.field is not self.field and other.field != self.field:
             raise FieldMismatch(f"{self.field} vs {other.field}")
         return other
 
@@ -362,7 +358,7 @@ class FieldElement:
                 return NotImplemented
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.field == other.field and self.value == other.value
+        return self.value == other.value and (self.field is other.field or self.field == other.field)
 
     def __hash__(self):
         return hash((self.field, self.value))
@@ -593,21 +589,15 @@ class _Kernel:
     one sparse row of (j, constant...) per output coordinate.
 
     `packed_bilinear` and `packed_linear` take and return packed vectors
-    (`pack` makes one), so maps chain without unpacking, and `packed_eq`
-    compares two packed vectors exactly.  `bilinear` and `linear` are the
-    FieldElement entry points: they pack on entry and unpack on exit."""
+    (`pack` makes one, `random_packed` draws one), so maps chain without
+    unpacking, and `packed_eq` compares two packed vectors exactly.
+    `packed_table` makes a linear table of packed values, such as the
+    outputs of a bilinear map, and `table_matrix` unpacks a linear table.
+    `bilinear` and `linear` are the FieldElement entry points: they pack on
+    entry and unpack on exit."""
 
     def __init__(self, field: Field):
         self.field = field
-
-    def bilinear_table(self, n_x: int, n_out: int, terms):
-        """Compile out_k = sum of c x_i y_j over the terms (i, j, k, c)."""
-        terms = [t for t in terms if not t[3].is_zero()]
-        consts, den = self._constants([t[3] for t in terms])
-        rows = [[] for _ in range(n_x)]
-        for (i, j, k, _), c in zip(terms, consts):
-            rows[i].append((j, k) + c)
-        return rows, n_out, den
 
     def indexed_table(self, rows, n_out: int, consts):
         """Compile out_k = sum of consts[n] x_i y_j over the entries ((j, k), n)
@@ -631,14 +621,34 @@ class _Kernel:
         """The packed output coordinates (F_p reduces them mod p)."""
         return nums
 
+    def _constants(self, elems):
+        values, den = self.pack(elems)
+        return [self._const(v) for v in values], den
+
     def linear_table(self, matrix):
         """Compile the sparse rows of a matrix of FieldElements."""
         entries = [(r, j, c) for r, row in enumerate(matrix) for j, c in enumerate(row) if not c.is_zero()]
-        consts, den = self._constants([c for _, _, c in entries])
-        rows = [[] for _ in matrix]
-        for (r, j, _), c in zip(entries, consts):
-            rows[r].append((j,) + c)
+        values, den = self.pack([c for _, _, c in entries])
+        return self.packed_table(len(matrix), [(r, j, v) for (r, j, _), v in zip(entries, values)], den)
+
+    def packed_table(self, n_rows, entries, den):
+        """The linear table whose row r holds, for each entry (r, j, v) with
+        v nonzero, the packed value v over den at column j."""
+        rows = [[] for _ in range(n_rows)]
+        for r, j, v in entries:
+            c = self._const(v)
+            if any(c):
+                rows[r].append((j,) + c)
         return rows, den
+
+    def table_matrix(self, table, n_cols):
+        """The FieldElement matrix of a linear table (zero off its entries)."""
+        rows, den = table  # an entry is (j, v) over Q and F_p, (j, a, b, d b) over Q(sqrt d)
+        spots = [(r, t[0], t[1] if len(t) == 2 else t[1:3]) for r, row in enumerate(rows) for t in row]
+        out = [[self.field.zero()] * n_cols for _ in rows]
+        for (r, j, _), e in zip(spots, self._unpack([v for _, _, v in spots], den)):
+            out[r][j] = e
+        return out
 
     def bilinear(self, table, xs, ys) -> tuple[FieldElement, ...]:
         return self._unpack(*self.packed_bilinear(table, self.pack(xs), self.pack(ys)))
@@ -660,9 +670,9 @@ class _Kernel:
 class _IntegerKernel(_Kernel):
     """Q and F_p: a packed vector is (ints, den); subclasses convert."""
 
-    def _constants(self, elems):
-        nums, den = self.pack(elems)
-        return [(n,) for n in nums], den
+    @staticmethod
+    def _const(v):  # a packed value as the constant of a compiled term
+        return (v,)
 
     def packed_bilinear(self, table, xp, yp):
         rows, n_out, den = table
@@ -696,6 +706,14 @@ class _RationalKernel(_IntegerKernel):
         f = self.field
         return tuple(FieldElement(f, Fraction(n, den)) for n in nums)
 
+    @staticmethod
+    def random_packed(rng, n, height):
+        """n coordinates drawn as Field.random draws them: a numerator in
+        [-height, height] over a denominator in [1, 3], in that order."""
+        fracs = [(rng.randint(-height, height), rng.randint(1, 3)) for _ in range(n)]
+        den = lcm(*[d for _, d in fracs])
+        return [a * (den // d) for a, d in fracs], den
+
 
 class _PrimeKernel(_IntegerKernel):
     """F_p: packed outputs are residues over the denominator 1."""
@@ -710,6 +728,10 @@ class _PrimeKernel(_IntegerKernel):
     def _unpack(self, nums, den):
         f = self.field
         return tuple(FieldElement(f, n) for n in nums)
+
+    def random_packed(self, rng, n, height):
+        """n uniform residues, drawn as Field.random draws them."""
+        return [rng.randrange(self.field.p) for _ in range(n)], 1
 
 
 class _QuadKernel(_Kernel):
@@ -727,10 +749,13 @@ class _QuadKernel(_Kernel):
         f = self.field
         return tuple(FieldElement(f, (Fraction(a, den), Fraction(b, den))) for a, b in pairs)
 
-    def _constants(self, elems):
-        pairs, den = self.pack(elems)
-        d = self.field.d
-        return [(a, b, d * b) for a, b in pairs], den
+    def random_packed(self, rng, n, height):  # a and then b of each coordinate, drawn as over Q
+        nums, den = _RationalKernel.random_packed(rng, 2 * n, height)
+        return list(zip(nums[::2], nums[1::2])), den
+
+    def _const(self, v):  # (a, b, d b): the kernel multiplies by d b as well
+        a, b = v
+        return (a, b, self.field.d * b)
 
     def packed_bilinear(self, table, xp, yp):
         rows, n_out, den = table

@@ -221,7 +221,7 @@ def normalize_gamma(a: AlbertAlgebra):
         x = [[m[j] if perm[i] == j else f.zero() for j in range(3)] for i in range(3)]
         target = AlbertAlgebra(a.octonions, [one, -one, one])
         rng = random.Random(20514)
-        matrix = conjugation_between(a, target, x, samples=6, rng=rng)
+        conjugation_between(a, target, x, samples=6, rng=rng)
         provenance = {
             "permutation": list(perm),
             "slot_scalings": [str(one), str(s2), str(s3)],

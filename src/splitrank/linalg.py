@@ -43,10 +43,6 @@ def mat_vec(a, v):
     return out
 
 
-def transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
 def mat_eq(a, b) -> bool:
     return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
 

@@ -321,8 +321,10 @@ def _congruence(f: Field, g, cols):
     """The matrix of x^T g y over every pair of columns x, y, on the packed
     kernel: g is compiled once and each column is packed once."""
     n = len(g)
-    table = f.kernel.bilinear_table(n, 1, [(i, j, 0, g[i][j]) for i in range(n) for j in range(n)])
-    return f.kernel.gram(table, cols)
+    nonzero, rows = [(i, j) for i in range(n) for j in range(n) if not g[i][j].is_zero()], [[] for _ in g]
+    for e, (i, j) in enumerate(nonzero):
+        rows[i].append(((j, 0), e))
+    return f.kernel.gram(f.kernel.indexed_table(rows, 1, [g[i][j] for i, j in nonzero]), cols)
 
 
 # --------------------------------------------------------------------------
@@ -1057,7 +1059,9 @@ def _split_step(coeffs, witness):
     Returns (u1, u2, complement_columns, complement_form) where u1, u2 are
     vectors with q(u1)=1, q(u2)=-1, B(u1,u2)=0 spanning the plane of the
     witness, and the complement columns diagonalize q on the orthogonal
-    complement.
+    complement.  For a witness on two coordinates that complement is the
+    other unit vectors with their own coefficients, as the generic route
+    would find.
     """
     f = coeffs[0].field
     n = len(coeffs)
@@ -1071,6 +1075,10 @@ def _split_step(coeffs, witness):
     wp = [w[i] - half * qw * v[i] for i in range(n)]  # q(wp) = 0, B(v,wp) = 1
     u1 = [half * v[i] + wp[i] for i in range(n)]
     u2 = [half * v[i] - wp[i] for i in range(n)]
+    rest = [i for i in range(n) if v[i].is_zero()]
+    if len(rest) == n - 2:
+        cols = [[f.one() if r == i else f.zero() for r in range(n)] for i in rest]
+        return u1, u2, cols, QuadraticForm(f, [coeffs[i] for i in rest])
     rows = [
         [coeffs[i] * v[i] for i in range(n)],
         [coeffs[i] * wp[i] for i in range(n)],

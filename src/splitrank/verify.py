@@ -24,6 +24,7 @@ from .albert import (
     _jordan_from_matrices,
     albert_element_from_json,
     bilinear,
+    from_matrix,
     e0_subspace,
     jordan_mul,
     matrix_mul,
@@ -211,6 +212,22 @@ def reference_matrix_mul(x: AlbertElement, y: AlbertElement) -> list[list[CompEl
 def reference_apply(auto: Automorphism, x: AlbertElement) -> AlbertElement:
     """The dense matrix-vector product: the oracle for Automorphism.apply."""
     return AlbertElement(auto.algebra, linalg.mat_vec(auto.matrix, list(x.coords)))
+
+
+def reference_conjugation(src: AlbertAlgebra, dst: AlbertAlgebra, x):
+    """The 27x27 matrix of theta -> X theta X^(-1) by its definition: column
+    u is from_matrix(dst, X to_matrix(b_u) X^(-1)), X^(-1) by Gauss-Jordan
+    elimination, in plain FieldElement arithmetic: the oracle for
+    conjugation_between and phi."""
+    x = [[src.field.element(v) for v in row] for row in x]
+    xi, zero = linalg.inverse(x), src.octonions.zero()
+
+    def conjugate(m):  # X m X^(-1), skipping the zero entries of m
+        return [[sum((m[j][k].scale(x[i][j] * xi[k][l]) for j in range(3) for k in range(3) if m[j][k]), zero)
+                 for l in range(3)] for i in range(3)]
+
+    cols = [from_matrix(dst, conjugate(to_matrix(src.basis(u)))).coords for u in range(27)]
+    return [list(row) for row in zip(*cols)]
 
 
 def fp_equivalent_bruteforce(q1: QuadraticForm, q2: QuadraticForm) -> bool:

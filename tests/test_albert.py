@@ -355,10 +355,11 @@ class TestGammaOrthogonal:
             x = so_gamma_sample(A_RANK1, rng)
             # the sampler already self-checks; re-verify the defining identity
             from splitrank import linalg
-            from splitrank.albert import gamma_matrix
 
-            gm = gamma_matrix(A_RANK1)
-            assert linalg.mat_eq(linalg.mat_mul(linalg.mat_mul(linalg.transpose(x), gm), x), gm)
+            g1, g2, g3 = A_RANK1.gamma
+            z = Q.element(0)
+            gm = [[g1, z, z], [z, g2, z], [z, z, g3]]
+            assert linalg.mat_eq(linalg.mat_mul(linalg.mat_mul([list(col) for col in zip(*x)], gm), x), gm)
             assert linalg.det(x) == Q.element(1)
 
     def test_phi_identity(self):

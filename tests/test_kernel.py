@@ -1,13 +1,16 @@
 """The packed kernels against plain FieldElement arithmetic.
 
 The octonion product, jordan_mul, the Albert matrix product matrix_mul and
-Automorphism.apply run on packed integer payloads, and the sampled checks of
-conjugation_between (through which phi is built) chain packed maps and
-compare packed vectors; verify holds the FieldElement oracles.  Inputs
+Automorphism.apply run on packed integer payloads.  conjugation_between and
+phi evaluate the conjugation template in one packed call, fill the sparse
+rows from its outputs, and run their sampled checks on packed vectors; a
+panel of 60 conjugators (so_gamma_sample draws, torus elements and
+normalize_gamma conjugators over six fields) matches the literal definition
+X to_matrix(b) X^(-1).  verify holds the FieldElement oracles.  Inputs
 cover every field kind, coordinate heights up to 10^6, zero-heavy vectors
 and non-integral (over Q(sqrt d) also irrational) parameters and Gamma.
 Tampered tables show that the matrix route and the conjugation checks
-catch a single wrong constant.
+catch a single wrong constant, a corrupted row or a broken relation.
 """
 
 import random
@@ -15,9 +18,11 @@ from fractions import Fraction
 
 import pytest
 
+from splitrank import albert
 from splitrank.albert import (
     AlbertAlgebra,
     Automorphism,
+    _conjugation_template,
     _jordan_from_matrices,
     bilinear,
     conjugation_between,
@@ -25,12 +30,20 @@ from splitrank.albert import (
     matrix_mul,
     phi,
     so_gamma_sample,
+    torus_element,
     trace,
 )
 from splitrank.composition import cayley_dickson
 from splitrank.errors import InternalCheckFailed
 from splitrank.fields import Field, prime_field, quad_ext, rationals
-from splitrank.verify import reference_apply, reference_jordan_mul, reference_matrix_mul, reference_octonion_mul
+from splitrank.groups import normalize_gamma
+from splitrank.verify import (
+    reference_apply,
+    reference_conjugation,
+    reference_jordan_mul,
+    reference_matrix_mul,
+    reference_octonion_mul,
+)
 
 FIELDS = {
     "Q": rationals(),
@@ -165,29 +178,139 @@ def test_corrupted_matrix_table_breaks_the_matrix_route(name):
     assert jordan_mul(e, e) != _jordan_from_matrices(a, e, e)
 
 
+def _conjugators(f, rng):
+    """(src, dst, X): so_gamma_sample draws in two algebras, torus elements
+    (in SO(Gamma) for Gamma = (1, -1, 1)) and the conjugators that
+    normalize_gamma builds from Gamma = (g, -g s^2, g t^2), permuted."""
+    a = _algebra(f)
+    split = AlbertAlgebra(a.octonions, [1, -1, 1])
+    out = [(b, b, so_gamma_sample(b, rng)) for b in (a, split) for _ in range(3)]
+    out += [(split, split, torus_element(f, Fraction(t * t + 1, t * t - 1), Fraction(2 * t, t * t - 1))) for t in (2, 3)]
+    for perm in ((0, 1, 2), (2, 0, 1)):
+        g, t = (f.random(rng, 5, nonzero=True) for _ in range(2))
+        s = next(s for s in iter(lambda: f.random(rng, 5, nonzero=True), None) if s * s != f.one())
+        gamma = [g, -g * s * s, g * t * t]
+        src = AlbertAlgebra(a.octonions, [gamma[i] for i in perm])
+        dst, moves = normalize_gamma(src)
+        out.append((src, dst, [[f.element(v) for v in row] for row in moves["conjugator"]]))
+    return out
+
+
+CONJUGATORS = {name: _conjugators(f, random.Random(9)) for name, f in FIELDS.items()}
+
+
+def test_conjugation_panel_shape():
+    assert sum(len(panel) for panel in CONJUGATORS.values()) >= 60
+    assert all(src is not dst for panel in CONJUGATORS.values() for src, dst, _ in panel[-2:])
+
+
+@pytest.mark.parametrize("name", list(FIELDS))
+def test_conjugation_matches_definition(name):
+    """conjugation_between, and phi for X in SO(Gamma), against the literal
+    from_matrix(X to_matrix(b) X^(-1)) on every basis vector b."""
+    for src, dst, x in CONJUGATORS[name]:
+        want = reference_conjugation(src, dst, x)
+        assert conjugation_between(src, dst, x, samples=2, rng=random.Random(1)) == want
+        if src is dst:
+            auto = phi(src, x)
+            assert auto.matrix == want
+            _assert_payloads([v for row in auto.matrix for v in row])
+
+
+@pytest.mark.parametrize("name", ["Q", "F10007", "Q(sqrt-7)"])
+def test_one_wrong_conjugation_constant_is_caught(name, monkeypatch):
+    """Every constant of the compiled conjugation template, raised by one in
+    a fresh algebra, makes phi raise."""
+    keys, terms, _, _ = _conjugation_template()
+    for n in range(len(keys)):
+        f = FIELDS[name]
+        f = Field(f.kind, f.p, f.d)  # a kernel of its own, patched below
+        compile_table = f.kernel.indexed_table
+
+        def tampered(rows, n_out, consts, n=n, compile_table=compile_table):
+            if rows is terms:
+                consts = list(consts)
+                consts[n] = consts[n] + 1
+            return compile_table(rows, n_out, consts)
+
+        monkeypatch.setattr(f.kernel, "indexed_table", tampered)
+        a = _algebra(f)
+        x = so_gamma_sample(a, random.Random(5))
+        with pytest.raises(InternalCheckFailed):
+            phi(a, x)
+
+
+@pytest.mark.parametrize("name", ["Q", "F10007", "Q(sqrt-7)"])
+def test_broken_hermitian_relation_is_caught(name, monkeypatch):
+    """With the target-ratio terms of one relation dropped, that relation
+    reads an entry of the image alone, and the unsampled conjugation
+    raises."""
+    keys, rows, fill, n_out = _conjugation_template()
+    target_ratio = {n for n, (_, factors) in enumerate(keys) if any(i >= 3 for i in factors)}
+    broken = tuple(tuple(t for t in row if t[0][1] != n_out - 1 or t[1] not in target_ratio) for row in rows)
+    assert sum(map(len, broken)) < sum(map(len, rows))
+    a = _algebra(FIELDS[name])
+    x = so_gamma_sample(a, random.Random(5))
+    conjugation_between(AlbertAlgebra(a.octonions, a.gamma), a, x)
+    monkeypatch.setattr(albert, "_conjugation_template", lambda: (keys, broken, fill, n_out))
+    with pytest.raises(InternalCheckFailed):
+        conjugation_between(AlbertAlgebra(a.octonions, a.gamma), a, x)
+
+
+@pytest.mark.parametrize("name", list(FIELDS))
+def test_filled_rows_hold_no_zero_constants(name):
+    """The fill step skips zero values, as linear_table does: the identity
+    has one term per row, and every row of a torus element is no longer
+    than the row linear_table compiles from its matrix."""
+    f = FIELDS[name]
+    split = AlbertAlgebra(_algebra(f).octonions, [1, -1, 1])
+    rows, _ = phi(split, torus_element(f, 1, 0))._rows
+    assert [len(row) for row in rows] == [1] * 27
+    auto = phi(split, torus_element(f, Fraction(5, 3), Fraction(4, 3)))
+    assert [len(row) for row in auto._rows[0]] == [len(row) for row in f.kernel.linear_table(auto.matrix)[0]]
+
+
 @pytest.mark.parametrize("name", ["Q", "F10007", "Q(sqrt-7)"])
 def test_corrupted_conjugation_rows_are_caught(name, monkeypatch):
-    """One wrong constant in the compiled conjugation rows, in a column of
-    an octonion slot (so the unit check alone cannot see it), is caught by
-    the packed sample checks of conjugation_between and so of phi."""
+    """One wrong constant in the filled conjugation rows, in a column of an
+    octonion slot (so the unit check alone cannot see it), is caught by the
+    packed sample checks of conjugation_between and so of phi."""
     f = FIELDS[name]
     f = Field(f.kind, f.p, f.d)  # a kernel of its own, patched below
     a = _algebra(f)
     x = so_gamma_sample(a, random.Random(5))
-    compile_rows = f.kernel.linear_table
+    fill = f.kernel.packed_table
 
-    def corrupted(matrix):
-        rows, den = compile_rows(matrix)
+    def corrupted(n_rows, entries, den):
+        rows, den = fill(n_rows, entries, den)
         r, t = next((r, t) for r, row in enumerate(rows) for t, term in enumerate(row) if term[0] >= 3)
         rows[r][t] = _bump(rows[r][t], 1, den)  # an entry is (j, constant...)
         return rows, den
 
-    monkeypatch.setattr(f.kernel, "linear_table", corrupted)
+    monkeypatch.setattr(f.kernel, "packed_table", corrupted)
     conjugation_between(a, a, x)  # no samples: only the unit is checked
     with pytest.raises(InternalCheckFailed):
         conjugation_between(a, a, x, samples=5, rng=random.Random(6))
     with pytest.raises(InternalCheckFailed):
         phi(a, x)
+
+
+@pytest.mark.parametrize("name", list(FIELDS))
+def test_random_packed_draws_as_field_random_did(name):
+    """The packed sample draws make the rng calls of the FieldElement draws
+    they replaced, in the same order, so the sample pairs keep their values."""
+    f = FIELDS[name]
+
+    def draw(rng):  # a numerator in [-3, 3] over a denominator in [1, 3]; a and then b over Q(sqrt d)
+        if f.kind == "Fp":
+            return f.element(rng.randrange(f.p))
+        a = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        return f.element(a) if f.kind == "Q" else f.element((a, Fraction(rng.randint(-3, 3), rng.randint(1, 3))))
+
+    for seed in range(20):
+        rng, old = random.Random(seed), random.Random(seed)
+        assert f.kernel._unpack(*f.kernel.random_packed(rng, 27, 3)) == tuple(draw(old) for _ in range(27))
+        assert rng.random() == old.random()
 
 
 @pytest.mark.parametrize("name", list(FIELDS))

@@ -198,7 +198,7 @@ class TestChecksBite:
             m = [[field.random(rng) for _ in range(n)] for _ in range(n)]
             g = [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
             p = [[field.random(rng) for _ in range(n + 1)] for _ in range(n)]
-            want = linalg.mat_mul(linalg.mat_mul(linalg.transpose(p), g), p)
+            want = linalg.mat_mul(linalg.mat_mul([list(col) for col in zip(*p)], g), p)
             assert _congruence(field, g, [list(col) for col in zip(*p)]) == want
 
 
