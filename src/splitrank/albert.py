@@ -243,25 +243,23 @@ def to_matrix(x: AlbertElement) -> list[list[CompElement]]:
     ]
 
 
-def from_matrix(a: AlbertAlgebra, m, check: bool = True) -> AlbertElement:
-    """Read an element back from a 3x3 octonion matrix.
-
-    With check=True the matrix must be exactly Gamma-hermitian with scalar
-    diagonal; a violation is an internal-consistency failure, not user error.
+def from_matrix(a: AlbertAlgebra, m) -> AlbertElement:
+    """Read an element back from a 3x3 octonion matrix, which must be
+    exactly Gamma-hermitian with scalar diagonal; a violation is an
+    internal-consistency failure, not user error.
     """
     r1, r2, r3 = a._ratios  # (g2/g3, g3/g1, g1/g2)
     for i in range(3):
         if not m[i][i].is_scalar():
             raise InternalCheckFailed("diagonal entry is not a scalar")
     c3, c1, c2 = m[0][1], m[1][2], m[2][0]
-    if check:
-        ok = (
-            m[1][0] == c3.conj().scale(r3)
-            and m[2][1] == c1.conj().scale(r1)
-            and m[0][2] == c2.conj().scale(r2)
-        )
-        if not ok:
-            raise InternalCheckFailed("matrix is not Gamma-hermitian")
+    ok = (
+        m[1][0] == c3.conj().scale(r3)
+        and m[2][1] == c1.conj().scale(r1)
+        and m[0][2] == c2.conj().scale(r2)
+    )
+    if not ok:
+        raise InternalCheckFailed("matrix is not Gamma-hermitian")
     xs = [m[0][0].scalar_part(), m[1][1].scalar_part(), m[2][2].scalar_part()]
     return a.element(xs, [c1, c2, c3])
 
@@ -335,7 +333,7 @@ def _jordan_from_matrices(a: AlbertAlgebra, x: AlbertElement, y: AlbertElement) 
     x.y + y.x, checking that it is Gamma-hermitian with a scalar diagonal
     (conditions that halving keeps), and the element read is halved."""
     mx, my = matrix_mul(x, y), matrix_mul(y, x)
-    return from_matrix(a, [[mx[i][j] + my[i][j] for j in range(3)] for i in range(3)], check=True).scale(a._half)
+    return from_matrix(a, [[mx[i][j] + my[i][j] for j in range(3)] for i in range(3)]).scale(a._half)
 
 
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))

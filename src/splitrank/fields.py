@@ -144,21 +144,6 @@ def _prime_factors(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(out.items()))
 
 
-def squarefree_part(n: int) -> int:
-    """Squarefree part of a nonzero integer (sign preserved)."""
-    if n == 0:
-        raise ZeroElement("squarefree part of 0")
-    out = -1 if n < 0 else 1
-    for p, e in prime_factors(n).items():
-        if e % 2:
-            out *= p
-    return out
-
-
-def is_squarefree(n: int) -> bool:
-    return abs(n) == abs(squarefree_part(n))
-
-
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) for odd prime p; 0 when p divides a."""
     a %= p
@@ -225,7 +210,7 @@ class Field:
             if self.p is None or self.p in (2, 3) or not is_prime(self.p):
                 raise InvalidInput(f"prime field needs a prime p >= 5, got {self.p}")
         elif self.kind == QUAD_EXT:
-            if self.d is None or self.d in (0, 1) or not is_squarefree(self.d):
+            if self.d is None or self.d in (0, 1) or any(e > 1 for e in prime_factors(self.d).values()):
                 raise InvalidInput(f"quadratic extension needs squarefree d not in {{0,1}}, got {self.d}")
         else:
             raise InvalidInput(f"unknown field kind {self.kind!r}")

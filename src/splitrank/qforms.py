@@ -9,6 +9,13 @@ are constructed (Legendre lattices and local-global splits, see the
 stays as an oracle.  Over Q(sqrt(d)) only the dim >= 5 real-place fragment
 is decided, with witnesses for rational coefficients; everything else
 raises UnsupportedCase rather than guessing.
+
+Over Q one integer core answers every local question (section "the local
+layer over Q"): each coefficient is split once into its squarefree class
+and its primes, and one Hasse invariant and one local-isotropy rule on those
+integers serve is_isotropic, witt_index_by_invariants, equivalent,
+det_squareclass and the witness route.  hilbert_symbol and hasse_invariant
+are thin wrappers that check their arguments first.
 """
 
 from __future__ import annotations
@@ -37,9 +44,7 @@ from .fields import (
     is_prime,
     legendre,
     prime_factors,
-    rational_sqrt,
     sqrt_mod_p,
-    squarefree_part,
 )
 
 INF = "inf"
@@ -116,14 +121,10 @@ class QuadraticForm:
 
     def det_squareclass(self):
         """Canonical representative of the determinant square class (over
-        Q the squarefree part, built from each coefficient's factors)."""
+        Q the squarefree integer, from the split of each coefficient)."""
         k = self.field.kind
         if k == RATIONALS:
-            out = 1
-            for c in self.coeffs:
-                out = _sqf_mul(out, squarefree_part(c.value.numerator))
-                out = _sqf_mul(out, squarefree_part(c.value.denominator))
-            return out
+            return _local_data(c.value for c in self.coeffs)[1]
         d = self.det()
         if k == PRIME_FIELD:
             if legendre(d.value, self.field.p) == 1:
@@ -328,13 +329,42 @@ def _congruence(f: Field, g, cols):
 
 
 # --------------------------------------------------------------------------
-# Hilbert symbols and local invariants over Q
+# the local layer over Q: one integer core
+#
+# Each coefficient is split once into its squarefree class and its primes
+# (_square_split, one lookup of the cached factors of its numerator and of
+# its denominator).  Hasse invariants, local isotropy and Hasse-Minkowski
+# (Serre, A Course in Arithmetic, ch. IV) then run on those integers for the
+# decisions, the Witt index, equivalence and the witness route alike.  The
+# public wrappers check their arguments; only a place that the caller
+# supplies is tested for primality.
 # --------------------------------------------------------------------------
 
-def _as_int_squareclass(x: FieldElement) -> int:
-    """Nonzero rational -> integer in the same square class."""
-    v = x.value
-    return v.numerator * v.denominator
+def _square_split(x) -> tuple[int, int | Fraction, set[int]]:
+    """x = s * m^2 for a nonzero rational x, with s a squarefree integer of
+    the sign of x and m > 0 (an integer when x is one), and the set of
+    primes of x."""
+    s, top, bottom = (-1 if x.numerator < 0 else 1), 1, 1
+    up, down = prime_factors(x.numerator), prime_factors(x.denominator)
+    for p, e in up.items():
+        s, top = s * p ** (e % 2), top * p ** (e // 2)
+    for p, e in down.items():
+        s, bottom = s * p ** (e % 2), bottom * p ** ((e + 1) // 2)
+    return s, (top if bottom == 1 else Fraction(top, bottom)), up.keys() | down.keys()
+
+
+def _local_data(values) -> tuple[list[int], int, list[int]]:
+    """The squarefree class of each nonzero rational, the class of their
+    product and the places that matter, S = {2} + the primes of every
+    numerator and denominator."""
+    classes, det, primes = [], 1, {2}
+    for x in values:
+        s, _, ps = _square_split(x)
+        g = math.gcd(det, s)
+        classes.append(s)
+        det = det * s // (g * g)
+        primes |= ps
+    return classes, det, sorted(primes)
 
 
 def _val_unit(n: int, p: int) -> tuple[int, int]:
@@ -345,21 +375,8 @@ def _val_unit(n: int, p: int) -> tuple[int, int]:
     return v, n
 
 
-def _check_place(place):
-    if place != INF and not is_prime(int(place)):
-        raise InvalidInput(f"place must be a prime or 'inf', got {place!r}")
-
-
-def hilbert_int(a: int, b: int, place) -> int:
-    """Hilbert symbol (a,b) at a rational place; a, b nonzero integers."""
-    if a == 0 or b == 0:
-        raise InvalidInput("hilbert symbol needs nonzero entries")
-    _check_place(place)
-    return _symbol(a, b, place)
-
-
 def _symbol(a: int, b: int, place) -> int:
-    """hilbert_int without the argument checks."""
+    """Hilbert symbol (a,b) at a rational place; a, b nonzero integers."""
     if place == INF:
         return -1 if (a < 0 and b < 0) else 1
     p = int(place)
@@ -381,62 +398,78 @@ def _symbol(a: int, b: int, place) -> int:
     return s
 
 
+def _hasse(ints: list[int], place) -> int:
+    """prod_{i<j} (a_i, a_j)_place  (the i<j convention, fixed), for
+    integers in the square classes of the coefficients."""
+    eps = 1
+    for i, a in enumerate(ints):
+        for b in ints[i + 1:]:
+            eps *= _symbol(a, b, place)
+    return eps
+
+
 def hilbert_symbol(a: FieldElement, b: FieldElement, place) -> int:
     """(a,b)_place for nonzero rationals; place is an odd prime, 2, or "inf"."""
     if a.field.kind != RATIONALS or b.field.kind != RATIONALS:
         raise UnsupportedField("Hilbert symbols are implemented over Q only")
     if a.is_zero() or b.is_zero():
         raise InvalidInput("hilbert symbol needs nonzero entries")
-    return hilbert_int(_as_int_squareclass(a), _as_int_squareclass(b), place)
+    return hasse_invariant(QuadraticForm(a.field, [a, b]), place)
 
 
 def hasse_invariant(q: QuadraticForm, place) -> int:
     """prod_{i<j} (a_i, a_j)_place  (the i<j convention, fixed)."""
     if q.field.kind != RATIONALS:
         raise UnsupportedField("Hasse invariants are implemented over Q only")
-    _check_place(place)
-    ints = [_as_int_squareclass(c) for c in q.coeffs]
-    s = 1
-    for i in range(len(ints)):
-        for j in range(i + 1, len(ints)):
-            s *= _symbol(ints[i], ints[j], place)
-    return s
+    if place != INF and not is_prime(int(place)):
+        raise InvalidInput(f"place must be a prime or 'inf', got {place!r}")
+    # n/d and n*d share a square class, and n*d needs no factoring
+    return _hasse([c.value.numerator * c.value.denominator for c in q.coeffs], place)
 
 
-def _is_square_qp(x: int, place) -> bool:
-    """Is the nonzero integer x a square in Q_place?"""
-    if place == INF:
-        return x > 0
-    p = int(place)
-    v, u = _val_unit(x, p)
-    if v % 2:
-        return False
-    if p == 2:
-        return u % 8 == 1
-    return legendre(u, p) == 1
+def _class_key(t: int, p: int) -> tuple[int, int]:
+    """Square class of t in Q_p: valuation parity and unit class; t is a
+    square exactly when the key is (0, 1)."""
+    v, u = _val_unit(t, p)
+    return v % 2, (u % 8 if p == 2 else legendre(u, p))
 
 
-def _bad_primes(*forms: QuadraticForm) -> list[int]:
-    primes = {2}
-    for q in forms:
-        for c in q.coeffs:
-            primes.update(prime_factors(c.value.numerator))
-            primes.update(prime_factors(c.value.denominator))
-    return sorted(primes)
-
-
-def _local_isotropic(n: int, det_int: int, eps: int, place) -> bool:
-    """Isotropy of a rank-n Q_place form with the given det class and Hasse
-    invariant, at a finite place."""
+def _local_isotropic(n: int, det: int, eps: int, p: int) -> bool:
+    """Isotropy of a rank-n Q_p form with the given determinant class and
+    Hasse invariant, at a prime p."""
     if n <= 1:
         return False
     if n == 2:
-        return _is_square_qp(-det_int, place)
+        return _class_key(-det, p) == (0, 1)
     if n == 3:
-        return _symbol(-1, -det_int, place) == eps
+        return _symbol(-1, -det, p) == eps
     if n == 4:
-        return not (_is_square_qp(det_int, place) and eps == -_symbol(-1, -1, place))
+        return not (_class_key(det, p) == (0, 1) and eps == -_symbol(-1, -1, p))
     return True
+
+
+def _iso_at(ints: list[int], p: int) -> bool:
+    """Isotropy over Q_p of the diagonal form with integer coefficients."""
+    return _local_isotropic(len(ints), math.prod(ints), _hasse(ints, p), p)
+
+
+def _obstruction(values):
+    """Hasse-Minkowski over Q for three or more nonzero rational
+    coefficients: None when the form is isotropic, else (method, detail) for
+    the place that rules a zero out.  That is the real place when the form
+    is definite, else (dims 3 and 4; Meyer covers the rest) the first prime
+    of S at which it is anisotropic."""
+    n = len(values)
+    pos = sum(1 for x in values if x > 0)
+    if pos in (0, n):
+        return METHOD_REAL, {"signature": [pos, n - pos], "place": INF}
+    if n >= 5:
+        return None
+    classes, det, primes = _local_data(values)
+    for p in primes:
+        if not _iso_at(classes, p):
+            return METHOD_LOCAL, {"place": p, "det_squareclass": det, "hasse": _hasse(classes, p)}
+    return None
 
 
 def witt_index_by_invariants(q: QuadraticForm) -> int:
@@ -445,27 +478,20 @@ def witt_index_by_invariants(q: QuadraticForm) -> int:
     if q.field.kind != RATIONALS:
         raise UnsupportedField("invariant-based Witt index is a Q-only route")
     n = q.dim
-    pos, neg = q.signature()
-    best = min(pos, neg)
-    det_int = q.det_squareclass()
-    for p in _bad_primes(q):
-        m, d, e = n, det_int, hasse_invariant(q, p)
-        count = 0
+    best = min(q.signature())
+    classes, det, primes = _local_data(c.value for c in q.coeffs)
+    for p in primes:
+        m, d, e, count = n, det, _hasse(classes, p), 0
         while m > 0 and _local_isotropic(m, d, e, p):
-            m -= 2
-            d = -d
+            m, d, count = m - 2, -d, count + 1
             e *= _symbol(-1, d, p)
-            count += 1
         best = min(best, count)
         if best == 0:
             return 0
     # generic odd primes not dividing any coefficient
     if n % 2:
-        best = min(best, (n - 1) // 2)
-    else:
-        top = ((-1) ** (n // 2)) * det_int
-        best = min(best, n // 2 if rational_sqrt(Fraction(top)) is not None else (n - 2) // 2)
-    return best
+        return min(best, (n - 1) // 2)
+    return min(best, n // 2 if (-1) ** (n // 2) * det == 1 else (n - 2) // 2)
 
 
 # --------------------------------------------------------------------------
@@ -580,46 +606,8 @@ def isotropic_vector_search(q: QuadraticForm, height_bound: int):
 # returns a nonzero integer zero of it.
 # --------------------------------------------------------------------------
 
-def _square_split(n: int) -> tuple[int, int]:
-    """n = s * m^2 with s squarefree (sign kept), from the cached factors."""
-    s, m = (-1 if n < 0 else 1), 1
-    for p, e in prime_factors(n).items():
-        if e % 2:
-            s *= p
-        m *= p ** (e // 2)
-    return s, m
-
-
-def _sqf_mul(a: int, b: int) -> int:
-    """Squarefree part of a*b for squarefree a and b, without factoring."""
-    g = math.gcd(a, b)
-    return a * b // (g * g)
-
-
 def _definite(ints) -> bool:
     return min(ints) > 0 or max(ints) < 0
-
-
-def _primes_of(ints) -> list[int]:
-    primes = {2}
-    for c in ints:
-        primes.update(prime_factors(c))
-    return sorted(primes)
-
-
-def _iso_at(ints: list[int], p: int) -> bool:
-    """Isotropy over Q_p of the diagonal form with integer coefficients."""
-    n = len(ints)
-    eps = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            eps *= _symbol(ints[i], ints[j], p)
-    return _local_isotropic(n, math.prod(ints), eps, p)
-
-
-def _isotropic_ints(ints: list[int]) -> bool:
-    """Hasse-Minkowski over Q for 3 or 4 integer coefficients."""
-    return not _definite(ints) and all(_iso_at(ints, p) for p in _primes_of(ints))
 
 
 def _pad(n: int, idx, sub) -> list[int]:
@@ -649,9 +637,9 @@ def _solve(ints: list[int]) -> list[int]:
     """a_i = s_i m_i^2: a zero y of <s_i> gives x_i = y_i M / m_i,
     M = lcm(m_i)."""
     split = [_square_split(c) for c in ints]
-    y = _solve_sqf([s for s, _ in split])
-    big = math.lcm(*(m for _, m in split))
-    return _primitive([v * (big // m) for v, (_, m) in zip(y, split)])
+    y = _solve_sqf([s for s, _, _ in split])
+    big = math.lcm(*(m for _, m, _ in split))
+    return _primitive([v * (big // m) for v, (_, m, _) in zip(y, split)])
 
 
 def _solve_sqf(s: list[int]) -> list[int]:
@@ -671,7 +659,7 @@ def _solve_sqf(s: list[int]) -> list[int]:
     for size in range(3, n):
         for idx in sorted(itertools.combinations(range(n), size), key=lambda c: sorted(abs(s[i]) for i in c)):
             sub = [s[i] for i in idx]
-            if _isotropic_ints(sub):
+            if _obstruction(sub) is None:
                 return _pad(n, idx, _solve_sqf(sub))
     return _split_solve(s)
 
@@ -687,12 +675,6 @@ def _meyer_indices(s: list[int]) -> list[int]:
     return sorted(pick)
 
 
-def _class_key(t: int, p: int) -> tuple[int, int]:
-    """Square class of t in Q_p: valuation parity and unit class."""
-    v, u = _val_unit(t, p)
-    return v % 2, (u % 8 if p == 2 else legendre(u, p))
-
-
 def _class_reps(p: int) -> list[int]:
     if p == 2:
         return [u << v for v in (0, 1) for u in (1, 3, 5, 7)]
@@ -705,7 +687,7 @@ def _split_plan(a: list[int], rest: list[int]):
     the coefficients, for which <a1,a2,-t> and rest + <t> are both
     isotropic over Q_p, and the product of the primes of S that must divide
     t to an odd power."""
-    primes = _primes_of(a + rest)
+    primes = _local_data(a + rest)[2]
     allowed = {
         p: {_class_key(c, p) for c in _class_reps(p) if _iso_at(a + [-c], p) and _iso_at(rest + [c], p)}
         for p in primes
@@ -996,30 +978,12 @@ def _is_isotropic_q(q: QuadraticForm, want_witness: bool) -> IsotropyResult:
                 False, METHOD_LOCAL, detail={"reason": "-det is not a square"}
             )
         return IsotropyResult(True, METHOD_WITNESS, witness=(x, q.field.one()))
-    pos, neg = q.signature()
-    if pos == 0 or neg == 0:
-        return IsotropyResult(
-            False, METHOD_REAL, detail={"signature": [pos, neg], "place": INF}
-        )
-    if n >= 5:
-        wit = _q_witness_of(q) if want_witness else None
-        return IsotropyResult(
-            True, METHOD_WITNESS if wit else METHOD_LOCAL, witness=wit,
-            detail={"reason": "indefinite of dim >= 5 (Meyer)"},
-        )
-    det_int = q.det_squareclass()
-    for p in _bad_primes(q):
-        eps = hasse_invariant(q, p)
-        if not _local_isotropic(n, det_int, eps, p):
-            return IsotropyResult(
-                False, METHOD_LOCAL,
-                detail={"place": p, "det_squareclass": det_int, "hasse": eps},
-            )
+    found = _obstruction([c.value for c in q.coeffs])
+    if found:
+        return IsotropyResult(False, found[0], detail=found[1])
     wit = _q_witness_of(q) if want_witness else None
-    return IsotropyResult(
-        True, METHOD_WITNESS if wit else METHOD_LOCAL, witness=wit,
-        detail={"reason": "isotropic at every place (Hasse-Minkowski)"},
-    )
+    reason = "indefinite of dim >= 5 (Meyer)" if n >= 5 else "isotropic at every place (Hasse-Minkowski)"
+    return IsotropyResult(True, METHOD_WITNESS if wit else METHOD_LOCAL, witness=wit, detail={"reason": reason})
 
 
 def _is_isotropic_qsqrt(q: QuadraticForm, want_witness: bool) -> IsotropyResult:
@@ -1122,7 +1086,14 @@ def witt_decompose(q: QuadraticForm) -> WittDecomposition:
         u1, u2, comp_cols, comp_form = _split_step(current, cert.witness)
         comp = list(comp_form.coeffs)
         if f.kind == RATIONALS:
-            comp_cols, comp = _squarefree_scaled(comp_cols, comp)
+            # each column v with q(v) = s m^2 is scaled by 1/m, so the
+            # coefficients carried to the next split are squarefree integers
+            for i, c in enumerate(comp):
+                s, m, _ = _square_split(c.value)
+                if m != 1:
+                    lam = f.element(m).inv()
+                    comp_cols[i] = [lam * x for x in comp_cols[i]]
+                comp[i] = f.element(s)
         table = f.kernel.linear_table(_columns(embed))
         pair_cols += [list(f.kernel.linear(table, u)) for u in (u1, u2)]
         embed = [list(f.kernel.linear(table, col)) for col in comp_cols]
@@ -1140,21 +1111,6 @@ def witt_decompose(q: QuadraticForm) -> WittDecomposition:
     )
     _verify_decomposition(q, dec)
     return dec
-
-
-def _squarefree_scaled(cols, coeffs):
-    """Rescale each column v with q(v) = c = s1 m1^2 / (s2 m2^2) by
-    s2 m2 / m1, so that its value is the squarefree integer s1 s2."""
-    out_cols, out = [], []
-    for col, c in zip(cols, coeffs):
-        s1, m1 = _square_split(c.value.numerator)
-        s2, m2 = _square_split(c.value.denominator)
-        if s2 * m2 != m1:
-            lam = c.field.element(Fraction(s2 * m2, m1))
-            col = [lam * x for x in col]
-        out_cols.append(col)
-        out.append(c.field.element(s1 * s2))
-    return out_cols, out
 
 
 def _verify_decomposition(q: QuadraticForm, dec: WittDecomposition):
@@ -1187,14 +1143,11 @@ def equivalent(q1: QuadraticForm, q2: QuadraticForm) -> bool:
         return False
     if k == PRIME_FIELD:
         return q1.det_squareclass() == q2.det_squareclass()
-    if q1.det_squareclass() != q2.det_squareclass():
+    c1, d1, s1 = _local_data(c.value for c in q1.coeffs)
+    c2, d2, s2 = _local_data(c.value for c in q2.coeffs)
+    if d1 != d2 or q1.signature() != q2.signature():
         return False
-    if q1.signature() != q2.signature():
-        return False
-    for p in _bad_primes(q1, q2):
-        if hasse_invariant(q1, p) != hasse_invariant(q2, p):
-            return False
-    return True
+    return all(_hasse(c1, p) == _hasse(c2, p) for p in {*s1, *s2})
 
 
 def equivalent_with_witness(q1: QuadraticForm, q2: QuadraticForm, p) -> bool:

@@ -52,7 +52,7 @@ from .groups import (
 from .qforms import (
     INF,
     QuadraticForm,
-    _bad_primes,
+    _local_data,
     equivalent,
     equivalent_with_witness,
     hilbert_symbol,
@@ -384,9 +384,8 @@ def suite_qforms(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     for _ in range(100):
         a = f.element(Fraction(rng.randint(-20, 20) or 3, rng.randint(1, 20)))
         b = f.element(Fraction(rng.randint(-20, 20) or 5, rng.randint(1, 20)))
-        qa = QuadraticForm(f, [a, b])
         prod = hilbert_symbol(a, b, INF)
-        for p in _bad_primes(qa):
+        for p in _local_data([a.value, b.value])[2]:
             prod *= hilbert_symbol(a, b, p)
         if prod != 1:
             ok = False

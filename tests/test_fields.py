@@ -24,7 +24,6 @@ from splitrank.fields import (
     prime_field,
     quad_ext,
     rationals,
-    squarefree_part,
 )
 from splitrank.qforms import QuadraticForm, witt_decompose
 
@@ -269,5 +268,5 @@ class TestFactoring:
         assert all(is_prime(p) for p in primes)
         form = QuadraticForm(Q, primes)
         assert prod(primes) > PRIMALITY_LIMIT
-        assert squarefree_part(prod(primes)) == prod(primes)
+        assert QuadraticForm(Q, [prod(primes)]).det_squareclass() == prod(primes)
         assert witt_decompose(form).witt_index == 0

@@ -148,13 +148,14 @@ def test_one_wrong_constant_fails_the_panel(field, monkeypatch):
 
 
 def test_templates_stay_unbuilt_by_witt():
-    """Importing the CLI and running witt builds no template, so commands
-    that build no algebra pay nothing for them; the first algebra builds
-    the octonion and Jordan templates, the matrix one waits for matrix_mul
-    and the conjugation one for the first phi."""
+    """Importing the CLI and running witt builds no template and imports
+    no oracle module, so commands that build no algebra pay nothing for
+    them; the first algebra builds the octonion and Jordan templates, the
+    matrix one waits for matrix_mul and the conjugation one for the first
+    phi."""
     form = json.dumps({"field": {"kind": "Q"}, "coeffs": ["1", "-1", "1"]})
     code = (
-        "import contextlib, io, json\n"
+        "import contextlib, io, json, sys\n"
         "import splitrank.cli\n"
         "from splitrank import albert, composition\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -162,7 +163,7 @@ def test_templates_stay_unbuilt_by_witt():
         "caches = [composition._doubling_template, albert._jordan_template, albert._matrix_template,\n"
         "          albert._conjugation_template]\n"
         "sizes = lambda: [c.cache_info().currsize for c in caches]\n"
-        "before = sizes()\n"
+        "before = sizes() + ['splitrank.verify' in sys.modules]\n"
         "a = albert.albert_from_json({'octonion': {'field': {'kind': 'Q'}, 'params': [-1, -1, -1]}, 'gamma': [1, 1, 1]})\n"
         "built = sizes()\n"
         "albert.phi(a, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])\n"
@@ -171,4 +172,4 @@ def test_templates_stay_unbuilt_by_witt():
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert json.loads(out.stdout.strip().splitlines()[-1]) == [0, [0, 0, 0, 0], [1, 1, 0, 0], [1, 1, 0, 1]]
+    assert json.loads(out.stdout.strip().splitlines()[-1]) == [0, [0, 0, 0, 0, False], [1, 1, 0, 0], [1, 1, 0, 1]]
