@@ -148,17 +148,8 @@ class QuadraticForm:
             sigs.append((pos, self.dim - pos))
         return sigs
 
-    def scale(self, factor) -> QuadraticForm:
-        factor = self.field.element(factor)
-        return QuadraticForm(self.field, [factor * c for c in self.coeffs])
-
     def neg(self) -> QuadraticForm:
         return QuadraticForm(self.field, [-c for c in self.coeffs])
-
-    def direct_sum(self, other: QuadraticForm) -> QuadraticForm:
-        if other.field != self.field:
-            raise FieldMismatch("direct sum over different fields")
-        return QuadraticForm(self.field, self.coeffs + other.coeffs)
 
     def to_json(self) -> dict:
         return {
@@ -622,24 +613,27 @@ def _primitive(vec: list[int]) -> list[int]:
     return [v // g for v in vec] if g > 1 else vec
 
 
-def _q_witness(ints: list[int]) -> list[int]:
-    """Nonzero integer zero of an isotropic form with integer coefficients:
-    the fixed height-1 probe, then the construction; checked exactly."""
+def _q_witness(values: list[Fraction]) -> list[int]:
+    """Nonzero integer zero of an isotropic form with rational coefficients:
+    the fixed height-1 probe, then the construction on each coefficient's
+    own square class; checked exactly on the integerized coefficients."""
+    ints = _integerize(values)
     vec = _search_integer(ints, 1)
     if vec is None:
-        vec = _solve(ints)
+        vec = _solve(values)
     if not any(vec) or sum(c * x * x for c, x in zip(ints, vec)):
         raise InternalCheckFailed("constructed vector is not a zero of the form")
     return vec
 
 
-def _solve(ints: list[int]) -> list[int]:
-    """a_i = s_i m_i^2: a zero y of <s_i> gives x_i = y_i M / m_i,
-    M = lcm(m_i)."""
-    split = [_square_split(c) for c in ints]
+def _solve(values) -> list[int]:
+    """a_i = s_i m_i^2 for nonzero rationals a_i (m_i rational): a zero y
+    of <s_i> gives the zero x_i = y_i M / m_i, M = lcm of the numerators of
+    the m_i."""
+    split = [_square_split(c) for c in values]
     y = _solve_sqf([s for s, _, _ in split])
-    big = math.lcm(*(m for _, m, _ in split))
-    return _primitive([v * (big // m) for v, (_, m, _) in zip(y, split)])
+    big = math.lcm(*(m.numerator for _, m, _ in split))
+    return _primitive([v * m.denominator * (big // m.numerator) for v, (_, m, _) in zip(y, split)])
 
 
 def _solve_sqf(s: list[int]) -> list[int]:
@@ -906,10 +900,10 @@ def _qsqrt_witness(q: QuadraticForm):
     f = q.field
     if any(c.value[1] for c in q.coeffs):
         return None
-    ints = _integerize([c.value[0] for c in q.coeffs])
-    if not _definite(ints):
-        return tuple(f.element(x) for x in _q_witness(ints))
-    vec = _q_witness([f.d * ints[0]] + ints[1:])
+    values = [c.value[0] for c in q.coeffs]
+    if not _definite(values):
+        return tuple(f.element(x) for x in _q_witness(values))
+    vec = _q_witness([f.d * values[0]] + values[1:])
     return (f.sqrt_gen() * f.element(vec[0]),) + tuple(f.element(x) for x in vec[1:])
 
 
@@ -945,15 +939,14 @@ def _is_isotropic_fp(q: QuadraticForm, want_witness: bool) -> IsotropyResult:
     if n == 1:
         return IsotropyResult(False, METHOD_COUNT, detail={"reason": "dim 1 regular"})
     if n == 2:
-        s = -q.coeffs[0] * q.coeffs[1]
-        root = s.square_root()
-        if root is None:
+        # q(x, 1) = a1 x^2 + a2 = 0  <=>  x^2 = -a2/a1, as over Q
+        x = (-q.coeffs[1] / q.coeffs[0]).square_root()
+        if x is None:
             return IsotropyResult(
                 False, METHOD_COUNT,
                 detail={"reason": "-a1*a2 is a nonresidue", "p": p},
             )
-        w = _fp_witness(q)
-        return IsotropyResult(True, METHOD_WITNESS, witness=w)
+        return IsotropyResult(True, METHOD_WITNESS, witness=(x, q.field.one()))
     w = _fp_witness(q) if want_witness else None
     return IsotropyResult(
         True, METHOD_WITNESS if w else METHOD_COUNT, witness=w,
@@ -962,7 +955,7 @@ def _is_isotropic_fp(q: QuadraticForm, want_witness: bool) -> IsotropyResult:
 
 
 def _q_witness_of(q: QuadraticForm):
-    vec = _q_witness(_integerize([c.value for c in q.coeffs]))
+    vec = _q_witness([c.value for c in q.coeffs])
     return tuple(q.field.element(v) for v in vec)
 
 
@@ -1018,52 +1011,53 @@ def _is_isotropic_qsqrt(q: QuadraticForm, want_witness: bool) -> IsotropyResult:
 # --------------------------------------------------------------------------
 
 def _split_step(coeffs, witness):
-    """One hyperbolic split in the current diagonal coordinates.
+    """One hyperbolic split in the current diagonal coordinates <a_i>, in
+    closed form on the support of the witness v.
 
     Returns (u1, u2, complement_columns, complement_form) where u1, u2 are
     vectors with q(u1)=1, q(u2)=-1, B(u1,u2)=0 spanning the plane of the
     witness, and the complement columns diagonalize q on the orthogonal
-    complement.  For a witness on two coordinates that complement is the
-    other unit vectors with their own coefficients, as the generic route
-    would find.
+    complement.  With s0, s1 the first two coordinates where v is nonzero,
+    that complement is spanned by the unit vectors off the support, which
+    keep their own coefficients, and by n_k = e_k - (a_k v_k / a_s1 v_s1)
+    e_s1 for every other support coordinate k (the split identity).  Only
+    the n_k are diagonalized; the columns keep the coordinate order.
     """
     f = coeffs[0].field
     n = len(coeffs)
     v = list(witness)
-    j = next(i for i in range(n) if not v[i].is_zero())
-    scale = (coeffs[j] * v[j]).inv()
-    w = [f.zero()] * n
-    w[j] = scale  # B(v, w) = 1
-    qw = coeffs[j] * scale * scale
+    s0, s1, *others = (i for i in range(n) if not v[i].is_zero())
+    scale = (coeffs[s0] * v[s0]).inv()  # w = scale e_s0 has B(v, w) = 1
     half = (f.one() + f.one()).inv()
-    wp = [w[i] - half * qw * v[i] for i in range(n)]  # q(wp) = 0, B(v,wp) = 1
+    lift = half * coeffs[s0] * scale * scale
+    wp = [(scale if i == s0 else f.zero()) - lift * v[i] for i in range(n)]  # q(wp) = 0, B(v,wp) = 1
     u1 = [half * v[i] + wp[i] for i in range(n)]
     u2 = [half * v[i] - wp[i] for i in range(n)]
-    rest = [i for i in range(n) if v[i].is_zero()]
-    if len(rest) == n - 2:
-        cols = [[f.one() if r == i else f.zero() for r in range(n)] for i in rest]
-        return u1, u2, cols, QuadraticForm(f, [coeffs[i] for i in rest])
-    rows = [
-        [coeffs[i] * v[i] for i in range(n)],
-        [coeffs[i] * wp[i] for i in range(n)],
-    ]
-    comp = linalg.nullspace(rows)
-    if len(comp) != n - 2:
-        raise InternalCheckFailed("hyperbolic complement has wrong dimension")
-    if not comp:
-        return u1, u2, [], QuadraticForm(f, [])
-    gram_entries = _congruence(f, QuadraticForm(f, coeffs).gram(), comp)
-    sub_form, sub_p = diagonalize(GramMatrix(f, gram_entries))
-    comp_table = f.kernel.linear_table(_columns(comp))
-    comp_columns = [list(f.kernel.linear(comp_table, col)) for col in _columns(sub_p)]
-    return u1, u2, comp_columns, sub_form
+    ratio = [coeffs[k] * v[k] / (coeffs[s1] * v[s1]) for k in others]
+    block, p = diagonalize(GramMatrix(f, [
+        [coeffs[s1] * rj * rk + (coeffs[j] if j == k else f.zero()) for k, rk in zip(others, ratio)]
+        for j, rj in zip(others, ratio)
+    ]))
+    mixed = iter(zip(_columns(p), block.coeffs))
+    cols, comp = [], []
+    for i in (i for i in range(n) if i not in (s0, s1)):
+        if v[i].is_zero():
+            entries, c = {i: f.one()}, coeffs[i]
+        else:
+            x, c = next(mixed)
+            entries = {**dict(zip(others, x)), s1: -sum((y * r for y, r in zip(x, ratio)), f.zero())}
+        cols.append([entries.get(r, f.zero()) for r in range(n)])
+        comp.append(c)
+    return u1, u2, cols, QuadraticForm(f, comp)
 
 
 def witt_decompose(q: QuadraticForm) -> WittDecomposition:
     """Split hyperbolic planes while isotropy holds; certify the remainder.
 
     The recorded basis T satisfies  T^T G T = diag(1,-1,...,1,-1, a_1..a_m)
-    exactly, where <a_1..a_m> is the anisotropic part.  Over Q each
+    exactly, where <a_1..a_m> is the anisotropic part.  Each split
+    (_split_step) touches only the support of its witness: the other
+    coordinates pass to the next split with their coefficients.  Over Q each
     complement vector is rescaled by the square factors of its value, so
     the coefficients carried to the next split are squarefree integers.
     """

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from splitrank import linalg
+from splitrank import linalg, qforms
 from splitrank.errors import (
     DegenerateForm,
     FieldMismatch,
@@ -26,6 +26,7 @@ from splitrank.qforms import (
     WittDecomposition,
     _assert_congruent,
     _congruence,
+    _fp_witness,
     _split_step,
     _verify_decomposition,
     diagonalize,
@@ -326,6 +327,19 @@ class TestIsotropy:
         res = is_isotropic(q)
         assert not res.isotropic and res.method == "real_places"
 
+    def test_fp_binary_witness_is_the_root_of_fp_witness(self):
+        # one square root of -a2/a1 decides and builds the witness (x, 1);
+        # the kept dim-2 branch of _fp_witness takes the same root
+        rng = random.Random(31)
+        for p in (5, 7, 10007, 2**31 - 1):
+            f = prime_field(p)
+            for _ in range(12):
+                q = QuadraticForm(f, [rng.randrange(1, p), rng.randrange(1, p)])
+                res = is_isotropic(q)
+                assert res.isotropic == (_fp_witness(q) is not None), (p, q)
+                if res.isotropic:
+                    assert res.witness == _fp_witness(q) and q.evaluate(res.witness).is_zero()
+
     def test_qsqrt_small_dim_unsupported(self):
         with pytest.raises(UnsupportedCase):
             is_isotropic(QuadraticForm(R2, [1, 1, 1, 1]))
@@ -373,6 +387,73 @@ class TestWitt:
             assert witt_decompose(q).witt_index == witt_index_enumeration(coeffs, p)
 
 
+def _random_coefficient(rng, field):
+    if field == Q:
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 60), rng.randint(1, 9))
+    if field == RM7:
+        return field.element((rng.randint(-9, 9), rng.randint(1, 9)))
+    return field.element(rng.randrange(1, field.p))
+
+
+def _split_case(rng, field, dim, support):
+    """Coefficients and a zero v of them, v nonzero exactly on support: the
+    last support coefficient is solved for."""
+    while True:
+        v = [field.zero()] * dim
+        for i in support:
+            v[i] = field.element(rng.choice((-1, 1)) * rng.randint(1, 6))
+        coeffs = [field.element(_random_coefficient(rng, field)) for _ in range(dim)]
+        head = sum((coeffs[i] * v[i] * v[i] for i in support[:-1]), field.zero())
+        if not head.is_zero():
+            coeffs[support[-1]] = -head / (v[support[-1]] * v[support[-1]])
+            return coeffs, v
+
+
+def _check_split(coeffs, v):
+    """The exact congruence of one split, and the closed form of its
+    complement: off the support of v every unit vector passes through with
+    its own coefficient, and the other columns live on the support minus its
+    first coordinate.  Columns keep the coordinate order."""
+    f, dim = coeffs[0].field, len(coeffs)
+    support = [i for i in range(dim) if not v[i].is_zero()]
+    u1, u2, cols, comp = _split_step(coeffs, v)
+    q = QuadraticForm(f, coeffs)
+    basis = [[col[r] for col in [u1, u2] + cols] for r in range(dim)]
+    assert equivalent_with_witness(q, QuadraticForm(f, [1, -1] + list(comp.coeffs)), basis)
+    rest = [i for i in range(dim) if i not in support[:2]]
+    assert len(cols) == comp.dim == len(rest)
+    for col, c, i in zip(cols, comp.coeffs, rest):
+        if i in support:
+            assert all(col[j].is_zero() for j in range(dim) if j not in support[1:])
+        else:
+            assert col == [f.one() if j == i else f.zero() for j in range(dim)] and c == coeffs[i]
+
+
+class TestSplitStep:
+    @pytest.mark.parametrize("field", [Q, F7, prime_field(10007), RM7], ids=str)
+    def test_seeded_split_panel(self, field):
+        # witnesses of support 2-5 in dims 4-9, three draws each
+        rng = random.Random(1_009)
+        for size in (2, 3, 4, 5):
+            for _ in range(3):
+                dim = rng.randint(max(4, size), 9)
+                _check_split(*_split_case(rng, field, dim, sorted(rng.sample(range(dim), size))))
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            [1, -1, 1, -1, 3],  # n_2 isotropic, n_3 not: diagonalize swaps
+            [-1, -1, 1, 1, 3],  # n_2, n_3 isotropic, paired: diagonalize adds
+        ],
+    )
+    def test_isotropic_complement_vector(self, coeffs):
+        coeffs = [Q.element(c) for c in coeffs]
+        v = [Q.element(x) for x in (1, 1, 1, 1, 0)]
+        # n_2 = e_2 - (a_2 / a_1) e_1 has value a_2 + a_2^2 / a_1 = 0
+        assert QuadraticForm(Q, coeffs).evaluate([0, -coeffs[2] / coeffs[1], 1, 0, 0]).is_zero()
+        _check_split(coeffs, v)
+
+
 class TestConstructedWitnesses:
     def test_large_prime_ternary_has_basis(self):
         # <1,1,-(10^9+9)>: 10^9+9 = 1 mod 4 is a sum of two squares far
@@ -412,6 +493,21 @@ class TestConstructedWitnesses:
         assert res.isotropic and res.witness is None
         with pytest.raises(UnsupportedCase):
             witt_decompose(q)
+
+    @pytest.mark.parametrize("field", [Q, RM7], ids=str)
+    def test_witness_uses_each_coefficients_own_square_class(self, field, monkeypatch):
+        # the construction sees the classes of the rationals themselves (at
+        # most 1.8e11 here), not those of the coefficients integerized by
+        # the lcm of their denominators (up to 2.1e14, seconds of lattice
+        # enumeration)
+        coeffs = [Fraction(-858833, 212069), Fraction(160, 979), 5, Fraction(904931, 634372), 71]
+        seen = []
+        solve = qforms._solve_sqf
+        monkeypatch.setattr(qforms, "_solve_sqf", lambda s: seen.append(list(s)) or solve(s))
+        q = QuadraticForm(field, coeffs)
+        res = is_isotropic(q)
+        assert res.isotropic and q.evaluate(res.witness).is_zero()
+        assert seen[0] == [-182131855477, 9790, 5, 143515722083, 71]
 
     def test_seeded_differential_panel(self):
         # 150 forms over Q at the benchmark's heights: dims 3-4 up to 100,

@@ -14,6 +14,7 @@ import json
 import random
 from pathlib import Path
 
+from splitrank import linalg
 from splitrank.fields import is_prime
 from splitrank.qforms import form_from_json, witt_decompose
 
@@ -57,6 +58,16 @@ def panel_text() -> str:
 
 def test_witt_panel_bytes():
     assert panel_text() == GOLDEN.read_text()
+
+
+def test_splits_never_reach_the_nullspace(monkeypatch):
+    # each split is in closed form on its witness support
+    def refuse(a):
+        raise AssertionError("linalg.nullspace called during witt_decompose")
+
+    monkeypatch.setattr(linalg, "nullspace", refuse)
+    for entry in json.loads(GOLDEN.read_text()):
+        witt_decompose(form_from_json(entry["input"]))
 
 
 if __name__ == "__main__":
