@@ -939,14 +939,14 @@ def _is_isotropic_fp(q: QuadraticForm, want_witness: bool) -> IsotropyResult:
     if n == 1:
         return IsotropyResult(False, METHOD_COUNT, detail={"reason": "dim 1 regular"})
     if n == 2:
-        # q(x, 1) = a1 x^2 + a2 = 0  <=>  x^2 = -a2/a1, as over Q
-        x = (-q.coeffs[1] / q.coeffs[0]).square_root()
-        if x is None:
+        # one square root of -a2/a1 decides and builds the witness (x, 1)
+        w = _fp_witness(q)
+        if w is None:
             return IsotropyResult(
                 False, METHOD_COUNT,
                 detail={"reason": "-a1*a2 is a nonresidue", "p": p},
             )
-        return IsotropyResult(True, METHOD_WITNESS, witness=(x, q.field.one()))
+        return IsotropyResult(True, METHOD_WITNESS, witness=w)
     w = _fp_witness(q) if want_witness else None
     return IsotropyResult(
         True, METHOD_WITNESS if w else METHOD_COUNT, witness=w,
@@ -1034,19 +1034,24 @@ def _split_step(coeffs, witness):
     u1 = [half * v[i] + wp[i] for i in range(n)]
     u2 = [half * v[i] - wp[i] for i in range(n)]
     ratio = [coeffs[k] * v[k] / (coeffs[s1] * v[s1]) for k in others]
+    # Gram of the n_k: B(n_j, n_k) = a_s1 r_j r_k + delta_jk a_k
     block, p = diagonalize(GramMatrix(f, [
         [coeffs[s1] * rj * rk + (coeffs[j] if j == k else f.zero()) for k, rk in zip(others, ratio)]
         for j, rj in zip(others, ratio)
     ]))
-    mixed = iter(zip(_columns(p), block.coeffs))
     cols, comp = [], []
-    for i in (i for i in range(n) if i not in (s0, s1)):
-        if v[i].is_zero():
-            entries, c = {i: f.one()}, coeffs[i]
-        else:
-            x, c = next(mixed)
-            entries = {**dict(zip(others, x)), s1: -sum((y * r for y, r in zip(x, ratio)), f.zero())}
-        cols.append([entries.get(r, f.zero()) for r in range(n)])
+    for i in range(n):
+        if i in (s0, s1):
+            continue
+        col = [f.zero()] * n
+        if v[i].is_zero():  # off the support: e_i keeps its coefficient
+            col[i], c = f.one(), coeffs[i]
+        else:  # column j of P through the n_k: sum_k P[k][j] (e_k - r_k e_s1)
+            j = others.index(i)
+            for k, (o, r) in enumerate(zip(others, ratio)):
+                col[o], col[s1] = p[k][j], col[s1] - p[k][j] * r
+            c = block.coeffs[j]
+        cols.append(col)
         comp.append(c)
     return u1, u2, cols, QuadraticForm(f, comp)
 

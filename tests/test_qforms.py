@@ -26,7 +26,6 @@ from splitrank.qforms import (
     WittDecomposition,
     _assert_congruent,
     _congruence,
-    _fp_witness,
     _split_step,
     _verify_decomposition,
     diagonalize,
@@ -327,18 +326,20 @@ class TestIsotropy:
         res = is_isotropic(q)
         assert not res.isotropic and res.method == "real_places"
 
-    def test_fp_binary_witness_is_the_root_of_fp_witness(self):
-        # one square root of -a2/a1 decides and builds the witness (x, 1);
-        # the kept dim-2 branch of _fp_witness takes the same root
-        rng = random.Random(31)
-        for p in (5, 7, 10007, 2**31 - 1):
+    def test_fp_binary_with_enumeration(self):
+        # dim 2: the verdict is whether a1 x^2 + a2 y^2 has a nonzero zero
+        for p in (5, 7):
             f = prime_field(p)
-            for _ in range(12):
-                q = QuadraticForm(f, [rng.randrange(1, p), rng.randrange(1, p)])
+            for a1, a2 in itertools.product(range(1, p), repeat=2):
+                q = QuadraticForm(f, [a1, a2])
+                found = any(
+                    (a1 * x * x + a2 * y * y) % p == 0
+                    for x, y in itertools.product(range(p), repeat=2) if x or y
+                )
                 res = is_isotropic(q)
-                assert res.isotropic == (_fp_witness(q) is not None), (p, q)
-                if res.isotropic:
-                    assert res.witness == _fp_witness(q) and q.evaluate(res.witness).is_zero()
+                assert res.isotropic == found, (p, a1, a2)
+                if found:
+                    assert q.evaluate(res.witness).is_zero() and any(not c.is_zero() for c in res.witness)
 
     def test_qsqrt_small_dim_unsupported(self):
         with pytest.raises(UnsupportedCase):
