@@ -2,14 +2,16 @@
 hermitian with respect to Gamma = diag(g1, g2, g3), under the symmetrized
 product x y = (x.y + y.x)/2.
 
-Elements are stored as 27 coordinates (x1, x2, x3, c1, c2, c3) -- three
-diagonal scalars and three octonion slots -- so Gamma-hermitianness is
-structural.  jordan_mul runs the coordinate formula, compiled for the
-field's packed kernel: its 531 terms over 71 symbolic constants are spelled
-out once per process, and an algebra evaluates only the constants.  The raw
-matrix product matrix_mul is a second, independent table, derived likewise
-from to_matrix's slot layout and the octonion table; its symmetrization is
-the matrix route that jordan_mul is checked against, and
+Elements are 27 coordinates (x1, x2, x3, c1, c2, c3) -- three diagonal
+scalars and three octonion slots -- so Gamma-hermitianness is structural;
+each holds them packed for the field's kernel, so is_zero and == decide on
+integers, and a product unpacks its coordinates only when they are read.
+jordan_mul runs the coordinate formula: its 531 terms over 71 symbolic
+constants are spelled out once per process, and an algebra multiplies out
+only the constants, on the kernel's integers, at its first product.  The
+raw matrix product matrix_mul is a second, independent table, derived
+likewise from to_matrix's slot layout and the octonion table; its
+symmetrization is the matrix route that jordan_mul is checked against, and
 verify.reference_matrix_mul is the literal entrywise product in plain
 FieldElement arithmetic that checks matrix_mul.  The conjugations theta ->
 X theta X^(-1) by a scalar 3x3 matrix X (phi, conjugation_between) come
@@ -71,24 +73,38 @@ class AlbertAlgebra:
         self.octonions = octonions
         self.gamma = gamma
         self.field = octonions.field
-        self._half = (self.field.one() + self.field.one()).inv()
-        g1, g2, g3 = gamma
-        # r_i scales conj(c_i) in the defining matrix (see the module docstring)
-        self._ratios = (g2 / g3, g3 / g1, g1 / g2)
-        self._factors = (self._half,) + self._ratios + tuple(self._half / r for r in self._ratios)
         octonions.norm_form()  # the formula needs a composition algebra: prove the Pfister shape
-        keys, rows, trace_keys, trace_rows = _jordan_template()
-        consts = _constants(self, keys)
-        self._product = self.field.kernel.indexed_table(rows, DIM, consts)
-        # tr(xy): the three diagonal coordinates of xy, summed
-        self._trace = self.field.kernel.indexed_table(trace_rows, 1, [consts[n] for n in trace_keys])
+
+    @cached_property
+    def _half(self):
+        return (self.field.one() + self.field.one()).inv()
+
+    @cached_property
+    def _ratios(self):  # r_i scales conj(c_i) in the defining matrix (see the module docstring)
+        g1, g2, g3 = self.gamma
+        return (g2 / g3, g3 / g1, g1 / g2)
+
+    def _compile(self, keys, rows, n_out):
+        """A template's table: the key (sign, mask, factors) names sign *
+        P_mask * prod of the factors, P the octonions' parameter products,
+        the factors indexing (1/2, r_1, r_2, r_3, 1/(2 r_1), ...)."""
+        half, ratios = self._half, self._ratios
+        factors = (half,) + ratios + tuple(half / r for r in ratios)
+        return self.field.kernel.monomial_table(rows, n_out, keys, self.octonions._products, factors)
+
+    @cached_property
+    def _product(self):  # jordan_mul's compiled table, built on the first call
+        return self._compile(*_jordan_template()[:2], DIM)
+
+    @cached_property
+    def _trace(self):  # tr(xy): the three diagonal coordinates of xy, summed; built on the first call
+        return self._compile(*_jordan_template()[2:], 1)
 
     @cached_property
     def _matrix_product(self):
         """matrix_mul's compiled table, built on the first call: output
         8 (3 i + k) + t is coordinate t of entry (i, k) of the product."""
-        keys, rows = _matrix_template()
-        return self.field.kernel.indexed_table(rows, 72, _constants(self, keys))
+        return self._compile(*_matrix_template(), 72)
 
     @cached_property
     def _automorphism_table(self):  # the compiled conjugation template for phi, built on the first call
@@ -113,16 +129,11 @@ class AlbertAlgebra:
         return AlbertElement(self, [self.field.zero()] * DIM)
 
     def unit(self) -> AlbertElement:
-        coords = [self.field.zero()] * DIM
-        for i in range(3):
-            coords[i] = self.field.one()
-        return AlbertElement(self, coords)
+        return AlbertElement(self, [self.field.one()] * 3 + [self.field.zero()] * (DIM - 3))
 
     def diag_unit(self, i: int) -> AlbertElement:
         """The matrix unit E_ii (i in 1..3)."""
-        coords = [self.field.zero()] * DIM
-        coords[i - 1] = self.field.one()
-        return AlbertElement(self, coords)
+        return self.basis(i - 1)
 
     def basis(self, idx: int) -> AlbertElement:
         coords = [self.field.zero()] * DIM
@@ -152,15 +163,25 @@ class AlbertAlgebra:
 
 
 class AlbertElement:
-    """27-coordinate element (x1, x2, x3, c1, c2, c3)."""
+    """27-coordinate element (x1, x2, x3, c1, c2, c3).  It holds the packed
+    vector that the field's kernel consumes; an element born packed (a
+    product) unpacks its coordinates on first access."""
 
-    __slots__ = ("algebra", "coords")
+    __slots__ = ("algebra", "packed", "_coords")
 
-    def __init__(self, algebra: AlbertAlgebra, coords):
-        if len(coords) != DIM:
-            raise InvalidInput(f"need {DIM} coordinates, got {len(coords)}")
-        self.algebra = algebra
-        self.coords = tuple(coords)
+    def __init__(self, algebra: AlbertAlgebra, coords=None, packed=None):
+        if packed is None:
+            if len(coords) != DIM:
+                raise InvalidInput(f"need {DIM} coordinates, got {len(coords)}")
+            coords = tuple(coords)
+            packed = algebra.field.kernel.pack(coords)
+        self.algebra, self.packed, self._coords = algebra, packed, coords
+
+    @property
+    def coords(self) -> tuple[FieldElement, ...]:
+        if self._coords is None:
+            self._coords = self.algebra.field.kernel._unpack(*self.packed)
+        return self._coords
 
     # ------------------------------------------------------------- structure
     @property
@@ -178,7 +199,7 @@ class AlbertElement:
         return other
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coords)
+        return self.algebra.field.kernel.packed_is_zero(self.packed)
 
     def __bool__(self):
         return not self.is_zero()
@@ -187,7 +208,7 @@ class AlbertElement:
         return (
             isinstance(other, AlbertElement)
             and other.algebra == self.algebra
-            and other.coords == self.coords
+            and self.algebra.field.kernel.packed_eq(self.packed, other.packed)
         )
 
     def __hash__(self):
@@ -264,25 +285,8 @@ def from_matrix(a: AlbertAlgebra, m) -> AlbertElement:
     return a.element(xs, [c1, c2, c3])
 
 
-# positions in AlbertAlgebra._factors = (1/2, r_1, r_2, r_3, 1/(2 r_1), ...)
+# positions in the factors of AlbertAlgebra._compile: (1/2, r_1, r_2, r_3, 1/(2 r_1), ...)
 _HALF, _RATIO, _HALF_INV = 0, 1, 4
-
-
-def _constants(a: AlbertAlgebra, keys) -> list[FieldElement]:
-    """The constants that a template's keys name, for a: the key (sign,
-    mask, factors) is sign * P_mask * prod(a._factors[f] for f in factors),
-    P the octonions' parameter products; each magnitude is made once."""
-    products, factors = a.octonions._products, a._factors
-    out, magnitudes = [], {}
-    for sign, mask, fs in keys:
-        c = magnitudes.get((mask, fs))
-        if c is None:
-            c = products[mask]
-            for f in fs:  # P_0 = 1 is never multiplied
-                c = factors[f] if c is products[0] else c * factors[f]
-            magnitudes[mask, fs] = c
-        out.append(c if sign > 0 else -c)
-    return out
 
 
 @cache
@@ -323,9 +327,9 @@ def matrix_mul(x: AlbertElement, y: AlbertElement) -> list[list[CompElement]]:
     The literal entrywise product is the oracle verify.reference_matrix_mul."""
     x._check(y)
     a = x.algebra
-    out = a.field.kernel.bilinear(a._matrix_product, x.coords, y.coords)
-    c = a.octonions
-    return [[CompElement(c, out[8 * e : 8 * e + 8]) for e in range(3 * i, 3 * i + 3)] for i in range(3)]
+    kernel = a.field.kernel
+    out = kernel._unpack(*kernel.packed_bilinear(a._matrix_product, x.packed, y.packed))
+    return [[CompElement(a.octonions, out[8 * e : 8 * e + 8]) for e in range(3 * i, 3 * i + 3)] for i in range(3)]
 
 
 def _jordan_from_matrices(a: AlbertAlgebra, x: AlbertElement, y: AlbertElement) -> AlbertElement:
@@ -344,7 +348,7 @@ def _jordan_template():
     """jordan_mul's formula as (keys, rows, trace_keys, trace_rows), derived
     once per process: rows[i] holds ((j, k), n), meaning (xy)_k += (constant
     n) x_i y_j; trace_rows sums the diagonal outputs, over the constants
-    numbered trace_keys."""
+    trace_keys."""
     _, octonion, _ = _doubling_template(3)
     off = _SLOT_OFFSET
     index, rows = {}, [[] for _ in range(DIM)]
@@ -367,9 +371,9 @@ def _jordan_template():
                 sign = sign if t == 0 else -sign
                 term(off[k] + v, off[j] + u, off[i] + t, sign, mask, _HALF_INV + i)  # conj(d_j c_k)
                 term(off[j] + u, off[k] + v, off[i] + t, sign, mask, _HALF_INV + i)  # conj(c_j d_k)
-    used = {}  # the trace table packs only its own constants, renumbered
+    used, keys = {}, tuple(index)  # the trace table packs only its own constants, renumbered
     trace_rows = [[((j, 0), used.setdefault(n, len(used))) for (j, k), n in row if k < 3] for row in rows]
-    return tuple(index), tuple(map(tuple, rows)), tuple(used), tuple(map(tuple, trace_rows))
+    return keys, tuple(map(tuple, rows)), tuple(keys[n] for n in used), tuple(map(tuple, trace_rows))
 
 
 def jordan_mul(x: AlbertElement, y: AlbertElement) -> AlbertElement:
@@ -384,13 +388,15 @@ def jordan_mul(x: AlbertElement, y: AlbertElement) -> AlbertElement:
 
     where x = (x_i; c_i) and y = (y_i; d_i).  _jordan_template spells the
     formula out term by term, once per process, with symbolic constants;
-    each algebra evaluates the constants once (_constants) and compiles the
-    terms, and the field's packed kernel evaluates them.  _jordan_from_matrices and
-    verify.reference_jordan_mul are the oracles it is tested against.
+    on its first product an algebra has the field's packed kernel multiply
+    the constants out (AlbertAlgebra._compile) and compile the terms.  The
+    product stays packed until its coordinates are read.
+    _jordan_from_matrices and verify.reference_jordan_mul are the oracles
+    it is tested against.
     """
     x._check(y)
     a = x.algebra
-    return AlbertElement(a, a.field.kernel.bilinear(a._product, x.coords, y.coords))
+    return AlbertElement(a, packed=a.field.kernel.packed_bilinear(a._product, x.packed, y.packed))
 
 
 def trace(x: AlbertElement) -> FieldElement:
@@ -407,18 +413,23 @@ def bilinear(x: AlbertElement, y: AlbertElement) -> FieldElement:
     """<x, y> = tr(xy) = Q(x+y) - Q(x) - Q(y), computed directly as
     sum x_i y_i + 2 sum r_i n(c_i, d_i): the diagonal of jordan_mul's
     formula, without the rest of the product."""
+    return x.algebra.field.kernel._unpack(*_packed_trace(x, y))[0]
+
+
+def _packed_trace(x: AlbertElement, y: AlbertElement):
+    """bilinear(x, y) as a packed vector of one coordinate."""
     x._check(y)
     a = x.algebra
-    return a.field.kernel.bilinear(a._trace, x.coords, y.coords)[0]
+    return a.field.kernel.packed_bilinear(a._trace, x.packed, y.packed)
 
 
 def _checked_gram(a: AlbertAlgebra, basis, expected, name: str):
     """Gram matrix of the polar form of Q on basis, which must be diagonal
     with diagonal `expected`, the closed form of the form called name.
 
-    The traces tr(b_i b_j) = 2 B(b_i, b_j) come from the packed kernel,
-    which packs each basis vector once; the returned Gram is diag(expected)."""
-    traces = a.field.kernel.gram(a._trace, [b.coords for b in basis])
+    The traces tr(b_i b_j) = 2 B(b_i, b_j) come from the packed kernel, on
+    the packed basis vectors; the returned Gram is diag(expected)."""
+    traces = a.field.kernel.gram(a._trace, [b.packed for b in basis])
     n = len(basis)
     if any(not traces[i][j].is_zero() for i in range(n) for j in range(n) if i != j):
         raise InternalCheckFailed(f"the basis of the {name} should be Q-orthogonal")
@@ -453,8 +464,9 @@ def is_idempotent(x: AlbertElement) -> bool:
 
 
 def is_primitive_idempotent(x: AlbertElement) -> bool:
-    """Idempotent with Q(u) = 1/2."""
-    return is_idempotent(x) and norm_Q(x) == x.algebra._half
+    """Idempotent with Q(u) = 1/2, that is tr(u^2) = 1 (packed)."""
+    kernel = x.algebra.field.kernel
+    return is_idempotent(x) and kernel.packed_eq(_packed_trace(x, x), kernel.pack([x.algebra.field.one()]))
 
 
 def is_nilpotent(z: AlbertElement) -> bool:
@@ -486,15 +498,10 @@ def _nilpotent_test_form(a: AlbertAlgebra, config) -> QuadraticForm:
 
 
 def _build_slot_nilpotent(a: AlbertAlgebra, config, witness) -> AlbertElement:
-    t = witness[0]
-    c = list(witness[1:])
-    coords = [a.field.zero()] * DIM
-    for i, sgn in enumerate(config["diag"]):
-        if sgn:
-            coords[i] = t if sgn > 0 else -t
+    t, zero = witness[0], a.field.zero()
+    coords = [t if sgn > 0 else -t if sgn else zero for sgn in config["diag"]] + [zero] * 24
     off = _SLOT_OFFSET[config["slot"] - 1]
-    for i, v in enumerate(c):
-        coords[off + i] = v
+    coords[off : off + 8] = witness[1:]
     z = AlbertElement(a, coords)
     if z.is_zero() or not jordan_mul(z, z).is_zero():
         raise InternalCheckFailed("constructed slot element is not square-zero")
@@ -576,20 +583,13 @@ def e0_subspace(a: AlbertAlgebra, u: AlbertElement) -> list[AlbertElement]:
             "E0/Q0 are implemented for the normalized idempotent E33; move "
             "your idempotent there with an explicit automorphism first"
         )
-    coords0 = [a.field.zero()] * DIM
-    coords0[0] = a.field.one()
-    coords0[1] = -a.field.one()
-    basis = [AlbertElement(a, coords0)]
-    off = _SLOT_OFFSET[2]
-    for i in range(8):
-        coords = [a.field.zero()] * DIM
-        coords[off + i] = a.field.one()
-        basis.append(AlbertElement(a, coords))
-    one = a.unit()
+    one = a.field.one()
+    basis = [AlbertElement(a, [one, -one] + [a.field.zero()] * 25)] + [a.basis(_SLOT_OFFSET[2] + i) for i in range(8)]
+    unit, vanishes = a.unit(), a.field.kernel.packed_is_zero
     for b in basis:
-        if not bilinear(b, one).is_zero():
+        if not vanishes(_packed_trace(b, unit)):
             raise InternalCheckFailed("E0 vector not orthogonal to 1")
-        if not bilinear(b, u).is_zero():
+        if not vanishes(_packed_trace(b, u)):
             raise InternalCheckFailed("E0 vector not orthogonal to u")
         if not jordan_mul(u, b).is_zero():
             raise InternalCheckFailed("E0 vector not killed by u")
@@ -693,7 +693,7 @@ class Automorphism:
     def apply(self, x: AlbertElement) -> AlbertElement:
         if x.algebra != self.algebra:
             raise AlgebraMismatch("element from a different algebra")
-        return AlbertElement(self.algebra, self.algebra.field.kernel.linear(self._rows, x.coords))
+        return AlbertElement(self.algebra, packed=self.algebra.field.kernel.packed_linear(self._rows, x.packed))
 
     def __call__(self, x: AlbertElement) -> AlbertElement:
         return self.apply(x)
@@ -807,7 +807,7 @@ def _conjugation(src: AlbertAlgebra, dst: AlbertAlgebra, x, samples: int, rng):
     _, _, fill, n_out = _conjugation_template()
     table = src._automorphism_table if src is dst else _conjugation_table(src, dst)
     out, den = kernel.packed_bilinear(table, kernel.pack([v for row in x for v in row]), kernel.pack(y))
-    if not kernel.packed_eq((out[len(fill):], den), kernel.pack([f.zero()] * (n_out - len(fill)))):
+    if not kernel.packed_is_zero((out[len(fill):], den)):
         raise InternalCheckFailed("an image is not Gamma-hermitian with a scalar diagonal")
     rows = kernel.packed_table(DIM, [(r, j, v) for v, spots in zip(out, fill) for r, j in spots], den)
     bil, lin, same = kernel.packed_bilinear, kernel.packed_linear, kernel.packed_eq
@@ -818,7 +818,7 @@ def _conjugation(src: AlbertAlgebra, dst: AlbertAlgebra, x, samples: int, rng):
             raise InternalCheckFailed("conjugation is not multiplicative")
         if not same(bil(dst._trace, mp, mp), bil(src._trace, p, p)):
             raise InternalCheckFailed("conjugation does not preserve Q")
-    unit = kernel.pack(dst.unit().coords)
+    unit = dst.unit().packed
     if not same(lin(rows, unit), unit):
         raise InternalCheckFailed("conjugation does not map unit to unit")
     return rows

@@ -11,12 +11,12 @@ products, the Albert matrix product, automorphism matrices, and the Gram and
 congruence products of the quadratic-form engine -- are instead compiled
 once into tables of integer constants and run by `Field.kernel`, which is
 picked once per field kind.  A vector is packed into plain Python ints on
-entry and unpacked into canonical FieldElements on exit; only work that
-chains several maps keeps vectors packed in between: the conjugations of
+entry and unpacked into canonical FieldElements on exit, except where work
+chains maps: an `albert.AlbertElement` keeps its packed vector, so Jordan
+products and their zero tests stay on integers; the conjugations of
 `albert.conjugation_between` fill their rows from packed outputs
 (`packed_table`), and their sampled checks draw packed vectors
-(`random_packed`, with the draws of `Field.random`) and compare them with
-`packed_eq`:
+(`random_packed`, with the draws of `Field.random`) and compare them:
 
     Q         integer numerators over one positive common denominator
     F_p       integer residues (the denominator is 1), reduced mod p once
@@ -574,12 +574,12 @@ class _Kernel:
     one sparse row of (j, constant...) per output coordinate.
 
     `packed_bilinear` and `packed_linear` take and return packed vectors
-    (`pack` makes one, `random_packed` draws one), so maps chain without
-    unpacking, and `packed_eq` compares two packed vectors exactly.
-    `packed_table` makes a linear table of packed values, such as the
-    outputs of a bilinear map, and `table_matrix` unpacks a linear table.
-    `bilinear` and `linear` are the FieldElement entry points: they pack on
-    entry and unpack on exit."""
+    (`pack` makes one, `random_packed` draws one, `_unpack` reads one), so
+    maps chain without unpacking; `packed_eq` and `packed_is_zero` decide
+    on them.  `indexed_table` and `monomial_table` compile tables, and
+    `packed_table` a linear table of packed values, such as the outputs of
+    a bilinear map; `table_matrix` unpacks a linear table.  `bilinear`,
+    `linear` and `gram` (on packed columns) return FieldElements."""
 
     def __init__(self, field: Field):
         self.field = field
@@ -589,6 +589,13 @@ class _Kernel:
         of rows[i]; the constants, all nonzero, are packed in one call and
         the terms filled in by index."""
         packed, den = self._constants(consts)
+        return [[jk + packed[n] for jk, n in row] for row in rows], n_out, den
+
+    def monomial_table(self, rows, n_out, keys, products, factors):
+        """indexed_table for the constants that keys name, the key (sign,
+        mask, fs) meaning sign * products[mask] * prod(factors[f] for f in
+        fs): each is multiplied out on packed integers, with one gcd."""
+        packed, den = self._monomials(keys, [self.pack([v]) for v in products], [self.pack([v]) for v in factors])
         return [[jk + packed[n] for jk, n in row] for row in rows], n_out, den
 
     def sums_vanish(self, entries) -> bool:
@@ -641,13 +648,12 @@ class _Kernel:
     def linear(self, table, xs) -> tuple[FieldElement, ...]:
         return self._unpack(*self.packed_linear(table, self.pack(xs)))
 
-    def gram(self, table, cols) -> list[list[FieldElement]]:
-        """The symmetric matrix of B(x, y) over every pair of columns, for a
-        bilinear table with the single output B; each column is packed once."""
-        packed = [self.pack(col) for col in cols]
-        out = [[None] * len(cols) for _ in cols]
+    def gram(self, table, packed) -> list[list[FieldElement]]:
+        """The symmetric matrix of B(x, y) over every pair of packed
+        columns, for a bilinear table with the single output B."""
+        out = [[None] * len(packed) for _ in packed]
         for a, x in enumerate(packed):
-            for b in range(a, len(cols)):
+            for b in range(a, len(packed)):
                 out[a][b] = out[b][a] = self._unpack(*self.packed_bilinear(table, x, packed[b]))[0]
         return out
 
@@ -679,6 +685,23 @@ class _IntegerKernel(_Kernel):
         """Exact equality of two packed vectors (positive denominators)."""
         (a, ad), (b, bd) = u, v
         return all(s * bd == t * ad for s, t in zip(a, b))
+
+    @staticmethod
+    def packed_is_zero(u) -> bool:
+        return not any(u[0])
+
+    def _monomials(self, keys, products, factors):
+        """monomial_table's constants: n / d per key, reduced, over the lcm of the d."""
+        out = []
+        for sign, mask, fs in keys:
+            (n,), d = products[mask]
+            for f in fs:
+                (m,), e = factors[f]
+                n, d = n * m, d * e
+            g = gcd(n, d)
+            out.append((sign * n // g, d // g))
+        den = lcm(*[d for _, d in out])
+        return [(v,) for v in self._reduce([n * (den // d) for n, d in out])], den
 
 
 class _RationalKernel(_IntegerKernel):
@@ -776,6 +799,23 @@ class _QuadKernel(_Kernel):
         """Exact equality of two packed vectors (positive denominators)."""
         (p, pd), (q, qd) = u, v
         return all(a * qd == c * pd and b * qd == e * pd for (a, b), (c, e) in zip(p, q))
+
+    @staticmethod
+    def packed_is_zero(u) -> bool:
+        return not any(a or b for a, b in u[0])
+
+    def _monomials(self, keys, products, factors):
+        """As over Q, on (a + b sqrt d) / e, reduced by gcd(a, b, e)."""
+        d, out = self.field.d, []
+        for sign, mask, fs in keys:
+            ((a, b),), e = products[mask]
+            for f in fs:
+                ((u, v),), w = factors[f]
+                a, b, e = a * u + d * b * v, a * v + b * u, e * w
+            g = gcd(a, b, e)
+            out.append((sign * a // g, sign * b // g, e // g))
+        den = lcm(*[e for _, _, e in out])
+        return [self._const((a * (den // e), b * (den // e))) for a, b, e in out], den
 
 
 _KERNELS = {RATIONALS: _RationalKernel, PRIME_FIELD: _PrimeKernel, QUAD_EXT: _QuadKernel}

@@ -316,7 +316,7 @@ def _congruence(f: Field, g, cols):
     nonzero, rows = [(i, j) for i in range(n) for j in range(n) if not g[i][j].is_zero()], [[] for _ in g]
     for e, (i, j) in enumerate(nonzero):
         rows[i].append(((j, 0), e))
-    return f.kernel.gram(f.kernel.indexed_table(rows, 1, [g[i][j] for i, j in nonzero]), cols)
+    return f.kernel.gram(f.kernel.indexed_table(rows, 1, [g[i][j] for i, j in nonzero]), [f.kernel.pack(c) for c in cols])
 
 
 # --------------------------------------------------------------------------

@@ -330,3 +330,42 @@ def test_packed_eq_compares_values(name):
     ys = list(xs)
     ys[4] = ys[4] + f.one()
     assert not k.packed_eq(packed, k.pack(ys))
+
+
+@pytest.mark.parametrize("name", ["Q", "F10007", "Q(sqrt-7)", "Q(sqrt2)"])
+def test_packed_elements_match_coordinate_elements(name):
+    """An element born packed (a Jordan product, before its coordinates are
+    read) and the element born from the same coordinates (a.element) agree
+    on ==, hash, is_zero, to_json, the ring operations, matrix_mul and
+    Automorphism.apply; packed vectors over different denominators compare
+    equal, and a zero product over a denominator above 1 is zero."""
+    f = FIELDS[name]
+    a = _algebra(f)
+    rng = random.Random(11)
+    x, y = (_element(a, _coords(f, rng, 27, 1000, 0.6)) for _ in range(2))
+    auto = phi(a, so_gamma_sample(a, rng))
+
+    def packed():  # a new product, its coordinates unread
+        z = jordan_mul(x, y)
+        assert z._coords is None
+        return z
+
+    c = _element(a, packed().coords)
+    assert packed() == c and c == packed() and not packed() != c
+    assert hash(packed()) == hash(c)
+    assert not packed().is_zero() and not c.is_zero()
+    assert packed().to_json() == c.to_json()
+    assert packed() + x == c + x and x - packed() == x - c and -packed() == -c
+    assert packed().scale(Fraction(3, 7)) == c.scale(Fraction(3, 7))
+    assert matrix_mul(packed(), packed()) == matrix_mul(c, c)
+    assert auto.apply(packed()) == auto.apply(c) == reference_apply(auto, c)
+    assert packed() != packed() + a.unit()
+
+    other = jordan_mul(x.scale(Fraction(1, 5)), y.scale(5))  # the same product over another denominator
+    assert other._coords is None and other == packed() and other.coords == c.coords
+    if f.kind != "Fp":  # F_p vectors are residues over 1
+        assert other.packed[1] != packed().packed[1]
+
+    zero = jordan_mul(a.diag_unit(1).scale(Fraction(1, 3)), a.diag_unit(2).scale(Fraction(1, 5)))
+    assert zero._coords is None and zero.is_zero() and not zero and zero == a.zero()
+    assert f.kind == "Fp" or zero.packed[1] > 1

@@ -5,10 +5,12 @@ FieldElement oracles of verify.
 A panel of 72 seeded algebras covers Q with parameters and Gamma up to
 height 10^6 (fractions included), F_p for p = 5, 10007 and 2^31 - 1, and
 Q(sqrt d) with irrational parameters and Gamma.  A single wrong constant in
-any compiled table makes the panel fail, and the templates stay unbuilt
-until an algebra needs them.
+any compiled table makes the panel fail, tests/golden/albert_tables.json
+pins the compiled Jordan, trace and matrix tables of 18 of its algebras,
+and the templates and tables stay unbuilt until an algebra needs them.
 """
 
+import hashlib
 import json
 import os
 import random
@@ -19,7 +21,17 @@ from pathlib import Path
 
 import pytest
 
-from splitrank.albert import AlbertAlgebra, AlbertElement, _jordan_template, _matrix_template, bilinear, jordan_mul, matrix_mul, trace
+from splitrank.albert import (
+    AlbertAlgebra,
+    AlbertElement,
+    _jordan_template,
+    _matrix_template,
+    albert_from_json,
+    bilinear,
+    jordan_mul,
+    matrix_mul,
+    trace,
+)
 from splitrank.composition import CompElement, _doubling_template, cayley_dickson
 from splitrank.fields import Field, prime_field, quad_ext, rationals
 from splitrank.verify import reference_jordan_mul, reference_matrix_mul, reference_octonion_mul
@@ -104,55 +116,95 @@ def test_panel_matches_oracles(n):
     assert _failures(a, inputs, _oracles(*inputs)) == []
 
 
-# the compiled tables in the order an algebra compiles them: the octonion
-# product, the Jordan product, the trace, and (on the first matrix_mul) the
-# matrix product; each with its number of distinct constants
-TABLES = ("octonion", "jordan", "trace", "matrix")
+def test_compiled_tables_match_golden():
+    """The Jordan, trace and matrix tables of 18 panel algebras, pinned by
+    the sha256 of their repr: a change to the compile route must leave
+    every table == to the one it compiled before."""
+    golden = json.loads((Path(__file__).parent / "golden" / "albert_tables.json").read_text())
+    fields = [e["algebra"]["octonion"]["field"] for e in golden]
+    assert len(golden) >= 15 and {f["p"] for f in fields if f["kind"] == "Fp"} == set(PRIMES)
+    assert sum(f["kind"] == "Q" for f in fields) >= 5 and sum(f["kind"] == "QSqrt" for f in fields) >= 5
+    for entry in golden:
+        a = albert_from_json(entry["algebra"])
+        got = {name: hashlib.sha256(repr(getattr(a, name)).encode()).hexdigest() for name in entry["sha256"]}
+        assert got == entry["sha256"], entry["algebra"]
+    assert set(got) == {"_product", "_trace", "_matrix_product"}
 
 
-def _constant_counts():
-    return (
-        len(_doubling_template(3)[0]),
-        len(_jordan_template()[0]),
-        len(_jordan_template()[2]),
-        len(_matrix_template()[0]),
-    )
+def _albert_keys():
+    """The constant keys of the three Albert tables, as monomial_table gets them."""
+    keys, _, trace_keys, _ = _jordan_template()
+    return {"jordan": keys, "trace": trace_keys, "matrix": _matrix_template()[0]}
 
 
 @pytest.mark.parametrize("field", [rationals(), prime_field(10007), quad_ext(-7)], ids=str)
 def test_one_wrong_constant_fails_the_panel(field, monkeypatch):
     """Every constant of every compiled table, raised by one in a fresh
-    algebra, makes some product disagree with its oracle."""
+    algebra, makes some product disagree with its oracle.  The octonion
+    constants are raised as indexed_table gets them, those of the Jordan,
+    trace and matrix tables as the kernel's _monomials packs them; the
+    products of the panel compile each of the lazy tables."""
     rng = random.Random(7)
     params = [_scalar(field, rng) for _ in range(3)]
     gamma = [_scalar(field, rng) for _ in range(3)]
     inputs = _inputs(AlbertAlgebra(cayley_dickson(field, params), gamma), 8)
     oracles = _oracles(*inputs)
-    for table, count in zip(TABLES, _constant_counts()):
-        for n in range(count):
+    octonion_keys, _, octonion_rows = _doubling_template(3)
+    tables = {"octonion": octonion_keys, **_albert_keys()}
+    for table, keys in tables.items():
+        for n in range(len(keys)):
             f = Field(field.kind, field.p, field.d)  # a kernel of its own, patched below
-            compile_table = f.kernel.indexed_table
             calls = []
+            if table == "octonion":
+                compile_table = f.kernel.indexed_table
 
-            def tampered(rows, n_out, consts, table=table, n=n, calls=calls, compile_table=compile_table):
-                if TABLES[len(calls)] == table:
-                    consts = list(consts)
-                    consts[n] = consts[n] + 1
-                calls.append(table)
-                return compile_table(rows, n_out, consts)
+                def tampered(rows, n_out, consts, n=n, calls=calls, compile_table=compile_table):
+                    if rows is octonion_rows:
+                        consts = list(consts)
+                        consts[n] = consts[n] + 1
+                        calls.append("octonion")
+                    return compile_table(rows, n_out, consts)
 
-            monkeypatch.setattr(f.kernel, "indexed_table", tampered)
+                monkeypatch.setattr(f.kernel, "indexed_table", tampered)
+            else:
+                multiply = f.kernel._monomials
+
+                def tampered(named, products, factors, keys=keys, n=n, calls=calls, multiply=multiply):
+                    packed, den = multiply(named, products, factors)
+                    if tuple(named) == keys:  # the constant's value (over Q(sqrt d) its rational part) + 1
+                        packed = list(packed)
+                        packed[n] = (packed[n][0] + den,) + packed[n][1:]
+                        calls.append(table)
+                    return packed, den
+
+                monkeypatch.setattr(f.kernel, "_monomials", tampered)
             a = AlbertAlgebra(cayley_dickson(f, params), gamma)
             assert _failures(a, inputs, oracles), (table, n)
-            assert table in calls
+            assert calls == [table], (table, n)
+
+
+def _f4(field, params, gamma):
+    return json.dumps({"f4": {"octonion": {"field": field, "params": params}, "gamma": gamma}})
+
+
+# classify inputs of rank 0, 4, 4 and 1
+CLASSIFY = [
+    _f4({"kind": "Q"}, [-1, -1, -1], [1, 1, 1]),
+    _f4({"kind": "Fp", "p": 10007}, [-1, -3, -5], [1, -1, 1]),
+    _f4({"kind": "QSqrt", "d": -7}, [-1, -3, -5], [1, -1, 1]),
+    _f4({"kind": "Q"}, [-1, -3, -5], [1, -1, 1]),
+]
 
 
 def test_templates_stay_unbuilt_by_witt():
     """Importing the CLI and running witt builds no template and imports
     no oracle module, so commands that build no algebra pay nothing for
-    them; the first algebra builds the octonion and Jordan templates, the
-    matrix one waits for matrix_mul and the conjugation one for the first
-    phi."""
+    them; the first algebra builds the octonion template, the Jordan one
+    waits for the first Jordan or trace product (here phi's checks), the
+    matrix one for matrix_mul and the conjugation one for the first phi.
+    A rank-0 or rank-4 classify compiles none of the Jordan, trace and
+    matrix tables of its algebra, and a rank-1 classify compiles the Jordan
+    table alone, for its z^2 = 0 check."""
     form = json.dumps({"field": {"kind": "Q"}, "coeffs": ["1", "-1", "1"]})
     code = (
         "import contextlib, io, json, sys\n"
@@ -167,9 +219,27 @@ def test_templates_stay_unbuilt_by_witt():
         "a = albert.albert_from_json({'octonion': {'field': {'kind': 'Q'}, 'params': [-1, -1, -1]}, 'gamma': [1, 1, 1]})\n"
         "built = sizes()\n"
         "albert.phi(a, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])\n"
-        "print(json.dumps([rc, before, built, sizes()]))\n"
+        "after_phi = sizes()\n"
+        "algebras, ranks = [], []\n"
+        "def record(desc):\n"
+        "    algebras.append(albert.albert_from_json(desc))\n"
+        "    return algebras[-1]\n"
+        "splitrank.cli.albert_from_json = record\n"
+        f"for text in {CLASSIFY!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        splitrank.cli.main(['classify', '--json', text])\n"
+        "    ranks.append(json.loads(out.getvalue())['rank'])\n"
+        "tables = [[t for t in ('_product', '_trace', '_matrix_product') if t in vars(b)] for b in algebras]\n"
+        "print(json.dumps([rc, before, built, after_phi, ranks, tables]))\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert json.loads(out.stdout.strip().splitlines()[-1]) == [0, [0, 0, 0, 0, False], [1, 1, 0, 0], [1, 1, 0, 1]]
+    assert json.loads(out.stdout.strip().splitlines()[-1]) == [
+        0,
+        [0, 0, 0, 0, False],
+        [1, 0, 0, 0],
+        [1, 1, 0, 1],
+        [0, 4, 4, 1],
+        [[], [], [], ["_product"]],
+    ]
