@@ -33,9 +33,8 @@ from __future__ import annotations
 import random as _random
 from functools import cache, cached_property
 from itertools import product
-from math import prod
 
-from .composition import CompElement, CompositionAlgebra, _doubling_template, base_change_comp
+from .composition import CompElement, CompositionAlgebra, _bits, _doubling_template, base_change_comp
 from .errors import (
     AlgebraMismatch,
     InternalCheckFailed,
@@ -48,7 +47,7 @@ from .errors import (
     UnsupportedIdempotent,
     ZeroParameter,
 )
-from .fields import Field, FieldElement
+from .fields import Field, FieldElement, scalars_from_json
 from .qforms import IsotropyResult, QuadraticForm, _congruence, is_isotropic
 from . import linalg
 
@@ -85,12 +84,12 @@ class AlbertAlgebra:
         return (g2 / g3, g3 / g1, g1 / g2)
 
     def _compile(self, keys, rows, n_out):
-        """A template's table: the key (sign, mask, factors) names sign *
-        P_mask * prod of the factors, P the octonions' parameter products,
-        the factors indexing (1/2, r_1, r_2, r_3, 1/(2 r_1), ...)."""
+        """A template's table: the key (sign, factors) names sign * the
+        product of the factors, which index (g1, g2, g3, 1/2, r_1, r_2, r_3,
+        1/(2 r_1), ...), g the octonions' doubling parameters."""
         half, ratios = self._half, self._ratios
-        factors = (half,) + ratios + tuple(half / r for r in ratios)
-        return self.field.kernel.monomial_table(rows, n_out, keys, self.octonions._products, factors)
+        factors = self.octonions.params + (half,) + ratios + tuple(half / r for r in ratios)
+        return self.field.kernel.monomial_table(rows, n_out, keys, factors)
 
     @cached_property
     def _product(self):  # jordan_mul's compiled table, built on the first call
@@ -241,9 +240,10 @@ class AlbertElement:
 
 
 def albert_element_from_json(algebra: AlbertAlgebra, obj: dict) -> AlbertElement:
-    if not isinstance(obj, dict) or "x" not in obj or "c" not in obj:
+    if not isinstance(obj, dict) or "x" not in obj or "c" not in obj or not isinstance(obj["c"], list):
         raise InvalidInput(f"bad Albert element: {obj!r}")
-    return algebra.element(obj["x"], obj["c"])
+    f = algebra.field
+    return algebra.element(scalars_from_json(f, obj["x"], "x"), [scalars_from_json(f, c, "c") for c in obj["c"]])
 
 
 # ---------------------------------------------------------------------------
@@ -285,15 +285,16 @@ def from_matrix(a: AlbertAlgebra, m) -> AlbertElement:
     return a.element(xs, [c1, c2, c3])
 
 
-# positions in the factors of AlbertAlgebra._compile: (1/2, r_1, r_2, r_3, 1/(2 r_1), ...)
-_HALF, _RATIO, _HALF_INV = 0, 1, 4
+# positions in the factors of AlbertAlgebra._compile: (g1, g2, g3, 1/2, r_1, r_2, r_3, 1/(2 r_1), ...)
+_HALF, _RATIO, _HALF_INV = 3, 4, 7
 
 
 @cache
 def _matrix_template():
     """matrix_mul as (keys, rows), derived once per process: rows[u] holds
     ((v, 8 (3 i + k) + t), n), meaning coordinate t of entry (i, k) of
-    to_matrix(x) to_matrix(y) gains (constant n) x_u y_v.  The entries of
+    to_matrix(x) to_matrix(y) gains (constant n) x_u y_v, keys[n] keyed as
+    AlbertAlgebra._compile reads it.  The entries of
     to_matrix(b_u) follow _SLOT_POSITION, and entry (i, k) of to_matrix(b_u)
     to_matrix(b_v) is the sum over j of their octonion products.  Nothing
     here comes from _jordan_template, so the symmetrized matrix route stays
@@ -312,7 +313,7 @@ def _matrix_template():
                 for j2, k, t, t_sign, t_factors in right:
                     if j2 == j:
                         r, sign, mask = octonion[s][t]  # e_s e_t = sign P_mask e_r
-                        key = (s_sign * t_sign * sign, mask, tuple(sorted(s_factors + t_factors)))
+                        key = (s_sign * t_sign * sign, tuple(sorted(_bits(mask) + s_factors + t_factors)))
                         rows[u].append(((v, 8 * (3 * i + k) + r), index.setdefault(key, len(index))))
     return tuple(index), tuple(map(tuple, rows))
 
@@ -347,14 +348,14 @@ _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 def _jordan_template():
     """jordan_mul's formula as (keys, rows, trace_keys, trace_rows), derived
     once per process: rows[i] holds ((j, k), n), meaning (xy)_k += (constant
-    n) x_i y_j; trace_rows sums the diagonal outputs, over the constants
-    trace_keys."""
+    n) x_i y_j, keys[n] keyed as AlbertAlgebra._compile reads it;
+    trace_rows sums the diagonal outputs, over the constants trace_keys."""
     _, octonion, _ = _doubling_template(3)
     off = _SLOT_OFFSET
     index, rows = {}, [[] for _ in range(DIM)]
 
     def term(i, j, k, sign, mask, *factors):  # (xy)_k += sign P_mask prod(factors) x_i y_j
-        rows[i].append(((j, k), index.setdefault((sign, mask, factors), len(index))))
+        rows[i].append(((j, k), index.setdefault((sign, _bits(mask) + factors), len(index))))
 
     for i, j, k in _CYCLIC:
         term(i, i, i, 1, 0)
@@ -772,10 +773,7 @@ def _conjugation_template():
 def _conjugation_table(src: AlbertAlgebra, dst: AlbertAlgebra):
     """_conjugation_template compiled for the ratios of src and dst."""
     keys, terms, _, n_out = _conjugation_template()
-    ratios, one = src._ratios + dst._ratios, src.field.one()
-    magnitudes = {fs: prod((ratios[i] for i in fs[1:]), start=ratios[fs[0]]) if fs else one for _, fs in keys}
-    consts = [magnitudes[fs] if sign > 0 else -magnitudes[fs] for sign, fs in keys]
-    return src.field.kernel.indexed_table(terms, n_out, consts)
+    return src.field.kernel.monomial_table(terms, n_out, keys, src._ratios + dst._ratios)
 
 
 def conjugation_between(src: AlbertAlgebra, dst: AlbertAlgebra, x, samples: int = 8, rng=None):
@@ -837,5 +835,4 @@ def albert_from_json(obj: dict) -> AlbertAlgebra:
     if not isinstance(obj, dict) or "octonion" not in obj or "gamma" not in obj:
         raise InvalidInput(f"bad Albert-algebra descriptor: {obj!r}")
     comp = comp_from_json(obj["octonion"])
-    gamma = [comp.field.element(g) for g in obj["gamma"]]
-    return AlbertAlgebra(comp, gamma)
+    return AlbertAlgebra(comp, scalars_from_json(comp.field, obj["gamma"], "gamma"))

@@ -8,14 +8,16 @@ over a base field; dimension 2^k.  The product is fixed by the doubling rule
 with conjugation (a, b) -> (conj(a), -b), so on the canonical basis every
 product e_i e_j is a scalar multiple of a single basis element and the whole
 multiplication lives in one table, compiled for the field's packed kernel.
-The rule runs once per process on symbols; an algebra multiplies out only its
-parameter products.  The norm form is the Pfister form <1,-g1> (x) ... (x)
-<1,-gk>; norm_form proves it once per algebra from the same table.
+The rule runs once per process on symbols; an algebra multiplies out its
+constants, signed monomials in the parameters, at its first use of the
+table.  The norm form is the Pfister form <1,-g1> (x) ... (x) <1,-gk>;
+norm_form proves it once per algebra on the compiled table itself.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from collections import defaultdict
+from functools import cache, cached_property
 
 from .errors import (
     AlgebraMismatch,
@@ -41,16 +43,12 @@ class CompositionAlgebra:
         self.field = field
         self.params = params
         self.dim = 2 ** len(params)
-        # _products[mask] = the product of the params[b] over the bits 2^b of mask
-        self._products = [field.one()]
-        for g in params:
-            self._products += [g * c for c in self._products]
-        keys, _, rows = _doubling_template(len(params))
-        consts = [self._products[m] if sign > 0 else -self._products[m] for sign, m in keys]
-        # e_i e_j = c e_k for (k, c) = _table[i][j]
-        self._table = [[(k, consts[n]) for (_, k), n in row] for row in rows]
-        self._product = field.kernel.indexed_table(rows, self.dim, consts)
         self._norm_form: QuadraticForm | None = None
+
+    @cached_property
+    def _product(self):  # the compiled doubling template, built on first use
+        keys, _, rows = _doubling_template(len(self.params))
+        return self.field.kernel.monomial_table(rows, self.dim, keys, self.params)
 
     # ----------------------------------------------------------------- basics
     def __eq__(self, other):
@@ -95,23 +93,28 @@ class CompositionAlgebra:
     def norm_form(self) -> QuadraticForm:
         """The norm as a diagonal form on the canonical basis.
 
-        On first use the Pfister shape is checked exactly: x -> x conj(x) is
-        read off the table as a quadratic map (e_i conj(e_j) = s_j c e_k for
-        (k, c) = _table[i][j], s_0 = 1, s_j = -1 for j > 0), whose scalar
-        output must be the Pfister diagonal (-1)^|m| P_m, from the parameter
-        products, and whose pure outputs must vanish.  The comparison is of
-        coefficients, so it holds for every x; the coefficients are summed as
-        packed integers (kernel.sums_vanish)."""
+        On first use the Pfister shape is checked exactly on _product, the
+        table that multiplies: x -> x conj(x) is read off its terms as a
+        quadratic map (a term c x_i y_j of output k gives s_j c x_i x_j,
+        s_0 = 1, s_j = -1 for j > 0), whose scalar output must be the
+        Pfister diagonal (-1)^|m| P_m, compiled from the params, and whose
+        pure outputs must vanish.  Coefficients are compared as packed
+        integers, so the check holds for every x."""
         if self._norm_form is None:
-            coeffs = [-c if bin(m).count("1") % 2 else c for m, c in enumerate(self._products)]
-            # the coefficient of x_i x_j (i <= j) in output k of x conj(x)
-            # minus the Pfister form sums the entries keyed (k, i, j)
-            entries = [((0, i, i), -1, a) for i, a in enumerate(coeffs)] + [
-                ((k, i, j) if i <= j else (k, j, i), 1 if j == 0 else -1, c)
-                for i, row in enumerate(self._table) for j, (k, c) in enumerate(row)
-            ]
-            if not self.field.kernel.sums_vanish(entries):
+            kernel = self.field.kernel
+            pfister = [((-1) ** len(fs), fs) for fs in map(_bits, range(self.dim))]
+            diagonal, _, pden = kernel.monomial_table([[((m, 0), m)] for m in range(self.dim)], 1, pfister, self.params)
+            rows, _, den = self._product
+            # sums[k, i, j, part], i <= j: x_i x_j in output k of x conj(x) minus the Pfister form, over den pden
+            sums = defaultdict(int, {(0, m, m, part): -den * v for (m, _, *c), in diagonal for part, v in enumerate(c)})
+            for i, row in enumerate(rows):
+                for j, k, *c in row:
+                    scale = pden if j == 0 else -pden
+                    for part, v in enumerate(c):
+                        sums[(k, i, j, part) if i <= j else (k, j, i, part)] += scale * v
+            if any(kernel._reduce(list(sums.values()))):
                 raise InternalCheckFailed("norm form disagrees with x * conj(x)")
+            coeffs = kernel.table_matrix(([[(m, *c) for (m, _, *c), in diagonal]], pden), self.dim)[0]
             self._norm_form = QuadraticForm(self.field, coeffs, label="norm")
         return self._norm_form
 
@@ -140,8 +143,8 @@ class CompositionAlgebra:
 def _doubling_template(n: int):
     """(keys, table, rows): the doubling rule for n doublings, on symbols.
     table[i][j] = (k, sign, mask) means e_i e_j = sign * P_mask e_k; keys
-    lists the distinct (sign, mask), and rows[i] holds ((j, k), n) for
-    e_i e_j = (constant n) e_k, the index form that Field.kernel compiles."""
+    lists the distinct monomials (sign, _bits(mask)), and rows[i] holds
+    ((j, k), n) for e_i e_j = (constant n) e_k."""
     table = [[(0, 1, 0)]]
     dim = 1
     for _ in range(n):
@@ -158,8 +161,13 @@ def _doubling_template(n: int):
         table = new
         dim *= 2
     keys = {}
-    rows = [[((j, k), keys.setdefault((s, m), len(keys))) for j, (k, s, m) in enumerate(row)] for row in table]
+    rows = [[((j, k), keys.setdefault((s, _bits(m)), len(keys))) for j, (k, s, m) in enumerate(row)] for row in table]
     return tuple(keys), tuple(map(tuple, table)), tuple(map(tuple, rows))
+
+
+@cache
+def _bits(mask: int) -> tuple[int, ...]:  # the positions of the params whose product is P_mask
+    return tuple(b for b in range(mask.bit_length()) if mask >> b & 1)
 
 
 class CompElement:
@@ -266,9 +274,9 @@ def base_change_comp(c: CompositionAlgebra, ext: Field) -> CompositionAlgebra:
 
 
 def comp_from_json(obj: dict) -> CompositionAlgebra:
-    from .fields import field_from_json
+    from .fields import field_from_json, scalars_from_json
 
     if not isinstance(obj, dict) or "field" not in obj or "params" not in obj:
         raise InvalidInput(f"bad composition-algebra descriptor: {obj!r}")
     f = field_from_json(obj["field"])
-    return CompositionAlgebra(f, [f.element(p) for p in obj["params"]])
+    return CompositionAlgebra(f, scalars_from_json(f, obj["params"], "params"))

@@ -10,9 +10,12 @@ The products that dominate the running time -- octonion products, Jordan
 products, the Albert matrix product, automorphism matrices, and the Gram and
 congruence products of the quadratic-form engine -- are instead compiled
 once into tables of integer constants and run by `Field.kernel`, which is
-picked once per field kind.  A vector is packed into plain Python ints on
-entry and unpacked into canonical FieldElements on exit, except where work
-chains maps: an `albert.AlbertElement` keeps its packed vector, so Jordan
+picked once per field kind.  `monomial_table` compiles every template table
+(octonion, Jordan, trace, matrix, conjugation), whose constants are signed
+monomials in the algebra's parameters; `indexed_table` packs the Gram
+entries of `qforms._congruence`.  A vector is packed into plain Python ints
+on entry and unpacked into canonical FieldElements on exit, except where
+work chains maps: an `albert.AlbertElement` keeps its packed vector, so Jordan
 products and their zero tests stay on integers; the conjugations of
 `albert.conjugation_between` fill their rows from packed outputs
 (`packed_table`), and their sampled checks draw packed vectors
@@ -297,10 +300,33 @@ def field_from_json(obj: dict) -> Field:
     if kind == "Q":
         return rationals()
     if kind == "Fp":
-        return prime_field(int(obj.get("p", 0)))
+        return prime_field(_int_from_json(obj.get("p"), "p"))
     if kind == "QSqrt":
-        return quad_ext(int(obj.get("d", 0)))
+        return quad_ext(_int_from_json(obj.get("d"), "d"))
     raise InvalidInput(f"unknown field kind {kind!r}")
+
+
+def _int_from_json(value, name: str) -> int:
+    """A JSON int (not a bool) or a decimal string."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+", value):
+        try:
+            return int(value)
+        except ValueError:  # more digits than int() reads
+            pass
+    raise InvalidInput(f"{name} must be an integer or a decimal string, got {value!r}")
+
+
+def scalars_from_json(field: Field, items, what: str) -> list[FieldElement]:
+    """The elements of a JSON array of scalars, each a string or an int
+    (not a bool)."""
+    if not isinstance(items, list):
+        raise InvalidInput(f"{what} must be a JSON array, got {items!r}")
+    bad = [v for v in items if isinstance(v, bool) or not isinstance(v, (str, int))]
+    if bad:
+        raise InvalidInput(f"{what}: a scalar must be a string or an integer, got {bad[0]!r}")
+    return [field.element(v) for v in items]
 
 
 class FieldElement:
@@ -576,10 +602,11 @@ class _Kernel:
     `packed_bilinear` and `packed_linear` take and return packed vectors
     (`pack` makes one, `random_packed` draws one, `_unpack` reads one), so
     maps chain without unpacking; `packed_eq` and `packed_is_zero` decide
-    on them.  `indexed_table` and `monomial_table` compile tables, and
-    `packed_table` a linear table of packed values, such as the outputs of
-    a bilinear map; `table_matrix` unpacks a linear table.  `bilinear`,
-    `linear` and `gram` (on packed columns) return FieldElements."""
+    on them.  `monomial_table` compiles every template table, `indexed_table`
+    a table of given constants (Gram entries) and `packed_table` a linear
+    table of packed values, such as the outputs of a bilinear map;
+    `table_matrix` unpacks a linear table.  `bilinear`, `linear` and `gram`
+    (on packed columns) return FieldElements."""
 
     def __init__(self, field: Field):
         self.field = field
@@ -588,34 +615,22 @@ class _Kernel:
         """Compile out_k = sum of consts[n] x_i y_j over the entries ((j, k), n)
         of rows[i]; the constants, all nonzero, are packed in one call and
         the terms filled in by index."""
-        packed, den = self._constants(consts)
+        values, den = self.pack(consts)
+        packed = [self._const(v) for v in values]
         return [[jk + packed[n] for jk, n in row] for row in rows], n_out, den
 
-    def monomial_table(self, rows, n_out, keys, products, factors):
-        """indexed_table for the constants that keys name, the key (sign,
-        mask, fs) meaning sign * products[mask] * prod(factors[f] for f in
-        fs): each is multiplied out on packed integers, with one gcd."""
-        packed, den = self._monomials(keys, [self.pack([v]) for v in products], [self.pack([v]) for v in factors])
+    def monomial_table(self, rows, n_out, keys, factors):
+        """Compile out_k = sum of c_n x_i y_j over the entries ((j, k), n)
+        of rows[i], where the key (sign, fs) = keys[n] names the monomial
+        c_n = sign * prod(factors[f] for f in fs) (1 for empty fs): each
+        is multiplied out on packed integers and reduced with one gcd."""
+        packed, den = self._monomials(keys, [self.pack([v]) for v in factors])
         return [[jk + packed[n] for jk, n in row] for row in rows], n_out, den
-
-    def sums_vanish(self, entries) -> bool:
-        """Whether, for every key, sign * elem summed over the entries
-        (key, sign, elem) with that key is zero: the elements are packed in
-        one call and summed as integers."""
-        sums = {}
-        for (key, sign, _), c in zip(entries, self._constants([e for _, _, e in entries])[0]):
-            for part, v in enumerate(c):  # over Q(sqrt d): a, b and d b
-                sums[key, part] = sums.get((key, part), 0) + sign * v
-        return not any(self._reduce(list(sums.values())))
 
     @staticmethod
     def _reduce(nums):
         """The packed output coordinates (F_p reduces them mod p)."""
         return nums
-
-    def _constants(self, elems):
-        values, den = self.pack(elems)
-        return [self._const(v) for v in values], den
 
     def linear_table(self, matrix):
         """Compile the sparse rows of a matrix of FieldElements."""
@@ -690,11 +705,11 @@ class _IntegerKernel(_Kernel):
     def packed_is_zero(u) -> bool:
         return not any(u[0])
 
-    def _monomials(self, keys, products, factors):
+    def _monomials(self, keys, factors):
         """monomial_table's constants: n / d per key, reduced, over the lcm of the d."""
         out = []
-        for sign, mask, fs in keys:
-            (n,), d = products[mask]
+        for sign, fs in keys:
+            n = d = 1
             for f in fs:
                 (m,), e = factors[f]
                 n, d = n * m, d * e
@@ -804,11 +819,11 @@ class _QuadKernel(_Kernel):
     def packed_is_zero(u) -> bool:
         return not any(a or b for a, b in u[0])
 
-    def _monomials(self, keys, products, factors):
+    def _monomials(self, keys, factors):
         """As over Q, on (a + b sqrt d) / e, reduced by gcd(a, b, e)."""
         d, out = self.field.d, []
-        for sign, mask, fs in keys:
-            ((a, b),), e = products[mask]
+        for sign, fs in keys:
+            a, b, e = 1, 0, 1
             for f in fs:
                 ((u, v),), w = factors[f]
                 a, b, e = a * u + d * b * v, a * v + b * u, e * w

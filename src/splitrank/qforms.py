@@ -160,12 +160,12 @@ class QuadraticForm:
 
 
 def form_from_json(obj: dict) -> QuadraticForm:
-    from .fields import field_from_json
+    from .fields import field_from_json, scalars_from_json
 
     if not isinstance(obj, dict) or "coeffs" not in obj or "field" not in obj:
         raise InvalidInput(f"bad form descriptor: {obj!r}")
     f = field_from_json(obj["field"])
-    return QuadraticForm(f, [f.element(c) for c in obj["coeffs"]], obj.get("label"))
+    return QuadraticForm(f, scalars_from_json(f, obj["coeffs"], "coeffs"), obj.get("label"))
 
 
 @dataclass(frozen=True)

@@ -192,6 +192,38 @@ class TestExitCodes:
         assert exc.value.code == 2
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["witt", "--json", '{"field":{"kind":"Q"},"coeffs":"123"}'],
+            ["classify", "--json", '{"g2":{"field":{"kind":"Q"},"params":"111"}}'],
+            ["witt", "--json", '{"field":{"kind":"Fp","p":7},"coeffs":[2.5,1,1]}'],
+            ["witt", "--json", '{"field":{"kind":"Fp","p":"abc"},"coeffs":[1,1,1]}'],
+            ["witt", "--json", '{"field":{"kind":"QSqrt","d":[2]},"coeffs":[1,1,1]}'],
+            ["witt", "--json", '{"field":{"kind":"Q"},"coeffs":[1,null,1]}'],
+            ["witt", "--json", '{"field":{"kind":"Q"},"coeffs":[1,NaN,1]}'],
+            ["witt", "--json", '{"field":{"kind":"Q"},"coeffs":[1,{},1]}'],
+            ["witt", "--json", '{"field":{"kind":"Q"},"coeffs":[1,true,1]}'],
+            ["witt", "--json", '{"field":{"kind":"Fp","p":true},"coeffs":[1,1,1]}'],
+            ["kernel", "--json", '{"f4":{"octonion":{"field":{"kind":"Q"},"params":[-1,-1,-1]},"gamma":"1-11"}}'],
+            ["excellence", "--ext", '{"kind":"QSqrt","d":"2.0"}', "--json", G2_GRAVES],
+        ],
+        ids=["coeffs-string", "params-string", "float", "p-text", "d-array", "null", "nan", "object", "bool",
+             "p-bool", "gamma-string", "d-float-text"],
+    )
+    def test_malformed_descriptor_rejected(self, argv, capsys):
+        # each of these was misread as another input or ended in a traceback
+        code, out = run_cli(argv, capsys)
+        assert code == 2
+        assert json.loads(out)["error"]["kind"] == "InvalidInput"
+
+    def test_decimal_string_field_parameters(self, capsys):
+        form = {"field": {"kind": "Fp", "p": "7"}, "coeffs": ["1", 1, "-1"]}
+        assert run_cli(["witt", "--json", json.dumps(form)], capsys)[0] == 0
+        alg = {"g2": {"field": {"kind": "QSqrt", "d": "-7"}, "params": ["-1", -1, "-1"]}}
+        assert run_cli(["classify", "--json", json.dumps(alg)], capsys)[0] == 0
+
+
 class TestVerify:
     def test_single_suite(self, capsys):
         code, out = run_cli(["verify", "--suite", "fields", "--seed", "7"], capsys)

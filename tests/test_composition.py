@@ -1,6 +1,7 @@
 """Cayley-Dickson algebras: multiplication tables against an independent
 doubling-rule evaluator, norms, splitness, isomorphism, base change."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -175,18 +176,19 @@ class TestNormForm:
         ids=["Q", "F5", "Q(sqrt-7)"],
     )
     def test_corrupted_table_entry_rejected(self, field, params):
-        # every single-entry corruption of the table, a flipped sign or a
-        # wrong scalar, changes a coefficient of x -> x conj(x)
-        two = field.element(2)
-        for i in range(8):
-            for j in range(8):
-                for corrupt in (lambda c: -c, lambda c: two * c):
-                    alg = cayley_dickson(field, params)
-                    k, c = alg._table[i][j]
-                    alg._table[i][j] = (k, corrupt(c))
+        # every single-term corruption of the compiled table that multiplies,
+        # a flipped sign or a doubled constant, changes a coefficient of
+        # x -> x conj(x), in dimensions 2, 4 and 8
+        for n in (1, 2, 3):
+            for i, t in itertools.product(range(2**n), repeat=2):
+                for corrupt in (lambda v: -v, lambda v: 2 * v):
+                    alg = cayley_dickson(field, params[:n])
+                    row = alg._product[0][i]
+                    j, k, *c = row[t]
+                    row[t] = (j, k, *map(corrupt, c))
                     with pytest.raises(InternalCheckFailed):
                         alg.norm_form()
-        assert cayley_dickson(field, params).norm_form().dim == 8
+            assert cayley_dickson(field, params[:n]).norm_form().dim == 2**n
 
 
 class TestSplit:

@@ -220,24 +220,28 @@ def test_conjugation_matches_definition(name):
 @pytest.mark.parametrize("name", ["Q", "F10007", "Q(sqrt-7)"])
 def test_one_wrong_conjugation_constant_is_caught(name, monkeypatch):
     """Every constant of the compiled conjugation template, raised by one in
-    a fresh algebra, makes phi raise."""
-    keys, terms, _, _ = _conjugation_template()
+    a fresh algebra as the kernel's _monomials multiplies it out, makes phi
+    raise."""
+    keys = _conjugation_template()[0]
     for n in range(len(keys)):
         f = FIELDS[name]
         f = Field(f.kind, f.p, f.d)  # a kernel of its own, patched below
-        compile_table = f.kernel.indexed_table
+        multiply, calls = f.kernel._monomials, []
 
-        def tampered(rows, n_out, consts, n=n, compile_table=compile_table):
-            if rows is terms:
-                consts = list(consts)
-                consts[n] = consts[n] + 1
-            return compile_table(rows, n_out, consts)
+        def tampered(named, factors, n=n, calls=calls, multiply=multiply):
+            packed, den = multiply(named, factors)
+            if tuple(named) == keys:  # the constant's value (over Q(sqrt d) its rational part) + 1
+                packed = list(packed)
+                packed[n] = (packed[n][0] + den,) + packed[n][1:]
+                calls.append(n)
+            return packed, den
 
-        monkeypatch.setattr(f.kernel, "indexed_table", tampered)
+        monkeypatch.setattr(f.kernel, "_monomials", tampered)
         a = _algebra(f)
         x = so_gamma_sample(a, random.Random(5))
         with pytest.raises(InternalCheckFailed):
             phi(a, x)
+        assert calls == [n]
 
 
 @pytest.mark.parametrize("name", ["Q", "F10007", "Q(sqrt-7)"])

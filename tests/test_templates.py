@@ -6,7 +6,8 @@ A panel of 72 seeded algebras covers Q with parameters and Gamma up to
 height 10^6 (fractions included), F_p for p = 5, 10007 and 2^31 - 1, and
 Q(sqrt d) with irrational parameters and Gamma.  A single wrong constant in
 any compiled table makes the panel fail, tests/golden/albert_tables.json
-pins the compiled Jordan, trace and matrix tables of 18 of its algebras,
+pins the compiled octonion, Jordan, trace, matrix and conjugation tables
+of 18 of its algebras,
 and the templates and tables stay unbuilt until an algebra needs them.
 """
 
@@ -17,10 +18,12 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
 
+from splitrank import cli
 from splitrank.albert import (
     AlbertAlgebra,
     AlbertElement,
@@ -30,11 +33,14 @@ from splitrank.albert import (
     bilinear,
     jordan_mul,
     matrix_mul,
+    phi,
     trace,
 )
 from splitrank.composition import CompElement, _doubling_template, cayley_dickson
-from splitrank.fields import Field, prime_field, quad_ext, rationals
-from splitrank.verify import reference_jordan_mul, reference_matrix_mul, reference_octonion_mul
+from splitrank.errors import InternalCheckFailed
+from splitrank.fields import Field, _Kernel, prime_field, quad_ext, rationals
+from splitrank.qforms import _congruence
+from splitrank.verify import reference_jordan_mul, reference_matrix_mul, reference_octonion_mul, so_gamma_sample
 
 PRIMES = (5, 10007, 2**31 - 1)
 DS = (-7, -3, -1, 2, 5, 13)
@@ -117,18 +123,18 @@ def test_panel_matches_oracles(n):
 
 
 def test_compiled_tables_match_golden():
-    """The Jordan, trace and matrix tables of 18 panel algebras, pinned by
-    the sha256 of their repr: a change to the compile route must leave
-    every table == to the one it compiled before."""
+    """The octonion, Jordan, trace, matrix and conjugation tables of 18
+    panel algebras, pinned by the sha256 of their repr: a change to the
+    compile route must leave every table == to the one it compiled before."""
     golden = json.loads((Path(__file__).parent / "golden" / "albert_tables.json").read_text())
     fields = [e["algebra"]["octonion"]["field"] for e in golden]
     assert len(golden) >= 15 and {f["p"] for f in fields if f["kind"] == "Fp"} == set(PRIMES)
     assert sum(f["kind"] == "Q" for f in fields) >= 5 and sum(f["kind"] == "QSqrt" for f in fields) >= 5
     for entry in golden:
         a = albert_from_json(entry["algebra"])
-        got = {name: hashlib.sha256(repr(getattr(a, name)).encode()).hexdigest() for name in entry["sha256"]}
+        got = {name: hashlib.sha256(repr(attrgetter(name)(a)).encode()).hexdigest() for name in entry["sha256"]}
         assert got == entry["sha256"], entry["algebra"]
-    assert set(got) == {"_product", "_trace", "_matrix_product"}
+    assert set(got) == {"octonions._product", "_product", "_trace", "_matrix_product", "_automorphism_table"}
 
 
 def _albert_keys():
@@ -140,47 +146,75 @@ def _albert_keys():
 @pytest.mark.parametrize("field", [rationals(), prime_field(10007), quad_ext(-7)], ids=str)
 def test_one_wrong_constant_fails_the_panel(field, monkeypatch):
     """Every constant of every compiled table, raised by one in a fresh
-    algebra, makes some product disagree with its oracle.  The octonion
-    constants are raised as indexed_table gets them, those of the Jordan,
-    trace and matrix tables as the kernel's _monomials packs them; the
-    products of the panel compile each of the lazy tables."""
+    algebra as the kernel's _monomials multiplies it out, makes some
+    product disagree with its oracle.  A wrong octonion constant also fails
+    the Pfister proof of the norm, which reads the table that multiplies,
+    so the Albert algebra over it is refused; the products of the panel
+    compile each of the lazy Albert tables, and each tampered table is
+    compiled exactly once."""
     rng = random.Random(7)
     params = [_scalar(field, rng) for _ in range(3)]
     gamma = [_scalar(field, rng) for _ in range(3)]
     inputs = _inputs(AlbertAlgebra(cayley_dickson(field, params), gamma), 8)
     oracles = _oracles(*inputs)
-    octonion_keys, _, octonion_rows = _doubling_template(3)
-    tables = {"octonion": octonion_keys, **_albert_keys()}
+    tables = {"octonion": _doubling_template(3)[0], **_albert_keys()}
     for table, keys in tables.items():
         for n in range(len(keys)):
             f = Field(field.kind, field.p, field.d)  # a kernel of its own, patched below
             calls = []
+            multiply = f.kernel._monomials
+
+            def tampered(named, factors, table=table, keys=keys, n=n, calls=calls, multiply=multiply):
+                packed, den = multiply(named, factors)
+                if tuple(named) == keys:  # the constant's value (over Q(sqrt d) its rational part) + 1
+                    packed = list(packed)
+                    packed[n] = (packed[n][0] + den,) + packed[n][1:]
+                    calls.append(table)
+                return packed, den
+
+            monkeypatch.setattr(f.kernel, "_monomials", tampered)
+            c = cayley_dickson(f, params)
             if table == "octonion":
-                compile_table = f.kernel.indexed_table
-
-                def tampered(rows, n_out, consts, n=n, calls=calls, compile_table=compile_table):
-                    if rows is octonion_rows:
-                        consts = list(consts)
-                        consts[n] = consts[n] + 1
-                        calls.append("octonion")
-                    return compile_table(rows, n_out, consts)
-
-                monkeypatch.setattr(f.kernel, "indexed_table", tampered)
+                with pytest.raises(InternalCheckFailed):
+                    AlbertAlgebra(c, gamma)
+                p, q = (CompElement(c, v.coords) for v in inputs[2:])
+                assert p * q != oracles["octonion"], (table, n)
             else:
-                multiply = f.kernel._monomials
-
-                def tampered(named, products, factors, keys=keys, n=n, calls=calls, multiply=multiply):
-                    packed, den = multiply(named, products, factors)
-                    if tuple(named) == keys:  # the constant's value (over Q(sqrt d) its rational part) + 1
-                        packed = list(packed)
-                        packed[n] = (packed[n][0] + den,) + packed[n][1:]
-                        calls.append(table)
-                    return packed, den
-
-                monkeypatch.setattr(f.kernel, "_monomials", tampered)
-            a = AlbertAlgebra(cayley_dickson(f, params), gamma)
-            assert _failures(a, inputs, oracles), (table, n)
+                assert _failures(AlbertAlgebra(c, gamma), inputs, oracles), (table, n)
             assert calls == [table], (table, n)
+
+
+@pytest.mark.parametrize(
+    "field,ext",
+    [({"kind": "Q"}, {"kind": "QSqrt", "d": 2}), ({"kind": "Fp", "p": 10007}, None), ({"kind": "QSqrt", "d": 2}, None)],
+    ids=["Q", "F10007", "Q(sqrt2)"],
+)
+def test_only_congruence_compiles_by_index(field, ext, monkeypatch, capsys):
+    """Every template table is compiled from monomials: indexed_table, which
+    packs arbitrary constants, serves qforms._congruence alone.  classify,
+    a kernel whose Gamma is normalized by a conjugation (rank 1 over Q and
+    Q(sqrt 2)), excellence and phi all run with indexed_table refusing any
+    other caller."""
+    compile_table, strays = _Kernel.indexed_table, []
+
+    def guarded(self, rows, n_out, consts):
+        caller = sys._getframe(1).f_code
+        if caller is not _congruence.__code__:
+            strays.append(caller.co_name)
+            raise AssertionError(f"indexed_table called from {caller.co_name}")
+        return compile_table(self, rows, n_out, consts)
+
+    monkeypatch.setattr(_Kernel, "indexed_table", guarded)
+    text = _f4(field, [-1, -3, -5], [1, 1, -1])
+    reports = []
+    for argv in (["classify"], ["kernel"], ["excellence", "--ext", json.dumps(ext or field)]):
+        assert cli.main(argv + ["--json", text]) == 0, argv
+        reports.append(json.loads(capsys.readouterr().out))
+    rank = 4 if field["kind"] == "Fp" else 1
+    assert reports[0]["rank"] == rank and reports[1]["provenance"]["rank"] == rank
+    a = albert_from_json(json.loads(text)["f4"])
+    assert phi(a, so_gamma_sample(a, random.Random(3))).preserves_jordan_on_basis()
+    assert strays == []
 
 
 def _f4(field, params, gamma):
