@@ -571,21 +571,22 @@ def orthogonal_nilpotent_pair(a: AlbertAlgebra):
 # the subspace E0 and the form Q0
 # ---------------------------------------------------------------------------
 
-def e0_subspace(a: AlbertAlgebra, u: AlbertElement) -> list[AlbertElement]:
-    """Ordered basis of E0 = {x : <x,1> = <x,u> = 0, ux = 0} for u = E33.
+def e0_subspace(a: AlbertAlgebra, u: AlbertElement, c: CompElement | None = None) -> list[AlbertElement]:
+    """Ordered basis of E0 = {x : <x,1> = <x,u> = 0, ux = 0} for u = E_ii.
 
-    The basis is diag(1,-1,0) followed by the eight c3-slot vectors; each
-    vector is verified against all three defining conditions.
+    The basis is E_jj - E_kk, (j, k) the diagonal pair of slot i as in the
+    slot nilpotents, followed by slot_i(c e_m), m = 0..7 (c = 1 if None);
+    each vector is verified against all three defining conditions.
     """
     if not is_primitive_idempotent(u):
         raise NotPrimitiveIdempotent("E0 needs a primitive idempotent")
-    if u != a.diag_unit(3):
-        raise UnsupportedIdempotent(
-            "E0/Q0 are implemented for the normalized idempotent E33; move "
-            "your idempotent there with an explicit automorphism first"
-        )
-    one = a.field.one()
-    basis = [AlbertElement(a, [one, -one] + [a.field.zero()] * 25)] + [a.basis(_SLOT_OFFSET[2] + i) for i in range(8)]
+    config = next((cf for cf in _nilpotent_configs(a) if u == a.diag_unit(cf["slot"])), None)
+    if config is None:
+        raise UnsupportedIdempotent("E0/Q0 are implemented for the diagonal idempotents E11, E22, E33")
+    octs, zero, off = a.octonions, a.field.zero(), _SLOT_OFFSET[config["slot"] - 1]
+    slot_coords = [(octs.basis(m) if c is None else c * octs.basis(m)).coords for m in range(8)]
+    basis = [AlbertElement(a, [a.field.element(s) for s in config["diag"]] + [zero] * 24)]
+    basis += [AlbertElement(a, [zero] * off + list(v) + [zero] * (DIM - off - 8)) for v in slot_coords]
     unit, vanishes = a.unit(), a.field.kernel.packed_is_zero
     for b in basis:
         if not vanishes(_packed_trace(b, unit)):
@@ -597,18 +598,21 @@ def e0_subspace(a: AlbertAlgebra, u: AlbertElement) -> list[AlbertElement]:
     return basis
 
 
-def q0_data(a: AlbertAlgebra, u: AlbertElement):
-    """(q0 form, E0 basis, 9x9 Gram of the polar form of Q on E0).
+def q0_data(a: AlbertAlgebra, u: AlbertElement, c: CompElement | None = None):
+    """(q0 form, E0 basis, 9x9 Gram of the polar form of Q on E0) on the
+    basis e0_subspace(a, u, c) of u = E_ii.
 
-    The Gram matrix is checked to be diag(1, (g1/g2) N)."""
-    basis = e0_subspace(a, u)
-    expected = [a.field.one()] + [a._ratios[2] * c for c in a.octonions.norm_form().coeffs]
+    Left multiplication by c is a similitude of N with multiplier N(c), so
+    the Gram matrix is checked to be diag(1, r_i N(c) N)."""
+    basis = e0_subspace(a, u, c)
+    scale = a._ratios[u.xs.index(a.field.one())] * (a.field.one() if c is None else c.norm())  # r_i N(c) for u = E_ii
+    expected = [a.field.one()] + [scale * n for n in a.octonions.norm_form().coeffs]
     gram = _checked_gram(a, basis, expected, "Q0")
     return QuadraticForm(a.field, expected, label="Q0"), basis, gram
 
 
 def q0_form(a: AlbertAlgebra, u: AlbertElement) -> QuadraticForm:
-    """Restriction of Q to E0, diagonalized: <1> + (g1/g2) N."""
+    """Restriction of Q to E0 for u = E_ii, diagonalized: <1> + r_i N."""
     form, _, _ = q0_data(a, u)
     return form
 

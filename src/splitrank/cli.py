@@ -7,10 +7,10 @@ Commands:
     excellence  rank/kernel over a quadratic extension with descent witness
     verify      seeded property suites; nonzero exit on any failure
 
-Exit codes: 0 success, 2 invalid input, 3 unsupported case (including
-non-normalizable Gamma), 4 verification failure, 5 internal error (a failed
-self-check; the report repeats the command line so the run can be
-reproduced).
+Exit codes: 0 success, 2 invalid input (malformed JSON or literals,
+including integers past Python's digit limit), 3 unsupported case, 4
+verification failure, 5 internal error (a failed self-check; the report
+repeats the command line so the run can be reproduced).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .errors import (
     AlgebraError,
     InternalCheckFailed,
     InvalidInput,
-    NonNormalizableGamma,
     UnsupportedCase,
 )
 from .fields import field_from_json
@@ -58,7 +57,7 @@ def _load_input(args) -> dict:
             raw = fh.read()
     try:
         obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal past the int-string digit limit
         raise InvalidInput(f"bad JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise InvalidInput("top-level JSON must be an object")
@@ -106,7 +105,7 @@ def _cmd_excellence(args) -> int:
     kind, desc = _detect_group(_load_input(args))
     try:
         ext = field_from_json(json.loads(args.ext))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise InvalidInput(f"bad --ext JSON: {exc}") from None
     if kind == "g2":
         report = g2_excellence(comp_from_json(desc), ext)
@@ -184,7 +183,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except (UnsupportedCase, NonNormalizableGamma) as exc:
+    except UnsupportedCase as exc:
         _emit(_error(exc), None)
         return EXIT_UNSUPPORTED
     except InternalCheckFailed as exc:

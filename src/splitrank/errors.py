@@ -74,7 +74,7 @@ class NotPrimitiveIdempotent(AlgebraError):
 
 
 class UnsupportedIdempotent(AlgebraError):
-    """Primitive idempotent not in the normalized position E33."""
+    """Primitive idempotent that is not diagonal (E11, E22 or E33)."""
 
 
 class NotOnTorus(AlgebraError):
@@ -90,7 +90,7 @@ class NotGammaOrthogonal(AlgebraError):
 
 
 class NonNormalizableGamma(AlgebraError):
-    """Gamma cannot be moved to (1,-1,1) by the implemented moves."""
+    """Gamma cannot be moved to (1,-1,1); raised only by the test oracle groups.normalize_gamma."""
 
 
 class InternalCheckFailed(AlgebraError):

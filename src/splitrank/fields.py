@@ -584,8 +584,8 @@ def parse_element(field: Field, text) -> FieldElement:
                 raise InvalidInput(f"bad quadratic literal {text!r}")
             if sign == "-" or (sign is None and m.group("asign") == "-"):
                 b = -b
-    except ZeroDivisionError:
-        raise InvalidInput(f"zero denominator in {text!r}") from None
+    except (ValueError, ZeroDivisionError):  # a zero denominator, or digits past the int-string limit
+        raise InvalidInput(f"bad quadratic literal {text!r}") from None
     return field.element((a, b))
 
 

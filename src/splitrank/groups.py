@@ -5,8 +5,9 @@ Rank verdicts are always certified: positive ranks by explicit witness
 vectors or square-zero elements, rank 0 by anisotropy proofs.  Kernels of
 rank-1 F4 groups are reported as 7-dimensional anisotropic quadratic forms
 obtained by splitting the explicit hyperbolic pair of Q0 through the
-isotropic vector (1, 1_C); the descent argument in the excellence checker
-matches the base-changed form coefficient by coefficient.
+isotropic vector (1, 1_C), on the E0 basis that the slot of the rank
+certificate gives for any Gamma; the descent argument in the excellence
+checker matches the base-changed form coefficient by coefficient.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from dataclasses import dataclass, field as dc_field
 
 from .albert import (
     AlbertAlgebra,
+    _nilpotent_configs,
+    albert_element_from_json,
     conjugation_between,
     nilpotent_analysis,
     q0_data,
@@ -32,7 +35,6 @@ from .fields import Field
 from .qforms import (
     IsotropyResult,
     QuadraticForm,
-    _split_step,
     equivalent_with_witness,
     is_isotropic,
 )
@@ -195,7 +197,7 @@ def f4_rank(a: AlbertAlgebra) -> RankReport:
 
 
 # ---------------------------------------------------------------------------
-# Gamma normalization (rank-1 case)
+# Gamma normalization: a test oracle for the rank-1 kernel, no production caller
 # ---------------------------------------------------------------------------
 
 def normalize_gamma(a: AlbertAlgebra):
@@ -242,36 +244,42 @@ def normalize_gamma(a: AlbertAlgebra):
 def f4_kernel(a: AlbertAlgebra, rank_report: RankReport | None = None) -> KernelDescriptor:
     """Anisotropic-kernel descriptor: trivial (rank 4), the whole group
     (rank 0), or the 7-dim anisotropic complement of the explicit hyperbolic
-    pair of Q0 through (1, 1_C) (rank 1)."""
+    pair of Q0 through (1, 1_C) (rank 1).  The rank-1 certificate is
+    z = t (E_jj - E_kk) + slot_i(c0); c = c0/t has r_i N(c) = -1, so on the
+    E0 basis E_jj - E_kk, slot_i(c e_m) of u = E_ii, Q0 = <1> - N."""
     report = rank_report if rank_report is not None else f4_rank(a)
     if report.rank == 4:
         return KernelDescriptor(KIND_TRIVIAL, provenance={"rank": 4})
     if report.rank == 0:
         return KernelDescriptor(KIND_WHOLE, provenance={"rank": 0})
-    normalized, moves = normalize_gamma(a)
-    u = normalized.diag_unit(3)
-    q0, basis, gram = q0_data(normalized, u)
     f = a.field
-    v = [f.one(), f.one()] + [f.zero()] * 7
-    if not q0.evaluate(v).is_zero():
-        raise InternalCheckFailed("Q0(1, 1_C) != 0 after normalization")
-    u1, u2, comp_cols, kernel_form = _split_step(list(q0.coeffs), v)
-    cols = [u1, u2] + comp_cols
-    t = [[cols[c][r] for c in range(9)] for r in range(9)]
-    hyp_plus_kernel = QuadraticForm(f, [1, -1] + list(kernel_form.coeffs))
-    if not equivalent_with_witness(q0, hyp_plus_kernel, t):
+    z = albert_element_from_json(a, report.certificate["element"])
+    config = next((cf for cf in _nilpotent_configs(a) if z.slot(cf["slot"])), None)
+    t = z.xs[config["diag"].index(1)] if config else f.zero()
+    c = None if t.is_zero() else z.slot(config["slot"]).scale(t.inv())
+    if c is None or config["ratio"] * c.norm() != -f.one():
+        raise InternalCheckFailed("the rank certificate gives no slot element c with r_i N(c) = -1")
+    u = a.diag_unit(config["slot"])
+    q0, _, _ = q0_data(a, u, c)
+    # Q0 = <1, -1> + (-N'): the split basis is the identity, and its
+    # congruence check also proves (1, 1_C) isotropic
+    one, zero = f.one(), f.zero()
+    kernel_form = QuadraticForm(f, q0.coeffs[2:], label="spin kernel")
+    cols = [[one if r == col else zero for r in range(9)] for col in range(9)]
+    if not equivalent_with_witness(q0, QuadraticForm(f, [1, -1] + list(kernel_form.coeffs)), cols):
         raise InternalCheckFailed("recorded Q0 split fails the congruence")
     aniso = is_isotropic(kernel_form, want_witness=False)
     if aniso.isotropic:
         raise InternalCheckFailed("rank-1 kernel form is isotropic")
     return KernelDescriptor(
         KIND_SPIN,
-        form=QuadraticForm(f, kernel_form.coeffs, label="spin kernel"),
+        form=kernel_form,
         provenance={
             "rank": 1,
-            "gamma_normalization": moves,
+            "slot": config["slot"],
+            "c": c.to_json(),
             "idempotent": u.to_json(),
-            "isotropic_vector": [str(x) for x in v],
+            "isotropic_vector": [str(x) for x in [one, one] + [zero] * 7],
             "q0": q0.to_json(),
             "split_basis": [[str(x) for x in col] for col in cols],
             "anisotropy": _result_json(aniso),
@@ -291,23 +299,13 @@ def f4_excellence(a: AlbertAlgebra, ext: Field) -> ExcellenceReport:
 
     rank_base = f4_rank(a)
     a_ext = base_change_albert(a, ext)
+    rank_ext = kernel_ext = descent = reason = None
     try:
         rank_ext = f4_rank(a_ext)
         kernel_ext = f4_kernel(a_ext, rank_report=rank_ext)
     except UnsupportedCase as exc:
-        return ExcellenceReport(
-            group_type=F4,
-            base_field=a.field,
-            extension_field=ext,
-            rank_base=rank_base,
-            rank_ext=None,
-            kernel_ext=None,
-            descent_witness=None,
-            verdict=VERDICT_UNSUPPORTED,
-            unsupported_reason=str(exc),
-        )
-    descent = None
-    if kernel_ext.kind == KIND_SPIN:
+        rank_ext, reason = None, str(exc)
+    if kernel_ext is not None and kernel_ext.kind == KIND_SPIN:
         witness_k = QuadraticForm(
             a.field,
             a.octonions.pure_norm_form().neg().coeffs,
@@ -332,5 +330,6 @@ def f4_excellence(a: AlbertAlgebra, ext: Field) -> ExcellenceReport:
         rank_ext=rank_ext,
         kernel_ext=kernel_ext,
         descent_witness=descent,
-        verdict=VERDICT_EXCELLENT,
+        verdict=VERDICT_EXCELLENT if reason is None else VERDICT_UNSUPPORTED,
+        unsupported_reason=reason,
     )

@@ -642,19 +642,25 @@ def suite_groups(seed: int = DEFAULT_SEED) -> list[CheckResult]:
             ok = False
     _check(out, "groups", "kernel kind is a function of rank", ok)
 
-    a1 = AlbertAlgebra(graves, [1, -1, 1])
-    k = f4_kernel(a1)
-    u = a1.diag_unit(3)
-    q0, _, _ = q0_data(a1, u)
-    cols = [[q_field.element(v) for v in col] for col in k.provenance["split_basis"]]
-    t = [[cols[c][r] for c in range(9)] for r in range(9)]
-    combo = QuadraticForm(q_field, [1, -1] + list(k.form.coeffs))
-    ok = (
-        k.form.dim == 7
-        and not is_isotropic(k.form, want_witness=False).isotropic
-        and equivalent_with_witness(q0, combo, t)
-    )
-    _check(out, "groups", "rank-1 kernel: 7-dim anisotropic, <1,-1> + kernel = Q0 exactly", ok)
+    ok, detail = True, ""
+    for gamma, slot in (([2, -2, 1], 1), ([3, -5, -7], 2), ([2, -2, 1], 3)):
+        a1 = AlbertAlgebra(graves, gamma)
+        report = f4_rank(a1)
+        if slot == 3:  # f4_rank never certifies slot 3 over Q: a zero of <1> + r_3 N = <1> - N
+            w = is_isotropic(QuadraticForm(q_field, [1] + [-1] * 8), want_witness=True).witness
+            report.certificate["element"] = a1.element([w[0], -w[0], 0], [[0] * 8, [0] * 8, w[1:]]).to_json()
+        k = f4_kernel(a1, report)
+        u, c = a1.diag_unit(slot), graves.element([q_field.element(v) for v in k.provenance["c"]])
+        cols = [[q_field.element(v) for v in col] for col in k.provenance["split_basis"]]
+        combo = QuadraticForm(q_field, [1, -1] + list(k.form.coeffs))
+        if (
+            k.provenance["slot"] != slot
+            or is_isotropic(k.form, want_witness=False).isotropic
+            or not equivalent_with_witness(q0_data(a1, u, c)[0], combo, [list(r) for r in zip(*cols)])
+            or not equivalent(q0_data(a1, u)[0], combo)
+        ):
+            ok, detail = False, f"Gamma {gamma}, slot {slot}"
+    _check(out, "groups", "rank-1 kernel on each slot: 7-dim anisotropic, <1,-1> + kernel = Q0 exactly", ok, detail)
 
     ok = True
     exts = [quad_ext(2), quad_ext(5), quad_ext(-1), quad_ext(-7)]

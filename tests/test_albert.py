@@ -205,8 +205,8 @@ class TestCheckedGramRejects:
         a = self.algebra(name)
         true_e0 = albert.e0_subspace
 
-        def skewed_e0(alg, u):
-            basis = true_e0(alg, u)
+        def skewed_e0(alg, u, c=None):
+            basis = true_e0(alg, u, c)
             return [basis[0], basis[1] + basis[2]] + basis[2:]
 
         monkeypatch.setattr(albert, "e0_subspace", skewed_e0)
@@ -320,8 +320,35 @@ class TestE0Q0:
     def test_wrong_idempotents_rejected(self):
         with pytest.raises(NotPrimitiveIdempotent):
             e0_subspace(A_RANK1, A_RANK1.unit())
+        # 2 E11 - E22 + c3 with r3 N(c3) = -N(1 + e1) = -2 is a primitive
+        # idempotent that is not diagonal
+        u = A_RANK1.element([2, -1, 0], [[0] * 8, [0] * 8, [1, 1, 0, 0, 0, 0, 0, 0]])
+        assert is_primitive_idempotent(u)
         with pytest.raises(UnsupportedIdempotent):
-            e0_subspace(A_RANK1, A_RANK1.diag_unit(2))
+            e0_subspace(A_RANK1, u)
+
+    @pytest.mark.parametrize("slot", [1, 2, 3])
+    def test_every_diagonal_idempotent(self, slot):
+        # Q0 = <1> + r_i N on E_jj - E_kk and the natural basis of slot i
+        a = AlbertAlgebra(cayley_dickson(Q, [-1, -2, -3]), [2, -3, 5])
+        u = a.diag_unit(slot)
+        basis = e0_subspace(a, u)
+        assert len(basis) == 9 and basis[0].slot(slot).is_zero() and trace(basis[0]).is_zero()
+        for b in basis:
+            assert bilinear(b, a.unit()).is_zero() and bilinear(b, u).is_zero()
+            assert jordan_mul(u, b).is_zero()
+        ratio = a._ratios[slot - 1]
+        want = [Q.element(1)] + [ratio * n for n in a.octonions.norm_form().coeffs]
+        assert list(q0_form(a, u).coeffs) == want
+
+    def test_similitude_basis(self):
+        # on slot_1(c e_m), Q0 = <1> + r_1 N(c) N
+        a = AlbertAlgebra(cayley_dickson(Q, [-1, -2, -3]), [2, -3, 5])
+        c = a.octonions.element([1, 2, 0, -1, 0, 0, 3, 0])
+        form, basis, _ = albert.q0_data(a, a.diag_unit(1), c)
+        scale = a._ratios[0] * c.norm()
+        assert list(form.coeffs) == [Q.element(1)] + [scale * n for n in a.octonions.norm_form().coeffs]
+        assert basis[2].slot(1) == c * a.octonions.basis(1)
 
     def test_gram_is_twice_q0(self):
         # the bilinear Gram tr(xy) on E0 doubles the Q0 coefficients

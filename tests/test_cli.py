@@ -130,6 +130,16 @@ class TestExitCodes:
         code, out = run_cli(["classify", "--json", "{not json"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("literal", ["1" + "0" * 4999, '"' + "1" * 5000 + '*r"'], ids=["int", "qsqrt"])
+    def test_literal_past_the_digit_limit(self, literal, capsys):
+        # Python refuses int <-> str conversions of more than 4,300 digits
+        # with a plain ValueError; both JSON and literal parsing report it
+        field = '{"kind":"Q"}' if literal[0] != '"' else '{"kind":"QSqrt","d":2}'
+        form = '{"field":%s,"coeffs":[1,1,%s]}' % (field, literal)
+        code, out = run_cli(["witt", "--json", form], capsys)
+        assert code == 2
+        assert json.loads(out)["error"]["kind"] == "InvalidInput"
+
     def test_missing_input(self, capsys):
         code, out = run_cli(["classify"], capsys)
         assert code == 2
@@ -166,9 +176,13 @@ class TestExitCodes:
                 }
             }
         )
+        # Gamma = (2,-2,1) cannot be moved to (1,-1,1); the kernel is
+        # certified on the slot of the rank certificate all the same
         code, out = run_cli(["kernel", "--json", alg], capsys)
-        assert code == 3
-        assert json.loads(out)["error"]["kind"] == "NonNormalizableGamma"
+        assert code == 0
+        report = json.loads(out)
+        assert report["kind"] == "spin_form" and report["form"]["coeffs"] == ["-1"] * 7
+        assert report["provenance"]["slot"] == 1
 
     def test_internal_check_failure_exit(self, monkeypatch, capsys):
         def failing(_):

@@ -1,11 +1,12 @@
 """Seeded F4 reports, byte for byte.
 
 tests/golden/f4_panel.json holds the `classify`, `kernel` and `excellence`
-JSON (exit code included, so exit-3 reports are pinned too) of 48 Albert
-algebras drawn with random.Random: division and split octonions over Q and
-octonions over F_p, with Gamma of every sign class of the benchmark's
-f4_certify workload (rank 1 with and without a normalization, the
-normalized (1, -1, 1), one sign, and (1, -h, 1)).  `excellence` runs on
+JSON (exit code included) of 48 Albert algebras drawn with random.Random:
+division and split octonions over Q and octonions over F_p, with Gamma of
+every sign class of the benchmark's f4_certify workload (rank 1 with Gamma
+of the form s (a^2, -b^2, c^2) and not, (1, -1, 1), one sign, and
+(1, -h, 1)).  Every rank-1 kernel is certified on the slot of its rank
+certificate, whether or not Gamma could be moved to (1, -1, 1).  `excellence` runs on
 the rank-1 division algebras, over Q(sqrt d) for d in (-7, 2, -11, 5) in
 turn.  A change to the algebra construction, its checks or the arithmetic
 underneath must leave every report in place.

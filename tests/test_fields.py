@@ -186,6 +186,15 @@ class TestParsing:
         with pytest.raises(InvalidInput):
             parse_element(R2, bad)
 
+    @pytest.mark.parametrize("bad", ["9" * 5000 + "*r", "1+" + "9" * 5000 + "*r", "9" * 5000 + "-r"])
+    def test_literal_past_the_digit_limit(self, bad):
+        # Fraction raises ValueError on more than 4,300 digits, as the Q
+        # parser already reports
+        with pytest.raises(InvalidInput):
+            parse_element(R2, bad)
+        with pytest.raises(InvalidInput):
+            parse_element(Q, "9" * 5000)
+
     def test_roundtrip(self):
         import random
 

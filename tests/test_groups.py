@@ -1,17 +1,22 @@
 """Rank classification, kernel descriptors, Gamma normalization, excellence."""
 
+import json
 import random
 
 import pytest
 
+from splitrank import albert, cli, groups
 from splitrank.albert import AlbertAlgebra, albert_element_from_json, jordan_mul, q0_form
 from splitrank.composition import base_change_comp, cayley_dickson
-from splitrank.errors import InvalidInput, NonNormalizableGamma, UnsupportedExtension
+from splitrank.errors import InternalCheckFailed, InvalidInput, NonNormalizableGamma, UnsupportedExtension
 from splitrank.fields import prime_field, quad_ext, rationals
 from splitrank.groups import (
+    CERT_NILPOTENT,
+    F4,
     KIND_SPIN,
     KIND_TRIVIAL,
     KIND_WHOLE,
+    RankReport,
     VERDICT_EXCELLENT,
     f4_excellence,
     f4_kernel,
@@ -138,8 +143,11 @@ class TestNormalizeGamma:
         assert f4_rank(a).rank == 1
         with pytest.raises(NonNormalizableGamma):
             normalize_gamma(a)
-        with pytest.raises(NonNormalizableGamma):
-            f4_kernel(a)
+        # the kernel needs no normalization: it is built on the slot of the
+        # rank certificate, in the algebra given
+        k = f4_kernel(a)
+        assert k.kind == KIND_SPIN and list(k.form.coeffs) == [Q.element(-1)] * 7
+        assert k.provenance["slot"] == 1
 
 
 class TestF4Kernel:
@@ -165,17 +173,77 @@ class TestF4Kernel:
         assert f4_kernel(AlbertAlgebra(GRAVES, [1, 1, 1])).kind == KIND_WHOLE
 
     def test_normalized_input_kernel(self):
-        # Gamma = (4,-9,1) normalizes to (1,-1,1); kernel depends only on C
-        k = f4_kernel(AlbertAlgebra(GRAVES, [4, -9, 1]))
+        # Gamma = (4,-9,1) would normalize to (1,-1,1); the kernel depends
+        # only on C, and slot 1 gives c = 1/3 with r_1 N(c) = -9/9 = -1
+        a = AlbertAlgebra(GRAVES, [4, -9, 1])
+        k = f4_kernel(a)
         assert k.kind == KIND_SPIN
         assert list(k.form.coeffs) == [Q.element(-1)] * 7
-        assert k.provenance["gamma_normalization"]["permutation"] == [0, 1, 2]
+        assert k.provenance["slot"] == 1 and k.provenance["c"] == ["1/3"] + ["0"] * 7
+        assert k.provenance["idempotent"] == a.diag_unit(1).to_json()
+
+    @pytest.mark.parametrize("gamma,slot", [([2, -2, 1], 1), ([2, -2, 1], 3), ([3, -5, -7], 2), ([3, -5, -7], 3)])
+    def test_kernel_on_every_slot(self, gamma, slot):
+        # f4_rank certifies the first isotropic slot; a report built on any
+        # isotropic slot gives the same kernel -N' on that slot
+        a = AlbertAlgebra(cayley_dickson(Q, [-1, -2, -3]), gamma)
+        k = f4_kernel(a, _slot_report(a, slot))
+        assert k.provenance["slot"] == slot
+        assert k.provenance["idempotent"] == a.diag_unit(slot).to_json()
+        assert k.form.coeffs == a.octonions.pure_norm_form().neg().coeffs
+        c = a.octonions.element([Q.element(x) for x in k.provenance["c"]])
+        assert a._ratios[slot - 1] * c.norm() == Q.element(-1)
+        q0, _, _ = albert.q0_data(a, a.diag_unit(slot), c)
+        assert q0.to_json() == k.provenance["q0"]
+        cols = [[Q.element(v) for v in col] for col in k.provenance["split_basis"]]
+        change = [[col[r] for col in cols] for r in range(9)]
+        assert equivalent_with_witness(q0, QuadraticForm(Q, [1, -1] + list(k.form.coeffs)), change)
+
+    @pytest.mark.parametrize("tamper", ["doubled", "one_coordinate"])
+    def test_wrong_c_is_refused(self, tamper):
+        a = AlbertAlgebra(GRAVES, [2, -2, 1])
+        report = f4_rank(a)
+        element = report.certificate["element"]
+        c = [Q.element(x) for x in element["c"][0]]
+        if tamper == "doubled":
+            c = [x + x for x in c]
+        else:
+            c[next(m for m, x in enumerate(c) if x.is_zero())] = Q.element(1)
+        element["c"][0] = [str(x) for x in c]
+        with pytest.raises(InternalCheckFailed, match="r_i N"):
+            f4_kernel(a, report)
+
+    def test_no_normalization_on_any_route(self, monkeypatch, capsys):
+        # normalize_gamma and conjugation_between are oracles now: classify,
+        # kernel and excellence run with both refusing every call
+        def refuse(*args, **kwargs):
+            raise AssertionError("a production route called a Gamma normalization")
+
+        for owner in (groups, albert):
+            monkeypatch.setattr(owner, "conjugation_between", refuse)
+        monkeypatch.setattr(groups, "normalize_gamma", refuse)
+        for gamma, ext in (([2, -2, 1], 2), ([3, -5, -7], 5), ([1, -1, 1], -7), ([-4, 9, 1], 2)):
+            text = json.dumps({"f4": {"octonion": {"field": {"kind": "Q"}, "params": [-1, -2, -3]}, "gamma": gamma}})
+            reports = []
+            for argv in (["classify"], ["kernel"], ["excellence", "--ext", json.dumps({"kind": "QSqrt", "d": ext})]):
+                assert cli.main(argv + ["--json", text]) == 0, (argv, gamma)
+                reports.append(json.loads(capsys.readouterr().out))
+            assert reports[0]["rank"] == 1 and reports[1]["kind"] == KIND_SPIN
+            assert reports[2]["verdict"] == VERDICT_EXCELLENT
 
     def test_kernel_kind_is_function_of_rank(self):
         table = {0: KIND_WHOLE, 1: KIND_SPIN, 4: KIND_TRIVIAL}
         for comp, gamma in [(GRAVES, [1, 1, 1]), (GRAVES, [1, -1, 1]), (SPLIT, [2, 3, 5])]:
             a = AlbertAlgebra(comp, gamma)
             assert f4_kernel(a).kind == table[f4_rank(a).rank]
+
+
+def _slot_report(a, slot):
+    """A rank-1 report whose certificate is the nilpotent of the given slot."""
+    config = albert._nilpotent_configs(a)[slot - 1]
+    witness = is_isotropic(albert._nilpotent_test_form(a, config), want_witness=True).witness
+    z = albert._build_slot_nilpotent(a, config, witness)
+    return RankReport(F4, 1, certificate={"kind": CERT_NILPOTENT, "element": z.to_json()}, method="test")
 
 
 class TestG2Excellence:

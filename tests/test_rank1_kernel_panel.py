@@ -1,0 +1,97 @@
+"""Rank-1 F4 kernels for every Gamma, differentially.
+
+A seeded panel of 210 rank-1 Albert algebras H(C; Gamma) over Q, Q(sqrt 2)
+and Q(sqrt 5): C a division algebra (all three doubling parameters
+negative, height <= 30) and Gamma of mixed signs with entries up to 10^6.
+A third of the Gammas are s (a^2, -b^2, c^2) in some order, which
+groups.normalize_gamma moves to (1, -1, 1); the rest are drawn freely and
+almost never can be.  Every kernel must
+
+- pass bench/checker.check_kernel, the benchmark's plain Fraction checker
+  (loaded read-only from its file, as tests/test_bench_contract.py loads
+  the tracer): kind by the sign oracle, Q0 = <1> - N, the exact congruence
+  of the split basis, a definite 7-dim form;
+- be -N', the negated pure norm of C, coefficient by coefficient;
+- on a normalizable Gamma, give the q0, split_basis and form of the
+  normalization oracle: normalize_gamma, Q0 on E33 of the normalized
+  algebra, and the hyperbolic split through (1, 1_C).
+"""
+
+import importlib.util
+import json
+import random
+from pathlib import Path
+
+import pytest
+
+from splitrank.albert import albert_from_json, q0_form
+from splitrank.groups import f4_kernel, normalize_gamma
+from splitrank.qforms import _split_step
+
+ROOT = Path(__file__).resolve().parents[1]
+FIELDS = ({"kind": "Q"}, {"kind": "QSqrt", "d": 2}, {"kind": "QSqrt", "d": 5})
+PER_FIELD = 70
+HEIGHT = 10**6
+
+
+def _checker():
+    spec = importlib.util.spec_from_file_location("bench_checker", ROOT / "bench" / "checker.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _gamma(rng, normalizable: bool) -> list[int]:
+    s = rng.choice((-1, 1))
+    if normalizable:
+        gamma = [s * rng.randint(1, 1000) ** 2, -s * rng.randint(1, 1000) ** 2, s * rng.randint(1, 1000) ** 2]
+        rng.shuffle(gamma)
+        return gamma
+    gamma = [rng.choice((-1, 1)) * rng.randint(1, HEIGHT) for _ in range(3)]
+    if len({g > 0 for g in gamma}) == 1:
+        gamma[rng.randrange(3)] *= -1
+    return gamma
+
+
+def panel() -> list[tuple[dict, bool]]:
+    rng = random.Random(4_718)
+    inputs = []
+    for field in FIELDS:
+        for i in range(PER_FIELD):
+            params = [str(-rng.randint(1, 30)) for _ in range(3)]
+            gamma = _gamma(rng, i % 3 == 0)
+            inputs.append(({"f4": {"octonion": {"field": field, "params": params}, "gamma": [str(g) for g in gamma]}}, i % 3 == 0))
+    return inputs
+
+
+def test_panel_size():
+    inputs = panel()
+    assert len(inputs) >= 200 and sum(norm for _, norm in inputs) >= 60
+
+
+def test_every_rank1_kernel_is_certified():
+    checker = _checker()
+    for desc, normalizable in panel():
+        a = albert_from_json(desc["f4"])
+        report = json.loads(json.dumps(f4_kernel(a).to_json()))
+        assert report["kind"] == "spin_form" and checker.check_kernel(desc, report), desc
+        assert report["form"]["coeffs"] == [str(c) for c in a.octonions.pure_norm_form().neg().coeffs], desc
+        if normalizable:
+            normalized, _ = normalize_gamma(a)
+            q0 = q0_form(normalized, normalized.diag_unit(3))
+            f = a.field
+            u1, u2, comp_cols, form = _split_step(list(q0.coeffs), [f.one(), f.one()] + [f.zero()] * 7)
+            assert report["provenance"]["q0"] == q0.to_json(), desc
+            assert report["provenance"]["split_basis"] == [[str(x) for x in col] for col in [u1, u2] + comp_cols], desc
+            assert report["form"]["coeffs"] == [str(c) for c in form.coeffs], desc
+
+
+@pytest.mark.parametrize("index", [0, 1, 75, 146])
+def test_panel_kernel_rejects_a_tampered_split(index):
+    # the checker is not vacuous on this panel: a changed split column fails it
+    checker = _checker()
+    desc, _ = panel()[index]
+    report = json.loads(json.dumps(f4_kernel(albert_from_json(desc["f4"])).to_json()))
+    report["provenance"]["split_basis"][2][2] = "2"
+    with pytest.raises(checker.WrongOutput):
+        checker.check_kernel(desc, report)

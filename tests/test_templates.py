@@ -192,9 +192,8 @@ def test_one_wrong_constant_fails_the_panel(field, monkeypatch):
 def test_only_congruence_compiles_by_index(field, ext, monkeypatch, capsys):
     """Every template table is compiled from monomials: indexed_table, which
     packs arbitrary constants, serves qforms._congruence alone.  classify,
-    a kernel whose Gamma is normalized by a conjugation (rank 1 over Q and
-    Q(sqrt 2)), excellence and phi all run with indexed_table refusing any
-    other caller."""
+    a rank-1 kernel (over Q and Q(sqrt 2)), excellence and phi all run with
+    indexed_table refusing any other caller."""
     compile_table, strays = _Kernel.indexed_table, []
 
     def guarded(self, rows, n_out, consts):
