@@ -6,9 +6,12 @@ division and split octonions over Q and octonions over F_p, with Gamma of
 every sign class of the benchmark's f4_certify workload (rank 1 with Gamma
 of the form s (a^2, -b^2, c^2) and not, (1, -1, 1), one sign, and
 (1, -h, 1)).  Every rank-1 kernel is certified on the slot of its rank
-certificate, whether or not Gamma could be moved to (1, -1, 1).  `excellence` runs on
-the rank-1 division algebras, over Q(sqrt d) for d in (-7, 2, -11, 5) in
-turn.  A change to the algebra construction, its checks or the arithmetic
+certificate, whether or not Gamma could be moved to (1, -1, 1).  `excellence`
+runs on the rank-1 division algebras, over Q(sqrt d) for d in (-7, 2, -11, 5)
+in turn; on the rank-0 (division, one sign) and rank-4 (split) algebras over
+Q(sqrt d) in a rotation of their own, (2, -3, 13, -1, 5, -11); and over the
+base field itself on every F_p algebra and on the first algebra over Q.  A
+change to the algebra construction, its checks or the arithmetic
 underneath must leave every report in place.
 To regenerate after a deliberate change of output:
 
@@ -30,6 +33,10 @@ EXT_D = (-7, 2, -11, 5)
 # (coordinate octonions, Gamma class, number of algebras); every algebra
 # gets classify and kernel, the rank-1 ones over Q also excellence
 EXCELLENCE = ("rank1_normalizable", "rank1_nonnormalizable", "normalized")
+# the rank-0 and rank-4 algebras over Q also run excellence, over Q(sqrt d)
+# in a rotation of their own, so that the entries above keep their fields
+EXCELLENCE_ZERO_FOUR = {("division", "same_sign"), ("split", "rank1_normalizable")}
+EXT_D_ZERO_FOUR = (2, -3, 13, -1, 5, -11)
 PANEL = (
     ("division", "rank1_normalizable", 8),
     ("division", "rank1_nonnormalizable", 8),
@@ -74,7 +81,7 @@ def panel_inputs() -> list[tuple[list[str], dict]]:
     """(argv, algebra descriptor) of every command of the panel."""
     rng = random.Random(20_200)
     commands = []
-    n_ext = 0
+    n_ext = n_ext_zero_four = n_ext_self = 0
     for octo, gkind, count in PANEL:
         for _ in range(count):
             if octo == "fp":
@@ -98,6 +105,13 @@ def panel_inputs() -> list[tuple[list[str], dict]]:
                 ext = {"kind": "QSqrt", "d": EXT_D[n_ext % len(EXT_D)]}
                 n_ext += 1
                 commands.append((["excellence", "--json", text, "--ext", json.dumps(ext)], alg))
+            if (octo, gkind) in EXCELLENCE_ZERO_FOUR:
+                ext = {"kind": "QSqrt", "d": EXT_D_ZERO_FOUR[n_ext_zero_four % len(EXT_D_ZERO_FOUR)]}
+                n_ext_zero_four += 1
+                commands.append((["excellence", "--json", text, "--ext", json.dumps(ext)], alg))
+            if octo == "fp" or not n_ext_self:  # every F_p algebra, and the first algebra over Q, over k itself
+                n_ext_self += 1
+                commands.append((["excellence", "--json", text, "--ext", json.dumps(field)], alg))
     return commands
 
 
