@@ -47,7 +47,7 @@ from .errors import (
     UnsupportedIdempotent,
     ZeroParameter,
 )
-from .fields import Field, FieldElement, scalars_from_json
+from .fields import Field, FieldElement, lift, scalars_from_json
 from .qforms import IsotropyResult, QuadraticForm, _congruence, is_isotropic
 from . import linalg
 
@@ -124,20 +124,23 @@ class AlbertAlgebra:
         g = ",".join(str(x) for x in self.gamma)
         return f"H({self.octonions!r}; {g})"
 
+    def _sparse(self, entries: dict) -> AlbertElement:
+        """The element with the given nonzero coordinates, born packed."""
+        return AlbertElement(self, packed=self.field.kernel.pack_sparse(DIM, entries))
+
     def zero(self) -> AlbertElement:
-        return AlbertElement(self, [self.field.zero()] * DIM)
+        return self._sparse({})
 
     def unit(self) -> AlbertElement:
-        return AlbertElement(self, [self.field.one()] * 3 + [self.field.zero()] * (DIM - 3))
+        one = self.field.one()
+        return self._sparse({0: one, 1: one, 2: one})
 
     def diag_unit(self, i: int) -> AlbertElement:
         """The matrix unit E_ii (i in 1..3)."""
         return self.basis(i - 1)
 
     def basis(self, idx: int) -> AlbertElement:
-        coords = [self.field.zero()] * DIM
-        coords[idx] = self.field.one()
-        return AlbertElement(self, coords)
+        return self._sparse({idx: self.field.one()})
 
     def element(self, xs, cs) -> AlbertElement:
         """Build from three scalars and three octonion coordinate vectors."""
@@ -429,12 +432,17 @@ def _checked_gram(a: AlbertAlgebra, basis, expected, name: str):
     with diagonal `expected`, the closed form of the form called name.
 
     The traces tr(b_i b_j) = 2 B(b_i, b_j) come from the packed kernel, on
-    the packed basis vectors; the returned Gram is diag(expected)."""
-    traces = a.field.kernel.gram(a._trace, [b.packed for b in basis])
-    n = len(basis)
-    if any(not traces[i][j].is_zero() for i in range(n) for j in range(n) if i != j):
+    the packed basis vectors, and are compared as packed integers: the
+    off-diagonal ones with zero first, then the diagonal with 2 expected.
+    The returned Gram is diag(expected)."""
+    kernel, table = a.field.kernel, a._trace
+    packed = [b.packed for b in basis]
+    n = len(packed)
+    if any(not kernel.packed_is_zero(kernel.packed_bilinear(table, packed[i], packed[j]))
+           for i in range(n) for j in range(i + 1, n)):
         raise InternalCheckFailed(f"the basis of the {name} should be Q-orthogonal")
-    if [traces[i][i] * a._half for i in range(n)] != expected:
+    twice, den = kernel.pack([e + e for e in expected])
+    if not all(kernel.packed_eq(kernel.packed_bilinear(table, p, p), ([t], den)) for p, t in zip(packed, twice)):
         raise InternalCheckFailed(f"{name} disagrees with its block closed form")
     zero = a.field.zero()
     return [[expected[i] if i == j else zero for j in range(n)] for i in range(n)]
@@ -576,18 +584,23 @@ def e0_subspace(a: AlbertAlgebra, u: AlbertElement, c: CompElement | None = None
 
     The basis is E_jj - E_kk, (j, k) the diagonal pair of slot i as in the
     slot nilpotents, followed by slot_i(c e_m), m = 0..7 (c = 1 if None);
-    each vector is verified against all three defining conditions.
+    each vector is born packed (c e_m is one packed product on the
+    octonion table) and verified against all three defining conditions.
     """
     if not is_primitive_idempotent(u):
         raise NotPrimitiveIdempotent("E0 needs a primitive idempotent")
     config = next((cf for cf in _nilpotent_configs(a) if u == a.diag_unit(cf["slot"])), None)
     if config is None:
         raise UnsupportedIdempotent("E0/Q0 are implemented for the diagonal idempotents E11, E22, E33")
-    octs, zero, off = a.octonions, a.field.zero(), _SLOT_OFFSET[config["slot"] - 1]
-    slot_coords = [(octs.basis(m) if c is None else c * octs.basis(m)).coords for m in range(8)]
-    basis = [AlbertElement(a, [a.field.element(s) for s in config["diag"]] + [zero] * 24)]
-    basis += [AlbertElement(a, [zero] * off + list(v) + [zero] * (DIM - off - 8)) for v in slot_coords]
-    unit, vanishes = a.unit(), a.field.kernel.packed_is_zero
+    f, kernel, off = a.field, a.field.kernel, _SLOT_OFFSET[config["slot"] - 1]
+    basis = [a._sparse({p: f.element(s) for p, s in enumerate(config["diag"]) if s})]
+    packed_c = None if c is None else kernel.pack(c.coords)
+    frame, _ = kernel.pack_sparse(DIM, {})
+    for m in range(8):
+        e_m = kernel.pack_sparse(8, {m: f.one()})
+        v, den = e_m if c is None else kernel.packed_bilinear(a.octonions._product, packed_c, e_m)
+        basis.append(AlbertElement(a, packed=(frame[:off] + v + frame[off + 8:], den)))
+    unit, vanishes = a.unit(), kernel.packed_is_zero
     for b in basis:
         if not vanishes(_packed_trace(b, unit)):
             raise InternalCheckFailed("E0 vector not orthogonal to 1")
@@ -598,15 +611,18 @@ def e0_subspace(a: AlbertAlgebra, u: AlbertElement, c: CompElement | None = None
     return basis
 
 
-def q0_data(a: AlbertAlgebra, u: AlbertElement, c: CompElement | None = None):
+def q0_data(a: AlbertAlgebra, u: AlbertElement, c: CompElement | None = None, scale=None):
     """(q0 form, E0 basis, 9x9 Gram of the polar form of Q on E0) on the
     basis e0_subspace(a, u, c) of u = E_ii.
 
     Left multiplication by c is a similitude of N with multiplier N(c), so
-    the Gram matrix is checked to be diag(1, r_i N(c) N)."""
+    the Gram matrix is checked to be diag(1, r_i N(c) N); a caller that has
+    computed r_i N(c) passes it as scale."""
     basis = e0_subspace(a, u, c)
-    scale = a._ratios[u.xs.index(a.field.one())] * (a.field.one() if c is None else c.norm())  # r_i N(c) for u = E_ii
-    expected = [a.field.one()] + [scale * n for n in a.octonions.norm_form().coeffs]
+    one = a.field.one()
+    if scale is None:
+        scale = a._ratios[u.xs.index(one)] * (one if c is None else c.norm())  # r_i N(c) for u = E_ii
+    expected = [one] + [scale * n for n in a.octonions.norm_form().coeffs]
     gram = _checked_gram(a, basis, expected, "Q0")
     return QuadraticForm(a.field, expected, label="Q0"), basis, gram
 
@@ -827,10 +843,10 @@ def _conjugation(src: AlbertAlgebra, dst: AlbertAlgebra, x, samples: int, rng):
 
 
 def base_change_albert(a: AlbertAlgebra, ext: Field) -> AlbertAlgebra:
-    """H(C (x) L; Gamma) over a supported extension L."""
-    c_ext = base_change_comp(a.octonions, ext)
-    gamma = [ext.element(g.value) if ext != a.field else g for g in a.gamma]
-    return AlbertAlgebra(c_ext, gamma)
+    """H(C (x) L; Gamma) rebuilt over a supported extension L: the tests'
+    oracle for groups.f4_excellence, which lifts the base-field
+    certificates instead and has no caller of this."""
+    return AlbertAlgebra(base_change_comp(a.octonions, ext), lift(a.field, ext, a.gamma))
 
 
 def albert_from_json(obj: dict) -> AlbertAlgebra:

@@ -24,10 +24,9 @@ from .errors import (
     InternalCheckFailed,
     InvalidInput,
     TooManyDoublings,
-    UnsupportedExtension,
     ZeroParameter,
 )
-from .fields import QUAD_EXT, RATIONALS, Field, FieldElement
+from .fields import Field, FieldElement, lift
 from .qforms import QuadraticForm, is_isotropic, equivalent
 
 
@@ -264,13 +263,11 @@ def comp_isomorphic(c1: CompositionAlgebra, c2: CompositionAlgebra) -> bool:
 
 
 def base_change_comp(c: CompositionAlgebra, ext: Field) -> CompositionAlgebra:
-    """Reinterpret the doubling parameters over a supported extension."""
-    if ext == c.field:
-        return CompositionAlgebra(ext, c.params)
-    if c.field.kind == RATIONALS and ext.kind == QUAD_EXT:
-        params = [ext.element(p.value) for p in c.params]
-        return CompositionAlgebra(ext, params)
-    raise UnsupportedExtension(f"{c.field} -> {ext} is not a supported field extension")
+    """Rebuild the algebra over a supported extension from its lifted
+    doubling parameters.  No production route calls it: excellence lifts
+    the certificates over the base field instead, and the tests keep this
+    rebuild as their oracle."""
+    return CompositionAlgebra(ext, lift(c.field, ext, c.params))
 
 
 def comp_from_json(obj: dict) -> CompositionAlgebra:

@@ -49,6 +49,7 @@ from .errors import (
     InputTooLarge,
     InvalidInput,
     PrimeFieldHasNoRealPlaces,
+    UnsupportedExtension,
     ZeroElement,
 )
 
@@ -304,6 +305,16 @@ def field_from_json(obj: dict) -> Field:
     if kind == "QSqrt":
         return quad_ext(_int_from_json(obj.get("d"), "d"))
     raise InvalidInput(f"unknown field kind {kind!r}")
+
+
+def lift(base: Field, ext: Field, xs) -> tuple[FieldElement, ...]:
+    """The elements xs of base read as elements of ext: the identity when
+    ext is base, the inclusion of Q in Q(sqrt d) otherwise."""
+    if ext == base:
+        return tuple(xs)
+    if base.kind == RATIONALS and ext.kind == QUAD_EXT:
+        return tuple(ext.element(x.value) for x in xs)
+    raise UnsupportedExtension(f"{base} -> {ext} is not a supported field extension")
 
 
 def _int_from_json(value, name: str) -> int:
@@ -606,10 +617,19 @@ class _Kernel:
     a table of given constants (Gram entries) and `packed_table` a linear
     table of packed values, such as the outputs of a bilinear map;
     `table_matrix` unpacks a linear table.  `bilinear`, `linear` and `gram`
-    (on packed columns) return FieldElements."""
+    (on packed columns) return FieldElements.  `pack_sparse` packs only the
+    nonzero entries of a vector, so unit vectors are born packed."""
 
     def __init__(self, field: Field):
         self.field = field
+
+    def pack_sparse(self, n: int, entries: dict):
+        """pack() of the n-vector holding entries[i] at i and zero elsewhere."""
+        values, den = self.pack(list(entries.values()))
+        out = [self._ZERO] * n
+        for i, v in zip(entries, values):
+            out[i] = v
+        return out, den
 
     def indexed_table(self, rows, n_out: int, consts):
         """Compile out_k = sum of consts[n] x_i y_j over the entries ((j, k), n)
@@ -675,6 +695,8 @@ class _Kernel:
 
 class _IntegerKernel(_Kernel):
     """Q and F_p: a packed vector is (ints, den); subclasses convert."""
+
+    _ZERO = 0
 
     @staticmethod
     def _const(v):  # a packed value as the constant of a compiled term
@@ -759,6 +781,8 @@ class _PrimeKernel(_IntegerKernel):
 
 class _QuadKernel(_Kernel):
     """Q(sqrt d): a packed vector is ([(a, b), ...], den)."""
+
+    _ZERO = (0, 0)
 
     def pack(self, elems):
         values = [e.value for e in elems]

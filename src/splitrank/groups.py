@@ -6,36 +6,43 @@ vectors or square-zero elements, rank 0 by anisotropy proofs.  Kernels of
 rank-1 F4 groups are reported as 7-dimensional anisotropic quadratic forms
 obtained by splitting the explicit hyperbolic pair of Q0 through the
 isotropic vector (1, 1_C), on the E0 basis that the slot of the rank
-certificate gives for any Gamma; the descent argument in the excellence
-checker matches the base-changed form coefficient by coefficient.
+certificate gives for any Gamma.
+
+Excellence builds nothing over the extension L.  The k-report is computed
+once and lifted (fields.lift).  Decided over L, on lifted k coefficients:
+the isotropy of N, of the three slot forms and of the kernel form -N'; a
+norm that only L splits (d < 0) gets the Q(sqrt d) descent vector.  Every
+other certificate over L is the k certificate read in L, its identities
+checked over k.  The descent witness -N' over k is matched against the
+k kernel coefficient by coefficient.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 from .albert import (
     AlbertAlgebra,
     _nilpotent_configs,
-    albert_element_from_json,
+    _nilpotent_test_form,
     conjugation_between,
     nilpotent_analysis,
     q0_data,
 )
-from .composition import CompositionAlgebra, base_change_comp
+from .composition import CompElement, CompositionAlgebra
 from .errors import (
     InternalCheckFailed,
     InvalidInput,
     NonNormalizableGamma,
     UnsupportedCase,
 )
-from .fields import Field
+from .fields import Field, lift, scalars_from_json
 from .qforms import (
+    METHOD_WITNESS,
     IsotropyResult,
     QuadraticForm,
-    equivalent_with_witness,
     is_isotropic,
 )
 
@@ -120,14 +127,34 @@ def _result_json(res: IsotropyResult) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# lifting base-field data to an extension
+# ---------------------------------------------------------------------------
+
+def _lifted(form: QuadraticForm, ext: Field) -> QuadraticForm:
+    """form with its coefficients read in ext (see fields.lift)."""
+    return QuadraticForm(ext, lift(form.field, ext, form.coeffs), label=form.label)
+
+
+def _norm_over(norm_ext: QuadraticForm, rank_base: RankReport) -> IsotropyResult:
+    """The isotropy of N over ext, decided on its lifted coefficients
+    norm_ext.  When N is isotropic over k, the witness of the k report is
+    read as a vector over ext; otherwise an isotropic verdict (d < 0)
+    carries the Q(sqrt d) descent vector, a zero (s, x2, ...) of
+    <d a1, a2, ...> built and checked over Q."""
+    k_split = rank_base.certificate.get("norm_isotropy")  # present iff N is isotropic over k
+    res = is_isotropic(norm_ext, want_witness=k_split is None)
+    if k_split is None:
+        return res
+    if not res.isotropic:
+        raise InternalCheckFailed("N is isotropic over the base field but not over the extension")
+    return replace(res, method=METHOD_WITNESS, witness=tuple(scalars_from_json(norm_ext.field, k_split["witness"], "witness")))
+
+
+# ---------------------------------------------------------------------------
 # G2
 # ---------------------------------------------------------------------------
 
-def g2_rank(c: CompositionAlgebra) -> RankReport:
-    """Rank 2 iff the norm form is isotropic (split), else rank 0."""
-    if c.dim != 8:
-        raise InvalidInput("G2 classification needs an octonion algebra")
-    cert = c.split_certificate()
+def _g2_report(cert: IsotropyResult) -> RankReport:
     if cert.isotropic:
         return RankReport(
             G2, 2,
@@ -141,12 +168,22 @@ def g2_rank(c: CompositionAlgebra) -> RankReport:
     )
 
 
+def g2_rank(c: CompositionAlgebra) -> RankReport:
+    """Rank 2 iff the norm form is isotropic (split), else rank 0."""
+    if c.dim != 8:
+        raise InvalidInput("G2 classification needs an octonion algebra")
+    return _g2_report(c.split_certificate())
+
+
 def g2_excellence(c: CompositionAlgebra, ext: Field) -> ExcellenceReport:
     """Anisotropic-or-split dichotomy: the kernel over any extension is the
-    whole group or trivial, both defined over the base field."""
+    whole group or trivial, both defined over the base field.
+
+    Nothing is built over ext.  The rank over ext is the isotropy of the
+    lifted norm form, decided over ext; a split C keeps its k witness, and
+    a C that Q(sqrt d), d < 0, splits gets the descent vector."""
     rank_base = g2_rank(c)
-    c_ext = base_change_comp(c, ext)
-    rank_ext = g2_rank(c_ext)
+    rank_ext = rank_base if ext == c.field else _g2_report(_norm_over(_lifted(c.norm_form(), ext), rank_base))
     kind = KIND_TRIVIAL if rank_ext.rank == 2 else KIND_WHOLE
     kernel = KernelDescriptor(
         kind=kind,
@@ -168,32 +205,54 @@ def g2_excellence(c: CompositionAlgebra, ext: Field) -> ExcellenceReport:
 # F4 rank
 # ---------------------------------------------------------------------------
 
-def f4_rank(a: AlbertAlgebra) -> RankReport:
-    """Rank 4 iff C splits; else rank 1 iff some slot form is isotropic
-    (explicit square-zero certificate); else rank 0 with three anisotropy
-    proofs."""
-    split_cert = a.octonions.split_certificate()
-    if split_cert.isotropic:
+def _f4_report(split: IsotropyResult, element: dict | None, slot_forms) -> RankReport:
+    """Rank 4 on an isotropic norm, else rank 1 on the JSON of a slot
+    nilpotent, else rank 0 on the three slot-form decisions."""
+    if split.isotropic:
         return RankReport(
             F4, 4,
-            certificate={"kind": CERT_SPLIT, "norm_isotropy": _result_json(split_cert)},
-            method=split_cert.method,
+            certificate={"kind": CERT_SPLIT, "norm_isotropy": _result_json(split)},
+            method=split.method,
         )
-    witness, certs = nilpotent_analysis(a)
-    if witness is not None:
+    if element is not None:
         return RankReport(
             F4, 1,
-            certificate={"kind": CERT_NILPOTENT, "element": witness.to_json()},
+            certificate={"kind": CERT_NILPOTENT, "element": element},
             method="three_form_criterion",
         )
     return RankReport(
         F4, 0,
         certificate={
             "kind": CERT_THREE_FORM,
-            "slot_forms": [_result_json(r) for r in certs],
+            "slot_forms": [_result_json(r) for r in slot_forms],
         },
         method="three_form_criterion",
     )
+
+
+def f4_rank(a: AlbertAlgebra) -> RankReport:
+    """Rank 4 iff C splits; else rank 1 iff some slot form is isotropic
+    (explicit square-zero certificate); else rank 0 with three anisotropy
+    proofs."""
+    split = a.octonions.split_certificate()
+    if split.isotropic:
+        return _f4_report(split, None, None)
+    witness, certs = nilpotent_analysis(a)
+    return _f4_report(split, None if witness is None else witness.to_json(), certs)
+
+
+def _f4_rank_over(a: AlbertAlgebra, norm_ext: QuadraticForm, rank_base: RankReport) -> RankReport:
+    """f4_rank over the extension of norm_ext, from the k-report: N and the
+    three slot forms are decided over ext on their lifted coefficients, and
+    a rank-1 verdict carries the k nilpotent, its coordinates read in ext."""
+    ext = norm_ext.field
+    split = _norm_over(norm_ext, rank_base)
+    if split.isotropic:
+        return _f4_report(split, None, None)
+    certs = [is_isotropic(_lifted(_nilpotent_test_form(a, cf), ext), want_witness=False) for cf in _nilpotent_configs(a)]
+    if any(certs) != (rank_base.rank == 1):
+        raise InternalCheckFailed("the slot forms give another rank over the extension")
+    return _f4_report(split, rank_base.certificate["element"] if rank_base.rank == 1 else None, certs)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +300,50 @@ def normalize_gamma(a: AlbertAlgebra):
 # F4 kernel
 # ---------------------------------------------------------------------------
 
+def _certificate_slot(a: AlbertAlgebra, element) -> tuple[int, CompElement]:
+    """(i, c = c0/t) for the rank-1 certificate z = t (E_jj - E_kk) +
+    slot_i(c0), read from its JSON: only x, which names the slot, and slot
+    i are parsed."""
+    if not isinstance(element, dict) or not isinstance(element.get("x"), list) or not isinstance(element.get("c"), list):
+        raise InvalidInput(f"bad Albert element: {element!r}")
+    f = a.field
+    xs = scalars_from_json(f, element["x"], "x")
+    if len(xs) != 3 or len(element["c"]) != 3:
+        raise InvalidInput("need three diagonal scalars and three octonion slots")
+    for config in _nilpotent_configs(a):
+        t = xs[config["diag"].index(1)]
+        if not t.is_zero() and xs == [t * s for s in config["diag"]]:
+            c0 = scalars_from_json(f, element["c"][config["slot"] - 1], "c")
+            return config["slot"], a.octonions.element(c0).scale(t.inv())
+    raise InternalCheckFailed("the rank certificate gives no slot element c with r_i N(c) = -1")
+
+
+def _whole_or_trivial(rank: int) -> KernelDescriptor:
+    return KernelDescriptor(KIND_TRIVIAL if rank == 4 else KIND_WHOLE, provenance={"rank": rank})
+
+
+def _spin_kernel(form: QuadraticForm, provenance: dict) -> KernelDescriptor:
+    """The rank-1 descriptor of the kernel form -N' = Q0 - <1, -1>, split
+    off Q0 on the identity basis; its anisotropy is decided over the field
+    of form.  provenance holds the rank, slot, c and idempotent."""
+    f = form.field
+    aniso = is_isotropic(form, want_witness=False)
+    if aniso.isotropic:
+        raise InternalCheckFailed("rank-1 kernel form is isotropic")
+    one, zero = str(f.one()), str(f.zero())
+    return KernelDescriptor(
+        KIND_SPIN,
+        form=form,
+        provenance={
+            **provenance,
+            "isotropic_vector": [one, one] + [zero] * 7,
+            "q0": QuadraticForm(f, [1, -1] + list(form.coeffs), label="Q0").to_json(),
+            "split_basis": [[one if r == col else zero for r in range(9)] for col in range(9)],
+            "anisotropy": _result_json(aniso),
+        },
+    )
+
+
 def f4_kernel(a: AlbertAlgebra, rank_report: RankReport | None = None) -> KernelDescriptor:
     """Anisotropic-kernel descriptor: trivial (rank 4), the whole group
     (rank 0), or the 7-dim anisotropic complement of the explicit hyperbolic
@@ -248,43 +351,21 @@ def f4_kernel(a: AlbertAlgebra, rank_report: RankReport | None = None) -> Kernel
     z = t (E_jj - E_kk) + slot_i(c0); c = c0/t has r_i N(c) = -1, so on the
     E0 basis E_jj - E_kk, slot_i(c e_m) of u = E_ii, Q0 = <1> - N."""
     report = rank_report if rank_report is not None else f4_rank(a)
-    if report.rank == 4:
-        return KernelDescriptor(KIND_TRIVIAL, provenance={"rank": 4})
-    if report.rank == 0:
-        return KernelDescriptor(KIND_WHOLE, provenance={"rank": 0})
+    if report.rank != 1:
+        return _whole_or_trivial(report.rank)
     f = a.field
-    z = albert_element_from_json(a, report.certificate["element"])
-    config = next((cf for cf in _nilpotent_configs(a) if z.slot(cf["slot"])), None)
-    t = z.xs[config["diag"].index(1)] if config else f.zero()
-    c = None if t.is_zero() else z.slot(config["slot"]).scale(t.inv())
-    if c is None or config["ratio"] * c.norm() != -f.one():
+    slot, c = _certificate_slot(a, report.certificate["element"])
+    scale = a._ratios[slot - 1] * c.norm()
+    if scale != -f.one():
         raise InternalCheckFailed("the rank certificate gives no slot element c with r_i N(c) = -1")
-    u = a.diag_unit(config["slot"])
-    q0, _, _ = q0_data(a, u, c)
-    # Q0 = <1, -1> + (-N'): the split basis is the identity, and its
-    # congruence check also proves (1, 1_C) isotropic
-    one, zero = f.one(), f.zero()
-    kernel_form = QuadraticForm(f, q0.coeffs[2:], label="spin kernel")
-    cols = [[one if r == col else zero for r in range(9)] for col in range(9)]
-    if not equivalent_with_witness(q0, QuadraticForm(f, [1, -1] + list(kernel_form.coeffs)), cols):
+    u = a.diag_unit(slot)
+    q0, _, _ = q0_data(a, u, c, scale)
+    # Q0 = <1, -1> + (-N'): the congruence on the identity split basis is
+    # q0 = (1, -1, q0[2:]), which also proves (1, 1_C) isotropic
+    if q0.coeffs[:2] != (f.one(), -f.one()):
         raise InternalCheckFailed("recorded Q0 split fails the congruence")
-    aniso = is_isotropic(kernel_form, want_witness=False)
-    if aniso.isotropic:
-        raise InternalCheckFailed("rank-1 kernel form is isotropic")
-    return KernelDescriptor(
-        KIND_SPIN,
-        form=kernel_form,
-        provenance={
-            "rank": 1,
-            "slot": config["slot"],
-            "c": c.to_json(),
-            "idempotent": u.to_json(),
-            "isotropic_vector": [str(x) for x in [one, one] + [zero] * 7],
-            "q0": q0.to_json(),
-            "split_basis": [[str(x) for x in col] for col in cols],
-            "anisotropy": _result_json(aniso),
-        },
-    )
+    provenance = {"rank": 1, "slot": slot, "c": c.to_json(), "idempotent": u.to_json()}
+    return _spin_kernel(QuadraticForm(f, q0.coeffs[2:], label="spin kernel"), provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -294,15 +375,29 @@ def f4_kernel(a: AlbertAlgebra, rank_report: RankReport | None = None) -> Kernel
 def f4_excellence(a: AlbertAlgebra, ext: Field) -> ExcellenceReport:
     """Classify over the base and the extension; when the extension kernel is
     a spin form, produce the base-field descent witness -N' (negated pure
-    norm of the coordinate algebra over k) and match it coefficientwise."""
-    from .albert import base_change_albert
+    norm of the coordinate algebra over k) and match it coefficientwise.
 
+    Nothing is built over ext: the k-report (f4_rank, and f4_kernel when
+    the rank over ext is 1) is computed once and lifted.  Decided over ext,
+    on lifted k coefficients: the isotropy of N, of the three slot forms
+    (when N stays anisotropic) and the anisotropy of the kernel form -N'.
+    A norm that only ext splits (d < 0) gets the Q(sqrt d) descent vector.
+    Every other certificate over ext is the k certificate read in ext -- the
+    nilpotent z, c, the idempotent, q0 and the split basis -- and its
+    identities (the Pfister proof of N, z^2 = 0, r_i N(c) = -1, the E0
+    conditions, the Q0 Gram, the identity congruence and the descent
+    match) are checked over k, so they hold over ext.  For ext = k the lift
+    is the identity."""
     rank_base = f4_rank(a)
-    a_ext = base_change_albert(a, ext)
-    rank_ext = kernel_ext = descent = reason = None
+    norm_ext = _lifted(a.octonions.norm_form(), ext)  # an unsupported extension raises here
+    rank_ext = kernel_ext = kernel_k = descent = reason = None
     try:
-        rank_ext = f4_rank(a_ext)
-        kernel_ext = f4_kernel(a_ext, rank_report=rank_ext)
+        rank_ext = rank_base if ext == a.field else _f4_rank_over(a, norm_ext, rank_base)
+        if rank_ext.rank == 1:
+            kernel_k = f4_kernel(a, rank_base)
+            kernel_ext = kernel_k if ext == a.field else _spin_kernel(_lifted(kernel_k.form, ext), kernel_k.provenance)
+        else:
+            kernel_ext = _whole_or_trivial(rank_ext.rank)
     except UnsupportedCase as exc:
         rank_ext, reason = None, str(exc)
     if kernel_ext is not None and kernel_ext.kind == KIND_SPIN:
@@ -311,8 +406,7 @@ def f4_excellence(a: AlbertAlgebra, ext: Field) -> ExcellenceReport:
             a.octonions.pure_norm_form().neg().coeffs,
             label="descent witness -N'",
         )
-        lifted = [ext.element(c.value) for c in witness_k.coeffs]
-        if tuple(lifted) != kernel_ext.form.coeffs:
+        if witness_k.coeffs != kernel_k.form.coeffs:
             raise InternalCheckFailed(
                 "base change of the descent witness does not match the kernel"
             )

@@ -141,12 +141,9 @@ class QuadraticForm:
 
     def signatures_all_places(self) -> list[tuple[int, int]]:
         """Signatures at each real embedding (1 for Q, 2 or 0 for Q(sqrt d))."""
-        n_places = self.field.real_place_count()
-        sigs = []
-        for place in range(n_places):
-            pos = sum(1 for c in self.coeffs if c.real_signs()[place] > 0)
-            sigs.append((pos, self.dim - pos))
-        return sigs
+        signs = [c.real_signs() for c in self.coeffs]
+        positive = (sum(1 for s in signs if s[place] > 0) for place in range(self.field.real_place_count()))
+        return [(pos, self.dim - pos) for pos in positive]
 
     def neg(self) -> QuadraticForm:
         return QuadraticForm(self.field, [-c for c in self.coeffs])
