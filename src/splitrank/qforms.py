@@ -141,8 +141,9 @@ class QuadraticForm:
 
     def signatures_all_places(self) -> list[tuple[int, int]]:
         """Signatures at each real embedding (1 for Q, 2 or 0 for Q(sqrt d))."""
-        signs = [c.real_signs() for c in self.coeffs]
-        positive = (sum(1 for s in signs if s[place] > 0) for place in range(self.field.real_place_count()))
+        places = self.field.real_place_count()
+        signs = [c.real_signs() for c in self.coeffs] if places else []  # each coefficient's signs, once
+        positive = (sum(1 for s in signs if s[place] > 0) for place in range(places))
         return [(pos, self.dim - pos) for pos in positive]
 
     def neg(self) -> QuadraticForm:
