@@ -3,19 +3,26 @@
 tests/golden/witt_panel.json holds the `witt` JSON of a fixed panel: 70
 forms over Q at the benchmark's heights (dimensions 3-4 up to 100, 5-6 up
 to 10, 7-9 up to 5), 21 forms over F_p, and six of the s * (-v, P, ..., P)
-family in dimensions 7 and 9.  A refactor of the Witt decomposition must
-leave every basis in place.  To regenerate after a deliberate change of
+family in dimensions 7 and 9.  A second rng adds forms over Q with
+fractional and non-squarefree coefficients (columns that pass a split by
+are rescaled by an integer or a fractional square factor), forms of index 4
+over F_5 and F_7, forms over Q(sqrt 2) and Q(sqrt 5) that split once or
+twice down to a definite remainder, and two forms with a 22-digit semiprime
+coefficient.  A refactor of the Witt decomposition must leave every basis
+in place.  To regenerate after a deliberate change of
 output:
 
     PYTHONPATH=src python tests/test_witt_panel.py
 """
 
 import json
+import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 from splitrank import linalg
-from splitrank.fields import is_prime
+from splitrank.fields import is_prime, legendre
 from splitrank.qforms import form_from_json, witt_decompose
 
 GOLDEN = Path(__file__).parent / "golden" / "witt_panel.json"
@@ -45,7 +52,40 @@ def panel_inputs() -> list[dict]:
         s = rng.choice((-1, 1))
         coeffs = [-s * rng.randint(1, 9)] + [s * big] * (dim - 1)
         forms.append({"field": {"kind": "Q"}, "coeffs": [str(c) for c in coeffs]})
+    return forms + _second_inputs()
+
+
+def _second_inputs() -> list[dict]:
+    rng = random.Random(22_122)
+    forms = []
+    for dim in (4, 5, 5, 6, 6, 7, 7, 8, 8, 9, 9):
+        coeffs = []
+        for _ in range(dim):
+            m = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+            coeffs.append(rng.choice((-1, 1)) * rng.choice((1, 2, 3, 5, 6, 7)) * m * m)
+        forms.append({"field": {"kind": "Q"}, "coeffs": [str(c) for c in coeffs]})
+    for p in (5, 7, 5, 7):
+        for dim in (8, 9):
+            coeffs = [rng.randrange(1, p) for _ in range(dim)]
+            if dim == 8 and legendre(math.prod(coeffs), p) != 1:
+                # the last coefficient makes the discriminant a square: index 4
+                coeffs[-1] = coeffs[-1] * rng.randrange(1, p) ** 2 * _least_nonresidue(p) % p
+            forms.append({"field": {"kind": "Fp", "p": p}, "coeffs": [str(c) for c in coeffs]})
+    for d, dim, k in ((2, 7, 1), (5, 7, 1), (2, 8, 1), (5, 8, 1), (2, 9, 1), (5, 9, 1), (2, 9, 2), (5, 9, 2)):
+        # signature (dim - k, k) with dim - 2k >= 5: k splits, then definite
+        s = rng.choice((-1, 1))
+        coeffs = [s * Fraction(rng.randint(1, 9), rng.randint(1, 2)) for _ in range(dim - k)]
+        coeffs += [-s * Fraction(rng.randint(1, 9), rng.randint(1, 2)) for _ in range(k)]
+        rng.shuffle(coeffs)
+        forms.append({"field": {"kind": "QSqrt", "d": d}, "coeffs": [str(c) for c in coeffs]})
+    semiprime = -3871835699710048140611  # -49676701267 * 77940676433
+    for coeffs in ([semiprime, 1, 2], [semiprime, 3, 5, 7]):
+        forms.append({"field": {"kind": "Q"}, "coeffs": [str(c) for c in coeffs]})
     return forms
+
+
+def _least_nonresidue(p: int) -> int:
+    return next(n for n in range(2, p) if legendre(n, p) == -1)
 
 
 def panel_text() -> str:
