@@ -48,7 +48,7 @@ from .errors import (
     ZeroParameter,
 )
 from .fields import Field, FieldElement, lift, scalars_from_json
-from .qforms import IsotropyResult, QuadraticForm, _congruence, is_isotropic
+from .qforms import IsotropyResult, QuadraticForm, _congruence, _gram_mismatch, is_isotropic
 from . import linalg
 
 DIM = 27
@@ -432,19 +432,16 @@ def _checked_gram(a: AlbertAlgebra, basis, expected, name: str):
     with diagonal `expected`, the closed form of the form called name.
 
     The traces tr(b_i b_j) = 2 B(b_i, b_j) come from the packed kernel, on
-    the packed basis vectors, and are compared as packed integers: the
-    off-diagonal ones with zero first, then the diagonal with 2 expected.
-    The returned Gram is diag(expected)."""
-    kernel, table = a.field.kernel, a._trace
-    packed = [b.packed for b in basis]
-    n = len(packed)
-    if any(not kernel.packed_is_zero(kernel.packed_bilinear(table, packed[i], packed[j]))
-           for i in range(n) for j in range(i + 1, n)):
+    the packed basis vectors, and are compared as packed integers by the
+    congruence predicate of qforms: the off-diagonal ones with zero first,
+    then the diagonal with 2 expected.  The returned Gram is
+    diag(expected)."""
+    failed = _gram_mismatch(a.field.kernel, a._trace, [b.packed for b in basis], [e + e for e in expected])
+    if failed == "off-diagonal":
         raise InternalCheckFailed(f"the basis of the {name} should be Q-orthogonal")
-    twice, den = kernel.pack([e + e for e in expected])
-    if not all(kernel.packed_eq(kernel.packed_bilinear(table, p, p), ([t], den)) for p, t in zip(packed, twice)):
+    if failed:
         raise InternalCheckFailed(f"{name} disagrees with its block closed form")
-    zero = a.field.zero()
+    n, zero = len(basis), a.field.zero()
     return [[expected[i] if i == j else zero for j in range(n)] for i in range(n)]
 
 

@@ -124,11 +124,20 @@ def prime_factors(n: int) -> dict[int, int]:
     trial division below 1000, then Pollard rho on the cofactor.  Every
     prime is proven by is_prime, so a factor of PRIMALITY_LIMIT or more that
     passes every Miller-Rabin base raises InputTooLarge.  Factorizations are
-    remembered per |n|; each call returns a fresh dict."""
+    remembered per |n|, and each prime above the trial limit is remembered
+    once found: a composite cofactor is divided by a known prime before rho
+    runs on it.  Each call returns a fresh dict."""
     return dict(_prime_factors(abs(n)))
 
 
-@lru_cache(maxsize=4096)
+_CACHE_SIZE = 4096
+# The primes above the trial limit that is_prime has proved, oldest first:
+# a large prime turns up again inside other products (g_j a next to r_i a,
+# 2N after N), and rho should split it out only once.
+_LARGE_PRIMES: dict[int, None] = {}
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def _prime_factors(n: int) -> tuple[tuple[int, int], ...]:
     out: dict[int, int] = {}
     p = 2
@@ -142,8 +151,12 @@ def _prime_factors(n: int) -> tuple[tuple[int, int], ...]:
         m = todo.pop()
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
+            if m > _TRIAL_LIMIT:
+                _LARGE_PRIMES[m] = None
+                if len(_LARGE_PRIMES) > _CACHE_SIZE:
+                    del _LARGE_PRIMES[next(iter(_LARGE_PRIMES))]
         else:
-            f = _pollard_rho(m)
+            f = next((q for q in _LARGE_PRIMES if m % q == 0), None) or _pollard_rho(m)
             todo += [f, m // f]
     return tuple(sorted(out.items()))
 
@@ -574,10 +587,14 @@ def parse_element(field: Field, text) -> FieldElement:
         except ValueError:
             raise InvalidInput(f"bad F_p literal {text!r}") from None
     if field.kind == RATIONALS:
-        try:
-            return field.element(Fraction(s))
-        except (ValueError, ZeroDivisionError):
-            raise InvalidInput(f"bad rational literal {text!r}") from None
+        try:  # most literals are integers: int() is cheaper than Fraction's regex
+            value = Fraction(int(s))
+        except ValueError:
+            try:
+                value = Fraction(s)
+            except (ValueError, ZeroDivisionError):
+                raise InvalidInput(f"bad rational literal {text!r}") from None
+        return FieldElement(field, value)
     m = _LIT.match(s)
     if not m or (m.group("a") is None and m.group("r") is None):
         raise InvalidInput(f"bad quadratic literal {text!r}")
@@ -614,10 +631,10 @@ class _Kernel:
     (`pack` makes one, `random_packed` draws one, `_unpack` reads one), so
     maps chain without unpacking; `packed_eq` and `packed_is_zero` decide
     on them.  `monomial_table` compiles every template table, `indexed_table`
-    a table of given constants (Gram entries) and `packed_table` a linear
-    table of packed values, such as the outputs of a bilinear map;
-    `table_matrix` unpacks a linear table.  `bilinear`, `linear` and `gram`
-    (on packed columns) return FieldElements.  `pack_sparse` packs only the
+    a table of given constants (Gram entries), `packed_table` a linear
+    table of packed values, such as the outputs of a bilinear map, and
+    `columns_table` one of packed columns; `table_matrix` unpacks a linear
+    table.  `bilinear` and `gram` (on packed columns) return FieldElements.  `pack_sparse` packs only the
     nonzero entries of a vector, so unit vectors are born packed."""
 
     def __init__(self, field: Field):
@@ -668,6 +685,13 @@ class _Kernel:
                 rows[r].append((j,) + c)
         return rows, den
 
+    def columns_table(self, cols):
+        """The linear table of x -> sum_j x_j cols[j] for packed columns of
+        one length, brought to the lcm of their denominators."""
+        den = lcm(*[d for _, d in cols])
+        entries = [(r, j, self._times(v, den // d)) for j, (vals, d) in enumerate(cols) for r, v in enumerate(vals)]
+        return self.packed_table(len(cols[0][0]), entries, den)
+
     def table_matrix(self, table, n_cols):
         """The FieldElement matrix of a linear table (zero off its entries)."""
         rows, den = table  # an entry is (j, v) over Q and F_p, (j, a, b, d b) over Q(sqrt d)
@@ -679,9 +703,6 @@ class _Kernel:
 
     def bilinear(self, table, xs, ys) -> tuple[FieldElement, ...]:
         return self._unpack(*self.packed_bilinear(table, self.pack(xs), self.pack(ys)))
-
-    def linear(self, table, xs) -> tuple[FieldElement, ...]:
-        return self._unpack(*self.packed_linear(table, self.pack(xs)))
 
     def gram(self, table, packed) -> list[list[FieldElement]]:
         """The symmetric matrix of B(x, y) over every pair of packed
@@ -701,6 +722,10 @@ class _IntegerKernel(_Kernel):
     @staticmethod
     def _const(v):  # a packed value as the constant of a compiled term
         return (v,)
+
+    @staticmethod
+    def _times(v, m):
+        return v * m
 
     def packed_bilinear(self, table, xp, yp):
         rows, n_out, den = table
@@ -803,6 +828,10 @@ class _QuadKernel(_Kernel):
     def _const(self, v):  # (a, b, d b): the kernel multiplies by d b as well
         a, b = v
         return (a, b, self.field.d * b)
+
+    @staticmethod
+    def _times(v, m):
+        return v[0] * m, v[1] * m
 
     def packed_bilinear(self, table, xp, yp):
         rows, n_out, den = table

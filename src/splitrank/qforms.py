@@ -299,22 +299,44 @@ def diagonalize(gram: GramMatrix):
 
 
 def _assert_congruent(g, p, diag):
-    got = _congruence(g[0][0].field, g, _columns(p))
-    for i, row in enumerate(got):
-        if row[i] != diag[i]:
-            raise InternalCheckFailed("congruence check failed on diagonal")
-        if any(not x.is_zero() for j, x in enumerate(row) if j != i):
-            raise InternalCheckFailed("congruence produced off-diagonal residue")
+    f, n = diag[0].field, len(g)
+    table = _gram_table(f, n, {(i, j): x for i, row in enumerate(g) for j, x in enumerate(row) if not x.is_zero()})
+    failed = _gram_mismatch(f.kernel, table, [f.kernel.pack(c) for c in _columns(p)], diag)
+    if failed == "off-diagonal":
+        raise InternalCheckFailed("congruence produced off-diagonal residue")
+    if failed:
+        raise InternalCheckFailed("congruence check failed on diagonal")
+
+
+def _gram_table(f: Field, n: int, entries: dict):
+    """The bilinear table of x^T G y for the n x n matrix G whose nonzero
+    entries are entries[(i, j)], packed in one call."""
+    rows = [[] for _ in range(n)]
+    for e, (i, j) in enumerate(entries):
+        rows[i].append(((j, 0), e))
+    return f.kernel.indexed_table(rows, 1, list(entries.values()))
+
+
+def _gram_mismatch(kernel, table, packed, expected) -> str | None:
+    """Whether the packed columns x_i satisfy x_i^T G x_j = diag(expected),
+    for G given by a bilinear table with one output, decided on packed
+    integers: "off-diagonal" when some pair i < j is not orthogonal (tested
+    first), "diagonal" when some x_i^T G x_i is not expected[i], else None."""
+    n = len(packed)
+    if any(not kernel.packed_is_zero(kernel.packed_bilinear(table, packed[i], packed[j]))
+           for i in range(n) for j in range(i + 1, n)):
+        return "off-diagonal"
+    values, den = kernel.pack(expected)
+    if not all(kernel.packed_eq(kernel.packed_bilinear(table, x, x), ([v], den)) for x, v in zip(packed, values)):
+        return "diagonal"
+    return None
 
 
 def _congruence(f: Field, g, cols):
     """The matrix of x^T g y over every pair of columns x, y, on the packed
     kernel: g is compiled once and each column is packed once."""
-    n = len(g)
-    nonzero, rows = [(i, j) for i in range(n) for j in range(n) if not g[i][j].is_zero()], [[] for _ in g]
-    for e, (i, j) in enumerate(nonzero):
-        rows[i].append(((j, 0), e))
-    return f.kernel.gram(f.kernel.indexed_table(rows, 1, [g[i][j] for i, j in nonzero]), [f.kernel.pack(c) for c in cols])
+    table = _gram_table(f, len(g), {(i, j): x for i, row in enumerate(g) for j, x in enumerate(row) if not x.is_zero()})
+    return f.kernel.gram(table, [f.kernel.pack(c) for c in cols])
 
 
 # --------------------------------------------------------------------------
@@ -1010,65 +1032,72 @@ def _is_isotropic_qsqrt(q: QuadraticForm, want_witness: bool) -> IsotropyResult:
 
 def _split_step(coeffs, witness):
     """One hyperbolic split in the current diagonal coordinates <a_i>, in
-    closed form on the support of the witness v.
+    closed form on the support S of the witness v.
 
-    Returns (u1, u2, complement_columns, complement_form) where u1, u2 are
-    vectors with q(u1)=1, q(u2)=-1, B(u1,u2)=0 spanning the plane of the
-    witness, and the complement columns diagonalize q on the orthogonal
-    complement.  With s0, s1 the first two coordinates where v is nonzero,
-    that complement is spanned by the unit vectors off the support, which
-    keep their own coefficients, and by n_k = e_k - (a_k v_k / a_s1 v_s1)
-    e_s1 for every other support coordinate k (the split identity).  Only
-    the n_k are diagonalized; the columns keep the coordinate order.
+    Returns (S, u1, u2, cols, complement_form).  u1, u2 span the plane of
+    the witness with q(u1)=1, q(u2)=-1, B(u1,u2)=0, and the columns cols
+    diagonalize q on its orthogonal complement, with the values
+    complement_form.  With s0, s1 the first two coordinates of S, there is
+    one column per other coordinate, in coordinate order.  A coordinate off
+    S passes through with its own coefficient: its entry in cols is None.
+    For every other k in S the column comes from n_k = e_k - (a_k v_k /
+    a_s1 v_s1) e_s1 (the split identity), and only the n_k are
+    diagonalized.  u1, u2 and these columns are given on S only, in the
+    order of S.
     """
     f = coeffs[0].field
-    n = len(coeffs)
-    v = list(witness)
-    s0, s1, *others = (i for i in range(n) if not v[i].is_zero())
-    scale = (coeffs[s0] * v[s0]).inv()  # w = scale e_s0 has B(v, w) = 1
+    support = [i for i, x in enumerate(witness) if not x.is_zero()]
+    v, a = [witness[i] for i in support], [coeffs[i] for i in support]
+    zero = f.zero()
+    scale = (a[0] * v[0]).inv()  # w = scale e_s0 has B(v, w) = 1
     half = (f.one() + f.one()).inv()
-    lift = half * coeffs[s0] * scale * scale
-    wp = [(scale if i == s0 else f.zero()) - lift * v[i] for i in range(n)]  # q(wp) = 0, B(v,wp) = 1
-    u1 = [half * v[i] + wp[i] for i in range(n)]
-    u2 = [half * v[i] - wp[i] for i in range(n)]
-    ratio = [coeffs[k] * v[k] / (coeffs[s1] * v[s1]) for k in others]
+    lift = half * a[0] * scale * scale
+    wp = [(scale if j == 0 else zero) - lift * x for j, x in enumerate(v)]  # q(wp) = 0, B(v,wp) = 1
+    u1 = [half * x + w for x, w in zip(v, wp)]
+    u2 = [half * x - w for x, w in zip(v, wp)]
+    ratio = [ak * vk / (a[1] * v[1]) for ak, vk in zip(a[2:], v[2:])]
     # Gram of the n_k: B(n_j, n_k) = a_s1 r_j r_k + delta_jk a_k
     block, p = diagonalize(GramMatrix(f, [
-        [coeffs[s1] * rj * rk + (coeffs[j] if j == k else f.zero()) for k, rk in zip(others, ratio)]
-        for j, rj in zip(others, ratio)
+        [a[1] * rj * rk + (a[j + 2] if j == k else zero) for k, rk in enumerate(ratio)]
+        for j, rj in enumerate(ratio)
     ]))
-    cols, comp = [], []
-    for i in range(n):
-        if i in (s0, s1):
+    cols, comp, j = [], [], 0
+    for i, c in enumerate(coeffs):
+        if i in support[:2]:
             continue
-        col = [f.zero()] * n
-        if v[i].is_zero():  # off the support: e_i keeps its coefficient
-            col[i], c = f.one(), coeffs[i]
-        else:  # column j of P through the n_k: sum_k P[k][j] (e_k - r_k e_s1)
-            j = others.index(i)
-            for k, (o, r) in enumerate(zip(others, ratio)):
-                col[o], col[s1] = p[k][j], col[s1] - p[k][j] * r
-            c = block.coeffs[j]
+        if witness[i].is_zero():
+            cols.append(None)
+            comp.append(c)
+            continue
+        # column j of P through the n_k: sum_k P[k][j] (e_k - r_k e_s1)
+        col = [zero, zero] + [row[j] for row in p]
+        for row, r in zip(p, ratio):
+            col[1] = col[1] - row[j] * r
         cols.append(col)
-        comp.append(c)
-    return u1, u2, cols, QuadraticForm(f, comp)
+        comp.append(block.coeffs[j])
+        j += 1
+    return support, u1, u2, cols, QuadraticForm(f, comp)
 
 
 def witt_decompose(q: QuadraticForm) -> WittDecomposition:
     """Split hyperbolic planes while isotropy holds; certify the remainder.
 
     The recorded basis T satisfies  T^T G T = diag(1,-1,...,1,-1, a_1..a_m)
-    exactly, where <a_1..a_m> is the anisotropic part.  Each split
-    (_split_step) touches only the support of its witness: the other
-    coordinates pass to the next split with their coefficients.  Over Q each
-    complement vector is rescaled by the square factors of its value, so
-    the coefficients carried to the next split are squarefree integers.
+    exactly, where <a_1..a_m> is the anisotropic part.  The basis is kept
+    as packed columns in original coordinates, one per current coordinate,
+    and unpacked once when it is recorded.  Each split (_split_step) works
+    on the support S of its witness only: one linear table of the |S|
+    columns of S maps u1, u2 and the complement columns on S, and every
+    other column passes through untouched.  Over Q each complement column
+    with value s m^2 is scaled by 1/m (m an integer or a fraction), so the
+    coefficients carried to the next split are squarefree integers.
     """
     f = q.field
-    n = q.dim
+    kernel = f.kernel
     current = list(q.coeffs)
-    embed = linalg.identity(f, n)  # one column per current coordinate, in original coordinates
-    pair_cols: list[list[FieldElement]] = []
+    one = f.one()
+    embed = [kernel.pack_sparse(q.dim, {i: one}) for i in range(q.dim)]
+    pairs = []
     index = 0
     while True:
         sub = QuadraticForm(f, current)
@@ -1080,30 +1109,26 @@ def witt_decompose(q: QuadraticForm) -> WittDecomposition:
                 f"isotropy of {sub} is proved, but no explicit vector is built "
                 "for irrational coefficients"
             )
-        u1, u2, comp_cols, comp_form = _split_step(current, cert.witness)
-        comp = list(comp_form.coeffs)
+        support, u1, u2, cols, comp_form = _split_step(current, cert.witness)
+        table = kernel.columns_table([embed[i] for i in support])
+        pairs += [kernel.packed_linear(table, kernel.pack(u)) for u in (u1, u2)]
+        rest = [i for i in range(len(current)) if i not in support[:2]]
+        embed = [embed[i] if col is None else kernel.packed_linear(table, kernel.pack(col)) for i, col in zip(rest, cols)]
+        current = list(comp_form.coeffs)
         if f.kind == RATIONALS:
-            # each column v with q(v) = s m^2 is scaled by 1/m, so the
-            # coefficients carried to the next split are squarefree integers
-            for i, c in enumerate(comp):
+            for k, c in enumerate(current):
                 s, m, _ = _square_split(c.value)
-                if m != 1:
-                    lam = f.element(m).inv()
-                    comp_cols[i] = [lam * x for x in comp_cols[i]]
-                comp[i] = f.element(s)
-        table = f.kernel.linear_table(_columns(embed))
-        pair_cols += [list(f.kernel.linear(table, u)) for u in (u1, u2)]
-        embed = [list(f.kernel.linear(table, col)) for col in comp_cols]
-        current = comp
+                if m != 1:  # the column over m = a/b: numerators times b, denominator times a
+                    nums, den = embed[k]
+                    embed[k] = [x * m.denominator for x in nums], den * m.numerator
+                current[k] = f.element(s)
         index += 1
-    an_part = QuadraticForm(f, current)
-    basis = _columns(pair_cols + embed)
     method = METHOD_WITNESS if not current else cert.method
     dec = WittDecomposition(
         witt_index=index,
-        anisotropic_part=an_part,
+        anisotropic_part=QuadraticForm(f, current),
         method=method,
-        basis=basis,
+        basis=_columns([kernel._unpack(*col) for col in pairs + embed]),
         anisotropy_certificate=cert,
     )
     _verify_decomposition(q, dec)
@@ -1148,14 +1173,18 @@ def equivalent(q1: QuadraticForm, q2: QuadraticForm) -> bool:
 
 
 def equivalent_with_witness(q1: QuadraticForm, q2: QuadraticForm, p) -> bool:
-    """Exact check that p^T G1 p = G2 (works over any supported field)."""
+    """Exact check that p^T G1 p = G2 (works over any supported field), on
+    packed integers: no Gram matrix of FieldElements is built."""
     if q1.field != q2.field:
         raise FieldMismatch("equivalence needs a common field")
     if q1.dim != q2.dim or len(p) != q1.dim:
         return False
-    f = q1.field
-    cols = [[f.element(x) for x in col] for col in _columns(p)]
-    return _congruence(f, q1.gram(), cols) == q2.gram()
+    n, f = q1.dim, q1.field
+    if any(len(row) != n for row in p):
+        return False
+    table = _gram_table(f, n, {(i, i): c for i, c in enumerate(q1.coeffs)})
+    packed = [f.kernel.pack([f.element(x) for x in col]) for col in _columns(p)]
+    return _gram_mismatch(f.kernel, table, packed, list(q2.coeffs)) is None
 
 
 # --------------------------------------------------------------------------

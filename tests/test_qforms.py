@@ -95,32 +95,19 @@ class TestDiagonalize:
         assert form.dim == 2 and not any(c.is_zero() for c in form.coeffs)
 
     def test_random_congruence(self):
+        # P^T G P = diag(form) by the dense product, an oracle apart from
+        # the packed predicate inside diagonalize
         rng = random.Random(7)
         for _ in range(20):
             n = rng.randint(1, 5)
             m = [[Fraction(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
-            sym = [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
+            sym = [[Q.element(m[i][j] + m[j][i]) for j in range(n)] for i in range(n)]
             try:
                 form, p = diagonalize(GramMatrix(Q, sym))
             except DegenerateForm:
                 continue
-            assert equivalent_with_witness(
-                QuadraticForm(Q, [1] * n) if False else _gram_form(sym), form, p
-            )
-
-
-def _gram_form(sym):
-    """Helper: wrap a symmetric matrix as the form it represents, for the
-    exact congruence check (diagonal entries unused there)."""
-
-    class _Wrap:
-        field = Q
-        dim = len(sym)
-
-        def gram(self):
-            return [[Q.element(x) for x in row] for row in sym]
-
-    return _Wrap()
+            got = linalg.mat_mul(linalg.mat_mul([list(col) for col in zip(*p)], sym), p)
+            assert got == [[form.coeffs[i] if i == j else Q.zero() for j in range(n)] for i in range(n)]
 
 
 def _decomposition(field):
@@ -132,10 +119,27 @@ def _decomposition(field):
         q = QuadraticForm(field, coeffs)
         return q, witt_decompose(q)
     q = QuadraticForm(field, [1, 2, 3, 5, 7, 11])
-    u1, u2, comp_cols, comp_form = _split_step(list(q.coeffs), is_isotropic(q).witness)
-    cols = [u1, u2] + comp_cols
+    cols, comp_form = _expanded_split(list(q.coeffs), is_isotropic(q).witness)
     basis = [[col[r] for col in cols] for r in range(q.dim)]
     return q, WittDecomposition(1, comp_form, METHOD_WITNESS, basis=basis)
+
+
+def _expanded_split(coeffs, v):
+    """_split_step with its vectors in full coordinates: u1, u2 and the
+    complement columns spread out from the support, and a unit vector for
+    each coordinate that passes through.  Returns (columns, complement)."""
+    f, dim = coeffs[0].field, len(coeffs)
+    support, u1, u2, cols, comp = _split_step(coeffs, v)
+    rest = [i for i in range(dim) if i not in support[:2]]
+
+    def spread(vec):
+        out = [f.zero()] * dim
+        for i, x in zip(support, vec):
+            out[i] = x
+        return out
+
+    units = [[f.one() if j == i else f.zero() for j in range(dim)] for i in range(dim)]
+    return [spread(u1), spread(u2)] + [units[i] if col is None else spread(col) for i, col in zip(rest, cols)], comp
 
 
 def _bumped(matrix, r, c, field):
@@ -417,17 +421,20 @@ def _check_split(coeffs, v):
     first coordinate.  Columns keep the coordinate order."""
     f, dim = coeffs[0].field, len(coeffs)
     support = [i for i in range(dim) if not v[i].is_zero()]
-    u1, u2, cols, comp = _split_step(coeffs, v)
+    got, u1, u2, local, _ = _split_step(coeffs, v)
+    assert got == support and len(u1) == len(u2) == len(support)
+    cols, comp = _expanded_split(coeffs, v)
     q = QuadraticForm(f, coeffs)
-    basis = [[col[r] for col in [u1, u2] + cols] for r in range(dim)]
+    basis = [[col[r] for col in cols] for r in range(dim)]
     assert equivalent_with_witness(q, QuadraticForm(f, [1, -1] + list(comp.coeffs)), basis)
     rest = [i for i in range(dim) if i not in support[:2]]
-    assert len(cols) == comp.dim == len(rest)
-    for col, c, i in zip(cols, comp.coeffs, rest):
+    assert len(local) == len(cols) - 2 == comp.dim == len(rest)
+    for loc, col, c, i in zip(local, cols[2:], comp.coeffs, rest):
         if i in support:
+            assert len(loc) == len(support)
             assert all(col[j].is_zero() for j in range(dim) if j not in support[1:])
         else:
-            assert col == [f.one() if j == i else f.zero() for j in range(dim)] and c == coeffs[i]
+            assert loc is None and col == [f.one() if j == i else f.zero() for j in range(dim)] and c == coeffs[i]
 
 
 class TestSplitStep:

@@ -39,7 +39,7 @@ from splitrank.albert import (
 from splitrank.composition import CompElement, _doubling_template, cayley_dickson
 from splitrank.errors import InternalCheckFailed
 from splitrank.fields import Field, _Kernel, prime_field, quad_ext, rationals
-from splitrank.qforms import _congruence
+from splitrank.qforms import _gram_table
 from splitrank.verify import reference_jordan_mul, reference_matrix_mul, reference_octonion_mul, so_gamma_sample
 
 PRIMES = (5, 10007, 2**31 - 1)
@@ -191,14 +191,15 @@ def test_one_wrong_constant_fails_the_panel(field, monkeypatch):
 )
 def test_only_congruence_compiles_by_index(field, ext, monkeypatch, capsys):
     """Every template table is compiled from monomials: indexed_table, which
-    packs arbitrary constants, serves qforms._congruence alone.  classify,
+    packs arbitrary constants, serves qforms._gram_table alone (the Gram
+    tables of the congruence checks).  classify,
     a rank-1 kernel (over Q and Q(sqrt 2)), excellence and phi all run with
     indexed_table refusing any other caller."""
     compile_table, strays = _Kernel.indexed_table, []
 
     def guarded(self, rows, n_out, consts):
         caller = sys._getframe(1).f_code
-        if caller is not _congruence.__code__:
+        if caller is not _gram_table.__code__:
             strays.append(caller.co_name)
             raise AssertionError(f"indexed_table called from {caller.co_name}")
         return compile_table(self, rows, n_out, consts)
