@@ -13,10 +13,12 @@ once into tables of integer constants and run by `Field.kernel`, which is
 picked once per field kind.  `monomial_table` compiles every template table
 (octonion, Jordan, trace, matrix, conjugation), whose constants are signed
 monomials in the algebra's parameters; `indexed_table` packs the Gram
-entries of `qforms._congruence`.  A vector is packed into plain Python ints
-on entry and unpacked into canonical FieldElements on exit, except where
-work chains maps: an `albert.AlbertElement` keeps its packed vector, so Jordan
-products and their zero tests stay on integers; the conjugations of
+entries of `qforms._gram_table`, the table of every congruence check.  A
+vector is packed into plain Python ints on entry and unpacked into
+canonical FieldElements on exit, except where work chains maps: an
+`albert.AlbertElement` keeps its packed vector, so Jordan products and
+their zero tests stay on integers; `qforms.witt_decompose` keeps its basis
+columns packed from split to split (`columns_table`); the conjugations of
 `albert.conjugation_between` fill their rows from packed outputs
 (`packed_table`), and their sampled checks draw packed vectors
 (`random_packed`, with the draws of `Field.random`) and compare them:
@@ -32,6 +34,14 @@ arithmetic: a reduced Fraction, a residue in [0, p), a pair of reduced
 Fractions.  `verify.reference_octonion_mul`, `verify.reference_jordan_mul`
 and `verify.reference_matrix_mul` are plain FieldElement oracles for the
 kernels.
+
+Factoring.  `prime_factors` is trial division below 1000, then Pollard rho
+(Brent's variant) on the cofactor, and every prime is proven by `is_prime`.
+Factorizations are remembered per integer (an lru of 4096), and the primes
+above the trial limit in a registry of the same size, oldest dropped
+first: a cofactor that `is_prime` finds composite is divided by a
+registered prime before rho runs, so rho splits out a large prime once,
+however many products it turns up in, for as long as it stays registered.
 """
 
 from __future__ import annotations

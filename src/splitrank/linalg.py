@@ -3,7 +3,7 @@
 Plain Gaussian elimination; matrices are immutable-by-convention lists of
 rows.  Sizes here are tiny (3x3 up to 27x27), so no cleverness is needed.
 The Gram and congruence products of the quadratic-form engine do not come
-here: they run on the packed kernel (`Field.kernel.gram`).
+here: they run on the packed kernel (`qforms._gram_mismatch`).
 """
 
 from __future__ import annotations

@@ -16,6 +16,13 @@ and its primes, and one Hasse invariant and one local-isotropy rule on those
 integers serve is_isotropic, witt_index_by_invariants, equivalent,
 det_squareclass and the witness route.  hilbert_symbol and hasse_invariant
 are thin wrappers that check their arguments first.
+
+A Witt decomposition keeps its basis as packed columns of Field.kernel and
+does the work of each hyperbolic split once, on the witness support only
+(_split_step): the columns off the support pass through.  Every exact
+congruence check -- a diagonalization, a recorded Witt basis,
+equivalent_with_witness and albert's Gram checks -- is one packed-integer
+predicate (_gram_mismatch); no Gram matrix of FieldElements is built.
 """
 
 from __future__ import annotations
@@ -334,7 +341,8 @@ def _gram_mismatch(kernel, table, packed, expected) -> str | None:
 
 def _congruence(f: Field, g, cols):
     """The matrix of x^T g y over every pair of columns x, y, on the packed
-    kernel: g is compiled once and each column is packed once."""
+    kernel: g is compiled once and each column is packed once.  Only
+    albert._similitude needs the matrix itself; checks use _gram_mismatch."""
     table = _gram_table(f, len(g), {(i, j): x for i, row in enumerate(g) for j, x in enumerate(row) if not x.is_zero()})
     return f.kernel.gram(table, [f.kernel.pack(c) for c in cols])
 

@@ -1,5 +1,6 @@
 """Field arithmetic, square tests, real signs, Legendre symbols, factoring."""
 
+import json
 import random
 import time
 from fractions import Fraction
@@ -7,6 +8,7 @@ from math import prod
 
 import pytest
 
+from splitrank import cli, fields
 from splitrank.errors import (
     DivisionByZero,
     FieldMismatch,
@@ -186,6 +188,24 @@ class TestParsing:
         with pytest.raises(InvalidInput):
             parse_element(R2, bad)
 
+    # integers are read by int() before the Fraction parser: the accepted
+    # rational literals and their values stay those of Fraction(literal)
+    @pytest.mark.parametrize(
+        "literal,value",
+        [("+5", 5), ("1_0", 10), ("−3", -3), ("3/4", Fraction(3, 4)), ("1e3", 1000), ("0.5", Fraction(1, 2)), ("007", 7)],
+    )
+    def test_rational_literal_values(self, literal, value):
+        got = parse_element(Q, literal).value
+        assert type(got) is Fraction and got == value
+
+    @pytest.mark.parametrize("bad", ["", "x", "1//2", "2r", "21r", "1/0", "1+2", "1__0", "0x10", "9" * 4301])
+    def test_bad_rational_literals(self, bad, capsys):
+        with pytest.raises(InvalidInput):
+            parse_element(Q, bad)
+        form = json.dumps({"field": {"kind": "Q"}, "coeffs": ["1", "1", bad]})
+        assert cli.main(["witt", "--json", form]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["kind"] == "InvalidInput"
+
     @pytest.mark.parametrize("bad", ["9" * 5000 + "*r", "1+" + "9" * 5000 + "*r", "9" * 5000 + "-r"])
     def test_literal_past_the_digit_limit(self, bad):
         # Fraction raises ValueError on more than 4,300 digits, as the Q
@@ -257,6 +277,25 @@ class TestFactoring:
         dec = witt_decompose(QuadraticForm(Q, [1, 1, -n]))
         assert time.perf_counter() - start < 30
         assert dec.witt_index == 0 and dec.method == "local_invariants"
+
+    def test_rho_splits_each_large_prime_once(self, monkeypatch):
+        # a prime above the trial limit, once found, divides the later
+        # cofactors it turns up in before Pollard rho runs on them
+        p, q, r = (next(n for n in range(m, m + 1000) if is_prime(n)) for m in (10**10, 2 * 10**10, 3 * 10**10))
+        rho, found = fields._pollard_rho, []
+
+        def recorded(n):
+            found.append(rho(n))
+            return found[-1]
+
+        monkeypatch.setattr(fields, "_pollard_rho", recorded)
+        fields._prime_factors.cache_clear()
+        fields._LARGE_PRIMES.clear()
+        for n in (p * q, 3 * p * q * r, 7 * p * r, q * r, p * p * q, -2 * r**3, 10007 * 10009 * q):
+            got = prime_factors(n)
+            assert prod(b**e for b, e in got.items()) == abs(n) and all(is_prime(b) for b in got)
+        primes = [f for f in found if is_prime(f)]
+        assert primes and len(primes) == len(set(primes))
 
     def test_primality_limit(self):
         # psi_12 is a strong pseudoprime to every base up to 37

@@ -21,7 +21,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from splitrank import linalg
+from splitrank import fields, linalg, qforms
 from splitrank.fields import is_prime, legendre
 from splitrank.qforms import form_from_json, witt_decompose
 
@@ -108,6 +108,39 @@ def test_splits_never_reach_the_nullspace(monkeypatch):
     monkeypatch.setattr(linalg, "nullspace", refuse)
     for entry in json.loads(GOLDEN.read_text()):
         witt_decompose(form_from_json(entry["input"]))
+
+
+def test_each_split_maps_only_its_support(monkeypatch):
+    # a split maps u1, u2 and its |S| - 2 complement columns on the support
+    # S; every other column passes through untouched
+    split, maps, splits = qforms._split_step, [0], []
+
+    def spied(coeffs, witness):
+        out = split(coeffs, witness)
+        splits.append((len(coeffs), len(out[0]), maps[0]))
+        return out
+
+    def counted(kernel_class):
+        packed_linear = kernel_class.packed_linear
+
+        def run(self, table, xp):
+            maps[0] += 1
+            return packed_linear(self, table, xp)
+
+        monkeypatch.setattr(kernel_class, "packed_linear", run)
+
+    monkeypatch.setattr(qforms, "_split_step", spied)
+    counted(fields._IntegerKernel)
+    counted(fields._QuadKernel)
+    narrow = 0
+    for entry in json.loads(GOLDEN.read_text()):
+        splits.clear()
+        maps[0] = 0
+        witt_decompose(form_from_json(entry["input"]))
+        ends = [start for _, _, start in splits[1:]] + [maps[0]]
+        assert [end - start for (_, _, start), end in zip(splits, ends)] == [size for _, size, _ in splits], entry
+        narrow += sum(size < dim for dim, size, _ in splits)
+    assert narrow > 100
 
 
 if __name__ == "__main__":
