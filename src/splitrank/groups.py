@@ -8,13 +8,19 @@ obtained by splitting the explicit hyperbolic pair of Q0 through the
 isotropic vector (1, 1_C), on the E0 basis that the slot of the rank
 certificate gives for any Gamma.
 
+Nothing here multiplies in the Albert algebra (Springer-Veldkamp, ch. 5):
+z^2 = q(t, c0) (E_jj + E_kk) for the slot form q = <1> + r_i N, whose
+zero (t, c0) is checked exactly, and r_i N(c) = -1, checked too, gives
+Q0 = <1> - N.  `splitrank verify` and the tests re-check z^2 = 0 and the
+E0/Q0 Gram in the Albert algebra.
+
 Excellence builds nothing over the extension L.  The k-report is computed
 once and lifted (fields.lift).  Decided over L, on lifted k coefficients:
 the isotropy of N, of the three slot forms and of the kernel form -N'; a
 norm that only L splits (d < 0) gets the Q(sqrt d) descent vector.  Every
-other certificate over L is the k certificate read in L, its identities
-checked over k.  The descent witness -N' over k is matched against the
-k kernel coefficient by coefficient.
+other certificate over L is the k certificate read in L, its checks made
+over k.  The descent witness -N' over k is matched against the k kernel
+coefficient by coefficient.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ from .albert import (
     _nilpotent_test_form,
     conjugation_between,
     nilpotent_analysis,
-    q0_data,
 )
 from .composition import CompElement, CompositionAlgebra
 from .errors import (
@@ -349,23 +354,18 @@ def f4_kernel(a: AlbertAlgebra, rank_report: RankReport | None = None) -> Kernel
     (rank 0), or the 7-dim anisotropic complement of the explicit hyperbolic
     pair of Q0 through (1, 1_C) (rank 1).  The rank-1 certificate is
     z = t (E_jj - E_kk) + slot_i(c0); c = c0/t has r_i N(c) = -1, so on the
-    E0 basis E_jj - E_kk, slot_i(c e_m) of u = E_ii, Q0 = <1> - N."""
+    E0 basis E_jj - E_kk, slot_i(c e_m) of u = E_ii, Q0 = <1> - N, whose
+    E0 conditions and Gram albert.q0_data re-checks in verify and the tests."""
     report = rank_report if rank_report is not None else f4_rank(a)
     if report.rank != 1:
         return _whole_or_trivial(report.rank)
-    f = a.field
     slot, c = _certificate_slot(a, report.certificate["element"])
     scale = a._ratios[slot - 1] * c.norm()
-    if scale != -f.one():
+    if scale != -a.field.one():
         raise InternalCheckFailed("the rank certificate gives no slot element c with r_i N(c) = -1")
-    u = a.diag_unit(slot)
-    q0, _, _ = q0_data(a, u, c, scale)
-    # Q0 = <1, -1> + (-N'): the congruence on the identity split basis is
-    # q0 = (1, -1, q0[2:]), which also proves (1, 1_C) isotropic
-    if q0.coeffs[:2] != (f.one(), -f.one()):
-        raise InternalCheckFailed("recorded Q0 split fails the congruence")
-    provenance = {"rank": 1, "slot": slot, "c": c.to_json(), "idempotent": u.to_json()}
-    return _spin_kernel(QuadraticForm(f, q0.coeffs[2:], label="spin kernel"), provenance)
+    kernel = [scale * n for n in a.octonions.pure_norm_form().coeffs]  # Q0 = <1> + scale N = <1, -1> + scale N'
+    provenance = {"rank": 1, "slot": slot, "c": c.to_json(), "idempotent": a.diag_unit(slot).to_json()}
+    return _spin_kernel(QuadraticForm(a.field, kernel, label="spin kernel"), provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -383,11 +383,11 @@ def f4_excellence(a: AlbertAlgebra, ext: Field) -> ExcellenceReport:
     (when N stays anisotropic) and the anisotropy of the kernel form -N'.
     A norm that only ext splits (d < 0) gets the Q(sqrt d) descent vector.
     Every other certificate over ext is the k certificate read in ext -- the
-    nilpotent z, c, the idempotent, q0 and the split basis -- and its
-    identities (the Pfister proof of N, z^2 = 0, r_i N(c) = -1, the E0
-    conditions, the Q0 Gram, the identity congruence and the descent
-    match) are checked over k, so they hold over ext.  For ext = k the lift
-    is the identity."""
+    nilpotent z, c, the idempotent, q0 and the split basis -- and what
+    proves it (the Pfister proof of N, the zero of the slot form behind z,
+    r_i N(c) = -1 and the descent match) is checked over k, so it holds
+    over ext; verify and the tests re-check z^2 = 0 and the E0/Q0 Gram.
+    For ext = k the lift is the identity."""
     rank_base = f4_rank(a)
     norm_ext = _lifted(a.octonions.norm_form(), ext)  # an unsupported extension raises here
     rank_ext = kernel_ext = kernel_k = descent = reason = None

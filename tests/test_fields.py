@@ -297,6 +297,19 @@ class TestFactoring:
         primes = [f for f in found if is_prime(f)]
         assert primes and len(primes) == len(set(primes))
 
+    def test_registry_lookup_and_restart(self, monkeypatch):
+        # one gcd finds the registered part of a cofactor, an index-bit
+        # product splits a product of registered primes, and a full
+        # registry starts over
+        monkeypatch.setattr(fields, "_CACHE_SIZE", 3)
+        registry = fields._PrimeRegistry()
+        for q in (1009, 1013, 1019):
+            registry.add(q)
+        assert registry.factor(1013 * 1021 * 1031) == 1013 and registry.factor(1021 * 1031) is None
+        assert registry.factor(1009 * 1013 * 1019) in {1009, 1013, 1019, 1009 * 1013, 1009 * 1019, 1013 * 1019}
+        registry.add(1021)
+        assert registry.primes == {1021} and registry.factor(1009 * 1013) is None
+
     def test_primality_limit(self):
         # psi_12 is a strong pseudoprime to every base up to 37
         assert not is_prime(PRIMALITY_LIMIT - 1)

@@ -231,6 +231,42 @@ class TestF4Kernel:
             assert reports[0]["rank"] == 1 and reports[1]["kind"] == KIND_SPIN
             assert reports[2]["verdict"] == VERDICT_EXCELLENT
 
+    def test_no_jordan_product_on_any_route(self, monkeypatch, capsys):
+        # z^2 = 0, the E0 conditions and the Q0 Gram are oracles now:
+        # classify, kernel and excellence give the same bytes with the
+        # Jordan product and the E0/Q0 checks refusing every call
+        def refuse(*args, **kwargs):
+            raise AssertionError("a production route multiplied in the Albert algebra")
+
+        inputs = [
+            ({"kind": "Q"}, [-1, -1, -1], [1, 1, 1]),
+            ({"kind": "Q"}, [-1, -2, -3], [3, -1, 1]),
+            ({"kind": "Q"}, [-1, -1, -1], [2, -2, 1]),
+            ({"kind": "Q"}, [1, -1, -1], [1, 1, 1]),
+            ({"kind": "QSqrt", "d": 2}, [-1, -1, -1], [1, -1, 1]),
+            ({"kind": "Fp", "p": 10007}, [-1, -3, -5], [1, -1, 1]),
+        ]
+        runs = []
+        for field, params, gamma in inputs:
+            text = json.dumps({"f4": {"octonion": {"field": field, "params": params}, "gamma": gamma}})
+            exts = [{"kind": "QSqrt", "d": 2}, {"kind": "QSqrt", "d": -7}] if field["kind"] == "Q" else [field]
+            runs += [["classify", "--json", text], ["kernel", "--json", text]]
+            runs += [["excellence", "--json", text, "--ext", json.dumps(ext)] for ext in exts]
+
+        def outputs():
+            out = []
+            for argv in runs:
+                assert cli.main(argv) == 0, argv
+                out.append(capsys.readouterr().out)
+            return out
+
+        free = outputs()
+        for name in ("jordan_mul", "q0_data", "e0_subspace", "_checked_gram"):
+            for owner in (albert, groups):
+                monkeypatch.setattr(owner, name, refuse, raising=owner is albert)
+        assert outputs() == free
+        assert sum('"spin_form"' in out for out in free) == 6
+
     def test_kernel_kind_is_function_of_rank(self):
         table = {0: KIND_WHOLE, 1: KIND_SPIN, 4: KIND_TRIVIAL}
         for comp, gamma in [(GRAVES, [1, 1, 1]), (GRAVES, [1, -1, 1]), (SPLIT, [2, 3, 5])]:

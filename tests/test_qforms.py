@@ -195,6 +195,17 @@ class TestChecksBite:
         with pytest.raises(InternalCheckFailed, match="off-diagonal"):
             _assert_congruent(g, _half_boosted(p, field), list(form.coeffs))
 
+    @pytest.mark.parametrize("coeffs", [[1, -4], [1, 1, 1], [3, 5, 2, 1, 4]], ids=str)
+    def test_wrong_square_root_is_not_a_witness_over_fp(self, coeffs, monkeypatch):
+        # the F_p witness is checked exactly, as the Q and Q(sqrt d) ones
+        # are: a square root off by one gives no zero of the form
+        q = QuadraticForm(prime_field(10007), coeffs)
+        assert is_isotropic(q).isotropic
+        root = qforms.sqrt_mod_p
+        monkeypatch.setattr(qforms, "sqrt_mod_p", lambda a, p: None if root(a, p) is None else root(a, p) + 1)
+        with pytest.raises(InternalCheckFailed, match="not a zero"):
+            is_isotropic(q)
+
     @pytest.mark.parametrize("field", [Q, F5, RM7, R2], ids=str)
     def test_packed_congruence_matches_the_dense_product(self, field):
         rng = random.Random(31)

@@ -228,6 +228,13 @@ CLASSIFY = [
     _f4({"kind": "QSqrt", "d": -7}, [-1, -3, -5], [1, -1, 1]),
     _f4({"kind": "Q"}, [-1, -3, -5], [1, -1, 1]),
 ]
+# classify on each of them, then kernel and excellence over Q(sqrt 2) and
+# Q(sqrt -7) on algebras over Q of rank 0, 1 and 4
+ROUTES = [["classify", "--json", text] for text in CLASSIFY] + [
+    argv + ["--json", text]
+    for text in (CLASSIFY[0], CLASSIFY[3], _f4({"kind": "Q"}, [1, -1, -1], [1, 1, 1]))
+    for argv in (["kernel"], ["excellence", "--ext", '{"kind":"QSqrt","d":2}'], ["excellence", "--ext", '{"kind":"QSqrt","d":-7}'])
+]
 
 
 def test_templates_stay_unbuilt_by_witt():
@@ -236,9 +243,14 @@ def test_templates_stay_unbuilt_by_witt():
     them; the first algebra builds the octonion template, the Jordan one
     waits for the first Jordan or trace product (here phi's checks), the
     matrix one for matrix_mul and the conjugation one for the first phi.
-    A rank-0 or rank-4 classify compiles none of the Jordan, trace and
-    matrix tables of its algebra, and a rank-1 classify compiles the Jordan
-    table alone, for its z^2 = 0 check."""
+
+    classify at ranks 0, 4 and 1, and kernel and excellence (over
+    Q(sqrt 2) and Q(sqrt -7)) at ranks 0, 1 and 4, derive no Jordan,
+    matrix or conjugation template and compile no Albert table in their
+    algebras.  The rank-1 certificates are closed forms: production checks
+    the exact zero of the slot form behind z and r_i N(c) = -1, and the
+    Jordan identities they imply (z^2 = 0, the E0 conditions, the Q0 Gram)
+    are re-checked by `splitrank verify` and tests/test_jordan_identities.py."""
     form = json.dumps({"field": {"kind": "Q"}, "coeffs": ["1", "-1", "1"]})
     code = (
         "import contextlib, io, json, sys\n"
@@ -252,28 +264,37 @@ def test_templates_stay_unbuilt_by_witt():
         "before = sizes() + ['splitrank.verify' in sys.modules]\n"
         "a = albert.albert_from_json({'octonion': {'field': {'kind': 'Q'}, 'params': [-1, -1, -1]}, 'gamma': [1, 1, 1]})\n"
         "built = sizes()\n"
-        "albert.phi(a, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])\n"
-        "after_phi = sizes()\n"
-        "algebras, ranks = [], []\n"
+        "algebras, reports = [], []\n"
         "def record(desc):\n"
         "    algebras.append(albert.albert_from_json(desc))\n"
         "    return algebras[-1]\n"
         "splitrank.cli.albert_from_json = record\n"
-        f"for text in {CLASSIFY!r}:\n"
+        f"for argv in {ROUTES!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
-        "        splitrank.cli.main(['classify', '--json', text])\n"
-        "    ranks.append(json.loads(out.getvalue())['rank'])\n"
-        "tables = [[t for t in ('_product', '_trace', '_matrix_product') if t in vars(b)] for b in algebras]\n"
-        "print(json.dumps([rc, before, built, after_phi, ranks, tables]))\n"
+        "        assert splitrank.cli.main(argv) == 0, argv\n"
+        "    reports.append(json.loads(out.getvalue()))\n"
+        "after_routes = sizes()\n"
+        "albert.phi(a, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])\n"
+        "after_phi = sizes()\n"
+        "tables = ('_product', '_trace', '_matrix_product', '_automorphism_table')\n"
+        "compiled = [[t for t in tables if t in vars(b)] for b in algebras]\n"
+        "print(json.dumps([rc, before, built, after_routes, after_phi, reports, compiled]))\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert json.loads(out.stdout.strip().splitlines()[-1]) == [
-        0,
-        [0, 0, 0, 0, False],
-        [1, 0, 0, 0],
-        [1, 1, 0, 1],
-        [0, 4, 4, 1],
-        [[], [], [], ["_product"]],
+    rc, before, built, after_routes, after_phi, reports, compiled = json.loads(out.stdout.strip().splitlines()[-1])
+    assert [rc, before, built, after_routes, after_phi] == [0, [0, 0, 0, 0, False], [1, 0, 0, 0], [1, 0, 0, 0], [1, 1, 0, 1]]
+    assert [_ranks(r) for r in reports] == [[0], [4], [4], [1]] + [
+        [0], [0, 0], [0, 4],
+        [1], [1, 1], [1, 4],
+        [4], [4, 4], [4, 4],
     ]
+    assert compiled == [[]] * len(ROUTES)
+
+
+def _ranks(report: dict) -> list[int]:
+    """[rank] of a classify or kernel report, [rank over k, rank over L] of excellence."""
+    if "verdict" in report:
+        return [report["rank_base"]["rank"], report["rank_ext"]["rank"]]
+    return [report["rank"] if "rank" in report else report["provenance"]["rank"]]
