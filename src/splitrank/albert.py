@@ -417,9 +417,14 @@ def bilinear(x: AlbertElement, y: AlbertElement) -> FieldElement:
     """<x, y> = tr(xy) = Q(x+y) - Q(x) - Q(y), computed directly as
     sum x_i y_i + 2 sum r_i n(c_i, d_i): the diagonal of jordan_mul's
     formula, without the rest of the product."""
+    return x.algebra.field.kernel._unpack(*_packed_trace(x, y))[0]
+
+
+def _packed_trace(x: AlbertElement, y: AlbertElement):
+    """bilinear(x, y) as a packed vector of one coordinate."""
     x._check(y)
     a = x.algebra
-    return a.field.kernel._unpack(*a.field.kernel.packed_bilinear(a._trace, x.packed, y.packed))[0]
+    return a.field.kernel.packed_bilinear(a._trace, x.packed, y.packed)
 
 
 def _checked_gram(a: AlbertAlgebra, basis, expected, name: str):
@@ -465,8 +470,9 @@ def is_idempotent(x: AlbertElement) -> bool:
 
 
 def is_primitive_idempotent(x: AlbertElement) -> bool:
-    """Idempotent with Q(u) = 1/2, that is tr(u^2) = 1."""
-    return is_idempotent(x) and bilinear(x, x) == x.algebra.field.one()
+    """Idempotent with Q(u) = 1/2, that is tr(u^2) = 1 (packed)."""
+    kernel = x.algebra.field.kernel
+    return is_idempotent(x) and kernel.packed_eq(_packed_trace(x, x), kernel.pack([x.algebra.field.one()]))
 
 
 def is_nilpotent(z: AlbertElement) -> bool:
@@ -498,9 +504,8 @@ def _nilpotent_test_form(a: AlbertAlgebra, config) -> QuadraticForm:
 
 
 def _build_slot_nilpotent(a: AlbertAlgebra, config, witness) -> AlbertElement:
-    """z = t (E_jj - E_kk) + slot_i(c0) for a zero w = (t, c0) of the slot
-    form: z^2 = q(w) (E_jj + E_kk), so is_isotropic's exact check of w != 0,
-    q(w) = 0 proves z square-zero (verify and the tests run jordan_mul)."""
+    """z = t (E_jj - E_kk) + slot_i(c0): square-zero by the identity above
+    _nilpotent_configs, as is_isotropic checks the zero (t, c0) exactly."""
     t, zero = witness[0], a.field.zero()
     coords = [t if sgn > 0 else -t if sgn else zero for sgn in config["diag"]] + [zero] * 24
     off = _SLOT_OFFSET[config["slot"] - 1]
@@ -514,10 +519,9 @@ def nilpotent_analysis(a: AlbertAlgebra):
     Tests the three forms <1> + (g_j/g_k) N; an isotropic one yields an
     explicit square-zero element, all-anisotropic yields None with proofs.
     The first isotropic form gets a constructed zero (qforms.is_isotropic:
-    a Legendre lattice or a split through a common value), checked exactly
-    to be a zero; the later ones carry their decision only.  A slot form
-    with an irrational coefficient over Q(sqrt d) has no constructed zero
-    and raises UnsupportedCase.
+    a Legendre lattice or a split through a common value); the later ones
+    carry their decision only.  A slot form with an irrational coefficient
+    over Q(sqrt d) has no constructed zero and raises UnsupportedCase.
     """
     certificates: list[IsotropyResult] = []
     witness = None
@@ -575,22 +579,28 @@ def e0_subspace(a: AlbertAlgebra, u: AlbertElement, c: CompElement | None = None
     """Ordered basis of E0 = {x : <x,1> = <x,u> = 0, ux = 0} for u = E_ii.
 
     The basis is E_jj - E_kk, (j, k) the diagonal pair of slot i as in the
-    slot nilpotents, followed by slot_i(c e_m), m = 0..7 (c = 1 if None),
-    each verified against all three defining conditions.
+    slot nilpotents, followed by slot_i(c e_m), m = 0..7 (c = 1 if None);
+    each vector is born packed (c e_m is one packed product on the
+    octonion table) and verified against all three defining conditions.
     """
     if not is_primitive_idempotent(u):
         raise NotPrimitiveIdempotent("E0 needs a primitive idempotent")
     config = next((cf for cf in _nilpotent_configs(a) if u == a.diag_unit(cf["slot"])), None)
     if config is None:
         raise UnsupportedIdempotent("E0/Q0 are implemented for the diagonal idempotents E11, E22, E33")
-    o, zero, i = a.octonions, a.octonions.zero(), config["slot"] - 1
-    c = o.one() if c is None else c
-    basis = [a.element(config["diag"], [zero] * 3)]
-    basis += [a.element([0, 0, 0], [c * o.basis(m) if s == i else zero for s in range(3)]) for m in range(8)]
+    f, kernel, off = a.field, a.field.kernel, _SLOT_OFFSET[config["slot"] - 1]
+    basis = [a._sparse({p: f.element(s) for p, s in enumerate(config["diag"]) if s})]
+    packed_c = None if c is None else kernel.pack(c.coords)
+    frame, _ = kernel.pack_sparse(DIM, {})
+    for m in range(8):
+        e_m = kernel.pack_sparse(8, {m: f.one()})
+        v, den = e_m if c is None else kernel.packed_bilinear(a.octonions._product, packed_c, e_m)
+        basis.append(AlbertElement(a, packed=(frame[:off] + v + frame[off + 8:], den)))
+    unit, vanishes = a.unit(), kernel.packed_is_zero
     for b in basis:
-        if not bilinear(b, a.unit()).is_zero():
+        if not vanishes(_packed_trace(b, unit)):
             raise InternalCheckFailed("E0 vector not orthogonal to 1")
-        if not bilinear(b, u).is_zero():
+        if not vanishes(_packed_trace(b, u)):
             raise InternalCheckFailed("E0 vector not orthogonal to u")
         if not jordan_mul(u, b).is_zero():
             raise InternalCheckFailed("E0 vector not killed by u")
@@ -602,9 +612,8 @@ def q0_data(a: AlbertAlgebra, u: AlbertElement, c: CompElement | None = None):
     basis e0_subspace(a, u, c) of u = E_ii.
 
     Left multiplication by c is a similitude of N with multiplier N(c), so
-    the Gram matrix is checked to be diag(1, r_i N(c) N).  No decision path
-    calls this: it is the oracle that re-checks the E0 conditions and the
-    Q0 Gram behind groups.f4_kernel's closed form."""
+    the Gram matrix is checked to be diag(1, r_i N(c) N): the oracle of
+    groups.f4_kernel's closed form, which calls no E0 check."""
     basis = e0_subspace(a, u, c)
     one = a.field.one()
     scale = a._ratios[u.xs.index(one)] * (one if c is None else c.norm())  # r_i N(c) for u = E_ii

@@ -38,11 +38,10 @@ kernels.
 Factoring.  `prime_factors` is trial division below 1000, then Pollard rho
 (Brent's variant) on the cofactor, and every prime is proven by `is_prime`.
 Factorizations are remembered per integer (an lru of 4096), and the primes
-above the trial limit in a registry of the same size, which starts over
-when full: a cofactor that `is_prime` finds composite is split by the
-registered primes, found by a gcd against their product, before rho runs,
-so rho splits out a large prime once, however many products it turns up
-in, for as long as it stays registered.
+above the trial limit in a registry of the same size, oldest dropped
+first: a gcd with their product divides a composite cofactor by the
+registered primes before rho runs, so rho splits out a large prime once,
+however many products it turns up in, for as long as it stays registered.
 """
 
 from __future__ import annotations
@@ -135,50 +134,23 @@ def prime_factors(n: int) -> dict[int, int]:
     trial division below 1000, then Pollard rho on the cofactor.  Every
     prime is proven by is_prime, so a factor of PRIMALITY_LIMIT or more that
     passes every Miller-Rabin base raises InputTooLarge.  Factorizations are
-    remembered per |n|, and each prime above the trial limit once found: a
-    gcd with their product splits a composite cofactor before rho runs on
-    it (_PrimeRegistry).  Each call returns a fresh dict."""
+    remembered per |n|, and each prime above the trial limit is remembered
+    once found: a composite cofactor is divided by a known prime before rho
+    runs on it.  Each call returns a fresh dict."""
     return dict(_prime_factors(abs(n)))
 
 
 _CACHE_SIZE = 4096
-
-
-class _PrimeRegistry:
-    """Up to _CACHE_SIZE large primes (a full registry starts over), with
-    their product products[0] and, in products[j + 1], that of those whose
-    index has bit j set: one gcd finds the registered part of a cofactor,
-    and two registered primes differ in an index bit, which splits them."""
-
-    def __init__(self):
-        self.clear()
-
-    def clear(self):
-        self.primes, self.products = set(), [1]
-
-    def add(self, q: int):
-        if q not in self.primes:
-            if len(self.primes) == _CACHE_SIZE:
-                self.clear()
-            index = len(self.primes)
-            self.primes.add(q)
-            self.products += [1] * (index.bit_length() + 1 - len(self.products))
-            for j in [-1] + [j for j in range(index.bit_length()) if index >> j & 1]:
-                self.products[j + 1] *= q
-
-    def factor(self, m: int) -> int | None:
-        """A proper factor of the composite m made of registered primes, or None."""
-        g = gcd(m, self.products[0])
-        if g == m:  # m is a product of registered primes
-            return next(h for h in (gcd(m, b) for b in self.products[1:]) if 1 < h < m)
-        return g if g > 1 else None
-
-
-_LARGE_PRIMES = _PrimeRegistry()
+# The primes above the trial limit that is_prime has proved, oldest first,
+# and their product: a large prime turns up again inside other products
+# (g_j a next to r_i a, 2N after N), and rho should split it out only once.
+_LARGE_PRIMES: dict[int, None] = {}
+_large_product = 1
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _prime_factors(n: int) -> tuple[tuple[int, int], ...]:
+    global _large_product
     out: dict[int, int] = {}
     p = 2
     while p < _TRIAL_LIMIT and p * p <= n:
@@ -191,10 +163,18 @@ def _prime_factors(n: int) -> tuple[tuple[int, int], ...]:
         m = todo.pop()
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
-            if m > _TRIAL_LIMIT:
-                _LARGE_PRIMES.add(m)
+            if m > _TRIAL_LIMIT and m not in _LARGE_PRIMES:
+                _LARGE_PRIMES[m] = None
+                _large_product *= m
+                if len(_LARGE_PRIMES) > _CACHE_SIZE:
+                    oldest = next(iter(_LARGE_PRIMES))
+                    del _LARGE_PRIMES[oldest]
+                    _large_product //= oldest
         else:
-            f = _LARGE_PRIMES.factor(m) or _pollard_rho(m)
+            g = gcd(m, _large_product)  # the part of m made of registered primes
+            if g == m:
+                g = next(q for q in _LARGE_PRIMES if m % q == 0)
+            f = g if g > 1 else _pollard_rho(m)
             todo += [f, m // f]
     return tuple(sorted(out.items()))
 

@@ -9,10 +9,9 @@ isotropic vector (1, 1_C), on the E0 basis that the slot of the rank
 certificate gives for any Gamma.
 
 Nothing here multiplies in the Albert algebra (Springer-Veldkamp, ch. 5):
-z^2 = q(t, c0) (E_jj + E_kk) for the slot form q = <1> + r_i N, whose
-zero (t, c0) is checked exactly, and r_i N(c) = -1, checked too, gives
-Q0 = <1> - N.  `splitrank verify` and the tests re-check z^2 = 0 and the
-E0/Q0 Gram in the Albert algebra.
+z^2 = q(t, c0) (E_jj + E_kk) on the exact zero of q = <1> + r_i N, and
+r_i N(c) = -1 gives Q0 = <1> - N.  `splitrank verify` and the tests
+re-check z^2 = 0 and the E0/Q0 Gram in the Albert algebra.
 
 Excellence builds nothing over the extension L.  The k-report is computed
 once and lifted (fields.lift).  Decided over L, on lifted k coefficients:
@@ -354,8 +353,7 @@ def f4_kernel(a: AlbertAlgebra, rank_report: RankReport | None = None) -> Kernel
     (rank 0), or the 7-dim anisotropic complement of the explicit hyperbolic
     pair of Q0 through (1, 1_C) (rank 1).  The rank-1 certificate is
     z = t (E_jj - E_kk) + slot_i(c0); c = c0/t has r_i N(c) = -1, so on the
-    E0 basis E_jj - E_kk, slot_i(c e_m) of u = E_ii, Q0 = <1> - N, whose
-    E0 conditions and Gram albert.q0_data re-checks in verify and the tests."""
+    E0 basis E_jj - E_kk, slot_i(c e_m) of u = E_ii, Q0 = <1> - N."""
     report = rank_report if rank_report is not None else f4_rank(a)
     if report.rank != 1:
         return _whole_or_trivial(report.rank)

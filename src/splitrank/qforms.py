@@ -106,6 +106,20 @@ class QuadraticForm:
             acc = acc + a * x * x
         return acc
 
+    def bilinear(self, u, v) -> FieldElement:
+        """Polar form B with B(x,x) = q(x)."""
+        u = [self.field.element(x) for x in u]
+        v = [self.field.element(x) for x in v]
+        acc = self.field.zero()
+        for a, x, y in zip(self.coeffs, u, v):
+            acc = acc + a * x * y
+        return acc
+
+    def gram(self) -> list[list[FieldElement]]:
+        z = self.field.zero()
+        n = self.dim
+        return [[self.coeffs[i] if i == j else z for j in range(n)] for i in range(n)]
+
     def det(self) -> FieldElement:
         acc = self.field.one()
         for c in self.coeffs:
@@ -551,28 +565,33 @@ def _fp_witness(q: QuadraticForm):
 
     dim >= 3 always succeeds (fix tail = (1,0,..), solve the binary equation
     a1 x^2 + a2 y^2 = m by sweeping x); dim <= 2 is an exact square test.
-    The vector is checked exactly: x != 0 and sum a_i x_i^2 = 0 mod p.
     """
     p = q.field.p
     a = [c.value for c in q.coeffs]
     n = q.dim
-    if n < 2:
+    if n == 0:
+        return None
+    if n == 1:
         return None
     if n == 2:
-        r = sqrt_mod_p(-a[1] * pow(a[0], -1, p), p)
+        s = (-a[1] * pow(a[0], -1, p)) % p
+        r = sqrt_mod_p(s, p)
         if r is None:
             return None
-        vec = [r, 1]
-    else:
-        m = (-a[2]) % p
-        for x in range(p):
-            y = sqrt_mod_p((m - a[0] * x * x) * pow(a[1], -1, p), p)
-            if y is not None:
-                vec = [x, y, 1] + [0] * (n - 3)
-                break
-        else:
-            raise InternalCheckFailed("binary F_p equation had no solution")
-    if not any(x % p for x in vec) or sum(c * x * x for c, x in zip(a, vec)) % p:
+        return _checked_fp_zero(q, [r, 1])
+    m = (-a[2]) % p
+    for x in range(p):
+        rhs = (m - a[0] * x * x) % p
+        y = sqrt_mod_p(rhs * pow(a[1], -1, p) % p, p)
+        if y is not None:
+            return _checked_fp_zero(q, [x, y, 1] + [0] * (n - 3))
+    raise InternalCheckFailed("binary F_p equation had no solution")
+
+
+def _checked_fp_zero(q: QuadraticForm, vec):
+    """vec over F_p, checked exactly: vec != 0 and sum a_i x_i^2 = 0 mod p."""
+    p = q.field.p
+    if not any(x % p for x in vec) or sum(c.value * x * x for c, x in zip(q.coeffs, vec)) % p:
         raise InternalCheckFailed("constructed vector is not a zero of the form")
     return tuple(q.field.element(x) for x in vec)
 
@@ -969,6 +988,11 @@ def _is_isotropic_fp(q: QuadraticForm, want_witness: bool) -> IsotropyResult:
     )
 
 
+def _q_witness_of(q: QuadraticForm):
+    vec = _q_witness([c.value for c in q.coeffs])
+    return tuple(q.field.element(v) for v in vec)
+
+
 def _is_isotropic_q(q: QuadraticForm, want_witness: bool) -> IsotropyResult:
     n = q.dim
     if n == 1:
@@ -984,7 +1008,7 @@ def _is_isotropic_q(q: QuadraticForm, want_witness: bool) -> IsotropyResult:
     found = _obstruction([c.value for c in q.coeffs])
     if found:
         return IsotropyResult(False, found[0], detail=found[1])
-    wit = tuple(q.field.element(v) for v in _q_witness([c.value for c in q.coeffs])) if want_witness else None
+    wit = _q_witness_of(q) if want_witness else None
     reason = "indefinite of dim >= 5 (Meyer)" if n >= 5 else "isotropic at every place (Hasse-Minkowski)"
     return IsotropyResult(True, METHOD_WITNESS if wit else METHOD_LOCAL, witness=wit, detail={"reason": reason})
 

@@ -290,25 +290,31 @@ class TestFactoring:
 
         monkeypatch.setattr(fields, "_pollard_rho", recorded)
         fields._prime_factors.cache_clear()
-        fields._LARGE_PRIMES.clear()
+        monkeypatch.setattr(fields, "_LARGE_PRIMES", {})
+        monkeypatch.setattr(fields, "_large_product", 1)
         for n in (p * q, 3 * p * q * r, 7 * p * r, q * r, p * p * q, -2 * r**3, 10007 * 10009 * q):
             got = prime_factors(n)
             assert prod(b**e for b, e in got.items()) == abs(n) and all(is_prime(b) for b in got)
         primes = [f for f in found if is_prime(f)]
         assert primes and len(primes) == len(set(primes))
 
-    def test_registry_lookup_and_restart(self, monkeypatch):
-        # one gcd finds the registered part of a cofactor, an index-bit
-        # product splits a product of registered primes, and a full
-        # registry starts over
+    def test_registry_gcd_lookup_and_eviction(self, monkeypatch):
+        # a gcd with the running product finds the registered part of a
+        # cofactor, a scan splits a product of registered primes, and the
+        # oldest prime leaves the product with the registry
+        rho, split = fields._pollard_rho, []
+        monkeypatch.setattr(fields, "_pollard_rho", lambda n: split.append(n) or rho(n))
         monkeypatch.setattr(fields, "_CACHE_SIZE", 3)
-        registry = fields._PrimeRegistry()
-        for q in (1009, 1013, 1019):
-            registry.add(q)
-        assert registry.factor(1013 * 1021 * 1031) == 1013 and registry.factor(1021 * 1031) is None
-        assert registry.factor(1009 * 1013 * 1019) in {1009, 1013, 1019, 1009 * 1013, 1009 * 1019, 1013 * 1019}
-        registry.add(1021)
-        assert registry.primes == {1021} and registry.factor(1009 * 1013) is None
+        monkeypatch.setattr(fields, "_LARGE_PRIMES", {})
+        monkeypatch.setattr(fields, "_large_product", 1)
+        fields._prime_factors.cache_clear()
+        assert prime_factors(1009 * 1013) == {1009: 1, 1013: 1}
+        assert prime_factors(1013 * 1019 * 1021) == {1013: 1, 1019: 1, 1021: 1}
+        assert split == [1009 * 1013, 1019 * 1021]
+        assert sorted(fields._LARGE_PRIMES) == [1013, 1019, 1021] and fields._large_product == 1013 * 1019 * 1021
+        assert prime_factors(1013 * 1019) == {1013: 1, 1019: 1} and len(split) == 2
+        assert prime_factors(1009 * 1031) == {1009: 1, 1031: 1} and split[2:] == [1009 * 1031]
+        assert fields._large_product == prod(fields._LARGE_PRIMES)
 
     def test_primality_limit(self):
         # psi_12 is a strong pseudoprime to every base up to 37

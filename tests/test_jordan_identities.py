@@ -1,12 +1,5 @@
 """The Jordan identities behind the F4 certificates, re-checked in the
-Albert algebra on every rank-1 report.
-
-classify, kernel and excellence multiply nothing in H(C; Gamma): the
-rank-1 certificate z = t (E_jj - E_kk) + slot_i(c0) is proved square-zero
-by the exact zero (t, c0) of the slot form <1> + r_i N, since
-z^2 = (t^2 + r_i N(c0)) (E_jj + E_kk), and the kernel's q0 is the closed
-form <1> - N on the E0 basis that a c with r_i N(c) = -1 gives.  Here the
-identities themselves are checked, with the oracles kept in albert:
+Albert algebra on every golden rank-1 report (see jordan_checks):
 
 - jordan_mul(z, z) = 0 for every rank-1 certificate z;
 - albert.q0_data(a, E_ii, c) -- the three E0 conditions on the basis
@@ -15,50 +8,25 @@ identities themselves are checked, with the oracles kept in albert:
 
 The reports are every rank-1 report of the goldens classify_f4, kernel,
 excellence and f4_panel (over L, in the algebra that base_change_albert
-rebuilds there) and the kernels of the 210 inputs of
-test_rank1_kernel_panel.  A changed z coordinate, c or q0 is rejected.
+rebuilds there); test_rank1_kernel_panel runs the same checks on its 210
+inputs.  A changed z coordinate, c or q0 is rejected.
 """
 
-import importlib.util
 import json
 from pathlib import Path
 
 import pytest
+from jordan_checks import check_q0, check_square_zero
 
-from splitrank.albert import (
-    AlbertAlgebra,
-    albert_element_from_json,
-    albert_from_json,
-    base_change_albert,
-    jordan_mul,
-    q0_data,
-)
+from splitrank.albert import albert_from_json, base_change_albert
 from splitrank.errors import InternalCheckFailed
 from splitrank.fields import field_from_json, scalars_from_json
-from splitrank.groups import f4_kernel, f4_rank
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 # the algebra of the README examples (tests/test_golden.py): classify_f4
 # and kernel run on it over Q, excellence over Q(sqrt -1)
 GRAVES_RANK1 = {"octonion": {"field": {"kind": "Q"}, "params": ["-1", "-1", "-1"]}, "gamma": ["1", "-1", "1"]}
-
-
-def check_square_zero(a: AlbertAlgebra, rank_report: dict):
-    z = albert_element_from_json(a, rank_report["certificate"]["element"])
-    if z.is_zero() or not jordan_mul(z, z).is_zero():
-        raise InternalCheckFailed("the rank-1 certificate is not square-zero")
-
-
-def check_q0(a: AlbertAlgebra, kernel: dict):
-    """q0_data raises on a broken E0 condition or Gram; the Q0 it proves
-    must be the report's."""
-    prov = kernel["provenance"]
-    u = albert_element_from_json(a, prov["idempotent"])
-    c = a.octonions.element(scalars_from_json(a.field, prov["c"], "c"))
-    q0, _, _ = q0_data(a, u, c)
-    if q0.to_json() != prov["q0"]:
-        raise InternalCheckFailed("q0 of the report is not the Q0 of its E0 basis")
 
 
 def rank1_checks(argv: list, desc: dict, report: dict) -> list:
@@ -101,23 +69,6 @@ def test_every_golden_rank1_report(name):
     assert counts == GOLDEN_COUNTS[name]
     for check, a, part in checks:
         check(a, part)
-
-
-def _rank1_panel():
-    spec = importlib.util.spec_from_file_location("rank1_kernel_panel", ROOT / "tests" / "test_rank1_kernel_panel.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.panel()
-
-
-def test_every_rank1_kernel_panel_input():
-    inputs = _rank1_panel()
-    assert len(inputs) == 210
-    for desc, _ in inputs:
-        a = albert_from_json(desc["f4"])
-        rank = f4_rank(a)
-        check_square_zero(a, rank.to_json())
-        check_q0(a, f4_kernel(a, rank).to_json())
 
 
 # where each tamper changes a report: a diagonal scalar of z, a coordinate

@@ -12,6 +12,9 @@ almost never can be.  Every kernel must
   the tracer): kind by the sign oracle, Q0 = <1> - N, the exact congruence
   of the split basis, a definite 7-dim form;
 - be -N', the negated pure norm of C, coefficient by coefficient;
+- pass the Jordan re-checks of jordan_checks: the rank-1 certificate z
+  has jordan_mul(z, z) = 0, and q0_data proves the E0 conditions and the
+  Q0 Gram behind the report's q0;
 - on a normalizable Gamma, give the q0, split_basis and form of the
   normalization oracle: normalize_gamma, Q0 on E33 of the normalized
   algebra, and the hyperbolic split through (1, 1_C).
@@ -23,9 +26,10 @@ import random
 from pathlib import Path
 
 import pytest
+from jordan_checks import check_q0, check_square_zero
 
 from splitrank.albert import albert_from_json, q0_form
-from splitrank.groups import f4_kernel, normalize_gamma
+from splitrank.groups import f4_kernel, f4_rank, normalize_gamma
 from splitrank.qforms import _split_step
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -73,8 +77,11 @@ def test_every_rank1_kernel_is_certified():
     checker = _checker()
     for desc, normalizable in panel():
         a = albert_from_json(desc["f4"])
-        report = json.loads(json.dumps(f4_kernel(a).to_json()))
+        rank = f4_rank(a)
+        report = json.loads(json.dumps(f4_kernel(a, rank).to_json()))
         assert report["kind"] == "spin_form" and checker.check_kernel(desc, report), desc
+        check_square_zero(a, rank.to_json())
+        check_q0(a, report)
         assert report["form"]["coeffs"] == [str(c) for c in a.octonions.pure_norm_form().neg().coeffs], desc
         if normalizable:
             normalized, _ = normalize_gamma(a)
