@@ -48,7 +48,7 @@ from .errors import (
     ZeroParameter,
 )
 from .fields import Field, FieldElement, lift, scalars_from_json
-from .qforms import IsotropyResult, QuadraticForm, _congruence, _gram_mismatch, is_isotropic
+from .qforms import IsotropyResult, QuadraticForm, _gram_mismatch, _gram_table, is_isotropic
 from . import linalg
 
 DIM = 27
@@ -664,16 +664,15 @@ def so_gamma_sample(a: AlbertAlgebra, rng, retries: int = 50):
 
 
 def _similitude(src: AlbertAlgebra, dst: AlbertAlgebra, x) -> FieldElement:
-    """lam with X^T Gamma' X = lam Gamma (Gamma of src, Gamma' of dst), checked
-    exactly on the packed kernel; then X^(-1) = lam^(-1) Gamma^(-1) X^T Gamma'."""
-    zero = src.field.zero()
-
-    def diagonal(gamma):
-        return [[g if i == j else zero for j in range(3)] for i, g in enumerate(gamma)]
-
-    m = _congruence(src.field, diagonal(dst.gamma), [list(col) for col in zip(*x)])
-    lam = m[0][0] / src.gamma[0]
-    if lam.is_zero() or m != diagonal([lam * g for g in src.gamma]):
+    """lam with X^T Gamma' X = lam Gamma (Gamma of src, Gamma' of dst): lam is
+    read off the (0, 0) entry, and the whole congruence is checked exactly
+    by the packed predicate of every congruence check; then X^(-1) =
+    lam^(-1) Gamma^(-1) X^T Gamma'."""
+    kernel = src.field.kernel
+    table = _gram_table(src.field, 3, {(i, i): g for i, g in enumerate(dst.gamma)})
+    cols = [kernel.pack(list(col)) for col in zip(*x)]
+    lam = kernel._unpack(*kernel.packed_bilinear(table, cols[0], cols[0]))[0] / src.gamma[0]
+    if lam.is_zero() or _gram_mismatch(kernel, table, cols, [lam * g for g in src.gamma]):
         raise NotGammaOrthogonal("X^T Gamma' X is not an invertible multiple of Gamma")
     return lam
 

@@ -2,13 +2,14 @@
 
 Everything is exact: rationals are stdlib Fractions, quadratic elements are
 pairs of Fractions over the fixed basis {1, sqrt(d)}, prime-field elements
-are residues.  No floating point appears anywhere; real-embedding signs are
-decided by integer comparisons.
+are residues.  No floating point appears anywhere (tests/test_exact_source.py
+scans the sources for it); real-embedding signs are decided by integer
+comparisons, and lattice enumeration bounds by integer square roots.
 
 Packed payloads.  FieldElement is the scalar type of every public function.
 The products that dominate the running time -- octonion products, Jordan
-products, the Albert matrix product, automorphism matrices, and the Gram and
-congruence products of the quadratic-form engine -- are instead compiled
+products, the Albert matrix product, automorphism matrices, and the
+congruence checks of the quadratic-form engine -- are instead compiled
 once into tables of integer constants and run by `Field.kernel`, which is
 picked once per field kind.  `monomial_table` compiles every template table
 (octonion, Jordan, trace, matrix, conjugation), whose constants are signed
@@ -18,7 +19,9 @@ vector is packed into plain Python ints on entry and unpacked into
 canonical FieldElements on exit, except where work chains maps: an
 `albert.AlbertElement` keeps its packed vector, so Jordan products and
 their zero tests stay on integers; `qforms.witt_decompose` keeps its basis
-columns packed from split to split (`columns_table`); the conjugations of
+columns packed from split to split (`columns_table`) and proves each report
+once, by one packed congruence check of the finished basis (the invariant
+cross-check lives in `verify` and the tests); the conjugations of
 `albert.conjugation_between` fill their rows from packed outputs
 (`packed_table`), and their sampled checks draw packed vectors
 (`random_packed`, with the draws of `Field.random`) and compare them:
@@ -188,6 +191,14 @@ def legendre(a: int, p: int) -> int:
     return 1 if r == 1 else -1
 
 
+def least_nonresidue(p: int) -> int:
+    """The least quadratic nonresidue modulo an odd prime p."""
+    n = 2
+    while legendre(n, p) != -1:
+        n += 1
+    return n
+
+
 def sqrt_mod_p(a: int, p: int) -> int | None:
     """Square root mod odd prime p via Tonelli-Shanks, or None."""
     a %= p
@@ -202,10 +213,7 @@ def sqrt_mod_p(a: int, p: int) -> int | None:
     while q % 2 == 0:
         q //= 2
         s += 1
-    z = 2
-    while legendre(z, p) != -1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    m, c, t, r = s, pow(least_nonresidue(p), q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:
         i, t2 = 0, t
         while t2 != 1:
@@ -652,7 +660,7 @@ class _Kernel:
     a table of given constants (Gram entries), `packed_table` a linear
     table of packed values, such as the outputs of a bilinear map, and
     `columns_table` one of packed columns; `table_matrix` unpacks a linear
-    table.  `bilinear` and `gram` (on packed columns) return FieldElements.  `pack_sparse` packs only the
+    table.  `bilinear` returns FieldElements.  `pack_sparse` packs only the
     nonzero entries of a vector, so unit vectors are born packed."""
 
     def __init__(self, field: Field):
@@ -721,15 +729,6 @@ class _Kernel:
 
     def bilinear(self, table, xs, ys) -> tuple[FieldElement, ...]:
         return self._unpack(*self.packed_bilinear(table, self.pack(xs), self.pack(ys)))
-
-    def gram(self, table, packed) -> list[list[FieldElement]]:
-        """The symmetric matrix of B(x, y) over every pair of packed
-        columns, for a bilinear table with the single output B."""
-        out = [[None] * len(packed) for _ in packed]
-        for a, x in enumerate(packed):
-            for b in range(a, len(packed)):
-                out[a][b] = out[b][a] = self._unpack(*self.packed_bilinear(table, x, packed[b]))[0]
-        return out
 
 
 class _IntegerKernel(_Kernel):

@@ -19,10 +19,14 @@ are thin wrappers that check their arguments first.
 
 A Witt decomposition keeps its basis as packed columns of Field.kernel and
 does the work of each hyperbolic split once, on the witness support only
-(_split_step): the columns off the support pass through.  Every exact
-congruence check -- a diagonalization, a recorded Witt basis,
-equivalent_with_witness and albert's Gram checks -- is one packed-integer
-predicate (_gram_mismatch); no Gram matrix of FieldElements is built.
+(_split_step): the columns off the support pass through.  The splits are
+not checked one by one; each Witt report is proved once, by one exact
+congruence of q with H^i + <anisotropic part> on its finished basis.  The
+invariant cross-check of that report over Q lives in `verify` and the
+tests.  Every exact congruence check -- a diagonalization, a recorded Witt
+basis, equivalent_with_witness and albert's Gram checks -- is one
+packed-integer predicate (_gram_mismatch); no Gram matrix of FieldElements
+is built.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ from .fields import (
     Field,
     FieldElement,
     is_prime,
+    least_nonresidue,
     legendre,
     prime_factors,
     sqrt_mod_p,
@@ -136,7 +141,7 @@ class QuadraticForm:
         if k == PRIME_FIELD:
             if legendre(d.value, self.field.p) == 1:
                 return 1
-            return _least_nonresidue(self.field.p)
+            return least_nonresidue(self.field.p)
         return d  # QSqrt: raw element, compared via is_square of ratios
 
     def signature(self) -> tuple[int, int]:
@@ -240,26 +245,29 @@ def _columns(matrix):
     return [list(col) for col in zip(*matrix)]
 
 
-def _least_nonresidue(p: int) -> int:
-    n = 2
-    while legendre(n, p) != -1:
-        n += 1
-    return n
-
-
 # --------------------------------------------------------------------------
 # diagonalization
 # --------------------------------------------------------------------------
 
 def diagonalize(gram: GramMatrix):
     """Symmetric Gauss congruence: returns (QuadraticForm, P) with
-    P^T G P diagonal equal to the form's coefficients.  Raises DegenerateForm
-    (with the radical's basis) when the input is singular."""
-    g = gram.as_lists()
-    n = gram.dim
+    P^T G P diagonal equal to the form's coefficients, checked exactly.
+    Raises DegenerateForm (with the radical's basis) when the input is
+    singular."""
     f = gram.field
-    if n == 0:
+    if gram.dim == 0:
         return QuadraticForm(f, []), []
+    diag, p = _eliminate(f, gram.as_lists())
+    form = QuadraticForm(f, diag)
+    _assert_congruent(gram.as_lists(), p, list(form.coeffs))
+    return form, p
+
+
+def _eliminate(f: Field, g):
+    """The Gauss elimination of diagonalize on a symmetric matrix g of
+    FieldElements, reduced in place: returns (diag, P) with P^T g P =
+    diag(diag), unchecked, or raises DegenerateForm."""
+    n = len(g)
     p = linalg.identity(f, n)
 
     def add_col(dst, src, factor):
@@ -300,9 +308,7 @@ def diagonalize(gram: GramMatrix):
         raise DegenerateForm(
             f"Gram matrix has rank {n - len(radical)} < {n}", radical=rad_basis
         )
-    form = QuadraticForm(f, diag)
-    _assert_congruent(gram.as_lists(), p, list(form.coeffs))
-    return form, p
+    return diag, p
 
 
 def _assert_congruent(g, p, diag):
@@ -337,14 +343,6 @@ def _gram_mismatch(kernel, table, packed, expected) -> str | None:
     if not all(kernel.packed_eq(kernel.packed_bilinear(table, x, x), ([v], den)) for x, v in zip(packed, values)):
         return "diagonal"
     return None
-
-
-def _congruence(f: Field, g, cols):
-    """The matrix of x^T g y over every pair of columns x, y, on the packed
-    kernel: g is compiled once and each column is packed once.  Only
-    albert._similitude needs the matrix itself; checks use _gram_mismatch."""
-    table = _gram_table(f, len(g), {(i, j): x for i, row in enumerate(g) for j, x in enumerate(row) if not x.is_zero()})
-    return f.kernel.gram(table, [f.kernel.pack(c) for c in cols])
 
 
 # --------------------------------------------------------------------------
@@ -706,7 +704,7 @@ def _meyer_indices(s: list[int]) -> list[int]:
 def _class_reps(p: int) -> list[int]:
     if p == 2:
         return [u << v for v in (0, 1) for u in (1, 3, 5, 7)]
-    n = _least_nonresidue(p)
+    n = least_nonresidue(p)
     return [1, n, p, n * p]
 
 
@@ -897,32 +895,34 @@ def _lll(basis, weights) -> list[list[int]]:
 
 def _short_vectors(b, weights, bound: int) -> list[list[int]]:
     """The nonzero vectors of the lattice with rows b whose weighted norm is
-    at most bound, shortest first (Fincke-Pohst in units of bound; the
-    float bounds are widened and every norm is recomputed exactly)."""
+    at most bound, shortest first (Fincke-Pohst on integers).  The norm of
+    sum x_i b_i is sum N_i y_i^2 with y_i = x_i + sum_{j>i} mu_ji x_j; with
+    D a common denominator of the mu and L one of the N_i, the test
+    sum (L N_i) (D y_i)^2 <= L D^2 bound is on integers, and isqrt cuts
+    the range of each x_i exactly."""
     mu, norms = _gso(b, weights)
-    mu = [[float(x) for x in row] for row in mu]
-    norms = [float(x / bound) for x in norms]
     n = len(b)
+    den = math.lcm(*(x.denominator for row in mu for x in row))
+    scale = math.lcm(*(x.denominator for x in norms))
+    mu = [[int(x * den) for x in row] for row in mu]
+    norms = [int(x * scale) for x in norms]
     coef = [0] * n
     found = []
 
     def walk(i, left):
         if i < 0:
             vec = [sum(c * row[k] for c, row in zip(coef, b)) for k in range(n)]
-            size = sum(w * x * x for w, x in zip(weights, vec))
-            if any(vec) and size <= bound:
-                found.append((size, vec))
+            if any(vec):
+                found.append((sum(w * x * x for w, x in zip(weights, vec)), vec))
             return
-        centre = -sum(mu[j][i] * coef[j] for j in range(i + 1, n))
-        half = math.sqrt(max(left, 0.0) / norms[i])
-        for x in range(math.floor(centre - half) - 1, math.ceil(centre + half) + 2):
-            rest = left - norms[i] * (x - centre) ** 2
-            if rest >= -1e-6:
-                coef[i] = x
-                walk(i - 1, rest)
+        centre = sum(mu[j][i] * coef[j] for j in range(i + 1, n))  # D y_i = D x_i + centre
+        half = math.isqrt(left // norms[i])
+        for x in range(-((half + centre) // den), (half - centre) // den + 1):
+            coef[i] = x
+            walk(i - 1, left - norms[i] * (den * x + centre) ** 2)
         coef[i] = 0
 
-    walk(n - 1, 1 + 1e-6)
+    walk(n - 1, scale * den * den * bound)
     return [vec for _, vec in sorted(found)]
 
 
@@ -1048,16 +1048,16 @@ def _split_step(coeffs, witness):
     """One hyperbolic split in the current diagonal coordinates <a_i>, in
     closed form on the support S of the witness v.
 
-    Returns (S, u1, u2, cols, complement_form).  u1, u2 span the plane of
-    the witness with q(u1)=1, q(u2)=-1, B(u1,u2)=0, and the columns cols
-    diagonalize q on its orthogonal complement, with the values
-    complement_form.  With s0, s1 the first two coordinates of S, there is
-    one column per other coordinate, in coordinate order.  A coordinate off
-    S passes through with its own coefficient: its entry in cols is None.
-    For every other k in S the column comes from n_k = e_k - (a_k v_k /
-    a_s1 v_s1) e_s1 (the split identity), and only the n_k are
-    diagonalized.  u1, u2 and these columns are given on S only, in the
-    order of S.
+    Returns (S, u1, u2, cols, comp).  u1, u2 span the plane of the witness
+    with q(u1)=1, q(u2)=-1, B(u1,u2)=0, and the columns cols diagonalize q
+    on its orthogonal complement, with the coefficients comp.  With s0, s1
+    the first two coordinates of S, there is one column per other
+    coordinate, in coordinate order.  A coordinate off S passes through
+    with its own coefficient: its entry in cols is None.  For every other k
+    in S the column comes from n_k = e_k - (a_k v_k / a_s1 v_s1) e_s1 (the
+    split identity), and only the n_k are diagonalized, by the elimination
+    of diagonalize, unchecked: witt_decompose checks the whole basis once.
+    u1, u2 and these columns are given on S only, in the order of S.
     """
     f = coeffs[0].field
     support = [i for i, x in enumerate(witness) if not x.is_zero()]
@@ -1071,10 +1071,10 @@ def _split_step(coeffs, witness):
     u2 = [half * x - w for x, w in zip(v, wp)]
     ratio = [ak * vk / (a[1] * v[1]) for ak, vk in zip(a[2:], v[2:])]
     # Gram of the n_k: B(n_j, n_k) = a_s1 r_j r_k + delta_jk a_k
-    block, p = diagonalize(GramMatrix(f, [
+    block, p = _eliminate(f, [
         [a[1] * rj * rk + (a[j + 2] if j == k else zero) for k, rk in enumerate(ratio)]
         for j, rj in enumerate(ratio)
-    ]))
+    ])
     cols, comp, j = [], [], 0
     for i, c in enumerate(coeffs):
         if i in support[:2]:
@@ -1088,9 +1088,9 @@ def _split_step(coeffs, witness):
         for row, r in zip(p, ratio):
             col[1] = col[1] - row[j] * r
         cols.append(col)
-        comp.append(block.coeffs[j])
+        comp.append(block[j])
         j += 1
-    return support, u1, u2, cols, QuadraticForm(f, comp)
+    return support, u1, u2, cols, comp
 
 
 def witt_decompose(q: QuadraticForm) -> WittDecomposition:
@@ -1105,6 +1105,15 @@ def witt_decompose(q: QuadraticForm) -> WittDecomposition:
     other column passes through untouched.  Over Q each complement column
     with value s m^2 is scaled by 1/m (m an integer or a fraction), so the
     coefficients carried to the next split are squarefree integers.
+
+    The splits are not checked one by one: the finished basis is proved
+    once, by one exact congruence T^T G T = H^i + <a_1..a_m>
+    (equivalent_with_witness), which also rejects a wrong dimension.  Its
+    diagonal entries are nonzero, so T is invertible and q is isometric to
+    i hyperbolic planes plus the anisotropic part (the Witt decomposition;
+    Lam, Introduction to Quadratic Forms over Fields, ch. I).  The
+    invariant cross-check of that isometry over Q lives in `verify` and
+    the tests.
     """
     f = q.field
     kernel = f.kernel
@@ -1123,12 +1132,11 @@ def witt_decompose(q: QuadraticForm) -> WittDecomposition:
                 f"isotropy of {sub} is proved, but no explicit vector is built "
                 "for irrational coefficients"
             )
-        support, u1, u2, cols, comp_form = _split_step(current, cert.witness)
+        support, u1, u2, cols, current = _split_step(current, cert.witness)
         table = kernel.columns_table([embed[i] for i in support])
         pairs += [kernel.packed_linear(table, kernel.pack(u)) for u in (u1, u2)]
-        rest = [i for i in range(len(current)) if i not in support[:2]]
+        rest = [i for i in range(len(embed)) if i not in support[:2]]  # the coordinates before the split
         embed = [embed[i] if col is None else kernel.packed_linear(table, kernel.pack(col)) for i, col in zip(rest, cols)]
-        current = list(comp_form.coeffs)
         if f.kind == RATIONALS:
             for k, c in enumerate(current):
                 s, m, _ = _square_split(c.value)
@@ -1137,27 +1145,16 @@ def witt_decompose(q: QuadraticForm) -> WittDecomposition:
                     embed[k] = [x * m.denominator for x in nums], den * m.numerator
                 current[k] = f.element(s)
         index += 1
-    method = METHOD_WITNESS if not current else cert.method
-    dec = WittDecomposition(
+    basis = _columns([kernel._unpack(*col) for col in pairs + embed])
+    if not equivalent_with_witness(q, QuadraticForm(f, [1, -1] * index + current), basis):
+        raise InternalCheckFailed("recorded Witt basis fails congruence")
+    return WittDecomposition(
         witt_index=index,
         anisotropic_part=QuadraticForm(f, current),
-        method=method,
-        basis=_columns([kernel._unpack(*col) for col in pairs + embed]),
+        method=METHOD_WITNESS if not current else cert.method,
+        basis=basis,
         anisotropy_certificate=cert,
     )
-    _verify_decomposition(q, dec)
-    return dec
-
-
-def _verify_decomposition(q: QuadraticForm, dec: WittDecomposition):
-    n = q.dim
-    if dec.anisotropic_part.dim + 2 * dec.witt_index != n:
-        raise InternalCheckFailed("Witt decomposition dimension bookkeeping")
-    rebuilt = QuadraticForm(q.field, [1, -1] * dec.witt_index + list(dec.anisotropic_part.coeffs))
-    if dec.basis is not None and not equivalent_with_witness(q, rebuilt, dec.basis):
-        raise InternalCheckFailed("recorded Witt basis fails congruence")
-    if q.field.kind == RATIONALS and n and not equivalent(rebuilt, q):
-        raise InternalCheckFailed("Witt decomposition invariant bookkeeping")
 
 
 # --------------------------------------------------------------------------

@@ -313,6 +313,8 @@ def suite_qforms(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     out: list[CheckResult] = []
     f = rationals()
 
+    # witt_decompose proves each report by one exact congruence; this is
+    # the invariant cross-check of the report, a second route
     ok = True
     detail = ""
     for _ in range(25):

@@ -25,9 +25,8 @@ from splitrank.qforms import (
     QuadraticForm,
     WittDecomposition,
     _assert_congruent,
-    _congruence,
+    _gram_table,
     _split_step,
-    _verify_decomposition,
     diagonalize,
     equivalent,
     equivalent_with_witness,
@@ -119,9 +118,9 @@ def _decomposition(field):
         q = QuadraticForm(field, coeffs)
         return q, witt_decompose(q)
     q = QuadraticForm(field, [1, 2, 3, 5, 7, 11])
-    cols, comp_form = _expanded_split(list(q.coeffs), is_isotropic(q).witness)
+    cols, comp = _expanded_split(list(q.coeffs), is_isotropic(q).witness)
     basis = [[col[r] for col in cols] for r in range(q.dim)]
-    return q, WittDecomposition(1, comp_form, METHOD_WITNESS, basis=basis)
+    return q, WittDecomposition(1, QuadraticForm(field, comp), METHOD_WITNESS, basis=basis)
 
 
 def _expanded_split(coeffs, v):
@@ -157,22 +156,91 @@ def _half_boosted(matrix, field):
     return [row[:1] + [x * row[0] + y * row[1]] + row[2:] for row in matrix]
 
 
+def _decide_from_dim_five(monkeypatch):
+    """Over Q(sqrt -7) isotropy is decided from dimension 5 up only, so a
+    Witt decomposition raises UnsupportedCase after its first split.  This
+    stub reports the dim-4 remainder anisotropic instead, so the basis of
+    that split reaches the final congruence check."""
+    decide = qforms.is_isotropic
+
+    def stub(q, want_witness=True):
+        return decide(q, want_witness) if q.dim >= 5 else qforms.IsotropyResult(False, qforms.METHOD_REAL)
+
+    monkeypatch.setattr(qforms, "is_isotropic", stub)
+
+
+# forms with a split whose witness support has 3 or more coordinates, so
+# that it has complement columns
+SPLIT_FORMS = {Q: [2, -3, 6, 1, -1], F5: [1, 2, 1, 3], RM7: [1, 1, 1, 1, 1, 1]}
+
+
+class TestOneProof:
+    """witt_decompose proves its basis once, by one exact congruence of q
+    with H^i + <anisotropic part>: no split, no invariant and no
+    bookkeeping re-check runs, and a wrong split is still caught."""
+
+    @pytest.mark.parametrize("part", ["u1", "column"])
+    @pytest.mark.parametrize("field", [Q, F5, RM7], ids=str)
+    def test_corrupted_split_is_caught(self, field, part, monkeypatch):
+        if field == RM7:
+            _decide_from_dim_five(monkeypatch)
+        q = QuadraticForm(field, SPLIT_FORMS[field])
+        witt_decompose(q)  # the honest splits pass the one check
+        split, bumped = qforms._split_step, []
+
+        def corrupted(coeffs, witness):
+            support, u1, u2, cols, comp = split(coeffs, witness)
+            target = u1 if part == "u1" else next((c for c in cols if c is not None), None)
+            if target is not None and not bumped:
+                target[0] = target[0] + (field.sqrt_gen() if field == RM7 else field.one())
+                bumped.append(part)
+            return support, u1, u2, cols, comp
+
+        monkeypatch.setattr(qforms, "_split_step", corrupted)
+        with pytest.raises(InternalCheckFailed, match="congruence"):
+            witt_decompose(q)
+        assert bumped
+
+    @pytest.mark.parametrize(
+        "field,coeffs",
+        [
+            (Q, [1, -1, 1]),
+            (Q, [2, -3, 6, 1, -1]),
+            (Q, [1, -1, 1, -1, 1, -1]),
+            (Q, [12, Fraction(-3, 4), 5, -20, 7, Fraction(-18, 5)]),
+            (Q, [1, 1, -(10**9 + 9)]),
+            (Q, [3, 5, 7]),
+            (F5, [1, 2, 3, 4]),
+            (prime_field(10007), [3, 1, 4, 1, 5, 9, 2, 6, 5]),
+            (R2, [1, -1, 1, 1, 1, 1, 1]),
+            (RM7, [1, 2, 3, 5, 7, 11]),
+        ],
+        ids=str,
+    )
+    def test_one_congruence_check_per_decomposition(self, field, coeffs, monkeypatch):
+        if field == RM7:
+            _decide_from_dim_five(monkeypatch)
+        calls = {"_gram_mismatch": 0, "_assert_congruent": 0, "diagonalize": 0, "equivalent": 0}
+
+        def counted(name):
+            run = getattr(qforms, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return run(*args)
+
+            monkeypatch.setattr(qforms, name, wrapper)
+
+        for name in calls:
+            counted(name)
+        witt_decompose(QuadraticForm(field, coeffs))
+        assert calls == {"_gram_mismatch": 1, "_assert_congruent": 0, "diagonalize": 0, "equivalent": 0}
+
+
 class TestChecksBite:
     """The exact checks reject a certificate with one wrong entry, and one
     whose values are all right but whose first two columns are not
     orthogonal."""
-
-    @pytest.mark.parametrize("field", [Q, F5, RM7], ids=str)
-    def test_corrupted_witt_basis_fails_verification(self, field):
-        q, dec = _decomposition(field)
-        _verify_decomposition(q, dec)
-        for r, c in ((0, 0), (q.dim - 1, 1), (1, q.dim - 1)):
-            bad = WittDecomposition(dec.witt_index, dec.anisotropic_part, dec.method, _bumped(dec.basis, r, c, field))
-            with pytest.raises(InternalCheckFailed):
-                _verify_decomposition(q, bad)
-        bad = WittDecomposition(dec.witt_index, dec.anisotropic_part, dec.method, _half_boosted(dec.basis, field))
-        with pytest.raises(InternalCheckFailed, match="congruence"):
-            _verify_decomposition(q, bad)
 
     @pytest.mark.parametrize("field", [Q, F5, RM7], ids=str)
     def test_perturbed_witness_is_not_an_equivalence(self, field):
@@ -208,13 +276,19 @@ class TestChecksBite:
 
     @pytest.mark.parametrize("field", [Q, F5, RM7, R2], ids=str)
     def test_packed_congruence_matches_the_dense_product(self, field):
+        # the packed Gram table of every congruence check, on every pair of
+        # packed columns, against the dense product P^T G P
         rng = random.Random(31)
+        kernel = field.kernel
         for n in (1, 3, 6):
             m = [[field.random(rng) for _ in range(n)] for _ in range(n)]
             g = [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
             p = [[field.random(rng) for _ in range(n + 1)] for _ in range(n)]
             want = linalg.mat_mul(linalg.mat_mul([list(col) for col in zip(*p)], g), p)
-            assert _congruence(field, g, [list(col) for col in zip(*p)]) == want
+            table = _gram_table(field, n, {(i, j): x for i, row in enumerate(g) for j, x in enumerate(row) if not x.is_zero()})
+            packed = [kernel.pack(list(col)) for col in zip(*p)]
+            got = [[kernel._unpack(*kernel.packed_bilinear(table, x, y))[0] for y in packed] for x in packed]
+            assert got == want
 
 
 class TestHilbert:
@@ -437,10 +511,10 @@ def _check_split(coeffs, v):
     cols, comp = _expanded_split(coeffs, v)
     q = QuadraticForm(f, coeffs)
     basis = [[col[r] for col in cols] for r in range(dim)]
-    assert equivalent_with_witness(q, QuadraticForm(f, [1, -1] + list(comp.coeffs)), basis)
+    assert equivalent_with_witness(q, QuadraticForm(f, [1, -1] + comp), basis)
     rest = [i for i in range(dim) if i not in support[:2]]
-    assert len(local) == len(cols) - 2 == comp.dim == len(rest)
-    for loc, col, c, i in zip(local, cols[2:], comp.coeffs, rest):
+    assert len(local) == len(cols) - 2 == len(comp) == len(rest)
+    for loc, col, c, i in zip(local, cols[2:], comp, rest):
         if i in support:
             assert len(loc) == len(support)
             assert all(col[j].is_zero() for j in range(dim) if j not in support[1:])

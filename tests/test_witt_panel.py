@@ -22,10 +22,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from splitrank import fields, linalg, qforms
-from splitrank.fields import is_prime, legendre
-from splitrank.qforms import form_from_json, witt_decompose
+from splitrank.fields import is_prime, least_nonresidue, legendre
+from splitrank.qforms import QuadraticForm, equivalent, form_from_json, witt_decompose, witt_index_by_invariants
 
 GOLDEN = Path(__file__).parent / "golden" / "witt_panel.json"
+# the README's `witt` example, whose report is tests/golden/witt.json
+README_WITT = ({"field": {"kind": "Q"}, "coeffs": ["1", "-1", "1"]}, GOLDEN.parent / "witt.json")
 Q_HEIGHT = {3: 100, 4: 100, 5: 10, 6: 10, 7: 5, 8: 5, 9: 5}
 
 
@@ -69,7 +71,7 @@ def _second_inputs() -> list[dict]:
             coeffs = [rng.randrange(1, p) for _ in range(dim)]
             if dim == 8 and legendre(math.prod(coeffs), p) != 1:
                 # the last coefficient makes the discriminant a square: index 4
-                coeffs[-1] = coeffs[-1] * rng.randrange(1, p) ** 2 * _least_nonresidue(p) % p
+                coeffs[-1] = coeffs[-1] * rng.randrange(1, p) ** 2 * least_nonresidue(p) % p
             forms.append({"field": {"kind": "Fp", "p": p}, "coeffs": [str(c) for c in coeffs]})
     for d, dim, k in ((2, 7, 1), (5, 7, 1), (2, 8, 1), (5, 8, 1), (2, 9, 1), (5, 9, 1), (2, 9, 2), (5, 9, 2)):
         # signature (dim - k, k) with dim - 2k >= 5: k splits, then definite
@@ -82,10 +84,6 @@ def _second_inputs() -> list[dict]:
     for coeffs in ([semiprime, 1, 2], [semiprime, 3, 5, 7]):
         forms.append({"field": {"kind": "Q"}, "coeffs": [str(c) for c in coeffs]})
     return forms
-
-
-def _least_nonresidue(p: int) -> int:
-    return next(n for n in range(2, p) if legendre(n, p) == -1)
 
 
 def panel_text() -> str:
@@ -141,6 +139,25 @@ def test_each_split_maps_only_its_support(monkeypatch):
         assert [end - start for (_, _, start), end in zip(splits, ends)] == [size for _, size, _ in splits], entry
         narrow += sum(size < dim for dim, size, _ in splits)
     assert narrow > 100
+
+
+def test_every_q_report_matches_the_invariants():
+    # witt_decompose proves its basis by one exact congruence; this is the
+    # invariant cross-check of each golden report over Q: H^i + the
+    # anisotropic part has the invariants of q, and i is the Witt index
+    # that signatures and local invariants give
+    entries = json.loads(GOLDEN.read_text())
+    entries.append({"input": README_WITT[0], "witt": json.loads(README_WITT[1].read_text())})
+    checked = 0
+    for entry in entries:
+        q, report = form_from_json(entry["input"]), entry["witt"]
+        if q.field.kind != "Q":
+            continue
+        rebuilt = QuadraticForm(q.field, [1, -1] * report["index"] + [Fraction(c) for c in report["anisotropic"]])
+        assert equivalent(rebuilt, q), entry
+        assert witt_index_by_invariants(q) == report["index"], entry
+        checked += 1
+    assert checked == 90  # 89 panel forms over Q and the README example
 
 
 if __name__ == "__main__":
