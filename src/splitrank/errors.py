@@ -50,7 +50,7 @@ class UnsupportedExtension(UnsupportedCase):
 
 
 class InputTooLarge(UnsupportedCase):
-    """An integer is beyond the range where primality is proven."""
+    """An integer past the range of proven primality, or a search past its budget."""
 
 
 class SearchSpaceTooLarge(AlgebraError):

@@ -18,10 +18,10 @@ entries of `qforms._gram_table`, the table of every congruence check.  A
 vector is packed into plain Python ints on entry and unpacked into
 canonical FieldElements on exit, except where work chains maps: an
 `albert.AlbertElement` keeps its packed vector, so Jordan products and
-their zero tests stay on integers; `qforms.witt_decompose` keeps its basis
-columns packed from split to split (`columns_table`) and proves each report
-once, by one packed congruence check of the finished basis (the invariant
-cross-check lives in `verify` and the tests); the conjugations of
+their zero tests stay on integers; `qforms.witt_decompose` builds each
+split's columns on packed scalars (`_mul`, `_add`, `packed_over`), keeps
+them packed from split to split (`columns_table`) and proves each report
+once, on the packed basis, before it unpacks it; the conjugations of
 `albert.conjugation_between` fill their rows from packed outputs
 (`packed_table`), and their sampled checks draw packed vectors
 (`random_packed`, with the draws of `Field.random`) and compare them:
@@ -49,6 +49,7 @@ however many products it turns up in, for as long as it stays registered.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -661,7 +662,9 @@ class _Kernel:
     table of packed values, such as the outputs of a bilinear map, and
     `columns_table` one of packed columns; `table_matrix` unpacks a linear
     table.  `bilinear` returns FieldElements.  `pack_sparse` packs only the
-    nonzero entries of a vector, so unit vectors are born packed."""
+    nonzero entries of a vector, so unit vectors are born packed.  `_mul`
+    and `_add` multiply and add packed scalars (the entries of a packed
+    vector), and `packed_over` packs a list of them over one nonzero one."""
 
     def __init__(self, field: Field):
         self.field = field
@@ -744,6 +747,8 @@ class _IntegerKernel(_Kernel):
     def _times(v, m):
         return v * m
 
+    _mul, _add = staticmethod(operator.mul), staticmethod(operator.add)
+
     def packed_bilinear(self, table, xp, yp):
         rows, n_out, den = table
         (x, xd), (y, yd) = xp, yp
@@ -794,6 +799,10 @@ class _RationalKernel(_IntegerKernel):
         return tuple(FieldElement(f, Fraction(n, den)) for n in nums)
 
     @staticmethod
+    def packed_over(nums, s):
+        return (nums, s) if s > 0 else ([-n for n in nums], -s)
+
+    @staticmethod
     def random_packed(rng, n, height):
         """n coordinates drawn as Field.random draws them: a numerator in
         [-height, height] over a denominator in [1, 3], in that order."""
@@ -815,6 +824,10 @@ class _PrimeKernel(_IntegerKernel):
     def _unpack(self, nums, den):
         f = self.field
         return tuple(FieldElement(f, n) for n in nums)
+
+    def packed_over(self, nums, s):
+        inv = pow(s, -1, self.field.p)
+        return self._reduce([n * inv for n in nums]), 1
 
     def random_packed(self, rng, n, height):
         """n uniform residues, drawn as Field.random draws them."""
@@ -849,6 +862,19 @@ class _QuadKernel(_Kernel):
     @staticmethod
     def _times(v, m):
         return v[0] * m, v[1] * m
+
+    def _mul(self, u, v):
+        (a, b), (c, e) = u, v
+        return a * c + self.field.d * b * e, a * e + b * c
+
+    @staticmethod
+    def _add(u, v):
+        return u[0] + v[0], u[1] + v[1]
+
+    def packed_over(self, nums, s):  # times the conjugate of s, over its norm
+        norm = self._mul(s, (s[0], -s[1]))[0]
+        conj = (s[0], -s[1]) if norm > 0 else (-s[0], s[1])
+        return [self._mul(n, conj) for n in nums], abs(norm)
 
     def packed_bilinear(self, table, xp, yp):
         rows, n_out, den = table

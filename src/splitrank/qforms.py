@@ -14,19 +14,19 @@ Over Q one integer core answers every local question (section "the local
 layer over Q"): each coefficient is split once into its squarefree class
 and its primes, and one Hasse invariant and one local-isotropy rule on those
 integers serve is_isotropic, witt_index_by_invariants, equivalent,
-det_squareclass and the witness route.  hilbert_symbol and hasse_invariant
-are thin wrappers that check their arguments first.
+det_squareclass and the witness route, which looks the primes of a form up
+once and runs its lattices on integers (integral LLL).  hilbert_symbol and
+hasse_invariant are thin wrappers that check their arguments first.
 
 A Witt decomposition keeps its basis as packed columns of Field.kernel and
-does the work of each hyperbolic split once, on the witness support only
-(_split_step): the columns off the support pass through.  The splits are
-not checked one by one; each Witt report is proved once, by one exact
-congruence of q with H^i + <anisotropic part> on its finished basis.  The
-invariant cross-check of that report over Q lives in `verify` and the
-tests.  Every exact congruence check -- a diagonalization, a recorded Witt
-basis, equivalent_with_witness and albert's Gram checks -- is one
-packed-integer predicate (_gram_mismatch); no Gram matrix of FieldElements
-is built.
+does the work of each hyperbolic split once, on packed integers and on the
+witness support only (_split_step): the columns off the support pass
+through.  The splits are not checked one by one; each Witt report is proved
+once, by one exact congruence of q with H^i + <anisotropic part> on its
+packed basis, which is then unpacked into the report.  The invariant
+cross-check of that report over Q lives in `verify` and the tests.  Every
+exact congruence check is one packed-integer predicate (_gram_mismatch); no
+Gram matrix of FieldElements is built.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from . import linalg
 from .errors import (
     DegenerateForm,
     FieldMismatch,
+    InputTooLarge,
     InternalCheckFailed,
     InvalidInput,
     SearchSpaceTooLarge,
@@ -521,38 +522,30 @@ _ENUM_CAP = 4_000_000
 def _integerize(coeffs: list[Fraction]) -> list[int]:
     """Scale rational coefficients to integers (same zero set)."""
     lcm = math.lcm(*(c.denominator for c in coeffs))
-    return [int(c * lcm) for c in coeffs]
+    return [c.numerator * (lcm // c.denominator) for c in coeffs]
 
 
 def _search_integer(coeffs: list[int], bound: int):
     """Meet-in-the-middle over 0..bound per coordinate (signs never matter
-    for a diagonal form).  Returns a nonzero integer witness or None."""
+    for a diagonal form).  Returns a nonzero integer witness or None; the
+    table keeps the first vector of each value of the first half."""
     n = len(coeffs)
-    h1 = list(range((n + 1) // 2))
-    h2 = list(range((n + 1) // 2, n))
+    h1, h2 = coeffs[:(n + 1) // 2], coeffs[(n + 1) // 2:]
     if (bound + 1) ** len(h1) > _ENUM_CAP:
         raise SearchSpaceTooLarge(f"bound {bound} with dim {n}")
     sq = [x * x for x in range(bound + 1)]
-    table: dict[int, tuple] = {}
-    for xs in itertools.product(range(bound + 1), repeat=len(h1)):
-        val = 0
-        for i, x in zip(h1, xs):
-            val += coeffs[i] * sq[x]
-        if val not in table:
-            table[val] = xs
+
+    def values(half):
+        return (sum(t) for t in itertools.product(*([c * s for s in sq] for c in half)))
+
+    keys = list(itertools.product(range(bound + 1), repeat=len(h1)))
+    table = dict(zip(reversed(list(values(h1))), reversed(keys)))
     if not h2:
         hit = table.get(0)
-        if hit and any(hit):
-            return list(hit)
-        return None
-    for ys in itertools.product(range(bound + 1), repeat=len(h2)):
-        val = 0
-        for i, y in zip(h2, ys):
-            val += coeffs[i] * sq[y]
+        return list(hit) if hit and any(hit) else None
+    for ys, val in zip(itertools.product(range(bound + 1), repeat=len(h2)), values(h2)):
         hit = table.get(-val)
-        if hit is None:
-            continue
-        if not any(hit) and not any(ys):
+        if hit is None or (not any(hit) and not any(ys)):
             continue
         return list(hit) + list(ys)
     return None
@@ -670,7 +663,9 @@ def _solve(values) -> list[int]:
 
 def _solve_sqf(s: list[int]) -> list[int]:
     """Zero of an isotropic form with squarefree coefficients, supported on
-    as few and as small coefficients as the local tests allow."""
+    as few and as small coefficients as the local tests allow.  The primes
+    are looked up once per form; a 3- or 4-dim subform is tested at 2 and at
+    the primes of its coefficients (at any other odd prime it is isotropic)."""
     n = len(s)
     for i, j in itertools.combinations(range(n), 2):
         if s[i] == -s[j]:
@@ -682,12 +677,14 @@ def _solve_sqf(s: list[int]) -> list[int]:
     if n >= 6:
         idx = _meyer_indices(s)
         return _pad(n, idx, _solve_sqf([s[i] for i in idx]))
+    primes = [prime_factors(x).keys() for x in s]
     for size in range(3, n):
         for idx in sorted(itertools.combinations(range(n), size), key=lambda c: sorted(abs(s[i]) for i in c)):
-            sub = [s[i] for i in idx]
-            if _obstruction(sub) is None:
-                return _pad(n, idx, _solve_sqf(sub))
-    return _split_solve(s)
+            sub, places = [s[i] for i in idx], sorted({2}.union(*(primes[i] for i in idx)))
+            if not _definite(sub) and all(_iso_at(sub, p) for p in places):
+                # a 4-subform has no isotropic 3-subform: those came first
+                return _pad(n, idx, _ternary(*sub) if size == 3 else _split_solve(sub, places))
+    return _split_solve(s, sorted({2}.union(*primes)))
 
 
 def _meyer_indices(s: list[int]) -> list[int]:
@@ -708,21 +705,30 @@ def _class_reps(p: int) -> list[int]:
     return [1, n, p, n * p]
 
 
-def _split_plan(a: list[int], rest: list[int]):
-    """The square classes of t allowed at each prime of S = {2} + primes of
-    the coefficients, for which <a1,a2,-t> and rest + <t> are both
-    isotropic over Q_p, and the product of the primes of S that must divide
-    t to an odd power."""
-    primes = _local_data(a + rest)[2]
-    allowed = {
-        p: {_class_key(c, p) for c in _class_reps(p) if _iso_at(a + [-c], p) and _iso_at(rest + [c], p)}
-        for p in primes
-    }
+def _split_plan(a: list[int], rest: list[int], primes: list[int]):
+    """The square classes of t allowed at each prime of S = primes, for which
+    <a1,a2,-t> and rest + <t> are both isotropic over Q_p, and the product
+    of the primes of S that must divide t to an odd power.  A class c costs
+    two Hilbert symbols: eps(f + <c>) = eps(f) (det f, c)_p."""
+    da, dr = a[0] * a[1], math.prod(rest)
+    allowed = {}
+    for p in primes:
+        ea, er = _hasse(a, p), _hasse(rest, p)
+        allowed[p] = {
+            _class_key(c, p) for c in _class_reps(p)
+            if _local_isotropic(3, -da * c, ea * _symbol(da, -c, p), p)
+            and _local_isotropic(len(rest) + 1, dr * c, er * _symbol(dr, c, p), p)
+        }
     if not all(allowed.values()):
         raise InternalCheckFailed(f"<{a}> + <{rest}> has no common value at a prime")
     forced = math.prod(p for p in primes if all(v for v, _ in allowed[p]))
     share = math.prod(Fraction(len(allowed[p]), 8 if p == 2 else 4) for p in primes)
     return forced / share, allowed, forced
+
+
+# t candidates _split_value may test: 68,818 is the most any test, golden,
+# `verify --seed 1729` or bench workload (seeds 1-10) needs
+_SPLIT_VALUE_BUDGET = 100_000
 
 
 def _split_value(a: list[int], rest: list[int], allowed, forced: int) -> int:
@@ -731,9 +737,10 @@ def _split_value(a: list[int], rest: list[int], allowed, forced: int) -> int:
     and its sign makes both forms indefinite.  A prime q outside S dividing
     t to an odd power leaves the ternary forms isotropic at q only if
     -a1 a2 (and -r1 r2 for a binary rest) is a square mod q.  Every other
-    place is unramified for both forms."""
+    place is unramified for both forms.  Past _SPLIT_VALUE_BUDGET
+    candidates it raises InputTooLarge."""
     need = [-a[0] * a[1]] + ([-rest[0] * rest[1]] if len(rest) == 2 else [])
-    for k in itertools.count(1):
+    for k in range(1, _SPLIT_VALUE_BUDGET // 2 + 1):
         for t in (forced * k, -forced * k):
             if _definite(a + [-t]) or _definite(rest + [t]):
                 continue
@@ -744,17 +751,21 @@ def _split_value(a: list[int], rest: list[int], allowed, forced: int) -> int:
                 for p, e in prime_factors(k).items()
             ):
                 return t
+    raise InputTooLarge(
+        f"witness split value of <{a[0]},{a[1]}> + <{','.join(map(str, rest))}>: "
+        f"no t among the first {_SPLIT_VALUE_BUDGET} candidates"
+    )
 
 
-def _split_solve(s: list[int]) -> list[int]:
-    """q = <a1,a2> + rest (dim 4 or 5), over the pair whose allowed classes
-    promise the smallest t: with t from _split_value, zeros (x1, x2, u) of
-    <a1,a2,-t> and (y, w) of rest + <t> glue to (w x1, w x2, u y)."""
+def _split_solve(s: list[int], primes: list[int]) -> list[int]:
+    """q = <a1,a2> + rest (dim 4 or 5, S = primes), over the pair whose allowed
+    classes promise the smallest t: with t from _split_value, zeros (x1, x2, u)
+    of <a1,a2,-t> and (y, w) of rest + <t> glue to (w x1, w x2, u y)."""
     n = len(s)
     plans = []
     for pair in itertools.combinations(range(n), 2):
         rest = [i for i in range(n) if i not in pair]
-        plans.append((_split_plan([s[i] for i in pair], [s[i] for i in rest]), pair, rest))
+        plans.append((_split_plan([s[i] for i in pair], [s[i] for i in rest], primes), pair, rest))
     (_, allowed, forced), pair, rest = min(plans, key=lambda plan: plan[0][0])
     a, r = [s[i] for i in pair], [s[i] for i in rest]
     t = _split_value(a, r, allowed, forced)
@@ -812,9 +823,8 @@ def _legendre(a: int, b: int, c: int) -> list[int]:
     x2 = _crt((rc * a, 0), (-c, b))
     x3 = _crt((rc * ra, pow(rb, -1, b)), (-c, b))
     weights = (a, b, -c)
-    basis = _lll([[-b * c, 0, 0], [x2, a, 0], [x3, ra, 1]], weights)
     fallback = None
-    for x, y, z in _short_vectors(basis, weights, 3 * m):
+    for x, y, z in _short_vectors(*_lll([[-b * c, 0, 0], [x2, a, 0], [x3, ra, 1]], weights), weights, 3 * m):
         value = a * x * x + b * y * y + c * z * z
         if value == 0:
             return [x, y, z]
@@ -845,67 +855,62 @@ def _crt(residues, moduli) -> int:
     return x % big
 
 
-def _gso(b, weights):
-    """Gram-Schmidt data (mu, squared norms) for sum w_i u_i v_i, exactly,
-    from the integer Gram matrix."""
-    n = len(b)
-    gram = [[sum(w * x * y for w, x, y in zip(weights, u, v)) for v in b] for u in b]
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    norms = []
-    for i in range(n):
-        for j in range(i):
-            mu[i][j] = (gram[i][j] - sum(mu[j][k] * mu[i][k] * norms[k] for k in range(j))) / norms[j]
-        norms.append(Fraction(gram[i][i]) - sum(mu[i][k] ** 2 * norms[k] for k in range(i)))
-    return mu, norms
-
-
-def _lll(basis, weights) -> list[list[int]]:
-    """LLL reduction (delta = 3/4) of integer rows for sum w_i u_i v_i,
-    with the Gram-Schmidt data updated in place (Cohen, A Course in
-    Computational Algebraic Number Theory, alg. 2.6.3)."""
+def _lll(basis, weights):
+    """LLL reduction (delta = 3/4) of integer rows for sum w_i u_i v_i, on
+    integers (Cohen, A Course in Computational Algebraic Number Theory,
+    alg. 2.6.7): d[i] is the Gram determinant of the first i rows and
+    lam[i][j] = d[j+1] mu_ij.  Row k is size-reduced from row k-1 down, mu
+    rounded half to even, before the Lovasz test.  Returns (rows, lam, d)."""
     b = [list(v) for v in basis]
     n = len(b)
-    mu, norms = _gso(b, weights)
+    lam, d = [[0] * n for _ in range(n)], [1]
+    for i in range(n):
+        for j in range(i + 1):
+            u = sum(w * x * y for w, x, y in zip(weights, b[i], b[j]))
+            for k in range(j):
+                u = (d[k + 1] * u - lam[i][k] * lam[j][k]) // d[k]
+            if j < i:
+                lam[i][j] = u
+            else:
+                d.append(u)
     k = 1
     while k < n:
         for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
+            q = round(Fraction(lam[k][j], d[j + 1]))
             if q:
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
                 for i in range(j):
-                    mu[k][i] -= q * mu[j][i]
-                mu[k][j] -= q
-        m = mu[k][k - 1]
-        big = norms[k] + m * m * norms[k - 1]
-        if norms[k] >= (Fraction(3, 4) - m * m) * norms[k - 1]:
+                    lam[k][i] -= q * lam[j][i]
+                lam[k][j] -= q * d[j + 1]
+        m = lam[k][k - 1]
+        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] * d[k] - 4 * m * m:
             k += 1
             continue
         b[k], b[k - 1] = b[k - 1], b[k]
-        mu[k][k - 1] = m * norms[k - 1] / big
-        norms[k], norms[k - 1] = norms[k - 1] * norms[k] / big, big
         for j in range(k - 1):
-            mu[k][j], mu[k - 1][j] = mu[k - 1][j], mu[k][j]
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        big = (d[k - 1] * d[k + 1] + m * m) // d[k]
         for i in range(k + 1, n):
-            t = mu[i][k]
-            mu[i][k] = mu[i][k - 1] - m * t
-            mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
+            lam[i][k - 1] = (big * t + m * lam[i][k]) // d[k + 1]
+        d[k] = big
         k = max(k - 1, 1)
-    return b
+    return b, lam, d
 
 
-def _short_vectors(b, weights, bound: int) -> list[list[int]]:
-    """The nonzero vectors of the lattice with rows b whose weighted norm is
-    at most bound, shortest first (Fincke-Pohst on integers).  The norm of
-    sum x_i b_i is sum N_i y_i^2 with y_i = x_i + sum_{j>i} mu_ji x_j; with
-    D a common denominator of the mu and L one of the N_i, the test
-    sum (L N_i) (D y_i)^2 <= L D^2 bound is on integers, and isqrt cuts
-    the range of each x_i exactly."""
-    mu, norms = _gso(b, weights)
+def _short_vectors(b, lam, d, weights, bound: int) -> list[list[int]]:
+    """The nonzero vectors of the lattice with rows b (integer Gram-Schmidt
+    data lam, d as from _lll) whose weighted norm is at most bound, shortest
+    first (Fincke-Pohst on integers).  The norm of sum x_i b_i is
+    sum N_i y_i^2 with N_i = d[i+1]/d[i] and y_i = x_i + sum_{j>i} mu_ji x_j,
+    mu_ji = lam[j][i]/d[i+1].  With D = lcm(d[1..n-1]) the test
+    sum (D N_i) (D y_i)^2 <= D^3 bound is on integers, and isqrt cuts the
+    range of each x_i exactly."""
     n = len(b)
-    den = math.lcm(*(x.denominator for row in mu for x in row))
-    scale = math.lcm(*(x.denominator for x in norms))
-    mu = [[int(x * den) for x in row] for row in mu]
-    norms = [int(x * scale) for x in norms]
+    den = math.lcm(*d[1:n])
+    mu = [[lam[j][i] * (den // d[i + 1]) for i in range(j)] for j in range(n)]
+    norms = [d[i + 1] * (den // d[i]) for i in range(n)]
     coef = [0] * n
     found = []
 
@@ -922,7 +927,7 @@ def _short_vectors(b, weights, bound: int) -> list[list[int]]:
             walk(i - 1, left - norms[i] * (den * x + centre) ** 2)
         coef[i] = 0
 
-    walk(n - 1, scale * den * den * bound)
+    walk(n - 1, den ** 3 * bound)
     return [vec for _, vec in sorted(found)]
 
 
@@ -1049,47 +1054,54 @@ def _split_step(coeffs, witness):
     closed form on the support S of the witness v.
 
     Returns (S, u1, u2, cols, comp).  u1, u2 span the plane of the witness
-    with q(u1)=1, q(u2)=-1, B(u1,u2)=0, and the columns cols diagonalize q
-    on its orthogonal complement, with the coefficients comp.  With s0, s1
-    the first two coordinates of S, there is one column per other
-    coordinate, in coordinate order.  A coordinate off S passes through
-    with its own coefficient: its entry in cols is None.  For every other k
-    in S the column comes from n_k = e_k - (a_k v_k / a_s1 v_s1) e_s1 (the
-    split identity), and only the n_k are diagonalized, by the elimination
-    of diagonalize, unchecked: witt_decompose checks the whole basis once.
-    u1, u2 and these columns are given on S only, in the order of S.
+    with q(u1)=1, q(u2)=-1, B(u1,u2)=0: with t = a_s0 v_s0^2 they are
+    diag(t+1, t-1, ..., t-1) v / 2t and diag(t-1, t+1, ..., t+1) v / 2t.
+    The columns cols diagonalize q on its orthogonal complement, with the
+    coefficients comp, one per coordinate other than s0, s1 (the first two
+    of S), in coordinate order.  A coordinate off S passes through with its
+    own coefficient: its entry in cols is None.  For every other k in S the
+    column comes from n_k = e_k - (a_k v_k / a_s1 v_s1) e_s1 (the split
+    identity), and only the n_k are diagonalized, by the elimination of
+    diagonalize, unchecked: witt_decompose checks the whole basis once.
+    u1, u2 and these columns are packed vectors of Field.kernel on S, in
+    the order of S: integer combinations of the packed witness and
+    coefficients over one denominator.
     """
     f = coeffs[0].field
+    kernel = f.kernel
+    mul, add, times = kernel._mul, kernel._add, kernel._times
     support = [i for i, x in enumerate(witness) if not x.is_zero()]
-    v, a = [witness[i] for i in support], [coeffs[i] for i in support]
-    zero = f.zero()
-    scale = (a[0] * v[0]).inv()  # w = scale e_s0 has B(v, w) = 1
-    half = (f.one() + f.one()).inv()
-    lift = half * a[0] * scale * scale
-    wp = [(scale if j == 0 else zero) - lift * x for j, x in enumerate(v)]  # q(wp) = 0, B(v,wp) = 1
-    u1 = [half * x + w for x, w in zip(v, wp)]
-    u2 = [half * x - w for x, w in zip(v, wp)]
-    ratio = [ak * vk / (a[1] * v[1]) for ak, vk in zip(a[2:], v[2:])]
-    # Gram of the n_k: B(n_j, n_k) = a_s1 r_j r_k + delta_jk a_k
-    block, p = _eliminate(f, [
-        [a[1] * rj * rk + (a[j + 2] if j == k else zero) for k, rk in enumerate(ratio)]
-        for j, rj in enumerate(ratio)
-    ])
-    cols, comp, j = [], [], 0
-    for i, c in enumerate(coeffs):
-        if i in support[:2]:
-            continue
-        if witness[i].is_zero():
-            cols.append(None)
-            comp.append(c)
-            continue
-        # column j of P through the n_k: sum_k P[k][j] (e_k - r_k e_s1)
-        col = [zero, zero] + [row[j] for row in p]
-        for row, r in zip(p, ratio):
-            col[1] = col[1] - row[j] * r
-        cols.append(col)
-        comp.append(block[j])
-        j += 1
+    m = len(support)
+    vals, den = kernel.pack([coeffs[i] for i in support] + [witness[i] for i in support] + [f.one()])
+    x = vals[m:2 * m]  # the witness over den; vals[-1] is 1 over den
+    t = mul(vals[0], mul(x[0], x[0]))  # a_s0 v_s0^2 = t / den^3
+    cube = times(vals[-1], den * den)
+    up, down, over = add(t, cube), add(t, times(cube, -1)), times(t, 2 * den)
+    u1 = kernel.packed_over([mul(up, x[0])] + [mul(down, y) for y in x[1:]], over)
+    u2 = kernel.packed_over([mul(down, x[0])] + [mul(up, y) for y in x[1:]], over)
+    rest = [i for i in range(len(coeffs)) if i not in support[:2]]
+    cols, comp = [None] * len(rest), [coeffs[i] for i in rest]
+    if m > 2:
+        # with A_k, V_k the packed a_k, v_k (over den), r_k = rho_k / sigma for
+        # rho_k = A_k V_k and sigma = A_1 V_1, and B(n_j, n_k) = a_s1 r_j r_k
+        # + delta_jk a_k = (A_1 rho_j rho_k + delta_jk A_k sigma^2) / (den sigma^2)
+        a, zero, sigma = vals[:m], kernel._ZERO, mul(vals[1], x[1])
+        rho = [mul(ak, xk) for ak, xk in zip(a[2:], x[2:])]
+        square = mul(sigma, sigma)
+        gram = [
+            add(mul(a[1], mul(rj, rk)), mul(a[j + 2], square) if j == k else zero)
+            for j, rj in enumerate(rho) for k, rk in enumerate(rho)
+        ]
+        gram = kernel._unpack(*kernel.packed_over(gram, times(square, den)))
+        comp_s, p = _eliminate(f, [list(gram[j:j + m - 2]) for j in range(0, len(gram), m - 2)])
+        for j, i in enumerate(support[2:]):
+            # column j of P through the n_k: sum_k P_kj (sigma e_k - rho_k e_s1) / sigma
+            nums, pd = kernel.pack([row[j] for row in p])
+            top = zero
+            for y, r in zip(nums, rho):
+                top = add(top, mul(y, r))
+            cols[i - 2] = kernel.packed_over([zero, times(top, -1)] + [mul(sigma, y) for y in nums], times(sigma, pd))
+            comp[i - 2] = comp_s[j]  # i - 2 is the place of i in rest
     return support, u1, u2, cols, comp
 
 
@@ -1098,22 +1110,20 @@ def witt_decompose(q: QuadraticForm) -> WittDecomposition:
 
     The recorded basis T satisfies  T^T G T = diag(1,-1,...,1,-1, a_1..a_m)
     exactly, where <a_1..a_m> is the anisotropic part.  The basis is kept
-    as packed columns in original coordinates, one per current coordinate,
-    and unpacked once when it is recorded.  Each split (_split_step) works
-    on the support S of its witness only: one linear table of the |S|
-    columns of S maps u1, u2 and the complement columns on S, and every
-    other column passes through untouched.  Over Q each complement column
-    with value s m^2 is scaled by 1/m (m an integer or a fraction), so the
-    coefficients carried to the next split are squarefree integers.
+    as packed columns in original coordinates, one per current coordinate.
+    Each split (_split_step) maps u1, u2 and its complement columns through
+    one linear table of the |S| columns of its witness support S; every
+    other column passes through untouched.  Over Q each new complement
+    column with value s m^2 is scaled by 1/m (m an integer or a fraction),
+    so the coefficients carried on are squarefree integers.
 
-    The splits are not checked one by one: the finished basis is proved
-    once, by one exact congruence T^T G T = H^i + <a_1..a_m>
-    (equivalent_with_witness), which also rejects a wrong dimension.  Its
-    diagonal entries are nonzero, so T is invertible and q is isometric to
-    i hyperbolic planes plus the anisotropic part (the Witt decomposition;
-    Lam, Introduction to Quadratic Forms over Fields, ch. I).  The
-    invariant cross-check of that isometry over Q lives in `verify` and
-    the tests.
+    The splits are not checked one by one: the packed basis is proved once,
+    by one exact congruence T^T G T = H^i + <a_1..a_m> (_gram_mismatch),
+    and then unpacked into the report.  Its diagonal entries are nonzero,
+    so T is invertible and q is isometric to i hyperbolic planes plus the
+    anisotropic part (the Witt decomposition; Lam, Introduction to
+    Quadratic Forms over Fields, ch. I).  The invariant cross-check of that
+    isometry over Q lives in `verify` and the tests.
     """
     f = q.field
     kernel = f.kernel
@@ -1134,25 +1144,28 @@ def witt_decompose(q: QuadraticForm) -> WittDecomposition:
             )
         support, u1, u2, cols, current = _split_step(current, cert.witness)
         table = kernel.columns_table([embed[i] for i in support])
-        pairs += [kernel.packed_linear(table, kernel.pack(u)) for u in (u1, u2)]
+        pairs += [kernel.packed_linear(table, u) for u in (u1, u2)]
         rest = [i for i in range(len(embed)) if i not in support[:2]]  # the coordinates before the split
-        embed = [embed[i] if col is None else kernel.packed_linear(table, kernel.pack(col)) for i, col in zip(rest, cols)]
+        embed = [embed[i] if col is None else kernel.packed_linear(table, col) for i, col in zip(rest, cols)]
         if f.kind == RATIONALS:
-            for k, c in enumerate(current):
+            for k, (c, col) in enumerate(zip(current, cols)):
+                if col is None and index:
+                    continue  # squarefree since the first split
                 s, m, _ = _square_split(c.value)
                 if m != 1:  # the column over m = a/b: numerators times b, denominator times a
                     nums, den = embed[k]
                     embed[k] = [x * m.denominator for x in nums], den * m.numerator
-                current[k] = f.element(s)
+                    current[k] = f.element(s)
         index += 1
-    basis = _columns([kernel._unpack(*col) for col in pairs + embed])
-    if not equivalent_with_witness(q, QuadraticForm(f, [1, -1] * index + current), basis):
+    basis = pairs + embed
+    table = _gram_table(f, q.dim, {(i, i): c for i, c in enumerate(q.coeffs)})
+    if len(basis) != q.dim or _gram_mismatch(kernel, table, basis, [one, -one] * index + current):
         raise InternalCheckFailed("recorded Witt basis fails congruence")
     return WittDecomposition(
         witt_index=index,
         anisotropic_part=QuadraticForm(f, current),
         method=METHOD_WITNESS if not current else cert.method,
-        basis=basis,
+        basis=_columns([kernel._unpack(*col) for col in basis]),
         anisotropy_certificate=cert,
     )
 

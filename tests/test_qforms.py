@@ -123,12 +123,20 @@ def _decomposition(field):
     return q, WittDecomposition(1, QuadraticForm(field, comp), METHOD_WITNESS, basis=basis)
 
 
+def _unpacked_split(coeffs, v):
+    """_split_step with u1, u2 and the complement columns unpacked into
+    lists of FieldElements."""
+    unpack = coeffs[0].field.kernel._unpack
+    support, u1, u2, cols, comp = _split_step(coeffs, v)
+    return support, list(unpack(*u1)), list(unpack(*u2)), [col and list(unpack(*col)) for col in cols], comp
+
+
 def _expanded_split(coeffs, v):
     """_split_step with its vectors in full coordinates: u1, u2 and the
     complement columns spread out from the support, and a unit vector for
     each coordinate that passes through.  Returns (columns, complement)."""
     f, dim = coeffs[0].field, len(coeffs)
-    support, u1, u2, cols, comp = _split_step(coeffs, v)
+    support, u1, u2, cols, comp = _unpacked_split(coeffs, v)
     rest = [i for i in range(dim) if i not in support[:2]]
 
     def spread(vec):
@@ -190,9 +198,15 @@ class TestOneProof:
 
         def corrupted(coeffs, witness):
             support, u1, u2, cols, comp = split(coeffs, witness)
-            target = u1 if part == "u1" else next((c for c in cols if c is not None), None)
-            if target is not None and not bumped:
-                target[0] = target[0] + (field.sqrt_gen() if field == RM7 else field.one())
+            spots = [None] if part == "u1" else [k for k, c in enumerate(cols) if c is not None]
+            if spots and not bumped:
+                # the packed vector, unpacked, bumped in its first entry and packed again
+                entries = list(field.kernel._unpack(*(u1 if part == "u1" else cols[spots[0]])))
+                entries[0] = entries[0] + (field.sqrt_gen() if field == RM7 else field.one())
+                if part == "u1":
+                    u1 = field.kernel.pack(entries)
+                else:
+                    cols[spots[0]] = field.kernel.pack(entries)
                 bumped.append(part)
             return support, u1, u2, cols, comp
 
@@ -506,7 +520,7 @@ def _check_split(coeffs, v):
     first coordinate.  Columns keep the coordinate order."""
     f, dim = coeffs[0].field, len(coeffs)
     support = [i for i in range(dim) if not v[i].is_zero()]
-    got, u1, u2, local, _ = _split_step(coeffs, v)
+    got, u1, u2, local, _ = _unpacked_split(coeffs, v)
     assert got == support and len(u1) == len(u2) == len(support)
     cols, comp = _expanded_split(coeffs, v)
     q = QuadraticForm(f, coeffs)
