@@ -71,8 +71,7 @@ class AlbertAlgebra:
             raise ZeroParameter("Gamma entries must be nonzero")
         self.octonions = octonions
         self.gamma = gamma
-        self.field = octonions.field
-        octonions.norm_form()  # the formula needs a composition algebra: prove the Pfister shape
+        self.field = octonions.field  # N is the closed Pfister form of the params: nothing to compile or prove here
 
     @cached_property
     def _half(self):

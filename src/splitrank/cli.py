@@ -7,10 +7,11 @@ Commands:
     excellence  rank/kernel over a quadratic extension with descent witness
     verify      seeded property suites; nonzero exit on any failure
 
-Exit codes: 0 success, 2 invalid input (malformed JSON or literals,
-including integers past Python's digit limit), 3 unsupported case, 4
-verification failure, 5 internal error (a failed self-check; the report
-repeats the command line so the run can be reproduced).
+Exit codes: 0 success, 1 the reader of stdout closed the pipe (nothing
+more is written), 2 invalid input (malformed JSON or literals, including
+integers past Python's digit limit), 3 unsupported case, 4 verification
+failure, 5 internal error (a failed self-check; the report repeats the
+command line so the run can be reproduced).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .albert import albert_from_json
@@ -33,6 +35,7 @@ from .groups import f4_excellence, f4_kernel, f4_rank, g2_excellence, g2_rank
 from .qforms import form_from_json, witt_decompose
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_INVALID = 2
 EXIT_UNSUPPORTED = 3
 EXIT_VERIFY_FAILED = 4
@@ -44,8 +47,17 @@ def _emit(payload: dict, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+        return
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout: write nothing more, and point stdout at
+        # devnull so that the flush at exit cannot raise again (Python's
+        # "Note on SIGPIPE")
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        sys.exit(EXIT_BROKEN_PIPE)
 
 
 def _load_input(args) -> dict:

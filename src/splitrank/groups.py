@@ -35,7 +35,7 @@ from .albert import (
     conjugation_between,
     nilpotent_analysis,
 )
-from .composition import CompElement, CompositionAlgebra
+from .composition import CompositionAlgebra
 from .errors import (
     InternalCheckFailed,
     InvalidInput,
@@ -304,10 +304,10 @@ def normalize_gamma(a: AlbertAlgebra):
 # F4 kernel
 # ---------------------------------------------------------------------------
 
-def _certificate_slot(a: AlbertAlgebra, element) -> tuple[int, CompElement]:
-    """(i, c = c0/t) for the rank-1 certificate z = t (E_jj - E_kk) +
-    slot_i(c0), read from its JSON: only x, which names the slot, and slot
-    i are parsed."""
+def _certificate_slot(a: AlbertAlgebra, element) -> tuple[int, list]:
+    """(i, the coordinates of c = c0/t) for the rank-1 certificate
+    z = t (E_jj - E_kk) + slot_i(c0), read from its JSON: only x, which
+    names the slot, and slot i are parsed."""
     if not isinstance(element, dict) or not isinstance(element.get("x"), list) or not isinstance(element.get("c"), list):
         raise InvalidInput(f"bad Albert element: {element!r}")
     f = a.field
@@ -318,7 +318,8 @@ def _certificate_slot(a: AlbertAlgebra, element) -> tuple[int, CompElement]:
         t = xs[config["diag"].index(1)]
         if not t.is_zero() and xs == [t * s for s in config["diag"]]:
             c0 = scalars_from_json(f, element["c"][config["slot"] - 1], "c")
-            return config["slot"], a.octonions.element(c0).scale(t.inv())
+            inv = t.inv()
+            return config["slot"], [x * inv for x in c0]
     raise InternalCheckFailed("the rank certificate gives no slot element c with r_i N(c) = -1")
 
 
@@ -358,11 +359,11 @@ def f4_kernel(a: AlbertAlgebra, rank_report: RankReport | None = None) -> Kernel
     if report.rank != 1:
         return _whole_or_trivial(report.rank)
     slot, c = _certificate_slot(a, report.certificate["element"])
-    scale = a._ratios[slot - 1] * c.norm()
+    scale = a._ratios[slot - 1] * a.octonions.norm_form().evaluate(c)  # r_i N(c) on the closed form
     if scale != -a.field.one():
         raise InternalCheckFailed("the rank certificate gives no slot element c with r_i N(c) = -1")
     kernel = [scale * n for n in a.octonions.pure_norm_form().coeffs]  # Q0 = <1> + scale N = <1, -1> + scale N'
-    provenance = {"rank": 1, "slot": slot, "c": c.to_json(), "idempotent": a.diag_unit(slot).to_json()}
+    provenance = {"rank": 1, "slot": slot, "c": [str(x) for x in c], "idempotent": a.diag_unit(slot).to_json()}
     return _spin_kernel(QuadraticForm(a.field, kernel, label="spin kernel"), provenance)
 
 
@@ -382,10 +383,11 @@ def f4_excellence(a: AlbertAlgebra, ext: Field) -> ExcellenceReport:
     A norm that only ext splits (d < 0) gets the Q(sqrt d) descent vector.
     Every other certificate over ext is the k certificate read in ext -- the
     nilpotent z, c, the idempotent, q0 and the split basis -- and what
-    proves it (the Pfister proof of N, the zero of the slot form behind z,
-    r_i N(c) = -1 and the descent match) is checked over k, so it holds
-    over ext; verify and the tests re-check z^2 = 0 and the E0/Q0 Gram.
-    For ext = k the lift is the identity."""
+    proves it (the zero of the slot form behind z, r_i N(c) = -1 on the
+    closed Pfister form N of the params, and the descent match) is checked
+    over k, so it holds over ext; verify and the tests re-check z^2 = 0,
+    the E0/Q0 Gram and x conj(x) = N on the octonion table.  For ext = k
+    the lift is the identity."""
     rank_base = f4_rank(a)
     norm_ext = _lifted(a.octonions.norm_form(), ext)  # an unsupported extension raises here
     rank_ext = kernel_ext = kernel_k = descent = reason = None

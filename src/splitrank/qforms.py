@@ -1222,7 +1222,13 @@ def pfister(field: Field, slots) -> QuadraticForm:
         raise InvalidInput("pfister takes 1 to 3 slots")
     if any(s.is_zero() for s in slots):
         raise InvalidInput("pfister slots must be nonzero")
+    return QuadraticForm(field, pfister_diagonal(field, slots))
+
+
+def pfister_diagonal(field: Field, slots) -> list[FieldElement]:
+    """The diagonal of <1,-s1> (x) ... (x) <1,-sk> by doubling: entry m is
+    (-1)^|m| times the product of the slots at the bits of m; [1] for k = 0."""
     coeffs = [field.one()]
     for s in slots:
         coeffs = coeffs + [-(s * c) for c in coeffs]
-    return QuadraticForm(field, coeffs)
+    return coeffs

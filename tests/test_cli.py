@@ -1,6 +1,7 @@
 """CLI: commands, exit codes, determinism, round-trips."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -261,6 +262,28 @@ class TestOutFile:
         code, out = run_cli(["classify", "--json", G2_GRAVES, "--out", str(target)], capsys)
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["rank"] == 0
+
+    @pytest.mark.parametrize("flag", ["--in", "--out"])
+    def test_path_error_exit(self, flag, tmp_path, capsys):
+        missing = str(tmp_path / "no-such-dir" / "x.json")
+        argv = ["classify", "--in", missing] if flag == "--in" else ["classify", "--json", G2_GRAVES, "--out", missing]
+        code, out = run_cli(argv, capsys)
+        assert code == 2 and json.loads(out)["error"]["kind"] == "FileNotFoundError"
+
+
+@pytest.mark.parametrize("argv", [["classify", "--json", G2_GRAVES], ["classify", "--json", "{"]], ids=["report", "error"])
+def test_closed_stdout_exits_quietly(argv):
+    """A reader that has closed the pipe gets exit 1, no traceback and no
+    second write, for a report and for an error report alike."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "splitrank.cli", *argv], stdout=write, stderr=subprocess.PIPE, text=True, timeout=120
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_BROKEN_PIPE, "")
 
 
 def test_console_entrypoint_runs():

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from composition_checks import check_norm_table
 
 from splitrank.composition import (
     base_change_comp,
@@ -20,7 +21,7 @@ from splitrank.errors import (
     ZeroParameter,
 )
 from splitrank.fields import prime_field, quad_ext, rationals
-from splitrank.qforms import is_isotropic, witt_decompose
+from splitrank.qforms import is_isotropic, pfister, witt_decompose
 
 Q = rationals()
 F7 = prime_field(7)
@@ -162,13 +163,24 @@ class TestNormForm:
         assert is_isotropic(form, want_witness=False).isotropic
         assert witt_decompose(form).witt_index == 4
 
+    def test_closed_pfister_form(self):
+        # <1> in dimension 1, <<g1, ..., gk>> above, labelled "norm"; the
+        # table that multiplies agrees in every dimension
+        assert cayley_dickson(Q, []).norm_form().coeffs == (Q.one(),)
+        assert cayley_dickson(Q, [2, -3, 5]).norm_form().coeffs == pfister(Q, [2, -3, 5]).coeffs
+        for n in range(4):
+            alg = cayley_dickson(Q, [2, -3, 5][:n])
+            assert alg.norm_form().label == "norm"
+            check_norm_table(alg)
+
     def test_matches_norm_pointwise(self):
         rng = random.Random(2)
         alg = cayley_dickson(Q, [2, -3, 5])
         form = alg.norm_form()
         for _ in range(50):
             x = alg.random(rng)
-            assert form.evaluate(list(x.coords)) == x.norm()
+            prod = x * x.conj()  # the table that multiplies, against the closed form
+            assert form.evaluate(x.coords) == prod.scalar_part() and prod.is_scalar()
 
     @pytest.mark.parametrize(
         "field,params",
@@ -178,7 +190,8 @@ class TestNormForm:
     def test_corrupted_table_entry_rejected(self, field, params):
         # every single-term corruption of the compiled table that multiplies,
         # a flipped sign or a doubled constant, changes a coefficient of
-        # x -> x conj(x), in dimensions 2, 4 and 8
+        # x -> x conj(x), in dimensions 2, 4 and 8; the closed norm form
+        # needs no table, so the proof is the test-side one
         for n in (1, 2, 3):
             for i, t in itertools.product(range(2**n), repeat=2):
                 for corrupt in (lambda v: -v, lambda v: 2 * v):
@@ -187,8 +200,10 @@ class TestNormForm:
                     j, k, *c = row[t]
                     row[t] = (j, k, *map(corrupt, c))
                     with pytest.raises(InternalCheckFailed):
-                        alg.norm_form()
-            assert cayley_dickson(field, params[:n]).norm_form().dim == 2**n
+                        check_norm_table(alg)
+            alg = cayley_dickson(field, params[:n])
+            check_norm_table(alg)
+            assert alg.norm_form().dim == 2**n
 
 
 class TestSplit:

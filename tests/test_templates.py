@@ -22,6 +22,7 @@ from operator import attrgetter
 from pathlib import Path
 
 import pytest
+from composition_checks import check_norm_table
 
 from splitrank import cli
 from splitrank.albert import (
@@ -122,6 +123,17 @@ def test_panel_matches_oracles(n):
     assert _failures(a, inputs, _oracles(*inputs)) == []
 
 
+def test_closed_norm_matches_the_table_on_the_panel():
+    """N(x) on the closed Pfister form is the scalar x conj(x) of the
+    compiled table, whose pure part is zero, on every panel algebra; the
+    exact table proof of composition_checks holds on each."""
+    for n, a in enumerate(PANEL):
+        for x in _inputs(a, n)[2:]:
+            prod = x * x.conj()
+            assert prod.is_scalar() and prod.scalar_part() == x.norm(), (n, a.octonions)
+        check_norm_table(a.octonions)
+
+
 def test_compiled_tables_match_golden():
     """The octonion, Jordan, trace, matrix and conjugation tables of 18
     panel algebras, pinned by the sha256 of their repr: a change to the
@@ -148,10 +160,10 @@ def test_one_wrong_constant_fails_the_panel(field, monkeypatch):
     """Every constant of every compiled table, raised by one in a fresh
     algebra as the kernel's _monomials multiplies it out, makes some
     product disagree with its oracle.  A wrong octonion constant also fails
-    the Pfister proof of the norm, which reads the table that multiplies,
-    so the Albert algebra over it is refused; the products of the panel
-    compile each of the lazy Albert tables, and each tampered table is
-    compiled exactly once."""
+    the test-side proof that x conj(x) = N on the table that multiplies
+    (N is the closed Pfister form, so the Albert algebra over it is built);
+    the products of the panel compile each of the lazy Albert tables, and
+    each tampered table is compiled exactly once."""
     rng = random.Random(7)
     params = [_scalar(field, rng) for _ in range(3)]
     gamma = [_scalar(field, rng) for _ in range(3)]
@@ -175,10 +187,10 @@ def test_one_wrong_constant_fails_the_panel(field, monkeypatch):
             monkeypatch.setattr(f.kernel, "_monomials", tampered)
             c = cayley_dickson(f, params)
             if table == "octonion":
-                with pytest.raises(InternalCheckFailed):
-                    AlbertAlgebra(c, gamma)
                 p, q = (CompElement(c, v.coords) for v in inputs[2:])
                 assert p * q != oracles["octonion"], (table, n)
+                with pytest.raises(InternalCheckFailed):
+                    check_norm_table(c)
             else:
                 assert _failures(AlbertAlgebra(c, gamma), inputs, oracles), (table, n)
             assert calls == [table], (table, n)
@@ -235,22 +247,31 @@ ROUTES = [["classify", "--json", text] for text in CLASSIFY] + [
     for text in (CLASSIFY[0], CLASSIFY[3], _f4({"kind": "Q"}, [1, -1, -1], [1, 1, 1]))
     for argv in (["kernel"], ["excellence", "--ext", '{"kind":"QSqrt","d":2}'], ["excellence", "--ext", '{"kind":"QSqrt","d":-7}'])
 ]
+# G2: classify of the Graves octonions (rank 0) and of a split algebra (rank
+# 2), and excellence of the Graves octonions over Q(sqrt 2) and Q(sqrt -7)
+G2_GRAVES = json.dumps({"g2": {"field": {"kind": "Q"}, "params": [-1, -1, -1]}})
+ROUTES += [["classify", "--json", G2_GRAVES], ["classify", "--json", json.dumps({"g2": {"field": {"kind": "Q"}, "params": [1, -1, -1]}})]] + [
+    ["excellence", "--ext", ext, "--json", G2_GRAVES] for ext in ('{"kind":"QSqrt","d":2}', '{"kind":"QSqrt","d":-7}')
+]
 
 
 def test_templates_stay_unbuilt_by_witt():
     """Importing the CLI and running witt builds no template and imports
     no oracle module, so commands that build no algebra pay nothing for
-    them; the first algebra builds the octonion template, the Jordan one
-    waits for the first Jordan or trace product (here phi's checks), the
-    matrix one for matrix_mul and the conjugation one for the first phi.
+    them; nor does an algebra, whose norm N is the closed Pfister form of
+    its params.  The octonion and Jordan templates wait for the first
+    Jordan or trace product (here phi's checks), the matrix one for
+    matrix_mul and the conjugation one for the first phi.
 
-    classify at ranks 0, 4 and 1, and kernel and excellence (over
-    Q(sqrt 2) and Q(sqrt -7)) at ranks 0, 1 and 4, derive no Jordan,
-    matrix or conjugation template and compile no Albert table in their
-    algebras.  The rank-1 certificates are closed forms: production checks
-    the exact zero of the slot form behind z and r_i N(c) = -1, and the
-    Jordan identities they imply (z^2 = 0, the E0 conditions, the Q0 Gram)
-    are re-checked by `splitrank verify` and tests/test_jordan_identities.py."""
+    F4 classify at ranks 0, 4 and 1, F4 kernel and excellence (over
+    Q(sqrt 2) and Q(sqrt -7)) at ranks 0, 1 and 4, G2 classify at ranks 0
+    and 2 and G2 excellence over Q(sqrt 2) and Q(sqrt -7) derive no
+    template and compile no octonion or Albert table in their algebras.
+    The rank-1 certificates are closed forms: production checks the exact
+    zero of the slot form behind z and r_i N(c) = -1, and the Jordan
+    identities they imply (z^2 = 0, the E0 conditions, the Q0 Gram) are
+    re-checked by `splitrank verify` and tests/test_jordan_identities.py;
+    the table's x conj(x) = N by tests/composition_checks.py."""
     form = json.dumps({"field": {"kind": "Q"}, "coeffs": ["1", "-1", "1"]})
     code = (
         "import contextlib, io, json, sys\n"
@@ -265,10 +286,13 @@ def test_templates_stay_unbuilt_by_witt():
         "a = albert.albert_from_json({'octonion': {'field': {'kind': 'Q'}, 'params': [-1, -1, -1]}, 'gamma': [1, 1, 1]})\n"
         "built = sizes()\n"
         "algebras, reports = [], []\n"
-        "def record(desc):\n"
-        "    algebras.append(albert.albert_from_json(desc))\n"
-        "    return algebras[-1]\n"
-        "splitrank.cli.albert_from_json = record\n"
+        "def recorder(build):\n"
+        "    def record(desc):\n"
+        "        algebras.append(build(desc))\n"
+        "        return algebras[-1]\n"
+        "    return record\n"
+        "splitrank.cli.albert_from_json = recorder(albert.albert_from_json)\n"
+        "splitrank.cli.comp_from_json = recorder(composition.comp_from_json)\n"
         f"for argv in {ROUTES!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
         "        assert splitrank.cli.main(argv) == 0, argv\n"
@@ -277,19 +301,23 @@ def test_templates_stay_unbuilt_by_witt():
         "albert.phi(a, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])\n"
         "after_phi = sizes()\n"
         "tables = ('_product', '_trace', '_matrix_product', '_automorphism_table')\n"
-        "compiled = [[t for t in tables if t in vars(b)] for b in algebras]\n"
-        "print(json.dumps([rc, before, built, after_routes, after_phi, reports, compiled]))\n"
+        "def compiled(b):\n"
+        "    c = getattr(b, 'octonions', b)\n"
+        "    return [t for t in tables if b is not c and t in vars(b)] + ['octonions._product'] * ('_product' in vars(c))\n"
+        "print(json.dumps([rc, before, built, after_routes, after_phi, reports, list(map(compiled, algebras))]))\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     rc, before, built, after_routes, after_phi, reports, compiled = json.loads(out.stdout.strip().splitlines()[-1])
-    assert [rc, before, built, after_routes, after_phi] == [0, [0, 0, 0, 0, False], [1, 0, 0, 0], [1, 0, 0, 0], [1, 1, 0, 1]]
+    assert [rc, before, built, after_routes] == [0, [0, 0, 0, 0, False], [0, 0, 0, 0], [0, 0, 0, 0]]
+    assert after_phi == [1, 1, 0, 1]
     assert [_ranks(r) for r in reports] == [[0], [4], [4], [1]] + [
         [0], [0, 0], [0, 4],
         [1], [1, 1], [1, 4],
         [4], [4, 4], [4, 4],
-    ]
+    ] + [[0], [2], [0, 0], [0, 2]]
+    assert reports[-1]["kernel_ext"]["kind"] == "trivial"
     assert compiled == [[]] * len(ROUTES)
 
 
