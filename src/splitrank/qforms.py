@@ -555,14 +555,13 @@ def _fp_witness(q: QuadraticForm):
     """Deterministic nonzero isotropic vector over F_p, or None.
 
     dim >= 3 always succeeds (fix tail = (1,0,..), solve the binary equation
-    a1 x^2 + a2 y^2 = m by sweeping x); dim <= 2 is an exact square test.
+    a1 x^2 + a2 y^2 = m by sweeping x); dim 2 is an exact square test, and
+    a regular form of dim < 2 has no zero.
     """
     p = q.field.p
     a = [c.value for c in q.coeffs]
     n = q.dim
-    if n == 0:
-        return None
-    if n == 1:
+    if n < 2:
         return None
     if n == 2:
         s = (-a[1] * pow(a[0], -1, p)) % p
@@ -760,7 +759,9 @@ def _split_value(a: list[int], rest: list[int], allowed, forced: int) -> int:
 def _split_solve(s: list[int], primes: list[int]) -> list[int]:
     """q = <a1,a2> + rest (dim 4 or 5, S = primes), over the pair whose allowed
     classes promise the smallest t: with t from _split_value, zeros (x1, x2, u)
-    of <a1,a2,-t> and (y, w) of rest + <t> glue to (w x1, w x2, u y)."""
+    of <a1,a2,-t> and (y, w) of rest + <t> glue to (w x1, w x2, u y).  u = 0
+    would need a2 = -a1 and w = 0 an isotropic rest, and _solve_sqf returns
+    both cases before it gets here; _q_witness checks the glued zero."""
     n = len(s)
     plans = []
     for pair in itertools.combinations(range(n), 2):
@@ -771,10 +772,6 @@ def _split_solve(s: list[int], primes: list[int]) -> list[int]:
     t = _split_value(a, r, allowed, forced)
     x = _solve(a + [-t])
     y = _solve(r + [t])
-    if x[2] == 0:
-        return _pad(n, pair, x[:2])
-    if y[-1] == 0:
-        return _pad(n, rest, y[:-1])
     vec = _pad(n, pair, [v * y[-1] for v in x[:2]])
     for i, v in zip(rest, y[:-1]):
         vec[i] = v * x[2]
@@ -993,11 +990,6 @@ def _is_isotropic_fp(q: QuadraticForm, want_witness: bool) -> IsotropyResult:
     )
 
 
-def _q_witness_of(q: QuadraticForm):
-    vec = _q_witness([c.value for c in q.coeffs])
-    return tuple(q.field.element(v) for v in vec)
-
-
 def _is_isotropic_q(q: QuadraticForm, want_witness: bool) -> IsotropyResult:
     n = q.dim
     if n == 1:
@@ -1013,7 +1005,7 @@ def _is_isotropic_q(q: QuadraticForm, want_witness: bool) -> IsotropyResult:
     found = _obstruction([c.value for c in q.coeffs])
     if found:
         return IsotropyResult(False, found[0], detail=found[1])
-    wit = _q_witness_of(q) if want_witness else None
+    wit = tuple(q.field.element(v) for v in _q_witness([c.value for c in q.coeffs])) if want_witness else None
     reason = "indefinite of dim >= 5 (Meyer)" if n >= 5 else "isotropic at every place (Hasse-Minkowski)"
     return IsotropyResult(True, METHOD_WITNESS if wit else METHOD_LOCAL, witness=wit, detail={"reason": reason})
 
@@ -1024,24 +1016,17 @@ def _is_isotropic_qsqrt(q: QuadraticForm, want_witness: bool) -> IsotropyResult:
         raise UnsupportedCase(
             f"isotropy over {q.field} is only decided for dim >= 5 (got dim {n})"
         )
-    d = q.field.d
-    if d < 0:
-        wit = _qsqrt_witness(q) if want_witness else None
-        return IsotropyResult(
-            True, METHOD_WITNESS if wit else METHOD_REAL, witness=wit,
-            detail={"reason": "no real places, dim >= 5"},
-        )
-    sigs = q.signatures_all_places()
-    for place, (pos, neg) in enumerate(sigs):
+    for place, (pos, neg) in enumerate(q.signatures_all_places()):  # none when d < 0
         if pos == 0 or neg == 0:
             return IsotropyResult(
                 False, METHOD_REAL,
                 detail={"real_place": place, "signature": [pos, neg]},
             )
     wit = _qsqrt_witness(q) if want_witness else None
+    places = "no real places" if q.field.d < 0 else "indefinite at every real place"
     return IsotropyResult(
         True, METHOD_WITNESS if wit else METHOD_REAL, witness=wit,
-        detail={"reason": "indefinite at every real place, dim >= 5"},
+        detail={"reason": f"{places}, dim >= 5"},
     )
 
 

@@ -9,25 +9,19 @@ resolve, and the names the bench's own code derives must equal `per_layer`.
 """
 
 import importlib
-import importlib.util
 import json
 import re
 from pathlib import Path
+
+import bench_modules
 
 import splitrank.cli  # noqa: F401  (imports every traced layer)
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_every_target_resolves():
-    for layer, names in _tracer().TARGETS.items():
+    for layer, names in bench_modules.load("tracer").TARGETS.items():
         module = importlib.import_module(f"splitrank.{layer}")
         for dotted in names:
             owner = module
@@ -37,7 +31,7 @@ def test_every_target_resolves():
 
 
 def test_traced_metric_names_are_per_layer():
-    tracer = _tracer()
+    tracer = bench_modules.load("tracer")
     names = set()
     spans = tracer.Tracer()
     for probe in (spans, tracer.FieldOpCounter()):

@@ -13,12 +13,11 @@ file.  The guard test runs excellence with both rebuilds refused and
 records the field of every algebra built.
 """
 
-import importlib.util
 import json
 import math
 import random
-from pathlib import Path
 
+import bench_modules
 import pytest
 
 from splitrank import albert, cli, composition, groups
@@ -44,16 +43,8 @@ from splitrank.groups import (
 )
 from splitrank.qforms import QuadraticForm
 
-ROOT = Path(__file__).resolve().parents[1]
 D = (-11, -7, -3, -1, 2, 3, 5, 13)
 GAMMA_CLASSES = ("square_ratios", "mixed", "same_sign", "one_minus_h_one")
-
-
-def _checker():
-    spec = importlib.util.spec_from_file_location("bench_checker", ROOT / "bench" / "checker.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _next_prime(n: int) -> int:
@@ -171,7 +162,7 @@ def test_panel_covers_the_classes():
 
 
 def test_f4_lift_matches_the_rebuild():
-    checker = _checker()
+    checker = bench_modules.load("checker")
     for desc, ext_desc in f4_panel():
         a, ext = albert_from_json(desc["f4"]), field_from_json(ext_desc)
         report = f4_excellence(a, ext)
@@ -226,3 +217,17 @@ def test_rebuild_oracle_is_not_vacuous(d):
     ext = field_from_json({"kind": "QSqrt", "d": d})
     assert base_change_albert(a, ext).field == ext
     assert rebuilt_f4_excellence(a, ext).rank_ext.rank == (4 if d < 0 else 1)
+
+
+@pytest.mark.parametrize("group", ["f4", "g2"])
+def test_ext_equal_to_an_irrational_base(group, capsys):
+    # N of (1 + sqrt -7, -1, -1) is isotropic over Q(sqrt -7) with no witness
+    # in the k certificate (an irrational coefficient): L = k lifts it as is
+    k = {"kind": "QSqrt", "d": -7}
+    octonion = {"field": k, "params": ["1+r", "-1", "-1"]}
+    desc = {"f4": {"octonion": octonion, "gamma": ["1", "-1", "1"]}} if group == "f4" else {"g2": octonion}
+    assert cli.main(["excellence", "--json", json.dumps(desc), "--ext", json.dumps(k)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert "witness" not in report["rank_base"]["certificate"]["norm_isotropy"]
+    assert report["rank_base"]["rank"] == (4 if group == "f4" else 2)
+    assert json.dumps(report["rank_ext"], sort_keys=True) == json.dumps(report["rank_base"], sort_keys=True)

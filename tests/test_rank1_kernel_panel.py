@@ -8,9 +8,9 @@ groups.normalize_gamma moves to (1, -1, 1); the rest are drawn freely and
 almost never can be.  Every kernel must
 
 - pass bench/checker.check_kernel, the benchmark's plain Fraction checker
-  (loaded read-only from its file, as tests/test_bench_contract.py loads
-  the tracer): kind by the sign oracle, Q0 = <1> - N, the exact congruence
-  of the split basis, a definite 7-dim form;
+  (loaded read-only from its file by tests/bench_modules.py): kind by
+  the sign oracle, Q0 = <1> - N, the exact congruence of the split
+  basis, a definite 7-dim form;
 - be -N', the negated pure norm of C, coefficient by coefficient;
 - pass the Jordan re-checks of jordan_checks: the rank-1 certificate z
   has jordan_mul(z, z) = 0, and q0_data proves the E0 conditions and the
@@ -20,11 +20,10 @@ almost never can be.  Every kernel must
   algebra, and the hyperbolic split through (1, 1_C).
 """
 
-import importlib.util
 import json
 import random
-from pathlib import Path
 
+import bench_modules
 import pytest
 from jordan_checks import check_q0, check_square_zero
 
@@ -32,17 +31,9 @@ from splitrank.albert import albert_from_json, q0_form
 from splitrank.groups import f4_kernel, f4_rank, normalize_gamma
 from splitrank.qforms import _split_step
 
-ROOT = Path(__file__).resolve().parents[1]
 FIELDS = ({"kind": "Q"}, {"kind": "QSqrt", "d": 2}, {"kind": "QSqrt", "d": 5})
 PER_FIELD = 70
 HEIGHT = 10**6
-
-
-def _checker():
-    spec = importlib.util.spec_from_file_location("bench_checker", ROOT / "bench" / "checker.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _gamma(rng, normalizable: bool) -> list[int]:
@@ -74,7 +65,7 @@ def test_panel_size():
 
 
 def test_every_rank1_kernel_is_certified():
-    checker = _checker()
+    checker = bench_modules.load("checker")
     for desc, normalizable in panel():
         a = albert_from_json(desc["f4"])
         rank = f4_rank(a)
@@ -100,7 +91,7 @@ def test_every_rank1_kernel_is_certified():
 @pytest.mark.parametrize("index", [0, 1, 75, 146])
 def test_panel_kernel_rejects_a_tampered_split(index):
     # the checker is not vacuous on this panel: a changed split column fails it
-    checker = _checker()
+    checker = bench_modules.load("checker")
     desc, _ = panel()[index]
     report = json.loads(json.dumps(f4_kernel(albert_from_json(desc["f4"])).to_json()))
     report["provenance"]["split_basis"][2][2] = "2"
