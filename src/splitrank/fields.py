@@ -20,10 +20,11 @@ canonical FieldElements on exit, except where work chains maps: an
 `albert.AlbertElement` keeps its packed vector, so Jordan products and
 their zero tests stay on integers; `qforms.witt_decompose` builds each
 split's columns on packed scalars (`_mul`, `_add`, `packed_over`), keeps
-them packed from split to split (`columns_table`) and proves each report
-once, on the packed basis, before it unpacks it; the conjugations of
-`albert.conjugation_between` fill their rows from packed outputs
-(`packed_table`), and their sampled checks draw packed vectors
+them packed from split to split (`common_columns`, `packed_mix`), proves
+each report once on the packed basis (`packed_form`, `packed_dot`) and
+writes the report's literals straight from it (`packed_strings`); the
+conjugations of `albert.conjugation_between` fill their rows from packed
+outputs (`packed_table`), and their sampled checks draw packed vectors
 (`random_packed`, with the draws of `Field.random`) and compare them:
 
     Q         integer numerators over one positive common denominator
@@ -552,17 +553,19 @@ class FieldElement:
         return f"<{self} in {self.field}>"
 
     def __str__(self):
-        k = self.field.kind
-        if k in (PRIME_FIELD, RATIONALS):
-            return str(self.value)
-        a, b = self.value
-        if b == 0:
-            return str(a)
-        rpart = f"{abs(b)}*r"
-        sign = "-" if b < 0 else "+"
-        if a == 0:
-            return f"-{rpart}" if b < 0 else rpart
-        return f"{a}{sign}{rpart}"
+        if self.field.kind == QUAD_EXT:
+            return _quad_str(*self.value)
+        return str(self.value)
+
+
+def _quad_str(a: Fraction, b: Fraction) -> str:
+    """The literal of a + b*r, r = sqrt(d): "a", "b*r" or "a+b*r"."""
+    if b == 0:
+        return str(a)
+    rpart = f"{abs(b)}*r"
+    if a == 0:
+        return f"-{rpart}" if b < 0 else rpart
+    return f"{a}{'-' if b < 0 else '+'}{rpart}"
 
 
 # the slot setters, bypassing the immutability guard in __setattr__
@@ -658,13 +661,15 @@ class _Kernel:
     (`pack` makes one, `random_packed` draws one, `_unpack` reads one), so
     maps chain without unpacking; `packed_eq` and `packed_is_zero` decide
     on them.  `monomial_table` compiles every template table, `indexed_table`
-    a table of given constants (Gram entries), `packed_table` a linear
-    table of packed values, such as the outputs of a bilinear map, and
-    `columns_table` one of packed columns; `table_matrix` unpacks a linear
-    table.  `bilinear` returns FieldElements.  `pack_sparse` packs only the
-    nonzero entries of a vector, so unit vectors are born packed.  `_mul`
-    and `_add` multiply and add packed scalars (the entries of a packed
-    vector), and `packed_over` packs a list of them over one nonzero one."""
+    a table of given constants (Gram entries), and `packed_table` a linear
+    table of packed values, such as the outputs of a bilinear map;
+    `table_matrix` unpacks a linear table.  `bilinear` returns
+    FieldElements.  `pack_sparse` packs only the nonzero entries of a
+    vector, so unit vectors are born packed.  `_mul` and `_add` multiply
+    and add packed scalars (the entries of a packed vector), `_dot` pairs
+    two lists of them, and `packed_over` packs a list of them over one
+    nonzero one.  `packed_strings` writes a packed vector's literals, as
+    str() writes its unpacked entries."""
 
     def __init__(self, field: Field):
         self.field = field
@@ -714,12 +719,22 @@ class _Kernel:
                 rows[r].append((j,) + c)
         return rows, den
 
-    def columns_table(self, cols):
-        """The linear table of x -> sum_j x_j cols[j] for packed columns of
-        one length, brought to the lcm of their denominators."""
+    def common_columns(self, cols):
+        """Packed columns of one length brought to the lcm of their
+        denominators: (the values of each column, the lcm)."""
         den = lcm(*[d for _, d in cols])
-        entries = [(r, j, self._times(v, den // d)) for j, (vals, d) in enumerate(cols) for r, v in enumerate(vals)]
-        return self.packed_table(len(cols[0][0]), entries, den)
+        return [vals if d == den else [self._times(v, den // d) for v in vals] for vals, d in cols], den
+
+    def packed_mix(self, base, xp):
+        """The packed column sum_j x_j cols[j], for base = (cols, den) from
+        common_columns and a packed x with one entry per column."""
+        cols, den = base
+        x, xd = xp
+        return self._reduce([self._dot(x, row) for row in zip(*cols)]), den * xd
+
+    def packed_dot(self, u, v):
+        """sum_i u_i v_i of two packed vectors, as a packed 1-vector."""
+        return self._reduce([self._dot(u[0], v[0])]), u[1] * v[1]
 
     def table_matrix(self, table, n_cols):
         """The FieldElement matrix of a linear table (zero off its entries)."""
@@ -748,6 +763,22 @@ class _IntegerKernel(_Kernel):
         return v * m
 
     _mul, _add = staticmethod(operator.mul), staticmethod(operator.add)
+
+    @staticmethod
+    def _dot(u, v):
+        return sum(map(operator.mul, u, v))
+
+    def packed_form(self, table, xp):
+        """The packed row x^T G of a bilinear table with one output (a Gram
+        table): its packed_dot with y is x^T G y."""
+        rows, _, den = table
+        x, xd = xp
+        out = [0] * len(x)
+        for xi, row in zip(x, rows):
+            if xi:
+                for j, _, c in row:
+                    out[j] += c * xi
+        return self._reduce(out), den * xd
 
     def packed_bilinear(self, table, xp, yp):
         rows, n_out, den = table
@@ -799,6 +830,10 @@ class _RationalKernel(_IntegerKernel):
         return tuple(FieldElement(f, Fraction(n, den)) for n in nums)
 
     @staticmethod
+    def packed_strings(nums, den):  # str(Fraction(n, den)), reduced by one gcd
+        return [str(n // g) if (g := gcd(n, den)) == den else f"{n // g}/{den // g}" for n in nums]
+
+    @staticmethod
     def packed_over(nums, s):
         return (nums, s) if s > 0 else ([-n for n in nums], -s)
 
@@ -824,6 +859,10 @@ class _PrimeKernel(_IntegerKernel):
     def _unpack(self, nums, den):
         f = self.field
         return tuple(FieldElement(f, n) for n in nums)
+
+    @staticmethod
+    def packed_strings(nums, den):  # the residues
+        return [str(n) for n in nums]
 
     def packed_over(self, nums, s):
         inv = pow(s, -1, self.field.p)
@@ -851,6 +890,10 @@ class _QuadKernel(_Kernel):
         f = self.field
         return tuple(FieldElement(f, (Fraction(a, den), Fraction(b, den))) for a, b in pairs)
 
+    @staticmethod
+    def packed_strings(pairs, den):
+        return [_quad_str(Fraction(a, den), Fraction(b, den)) for a, b in pairs]
+
     def random_packed(self, rng, n, height):  # a and then b of each coordinate, drawn as over Q
         nums, den = _RationalKernel.random_packed(rng, 2 * n, height)
         return list(zip(nums[::2], nums[1::2])), den
@@ -870,6 +913,13 @@ class _QuadKernel(_Kernel):
     @staticmethod
     def _add(u, v):
         return u[0] + v[0], u[1] + v[1]
+
+    def _dot(self, u, v):
+        d, a, b = self.field.d, 0, 0
+        for (ua, ub), (va, vb) in zip(u, v):
+            a += ua * va + d * ub * vb
+            b += ua * vb + ub * va
+        return a, b
 
     def packed_over(self, nums, s):  # times the conjugate of s, over its norm
         norm = self._mul(s, (s[0], -s[1]))[0]
@@ -891,6 +941,18 @@ class _QuadKernel(_Kernel):
                     out_a[k] += ca * pa + dcb * pb
                     out_b[k] += ca * pb + cb * pa
         return list(zip(out_a, out_b)), den * xd * yd
+
+    def packed_form(self, table, xp):
+        """As over Q, on pairs: (c_a + c_b r)(x_a + x_b r) per term."""
+        rows, _, den = table
+        x, xd = xp
+        out_a, out_b = [0] * len(x), [0] * len(x)
+        for (xa, xb), row in zip(x, rows):
+            if xa or xb:
+                for j, _, ca, cb, dcb in row:
+                    out_a[j] += ca * xa + dcb * xb
+                    out_b[j] += ca * xb + cb * xa
+        return list(zip(out_a, out_b)), den * xd
 
     def packed_linear(self, table, xp):
         rows, den = table

@@ -23,9 +23,10 @@ does the work of each hyperbolic split once, on packed integers and on the
 witness support only (_split_step): the columns off the support pass
 through.  The splits are not checked one by one; each Witt report is proved
 once, by one exact congruence of q with H^i + <anisotropic part> on its
-packed basis, which is then unpacked into the report.  The invariant
-cross-check of that report over Q lives in `verify` and the tests.  Every
-exact congruence check is one packed-integer predicate (_gram_mismatch); no
+packed basis, and the report's strings are read off the same packed
+columns.  The invariant cross-check of that report over Q lives in `verify`
+and the tests.  Every exact congruence check is one packed-integer
+predicate (_gram_mismatch: x^T G once per column, then dot products); no
 Gram matrix of FieldElements is built.
 """
 
@@ -81,6 +82,16 @@ class QuadraticForm:
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "label", label)
 
+    @classmethod
+    def _of(cls, field: Field, coeffs) -> QuadraticForm:
+        """The form on coefficients that are already nonzero elements of
+        field: no coercion and no zero test."""
+        q = object.__new__(cls)
+        object.__setattr__(q, "field", field)
+        object.__setattr__(q, "coeffs", tuple(coeffs))
+        object.__setattr__(q, "label", None)
+        return q
+
     def __setattr__(self, *a):
         raise AttributeError("QuadraticForm is immutable")
 
@@ -104,13 +115,15 @@ class QuadraticForm:
         return f"<{body}> over {self.field}{tag}"
 
     def evaluate(self, vec) -> FieldElement:
-        vec = [self.field.element(v) for v in vec]
+        """q(vec) = sum a_i x_i^2, summed on packed integers."""
+        f = self.field
+        vec = [f.element(v) for v in vec]
         if len(vec) != self.dim:
             raise InvalidInput(f"vector length {len(vec)} != dim {self.dim}")
-        acc = self.field.zero()
-        for a, x in zip(self.coeffs, vec):
-            acc = acc + a * x * x
-        return acc
+        kernel = f.kernel
+        x, den = kernel.pack(vec)
+        squares = ([kernel._mul(v, v) for v in x], den * den)
+        return kernel._unpack(*kernel.packed_dot(kernel.pack(self.coeffs), squares))[0]
 
     def bilinear(self, u, v) -> FieldElement:
         """Polar form B with B(x,x) = q(x)."""
@@ -221,15 +234,25 @@ class IsotropyResult:
 class WittDecomposition:
     """q ~ index * <1,-1>  |  anisotropic_part, with the basis recorded.
 
-    `basis` (when present) has columns in original coordinates with
-    basis^T G basis = diag(1,-1,...,1,-1, anisotropic coefficients), exactly.
+    `columns` (when present) are the basis columns in original coordinates,
+    packed vectors of the field's kernel, with T^T G T = diag(1,-1,...,1,-1,
+    anisotropic coefficients) exactly for the matrix T they form.  The
+    report's literals are read off them; `basis` unpacks T into rows of
+    FieldElements for a caller that asks for it.
     """
 
     witt_index: int
     anisotropic_part: QuadraticForm
     method: str
-    basis: list | None = None
+    columns: list | None = None
     anisotropy_certificate: IsotropyResult | None = None
+
+    @property
+    def basis(self) -> list | None:
+        if self.columns is None:
+            return None
+        unpack = self.anisotropic_part.field.kernel._unpack
+        return _columns([unpack(*col) for col in self.columns])
 
     def to_json(self) -> dict:
         out = {
@@ -237,8 +260,9 @@ class WittDecomposition:
             "anisotropic": [str(c) for c in self.anisotropic_part.coeffs],
             "method": self.method,
         }
-        if self.basis is not None:
-            out["witness"] = [[str(x) for x in col] for col in _columns(self.basis)]
+        if self.columns is not None:
+            strings = self.anisotropic_part.field.kernel.packed_strings
+            out["witness"] = [strings(*col) for col in self.columns]
         return out
 
 
@@ -335,13 +359,15 @@ def _gram_mismatch(kernel, table, packed, expected) -> str | None:
     """Whether the packed columns x_i satisfy x_i^T G x_j = diag(expected),
     for G given by a bilinear table with one output, decided on packed
     integers: "off-diagonal" when some pair i < j is not orthogonal (tested
-    first), "diagonal" when some x_i^T G x_i is not expected[i], else None."""
-    n = len(packed)
-    if any(not kernel.packed_is_zero(kernel.packed_bilinear(table, packed[i], packed[j]))
-           for i in range(n) for j in range(i + 1, n)):
+    first), "diagonal" when some x_i^T G x_i is not expected[i], else None.
+    The row x_i^T G is formed once per column, in one pass of the table,
+    and each entry is its dot product with x_j."""
+    forms = [kernel.packed_form(table, x) for x in packed]
+    dot, zero = kernel.packed_dot, kernel.packed_is_zero
+    if any(not zero(dot(u, y)) for i, u in enumerate(forms) for y in packed[i + 1:]):
         return "off-diagonal"
     values, den = kernel.pack(expected)
-    if not all(kernel.packed_eq(kernel.packed_bilinear(table, x, x), ([v], den)) for x, v in zip(packed, values)):
+    if not all(kernel.packed_eq(dot(u, x), ([v], den)) for u, x, v in zip(forms, packed, values)):
         return "diagonal"
     return None
 
@@ -1048,6 +1074,8 @@ def _split_step(coeffs, witness):
     column comes from n_k = e_k - (a_k v_k / a_s1 v_s1) e_s1 (the split
     identity), and only the n_k are diagonalized, by the elimination of
     diagonalize, unchecked: witt_decompose checks the whole basis once.
+    For |S| = 3 the block is 1 x 1 and needs no elimination: its entry is
+    B(n_k, n_k), and its column is n_k = (sigma e_k - rho_k e_s1) / sigma.
     u1, u2 and these columns are packed vectors of Field.kernel on S, in
     the order of S: integer combinations of the packed witness and
     coefficients over one denominator.
@@ -1078,6 +1106,10 @@ def _split_step(coeffs, witness):
             for j, rj in enumerate(rho) for k, rk in enumerate(rho)
         ]
         gram = kernel._unpack(*kernel.packed_over(gram, times(square, den)))
+        if m == 3:  # a 1 x 1 block: P = (1), the column is n_k and the entry B(n_k, n_k)
+            cols[support[2] - 2] = kernel.packed_over([zero, times(rho[0], -1), sigma], sigma)
+            comp[support[2] - 2] = gram[0]
+            return support, u1, u2, cols, comp
         comp_s, p = _eliminate(f, [list(gram[j:j + m - 2]) for j in range(0, len(gram), m - 2)])
         for j, i in enumerate(support[2:]):
             # column j of P through the n_k: sum_k P_kj (sigma e_k - rho_k e_s1) / sigma
@@ -1096,29 +1128,32 @@ def witt_decompose(q: QuadraticForm) -> WittDecomposition:
     The recorded basis T satisfies  T^T G T = diag(1,-1,...,1,-1, a_1..a_m)
     exactly, where <a_1..a_m> is the anisotropic part.  The basis is kept
     as packed columns in original coordinates, one per current coordinate.
-    Each split (_split_step) maps u1, u2 and its complement columns through
-    one linear table of the |S| columns of its witness support S; every
-    other column passes through untouched.  Over Q each new complement
-    column with value s m^2 is scaled by 1/m (m an integer or a fraction),
-    so the coefficients carried on are squarefree integers.
+    Each split (_split_step) brings the |S| columns of its witness support
+    S to one denominator, and each of u1, u2 and its complement columns is
+    one integer combination of them (packed_mix); every other column passes
+    through untouched.  Over Q each new complement column with value s m^2
+    is scaled by 1/m (m an integer or a fraction), so the coefficients
+    carried on are squarefree integers.
 
     The splits are not checked one by one: the packed basis is proved once,
     by one exact congruence T^T G T = H^i + <a_1..a_m> (_gram_mismatch),
-    and then unpacked into the report.  Its diagonal entries are nonzero,
-    so T is invertible and q is isometric to i hyperbolic planes plus the
-    anisotropic part (the Witt decomposition; Lam, Introduction to
-    Quadratic Forms over Fields, ch. I).  The invariant cross-check of that
-    isometry over Q lives in `verify` and the tests.
+    and the report's literals are read off the same packed columns.  Its
+    diagonal entries are nonzero, so T is invertible and q is isometric to
+    i hyperbolic planes plus the anisotropic part (the Witt decomposition;
+    Lam, Introduction to Quadratic Forms over Fields, ch. I).  The
+    invariant cross-check of that isometry over Q lives in `verify` and the
+    tests.
     """
     f = q.field
     kernel = f.kernel
     current = list(q.coeffs)
     one = f.one()
-    embed = [kernel.pack_sparse(q.dim, {i: one}) for i in range(q.dim)]
+    (unit,), unit_den = kernel.pack([one])
+    embed = [([unit if j == i else kernel._ZERO for j in range(q.dim)], unit_den) for i in range(q.dim)]
     pairs = []
     index = 0
     while True:
-        sub = QuadraticForm(f, current)
+        sub = QuadraticForm._of(f, current)
         cert = is_isotropic(sub, want_witness=True)
         if not cert.isotropic:
             break
@@ -1128,10 +1163,10 @@ def witt_decompose(q: QuadraticForm) -> WittDecomposition:
                 "for irrational coefficients"
             )
         support, u1, u2, cols, current = _split_step(current, cert.witness)
-        table = kernel.columns_table([embed[i] for i in support])
-        pairs += [kernel.packed_linear(table, u) for u in (u1, u2)]
+        base = kernel.common_columns([embed[i] for i in support])
+        pairs += [kernel.packed_mix(base, u) for u in (u1, u2)]
         rest = [i for i in range(len(embed)) if i not in support[:2]]  # the coordinates before the split
-        embed = [embed[i] if col is None else kernel.packed_linear(table, col) for i, col in zip(rest, cols)]
+        embed = [embed[i] if col is None else kernel.packed_mix(base, col) for i, col in zip(rest, cols)]
         if f.kind == RATIONALS:
             for k, (c, col) in enumerate(zip(current, cols)):
                 if col is None and index:
@@ -1148,9 +1183,9 @@ def witt_decompose(q: QuadraticForm) -> WittDecomposition:
         raise InternalCheckFailed("recorded Witt basis fails congruence")
     return WittDecomposition(
         witt_index=index,
-        anisotropic_part=QuadraticForm(f, current),
+        anisotropic_part=sub,
         method=METHOD_WITNESS if not current else cert.method,
-        basis=_columns([kernel._unpack(*col) for col in basis]),
+        columns=basis,
         anisotropy_certificate=cert,
     )
 

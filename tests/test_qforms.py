@@ -25,6 +25,7 @@ from splitrank.qforms import (
     QuadraticForm,
     WittDecomposition,
     _assert_congruent,
+    _eliminate,
     _gram_table,
     _split_step,
     diagonalize,
@@ -119,8 +120,8 @@ def _decomposition(field):
         return q, witt_decompose(q)
     q = QuadraticForm(field, [1, 2, 3, 5, 7, 11])
     cols, comp = _expanded_split(list(q.coeffs), is_isotropic(q).witness)
-    basis = [[col[r] for col in cols] for r in range(q.dim)]
-    return q, WittDecomposition(1, QuadraticForm(field, comp), METHOD_WITNESS, basis=basis)
+    columns = [field.kernel.pack(col) for col in cols]
+    return q, WittDecomposition(1, QuadraticForm(field, comp), METHOD_WITNESS, columns=columns)
 
 
 def _unpacked_split(coeffs, v):
@@ -303,6 +304,9 @@ class TestChecksBite:
             packed = [kernel.pack(list(col)) for col in zip(*p)]
             got = [[kernel._unpack(*kernel.packed_bilinear(table, x, y))[0] for y in packed] for x in packed]
             assert got == want
+            # and x^T G formed once per column, then paired with each y
+            forms = [kernel.packed_form(table, x) for x in packed]
+            assert [[kernel._unpack(*kernel.packed_dot(u, y))[0] for y in packed] for u in forms] == want
 
 
 class TestHilbert:
@@ -560,6 +564,28 @@ class TestSplitStep:
         assert QuadraticForm(Q, coeffs).evaluate([0, -coeffs[2] / coeffs[1], 1, 0, 0]).is_zero()
         _check_split(coeffs, v)
 
+    @pytest.mark.parametrize("field", [Q, F7, prime_field(10007), RM7], ids=str)
+    def test_support_three_split_needs_no_elimination(self, field, monkeypatch):
+        # the 1 x 1 block of a support-3 split is its own diagonal: the split
+        # runs no _eliminate, and its entry and column are those that
+        # _eliminate gives on that block
+        rng = random.Random(2_003)
+
+        def refuse(f, g):
+            raise AssertionError("_eliminate called on a 1 x 1 block")
+
+        for _ in range(6):
+            dim = rng.randint(3, 8)
+            coeffs, v = _split_case(rng, field, dim, sorted(rng.sample(range(dim), 3)))
+            monkeypatch.setattr(qforms, "_eliminate", refuse)
+            (s0, s1, k), _, _, local, comp = _unpacked_split(coeffs, v)
+            monkeypatch.undo()
+            r = coeffs[k] * v[k] / (coeffs[s1] * v[s1])  # n_k = e_k - r e_s1
+            diag, p = _eliminate(field, [[coeffs[s1] * r * r + coeffs[k]]])
+            assert comp[k - 2] == diag[0]
+            assert local[k - 2] == [field.zero(), -r * p[0][0], p[0][0]]
+            _check_split(coeffs, v)
+
 
 class TestConstructedWitnesses:
     def test_large_prime_ternary_has_basis(self):
@@ -717,6 +743,23 @@ class TestFormBasics:
     def test_nonzero_coeffs_required(self):
         with pytest.raises(InvalidInput):
             QuadraticForm(Q, [1, 0])
+
+    @pytest.mark.parametrize("field", [Q, prime_field(10007), RM7], ids=str)
+    def test_evaluate_matches_the_element_sum(self, field):
+        # evaluate sums on packed integers; the FieldElement sum is the
+        # oracle, for vectors given as ints, as literals and as elements
+        rng = random.Random(17)
+        for dim in (0, 1, 3, 8):
+            q = QuadraticForm(field, [_random_coefficient(rng, field) for _ in range(dim)])
+            elements = [field.random(rng) for _ in range(dim)]
+            for vec in ([rng.randint(-50, 50) for _ in range(dim)], [str(x) for x in elements], elements):
+                want = field.zero()
+                for a, x in zip(q.coeffs, vec):
+                    x = field.element(x)
+                    want = want + a * x * x
+                assert q.evaluate(vec) == want
+        with pytest.raises(InvalidInput):
+            QuadraticForm(field, [1, 2]).evaluate([1])
 
     def test_json_roundtrip(self):
         from splitrank.qforms import form_from_json

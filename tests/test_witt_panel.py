@@ -21,7 +21,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from splitrank import fields, linalg, qforms
+from splitrank import cli, fields, linalg, qforms
 from splitrank.fields import is_prime, least_nonresidue, legendre
 from splitrank.qforms import QuadraticForm, equivalent, form_from_json, witt_decompose, witt_index_by_invariants
 
@@ -109,8 +109,8 @@ def test_splits_never_reach_the_nullspace(monkeypatch):
 
 
 def test_each_split_maps_only_its_support(monkeypatch):
-    # a split maps u1, u2 and its |S| - 2 complement columns on the support
-    # S; every other column passes through untouched
+    # a split mixes u1, u2 and its |S| - 2 complement columns from the |S|
+    # columns of the support S; every other column passes through untouched
     split, maps, splits = qforms._split_step, [0], []
 
     def spied(coeffs, witness):
@@ -118,18 +118,15 @@ def test_each_split_maps_only_its_support(monkeypatch):
         splits.append((len(coeffs), len(out[0]), maps[0]))
         return out
 
-    def counted(kernel_class):
-        packed_linear = kernel_class.packed_linear
+    packed_mix = fields._Kernel.packed_mix
 
-        def run(self, table, xp):
-            maps[0] += 1
-            return packed_linear(self, table, xp)
-
-        monkeypatch.setattr(kernel_class, "packed_linear", run)
+    def counted(self, base, xp):
+        assert len(base[0]) == len(xp[0]) == splits[-1][1]  # the |S| support columns, one per entry
+        maps[0] += 1
+        return packed_mix(self, base, xp)
 
     monkeypatch.setattr(qforms, "_split_step", spied)
-    counted(fields._IntegerKernel)
-    counted(fields._QuadKernel)
+    monkeypatch.setattr(fields._Kernel, "packed_mix", counted)
     narrow = 0
     for entry in json.loads(GOLDEN.read_text()):
         splits.clear()
@@ -141,15 +138,60 @@ def test_each_split_maps_only_its_support(monkeypatch):
     assert narrow > 100
 
 
+def _golden_entries() -> list[dict]:
+    entries = json.loads(GOLDEN.read_text())
+    return entries + [{"input": README_WITT[0], "witt": json.loads(README_WITT[1].read_text())}]
+
+
+def test_report_literals_are_the_unpacked_basis():
+    # the report's literals are read off the packed columns: they are str()
+    # of the entries of the unpacked basis, over Q, F_p and Q(sqrt d)
+    kinds = set()
+    for entry in _golden_entries():
+        dec = witt_decompose(form_from_json(entry["input"]))
+        assert dec.to_json()["witness"] == [[str(x) for x in col] for col in zip(*dec.basis)], entry
+        kinds.add(entry["input"]["field"]["kind"])
+    assert kinds == {"Q", "Fp", "QSqrt"}
+
+
+def test_witt_report_is_written_without_unpacking(monkeypatch, capsys):
+    # once `witt` has its decomposition, reading `basis` or unpacking a
+    # packed vector raises; every report still comes out byte for byte
+    armed = [False]
+
+    def refused(name, run):
+        def wrapper(*args):
+            if armed[0]:
+                raise AssertionError(f"{name} called while the report is written")
+            return run(*args)
+
+        return wrapper
+
+    for kernel_class in (fields._RationalKernel, fields._PrimeKernel, fields._QuadKernel):
+        monkeypatch.setattr(kernel_class, "_unpack", refused("_unpack", kernel_class._unpack))
+    monkeypatch.setattr(qforms.WittDecomposition, "basis", property(refused("basis", qforms.WittDecomposition.basis.fget)))
+    decompose = cli.witt_decompose
+
+    def decompose_then_arm(q):
+        armed[0] = False
+        dec = decompose(q)
+        armed[0] = True
+        return dec
+
+    monkeypatch.setattr(cli, "witt_decompose", decompose_then_arm)
+    for entry in _golden_entries():
+        assert cli.main(["witt", "--json", json.dumps(entry["input"])]) == 0
+        assert capsys.readouterr().out == json.dumps(entry["witt"], indent=2, sort_keys=True) + "\n", entry
+    assert armed[0]
+
+
 def test_every_q_report_matches_the_invariants():
     # witt_decompose proves its basis by one exact congruence; this is the
     # invariant cross-check of each golden report over Q: H^i + the
     # anisotropic part has the invariants of q, and i is the Witt index
     # that signatures and local invariants give
-    entries = json.loads(GOLDEN.read_text())
-    entries.append({"input": README_WITT[0], "witt": json.loads(README_WITT[1].read_text())})
     checked = 0
-    for entry in entries:
+    for entry in _golden_entries():
         q, report = form_from_json(entry["input"]), entry["witt"]
         if q.field.kind != "Q":
             continue
