@@ -353,6 +353,17 @@ def _spin_kernel(form: QuadraticForm, provenance: dict) -> KernelDescriptor:
     )
 
 
+def _spin_kernel_form(a: AlbertAlgebra, report: RankReport) -> tuple[QuadraticForm, dict]:
+    """The kernel form -N' over k and its provenance, from the certificate of
+    a rank-1 report (see f4_kernel); _spin_kernel decides its anisotropy."""
+    slot, c = _certificate_slot(a, report.certificate["element"])
+    if a._ratios[slot - 1] * a.octonions.norm_form().evaluate(c) != -a.field.one():  # r_i N(c) on the closed form
+        raise InternalCheckFailed("the rank certificate gives no slot element c with r_i N(c) = -1")
+    kernel = a.octonions.pure_norm_form().neg().coeffs  # Q0 = <1> - N = <1, -1> - N'
+    provenance = {"rank": 1, "slot": slot, "c": [str(x) for x in c], "idempotent": a.diag_unit(slot).to_json()}
+    return QuadraticForm(a.field, kernel, label="spin kernel"), provenance
+
+
 def f4_kernel(a: AlbertAlgebra, rank_report: RankReport | None = None) -> KernelDescriptor:
     """Anisotropic-kernel descriptor: trivial (rank 4), the whole group
     (rank 0), or the 7-dim anisotropic complement of the explicit hyperbolic
@@ -362,12 +373,7 @@ def f4_kernel(a: AlbertAlgebra, rank_report: RankReport | None = None) -> Kernel
     report = rank_report if rank_report is not None else f4_rank(a)
     if report.rank != 1:
         return _whole_or_trivial(report.rank)
-    slot, c = _certificate_slot(a, report.certificate["element"])
-    if a._ratios[slot - 1] * a.octonions.norm_form().evaluate(c) != -a.field.one():  # r_i N(c) on the closed form
-        raise InternalCheckFailed("the rank certificate gives no slot element c with r_i N(c) = -1")
-    kernel = a.octonions.pure_norm_form().neg().coeffs  # Q0 = <1> - N = <1, -1> - N'
-    provenance = {"rank": 1, "slot": slot, "c": [str(x) for x in c], "idempotent": a.diag_unit(slot).to_json()}
-    return _spin_kernel(QuadraticForm(a.field, kernel, label="spin kernel"), provenance)
+    return _spin_kernel(*_spin_kernel_form(a, report))
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +385,10 @@ def f4_excellence(a: AlbertAlgebra, ext: Field) -> ExcellenceReport:
     a spin form, its descent witness over k is the k kernel -N' itself
     (the negated pure norm of the coordinate algebra).
 
-    Nothing is built over ext: the k-report (f4_rank, and f4_kernel when
-    the rank over ext is 1) is computed once and lifted.  Decided over ext,
-    on lifted k coefficients: the isotropy of N, of the three slot forms
-    (when N stays anisotropic) and the anisotropy of the kernel form -N'.
+    Nothing is built over ext: the k-report (f4_rank, and the form -N' when
+    the rank over ext is 1) is computed once and lifted.  Decided over ext
+    only, on lifted k coefficients: the isotropy of N, of the three slot
+    forms (when N stays anisotropic) and the anisotropy of -N'.
     A norm that only ext splits (d < 0) gets the Q(sqrt d) descent vector.
     Every other certificate over ext is the k certificate read in ext -- the
     nilpotent z, c, the idempotent, q0 and the split basis -- and what
@@ -398,10 +404,10 @@ def f4_excellence(a: AlbertAlgebra, ext: Field) -> ExcellenceReport:
     try:
         rank_ext = _f4_rank_over(a, norm_ext, rank_base)
         if rank_ext.rank == 1:
-            kernel_k = f4_kernel(a, rank_base)
-            kernel_ext = _spin_kernel(_lifted(kernel_k.form, ext), kernel_k.provenance)
+            form, provenance = _spin_kernel_form(a, rank_base)
+            kernel_ext = _spin_kernel(_lifted(form, ext), provenance)
             descent = {
-                "form": QuadraticForm(a.field, kernel_k.form.coeffs, label="descent witness -N'").to_json(),
+                "form": QuadraticForm(a.field, form.coeffs, label="descent witness -N'").to_json(),
                 "matching": "identity change of basis; the Q0 hyperbolic split "
                 "commutes with base change coefficientwise",
                 "kernel_split_basis": kernel_ext.provenance["split_basis"],

@@ -5,10 +5,11 @@ All forms are diagonal <a1,...,an> with nonzero coefficients.  Decisions are
 exact and every verdict carries a certificate: an explicit witness vector for
 isotropy, or the invariant/place data that rules a witness out.  Witnesses
 are constructed (Legendre lattices and local-global splits, see the
-"constructive witnesses" section), never searched for; the bounded search
-stays as an oracle.  Over Q(sqrt(d)) only the dim >= 5 real-place fragment
-is decided, with witnesses for rational coefficients; everything else
-raises UnsupportedCase rather than guessing.
+"constructive witnesses" section), never searched for beyond a height-1
+probe up to dimension 9; the bounded search stays as an oracle.  Over
+Q(sqrt(d)) only the dim >= 5 real-place fragment is decided, with witnesses
+for rational coefficients; everything else raises UnsupportedCase rather
+than guessing.
 
 Over Q one integer core answers every local question (section "the local
 layer over Q"): each coefficient is split once into its squarefree class
@@ -21,13 +22,15 @@ hasse_invariant are thin wrappers that check their arguments first.
 A Witt decomposition keeps its basis as packed columns of Field.kernel and
 does the work of each hyperbolic split once, on packed integers and on the
 witness support only (_split_step): the columns off the support pass
-through.  The splits are not checked one by one; each Witt report is proved
-once, by one exact congruence of q with H^i + <anisotropic part> on its
-packed basis, and the report's strings are read off the same packed
-columns.  The invariant cross-check of that report over Q lives in `verify`
-and the tests.  Every exact congruence check is one packed-integer
-predicate (_gram_mismatch: x^T G once per column, then dot products); no
-Gram matrix of FieldElements is built.
+through, and the complement on the support is one closed form in the prefix
+sums of a_i v_i^2: no Gauss elimination runs on the Witt path (diagonalize
+keeps it for Gram matrices).  The splits are not checked one by one; each
+Witt report is proved once, by one exact congruence of q with H^i +
+<anisotropic part> on its packed basis, and the report's strings are read
+off the same packed columns.  The invariant cross-check of that report
+over Q lives in `verify` and the tests.  Every exact congruence check is
+one packed-integer predicate (_gram_mismatch: x^T G once per column, then
+dot products); no Gram matrix of FieldElements is built.
 """
 
 from __future__ import annotations
@@ -279,21 +282,10 @@ def diagonalize(gram: GramMatrix):
     P^T G P diagonal equal to the form's coefficients, checked exactly.
     Raises DegenerateForm (with the radical's basis) when the input is
     singular."""
-    f = gram.field
-    if gram.dim == 0:
+    f, n = gram.field, gram.dim
+    if n == 0:
         return QuadraticForm(f, []), []
-    diag, p = _eliminate(f, gram.as_lists())
-    form = QuadraticForm(f, diag)
-    _assert_congruent(gram.as_lists(), p, list(form.coeffs))
-    return form, p
-
-
-def _eliminate(f: Field, g):
-    """The Gauss elimination of diagonalize on a symmetric matrix g of
-    FieldElements, reduced in place: returns (diag, P) with P^T g P =
-    diag(diag), unchecked, or raises DegenerateForm."""
-    n = len(g)
-    p = linalg.identity(f, n)
+    g, p = gram.as_lists(), linalg.identity(f, n)
 
     def add_col(dst, src, factor):
         # col_dst += factor * col_src, symmetrically, tracking P
@@ -333,7 +325,9 @@ def _eliminate(f: Field, g):
         raise DegenerateForm(
             f"Gram matrix has rank {n - len(radical)} < {n}", radical=rad_basis
         )
-    return diag, p
+    form = QuadraticForm(f, diag)
+    _assert_congruent(gram.as_lists(), p, list(form.coeffs))
+    return form, p
 
 
 def _assert_congruent(g, p, diag):
@@ -665,10 +659,12 @@ def _primitive(vec: list[int]) -> list[int]:
 
 def _q_witness(values: list[Fraction]) -> list[int]:
     """Nonzero integer zero of an isotropic form with rational coefficients:
-    the fixed height-1 probe, then the construction on each coefficient's
-    own square class; checked exactly on the integerized coefficients."""
+    the fixed height-1 probe up to dimension 9 (the largest of any fixture;
+    its table has 2^ceil(n/2) entries), then the construction on each
+    coefficient's own square class; checked exactly on the integerized
+    coefficients."""
     ints = _integerize(values)
-    vec = _search_integer(ints, 1)
+    vec = _search_integer(ints, 1) if len(ints) <= 9 else None
     if vec is None:
         vec = _solve(values)
     if not any(vec) or sum(c * x * x for c, x in zip(ints, vec)):
@@ -1062,63 +1058,52 @@ def _is_isotropic_qsqrt(q: QuadraticForm, want_witness: bool) -> IsotropyResult:
 
 def _split_step(coeffs, witness):
     """One hyperbolic split in the current diagonal coordinates <a_i>, in
-    closed form on the support S of the witness v.
+    closed form on the support S = (s0, s1, ..., s_{m-1}) of the witness v.
 
     Returns (S, u1, u2, cols, comp).  u1, u2 span the plane of the witness
     with q(u1)=1, q(u2)=-1, B(u1,u2)=0: with t = a_s0 v_s0^2 they are
     diag(t+1, t-1, ..., t-1) v / 2t and diag(t-1, t+1, ..., t+1) v / 2t.
-    The columns cols diagonalize q on its orthogonal complement, with the
-    coefficients comp, one per coordinate other than s0, s1 (the first two
-    of S), in coordinate order.  A coordinate off S passes through with its
-    own coefficient: its entry in cols is None.  For every other k in S the
-    column comes from n_k = e_k - (a_k v_k / a_s1 v_s1) e_s1 (the split
-    identity), and only the n_k are diagonalized, by the elimination of
-    diagonalize, unchecked: witt_decompose checks the whole basis once.
-    For |S| = 3 the block is 1 x 1 and needs no elimination: its entry is
-    B(n_k, n_k), and its column is n_k = (sigma e_k - rho_k e_s1) / sigma.
-    u1, u2 and these columns are packed vectors of Field.kernel on S, in
-    the order of S: integer combinations of the packed witness and
-    coefficients over one denominator.
+    cols diagonalize q on the orthogonal complement, with the coefficients
+    comp, one per coordinate other than s0, s1, in coordinate order; a
+    coordinate off S passes through (None in cols, its own coefficient).
+    With c_i = a_si v_si^2 and P_p = c_1 + ... + c_p, the column of s_p
+    (2 <= p < m) is e_sp - (a_sp v_sp / P_{p-1}) sum_{1<=i<p} v_si e_si, of
+    value a_sp P_p / P_{p-1}: the unit-triangular LDL^T of the n_k = e_k -
+    (a_k v_k / a_s1 v_s1) e_s1, whose Gram matrix is diagonal plus rank one
+    (Gill, Golub, Murray and Saunders, Math. Comp. 28, 1974).  P_{m-1} =
+    -c_0; if P_p = 0 for a p <= m - 2, v on s1..s_p is a zero, and the split
+    is made on it instead (S is then its support).  Unchecked: witt_decompose
+    proves the whole basis once.  u1, u2 and the columns are packed vectors
+    of Field.kernel on S, in the order of S.
     """
     f = coeffs[0].field
     kernel = f.kernel
-    mul, add, times = kernel._mul, kernel._add, kernel._times
+    mul, add, times, zero = kernel._mul, kernel._add, kernel._times, kernel._ZERO
     support = [i for i, x in enumerate(witness) if not x.is_zero()]
     m = len(support)
     vals, den = kernel.pack([coeffs[i] for i in support] + [witness[i] for i in support] + [f.one()])
-    x = vals[m:2 * m]  # the witness over den; vals[-1] is 1 over den
-    t = mul(vals[0], mul(x[0], x[0]))  # a_s0 v_s0^2 = t / den^3
+    a, x = vals[:m], vals[m:2 * m]  # the coefficients and the witness over den; vals[-1] is 1 over den
+    c = [mul(ai, mul(xi, xi)) for ai, xi in zip(a, x)]  # a_si v_si^2 = c_i / den^3
+    while True:
+        sums = kernel._reduce(list(itertools.accumulate(c[1:], add)))  # P_p = sums[p - 1] / den^3
+        cut = next((p for p in range(2, len(c) - 1) if kernel.packed_is_zero(([sums[p - 1]], 1))), None)
+        if cut is None:
+            break
+        support, a, x, c = (seq[1:cut + 1] for seq in (support, a, x, c))  # the zero v on s1..s_cut
+    m, t = len(support), c[0]
     cube = times(vals[-1], den * den)
     up, down, over = add(t, cube), add(t, times(cube, -1)), times(t, 2 * den)
     u1 = kernel.packed_over([mul(up, x[0])] + [mul(down, y) for y in x[1:]], over)
     u2 = kernel.packed_over([mul(down, x[0])] + [mul(up, y) for y in x[1:]], over)
     rest = [i for i in range(len(coeffs)) if i not in support[:2]]
     cols, comp = [None] * len(rest), [coeffs[i] for i in rest]
-    if m > 2:
-        # with A_k, V_k the packed a_k, v_k (over den), r_k = rho_k / sigma for
-        # rho_k = A_k V_k and sigma = A_1 V_1, and B(n_j, n_k) = a_s1 r_j r_k
-        # + delta_jk a_k = (A_1 rho_j rho_k + delta_jk A_k sigma^2) / (den sigma^2)
-        a, zero, sigma = vals[:m], kernel._ZERO, mul(vals[1], x[1])
-        rho = [mul(ak, xk) for ak, xk in zip(a[2:], x[2:])]
-        square = mul(sigma, sigma)
-        gram = [
-            add(mul(a[1], mul(rj, rk)), mul(a[j + 2], square) if j == k else zero)
-            for j, rj in enumerate(rho) for k, rk in enumerate(rho)
-        ]
-        gram = kernel._unpack(*kernel.packed_over(gram, times(square, den)))
-        if m == 3:  # a 1 x 1 block: P = (1), the column is n_k and the entry B(n_k, n_k)
-            cols[support[2] - 2] = kernel.packed_over([zero, times(rho[0], -1), sigma], sigma)
-            comp[support[2] - 2] = gram[0]
-            return support, u1, u2, cols, comp
-        comp_s, p = _eliminate(f, [list(gram[j:j + m - 2]) for j in range(0, len(gram), m - 2)])
-        for j, i in enumerate(support[2:]):
-            # column j of P through the n_k: sum_k P_kj (sigma e_k - rho_k e_s1) / sigma
-            nums, pd = kernel.pack([row[j] for row in p])
-            top = zero
-            for y, r in zip(nums, rho):
-                top = add(top, mul(y, r))
-            cols[i - 2] = kernel.packed_over([zero, times(top, -1)] + [mul(sigma, y) for y in nums], times(sigma, pd))
-            comp[i - 2] = comp_s[j]  # i - 2 is the place of i in rest
+    for p in range(2, m):
+        # (D e_sp - A_p X_p (X_1 e_s1 + ... + X_{p-1} e_s{p-1})) / D for D = sums[p - 2] and the
+        # packed a_si = A_i / den, v_si = X_i / den; its value is A_p sums[p - 1] / (den D)
+        r, prev = times(mul(a[p], x[p]), -1), sums[p - 2]
+        k = support[p] - 2  # its place in rest
+        cols[k] = kernel.packed_over([zero] + [mul(r, y) for y in x[1:p]] + [prev] + [zero] * (m - 1 - p), prev)
+        comp[k] = kernel._unpack(*kernel.packed_over([mul(a[p], sums[p - 1])], times(prev, den)))[0]
     return support, u1, u2, cols, comp
 
 
@@ -1128,8 +1113,9 @@ def witt_decompose(q: QuadraticForm) -> WittDecomposition:
     The recorded basis T satisfies  T^T G T = diag(1,-1,...,1,-1, a_1..a_m)
     exactly, where <a_1..a_m> is the anisotropic part.  The basis is kept
     as packed columns in original coordinates, one per current coordinate.
-    Each split (_split_step) brings the |S| columns of its witness support
-    S to one denominator, and each of u1, u2 and its complement columns is
+    Each split (_split_step) is one closed form on the support S of its
+    witness, cut at a vanishing prefix sum.  It brings the |S| columns of S
+    to one denominator, and each of u1, u2 and its complement columns is
     one integer combination of them (packed_mix); every other column passes
     through untouched.  Over Q each new complement column with value s m^2
     is scaled by 1/m (m an integer or a fraction), so the coefficients

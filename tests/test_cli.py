@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -167,6 +168,18 @@ class TestExitCodes:
         code, out = run_cli(["witt", "--json", form], capsys)
         assert code == 3
         assert json.loads(out)["error"]["kind"] == "InputTooLarge"
+
+    @pytest.mark.parametrize("kind", ["Q", "QSqrt2"])
+    @pytest.mark.parametrize("dim", [44, 64])
+    def test_large_dimension_is_valid_input(self, dim, kind, capsys):
+        # the witness route's height-1 probe stops at dimension 9, so a valid
+        # form of any dimension gets a report or a typed limit (exit 3), never
+        # the probe's SearchSpaceTooLarge as invalid input (exit 2)
+        rng = random.Random(f"dim:{kind}:{dim}")
+        coeffs = [str(rng.choice((-1, 1)) * rng.randint(1, 99)) for _ in range(dim)]
+        field = {"kind": "Q"} if kind == "Q" else {"kind": "QSqrt", "d": 2}
+        code, out = run_cli(["witt", "--json", json.dumps({"field": field, "coeffs": coeffs})], capsys)
+        assert code == 0 or (code == 3 and json.loads(out)["error"]["kind"] == "InputTooLarge"), out
 
     def test_nonnormalizable_gamma_exit(self, capsys):
         alg = json.dumps(

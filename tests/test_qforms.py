@@ -17,7 +17,7 @@ from splitrank.errors import (
     UnsupportedCase,
     UnsupportedField,
 )
-from splitrank.fields import prime_field, quad_ext, rationals
+from splitrank.fields import FieldElement, prime_field, quad_ext, rationals
 from splitrank.qforms import (
     INF,
     METHOD_WITNESS,
@@ -25,7 +25,6 @@ from splitrank.qforms import (
     QuadraticForm,
     WittDecomposition,
     _assert_congruent,
-    _eliminate,
     _gram_table,
     _split_step,
     diagonalize,
@@ -517,13 +516,28 @@ def _split_case(rng, field, dim, support):
             return coeffs, v
 
 
+def _shrunk_support(coeffs, v):
+    """The support of the witness a split is made on: the support S of v,
+    cut to s1..s_p at the first p <= |S| - 2 with c_1 + ... + c_p = 0 for
+    c_i = a_si v_si^2 (v on s1..s_p is then a zero), again until no such
+    prefix sum vanishes."""
+    support = [i for i, x in enumerate(v) if not x.is_zero()]
+    while True:
+        sums = list(itertools.accumulate(coeffs[i] * v[i] * v[i] for i in support[1:]))
+        cut = next((p for p in range(2, len(support) - 1) if sums[p - 1].is_zero()), None)
+        if cut is None:
+            return support
+        support = support[1:cut + 1]
+
+
 def _check_split(coeffs, v):
     """The exact congruence of one split, and the closed form of its
-    complement: off the support of v every unit vector passes through with
-    its own coefficient, and the other columns live on the support minus its
-    first coordinate.  Columns keep the coordinate order."""
+    complement: the split is made on the witness shrunk at its first zero
+    prefix sum; off that support every unit vector passes through with its
+    own coefficient, and the column of s_p lives on s1..s_p with entry 1 at
+    s_p.  Columns keep the coordinate order."""
     f, dim = coeffs[0].field, len(coeffs)
-    support = [i for i in range(dim) if not v[i].is_zero()]
+    support = _shrunk_support(coeffs, v)
     got, u1, u2, local, _ = _unpacked_split(coeffs, v)
     assert got == support and len(u1) == len(u2) == len(support)
     cols, comp = _expanded_split(coeffs, v)
@@ -534,8 +548,8 @@ def _check_split(coeffs, v):
     assert len(local) == len(cols) - 2 == len(comp) == len(rest)
     for loc, col, c, i in zip(local, cols[2:], comp, rest):
         if i in support:
-            assert len(loc) == len(support)
-            assert all(col[j].is_zero() for j in range(dim) if j not in support[1:])
+            assert len(loc) == len(support) and col[i] == f.one()
+            assert all(col[j].is_zero() for j in range(dim) if j not in support[1:support.index(i) + 1])
         else:
             assert loc is None and col == [f.one() if j == i else f.zero() for j in range(dim)] and c == coeffs[i]
 
@@ -551,40 +565,56 @@ class TestSplitStep:
                 _check_split(*_split_case(rng, field, dim, sorted(rng.sample(range(dim), size))))
 
     @pytest.mark.parametrize(
-        "coeffs",
+        "coeffs,support",
         [
-            [1, -1, 1, -1, 3],  # n_2 isotropic, n_3 not: diagonalize swaps
-            [-1, -1, 1, 1, 3],  # n_2, n_3 isotropic, paired: diagonalize adds
+            ([1, -1, 1, -1, 3], [1, 2]),  # c_1 + c_2 = 0: v on s1, s2 is a zero
+            ([-1, -1, 1, 1, 3], [1, 2]),  # the same, with c_1 < 0
+            ([3, 1, 1, -2, -3, 5], [1, 2, 3]),  # c_1 + c_2 + c_3 = 0 leaves a support-3 split
+            ([2, 1, 1, -1, -1, -2, 3], [2, 3]),  # c_1..c_4 sum to 0, and then c_2 + c_3
         ],
     )
-    def test_isotropic_complement_vector(self, coeffs):
+    def test_zero_prefix_sum_shrinks_the_witness(self, coeffs, support):
         coeffs = [Q.element(c) for c in coeffs]
-        v = [Q.element(x) for x in (1, 1, 1, 1, 0)]
-        # n_2 = e_2 - (a_2 / a_1) e_1 has value a_2 + a_2^2 / a_1 = 0
-        assert QuadraticForm(Q, coeffs).evaluate([0, -coeffs[2] / coeffs[1], 1, 0, 0]).is_zero()
+        v = [Q.element(1)] * (len(coeffs) - 1) + [Q.zero()]
+        assert QuadraticForm(Q, coeffs).evaluate(v).is_zero()
+        assert _unpacked_split(coeffs, v)[0] == _shrunk_support(coeffs, v) == support
         _check_split(coeffs, v)
 
     @pytest.mark.parametrize("field", [Q, F7, prime_field(10007), RM7], ids=str)
-    def test_support_three_split_needs_no_elimination(self, field, monkeypatch):
-        # the 1 x 1 block of a support-3 split is its own diagonal: the split
-        # runs no _eliminate, and its entry and column are those that
-        # _eliminate gives on that block
+    def test_prefix_sum_columns_match_diagonalize(self, field, monkeypatch):
+        # no split of support 3-5 runs an elimination, and where no prefix sum
+        # vanishes each complement entry and column is the one diagonalize
+        # gives on the Gram block of the n_k = e_k - r_k e_s1, r_k = a_k v_k / a_s1 v_s1
         rng = random.Random(2_003)
 
-        def refuse(f, g):
-            raise AssertionError("_eliminate called on a 1 x 1 block")
+        def refuse(*args):
+            raise AssertionError("a split ran an elimination")
 
-        for _ in range(6):
-            dim = rng.randint(3, 8)
-            coeffs, v = _split_case(rng, field, dim, sorted(rng.sample(range(dim), 3)))
-            monkeypatch.setattr(qforms, "_eliminate", refuse)
-            (s0, s1, k), _, _, local, comp = _unpacked_split(coeffs, v)
-            monkeypatch.undo()
-            r = coeffs[k] * v[k] / (coeffs[s1] * v[s1])  # n_k = e_k - r e_s1
-            diag, p = _eliminate(field, [[coeffs[s1] * r * r + coeffs[k]]])
-            assert comp[k - 2] == diag[0]
-            assert local[k - 2] == [field.zero(), -r * p[0][0], p[0][0]]
-            _check_split(coeffs, v)
+        compared = 0
+        for size in (3, 4, 5):
+            for _ in range(6):
+                dim = rng.randint(size, 8)
+                coeffs, v = _split_case(rng, field, dim, sorted(rng.sample(range(dim), size)))
+                monkeypatch.setattr(qforms, "diagonalize", refuse)
+                monkeypatch.setattr(FieldElement, "inv", refuse)
+                support, _, _, local, comp = _unpacked_split(coeffs, v)
+                monkeypatch.undo()
+                _check_split(coeffs, v)
+                if len(support) < size:
+                    continue  # a prefix sum vanished and the witness was shrunk
+                s1, ks = support[1], support[2:]
+                r = [coeffs[k] * v[k] / (coeffs[s1] * v[s1]) for k in ks]
+                gram = [
+                    [coeffs[s1] * rj * rk + (coeffs[k] if j == i else field.zero()) for j, rj in enumerate(r)]
+                    for i, (k, rk) in enumerate(zip(ks, r))
+                ]  # B(n_k, n_l) = a_s1 r_k r_l + delta_kl a_k
+                form, p = diagonalize(GramMatrix(field, gram))
+                for j, k in enumerate(ks):
+                    col = [row[j] for row in p]
+                    assert comp[k - 2] == form.coeffs[j]
+                    assert local[k - 2] == [field.zero(), -sum((x * y for x, y in zip(col, r)), field.zero())] + col
+                compared += 1
+        assert compared >= 12
 
 
 class TestConstructedWitnesses:
