@@ -48,7 +48,7 @@ from .errors import (
     ZeroParameter,
 )
 from .fields import Field, FieldElement, lift, scalars_from_json
-from .qforms import IsotropyResult, QuadraticForm, _gram_mismatch, _gram_table, is_isotropic
+from .qforms import IsotropyResult, QuadraticForm, _gram_mismatch, is_isotropic
 from . import linalg
 
 DIM = 27
@@ -430,15 +430,15 @@ def _checked_gram(a: AlbertAlgebra, basis, expected, name: str):
     """Gram matrix of the polar form of Q on basis, which must be diagonal
     with diagonal `expected`, the closed form of the form called name.
 
-    The traces tr(b_i b_j) = 2 B(b_i, b_j) come from the packed kernel, on
-    the packed basis vectors, and are compared as packed integers by the
-    congruence predicate of qforms: the off-diagonal ones with zero first,
-    then the diagonal with 2 expected.  The returned Gram is
-    diag(expected)."""
-    failed = _gram_mismatch(a.field.kernel, a._trace, [b.packed for b in basis], [e + e for e in expected])
-    if failed == "off-diagonal":
+    The traces tr(b_i b_j) = 2 B(b_i, b_j) come from the compiled trace
+    table, pair by pair on the packed basis vectors, and are compared as
+    packed integers: the off-diagonal ones with zero first, then the
+    diagonal with 2 expected.  The returned Gram is diag(expected)."""
+    kernel = a.field.kernel
+    if any(not kernel.packed_is_zero(_packed_trace(b, c)) for i, b in enumerate(basis) for c in basis[i + 1:]):
         raise InternalCheckFailed(f"the basis of the {name} should be Q-orthogonal")
-    if failed:
+    values, den = kernel.pack([e + e for e in expected])
+    if not all(kernel.packed_eq(_packed_trace(b, b), ([v], den)) for b, v in zip(basis, values)):
         raise InternalCheckFailed(f"{name} disagrees with its block closed form")
     n, zero = len(basis), a.field.zero()
     return [[expected[i] if i == j else zero for j in range(n)] for i in range(n)]
@@ -668,15 +668,16 @@ def _similitude(src: AlbertAlgebra, dst: AlbertAlgebra, x) -> FieldElement:
     by the packed predicate of every congruence check; then X^(-1) =
     lam^(-1) Gamma^(-1) X^T Gamma'."""
     kernel = src.field.kernel
-    table = _gram_table(src.field, 3, {(i, i): g for i, g in enumerate(dst.gamma)})
+    gamma = kernel.pack(dst.gamma)
     cols = [kernel.pack(list(col)) for col in zip(*x)]
-    lam = kernel._unpack(*kernel.packed_bilinear(table, cols[0], cols[0]))[0] / src.gamma[0]
-    if lam.is_zero() or _gram_mismatch(kernel, table, cols, [lam * g for g in src.gamma]):
+    lam = kernel._unpack(*kernel.packed_dot(gamma, kernel.packed_times(cols[0], cols[0])))[0] / src.gamma[0]
+    if lam.is_zero() or _gram_mismatch(kernel, gamma, cols, [lam * g for g in src.gamma]):
         raise NotGammaOrthogonal("X^T Gamma' X is not an invertible multiple of Gamma")
     return lam
 
 
 def _check_gamma_orthogonal(a: AlbertAlgebra, x):
+    """X^T Gamma X = Gamma and det X = 1, for X of FieldElements of a."""
     one = a.field.one()
     if _similitude(a, a, x) != one:
         raise NotGammaOrthogonal("X^T Gamma X != Gamma")
@@ -739,7 +740,7 @@ def phi(a: AlbertAlgebra, x) -> Automorphism:
     """
     x = [[a.field.element(v) for v in row] for row in x]
     _check_gamma_orthogonal(a, x)
-    return Automorphism(a, rows=_conjugation(a, a, x, 5, _random.Random(947)))
+    return Automorphism(a, rows=_conjugation(a, a, x, a.field.one(), 5, _random.Random(947)))
 
 
 _BLOCK = (0, 1, 2) + _SLOT_OFFSET  # x1, x2, x3 and the real parts of c1, c2, c3
@@ -802,17 +803,17 @@ def conjugation_between(src: AlbertAlgebra, dst: AlbertAlgebra, x, samples: int 
     phi(pq) = phi(p) phi(q) and tr(phi(p)^2) = tr(p^2) (Q is preserved) are
     checked exactly on `samples` seeded pairs, drawn as packed vectors.
     """
-    return src.field.kernel.table_matrix(_conjugation(src, dst, x, samples, rng), DIM)
-
-
-def _conjugation(src: AlbertAlgebra, dst: AlbertAlgebra, x, samples: int, rng):
-    """conjugation_between's checked compiled rows."""
     if src.octonions != dst.octonions:
         raise AlgebraMismatch("conjugation needs a common coordinate algebra")
-    f = src.field
-    kernel = f.kernel
-    x = [[f.element(v) for v in row] for row in x]
-    lam = _similitude(src, dst, x)
+    x = [[src.field.element(v) for v in row] for row in x]
+    rows = _conjugation(src, dst, x, _similitude(src, dst, x), samples, rng)
+    return src.field.kernel.table_matrix(rows, DIM)
+
+
+def _conjugation(src: AlbertAlgebra, dst: AlbertAlgebra, x, lam, samples: int, rng):
+    """conjugation_between's checked compiled rows, for X of FieldElements
+    whose similitude X^T Gamma' X = lam Gamma its caller has proved."""
+    kernel = src.field.kernel
     w = [(lam * g).inv() for g in src.gamma]  # X^(-1) = lam^(-1) Gamma^(-1) X^T Gamma'
     y = [x[j][i] * dst.gamma[j] * w[i] for i in range(3) for j in range(3)]
     _, _, fill, n_out = _conjugation_template()

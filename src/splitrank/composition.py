@@ -194,8 +194,9 @@ class CompElement:
 
     def __mul__(self, other):
         other = self._check(other)
-        a = self.algebra
-        return CompElement(a, a.field.kernel.bilinear(a._product, self.coords, other.coords))
+        a, kernel = self.algebra, self.algebra.field.kernel
+        packed = kernel.packed_bilinear(a._product, kernel.pack(self.coords), kernel.pack(other.coords))
+        return CompElement(a, kernel._unpack(*packed))
 
     def scale(self, factor) -> CompElement:
         factor = self.algebra.field.element(factor)

@@ -8,20 +8,21 @@ comparisons, and lattice enumeration bounds by integer square roots.
 
 Packed payloads.  FieldElement is the scalar type of every public function.
 The products that dominate the running time -- octonion products, Jordan
-products, the Albert matrix product, automorphism matrices, and the
-congruence checks of the quadratic-form engine -- are instead compiled
-once into tables of integer constants and run by `Field.kernel`, which is
-picked once per field kind.  `monomial_table` compiles every template table
-(octonion, Jordan, trace, matrix, conjugation), whose constants are signed
-monomials in the algebra's parameters; `indexed_table` packs the Gram
-entries of `qforms._gram_table`, the table of every congruence check.  A
-vector is packed into plain Python ints on entry and unpacked into
-canonical FieldElements on exit, except where work chains maps: an
+products, the Albert matrix product and automorphism matrices -- are
+instead compiled once into tables of integer constants and run by
+`Field.kernel`, which is picked once per field kind.  `monomial_table`
+compiles every template table (octonion, Jordan, trace, matrix,
+conjugation), whose constants are signed monomials in the algebra's
+parameters.  The congruence checks of the quadratic-form engine compile
+nothing: their forms are diagonal, so a Gram is the packed coefficient
+vector and x^T G one elementwise product (`packed_times`).  A vector is
+packed into plain Python ints on entry and unpacked into canonical
+FieldElements on exit, except where work chains maps: an
 `albert.AlbertElement` keeps its packed vector, so Jordan products and
 their zero tests stay on integers; `qforms.witt_decompose` builds each
 split's columns on packed scalars (`_mul`, `_add`, `packed_over`), keeps
 them packed from split to split (`common_columns`, `packed_mix`), proves
-each report once on the packed basis (`packed_form`, `packed_dot`) and
+each report once on the packed basis (`packed_times`, `packed_dot`) and
 writes the report's literals straight from it (`packed_strings`); the
 conjugations of `albert.conjugation_between` fill their rows from packed
 outputs (`packed_table`), and their sampled checks draw packed vectors
@@ -660,16 +661,16 @@ class _Kernel:
     `packed_bilinear` and `packed_linear` take and return packed vectors
     (`pack` makes one, `random_packed` draws one, `_unpack` reads one), so
     maps chain without unpacking; `packed_eq` and `packed_is_zero` decide
-    on them.  `monomial_table` compiles every template table, `indexed_table`
-    a table of given constants (Gram entries), and `packed_table` a linear
-    table of packed values, such as the outputs of a bilinear map;
-    `table_matrix` unpacks a linear table.  `bilinear` returns
-    FieldElements.  `pack_sparse` packs only the nonzero entries of a
-    vector, so unit vectors are born packed.  `_mul` and `_add` multiply
-    and add packed scalars (the entries of a packed vector), `_dot` pairs
-    two lists of them, and `packed_over` packs a list of them over one
-    nonzero one.  `packed_strings` writes a packed vector's literals, as
-    str() writes its unpacked entries."""
+    on them.  `monomial_table` compiles every template table, and
+    `packed_table` a linear table of packed values, such as the outputs of
+    a bilinear map; `table_matrix` unpacks a linear table.  `pack_sparse`
+    packs only the nonzero entries of a vector, so unit vectors are born
+    packed.  `_mul` and `_add` multiply and add packed scalars (the entries
+    of a packed vector), `_dot` pairs two lists of them, `packed_times` and
+    `packed_dot` two packed vectors (a diagonal Gram times x, and x^T G y),
+    and `packed_over` packs a list of them over one nonzero one.
+    `packed_strings` writes a packed vector's literals, as str() writes its
+    unpacked entries."""
 
     def __init__(self, field: Field):
         self.field = field
@@ -681,14 +682,6 @@ class _Kernel:
         for i, v in zip(entries, values):
             out[i] = v
         return out, den
-
-    def indexed_table(self, rows, n_out: int, consts):
-        """Compile out_k = sum of consts[n] x_i y_j over the entries ((j, k), n)
-        of rows[i]; the constants, all nonzero, are packed in one call and
-        the terms filled in by index."""
-        values, den = self.pack(consts)
-        packed = [self._const(v) for v in values]
-        return [[jk + packed[n] for jk, n in row] for row in rows], n_out, den
 
     def monomial_table(self, rows, n_out, keys, factors):
         """Compile out_k = sum of c_n x_i y_j over the entries ((j, k), n)
@@ -736,6 +729,10 @@ class _Kernel:
         """sum_i u_i v_i of two packed vectors, as a packed 1-vector."""
         return self._reduce([self._dot(u[0], v[0])]), u[1] * v[1]
 
+    def packed_times(self, u, v):
+        """The packed vector of the products u_i v_i of two packed vectors."""
+        return self._reduce(list(map(self._mul, u[0], v[0]))), u[1] * v[1]
+
     def table_matrix(self, table, n_cols):
         """The FieldElement matrix of a linear table (zero off its entries)."""
         rows, den = table  # an entry is (j, v) over Q and F_p, (j, a, b, d b) over Q(sqrt d)
@@ -744,9 +741,6 @@ class _Kernel:
         for (r, j, _), e in zip(spots, self._unpack([v for _, _, v in spots], den)):
             out[r][j] = e
         return out
-
-    def bilinear(self, table, xs, ys) -> tuple[FieldElement, ...]:
-        return self._unpack(*self.packed_bilinear(table, self.pack(xs), self.pack(ys)))
 
 
 class _IntegerKernel(_Kernel):
@@ -767,18 +761,6 @@ class _IntegerKernel(_Kernel):
     @staticmethod
     def _dot(u, v):
         return sum(map(operator.mul, u, v))
-
-    def packed_form(self, table, xp):
-        """The packed row x^T G of a bilinear table with one output (a Gram
-        table): its packed_dot with y is x^T G y."""
-        rows, _, den = table
-        x, xd = xp
-        out = [0] * len(x)
-        for xi, row in zip(x, rows):
-            if xi:
-                for j, _, c in row:
-                    out[j] += c * xi
-        return self._reduce(out), den * xd
 
     def packed_bilinear(self, table, xp, yp):
         rows, n_out, den = table
@@ -941,18 +923,6 @@ class _QuadKernel(_Kernel):
                     out_a[k] += ca * pa + dcb * pb
                     out_b[k] += ca * pb + cb * pa
         return list(zip(out_a, out_b)), den * xd * yd
-
-    def packed_form(self, table, xp):
-        """As over Q, on pairs: (c_a + c_b r)(x_a + x_b r) per term."""
-        rows, _, den = table
-        x, xd = xp
-        out_a, out_b = [0] * len(x), [0] * len(x)
-        for (xa, xb), row in zip(x, rows):
-            if xa or xb:
-                for j, _, ca, cb, dcb in row:
-                    out_a[j] += ca * xa + dcb * xb
-                    out_b[j] += ca * xb + cb * xa
-        return list(zip(out_a, out_b)), den * xd
 
     def packed_linear(self, table, xp):
         rows, den = table

@@ -1,9 +1,11 @@
 """Small exact linear algebra over FieldElements (lists of lists).
 
-Plain Gaussian elimination; matrices are immutable-by-convention lists of
-rows.  Sizes here are tiny (3x3 up to 27x27), so no cleverness is needed.
-The Gram and congruence products of the quadratic-form engine do not come
-here: they run on the packed kernel (`qforms._gram_mismatch`).
+One Gauss-Jordan elimination (_reduce) serves det, inverse and nullspace;
+matrices are immutable-by-convention lists of rows.  Sizes here are tiny
+(3x3 up to 27x27), so no cleverness is needed.  The congruence checks of
+diagonal forms do not come here: they run on the packed kernel
+(`qforms._gram_mismatch`).  mat_mul serves diagonalize's check of a
+general Gram matrix (`qforms._assert_congruent`) and the oracles.
 """
 
 from __future__ import annotations
@@ -47,46 +49,44 @@ def mat_eq(a, b) -> bool:
     return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
 
 
-def det(a) -> FieldElement:
-    """Determinant by plain Gaussian elimination over an exact field."""
-    n = len(a)
+def _reduce(a):
+    """Gauss-Jordan elimination of a copy of a: (the reduced rows, the
+    pivot columns, the product of the pivots signed by the row swaps).
+    For a square a of full rank that product is det a."""
     m = [row[:] for row in a]
-    field = a[0][0].field
-    result = field.one()
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not m[r][col].is_zero()), None)
+    pivots, prod = [], a[0][0].field.one()
+    for col in range(len(m[0])):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if not m[i][col].is_zero()), None)
         if piv is None:
-            return field.zero()
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            result = -result
-        result = result * m[col][col]
-        inv = m[col][col].inv()
-        for r in range(col + 1, n):
-            if m[r][col].is_zero():
-                continue
-            factor = m[r][col] * inv
-            for c in range(col, n):
-                m[r][c] = m[r][c] - factor * m[col][c]
-    return result
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            prod = -prod
+        prod = prod * m[r][col]
+        inv = m[r][col].inv()
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and not m[i][col].is_zero():
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+        if len(pivots) == len(m):
+            break
+    return m, pivots, prod
+
+
+def det(a) -> FieldElement:
+    """Determinant over an exact field: 0 when a pivot is missing."""
+    _, pivots, prod = _reduce(a)
+    return prod if len(pivots) == len(a) else a[0][0].field.zero()
 
 
 def inverse(a):
     n = len(a)
-    field = a[0][0].field
-    m = [row + unit for row, unit in zip(a, identity(field, n))]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not m[r][col].is_zero()), None)
-        if piv is None:
-            raise DivisionByZero("matrix is singular")
-        m[col], m[piv] = m[piv], m[col]
-        inv = m[col][col].inv()
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r == col or m[r][col].is_zero():
-                continue
-            f = m[r][col]
-            m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    m, pivots, _ = _reduce([row + unit for row, unit in zip(a, identity(a[0][0].field, n))])
+    if pivots != list(range(n)):
+        raise DivisionByZero("matrix is singular")
     return [row[n:] for row in m]
 
 
@@ -94,32 +94,11 @@ def nullspace(a) -> list[list[FieldElement]]:
     """Basis of the right nullspace of an n x m matrix."""
     if not a:
         raise InvalidInput("empty matrix")
-    field = a[0][0].field
-    n, m = len(a), len(a[0])
-    mat = [row[:] for row in a]
-    pivots: list[int] = []
-    row = 0
-    for col in range(m):
-        piv = next((r for r in range(row, n) if not mat[r][col].is_zero()), None)
-        if piv is None:
-            continue
-        mat[row], mat[piv] = mat[piv], mat[row]
-        inv = mat[row][col].inv()
-        mat[row] = [x * inv for x in mat[row]]
-        for r in range(n):
-            if r == row or mat[r][col].is_zero():
-                continue
-            f = mat[r][col]
-            mat[r] = [x - f * y for x, y in zip(mat[r], mat[row])]
-        pivots.append(col)
-        row += 1
-        if row == n:
-            break
-    free = [c for c in range(m) if c not in pivots]
+    mat, pivots, _ = _reduce(a)
+    zero, one = a[0][0].field.zero(), a[0][0].field.one()
     basis = []
-    zero, one = field.zero(), field.one()
-    for fc in free:
-        v = [zero] * m
+    for fc in (c for c in range(len(a[0])) if c not in pivots):
+        v = [zero] * len(a[0])
         v[fc] = one
         for r, pc in enumerate(pivots):
             v[pc] = -mat[r][fc]

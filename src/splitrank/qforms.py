@@ -28,9 +28,11 @@ keeps it for Gram matrices).  The splits are not checked one by one; each
 Witt report is proved once, by one exact congruence of q with H^i +
 <anisotropic part> on its packed basis, and the report's strings are read
 off the same packed columns.  The invariant cross-check of that report
-over Q lives in `verify` and the tests.  Every exact congruence check is
-one packed-integer predicate (_gram_mismatch: x^T G once per column, then
-dot products); no Gram matrix of FieldElements is built.
+over Q lives in `verify` and the tests.  Every exact congruence check on
+a diagonal form is one packed-integer predicate (_gram_mismatch): the Gram
+of a diagonal form is its packed coefficient vector, so x^T G is one
+elementwise product per column, then dot products.  Only diagonalize's
+check of a general Gram matrix multiplies FieldElement matrices (linalg).
 """
 
 from __future__ import annotations
@@ -124,23 +126,8 @@ class QuadraticForm:
         if len(vec) != self.dim:
             raise InvalidInput(f"vector length {len(vec)} != dim {self.dim}")
         kernel = f.kernel
-        x, den = kernel.pack(vec)
-        squares = ([kernel._mul(v, v) for v in x], den * den)
-        return kernel._unpack(*kernel.packed_dot(kernel.pack(self.coeffs), squares))[0]
-
-    def bilinear(self, u, v) -> FieldElement:
-        """Polar form B with B(x,x) = q(x)."""
-        u = [self.field.element(x) for x in u]
-        v = [self.field.element(x) for x in v]
-        acc = self.field.zero()
-        for a, x, y in zip(self.coeffs, u, v):
-            acc = acc + a * x * y
-        return acc
-
-    def gram(self) -> list[list[FieldElement]]:
-        z = self.field.zero()
-        n = self.dim
-        return [[self.coeffs[i] if i == j else z for j in range(n)] for i in range(n)]
+        x = kernel.pack(vec)
+        return kernel._unpack(*kernel.packed_dot(kernel.pack(self.coeffs), kernel.packed_times(x, x)))[0]
 
     def det(self) -> FieldElement:
         acc = self.field.one()
@@ -331,32 +318,23 @@ def diagonalize(gram: GramMatrix):
 
 
 def _assert_congruent(g, p, diag):
-    f, n = diag[0].field, len(g)
-    table = _gram_table(f, n, {(i, j): x for i, row in enumerate(g) for j, x in enumerate(row) if not x.is_zero()})
-    failed = _gram_mismatch(f.kernel, table, [f.kernel.pack(c) for c in _columns(p)], diag)
-    if failed == "off-diagonal":
+    """P^T G P = diag for diagonalize's general symmetric G, by the
+    definition: the off-diagonal entries are tested first."""
+    m = linalg.mat_mul(linalg.mat_mul(_columns(p), g), p)
+    if any(not m[i][j].is_zero() for i in range(len(m)) for j in range(i + 1, len(m))):
         raise InternalCheckFailed("congruence produced off-diagonal residue")
-    if failed:
+    if any(m[i][i] != d for i, d in enumerate(diag)):
         raise InternalCheckFailed("congruence check failed on diagonal")
 
 
-def _gram_table(f: Field, n: int, entries: dict):
-    """The bilinear table of x^T G y for the n x n matrix G whose nonzero
-    entries are entries[(i, j)], packed in one call."""
-    rows = [[] for _ in range(n)]
-    for e, (i, j) in enumerate(entries):
-        rows[i].append(((j, 0), e))
-    return f.kernel.indexed_table(rows, 1, list(entries.values()))
-
-
-def _gram_mismatch(kernel, table, packed, expected) -> str | None:
+def _gram_mismatch(kernel, diagonal, packed, expected) -> str | None:
     """Whether the packed columns x_i satisfy x_i^T G x_j = diag(expected),
-    for G given by a bilinear table with one output, decided on packed
-    integers: "off-diagonal" when some pair i < j is not orthogonal (tested
-    first), "diagonal" when some x_i^T G x_i is not expected[i], else None.
-    The row x_i^T G is formed once per column, in one pass of the table,
-    and each entry is its dot product with x_j."""
-    forms = [kernel.packed_form(table, x) for x in packed]
+    for G = diag(d) given as the packed vector `diagonal` of the d_i,
+    decided on packed integers: "off-diagonal" when some pair i < j is not
+    orthogonal (tested first), "diagonal" when some x_i^T G x_i is not
+    expected[i], else None.  The row x_i^T G is formed once per column, as
+    one elementwise product, and each entry is its dot product with x_j."""
+    forms = [kernel.packed_times(diagonal, x) for x in packed]
     dot, zero = kernel.packed_dot, kernel.packed_is_zero
     if any(not zero(dot(u, y)) for i, u in enumerate(forms) for y in packed[i + 1:]):
         return "off-diagonal"
@@ -1164,8 +1142,7 @@ def witt_decompose(q: QuadraticForm) -> WittDecomposition:
                     current[k] = f.element(s)
         index += 1
     basis = pairs + embed
-    table = _gram_table(f, q.dim, {(i, i): c for i, c in enumerate(q.coeffs)})
-    if len(basis) != q.dim or _gram_mismatch(kernel, table, basis, [one, -one] * index + current):
+    if len(basis) != q.dim or _gram_mismatch(kernel, kernel.pack(q.coeffs), basis, [one, -one] * index + current):
         raise InternalCheckFailed("recorded Witt basis fails congruence")
     return WittDecomposition(
         witt_index=index,
@@ -1209,12 +1186,11 @@ def equivalent_with_witness(q1: QuadraticForm, q2: QuadraticForm, p) -> bool:
         raise FieldMismatch("equivalence needs a common field")
     if q1.dim != q2.dim or len(p) != q1.dim:
         return False
-    n, f = q1.dim, q1.field
+    n, kernel = q1.dim, q1.field.kernel
     if any(len(row) != n for row in p):
         return False
-    table = _gram_table(f, n, {(i, i): c for i, c in enumerate(q1.coeffs)})
-    packed = [f.kernel.pack([f.element(x) for x in col]) for col in _columns(p)]
-    return _gram_mismatch(f.kernel, table, packed, list(q2.coeffs)) is None
+    packed = [kernel.pack([q1.field.element(x) for x in col]) for col in _columns(p)]
+    return _gram_mismatch(kernel, kernel.pack(q1.coeffs), packed, list(q2.coeffs)) is None
 
 
 # --------------------------------------------------------------------------

@@ -4,11 +4,14 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  All checks are exact (zero tolerance); seeds are fixed.
 """
 
+import hashlib
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from splitrank import verify
 from splitrank.albert import (
     AlbertAlgebra,
     albert_element_from_json,
@@ -48,6 +51,7 @@ from splitrank.verify import (
     suite_albert,
     suite_composition,
     suite_fields,
+    suite_groups,
     suite_qforms,
 )
 
@@ -224,3 +228,24 @@ def test_criterion_8_negative_robustness():
     ok = ok and jordan_mul(z1, z2).is_zero()
     ok = ok and orthogonal_nilpotent_pair(AlbertAlgebra(GRAVES, [1, -1, 1])) is None
     _report(8, "rejections (char 2/3, zero Gamma, Q(sqrt d) dim-4 equivalence) and pair dichotomy", ok)
+
+
+def test_verify_stdout_matches_its_digest(fields_suite, qforms_suite, composition_suite, albert_suite, monkeypatch, capsys):
+    """`splitrank verify --seed 1729` byte for byte: the suites that the
+    criteria above ran, and suite_groups, go through the CLI, and the
+    sha256 of its stdout is the one in tests/golden/verify_seed_1729.sha256
+    (a `sha256sum -c` file, which CI checks on the installed command)."""
+    want = (Path(__file__).parent / "golden" / "verify_seed_1729.sha256").read_text().split()[0]
+    results = {"fields": fields_suite, "qforms": qforms_suite, "composition": composition_suite,
+               "albert": albert_suite, "groups": suite_groups(DEFAULT_SEED)}
+
+    def ran(name):
+        def suite(seed):
+            assert seed == DEFAULT_SEED == 1729
+            return results[name]
+
+        return suite
+
+    monkeypatch.setattr(verify, "SUITES", {name: ran(name) for name in verify.SUITES})
+    assert cli_main(["verify", "--seed", "1729"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want

@@ -33,6 +33,7 @@ from splitrank.albert import (
 )
 from splitrank.composition import cayley_dickson
 from splitrank.errors import (
+    AlgebraMismatch,
     InternalCheckFailed,
     InvalidInput,
     NotGammaOrthogonal,
@@ -419,6 +420,27 @@ class TestGammaOrthogonal:
         x = [[1, 0, 0], [0, Fraction(3, 2), 0], [0, 0, Fraction(1, 2)]]
         rng = random.Random(13)
         conjugation_between(src, dst, x, samples=5, rng=rng)
+
+    def test_similitude_is_proved_once(self, monkeypatch):
+        # phi's check of X^T Gamma X = Gamma is the proof its conjugation
+        # uses; conjugation_between proves X^T Gamma' X = lam Gamma once,
+        # after the coordinate algebras
+        x = so_gamma_sample(A_RANK1, random.Random(14))
+        calls, run = [], albert._similitude
+        monkeypatch.setattr(albert, "_similitude", lambda *args: calls.append(args) or run(*args))
+        auto = phi(A_RANK1, x)
+        assert len(calls) == 1
+        assert auto.apply(A_RANK1.unit()) == A_RANK1.unit()
+        with pytest.raises(NotGammaOrthogonal, match="det X != 1"):
+            phi(A_RANK1, [[-1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        src, dst = AlbertAlgebra(GRAVES, [4, -9, 1]), AlbertAlgebra(GRAVES, [1, -1, 1])
+        calls.clear()
+        conjugation_between(src, dst, [[1, 0, 0], [0, Fraction(3, 2), 0], [0, 0, Fraction(1, 2)]])
+        assert len(calls) == 1
+        calls.clear()
+        with pytest.raises(AlgebraMismatch):
+            conjugation_between(src, AlbertAlgebra(SPLIT, [1, -1, 1]), [[1, 0, 0]] * 3)
+        assert calls == []
 
 
 class TestBaseChange:

@@ -25,7 +25,7 @@ from splitrank.qforms import (
     QuadraticForm,
     WittDecomposition,
     _assert_congruent,
-    _gram_table,
+    _gram_mismatch,
     _split_step,
     diagonalize,
     equivalent,
@@ -107,6 +107,28 @@ class TestDiagonalize:
                 continue
             got = linalg.mat_mul(linalg.mat_mul([list(col) for col in zip(*p)], sym), p)
             assert got == [[form.coeffs[i] if i == j else Q.zero() for j in range(n)] for i in range(n)]
+
+
+def _columns(matrix):
+    return [list(col) for col in zip(*matrix)]
+
+
+def _orthogonal_columns(d, rng):
+    """len(d) random columns made pairwise orthogonal for <d> by
+    Gram-Schmidt in FieldElement arithmetic, none of them isotropic."""
+    f, cols = d[0].field, []
+
+    def b(u, v):
+        return sum((a * x * y for a, x, y in zip(d, u, v)), f.zero())
+
+    while len(cols) < len(d):
+        v = [f.random(rng) for _ in d]
+        for u in cols:
+            c = b(v, u) / b(u, u)
+            v = [x - c * y for x, y in zip(v, u)]
+        if not b(v, v).is_zero():
+            cols.append(v)
+    return cols
 
 
 def _decomposition(field):
@@ -290,22 +312,35 @@ class TestChecksBite:
 
     @pytest.mark.parametrize("field", [Q, F5, RM7, R2], ids=str)
     def test_packed_congruence_matches_the_dense_product(self, field):
-        # the packed Gram table of every congruence check, on every pair of
-        # packed columns, against the dense product P^T G P
+        # the diagonal Gram of every congruence check, its packed coefficient
+        # vector, against the dense product P^T D P of linalg
         rng = random.Random(31)
         kernel = field.kernel
         for n in (1, 3, 6):
-            m = [[field.random(rng) for _ in range(n)] for _ in range(n)]
-            g = [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
+            d = [field.random(rng, nonzero=True) for _ in range(n)]
+            dense = [[d[i] if i == j else field.zero() for j in range(n)] for i in range(n)]
+            diagonal = kernel.pack(d)
+            # every pair of random columns: x^T D formed once per column,
+            # then paired with each y
             p = [[field.random(rng) for _ in range(n + 1)] for _ in range(n)]
-            want = linalg.mat_mul(linalg.mat_mul([list(col) for col in zip(*p)], g), p)
-            table = _gram_table(field, n, {(i, j): x for i, row in enumerate(g) for j, x in enumerate(row) if not x.is_zero()})
-            packed = [kernel.pack(list(col)) for col in zip(*p)]
-            got = [[kernel._unpack(*kernel.packed_bilinear(table, x, y))[0] for y in packed] for x in packed]
-            assert got == want
-            # and x^T G formed once per column, then paired with each y
-            forms = [kernel.packed_form(table, x) for x in packed]
+            want = linalg.mat_mul(linalg.mat_mul(_columns(p), dense), p)
+            packed = [kernel.pack(col) for col in _columns(p)]
+            forms = [kernel.packed_times(diagonal, x) for x in packed]
             assert [[kernel._unpack(*kernel.packed_dot(u, y))[0] for y in packed] for u in forms] == want
+            # an orthogonal basis passes, one tampered entry of its diagonal
+            # fails as "diagonal", and a non-orthogonal pair as "off-diagonal"
+            cols = _orthogonal_columns(d, rng)
+            want = linalg.mat_mul(linalg.mat_mul(cols, dense), _columns(cols))
+            values = [want[i][i] for i in range(n)]
+            assert want == [[values[i] if i == j else field.zero() for j in range(n)] for i in range(n)]
+            packed = [kernel.pack(col) for col in cols]
+            assert _gram_mismatch(kernel, diagonal, packed, values) is None
+            for i in range(n):
+                tampered = values[:i] + [values[i] + field.one()] + values[i + 1:]
+                assert _gram_mismatch(kernel, diagonal, packed, tampered) == "diagonal"
+            if n > 1:
+                mixed = kernel.pack([a + b for a, b in zip(cols[0], cols[1])])
+                assert _gram_mismatch(kernel, diagonal, [packed[0], mixed] + packed[2:], values) == "off-diagonal"
 
 
 class TestHilbert:

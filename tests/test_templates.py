@@ -39,8 +39,7 @@ from splitrank.albert import (
 )
 from splitrank.composition import CompElement, _doubling_template, cayley_dickson
 from splitrank.errors import InternalCheckFailed
-from splitrank.fields import Field, _Kernel, prime_field, quad_ext, rationals
-from splitrank.qforms import _gram_table
+from splitrank.fields import Field, _IntegerKernel, _Kernel, _QuadKernel, prime_field, quad_ext, rationals
 from splitrank.verify import reference_jordan_mul, reference_matrix_mul, reference_octonion_mul, so_gamma_sample
 
 PRIMES = (5, 10007, 2**31 - 1)
@@ -202,21 +201,28 @@ def test_one_wrong_constant_fails_the_panel(field, monkeypatch):
     ids=["Q", "F10007", "Q(sqrt2)"],
 )
 def test_only_congruence_compiles_by_index(field, ext, monkeypatch, capsys):
-    """Every template table is compiled from monomials: indexed_table, which
-    packs arbitrary constants, serves qforms._gram_table alone (the Gram
-    tables of the congruence checks).  classify,
-    a rank-1 kernel (over Q and Q(sqrt 2)), excellence and phi all run with
-    indexed_table refusing any other caller."""
-    compile_table, strays = _Kernel.indexed_table, []
+    """Every bilinear table is compiled from monomials, and no table is
+    compiled from given constants: the congruence checks take a diagonal
+    form's packed coefficient vector as its Gram.  classify, a rank-1
+    kernel (over Q and Q(sqrt 2)), excellence and phi all run with
+    packed_bilinear refusing any table that monomial_table did not build."""
+    compile_table, compiled = _Kernel.monomial_table, set()
 
-    def guarded(self, rows, n_out, consts):
-        caller = sys._getframe(1).f_code
-        if caller is not _gram_table.__code__:
-            strays.append(caller.co_name)
-            raise AssertionError(f"indexed_table called from {caller.co_name}")
-        return compile_table(self, rows, n_out, consts)
+    def recorded(self, *args):
+        table = compile_table(self, *args)
+        compiled.add(id(table))
+        return table
 
-    monkeypatch.setattr(_Kernel, "indexed_table", guarded)
+    def guarded(run):
+        def bilinear(self, table, xp, yp):
+            assert id(table) in compiled, "a bilinear table not compiled from monomials"
+            return run(self, table, xp, yp)
+
+        return bilinear
+
+    monkeypatch.setattr(_Kernel, "monomial_table", recorded)
+    for kind in (_IntegerKernel, _QuadKernel):
+        monkeypatch.setattr(kind, "packed_bilinear", guarded(kind.packed_bilinear))
     text = _f4(field, [-1, -3, -5], [1, 1, -1])
     reports = []
     for argv in (["classify"], ["kernel"], ["excellence", "--ext", json.dumps(ext or field)]):
@@ -226,7 +232,6 @@ def test_only_congruence_compiles_by_index(field, ext, monkeypatch, capsys):
     assert reports[0]["rank"] == rank and reports[1]["provenance"]["rank"] == rank
     a = albert_from_json(json.loads(text)["f4"])
     assert phi(a, so_gamma_sample(a, random.Random(3))).preserves_jordan_on_basis()
-    assert strays == []
 
 
 def _f4(field, params, gamma):
