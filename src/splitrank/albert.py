@@ -82,6 +82,13 @@ class AlbertAlgebra:
         g1, g2, g3 = self.gamma
         return (g2 / g3, g3 / g1, g1 / g2)
 
+    @cached_property
+    def slot_forms(self) -> tuple[QuadraticForm, QuadraticForm, QuadraticForm]:
+        """The slot forms <1> + r_i N, i = 1..3 (see _SLOT_DIAG), built once:
+        r_i != 0 and N's coefficients are nonzero, so no coefficient is zero."""
+        one, norm = self.field.one(), self.octonions.norm_form().coeffs
+        return tuple(QuadraticForm._of(self.field, (one,) + tuple(r * c for c in norm)) for r in self._ratios)
+
     def _compile(self, keys, rows, n_out):
         """A template's table: the key (sign, factors) names sign * the
         product of the factors, which index (g1, g2, g3, 1/2, r_1, r_2, r_3,
@@ -484,58 +491,47 @@ def is_nilpotent(z: AlbertElement) -> bool:
     return jordan_mul(z2, z).is_zero()
 
 
-# The three off-diagonal slot configurations: for the diagonal pair (j, k)
-# the element diag(.., t, .., -t, ..) + c in the slot between j and k has
-# Jordan square (t^2 + ratio * N(c)) (E_jj + E_kk).
-def _nilpotent_configs(a: AlbertAlgebra):
-    r1, r2, r3 = a._ratios
-    return [
-        {"slot": 1, "diag": (0, 1, -1), "ratio": r1},
-        {"slot": 2, "diag": (-1, 0, 1), "ratio": r2},
-        {"slot": 3, "diag": (1, -1, 0), "ratio": r3},
-    ]
+# The diagonals of the slot nilpotents: for slot i and its diagonal pair
+# (j, k), z = t (E_jj - E_kk) + slot_i(c0) has Jordan square
+# (t^2 + r_i N(c0)) (E_jj + E_kk), so z^2 = 0 iff (t, c0) is a zero of the
+# slot form <1> + r_i N (AlbertAlgebra.slot_forms).
+_SLOT_DIAG = ((0, 1, -1), (-1, 0, 1), (1, -1, 0))
 
 
-def _nilpotent_test_form(a: AlbertAlgebra, config) -> QuadraticForm:
-    n = a.octonions.norm_form()
-    coeffs = [a.field.one()] + [config["ratio"] * c for c in n.coeffs]
-    return QuadraticForm(a.field, coeffs)
-
-
-def _build_slot_nilpotent(a: AlbertAlgebra, config, witness) -> AlbertElement:
-    """z = t (E_jj - E_kk) + slot_i(c0): square-zero by the identity above
-    _nilpotent_configs, as is_isotropic checks the zero (t, c0) exactly."""
+def _build_slot_nilpotent(a: AlbertAlgebra, slot: int, witness) -> AlbertElement:
+    """z = t (E_jj - E_kk) + slot_i(c0) for the zero (t, c0) of slot form i:
+    square-zero by the identity above _SLOT_DIAG, as is_isotropic checks
+    the zero exactly."""
     t, zero = witness[0], a.field.zero()
-    coords = [t if sgn > 0 else -t if sgn else zero for sgn in config["diag"]] + [zero] * 24
-    off = _SLOT_OFFSET[config["slot"] - 1]
+    coords = [t if sgn > 0 else -t if sgn else zero for sgn in _SLOT_DIAG[slot - 1]] + [zero] * 24
+    off = _SLOT_OFFSET[slot - 1]
     coords[off : off + 8] = witness[1:]
     return AlbertElement(a, coords)
 
 
 def nilpotent_analysis(a: AlbertAlgebra):
-    """(witness element or None, the three per-slot isotropy certificates).
+    """(the square-zero element of the first isotropic slot form, None), or
+    (None, the three anisotropy certificates) when no slot form is isotropic.
 
-    Tests the three forms <1> + (g_j/g_k) N; an isotropic one yields an
-    explicit square-zero element, all-anisotropic yields None with proofs.
-    The first isotropic form gets a constructed zero (qforms.is_isotropic:
-    a Legendre lattice or a split through a common value); the later ones
-    carry their decision only.  A slot form with an irrational coefficient
-    over Q(sqrt d) has no constructed zero and raises UnsupportedCase.
+    The slot forms are decided in order, and the first isotropic one stops
+    the search: it gets a constructed zero (qforms.is_isotropic: a Legendre
+    lattice or a split through a common value), and so an explicit
+    square-zero element.  Only rank 0 prints the slot certificates.  A slot
+    form with an irrational coefficient over Q(sqrt d) has no constructed
+    zero and raises UnsupportedCase.
     """
     certificates: list[IsotropyResult] = []
-    witness = None
-    for config in _nilpotent_configs(a):
-        form = _nilpotent_test_form(a, config)
-        res = is_isotropic(form, want_witness=witness is None)
-        certificates.append(res)
-        if res.isotropic and witness is None:
+    for slot, form in enumerate(a.slot_forms, 1):
+        res = is_isotropic(form)
+        if res.isotropic:
             if res.witness is None:
                 raise UnsupportedCase(
                     f"slot form {form} is isotropic, but no explicit vector is "
                     "built for irrational coefficients"
                 )
-            witness = _build_slot_nilpotent(a, config, res.witness)
-    return witness, certificates
+            return _build_slot_nilpotent(a, slot, res.witness), None
+        certificates.append(res)
+    return None, certificates
 
 
 def nilpotent_witness(a: AlbertAlgebra) -> AlbertElement | None:
@@ -584,11 +580,11 @@ def e0_subspace(a: AlbertAlgebra, u: AlbertElement, c: CompElement | None = None
     """
     if not is_primitive_idempotent(u):
         raise NotPrimitiveIdempotent("E0 needs a primitive idempotent")
-    config = next((cf for cf in _nilpotent_configs(a) if u == a.diag_unit(cf["slot"])), None)
-    if config is None:
+    slot = next((i for i in (1, 2, 3) if u == a.diag_unit(i)), None)
+    if slot is None:
         raise UnsupportedIdempotent("E0/Q0 are implemented for the diagonal idempotents E11, E22, E33")
-    f, kernel, off = a.field, a.field.kernel, _SLOT_OFFSET[config["slot"] - 1]
-    basis = [a._sparse({p: f.element(s) for p, s in enumerate(config["diag"]) if s})]
+    f, kernel, off = a.field, a.field.kernel, _SLOT_OFFSET[slot - 1]
+    basis = [a._sparse({p: f.element(s) for p, s in enumerate(_SLOT_DIAG[slot - 1]) if s})]
     packed_c = None if c is None else kernel.pack(c.coords)
     frame, _ = kernel.pack_sparse(DIM, {})
     for m in range(8):

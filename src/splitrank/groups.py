@@ -29,20 +29,9 @@ import itertools
 import random
 from dataclasses import dataclass, field as dc_field, replace
 
-from .albert import (
-    AlbertAlgebra,
-    _nilpotent_configs,
-    _nilpotent_test_form,
-    conjugation_between,
-    nilpotent_analysis,
-)
+from .albert import _SLOT_DIAG, AlbertAlgebra, conjugation_between, nilpotent_analysis
 from .composition import CompositionAlgebra
-from .errors import (
-    InternalCheckFailed,
-    InvalidInput,
-    NonNormalizableGamma,
-    UnsupportedCase,
-)
+from .errors import InternalCheckFailed, InvalidInput, NonNormalizableGamma
 from .fields import Field, lift, scalars_from_json
 from .qforms import (
     METHOD_WITNESS,
@@ -64,7 +53,6 @@ KIND_WHOLE = "whole_group"
 KIND_SPIN = "spin_form"
 
 VERDICT_EXCELLENT = "excellent_witnessed"
-VERDICT_UNSUPPORTED = "unsupported"
 
 
 @dataclass
@@ -101,27 +89,23 @@ class ExcellenceReport:
     group_type: str
     base_field: Field
     extension_field: Field
-    rank_base: RankReport | None
-    rank_ext: RankReport | None
-    kernel_ext: KernelDescriptor | None
+    rank_base: RankReport
+    rank_ext: RankReport
+    kernel_ext: KernelDescriptor
     descent_witness: dict | None
     verdict: str
-    unsupported_reason: str | None = None
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "group": self.group_type,
             "base_field": self.base_field.to_json(),
             "extension_field": self.extension_field.to_json(),
-            "rank_base": self.rank_base.to_json() if self.rank_base else None,
-            "rank_ext": self.rank_ext.to_json() if self.rank_ext else None,
-            "kernel_ext": self.kernel_ext.to_json() if self.kernel_ext else None,
+            "rank_base": self.rank_base.to_json(),
+            "rank_ext": self.rank_ext.to_json(),
+            "kernel_ext": self.kernel_ext.to_json(),
             "descent_witness": self.descent_witness,
             "verdict": self.verdict,
         }
-        if self.unsupported_reason:
-            out["unsupported_reason"] = self.unsupported_reason
-        return out
 
 
 def _result_json(res: IsotropyResult) -> dict:
@@ -215,7 +199,8 @@ def g2_excellence(c: CompositionAlgebra, ext: Field) -> ExcellenceReport:
 
 def _f4_report(split: IsotropyResult, element: dict | None, slot_forms) -> RankReport:
     """Rank 4 on an isotropic norm, else rank 1 on the JSON of a slot
-    nilpotent, else rank 0 on the three slot-form decisions."""
+    nilpotent, else rank 0 on the three slot-form decisions (slot_forms,
+    read only for rank 0)."""
     if split.isotropic:
         return RankReport(
             F4, 4,
@@ -240,8 +225,8 @@ def _f4_report(split: IsotropyResult, element: dict | None, slot_forms) -> RankR
 
 def f4_rank(a: AlbertAlgebra) -> RankReport:
     """Rank 4 iff C splits; else rank 1 iff some slot form is isotropic
-    (explicit square-zero certificate); else rank 0 with three anisotropy
-    proofs."""
+    (explicit square-zero certificate on the first one); else rank 0 with
+    three anisotropy proofs."""
     split = a.octonions.split_certificate()
     if split.isotropic:
         return _f4_report(split, None, None)
@@ -257,7 +242,7 @@ def _f4_rank_over(a: AlbertAlgebra, norm_ext: QuadraticForm, rank_base: RankRepo
     split = _norm_over(norm_ext, rank_base)
     if split.isotropic:
         return _f4_report(split, None, None)
-    certs = [is_isotropic(_lifted(_nilpotent_test_form(a, cf), ext), want_witness=False) for cf in _nilpotent_configs(a)]
+    certs = [is_isotropic(_lifted(form, ext), want_witness=False) for form in a.slot_forms]
     if any(certs) != (rank_base.rank == 1):
         raise InternalCheckFailed("the slot forms give another rank over the extension")
     return _f4_report(split, rank_base.certificate["element"] if rank_base.rank == 1 else None, certs)
@@ -318,12 +303,12 @@ def _certificate_slot(a: AlbertAlgebra, element) -> tuple[int, list]:
     xs = scalars_from_json(f, element["x"], "x")
     if len(xs) != 3 or len(element["c"]) != 3:
         raise InvalidInput("need three diagonal scalars and three octonion slots")
-    for config in _nilpotent_configs(a):
-        t = xs[config["diag"].index(1)]
-        if not t.is_zero() and xs == [t * s for s in config["diag"]]:
-            c0 = scalars_from_json(f, element["c"][config["slot"] - 1], "c")
+    for slot, diag in enumerate(_SLOT_DIAG, 1):
+        t = xs[diag.index(1)]
+        if not t.is_zero() and xs == [t * s for s in diag]:
+            c0 = scalars_from_json(f, element["c"][slot - 1], "c")
             inv = t.inv()
-            return config["slot"], [x * inv for x in c0]
+            return slot, [x * inv for x in c0]
     raise InternalCheckFailed("the rank certificate gives no slot element c with r_i N(c) = -1")
 
 
@@ -397,25 +382,23 @@ def f4_excellence(a: AlbertAlgebra, ext: Field) -> ExcellenceReport:
     over ext; verify and the tests re-check z^2 = 0, the E0/Q0 Gram and
     x conj(x) = N on the octonion table.  ext = k takes this same lift.
     The descent form is checked against an algebra rebuilt over ext by the
-    tier-1 tests, and against -N' of the params by the benchmark's checker."""
+    tier-1 tests, and against -N' of the params by the benchmark's checker.
+    A certificate that cannot be built over ext raises UnsupportedCase, as
+    it does over k: the report has no unsupported verdict."""
     rank_base = f4_rank(a)
-    norm_ext = _lifted(a.octonions.norm_form(), ext)  # an unsupported extension raises here
-    rank_ext = kernel_ext = descent = reason = None
-    try:
-        rank_ext = _f4_rank_over(a, norm_ext, rank_base)
-        if rank_ext.rank == 1:
-            form, provenance = _spin_kernel_form(a, rank_base)
-            kernel_ext = _spin_kernel(_lifted(form, ext), provenance)
-            descent = {
-                "form": QuadraticForm(a.field, form.coeffs, label="descent witness -N'").to_json(),
-                "matching": "identity change of basis; the Q0 hyperbolic split "
-                "commutes with base change coefficientwise",
-                "kernel_split_basis": kernel_ext.provenance["split_basis"],
-            }
-        else:
-            kernel_ext = _whole_or_trivial(rank_ext.rank)
-    except UnsupportedCase as exc:
-        rank_ext, reason = None, str(exc)
+    rank_ext = _f4_rank_over(a, _lifted(a.octonions.norm_form(), ext), rank_base)
+    descent = None
+    if rank_ext.rank == 1:
+        form, provenance = _spin_kernel_form(a, rank_base)
+        kernel_ext = _spin_kernel(_lifted(form, ext), provenance)
+        descent = {
+            "form": QuadraticForm(a.field, form.coeffs, label="descent witness -N'").to_json(),
+            "matching": "identity change of basis; the Q0 hyperbolic split "
+            "commutes with base change coefficientwise",
+            "kernel_split_basis": kernel_ext.provenance["split_basis"],
+        }
+    else:
+        kernel_ext = _whole_or_trivial(rank_ext.rank)
     return ExcellenceReport(
         group_type=F4,
         base_field=a.field,
@@ -424,6 +407,5 @@ def f4_excellence(a: AlbertAlgebra, ext: Field) -> ExcellenceReport:
         rank_ext=rank_ext,
         kernel_ext=kernel_ext,
         descent_witness=descent,
-        verdict=VERDICT_EXCELLENT if reason is None else VERDICT_UNSUPPORTED,
-        unsupported_reason=reason,
+        verdict=VERDICT_EXCELLENT,
     )

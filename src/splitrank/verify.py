@@ -21,6 +21,7 @@ from .albert import (
     AlbertElement,
     Automorphism,
     _CYCLIC,
+    _build_slot_nilpotent,
     _jordan_from_matrices,
     albert_element_from_json,
     bilinear,
@@ -650,8 +651,8 @@ def suite_groups(seed: int = DEFAULT_SEED) -> list[CheckResult]:
         a1 = AlbertAlgebra(graves, gamma)
         report = f4_rank(a1)
         if slot == 3:  # f4_rank never certifies slot 3 over Q: a zero of <1> + r_3 N = <1> - N
-            w = is_isotropic(QuadraticForm(q_field, [1] + [-1] * 8), want_witness=True).witness
-            report.certificate["element"] = a1.element([w[0], -w[0], 0], [[0] * 8, [0] * 8, w[1:]]).to_json()
+            w = is_isotropic(a1.slot_forms[2], want_witness=True).witness
+            report.certificate["element"] = _build_slot_nilpotent(a1, 3, w).to_json()
         k = f4_kernel(a1, report)
         u, c = a1.diag_unit(slot), graves.element([q_field.element(v) for v in k.provenance["c"]])
         cols = [[q_field.element(v) for v in col] for col in k.provenance["split_basis"]]

@@ -245,6 +245,37 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(out)["error"]["kind"] == "InvalidInput"
 
+    def test_bare_g2_descriptor(self, capsys):
+        bare = {"field": {"kind": "Q"}, "params": ["-1", "-1", "-1"]}
+        code, out = run_cli(["classify", "--json", json.dumps(bare)], capsys)
+        assert code == 0
+        assert out == run_cli(["classify", "--json", G2_GRAVES], capsys)[1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--json", '{"field":{"kind":"Q"},"coeffs":["1"]}'],
+            ["classify", "--json", "[1]"],
+            ["excellence", "--json", G2_GRAVES, "--ext", "{kind: Q}"],
+            ["witt", "--json", '{"field":{"kind":"Fp","p":"%s"},"coeffs":[1,1,1]}' % ("1" * 5000)],
+        ],
+        ids=["neither-shape", "top-level-list", "ext-not-json", "p-past-the-digit-limit"],
+    )
+    def test_unread_input_rejected(self, argv, capsys):
+        code, out = run_cli(argv, capsys)
+        assert code == 2
+        assert json.loads(out)["error"]["kind"] == "InvalidInput"
+
+    @pytest.mark.parametrize("group", ["g2", "f4"])
+    def test_excellence_unsupported_over_the_extension(self, group, capsys):
+        # N is anisotropic over Q and split over Q(sqrt -7), and its descent
+        # vector needs the primality of 10^24 + 7: both groups exit 3
+        octonions = {"field": {"kind": "Q"}, "params": [str(-(10**24 + 7)), "-1", "-1"]}
+        desc = {"g2": octonions} if group == "g2" else {"f4": {"octonion": octonions, "gamma": ["1", "1", "1"]}}
+        code, out = run_cli(["excellence", "--json", json.dumps(desc), "--ext", '{"kind":"QSqrt","d":-7}'], capsys)
+        assert code == 3
+        assert json.loads(out)["error"]["kind"] == "InputTooLarge"
+
     def test_decimal_string_field_parameters(self, capsys):
         form = {"field": {"kind": "Fp", "p": "7"}, "coeffs": ["1", 1, "-1"]}
         assert run_cli(["witt", "--json", json.dumps(form)], capsys)[0] == 0

@@ -23,7 +23,6 @@ import pytest
 from splitrank import albert, cli, composition, groups
 from splitrank.albert import AlbertAlgebra, albert_from_json, base_change_albert
 from splitrank.composition import CompositionAlgebra, base_change_comp, comp_from_json
-from splitrank.errors import UnsupportedCase
 from splitrank.fields import field_from_json, is_prime
 from splitrank.groups import (
     F4,
@@ -32,7 +31,6 @@ from splitrank.groups import (
     KIND_TRIVIAL,
     KIND_WHOLE,
     VERDICT_EXCELLENT,
-    VERDICT_UNSUPPORTED,
     ExcellenceReport,
     KernelDescriptor,
     f4_excellence,
@@ -116,13 +114,10 @@ def g2_panel() -> list[tuple[dict, dict]]:
 def rebuilt_f4_excellence(a: AlbertAlgebra, ext) -> ExcellenceReport:
     rank_base = f4_rank(a)
     a_ext = base_change_albert(a, ext)
-    rank_ext = kernel_ext = descent = reason = None
-    try:
-        rank_ext = f4_rank(a_ext)
-        kernel_ext = f4_kernel(a_ext, rank_report=rank_ext)
-    except UnsupportedCase as exc:
-        rank_ext, reason = None, str(exc)
-    if kernel_ext is not None and kernel_ext.kind == KIND_SPIN:
+    rank_ext = f4_rank(a_ext)
+    kernel_ext = f4_kernel(a_ext, rank_report=rank_ext)
+    descent = None
+    if kernel_ext.kind == KIND_SPIN:
         witness_k = QuadraticForm(a.field, a.octonions.pure_norm_form().neg().coeffs, label="descent witness -N'")
         assert tuple(ext.element(c.value) for c in witness_k.coeffs) == kernel_ext.form.coeffs
         descent = {
@@ -131,10 +126,7 @@ def rebuilt_f4_excellence(a: AlbertAlgebra, ext) -> ExcellenceReport:
             "commutes with base change coefficientwise",
             "kernel_split_basis": kernel_ext.provenance["split_basis"],
         }
-    return ExcellenceReport(
-        F4, a.field, ext, rank_base, rank_ext, kernel_ext, descent,
-        VERDICT_EXCELLENT if reason is None else VERDICT_UNSUPPORTED, reason,
-    )
+    return ExcellenceReport(F4, a.field, ext, rank_base, rank_ext, kernel_ext, descent, VERDICT_EXCELLENT)
 
 
 def rebuilt_g2_excellence(c: CompositionAlgebra, ext) -> ExcellenceReport:

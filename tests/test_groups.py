@@ -276,9 +276,8 @@ class TestF4Kernel:
 
 def _slot_report(a, slot):
     """A rank-1 report whose certificate is the nilpotent of the given slot."""
-    config = albert._nilpotent_configs(a)[slot - 1]
-    witness = is_isotropic(albert._nilpotent_test_form(a, config), want_witness=True).witness
-    z = albert._build_slot_nilpotent(a, config, witness)
+    witness = is_isotropic(a.slot_forms[slot - 1], want_witness=True).witness
+    z = albert._build_slot_nilpotent(a, slot, witness)
     return RankReport(F4, 1, certificate={"kind": CERT_NILPOTENT, "element": z.to_json()}, method="test")
 
 

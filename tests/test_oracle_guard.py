@@ -1,0 +1,92 @@
+"""Production enters no oracle.
+
+`classify`, `kernel`, `excellence` and `witt` decide and certify with
+closed forms and the constructive isotropy route.  The Jordan product, the
+E0/Q0 and trace-form checks, the conjugations, the rebuilds over an
+extension, linalg's elimination, bounded search and the brute-force
+equivalence stay as oracles of `splitrank verify` and the tests.  This test
+runs the five README examples and the `commands` output corpus through
+cli.main under sys.setprofile and fails if any of those is entered.
+"""
+
+import collections
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from splitrank import albert, cli, composition, groups, linalg, qforms, verify
+from test_output_digests import command_argvs
+
+F4_RANK1 = json.dumps({"f4": {"octonion": {"field": {"kind": "Q"}, "params": ["-1", "-1", "-1"]}, "gamma": ["1", "-1", "1"]}})
+README = [
+    ["classify", "--json", F4_RANK1],
+    ["classify", "--json", '{"g2":{"field":{"kind":"Q"},"params":["-1","-1","-1"]}}'],
+    ["witt", "--json", '{"field":{"kind":"Q"},"coeffs":["1","-1","1"]}'],
+    ["kernel", "--json", F4_RANK1],
+    ["excellence", "--ext", '{"kind":"QSqrt","d":-1}', "--json", F4_RANK1],
+]
+
+ORACLES = [
+    albert.jordan_mul,
+    albert.matrix_mul,
+    albert._jordan_from_matrices,
+    albert.e0_subspace,
+    albert.q0_data,
+    albert.q0_form,
+    albert._checked_gram,
+    albert.quadratic_trace_form,
+    albert.phi,
+    albert.conjugation_between,
+    albert.base_change_albert,
+    composition.CompElement.__mul__,
+    composition.base_change_comp,
+    groups.normalize_gamma,
+    qforms.diagonalize,
+    qforms.equivalent,
+    qforms.equivalent_with_witness,
+    qforms.isotropic_vector_search,
+    qforms.witt_index_by_invariants,
+]
+ORACLE_FILES = {linalg.__file__, verify.__file__}  # every function of these modules
+
+
+def entered(argvs) -> collections.Counter:
+    """How often each code object is entered while cli.main runs the argvs."""
+    counts = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            counts[frame.f_code] += 1
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        sys.setprofile(profile)
+        try:
+            for argv in argvs:
+                cli.main(argv)
+        finally:
+            sys.setprofile(None)
+    return counts
+
+
+def _name(code) -> str:
+    return f"{Path(code.co_filename).name}:{getattr(code, 'co_qualname', code.co_name)}"  # co_qualname: Python 3.11+
+
+
+@pytest.mark.parametrize("corpus", ["readme", "commands"])
+def test_production_enters_no_oracle(corpus):
+    argvs = README if corpus == "readme" else command_argvs()
+    counts = entered(argvs)
+    oracles = {f.__code__ for f in ORACLES}
+    hits = sorted(_name(code) for code in counts if code in oracles or code.co_filename in ORACLE_FILES)
+    assert not hits, f"production entered oracles: {hits}"
+    assert counts[cli.main.__code__] == len(argvs)
+
+
+def test_rank1_classify_decides_two_forms():
+    # the norm, then the first slot form, which is isotropic: the later slot
+    # forms are not decided, because a rank-1 report prints none of them
+    assert entered([README[0]])[qforms.is_isotropic.__code__] == 2
