@@ -33,6 +33,7 @@ from __future__ import annotations
 import random as _random
 from functools import cache, cached_property
 from itertools import product
+from typing import NamedTuple
 
 from .composition import CompElement, CompositionAlgebra, _bits, _doubling_template, base_change_comp
 from .errors import (
@@ -498,19 +499,28 @@ def is_nilpotent(z: AlbertElement) -> bool:
 _SLOT_DIAG = ((0, 1, -1), (-1, 0, 1), (1, -1, 0))
 
 
-def _build_slot_nilpotent(a: AlbertAlgebra, slot: int, witness) -> AlbertElement:
-    """z = t (E_jj - E_kk) + slot_i(c0) for the zero (t, c0) of slot form i:
+class SlotNilpotent(NamedTuple):
+    """A rank-1 certificate: slot i, the zero w = (t, c0) of slot form i,
+    and z = t (E_jj - E_kk) + slot_i(c0), built once from w."""
+
+    slot: int
+    zero: tuple
+    element: AlbertElement
+
+
+def _build_slot_nilpotent(a: AlbertAlgebra, slot: int, witness) -> SlotNilpotent:
+    """The certificate of the zero w = (t, c0) of slot form i: z is
     square-zero by the identity above _SLOT_DIAG, as is_isotropic checks
     the zero exactly."""
     t, zero = witness[0], a.field.zero()
     coords = [t if sgn > 0 else -t if sgn else zero for sgn in _SLOT_DIAG[slot - 1]] + [zero] * 24
     off = _SLOT_OFFSET[slot - 1]
     coords[off : off + 8] = witness[1:]
-    return AlbertElement(a, coords)
+    return SlotNilpotent(slot, tuple(witness), AlbertElement(a, coords))
 
 
 def nilpotent_analysis(a: AlbertAlgebra):
-    """(the square-zero element of the first isotropic slot form, None), or
+    """(the SlotNilpotent of the first isotropic slot form, None), or
     (None, the three anisotropy certificates) when no slot form is isotropic.
 
     The slot forms are decided in order, and the first isotropic one stops
@@ -531,12 +541,12 @@ def nilpotent_analysis(a: AlbertAlgebra):
                 )
             return _build_slot_nilpotent(a, slot, res.witness), None
         certificates.append(res)
-    return None, certificates
+    return None, tuple(certificates)
 
 
 def nilpotent_witness(a: AlbertAlgebra) -> AlbertElement | None:
-    witness, _ = nilpotent_analysis(a)
-    return witness
+    found, _ = nilpotent_analysis(a)
+    return None if found is None else found.element
 
 
 def orthogonal_nilpotent_pair(a: AlbertAlgebra):

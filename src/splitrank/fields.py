@@ -360,7 +360,8 @@ def lift(base: Field, ext: Field, xs) -> tuple[FieldElement, ...]:
 
 
 def _int_from_json(value, name: str) -> int:
-    """A JSON int (not a bool) or a decimal string."""
+    """A JSON int (not a bool) or a decimal string.  The error echoes the
+    first 40 characters of a longer literal, and its length."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+", value):
@@ -368,7 +369,10 @@ def _int_from_json(value, name: str) -> int:
             return int(value)
         except ValueError:  # more digits than int() reads
             pass
-    raise InvalidInput(f"{name} must be an integer or a decimal string, got {value!r}")
+    shown = repr(value)
+    if len(shown) > 40:
+        shown = f"{shown[:40]}... ({len(shown)} characters)"
+    raise InvalidInput(f"{name} must be an integer or a decimal string, got {shown}")
 
 
 def scalars_from_json(field: Field, items, what: str) -> list[FieldElement]:

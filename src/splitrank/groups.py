@@ -2,7 +2,11 @@
 anisotropic-kernel descriptors, and the excellence checker.
 
 Rank verdicts are always certified: positive ranks by explicit witness
-vectors or square-zero elements, rank 0 by anisotropy proofs.  Kernels of
+vectors or square-zero elements, rank 0 by anisotropy proofs.  A
+RankReport holds these certificates as decisions (IsotropyResults and the
+typed slot nilpotent) and writes their JSON once, in to_json: the kernel
+and the descent read the slot, the zero and the norm witness from it, and
+nothing parses a certificate back.  Kernels of
 rank-1 F4 groups are reported as 7-dimensional anisotropic quadratic forms
 obtained by splitting the explicit hyperbolic pair of Q0 through the
 isotropic vector (1, 1_C), on the E0 basis that the slot of the rank
@@ -29,10 +33,10 @@ import itertools
 import random
 from dataclasses import dataclass, field as dc_field, replace
 
-from .albert import _SLOT_DIAG, AlbertAlgebra, conjugation_between, nilpotent_analysis
+from .albert import AlbertAlgebra, SlotNilpotent, conjugation_between, nilpotent_analysis
 from .composition import CompositionAlgebra
 from .errors import InternalCheckFailed, InvalidInput, NonNormalizableGamma
-from .fields import Field, lift, scalars_from_json
+from .fields import Field, lift
 from .qforms import (
     METHOD_WITNESS,
     IsotropyResult,
@@ -55,12 +59,37 @@ KIND_SPIN = "spin_form"
 VERDICT_EXCELLENT = "excellent_witnessed"
 
 
-@dataclass
+@dataclass(frozen=True)
 class RankReport:
+    """A rank verdict held as its decisions: the isotropy of the norm N
+    and, for F4 with N anisotropic, the rank-1 nilpotent or the three
+    slot-form certificates (rank 0).  rank, method and certificate are
+    read off them; the JSON is written only here."""
+
     group_type: str
-    rank: int
-    certificate: dict
-    method: str
+    norm: IsotropyResult
+    nilpotent: SlotNilpotent | None = None
+    slot_forms: tuple[IsotropyResult, ...] | None = None
+
+    @property
+    def rank(self) -> int:
+        if self.norm.isotropic:
+            return 2 if self.group_type == G2 else 4
+        return 1 if self.nilpotent is not None else 0
+
+    @property
+    def method(self) -> str:
+        return self.norm.method if self.group_type == G2 or self.norm.isotropic else "three_form_criterion"
+
+    @property
+    def certificate(self) -> dict:
+        if self.norm.isotropic:
+            return {"kind": CERT_SPLIT, "norm_isotropy": _result_json(self.norm)}
+        if self.group_type == G2:
+            return {"kind": CERT_NORM_ANISO, "norm_anisotropy": _result_json(self.norm)}
+        if self.nilpotent is not None:
+            return {"kind": CERT_NILPOTENT, "element": self.nilpotent.element.to_json()}
+        return {"kind": CERT_THREE_FORM, "slot_forms": [_result_json(r) for r in self.slot_forms]}
 
     def to_json(self) -> dict:
         return {
@@ -124,46 +153,32 @@ def _lifted(form: QuadraticForm, ext: Field) -> QuadraticForm:
     return QuadraticForm(ext, lift(form.field, ext, form.coeffs), label=form.label)
 
 
-def _norm_over(norm_ext: QuadraticForm, rank_base: RankReport) -> IsotropyResult:
+def _norm_over(norm: QuadraticForm, ext: Field, rank_base: RankReport) -> IsotropyResult:
     """The isotropy of N over ext (ext = k included), decided on its lifted
-    coefficients norm_ext.  When N is isotropic over k, the witness of the
-    k report, if it has one, is read as a vector over ext; otherwise an
-    isotropic verdict (d < 0) carries the Q(sqrt d) descent vector, a zero
-    (s, x2, ...) of <d a1, a2, ...> built and checked over Q."""
-    k_split = rank_base.certificate.get("norm_isotropy")  # present iff N is isotropic over k
-    res = is_isotropic(norm_ext, want_witness=k_split is None)
-    if k_split is None:
+    coefficients.  When N is isotropic over k, the witness of the k report,
+    if it has one, is lifted to ext; otherwise an isotropic verdict (d < 0)
+    carries the Q(sqrt d) descent vector, a zero (s, x2, ...) of
+    <d a1, a2, ...> built and checked over Q."""
+    k_split = rank_base.norm
+    res = is_isotropic(_lifted(norm, ext), want_witness=not k_split.isotropic)
+    if not k_split.isotropic:
         return res
     if not res.isotropic:
         raise InternalCheckFailed("N is isotropic over the base field but not over the extension")
-    if "witness" not in k_split:  # an irrational parameter over Q(sqrt d): the verdict stands without one
+    if k_split.witness is None:  # an irrational parameter over Q(sqrt d): the verdict stands without one
         return res
-    return replace(res, method=METHOD_WITNESS, witness=tuple(scalars_from_json(norm_ext.field, k_split["witness"], "witness")))
+    return replace(res, method=METHOD_WITNESS, witness=lift(norm.field, ext, k_split.witness))
 
 
 # ---------------------------------------------------------------------------
 # G2
 # ---------------------------------------------------------------------------
 
-def _g2_report(cert: IsotropyResult) -> RankReport:
-    if cert.isotropic:
-        return RankReport(
-            G2, 2,
-            certificate={"kind": CERT_SPLIT, "norm_isotropy": _result_json(cert)},
-            method=cert.method,
-        )
-    return RankReport(
-        G2, 0,
-        certificate={"kind": CERT_NORM_ANISO, "norm_anisotropy": _result_json(cert)},
-        method=cert.method,
-    )
-
-
 def g2_rank(c: CompositionAlgebra) -> RankReport:
     """Rank 2 iff the norm form is isotropic (split), else rank 0."""
     if c.dim != 8:
         raise InvalidInput("G2 classification needs an octonion algebra")
-    return _g2_report(c.split_certificate())
+    return RankReport(G2, c.split_certificate())
 
 
 def g2_excellence(c: CompositionAlgebra, ext: Field) -> ExcellenceReport:
@@ -175,7 +190,7 @@ def g2_excellence(c: CompositionAlgebra, ext: Field) -> ExcellenceReport:
     split C keeps its k witness, and a C that Q(sqrt d), d < 0, splits gets
     the descent vector."""
     rank_base = g2_rank(c)
-    rank_ext = _g2_report(_norm_over(_lifted(c.norm_form(), ext), rank_base))
+    rank_ext = RankReport(G2, _norm_over(c.norm_form(), ext, rank_base))
     kind = KIND_TRIVIAL if rank_ext.rank == 2 else KIND_WHOLE
     kernel = KernelDescriptor(
         kind=kind,
@@ -197,55 +212,27 @@ def g2_excellence(c: CompositionAlgebra, ext: Field) -> ExcellenceReport:
 # F4 rank
 # ---------------------------------------------------------------------------
 
-def _f4_report(split: IsotropyResult, element: dict | None, slot_forms) -> RankReport:
-    """Rank 4 on an isotropic norm, else rank 1 on the JSON of a slot
-    nilpotent, else rank 0 on the three slot-form decisions (slot_forms,
-    read only for rank 0)."""
-    if split.isotropic:
-        return RankReport(
-            F4, 4,
-            certificate={"kind": CERT_SPLIT, "norm_isotropy": _result_json(split)},
-            method=split.method,
-        )
-    if element is not None:
-        return RankReport(
-            F4, 1,
-            certificate={"kind": CERT_NILPOTENT, "element": element},
-            method="three_form_criterion",
-        )
-    return RankReport(
-        F4, 0,
-        certificate={
-            "kind": CERT_THREE_FORM,
-            "slot_forms": [_result_json(r) for r in slot_forms],
-        },
-        method="three_form_criterion",
-    )
-
-
 def f4_rank(a: AlbertAlgebra) -> RankReport:
     """Rank 4 iff C splits; else rank 1 iff some slot form is isotropic
     (explicit square-zero certificate on the first one); else rank 0 with
     three anisotropy proofs."""
-    split = a.octonions.split_certificate()
-    if split.isotropic:
-        return _f4_report(split, None, None)
-    witness, certs = nilpotent_analysis(a)
-    return _f4_report(split, None if witness is None else witness.to_json(), certs)
+    norm = a.octonions.split_certificate()
+    if norm.isotropic:
+        return RankReport(F4, norm)
+    return RankReport(F4, norm, *nilpotent_analysis(a))
 
 
-def _f4_rank_over(a: AlbertAlgebra, norm_ext: QuadraticForm, rank_base: RankReport) -> RankReport:
-    """f4_rank over the extension of norm_ext, from the k-report: N and the
-    three slot forms are decided over ext on their lifted coefficients, and
-    a rank-1 verdict carries the k nilpotent, its coordinates read in ext."""
-    ext = norm_ext.field
-    split = _norm_over(norm_ext, rank_base)
-    if split.isotropic:
-        return _f4_report(split, None, None)
-    certs = [is_isotropic(_lifted(form, ext), want_witness=False) for form in a.slot_forms]
-    if any(certs) != (rank_base.rank == 1):
+def _f4_rank_over(a: AlbertAlgebra, ext: Field, rank_base: RankReport) -> RankReport:
+    """f4_rank over ext, from the k-report: N and the three slot forms are
+    decided over ext on their lifted coefficients, and a rank-1 verdict
+    carries the k nilpotent, whose coordinates read the same in ext."""
+    norm = _norm_over(a.octonions.norm_form(), ext, rank_base)
+    if norm.isotropic:
+        return RankReport(F4, norm)
+    certs = tuple(is_isotropic(_lifted(form, ext), want_witness=False) for form in a.slot_forms)
+    if any(certs) != (rank_base.nilpotent is not None):
         raise InternalCheckFailed("the slot forms give another rank over the extension")
-    return _f4_report(split, rank_base.certificate["element"] if rank_base.rank == 1 else None, certs)
+    return RankReport(F4, norm, rank_base.nilpotent, None if rank_base.nilpotent else certs)
 
 
 # ---------------------------------------------------------------------------
@@ -293,25 +280,6 @@ def normalize_gamma(a: AlbertAlgebra):
 # F4 kernel
 # ---------------------------------------------------------------------------
 
-def _certificate_slot(a: AlbertAlgebra, element) -> tuple[int, list]:
-    """(i, the coordinates of c = c0/t) for the rank-1 certificate
-    z = t (E_jj - E_kk) + slot_i(c0), read from its JSON: only x, which
-    names the slot, and slot i are parsed."""
-    if not isinstance(element, dict) or not isinstance(element.get("x"), list) or not isinstance(element.get("c"), list):
-        raise InvalidInput(f"bad Albert element: {element!r}")
-    f = a.field
-    xs = scalars_from_json(f, element["x"], "x")
-    if len(xs) != 3 or len(element["c"]) != 3:
-        raise InvalidInput("need three diagonal scalars and three octonion slots")
-    for slot, diag in enumerate(_SLOT_DIAG, 1):
-        t = xs[diag.index(1)]
-        if not t.is_zero() and xs == [t * s for s in diag]:
-            c0 = scalars_from_json(f, element["c"][slot - 1], "c")
-            inv = t.inv()
-            return slot, [x * inv for x in c0]
-    raise InternalCheckFailed("the rank certificate gives no slot element c with r_i N(c) = -1")
-
-
 def _whole_or_trivial(rank: int) -> KernelDescriptor:
     return KernelDescriptor(KIND_TRIVIAL if rank == 4 else KIND_WHOLE, provenance={"rank": rank})
 
@@ -339,9 +307,12 @@ def _spin_kernel(form: QuadraticForm, provenance: dict) -> KernelDescriptor:
 
 
 def _spin_kernel_form(a: AlbertAlgebra, report: RankReport) -> tuple[QuadraticForm, dict]:
-    """The kernel form -N' over k and its provenance, from the certificate of
-    a rank-1 report (see f4_kernel); _spin_kernel decides its anisotropy."""
-    slot, c = _certificate_slot(a, report.certificate["element"])
+    """The kernel form -N' over k and its provenance, from the slot i and
+    the zero (t, c0) of a rank-1 report's nilpotent, c = c0/t (see
+    f4_kernel); _spin_kernel decides its anisotropy."""
+    slot, (t, *c0), _ = report.nilpotent
+    inv = t.inv()
+    c = [x * inv for x in c0]
     if a._ratios[slot - 1] * a.octonions.norm_form().evaluate(c) != -a.field.one():  # r_i N(c) on the closed form
         raise InternalCheckFailed("the rank certificate gives no slot element c with r_i N(c) = -1")
     kernel = a.octonions.pure_norm_form().neg().coeffs  # Q0 = <1> - N = <1, -1> - N'
@@ -386,7 +357,7 @@ def f4_excellence(a: AlbertAlgebra, ext: Field) -> ExcellenceReport:
     A certificate that cannot be built over ext raises UnsupportedCase, as
     it does over k: the report has no unsupported verdict."""
     rank_base = f4_rank(a)
-    rank_ext = _f4_rank_over(a, _lifted(a.octonions.norm_form(), ext), rank_base)
+    rank_ext = _f4_rank_over(a, ext, rank_base)
     descent = None
     if rank_ext.rank == 1:
         form, provenance = _spin_kernel_form(a, rank_base)

@@ -24,14 +24,16 @@ does the work of each hyperbolic split once, on packed integers and on the
 witness support only (_split_step): the columns off the support pass
 through, and the complement on the support is one closed form in the prefix
 sums of a_i v_i^2: no Gauss elimination runs on the Witt path (diagonalize
-keeps it for Gram matrices).  The splits are not checked one by one; each
-Witt report is proved once, by one exact congruence of q with H^i +
-<anisotropic part> on its packed basis, and the report's strings are read
-off the same packed columns.  The invariant cross-check of that report
-over Q lives in `verify` and the tests.  Every exact congruence check on
-a diagonal form is one packed-integer predicate (_gram_mismatch): the Gram
-of a diagonal form is its packed coefficient vector, so x^T G is one
-elementwise product per column, then dot products.  Only diagonalize's
+keeps it for Gram matrices).  Every witness of is_isotropic is
+support-minimal (no proper subset of its coordinates carries a zero), so
+no prefix sum vanishes and each split takes one path.  The splits are not
+checked one by one; each Witt report is proved once, by one exact
+congruence of q with H^i + <anisotropic part> on its packed basis, and the
+report's strings are read off the same packed columns.  The invariant
+cross-check of that report over Q lives in `verify` and the tests.  Every
+exact congruence check on a diagonal form is one packed-integer predicate
+(_gram_mismatch): the Gram of a diagonal form is its packed coefficient
+vector, so x^T G is one elementwise product per column, then dot products.  Only diagonalize's
 check of a general Gram matrix multiplies FieldElement matrices (linalg).
 """
 
@@ -1049,10 +1051,14 @@ def _split_step(coeffs, witness):
     value a_sp P_p / P_{p-1}: the unit-triangular LDL^T of the n_k = e_k -
     (a_k v_k / a_s1 v_s1) e_s1, whose Gram matrix is diagonal plus rank one
     (Gill, Golub, Murray and Saunders, Math. Comp. 28, 1974).  P_{m-1} =
-    -c_0; if P_p = 0 for a p <= m - 2, v on s1..s_p is a zero, and the split
-    is made on it instead (S is then its support).  Unchecked: witt_decompose
-    proves the whole basis once.  u1, u2 and the columns are packed vectors
-    of Field.kernel on S, in the order of S.
+    -c_0, and no P_p with p <= m - 2 vanishes: that would make v on
+    s1..s_p a zero of smaller support, and every witness of is_isotropic
+    is support-minimal (the height-1 probe keeps the first vector of each
+    value, the construction returns a zero of the smallest isotropic
+    subform it finds, and F_p witnesses have support <= 3).  A vanishing
+    prefix sum raises InternalCheckFailed.  Unchecked otherwise:
+    witt_decompose proves the whole basis once.  u1, u2 and the columns
+    are packed vectors of Field.kernel on S, in the order of S.
     """
     f = coeffs[0].field
     kernel = f.kernel
@@ -1062,13 +1068,10 @@ def _split_step(coeffs, witness):
     vals, den = kernel.pack([coeffs[i] for i in support] + [witness[i] for i in support] + [f.one()])
     a, x = vals[:m], vals[m:2 * m]  # the coefficients and the witness over den; vals[-1] is 1 over den
     c = [mul(ai, mul(xi, xi)) for ai, xi in zip(a, x)]  # a_si v_si^2 = c_i / den^3
-    while True:
-        sums = kernel._reduce(list(itertools.accumulate(c[1:], add)))  # P_p = sums[p - 1] / den^3
-        cut = next((p for p in range(2, len(c) - 1) if kernel.packed_is_zero(([sums[p - 1]], 1))), None)
-        if cut is None:
-            break
-        support, a, x, c = (seq[1:cut + 1] for seq in (support, a, x, c))  # the zero v on s1..s_cut
-    m, t = len(support), c[0]
+    sums = kernel._reduce(list(itertools.accumulate(c[1:], add)))  # P_p = sums[p - 1] / den^3
+    if any(kernel.packed_is_zero(([sums[p - 1]], 1)) for p in range(2, m - 1)):
+        raise InternalCheckFailed("a prefix sum of the witness vanishes: it is not support-minimal")
+    t = c[0]
     cube = times(vals[-1], den * den)
     up, down, over = add(t, cube), add(t, times(cube, -1)), times(t, 2 * den)
     u1 = kernel.packed_over([mul(up, x[0])] + [mul(down, y) for y in x[1:]], over)
@@ -1092,7 +1095,7 @@ def witt_decompose(q: QuadraticForm) -> WittDecomposition:
     exactly, where <a_1..a_m> is the anisotropic part.  The basis is kept
     as packed columns in original coordinates, one per current coordinate.
     Each split (_split_step) is one closed form on the support S of its
-    witness, cut at a vanishing prefix sum.  It brings the |S| columns of S
+    witness, which is support-minimal.  It brings the |S| columns of S
     to one denominator, and each of u1, u2 and its complement columns is
     one integer combination of them (packed_mix); every other column passes
     through untouched.  Over Q each new complement column with value s m^2

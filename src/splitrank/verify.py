@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import linalg
@@ -652,7 +652,7 @@ def suite_groups(seed: int = DEFAULT_SEED) -> list[CheckResult]:
         report = f4_rank(a1)
         if slot == 3:  # f4_rank never certifies slot 3 over Q: a zero of <1> + r_3 N = <1> - N
             w = is_isotropic(a1.slot_forms[2], want_witness=True).witness
-            report.certificate["element"] = _build_slot_nilpotent(a1, 3, w).to_json()
+            report = replace(report, nilpotent=_build_slot_nilpotent(a1, 3, w))
         k = f4_kernel(a1, report)
         u, c = a1.diag_unit(slot), graves.element([q_field.element(v) for v in k.provenance["c"]])
         cols = [[q_field.element(v) for v in col] for col in k.provenance["split_basis"]]

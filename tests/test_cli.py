@@ -266,6 +266,16 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(out)["error"]["kind"] == "InvalidInput"
 
+    def test_long_literal_is_echoed_short(self, capsys):
+        # a "p" of 5,000 digits is refused with the first 40 characters of
+        # its literal and its length; a short literal is echoed whole
+        form = '{"field":{"kind":"Fp","p":"%s"},"coeffs":[1,1,1]}'
+        code, out = run_cli(["witt", "--json", form % ("1" * 5000)], capsys)
+        assert code == 2 and len(out.encode()) < 300
+        assert "(5002 characters)" in json.loads(out)["error"]["message"]
+        code, out = run_cli(["witt", "--json", form % "7x"], capsys)
+        assert code == 2 and "got '7x'" in json.loads(out)["error"]["message"]
+
     @pytest.mark.parametrize("group", ["g2", "f4"])
     def test_excellence_unsupported_over_the_extension(self, group, capsys):
         # N is anisotropic over Q and split over Q(sqrt -7), and its descent

@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -11,7 +12,6 @@ from splitrank.composition import base_change_comp, cayley_dickson
 from splitrank.errors import InternalCheckFailed, InvalidInput, NonNormalizableGamma, UnsupportedExtension
 from splitrank.fields import prime_field, quad_ext, rationals
 from splitrank.groups import (
-    CERT_NILPOTENT,
     F4,
     KIND_SPIN,
     KIND_TRIVIAL,
@@ -203,15 +203,14 @@ class TestF4Kernel:
     def test_wrong_c_is_refused(self, tamper):
         a = AlbertAlgebra(GRAVES, [2, -2, 1])
         report = f4_rank(a)
-        element = report.certificate["element"]
-        c = [Q.element(x) for x in element["c"][0]]
+        t, *c0 = report.nilpotent.zero
         if tamper == "doubled":
-            c = [x + x for x in c]
+            c0 = [x + x for x in c0]
         else:
-            c[next(m for m, x in enumerate(c) if x.is_zero())] = Q.element(1)
-        element["c"][0] = [str(x) for x in c]
+            c0[next(m for m, x in enumerate(c0) if x.is_zero())] = Q.element(1)
+        tampered = replace(report, nilpotent=report.nilpotent._replace(zero=(t, *c0)))
         with pytest.raises(InternalCheckFailed, match="r_i N"):
-            f4_kernel(a, report)
+            f4_kernel(a, tampered)
 
     def test_no_normalization_on_any_route(self, monkeypatch, capsys):
         # normalize_gamma and conjugation_between are oracles now: classify,
@@ -277,8 +276,7 @@ class TestF4Kernel:
 def _slot_report(a, slot):
     """A rank-1 report whose certificate is the nilpotent of the given slot."""
     witness = is_isotropic(a.slot_forms[slot - 1], want_witness=True).witness
-    z = albert._build_slot_nilpotent(a, slot, witness)
-    return RankReport(F4, 1, certificate={"kind": CERT_NILPOTENT, "element": z.to_json()}, method="test")
+    return RankReport(F4, a.octonions.split_certificate(), albert._build_slot_nilpotent(a, slot, witness))
 
 
 class TestG2Excellence:

@@ -537,9 +537,20 @@ def _random_coefficient(rng, field):
     return field.element(rng.randrange(1, field.p))
 
 
+def _vanishing_prefix(coeffs, v):
+    """Whether P_p = c_1 + ... + c_p is 0 for some 2 <= p <= |S| - 2, with
+    c_i = a_si v_si^2 on the support S = (s0, s1, ...) of v in _split_step's
+    order: v on s1..s_p is then a zero of smaller support, which
+    _split_step refuses."""
+    support = [i for i, x in enumerate(v) if not x.is_zero()]
+    sums = list(itertools.accumulate(coeffs[i] * v[i] * v[i] for i in support[1:]))
+    return any(P.is_zero() for P in sums[1:-1])
+
+
 def _split_case(rng, field, dim, support):
-    """Coefficients and a zero v of them, v nonzero exactly on support: the
-    last support coefficient is solved for."""
+    """Coefficients and a support-minimal zero v of them (no vanishing
+    prefix sum), v nonzero exactly on support: the last support coefficient
+    is solved for."""
     while True:
         v = [field.zero()] * dim
         for i in support:
@@ -548,31 +559,17 @@ def _split_case(rng, field, dim, support):
         head = sum((coeffs[i] * v[i] * v[i] for i in support[:-1]), field.zero())
         if not head.is_zero():
             coeffs[support[-1]] = -head / (v[support[-1]] * v[support[-1]])
-            return coeffs, v
-
-
-def _shrunk_support(coeffs, v):
-    """The support of the witness a split is made on: the support S of v,
-    cut to s1..s_p at the first p <= |S| - 2 with c_1 + ... + c_p = 0 for
-    c_i = a_si v_si^2 (v on s1..s_p is then a zero), again until no such
-    prefix sum vanishes."""
-    support = [i for i, x in enumerate(v) if not x.is_zero()]
-    while True:
-        sums = list(itertools.accumulate(coeffs[i] * v[i] * v[i] for i in support[1:]))
-        cut = next((p for p in range(2, len(support) - 1) if sums[p - 1].is_zero()), None)
-        if cut is None:
-            return support
-        support = support[1:cut + 1]
+            if not _vanishing_prefix(coeffs, v):
+                return coeffs, v
 
 
 def _check_split(coeffs, v):
     """The exact congruence of one split, and the closed form of its
-    complement: the split is made on the witness shrunk at its first zero
-    prefix sum; off that support every unit vector passes through with its
-    own coefficient, and the column of s_p lives on s1..s_p with entry 1 at
-    s_p.  Columns keep the coordinate order."""
+    complement: off the support of v every unit vector passes through with
+    its own coefficient, and the column of s_p lives on s1..s_p with entry
+    1 at s_p.  Columns keep the coordinate order."""
     f, dim = coeffs[0].field, len(coeffs)
-    support = _shrunk_support(coeffs, v)
+    support = [i for i, x in enumerate(v) if not x.is_zero()]
     got, u1, u2, local, _ = _unpacked_split(coeffs, v)
     assert got == support and len(u1) == len(u2) == len(support)
     cols, comp = _expanded_split(coeffs, v)
@@ -604,28 +601,63 @@ class TestSplitStep:
         [
             ([1, -1, 1, -1, 3], [1, 2]),  # c_1 + c_2 = 0: v on s1, s2 is a zero
             ([-1, -1, 1, 1, 3], [1, 2]),  # the same, with c_1 < 0
-            ([3, 1, 1, -2, -3, 5], [1, 2, 3]),  # c_1 + c_2 + c_3 = 0 leaves a support-3 split
-            ([2, 1, 1, -1, -1, -2, 3], [2, 3]),  # c_1..c_4 sum to 0, and then c_2 + c_3
+            ([3, 1, 1, -2, -3, 5], [1, 2, 3]),  # c_1 + c_2 + c_3 = 0
+            ([2, 1, 1, -1, -1, -2, 3], [2, 3]),  # c_1..c_4 sum to 0, and so do c_2 + c_3
         ],
     )
-    def test_zero_prefix_sum_shrinks_the_witness(self, coeffs, support):
+    def test_zero_prefix_sum_is_refused(self, coeffs, support):
+        # v on the support is a zero of smaller support than v: no witness
+        # of is_isotropic is such a v, and the split refuses it
         coeffs = [Q.element(c) for c in coeffs]
         v = [Q.element(1)] * (len(coeffs) - 1) + [Q.zero()]
         assert QuadraticForm(Q, coeffs).evaluate(v).is_zero()
-        assert _unpacked_split(coeffs, v)[0] == _shrunk_support(coeffs, v) == support
-        _check_split(coeffs, v)
+        assert _vanishing_prefix(coeffs, v)
+        assert QuadraticForm(Q, coeffs).evaluate([v[i] if i in support else Q.zero() for i in range(len(v))]).is_zero()
+        with pytest.raises(InternalCheckFailed, match="prefix sum"):
+            _split_step(coeffs, v)
+
+    def test_witnesses_have_no_vanishing_prefix_sum(self):
+        # the split relies on this: every witness of is_isotropic is
+        # support-minimal, whether the height-1 probe or the construction
+        # found it, over Q (integer and fractional coefficients), F_p and
+        # Q(sqrt d); F_p witnesses have support <= 3, where the split checks no prefix sum
+        rng = random.Random(7_919)
+
+        def sign():
+            return rng.choice((-1, 1))
+
+        cases = [
+            (Q, 3, 12, lambda: sign() * rng.randint(1, 9)),
+            (Q, 3, 12, lambda: sign() * rng.randint(1, 10**4)),
+            (Q, 3, 12, lambda: Fraction(sign() * rng.randint(1, 60), rng.randint(1, 9))),
+            (F7, 3, 8, lambda: rng.randrange(1, 7)),
+            (prime_field(10007), 3, 8, lambda: rng.randrange(1, 10007)),
+            (R2, 5, 9, lambda: sign() * rng.randint(1, 30)),
+            (RM7, 5, 9, lambda: Fraction(sign() * rng.randint(1, 30), rng.randint(1, 5))),
+        ]
+        wide = 0
+        for field, low, high, draw in cases:
+            for _ in range(150):
+                coeffs = [field.element(draw()) for _ in range(rng.randint(low, high))]
+                v = is_isotropic(QuadraticForm(field, coeffs)).witness
+                if v is None:
+                    continue
+                assert not _vanishing_prefix(coeffs, v), (field, coeffs, v)
+                support = sum(not x.is_zero() for x in v)
+                assert field.kind != "Fp" or support <= 3
+                wide += support >= 4
+        assert wide >= 200
 
     @pytest.mark.parametrize("field", [Q, F7, prime_field(10007), RM7], ids=str)
     def test_prefix_sum_columns_match_diagonalize(self, field, monkeypatch):
-        # no split of support 3-5 runs an elimination, and where no prefix sum
-        # vanishes each complement entry and column is the one diagonalize
+        # no split of support 3-5 runs an elimination, and each complement
+        # entry and column is the one diagonalize
         # gives on the Gram block of the n_k = e_k - r_k e_s1, r_k = a_k v_k / a_s1 v_s1
         rng = random.Random(2_003)
 
         def refuse(*args):
             raise AssertionError("a split ran an elimination")
 
-        compared = 0
         for size in (3, 4, 5):
             for _ in range(6):
                 dim = rng.randint(size, 8)
@@ -635,8 +667,6 @@ class TestSplitStep:
                 support, _, _, local, comp = _unpacked_split(coeffs, v)
                 monkeypatch.undo()
                 _check_split(coeffs, v)
-                if len(support) < size:
-                    continue  # a prefix sum vanished and the witness was shrunk
                 s1, ks = support[1], support[2:]
                 r = [coeffs[k] * v[k] / (coeffs[s1] * v[s1]) for k in ks]
                 gram = [
@@ -648,8 +678,6 @@ class TestSplitStep:
                     col = [row[j] for row in p]
                     assert comp[k - 2] == form.coeffs[j]
                     assert local[k - 2] == [field.zero(), -sum((x * y for x, y in zip(col, r)), field.zero())] + col
-                compared += 1
-        assert compared >= 12
 
 
 class TestConstructedWitnesses:
@@ -801,6 +829,16 @@ class TestSearch:
     def test_fp_exhaustive(self):
         q = QuadraticForm(F7, [1, 1, 1, 1])
         w = isotropic_vector_search(q, 7)
+        assert w is not None and q.evaluate(w).is_zero()
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "_search_integer's table maps value 0 to the zero vector of the first half, "
+        "which shadows (1, 1); mending it changes corpus outputs"
+    ))
+    def test_zero_in_the_first_half_is_found(self):
+        # (1, 1, 0, 0) is in the box of height 1; the permuted <3, 5, 1, -1> finds (0, 0, 1, 1)
+        q = QuadraticForm(Q, [1, -1, 3, 5])
+        w = isotropic_vector_search(q, 1)
         assert w is not None and q.evaluate(w).is_zero()
 
 
