@@ -48,7 +48,7 @@ from .errors import (
     UnsupportedIdempotent,
     ZeroParameter,
 )
-from .fields import Field, FieldElement, lift, scalars_from_json
+from .fields import Field, FieldElement, lift, scalar_literals
 from .qforms import IsotropyResult, QuadraticForm, _gram_mismatch, is_isotropic
 from . import linalg
 
@@ -63,9 +63,9 @@ class AlbertAlgebra:
     """H(C; Gamma) for an octonion algebra C and invertible diagonal Gamma."""
 
     def __init__(self, octonions: CompositionAlgebra, gamma):
+        gamma = tuple(octonions.field.element(g) for g in gamma)
         if octonions.dim != 8:
             raise InvalidInput("the coordinate algebra must be an octonion algebra")
-        gamma = tuple(octonions.field.element(g) for g in gamma)
         if len(gamma) != 3:
             raise InvalidInput("Gamma must have exactly three entries")
         if any(g.is_zero() for g in gamma):
@@ -252,8 +252,7 @@ class AlbertElement:
 def albert_element_from_json(algebra: AlbertAlgebra, obj: dict) -> AlbertElement:
     if not isinstance(obj, dict) or "x" not in obj or "c" not in obj or not isinstance(obj["c"], list):
         raise InvalidInput(f"bad Albert element: {obj!r}")
-    f = algebra.field
-    return algebra.element(scalars_from_json(f, obj["x"], "x"), [scalars_from_json(f, c, "c") for c in obj["c"]])
+    return algebra.element(scalar_literals(obj["x"], "x"), [scalar_literals(c, "c") for c in obj["c"]])
 
 
 # ---------------------------------------------------------------------------
@@ -854,5 +853,4 @@ def albert_from_json(obj: dict) -> AlbertAlgebra:
 
     if not isinstance(obj, dict) or "octonion" not in obj or "gamma" not in obj:
         raise InvalidInput(f"bad Albert-algebra descriptor: {obj!r}")
-    comp = comp_from_json(obj["octonion"])
-    return AlbertAlgebra(comp, scalars_from_json(comp.field, obj["gamma"], "gamma"))
+    return AlbertAlgebra(comp_from_json(obj["octonion"]), scalar_literals(obj["gamma"], "gamma"))

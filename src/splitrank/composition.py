@@ -249,9 +249,8 @@ def base_change_comp(c: CompositionAlgebra, ext: Field) -> CompositionAlgebra:
 
 
 def comp_from_json(obj: dict) -> CompositionAlgebra:
-    from .fields import field_from_json, scalars_from_json
+    from .fields import field_from_json, scalar_literals
 
     if not isinstance(obj, dict) or "field" not in obj or "params" not in obj:
         raise InvalidInput(f"bad composition-algebra descriptor: {obj!r}")
-    f = field_from_json(obj["field"])
-    return CompositionAlgebra(f, scalars_from_json(f, obj["params"], "params"))
+    return CompositionAlgebra(field_from_json(obj["field"]), scalar_literals(obj["params"], "params"))

@@ -375,15 +375,15 @@ def _int_from_json(value, name: str) -> int:
     raise InvalidInput(f"{name} must be an integer or a decimal string, got {shown}")
 
 
-def scalars_from_json(field: Field, items, what: str) -> list[FieldElement]:
-    """The elements of a JSON array of scalars, each a string or an int
-    (not a bool)."""
+def scalar_literals(items, what: str) -> list:
+    """A JSON array of scalars, each a string or an int (not a bool), as it
+    stands: the constructor it is passed to coerces each literal once."""
     if not isinstance(items, list):
         raise InvalidInput(f"{what} must be a JSON array, got {items!r}")
     bad = [v for v in items if isinstance(v, bool) or not isinstance(v, (str, int))]
     if bad:
         raise InvalidInput(f"{what}: a scalar must be a string or an integer, got {bad[0]!r}")
-    return [field.element(v) for v in items]
+    return items
 
 
 class FieldElement:

@@ -176,12 +176,11 @@ class QuadraticForm:
 
 
 def form_from_json(obj: dict) -> QuadraticForm:
-    from .fields import field_from_json, scalars_from_json
+    from .fields import field_from_json, scalar_literals
 
     if not isinstance(obj, dict) or "coeffs" not in obj or "field" not in obj:
         raise InvalidInput(f"bad form descriptor: {obj!r}")
-    f = field_from_json(obj["field"])
-    return QuadraticForm(f, scalars_from_json(f, obj["coeffs"], "coeffs"), obj.get("label"))
+    return QuadraticForm(field_from_json(obj["field"]), scalar_literals(obj["coeffs"], "coeffs"), obj.get("label"))
 
 
 @dataclass(frozen=True)

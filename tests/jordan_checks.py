@@ -10,7 +10,7 @@ checks run the identities themselves, with the oracles kept in albert.
 
 from splitrank.albert import AlbertAlgebra, albert_element_from_json, jordan_mul, q0_data
 from splitrank.errors import InternalCheckFailed
-from splitrank.fields import scalars_from_json
+from splitrank.fields import scalar_literals
 
 
 def check_square_zero(a: AlbertAlgebra, rank_report: dict):
@@ -25,7 +25,7 @@ def check_q0(a: AlbertAlgebra, kernel: dict):
     must be the report's."""
     prov = kernel["provenance"]
     u = albert_element_from_json(a, prov["idempotent"])
-    c = a.octonions.element(scalars_from_json(a.field, prov["c"], "c"))
+    c = a.octonions.element(scalar_literals(prov["c"], "c"))
     q0, _, _ = q0_data(a, u, c)
     if q0.to_json() != prov["q0"]:
         raise InternalCheckFailed("q0 of the report is not the Q0 of its E0 basis")

@@ -1,5 +1,10 @@
-"""CLI: commands, exit codes, determinism, round-trips."""
+"""CLI: commands, exit codes, determinism, round-trips; the argv reader
+against the argparse parser it replaced, and the emitter against json.dumps."""
 
+import argparse  # the oracle of the argv reader's differential test, and nothing else
+import collections
+import contextlib
+import io
 import json
 import os
 import random
@@ -11,6 +16,9 @@ import pytest
 from splitrank import cli
 from splitrank.cli import main
 from splitrank.errors import InternalCheckFailed
+from test_golden import EXAMPLES
+from test_oracle_guard import README
+from test_output_digests import CORPORA, corpus_argvs
 
 F4_RANK1 = json.dumps(
     {
@@ -349,3 +357,250 @@ def test_console_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["rank"] == 0
+
+
+# ---------------------------------------------------------------------------
+# the argv reader against the argparse parser it replaced
+# ---------------------------------------------------------------------------
+
+def argparse_oracle() -> argparse.ArgumentParser:
+    """The CLI's argparse parser before read_argv, flag for flag."""
+    parser = argparse.ArgumentParser(prog="splitrank")
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name in ("classify", "witt", "kernel", "excellence"):
+        sub = subs.add_parser(name)
+        sub.add_argument("--json")
+        sub.add_argument("--in", dest="infile")
+        sub.add_argument("--out")
+        if name == "excellence":
+            sub.add_argument("--ext", required=True)
+    sub = subs.add_parser("verify")
+    sub.add_argument("--suite")
+    sub.add_argument("--seed", type=int)
+    sub.add_argument("--out")
+    return parser
+
+
+def _by_argparse(argv) -> dict:
+    fields = vars(argparse_oracle().parse_args(argv))
+    if "infile" in fields:
+        fields["in"] = fields.pop("infile")
+    return fields
+
+
+def _by_reader(argv) -> dict:
+    command, opts = cli.read_argv(argv)
+    return {"command": command, **opts}
+
+
+def outcome(read, argv) -> tuple:
+    """("fields", the fields read) or ("exit", status, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return ("fields", read(argv))
+        except SystemExit as exc:
+            return ("exit", exc.code, out.getvalue(), err.getvalue())
+
+
+FORM = '{"field":{"kind":"Q"},"coeffs":["1","-1","1"]}'
+VALUES = {"--json": FORM, "--in": "albert.json", "--out": "report.json", "--ext": '{"kind":"QSqrt","d":-1}',
+          "--suite": "fields", "--seed": "7"}
+FLAGS = {c: flags for c, (_, flags, _, _) in cli.COMMANDS.items()}
+# unique prefixes that argparse reads as the flag: read_argv reads none
+ABBREVIATIONS = {"--json": "--js", "--in": "--i", "--out": "--ou", "--ext": "--ex", "--suite": "--su", "--seed": "--see"}
+DASH_VALUES = ["-1", "-12", "-1.5", "-.5", "-", "-x", "-json", "-h", "--help", "--json", "--out"]
+
+
+def malformed_argvs(count: int = 600) -> list[tuple[list[str], bool]]:
+    """Seeded argvs, mostly off the grammar, each with whether it abbreviates
+    a flag.  Each is a well-formed argv with one or two of these changes."""
+    rng = random.Random("argv")
+
+    def base(command=None):
+        command = command or rng.choice(list(FLAGS))
+        flags = [f for f in FLAGS[command] if f == "--ext" or rng.random() < 0.6]
+        rng.shuffle(flags)
+        return [command] + [t for f in flags for t in (f, VALUES[f])]
+
+    def pairs(argv):  # the indices of the flags of argv that are followed by their value
+        return [i for i in range(1, len(argv) - 1) if argv[i] in VALUES and argv[i + 1] == VALUES[argv[i]]]
+
+    def mutate(argv, kind):
+        i = rng.randrange(min(1, len(argv)), len(argv) + 1)  # a place after the command
+        if kind == "no command":
+            return rng.choice([[], argv[1:]])
+        if kind == "unknown command":
+            return [rng.choice(["witness", "Witt", "classify2", "run", "-5", "", "-"])] + argv[1:]
+        if kind == "unknown flag":
+            extra = rng.choice([["--bogus", "1"], ["--seed", "1"], ["--bound", "3"], ["--ext", "{}"], ["--json", "{}"],
+                                ["--suite", "fields"], ["extra"], ["-x"]])
+            return argv[:i] + extra + argv[i:]
+        if kind == "no value":
+            at = pairs(argv)
+            if not at or rng.random() < 0.3:
+                return argv + [rng.choice(list(VALUES))]
+            j = rng.choice(at)
+            return argv[:j + 1] + argv[j + 2:]
+        if kind == "no --ext":
+            argv = argv if argv[:1] == ["excellence"] and "--ext" in argv else base("excellence")
+            j = argv.index("--ext")
+            return argv[:j] + argv[j + 2:]
+        if kind == "bad --seed":
+            argv = argv if argv[:1] == ["verify"] else base("verify")
+            return argv + ["--seed", rng.choice(["x", "1.5", "", "0x10", "1e3", "seven", " 7 ", "+3", "-0"])]
+        if kind == "repeated flag":
+            flag = rng.choice(FLAGS.get(argv[0] if argv else None, list(VALUES)))
+            return argv + [flag, rng.choice([VALUES[flag], "-3", "other"])]
+        if kind == "--flag=value":
+            at = pairs(argv)
+            if not at:
+                return argv + ["--out=report.json"]
+            j = rng.choice(at)
+            return argv[:j] + [f"{argv[j]}={rng.choice([argv[j + 1], '-x', '--json', 'a=b'])}"] + argv[j + 2:]
+        if kind == "value with -":
+            at = pairs(argv)
+            if not at:
+                return argv + ["--out", rng.choice(DASH_VALUES)]
+            j = rng.choice(at)
+            return argv[:j + 1] + [rng.choice(DASH_VALUES)] + argv[j + 2:]
+        if kind == "help":
+            return argv[:i] + [rng.choice(["-h", "--help"])] + argv[i:]
+        at = pairs(argv)  # an abbreviation
+        if not at:
+            return argv + ["--ou", "x"]
+        j = rng.choice(at)
+        return argv[:j] + [ABBREVIATIONS[argv[j]]] + argv[j + 1:]
+
+    kinds = ["no command", "unknown command", "unknown flag", "no value", "no --ext", "bad --seed", "repeated flag",
+             "--flag=value", "value with -", "help", "abbreviation"]
+    argvs = []
+    for n in range(count):
+        argv, abbreviated = base(), False
+        for kind in [kinds[n % len(kinds)]] + rng.sample(kinds, rng.randrange(2)):
+            argv = mutate(argv, kind)
+            abbreviated |= kind == "abbreviation"
+        argvs.append((argv, abbreviated))
+    return argvs
+
+
+def test_reader_reads_every_corpus_argv_as_argparse_did():
+    argvs = [argv for corpus in CORPORA for argv in corpus_argvs(corpus)] + list(EXAMPLES.values()) + README
+    for argv in argvs:
+        assert outcome(_by_reader, argv) == outcome(_by_argparse, argv) == ("fields", _by_reader(argv)), argv
+
+
+def test_reader_ends_every_malformed_argv_as_argparse_did():
+    seen = collections.Counter()
+    for argv, abbreviated in malformed_argvs():
+        # the one difference: read_argv reads an abbreviation as an unknown
+        # flag, and so exits 2 where argparse may accept it
+        unabbreviated = ["--unknown" if a in ABBREVIATIONS.values() else a for a in argv]
+        want, got = outcome(_by_argparse, unabbreviated), outcome(_by_reader, argv)
+        if want[0] == "fields":
+            assert got == want, argv
+        else:
+            assert got[:2] == ("exit", want[1]), (argv, want, got)
+            if want[1] == 2:
+                assert got[2] == "" and "error:" in got[3], argv
+        seen[got[:2] if got[0] == "exit" else "fields"] += 1
+        seen["abbreviated"] += abbreviated and outcome(_by_argparse, argv) != got
+    # the set reaches the help, the argv errors, accepted argvs, and
+    # abbreviations that argparse reads otherwise
+    assert min(seen[("exit", 0)], seen[("exit", 2)], seen["fields"], seen["abbreviated"]) >= 30, seen
+
+
+def test_repeated_and_equals_flags():
+    assert cli.read_argv(["verify", "--seed", "1", "--seed=-5", "--suite=a=b"]) == (
+        "verify", {"suite": "a=b", "seed": -5, "out": None})
+    assert cli.read_argv(["witt", "--json", "-", "--out", "-1.5"])[1] == {"json": "-", "in": None, "out": "-1.5"}
+
+
+@pytest.mark.parametrize("argv", [["witt", "--js", FORM], ["excellence", "--json", FORM, "--ex", "{}"]])
+def test_abbreviations_are_unknown_flags(argv, capsys):
+    assert _by_argparse(argv)["command"] == argv[0]  # argparse read the prefix as the flag
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["witt", "--help"], ["verify", "--seed", "3", "-h"]])
+def test_help_lists_every_command_and_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: splitrank COMMAND")
+    for command, (_, flags, _, summary) in cli.COMMANDS.items():
+        assert f"  {command}" in out and summary in out and all(flag in out for flag in flags)
+
+
+# ---------------------------------------------------------------------------
+# the emitter
+# ---------------------------------------------------------------------------
+
+TEXT = ['"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f", "\u2212", "\u221a", "\xe9", "\U0001d546", "a", "Z", "0", " ", ":"]
+
+
+def random_payload(rng, depth=0):
+    kind = rng.randrange(7 if depth < 4 else 3)
+    if kind == 0:
+        return rng.choice([None, True, False, 0, 1, -1, 2**63, -(10**40) - 7, rng.randint(-(10**9), 10**9)])
+    if kind in (1, 2):
+        return "".join(rng.choice(TEXT) for _ in range(rng.randrange(6)))
+    items = [random_payload(rng, depth + 1) for _ in range(rng.choice([0, 1, 2, 5]))]
+    if kind == 3:
+        return {"".join(rng.choice(TEXT) for _ in range(rng.randrange(4))): v for v in items}
+    return tuple(items) if kind == 4 else items
+
+
+def test_emitter_writes_the_bytes_of_json_dumps():
+    rng = random.Random("emitter")
+    payloads = [random_payload(rng) for _ in range(2000)]
+    kinds = collections.Counter(type(p).__name__ for p in payloads)
+    assert all(kinds[k] >= 100 for k in ("dict", "list", "tuple", "str")), kinds
+    for payload in payloads:
+        assert cli._encode(payload) == json.dumps(payload, indent=2, sort_keys=True), payload
+
+
+def test_emitter_refuses_what_json_refuses():
+    for payload in ({"x": 1.5}, [{1, 2}], {1: "a"}):
+        with pytest.raises(TypeError):
+            cli._encode(payload)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    README + [["excellence", "--ext", '{"kind":"QSqrt","d":2}', "--json", G2_GRAVES], ["verify", "--suite", "fields", "--seed", "7"]],
+    ids=["classify_f4", "classify_g2", "witt", "kernel", "excellence_f4", "excellence_g2", "verify"],
+)
+def test_out_file_holds_the_stdout_bytes(argv, tmp_path, capsys):
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    target = tmp_path / "report.json"
+    assert main(argv + ["--out", str(target)]) == 0
+    assert capsys.readouterr().out == "" and target.read_text() == stdout
+
+
+def test_error_reports_are_written_by_the_emitter(monkeypatch, capsys):
+    def failing(_):
+        raise InternalCheckFailed("no explicit vector found")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    monkeypatch.setattr(cli, "f4_rank", failing)
+    monkeypatch.setattr(json, "dumps", forbidden)
+    small_qsqrt = '{"field":{"kind":"QSqrt","d":2},"coeffs":["1","1","1","1"]}'
+    outputs = []
+    for argv, code in [(["classify", "--json", "{not json"], 2), (["witt", "--json", small_qsqrt], 3),
+                       (["classify", "--json", F4_RANK1], 5)]:
+        assert main(argv) == code
+        outputs.append(capsys.readouterr().out)
+    monkeypatch.undo()
+    for out in outputs:
+        assert "error" in json.loads(out)
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"

@@ -37,8 +37,8 @@ def test_readme_example_bytes(name, tmp_path, monkeypatch, capsys):
 
 
 def test_one_process_many_commands(tmp_path, monkeypatch, capsys):
-    # the parser is built once per process: a rejected argv and earlier
-    # commands must leave no state behind in it
+    # commands run one after another in one process, as the bench runs them:
+    # a rejected argv and earlier commands must leave no state behind
     monkeypatch.chdir(tmp_path)
     (tmp_path / "albert.json").write_text(ALBERT_JSON)
 

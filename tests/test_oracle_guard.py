@@ -6,13 +6,20 @@ E0/Q0 and trace-form checks, the conjugations, the rebuilds over an
 extension, linalg's elimination, bounded search and the brute-force
 equivalence stay as oracles of `splitrank verify` and the tests.  This test
 runs the five README examples and the `commands` output corpus through
-cli.main under sys.setprofile and fails if any of those is entered.
+cli.main under sys.setprofile and fails if any of those is entered.  The
+front end has one route too: cli.read_argv reads the argv and cli._encode
+writes the report, so no command enters argparse or json's pure-Python
+indenting encoder.
 """
 
+import argparse
 import collections
 import contextlib
 import io
 import json
+import json.encoder
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -84,6 +91,24 @@ def test_production_enters_no_oracle(corpus):
     hits = sorted(_name(code) for code in counts if code in oracles or code.co_filename in ORACLE_FILES)
     assert not hits, f"production entered oracles: {hits}"
     assert counts[cli.main.__code__] == len(argvs)
+
+
+@pytest.mark.parametrize("corpus", ["readme", "commands"])
+def test_front_end_enters_no_second_route(corpus):
+    counts = entered(README if corpus == "readme" else command_argvs())
+    hits = sorted(
+        _name(code) for code in counts
+        if code.co_filename == argparse.__file__ or code is json.encoder._make_iterencode.__code__
+    )
+    assert not hits, f"the front end entered: {hits}"
+
+
+def test_cli_imports_no_argparse():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, splitrank.cli; print('argparse' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert proc.stdout.strip() == "False"
 
 
 def test_rank1_classify_decides_two_forms():
