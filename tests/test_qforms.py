@@ -831,10 +831,6 @@ class TestSearch:
         w = isotropic_vector_search(q, 7)
         assert w is not None and q.evaluate(w).is_zero()
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "_search_integer's table maps value 0 to the zero vector of the first half, "
-        "which shadows (1, 1); mending it changes corpus outputs"
-    ))
     def test_zero_in_the_first_half_is_found(self):
         # (1, 1, 0, 0) is in the box of height 1; the permuted <3, 5, 1, -1> finds (0, 0, 1, 1)
         q = QuadraticForm(Q, [1, -1, 3, 5])
