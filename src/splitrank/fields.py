@@ -40,24 +40,29 @@ Fractions.  `verify.reference_octonion_mul`, `verify.reference_jordan_mul`
 and `verify.reference_matrix_mul` are plain FieldElement oracles for the
 kernels.
 
-Factoring.  `prime_factors` is trial division below 1000, then Pollard rho
-(Brent's variant) on the cofactor, and every prime is proven by `is_prime`.
-Factorizations are remembered per integer (an lru of 4096), and the primes
-above the trial limit in a registry of the same size, oldest dropped
-first: a gcd with their product divides a composite cofactor by the
-registered primes before rho runs, so rho splits out a large prime once,
-however many products it turns up in, for as long as it stays registered.
+Factoring.  `prime_factors` is trial division below 1000, then `_split`
+on each composite cofactor: an exact perfect-power test, Pollard rho
+(Brent's variant) up to a fixed step cap, then Lenstra's elliptic-curve
+method on Montgomery curves (stage 1 to B1, standard continuation to B2).
+Every prime is proven by `is_prime`.  Factorizations are remembered per
+integer (an lru of 4096), and the primes above the trial limit in a
+registry of the same size, oldest dropped first: a gcd with their product
+divides a composite cofactor by the registered primes before `_split`
+runs, so a large prime is split out once, however many products it turns
+up in, for as long as it stays registered.  `clear_factor_caches` empties
+both.
 """
 
 from __future__ import annotations
 
 import operator
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import count
-from math import gcd, lcm
+from functools import cache, lru_cache
+from itertools import compress, count
+from math import gcd, isqrt, lcm, prod
 
 from .errors import (
     DivisionByZero,
@@ -108,12 +113,51 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of an odd composite n (Brent's variant of Pollard
-    rho, deterministic: x -> x^2 + c from 2 for c = 1, 2, ...)."""
-    for c in count(1):
+# The constants of _split, chosen on balanced semiprimes p q from
+# random.Random(42), outside the benchmark (CHANGES.md has the runs).
+# Rho gives up once r passes 2^12, after ~16k steps (6 ms): with a least
+# prime of 8 digits rho took 2.9 ms (median) against ECM's 4.3, with 9
+# digits 13.5 ms against 2.5.
+_RHO_MAX_R = 1 << 12
+# Of six settings (B1 from 200 to 600, growth 5% or 10% per curve, B2/B1
+# 25 or 50), run in turn on each semiprime, the mean times summed over
+# least primes of 10 to 14 digits were least for (400, 5%, 25) and (400,
+# 5%, 50): 417 and 424 ms, against 436 ms and more for the others.
+_ECM_B1 = 400  # the first curve's stage-1 bound
+_ECM_B1_STEP = 5  # each curve's B1 is this many percent above the last one's
+_ECM_B2_RATIO = 50  # B2 = 50 B1
+
+
+def _split(m: int) -> int:
+    """A nontrivial factor of a composite m with no prime factor below the
+    trial limit: its root if m is a perfect power, else Brent's rho within
+    its step cap, else ECM."""
+    return _root(m) or _rho(m) or _ecm(m)
+
+
+def _root(m: int) -> int | None:
+    """r when m = r^k for some k >= 2, else None (m has no prime factor
+    below the trial limit, so r > 2^9)."""
+    return next((r for k in range(2, m.bit_length() // 9 + 1) if (r := _iroot(m, k)) ** k == m), None)
+
+
+def _iroot(m: int, k: int) -> int:
+    """The floor of the k-th root of m >= 1: Newton's method from above."""
+    r = 1 << -(-m.bit_length() // k)
+    while (s := ((k - 1) * r + m // r ** (k - 1)) // k) < r:
+        r = s
+    return r
+
+
+def _rho(n: int) -> int | None:
+    """A nontrivial factor of an odd composite n by Brent's variant of
+    Pollard rho (deterministic: x -> x^2 + c from 2, for c = 1, 2, 3), or
+    None once r passes _RHO_MAX_R with gcd 1 or every c meets n itself."""
+    for c in (1, 2, 3):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            if r > _RHO_MAX_R:
+                return None
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -133,23 +177,115 @@ def _pollard_rho(n: int) -> int:
                 g = gcd(abs(x - ys), n)
         if g != n:
             return g
+    return None
+
+
+def _ecm(n: int) -> int:
+    """A nontrivial factor of a composite n by Lenstra's elliptic-curve
+    method (Ann. of Math. 126, 1987) on Montgomery's x-only curves (Math.
+    Comp. 48, 1987), sigma = 6, 7, ... of Suyama's parametrization, with B1
+    growing from curve to curve.  A curve whose gcd is n is skipped."""
+    b1 = _ECM_B1
+    for sigma in count(6):
+        g = _ecm_curve(n, sigma, b1, _ECM_B2_RATIO * b1)
+        if 1 < g < n:
+            return g
+        b1 += b1 * _ECM_B1_STEP // 100
+
+
+def _ecm_curve(n: int, sigma: int, b1: int, b2: int) -> int:
+    """gcd(n, ...) of one curve: 1, n or a factor of n.  Stage 1 multiplies
+    the point P by lcm(1..b1); the standard continuation then catches an
+    order q of P mod p that is one prime in (b1, b2]: with q = 2Dj +- d,
+    x([2Dj]P) = x([d]P) mod p."""
+    u, v = (sigma * sigma - 5) % n, 4 * sigma
+    x, z = pow(u, 3, n), pow(v, 3, n)
+    den = 16 * x * v % n  # (A + 2) / 4 = (v - u)^3 (3u + v) / (16 u^3 v)
+    if (g := gcd(den, n)) > 1:
+        return g
+    a24 = pow(v - u, 3, n) * (3 * u + v) * pow(den, -1, n) % n
+    k = prod(prod(_primes(1, _iroot(b1, e))) for e in range(1, b1.bit_length()))  # lcm(1..b1)
+    x, z = _ladder(k, x, z, n, a24)
+    if (g := gcd(z, n)) > 1:
+        return g
+    big = isqrt(b2)  # D
+    x2, z2 = _xdbl(x, z, n, a24)
+    baby = [(x, z), _xadd(x2, z2, x, z, x, z, n)]
+    for _ in range(big // 2):  # baby[i] = [2i + 1]P, up to [D]P
+        baby.append(_xadd(*baby[-1], x2, z2, *baby[-2], n))
+    qs = _primes(b1, b2)
+    j = (qs[0] + big) // (2 * big)
+    xg, zg = _ladder(2 * big, x, z, n, a24)
+    (xr, zr), (xn, zn) = _ladder(2 * big * j, x, z, n, a24), _ladder(2 * big * (j + 1), x, z, n, a24)
+    acc = 1
+    for q in qs:
+        while (q + big) // (2 * big) > j:  # [2D(j + 2)]P from the two giant steps before it
+            (xr, zr), (xn, zn) = (xn, zn), _xadd(xn, zn, xg, zg, xr, zr, n)
+            j += 1
+        xs, zs = baby[abs(q - 2 * big * j) // 2]
+        acc = acc * (xr * zs - xs * zr) % n
+    return gcd(acc, n)
+
+
+def _xdbl(x: int, z: int, n: int, a24: int) -> tuple[int, int]:
+    """[2]P, for a24 = (A + 2) / 4."""
+    s, d = (x + z) ** 2 % n, (x - z) ** 2 % n
+    return s * d % n, (s - d) * (d + a24 * (s - d)) % n
+
+
+def _xadd(xp: int, zp: int, xq: int, zq: int, xd: int, zd: int, n: int) -> tuple[int, int]:
+    """P + Q from P, Q and P - Q."""
+    u, v = (xp - zp) * (xq + zq) % n, (xp + zp) * (xq - zq) % n
+    return zd * (u + v) ** 2 % n, xd * (u - v) ** 2 % n
+
+
+def _ladder(k: int, x: int, z: int, n: int, a24: int) -> tuple[int, int]:
+    """[k]P for k >= 1 by Montgomery's ladder on ([j]P, [j + 1]P)."""
+    x0, z0 = x, z
+    x1, z1 = _xdbl(x, z, n, a24)
+    for bit in bin(k)[3:]:
+        if bit == "1":
+            x0, z0 = _xadd(x0, z0, x1, z1, x, z, n)
+            x1, z1 = _xdbl(x1, z1, n, a24)
+        else:
+            x1, z1 = _xadd(x0, z0, x1, z1, x, z, n)
+            x0, z0 = _xdbl(x0, z0, n, a24)
+    return x0, z0
+
+
+@cache
+def _sieve(top: int) -> list[int]:
+    """The primes below top (a power of two), sieved on first use."""
+    flags = bytearray([0, 0]) + bytearray([1]) * (top - 2)
+    for i in range(2, isqrt(top) + 1):
+        if flags[i]:
+            flags[i * i :: i] = bytes(len(range(i * i, top, i)))
+    return list(compress(range(top), flags))
+
+
+def _primes(lo: int, hi: int) -> list[int]:
+    """The primes p with lo < p <= hi."""
+    ps = _sieve(1 << hi.bit_length())
+    return ps[bisect_right(ps, lo) : bisect_right(ps, hi)]
 
 
 def prime_factors(n: int) -> dict[int, int]:
     """{prime: exponent} of |n| in increasing order ({} for 0 and +-1):
-    trial division below 1000, then Pollard rho on the cofactor.  Every
-    prime is proven by is_prime, so a factor of PRIMALITY_LIMIT or more that
-    passes every Miller-Rabin base raises InputTooLarge.  Factorizations are
-    remembered per |n|, and each prime above the trial limit is remembered
-    once found: a composite cofactor is divided by a known prime before rho
-    runs on it.  Each call returns a fresh dict."""
+    trial division below 1000, then on a composite cofactor a root test,
+    Brent's rho within its step cap and ECM (Lenstra 1987, on Montgomery's
+    curves).  Every prime is proven by is_prime, so a factor of
+    PRIMALITY_LIMIT or more that passes every Miller-Rabin base raises
+    InputTooLarge.  Factorizations are remembered per |n|, and each prime
+    above the trial limit is remembered once found: a composite cofactor is
+    divided by a known prime before it is split.  Each call returns a fresh
+    dict."""
     return dict(_prime_factors(abs(n)))
 
 
 _CACHE_SIZE = 4096
 # The primes above the trial limit that is_prime has proved, oldest first,
 # and their product: a large prime turns up again inside other products
-# (g_j a next to r_i a, 2N after N), and rho should split it out only once.
+# (g_j a next to r_i a, 2N after N), and should be split out only once.
 _LARGE_PRIMES: dict[int, None] = {}
 _large_product = 1
 
@@ -180,9 +316,19 @@ def _prime_factors(n: int) -> tuple[tuple[int, int], ...]:
             g = gcd(m, _large_product)  # the part of m made of registered primes
             if g == m:
                 g = next(q for q in _LARGE_PRIMES if m % q == 0)
-            f = g if g > 1 else _pollard_rho(m)
+            f = g if g > 1 else _split(m)
             todo += [f, m // f]
     return tuple(sorted(out.items()))
+
+
+def clear_factor_caches() -> None:
+    """Forget every factorization and registered prime: the lru, the
+    registry and its product together (a registry emptied alone would leave
+    primes in the product that no scan can find)."""
+    global _large_product
+    _prime_factors.cache_clear()
+    _LARGE_PRIMES.clear()
+    _large_product = 1
 
 
 def legendre(a: int, p: int) -> int:
@@ -231,8 +377,6 @@ def rational_sqrt(x: Fraction) -> Fraction | None:
     """Exact square root of a nonnegative rational, or None."""
     if x < 0:
         return None
-    from math import isqrt
-
     n, d = x.numerator, x.denominator
     rn, rd = isqrt(n), isqrt(d)
     if rn * rn == n and rd * rd == d:

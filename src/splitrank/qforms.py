@@ -540,13 +540,14 @@ def _search_integer(coeffs: list[int], bound: int):
         return (sum(t) for t in itertools.product(*([c * s for s in sq] for c in half)))
 
     keys = list(itertools.product(range(bound + 1), repeat=len(h1)))
-    table = dict(zip(reversed(list(values(h1))), reversed(keys)))
+    firsts = list(values(h1))
+    table = dict(zip(reversed(firsts), reversed(keys)))
     for ys, val in zip(itertools.product(range(bound + 1), repeat=len(h2)), values(h2)):
         hit = table.get(-val)
         if hit is None or (not any(hit) and not any(ys)):
             continue
         return list(hit) + list(ys)
-    hit = next((xs for xs, val in zip(keys, values(h1)) if val == 0 and any(xs)), None)
+    hit = next((xs for xs, val in zip(keys, firsts) if val == 0 and any(xs)), None)
     return None if hit is None else list(hit) + [0] * len(h2)
 
 

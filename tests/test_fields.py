@@ -280,15 +280,15 @@ class TestFactoring:
 
     def test_rho_splits_each_large_prime_once(self, monkeypatch):
         # a prime above the trial limit, once found, divides the later
-        # cofactors it turns up in before Pollard rho runs on them
+        # cofactors it turns up in before _split runs on them
         p, q, r = (next(n for n in range(m, m + 1000) if is_prime(n)) for m in (10**10, 2 * 10**10, 3 * 10**10))
-        rho, found = fields._pollard_rho, []
+        rho, found = fields._split, []
 
         def recorded(n):
             found.append(rho(n))
             return found[-1]
 
-        monkeypatch.setattr(fields, "_pollard_rho", recorded)
+        monkeypatch.setattr(fields, "_split", recorded)
         fields._prime_factors.cache_clear()
         monkeypatch.setattr(fields, "_LARGE_PRIMES", {})
         monkeypatch.setattr(fields, "_large_product", 1)
@@ -302,8 +302,8 @@ class TestFactoring:
         # a gcd with the running product finds the registered part of a
         # cofactor, a scan splits a product of registered primes, and the
         # oldest prime leaves the product with the registry
-        rho, split = fields._pollard_rho, []
-        monkeypatch.setattr(fields, "_pollard_rho", lambda n: split.append(n) or rho(n))
+        rho, split = fields._split, []
+        monkeypatch.setattr(fields, "_split", lambda n: split.append(n) or rho(n))
         monkeypatch.setattr(fields, "_CACHE_SIZE", 3)
         monkeypatch.setattr(fields, "_LARGE_PRIMES", {})
         monkeypatch.setattr(fields, "_large_product", 1)
@@ -315,6 +315,16 @@ class TestFactoring:
         assert prime_factors(1013 * 1019) == {1013: 1, 1019: 1} and len(split) == 2
         assert prime_factors(1009 * 1031) == {1009: 1, 1031: 1} and split[2:] == [1009 * 1031]
         assert fields._large_product == prod(fields._LARGE_PRIMES)
+
+    def test_clearing_the_caches_keeps_factoring(self):
+        # the lru, the registry and its product are emptied together: a
+        # registry emptied alone left its primes in the product, and the
+        # next lookup found the product but no prime to divide by
+        n = 10000000019 * 526315789477
+        first = prime_factors(n)
+        fields.clear_factor_caches()
+        assert not fields._LARGE_PRIMES and fields._large_product == 1
+        assert prime_factors(n) == first == {10000000019: 1, 526315789477: 1}
 
     def test_primality_limit(self):
         # psi_12 is a strong pseudoprime to every base up to 37
@@ -337,3 +347,62 @@ class TestFactoring:
         assert prod(primes) > PRIMALITY_LIMIT
         assert QuadraticForm(Q, [prod(primes)]).det_squareclass() == prod(primes)
         assert witt_decompose(form).witt_index == 0
+
+
+def _next_prime(m: int) -> int:
+    return next(n for n in range(m, 2 * m) if is_prime(n))
+
+
+class TestSplitPanel:
+    """The three stages of fields._split on known factorizations, each
+    factored from cold caches: every prime comes back proven."""
+
+    @staticmethod
+    def _factored(n: int) -> dict:
+        fields.clear_factor_caches()
+        got = prime_factors(n)
+        assert all(is_prime(p) for p in got)
+        return got
+
+    @pytest.mark.parametrize("k", range(3, 15))
+    def test_least_prime_by_size(self, k):
+        # least prime from 10^3 to 10^14: rho splits it below ~10^8, ECM above
+        p, q = _next_prime(10**k + 7), _next_prime(3 * 10**k + 1)
+        assert self._factored(p * q) == {p: 1, q: 1}
+
+    @pytest.mark.parametrize("p", [1009, 5861, _next_prime(3 * 10**6), _next_prime(10**9)])
+    def test_prime_powers(self, p):
+        # the root test splits them before rho (whose first batch with c = 1
+        # meets m itself on 5861^2) and before ECM (whose stage 2 collects
+        # all of p^2 once B2 > p)
+        assert fields._root(p**2) == p and fields._root(p**3) == p
+        assert self._factored(p**2) == {p: 2} and self._factored(p**3) == {p: 3}
+        assert self._factored(1013 * p**2) == {1013: 1, p: 2}
+
+    def test_both_primes_below_b2(self):
+        # ECM skips a curve whose gcd is n, and the next one splits it
+        p, q = 10007, 19997
+        assert q < fields._ECM_B2_RATIO * fields._ECM_B1
+        assert fields._ecm(p * q) in (p, q)
+        assert self._factored(p * q) == {p: 1, q: 1}
+
+    def test_three_prime_products(self):
+        primes = [_next_prime(m) for m in (2003, 10**7, 10**10, 4 * 10**11)]
+        for a, b, c in ((0, 1, 2), (1, 2, 3), (0, 2, 3)):
+            p, q, r = primes[a], primes[b], primes[c]
+            assert self._factored(p * q * r) == {p: 1, q: 1, r: 1}
+        assert self._factored(primes[1] ** 2 * primes[2]) == {primes[1]: 2, primes[2]: 1}
+
+    def test_seed_1_semiprime(self):
+        # the witt_panel semiprime of seed 1: rho uses its whole budget, ECM splits it
+        assert self._factored(49676701267 * 77940676433) == {49676701267: 1, 77940676433: 1}
+        assert fields._rho(49676701267 * 77940676433) is None
+
+    def test_two_14_digit_primes_in_bounded_curves(self, monkeypatch):
+        # counted in curves, not in wall time: a stage 2 that finds nothing
+        # needs far more of them
+        p, q = _next_prime(4 * 10**13), _next_prime(9 * 10**13)
+        curve, curves = fields._ecm_curve, []
+        monkeypatch.setattr(fields, "_ecm_curve", lambda *a: curves.append(a[1]) or curve(*a))
+        assert self._factored(p * q) == {p: 1, q: 1}
+        assert len(curves) <= 15
