@@ -401,8 +401,8 @@ def jordan_mul(x: AlbertElement, y: AlbertElement) -> AlbertElement:
     on its first product an algebra has the field's packed kernel multiply
     the constants out (AlbertAlgebra._compile) and compile the terms.  The
     product stays packed until its coordinates are read.
-    _jordan_from_matrices and verify.reference_jordan_mul are the oracles
-    it is tested against.
+    _jordan_from_matrices, the matrix route, is the oracle it is tested
+    against.
     """
     x._check(y)
     a = x.algebra

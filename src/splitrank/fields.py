@@ -36,14 +36,15 @@ outputs (`packed_table`), and their sampled checks draw packed vectors
 
 Unpacking normalizes, so the payloads are exactly those of FieldElement
 arithmetic: a reduced Fraction, a residue in [0, p), a pair of reduced
-Fractions.  `verify.reference_octonion_mul`, `verify.reference_jordan_mul`
-and `verify.reference_matrix_mul` are plain FieldElement oracles for the
+Fractions.  `verify.reference_octonion_mul` and
+`verify.reference_matrix_mul` are plain FieldElement oracles for the
 kernels.
 
 Factoring.  `prime_factors` is trial division below 1000, then `_split`
 on each composite cofactor: an exact perfect-power test, Pollard rho
 (Brent's variant) up to a fixed step cap, then Lenstra's elliptic-curve
-method on Montgomery curves (stage 1 to B1, standard continuation to B2).
+method on Montgomery curves (stage 1 to B1, standard continuation to B2),
+at most `_ECM_CURVES` curves, past which it raises InputTooLarge.
 Every prime is proven by `is_prime`.  Factorizations are remembered per
 integer (an lru of 4096), and the primes above the trial limit in a
 registry of the same size, oldest dropped first: a gcd with their product
@@ -61,7 +62,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import compress, count
+from itertools import compress
 from math import gcd, isqrt, lcm, prod
 
 from .errors import (
@@ -126,6 +127,12 @@ _RHO_MAX_R = 1 << 12
 _ECM_B1 = 400  # the first curve's stage-1 bound
 _ECM_B1_STEP = 5  # each curve's B1 is this many percent above the last one's
 _ECM_B2_RATIO = 50  # B2 = 50 B1
+# _ecm gives up after this many curves.  The most seen is 31 curves, on a
+# product of two 14-digit primes in the tests, and 17 on random Witt forms
+# of height up to 10^9 (CHANGES.md has the runs); the last curve has
+# B1 = 79,983, and the 110 curves take longer than 6 s on a 16-digit n and
+# about 22 s on a 60-digit one (Python 3.11, one core of a 2-core machine).
+_ECM_CURVES = 110
 
 
 def _split(m: int) -> int:
@@ -184,13 +191,15 @@ def _ecm(n: int) -> int:
     """A nontrivial factor of a composite n by Lenstra's elliptic-curve
     method (Ann. of Math. 126, 1987) on Montgomery's x-only curves (Math.
     Comp. 48, 1987), sigma = 6, 7, ... of Suyama's parametrization, with B1
-    growing from curve to curve.  A curve whose gcd is n is skipped."""
+    growing from curve to curve.  A curve whose gcd is n is skipped; past
+    _ECM_CURVES curves, InputTooLarge."""
     b1 = _ECM_B1
-    for sigma in count(6):
+    for sigma in range(6, 6 + _ECM_CURVES):
         g = _ecm_curve(n, sigma, b1, _ECM_B2_RATIO * b1)
         if 1 < g < n:
             return g
         b1 += b1 * _ECM_B1_STEP // 100
+    raise InputTooLarge(f"no factor of {n} found by ECM within {_ECM_CURVES} curves")
 
 
 def _ecm_curve(n: int, sigma: int, b1: int, b2: int) -> int:
@@ -273,12 +282,12 @@ def prime_factors(n: int) -> dict[int, int]:
     """{prime: exponent} of |n| in increasing order ({} for 0 and +-1):
     trial division below 1000, then on a composite cofactor a root test,
     Brent's rho within its step cap and ECM (Lenstra 1987, on Montgomery's
-    curves).  Every prime is proven by is_prime, so a factor of
-    PRIMALITY_LIMIT or more that passes every Miller-Rabin base raises
-    InputTooLarge.  Factorizations are remembered per |n|, and each prime
-    above the trial limit is remembered once found: a composite cofactor is
-    divided by a known prime before it is split.  Each call returns a fresh
-    dict."""
+    curves) within its curve budget, past which it raises InputTooLarge.
+    Every prime is proven by is_prime, so a factor of PRIMALITY_LIMIT or
+    more that passes every Miller-Rabin base raises InputTooLarge.
+    Factorizations are remembered per |n|, and each prime above the trial
+    limit is remembered once found: a composite cofactor is divided by a
+    known prime before it is split.  Each call returns a fresh dict."""
     return dict(_prime_factors(abs(n)))
 
 

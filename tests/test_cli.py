@@ -317,6 +317,25 @@ class TestVerify:
         _, out2 = run_cli(["verify", "--suite", "fields", "--seed", "3"], capsys)
         assert out1 == out2
 
+    def test_a_failing_check_exits_4(self, monkeypatch, capsys):
+        # a wrong oracle fails its check at the first input it is asked about;
+        # the report names that input and still lists every other check
+        from splitrank import verify
+
+        asked = []
+        monkeypatch.setattr(verify, "sign_oracle_rank", lambda *args: asked.append(args) or 5)
+        code, out = run_cli(["verify", "--suite", "groups"], capsys)
+        report = json.loads(out)
+        assert code == 4 and report["passed"] is False
+        failed = [c for c in report["checks"] if not c["ok"]]
+        assert [c["name"] for c in failed] == [
+            "F4 rank vs sign-pattern oracle (200 inputs over Q and Q(sqrt d), height <= 10^3)"
+        ]
+        field, params, gamma = asked[0]
+        assert len(asked) == 1 and failed[0]["detail"].startswith(f"{field} params {params} gamma {gamma}: rank ")
+        assert failed[0]["detail"].endswith(", oracle 5")
+        assert len(report["checks"]) == 6 and all(c["suite"] == "groups" for c in report["checks"])
+
 
 class TestOutFile:
     def test_out_writes_file(self, tmp_path, capsys):

@@ -406,3 +406,24 @@ class TestSplitPanel:
         monkeypatch.setattr(fields, "_ecm_curve", lambda *a: curves.append(a[1]) or curve(*a))
         assert self._factored(p * q) == {p: 1, q: 1}
         assert len(curves) <= 15
+
+    def test_curve_budget(self, monkeypatch):
+        # curves that never split n: past the budget, InputTooLarge, not a hang
+        n = _next_prime(4 * 10**13) * _next_prime(9 * 10**13)
+        curves = []
+        monkeypatch.setattr(fields, "_ecm_curve", lambda m, sigma, b1, b2: curves.append(sigma) or m)
+        with pytest.raises(InputTooLarge, match=f"^no factor of {n} found by ECM within {fields._ECM_CURVES} curves$"):
+            fields._ecm(n)
+        assert curves == list(range(6, 6 + fields._ECM_CURVES))
+
+    def test_curve_budget_is_an_exit_3(self, monkeypatch, capsys):
+        # the witt command on a coefficient that ECM cannot split reports
+        # InputTooLarge naming the integer (the real run takes the whole
+        # budget on this product of two 30-digit probable primes)
+        n = 29499844054057586972697208966483124454769326642083079697007
+        fields.clear_factor_caches()
+        monkeypatch.setattr(fields, "_ecm_curve", lambda m, sigma, b1, b2: m)
+        form = json.dumps({"field": {"kind": "Q"}, "coeffs": [str(-n), "1", "2"]})
+        assert cli.main(["witt", "--json", form]) == 3
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["kind"] == "InputTooLarge" and str(n) in error["message"]

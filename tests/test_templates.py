@@ -32,6 +32,7 @@ from splitrank.albert import (
     _matrix_template,
     albert_from_json,
     bilinear,
+    from_matrix,
     jordan_mul,
     matrix_mul,
     phi,
@@ -40,7 +41,7 @@ from splitrank.albert import (
 from splitrank.composition import CompElement, _doubling_template, cayley_dickson
 from splitrank.errors import InternalCheckFailed
 from splitrank.fields import Field, _IntegerKernel, _Kernel, _QuadKernel, prime_field, quad_ext, rationals
-from splitrank.verify import reference_jordan_mul, reference_matrix_mul, reference_octonion_mul, so_gamma_sample
+from splitrank.verify import reference_matrix_mul, reference_octonion_mul, so_gamma_sample
 
 PRIMES = (5, 10007, 2**31 - 1)
 DS = (-7, -3, -1, 2, 5, 13)
@@ -86,13 +87,11 @@ def _inputs(a, seed):
 
 
 def _oracles(x, y, p, q):
-    xy = reference_jordan_mul(x, y)
-    return {
-        "octonion": reference_octonion_mul(p, q),
-        "jordan": xy,
-        "bilinear": trace(xy),
-        "matrix": reference_matrix_mul(x, y),
-    }
+    """The plain products: xy is read back from (XY + YX)/2, each matrix
+    product entry by entry in FieldElement arithmetic."""
+    matrix, yx, half = reference_matrix_mul(x, y), reference_matrix_mul(y, x), x.algebra._half
+    xy = from_matrix(x.algebra, [[(matrix[i][j] + yx[i][j]).scale(half) for j in range(3)] for i in range(3)])
+    return {"octonion": reference_octonion_mul(p, q), "jordan": xy, "bilinear": trace(xy), "matrix": matrix}
 
 
 def _failures(a, inputs, oracles):
