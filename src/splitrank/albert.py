@@ -3,9 +3,12 @@ hermitian with respect to Gamma = diag(g1, g2, g3), under the symmetrized
 product x y = (x.y + y.x)/2.
 
 Elements are 27 coordinates (x1, x2, x3, c1, c2, c3) -- three diagonal
-scalars and three octonion slots -- so Gamma-hermitianness is structural;
-each holds them packed for the field's kernel, so is_zero and == decide on
-integers, and a product unpacks its coordinates only when they are read.
+scalars and three octonion slots -- so Gamma-hermitianness is structural.
+An element is a fields.PackedElement, as an octonion is: it holds its
+coordinates packed for the field's kernel, so is_zero and == decide on
+integers; a product holds the packed vector that the kernel returns, an
+octonion slot and an entry of matrix_mul hold slices of one, and each
+unpacks its coordinates only when they are read.
 jordan_mul runs the coordinate formula: its 531 terms over 71 symbolic
 constants are spelled out once per process, and an algebra multiplies out
 only the constants, on the kernel's integers, at its first product.  The
@@ -48,7 +51,7 @@ from .errors import (
     UnsupportedIdempotent,
     ZeroParameter,
 )
-from .fields import Field, FieldElement, lift, scalar_literals
+from .fields import Field, FieldElement, PackedElement, lift, scalar_literals
 from .qforms import IsotropyResult, QuadraticForm, _gram_mismatch, is_isotropic
 from . import linalg
 
@@ -61,6 +64,8 @@ _SLOT_POSITION = ((1, 2), (2, 0), (0, 1))
 
 class AlbertAlgebra:
     """H(C; Gamma) for an octonion algebra C and invertible diagonal Gamma."""
+
+    dim = DIM
 
     def __init__(self, octonions: CompositionAlgebra, gamma):
         gamma = tuple(octonions.field.element(g) for g in gamma)
@@ -171,72 +176,22 @@ class AlbertAlgebra:
         }
 
 
-class AlbertElement:
-    """27-coordinate element (x1, x2, x3, c1, c2, c3).  It holds the packed
-    vector that the field's kernel consumes; an element born packed (a
-    product) unpacks its coordinates on first access."""
+class AlbertElement(PackedElement):
+    """27-coordinate element (x1, x2, x3, c1, c2, c3)."""
 
-    __slots__ = ("algebra", "packed", "_coords")
+    __slots__ = ()
+    _KIND = "Albert algebras"
 
-    def __init__(self, algebra: AlbertAlgebra, coords=None, packed=None):
-        if packed is None:
-            if len(coords) != DIM:
-                raise InvalidInput(f"need {DIM} coordinates, got {len(coords)}")
-            coords = tuple(coords)
-            packed = algebra.field.kernel.pack(coords)
-        self.algebra, self.packed, self._coords = algebra, packed, coords
-
-    @property
-    def coords(self) -> tuple[FieldElement, ...]:
-        if self._coords is None:
-            self._coords = self.algebra.field.kernel._unpack(*self.packed)
-        return self._coords
-
-    # ------------------------------------------------------------- structure
     @property
     def xs(self) -> tuple[FieldElement, FieldElement, FieldElement]:
         return self.coords[0:3]
 
     def slot(self, i: int) -> CompElement:
-        """Octonion slot c_i, i in 1..3."""
-        off = _SLOT_OFFSET[i - 1]
-        return CompElement(self.algebra.octonions, self.coords[off : off + 8])
-
-    def _check(self, other) -> AlbertElement:
-        if not isinstance(other, AlbertElement) or other.algebra != self.algebra:
-            raise AlgebraMismatch("elements from different Albert algebras")
-        return other
-
-    def is_zero(self) -> bool:
-        return self.algebra.field.kernel.packed_is_zero(self.packed)
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AlbertElement)
-            and other.algebra == self.algebra
-            and self.algebra.field.kernel.packed_eq(self.packed, other.packed)
-        )
-
-    def __hash__(self):
-        return hash((self.algebra, self.coords))
-
-    def __add__(self, other):
-        other = self._check(other)
-        return AlbertElement(self.algebra, [a + b for a, b in zip(self.coords, other.coords)])
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return AlbertElement(self.algebra, [a - b for a, b in zip(self.coords, other.coords)])
-
-    def __neg__(self):
-        return AlbertElement(self.algebra, [-a for a in self.coords])
-
-    def scale(self, factor) -> AlbertElement:
-        factor = self.algebra.field.element(factor)
-        return AlbertElement(self.algebra, [factor * c for c in self.coords])
+        """Octonion slot c_i, i in 1..3: a slice of the packed vector, and
+        of the coordinates once they are read."""
+        off, (nums, den), coords = _SLOT_OFFSET[i - 1], self.packed, self._coords
+        coords = None if coords is None else coords[off : off + 8]
+        return CompElement(self.algebra.octonions, coords, (nums[off : off + 8], den))
 
     def __repr__(self):
         xs = ",".join(str(x) for x in self.xs)
@@ -333,13 +288,14 @@ def matrix_mul(x: AlbertElement, y: AlbertElement) -> list[list[CompElement]]:
 
     It runs as one bilinear table from the 27 coordinates of x and of y to
     the 72 coordinates of the nine entries, compiled from _matrix_template for
-    the field's packed kernel on the first call and cached on the algebra.
-    The literal entrywise product is the oracle verify.reference_matrix_mul."""
+    the field's packed kernel on the first call and cached on the algebra;
+    each entry holds its slice of the packed product.  The literal entrywise
+    product is the oracle verify.reference_matrix_mul."""
     x._check(y)
     a = x.algebra
-    kernel = a.field.kernel
-    out = kernel._unpack(*kernel.packed_bilinear(a._matrix_product, x.packed, y.packed))
-    return [[CompElement(a.octonions, out[8 * e : 8 * e + 8]) for e in range(3 * i, 3 * i + 3)] for i in range(3)]
+    nums, den = a.field.kernel.packed_bilinear(a._matrix_product, x.packed, y.packed)
+    entries = [CompElement(a.octonions, packed=(nums[t : t + 8], den)) for t in range(0, 72, 8)]
+    return [entries[3 * i : 3 * i + 3] for i in range(3)]
 
 
 def _jordan_from_matrices(a: AlbertAlgebra, x: AlbertElement, y: AlbertElement) -> AlbertElement:
@@ -594,7 +550,7 @@ def e0_subspace(a: AlbertAlgebra, u: AlbertElement, c: CompElement | None = None
         raise UnsupportedIdempotent("E0/Q0 are implemented for the diagonal idempotents E11, E22, E33")
     f, kernel, off = a.field, a.field.kernel, _SLOT_OFFSET[slot - 1]
     basis = [a._sparse({p: f.element(s) for p, s in enumerate(_SLOT_DIAG[slot - 1]) if s})]
-    packed_c = None if c is None else kernel.pack(c.coords)
+    packed_c = None if c is None else c.packed
     frame, _ = kernel.pack_sparse(DIM, {})
     for m in range(8):
         e_m = kernel.pack_sparse(8, {m: f.one()})

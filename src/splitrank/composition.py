@@ -8,6 +8,9 @@ over a base field; dimension 2^k.  The product is fixed by the doubling rule
 with conjugation (a, b) -> (conj(a), -b), so on the canonical basis every
 product e_i e_j is a scalar multiple of a single basis element and the whole
 multiplication lives in one table, compiled for the field's packed kernel.
+An element is a fields.PackedElement on the canonical basis: a product
+multiplies the packed vectors, and it unpacks its coordinates only when
+they are read.
 The rule runs once per process on symbols; an algebra multiplies out its
 constants, signed monomials in the parameters, at its first use of the
 table.  The norm form N is the Pfister form <1,-g1> (x) ... (x) <1,-gk>, a
@@ -26,7 +29,7 @@ from .errors import (
     TooManyDoublings,
     ZeroParameter,
 )
-from .fields import Field, FieldElement, lift
+from .fields import Field, FieldElement, PackedElement, lift
 from .qforms import QuadraticForm, equivalent, is_isotropic, pfister_diagonal
 
 
@@ -63,26 +66,24 @@ class CompositionAlgebra:
         body = ",".join(str(p) for p in self.params)
         return f"CD({body}) over {self.field}" if body else f"CD() over {self.field}"
 
+    def _sparse(self, entries: dict) -> CompElement:
+        """The element with the given nonzero coordinates, born packed."""
+        return CompElement(self, packed=self.field.kernel.pack_sparse(self.dim, entries))
+
     def zero(self) -> CompElement:
-        return CompElement(self, [self.field.zero()] * self.dim)
+        return self._sparse({})
 
     def one(self) -> CompElement:
-        coords = [self.field.zero()] * self.dim
-        coords[0] = self.field.one()
-        return CompElement(self, coords)
+        return self._sparse({0: self.field.one()})
 
     def basis(self, i: int) -> CompElement:
-        coords = [self.field.zero()] * self.dim
-        coords[i] = self.field.one()
-        return CompElement(self, coords)
+        return self._sparse({i: self.field.one()})
 
     def element(self, coords) -> CompElement:
         return CompElement(self, [self.field.element(c) for c in coords])
 
     def scalar(self, x) -> CompElement:
-        coords = [self.field.zero()] * self.dim
-        coords[0] = self.field.element(x)
-        return CompElement(self, coords)
+        return self._sparse({0: self.field.element(x)})
 
     def random(self, rng, height: int = 5) -> CompElement:
         return CompElement(self, [self.field.random(rng, height) for _ in range(self.dim)])
@@ -149,58 +150,16 @@ def _bits(mask: int) -> tuple[int, ...]:  # the positions of the params whose pr
     return tuple(b for b in range(mask.bit_length()) if mask >> b & 1)
 
 
-class CompElement:
+class CompElement(PackedElement):
     """Element in the canonical Cayley-Dickson basis."""
 
-    __slots__ = ("algebra", "coords")
-
-    def __init__(self, algebra: CompositionAlgebra, coords):
-        if len(coords) != algebra.dim:
-            raise InvalidInput(f"need {algebra.dim} coordinates, got {len(coords)}")
-        self.algebra = algebra
-        self.coords = tuple(coords)
-
-    def _check(self, other) -> CompElement:
-        if not isinstance(other, CompElement) or other.algebra != self.algebra:
-            raise AlgebraMismatch("elements from different composition algebras")
-        return other
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coords)
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CompElement)
-            and other.algebra == self.algebra
-            and other.coords == self.coords
-        )
-
-    def __hash__(self):
-        return hash((self.algebra, self.coords))
-
-    def __add__(self, other):
-        other = self._check(other)
-        return CompElement(self.algebra, [a + b for a, b in zip(self.coords, other.coords)])
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return CompElement(self.algebra, [a - b for a, b in zip(self.coords, other.coords)])
-
-    def __neg__(self):
-        return CompElement(self.algebra, [-a for a in self.coords])
+    __slots__ = ()
+    _KIND = "composition algebras"
 
     def __mul__(self, other):
         other = self._check(other)
-        a, kernel = self.algebra, self.algebra.field.kernel
-        packed = kernel.packed_bilinear(a._product, kernel.pack(self.coords), kernel.pack(other.coords))
-        return CompElement(a, kernel._unpack(*packed))
-
-    def scale(self, factor) -> CompElement:
-        factor = self.algebra.field.element(factor)
-        return CompElement(self.algebra, [factor * c for c in self.coords])
+        a = self.algebra
+        return CompElement(a, packed=a.field.kernel.packed_bilinear(a._product, self.packed, other.packed))
 
     def conj(self) -> CompElement:
         return CompElement(self.algebra, (self.coords[0],) + tuple(-c for c in self.coords[1:]))

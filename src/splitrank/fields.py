@@ -17,15 +17,19 @@ parameters.  The congruence checks of the quadratic-form engine compile
 nothing: their forms are diagonal, so a Gram is the packed coefficient
 vector and x^T G one elementwise product (`packed_times`).  A vector is
 packed into plain Python ints on entry and unpacked into canonical
-FieldElements on exit, except where work chains maps: an
-`albert.AlbertElement` keeps its packed vector, so Jordan products and
-their zero tests stay on integers; `qforms.witt_decompose` builds each
-split's columns on packed scalars (`_mul`, `_add`, `packed_over`), keeps
-them packed from split to split (`common_columns`, `packed_mix`), proves
-each report once on the packed basis (`packed_times`, `packed_dot`) and
-writes the report's literals straight from it (`packed_strings`); the
-conjugations of `albert.conjugation_between` fill their rows from packed
-outputs (`packed_table`), and their sampled checks draw packed vectors
+FieldElements on exit, except where work chains maps: an octonion
+(`composition.CompElement`) and an Albert element (`albert.AlbertElement`)
+are both a `PackedElement`, which holds the packed vector and unpacks its
+coordinates when they are first read, so octonion, Jordan and matrix
+products, the slices that take octonion slots and matrix entries out of
+them, and their zero tests stay on integers; `qforms.witt_decompose`
+builds each split's columns on packed scalars (`_mul`, `_add`,
+`packed_over`), keeps them packed from split to split (`common_columns`,
+`packed_mix`), proves each report once on the packed basis
+(`packed_times`, `packed_dot`) and writes the report's literals straight
+from it (`packed_strings`); the conjugations of
+`albert.conjugation_between` fill their rows from packed outputs
+(`packed_table`), and their sampled checks draw packed vectors
 (`random_packed`, with the draws of `Field.random`) and compare them:
 
     Q         integer numerators over one positive common denominator
@@ -44,7 +48,8 @@ Factoring.  `prime_factors` is trial division below 1000, then `_split`
 on each composite cofactor: an exact perfect-power test, Pollard rho
 (Brent's variant) up to a fixed step cap, then Lenstra's elliptic-curve
 method on Montgomery curves (stage 1 to B1, standard continuation to B2),
-at most `_ECM_CURVES` curves, past which it raises InputTooLarge.
+until the B1 of its curves, summed and times the bit length of the
+cofactor, would pass `_ECM_WORK`, where it raises InputTooLarge.
 Every prime is proven by `is_prime`.  Factorizations are remembered per
 integer (an lru of 4096), and the primes above the trial limit in a
 registry of the same size, oldest dropped first: a gcd with their product
@@ -62,10 +67,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import compress
+from itertools import compress, count
 from math import gcd, isqrt, lcm, prod
 
 from .errors import (
+    AlgebraMismatch,
     DivisionByZero,
     FieldMismatch,
     InputTooLarge,
@@ -127,12 +133,16 @@ _RHO_MAX_R = 1 << 12
 _ECM_B1 = 400  # the first curve's stage-1 bound
 _ECM_B1_STEP = 5  # each curve's B1 is this many percent above the last one's
 _ECM_B2_RATIO = 50  # B2 = 50 B1
-# _ecm gives up after this many curves.  The most seen is 31 curves, on a
-# product of two 14-digit primes in the tests, and 17 on random Witt forms
-# of height up to 10^9 (CHANGES.md has the runs); the last curve has
-# B1 = 79,983, and the 110 curves take longer than 6 s on a 16-digit n and
-# about 22 s on a 60-digit one (Python 3.11, one core of a 2-core machine).
-_ECM_CURVES = 110
+# _ecm gives up once the B1 of its curves, summed and times n's bit length,
+# would pass this budget: a curve's time grows about linearly with both, so
+# the budget bounds the time of a give-up whatever the size of n.  The most
+# seen is 2.66 million, 31 curves on the 95-bit product of two 14-digit
+# primes in the tests; random Witt forms of height up to 10^9 certify with
+# at most 0.94 million (17 curves on 91 bits), and one that fails anyway
+# spends 5.97 million (38 curves on 140 bits).  Three times the first, the
+# budget allows 50 curves on 95 bits, 37 on 195 bits and 14 on 1000 bits;
+# a give-up then takes about 1 s at each size (CHANGES.md has the runs).
+_ECM_WORK = 8_000_000
 
 
 def _split(m: int) -> int:
@@ -191,15 +201,19 @@ def _ecm(n: int) -> int:
     """A nontrivial factor of a composite n by Lenstra's elliptic-curve
     method (Ann. of Math. 126, 1987) on Montgomery's x-only curves (Math.
     Comp. 48, 1987), sigma = 6, 7, ... of Suyama's parametrization, with B1
-    growing from curve to curve.  A curve whose gcd is n is skipped; past
-    _ECM_CURVES curves, InputTooLarge."""
-    b1 = _ECM_B1
-    for sigma in range(6, 6 + _ECM_CURVES):
+    growing from curve to curve.  A curve whose gcd is n is skipped; a
+    curve that would take the sum of the B1 past _ECM_WORK over n's bit
+    length is not run: InputTooLarge."""
+    b1, budget = _ECM_B1, _ECM_WORK // n.bit_length()
+    for sigma in count(6):
+        if b1 > budget:
+            raise InputTooLarge(f"no factor of {n} found by ECM within {sigma - 6} curves, "
+                                f"the stage-1 budget of a {n.bit_length()}-bit integer")
         g = _ecm_curve(n, sigma, b1, _ECM_B2_RATIO * b1)
         if 1 < g < n:
             return g
+        budget -= b1
         b1 += b1 * _ECM_B1_STEP // 100
-    raise InputTooLarge(f"no factor of {n} found by ECM within {_ECM_CURVES} curves")
 
 
 def _ecm_curve(n: int, sigma: int, b1: int, b2: int) -> int:
@@ -282,7 +296,7 @@ def prime_factors(n: int) -> dict[int, int]:
     """{prime: exponent} of |n| in increasing order ({} for 0 and +-1):
     trial division below 1000, then on a composite cofactor a root test,
     Brent's rho within its step cap and ECM (Lenstra 1987, on Montgomery's
-    curves) within its curve budget, past which it raises InputTooLarge.
+    curves) within its work budget, past which it raises InputTooLarge.
     Every prime is proven by is_prime, so a factor of PRIMALITY_LIMIT or
     more that passes every Miller-Rabin base raises InputTooLarge.
     Factorizations are remembered per |n|, and each prime above the trial
@@ -1119,3 +1133,65 @@ class _QuadKernel(_Kernel):
 
 
 _KERNELS = {RATIONALS: _RationalKernel, PRIME_FIELD: _PrimeKernel, QUAD_EXT: _QuadKernel}
+
+
+class PackedElement:
+    """An element of an algebra over a field (the algebra has `field` and
+    `dim`), as the packed vector of its dim coordinates that the field's
+    kernel consumes, so products chain on integers and is_zero and ==
+    decide on them.  An element built from coordinates packs them; one born
+    packed (a product, or a slice of one) unpacks them on first read.
+    Subclasses add the algebra's structure; _KIND names their algebras."""
+
+    __slots__ = ("algebra", "packed", "_coords")
+    _KIND = "algebras"
+
+    def __init__(self, algebra, coords=None, packed=None):
+        if packed is None:
+            if len(coords) != algebra.dim:
+                raise InvalidInput(f"need {algebra.dim} coordinates, got {len(coords)}")
+            coords = tuple(coords)
+            packed = algebra.field.kernel.pack(coords)
+        self.algebra, self.packed, self._coords = algebra, packed, coords
+
+    @property
+    def coords(self) -> tuple[FieldElement, ...]:
+        if self._coords is None:
+            self._coords = self.algebra.field.kernel._unpack(*self.packed)
+        return self._coords
+
+    def _check(self, other):
+        if type(other) is not type(self) or other.algebra != self.algebra:
+            raise AlgebraMismatch(f"elements from different {self._KIND}")
+        return other
+
+    def is_zero(self) -> bool:
+        return self.algebra.field.kernel.packed_is_zero(self.packed)
+
+    def __bool__(self):
+        return not self.is_zero()
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and other.algebra == self.algebra
+            and self.algebra.field.kernel.packed_eq(self.packed, other.packed)
+        )
+
+    def __hash__(self):
+        return hash((self.algebra, self.coords))
+
+    def __add__(self, other):
+        other = self._check(other)
+        return type(self)(self.algebra, [a + b for a, b in zip(self.coords, other.coords)])
+
+    def __sub__(self, other):
+        other = self._check(other)
+        return type(self)(self.algebra, [a - b for a, b in zip(self.coords, other.coords)])
+
+    def __neg__(self):
+        return type(self)(self.algebra, [-a for a in self.coords])
+
+    def scale(self, factor):
+        factor = self.algebra.field.element(factor)
+        return type(self)(self.algebra, [factor * c for c in self.coords])

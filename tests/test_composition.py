@@ -1,5 +1,6 @@
-"""Cayley-Dickson algebras: multiplication tables against an independent
-doubling-rule evaluator, norms, splitness, isomorphism, base change."""
+"""Cayley-Dickson algebras: multiplication tables against the doubling-rule
+oracle verify.reference_octonion_mul, norms, splitness, isomorphism, base
+change."""
 
 import itertools
 import random
@@ -22,72 +23,20 @@ from splitrank.errors import (
 )
 from splitrank.fields import prime_field, quad_ext, rationals
 from splitrank.qforms import is_isotropic, pfister, witt_decompose
+from splitrank.verify import reference_octonion_mul
 
 Q = rationals()
 F7 = prime_field(7)
 
 
-def oracle_multiply(params, x, y):
-    """Independent doubling-rule evaluator: represents elements as nested
-    (a, b) pairs and applies (a,b)(c,d) = (ac + g db*, a*d + cb) literally."""
-
-    def to_pair(coords):
-        if len(coords) == 1:
-            return coords[0]
-        h = len(coords) // 2
-        return (to_pair(coords[:h]), to_pair(coords[h:]))
-
-    def to_coords(pair, depth):
-        if depth == 0:
-            return [pair]
-        return to_coords(pair[0], depth - 1) + to_coords(pair[1], depth - 1)
-
-    def conj(v, depth):
-        if depth == 0:
-            return v
-        a, b = v
-        return (conj(a, depth - 1), neg(b, depth - 1))
-
-    def neg(v, depth):
-        if depth == 0:
-            return -v
-        return (neg(v[0], depth - 1), neg(v[1], depth - 1))
-
-    def add(u, v, depth):
-        if depth == 0:
-            return u + v
-        return (add(u[0], v[0], depth - 1), add(u[1], v[1], depth - 1))
-
-    def scl(g, v, depth):
-        if depth == 0:
-            return g * v
-        return (scl(g, v[0], depth - 1), scl(g, v[1], depth - 1))
-
-    def mul(u, v, depth):
-        if depth == 0:
-            return u * v
-        a, b = u
-        c, d = v
-        g = params[depth - 1]
-        first = add(mul(a, c, depth - 1), scl(g, mul(d, conj(b, depth - 1), depth - 1), depth - 1), depth - 1)
-        second = add(mul(conj(a, depth - 1), d, depth - 1), mul(c, b, depth - 1), depth - 1)
-        return (first, second)
-
-    depth = len(params)
-    return to_coords(mul(to_pair(x), to_pair(y), depth), depth)
-
-
 @pytest.mark.parametrize("params", [[-1], [-1, -1], [-1, -1, -1], [2, -3, 5]])
 def test_table_matches_doubling_rule_oracle(params):
     alg = cayley_dickson(Q, params)
-    frac_params = [Fraction(p) for p in params]
     for i in range(alg.dim):
         for j in range(alg.dim):
-            x = [Fraction(1 if t == i else 0) for t in range(alg.dim)]
-            y = [Fraction(1 if t == j else 0) for t in range(alg.dim)]
-            want = oracle_multiply(frac_params, x, y)
+            want = reference_octonion_mul(alg.basis(i), alg.basis(j))
             got = alg.basis(i) * alg.basis(j)
-            assert [c.value for c in got.coords] == want, (i, j)
+            assert got.coords == want.coords, (i, j)
 
 
 class TestConstruction:

@@ -408,13 +408,23 @@ class TestSplitPanel:
         assert len(curves) <= 15
 
     def test_curve_budget(self, monkeypatch):
-        # curves that never split n: past the budget, InputTooLarge, not a hang
-        n = _next_prime(4 * 10**13) * _next_prime(9 * 10**13)
-        curves = []
-        monkeypatch.setattr(fields, "_ecm_curve", lambda m, sigma, b1, b2: curves.append(sigma) or m)
-        with pytest.raises(InputTooLarge, match=f"^no factor of {n} found by ECM within {fields._ECM_CURVES} curves$"):
-            fields._ecm(n)
-        assert curves == list(range(6, 6 + fields._ECM_CURVES))
+        # curves that never split n: once the next curve would take the sum
+        # of the B1 times n's bit length past the work budget,
+        # InputTooLarge, not a hang; the longer n, the fewer curves
+        semiprime = _next_prime(4 * 10**13) * _next_prime(9 * 10**13)
+        for n, want in ((semiprime, 50), (29499844054057586972697208966483124454769326642083079697007, 37)):
+            bits, curves = n.bit_length(), []
+            monkeypatch.setattr(fields, "_ecm_curve", lambda m, sigma, b1, b2: curves.append((sigma, b1)) or m)
+            with pytest.raises(InputTooLarge) as raised:
+                fields._ecm(n)
+            assert str(raised.value) == (
+                f"no factor of {n} found by ECM within {want} curves, the stage-1 budget of a {bits}-bit integer"
+            )
+            assert [s for s, _ in curves] == list(range(6, 6 + want))
+            b1s = [b for _, b in curves]
+            following = b1s[-1] + b1s[-1] * fields._ECM_B1_STEP // 100  # the B1 of the curve not run
+            assert b1s[0] == fields._ECM_B1
+            assert sum(b1s) * bits <= fields._ECM_WORK < (sum(b1s) + following) * bits
 
     def test_curve_budget_is_an_exit_3(self, monkeypatch, capsys):
         # the witt command on a coefficient that ECM cannot split reports

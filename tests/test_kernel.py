@@ -372,3 +372,47 @@ def test_packed_elements_match_coordinate_elements(name):
     zero = jordan_mul(a.diag_unit(1).scale(Fraction(1, 3)), a.diag_unit(2).scale(Fraction(1, 5)))
     assert zero._coords is None and zero.is_zero() and not zero and zero == a.zero()
     assert f.kind == "Fp" or zero.packed[1] > 1
+
+
+@pytest.mark.parametrize("name", ["Q", "F10007", "Q(sqrt-7)"])
+def test_packed_storage_behaves_like_coordinate_storage(name):
+    """Octonion and Albert elements born packed (products, matrix_mul's
+    entries, slots of an unread product) agree with the same elements built
+    from coordinates on ==, hash, is_zero and to_json, and decide == and
+    is_zero without unpacking.  One factor is scaled by 1/11 and the other
+    by 11, so each product is packed over a denominator with a factor 11
+    that its reduced coordinates lack."""
+    f = FIELDS[name]
+    a = _algebra(f)
+    c = a.octonions
+    rng = random.Random(13)
+    p, q = (c.element(_coords(f, rng, 8, 1000, 0.8)) for _ in range(2))
+    x, y = (_element(a, _coords(f, rng, 27, 1000, 0.6)) for _ in range(2))
+    p11, q11, x11, y11 = p.scale(Fraction(1, 11)), q.scale(11), x.scale(Fraction(1, 11)), y.scale(11)
+
+    def agree(born, built):
+        strs = [str(v) for v in built.coords]
+        assert born._coords is None
+        assert f.kind == "Fp" or born.packed[1] != built.packed[1]
+        assert born == built and built == born and not born != built
+        assert born.is_zero() == built.is_zero() and bool(born) == bool(built)
+        assert born._coords is None
+        assert hash(born) == hash(built)
+        assert born.to_json() == (strs if len(strs) == 8 else {"x": strs[:3], "c": [strs[3:11], strs[11:19], strs[19:]]})
+
+    for product in (lambda: p11 * q11, lambda: p11 * c.zero()):
+        agree(product(), c.element(product().coords))
+    parts = a.diag_unit(1).scale(Fraction(1, 11)), a.diag_unit(2).scale(Fraction(1, 5))
+    for product in (lambda: jordan_mul(x11, y11), lambda: jordan_mul(*parts)):
+        agree(product(), _element(a, product().coords))
+    assert (p11 * c.zero()).is_zero() and jordan_mul(*parts).is_zero()
+
+    z, coords = jordan_mul(x11, y11), jordan_mul(x, y).coords
+    for i, off in zip((1, 2, 3), (3, 11, 19)):
+        agree(z.slot(i), c.element(coords[off : off + 8]))
+    assert z.coords == coords and z.slot(2)._coords == coords[11:19]  # a read element slices its coordinates too
+
+    entries = [e for row in matrix_mul(x11, y11) for e in row]
+    assert all(e._coords is None for e in entries)
+    for e, want in zip(entries, [e for row in reference_matrix_mul(x, y) for e in row]):
+        agree(e, c.element(want.coords))
