@@ -61,7 +61,6 @@ from .groups import (
     normalize_gamma,
 )
 from .qforms import (
-    GramMatrix,
     IsotropyResult,
     QuadraticForm,
     WittDecomposition,

@@ -34,7 +34,7 @@ Slot positions follow the defining matrix:
 from __future__ import annotations
 
 import random as _random
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from itertools import product
 from typing import NamedTuple
 
@@ -53,7 +53,6 @@ from .errors import (
 )
 from .fields import Field, FieldElement, PackedElement, lift, scalar_literals
 from .qforms import IsotropyResult, QuadraticForm, _gram_mismatch, is_isotropic
-from . import linalg
 
 DIM = 27
 _SLOT_OFFSET = (3, 11, 19)  # coordinate offsets of the c1, c2, c3 blocks
@@ -632,7 +631,7 @@ def _similitude(src: AlbertAlgebra, dst: AlbertAlgebra, x) -> FieldElement:
     gamma = kernel.pack(dst.gamma)
     cols = [kernel.pack(list(col)) for col in zip(*x)]
     lam = kernel._unpack(*kernel.packed_dot(gamma, kernel.packed_times(cols[0], cols[0])))[0] / src.gamma[0]
-    if lam.is_zero() or _gram_mismatch(kernel, gamma, cols, [lam * g for g in src.gamma]):
+    if lam.is_zero() or _gram_mismatch(kernel, partial(kernel.packed_times, gamma), cols, [lam * g for g in src.gamma]):
         raise NotGammaOrthogonal("X^T Gamma' X is not an invertible multiple of Gamma")
     return lam
 
@@ -648,40 +647,29 @@ def _check_gamma_orthogonal(a: AlbertAlgebra, x):
 
 
 class Automorphism:
-    """A 27x27 matrix acting on AlbertElements in canonical coordinates;
-    apply runs its sparse rows on the field's packed kernel.
+    """A linear map of H(C; Gamma) in canonical coordinates, held as the
+    sparse rows of a linear table of the field's packed kernel (phi hands
+    over the rows its checks ran on): apply runs them on packed vectors,
+    and the basis checks compare packed images.  verify.reference_apply,
+    on the dense FieldElement matrix, is the oracle."""
 
-    The rows are compiled here from the matrix, unless the caller passes
-    them already compiled (phi hands over the rows its checks ran on); then
-    the matrix is unpacked from the rows on first use.
-    verify.reference_apply is the dense FieldElement oracle."""
-
-    def __init__(self, algebra: AlbertAlgebra, matrix=None, rows=None):
+    def __init__(self, algebra: AlbertAlgebra, rows):
         self.algebra = algebra
-        if matrix is not None:
-            self.matrix = matrix
-        self._rows = algebra.field.kernel.linear_table(matrix) if rows is None else rows
-
-    @cached_property
-    def matrix(self):
-        return self.algebra.field.kernel.table_matrix(self._rows, DIM)
+        self.rows = rows
 
     def apply(self, x: AlbertElement) -> AlbertElement:
         if x.algebra != self.algebra:
             raise AlgebraMismatch("element from a different algebra")
-        return AlbertElement(self.algebra, packed=self.algebra.field.kernel.packed_linear(self._rows, x.packed))
-
-    def __call__(self, x: AlbertElement) -> AlbertElement:
-        return self.apply(x)
+        return AlbertElement(self.algebra, packed=self.algebra.field.kernel.packed_linear(self.rows, x.packed))
 
     def is_identity(self) -> bool:
-        return linalg.mat_eq(self.matrix, linalg.identity(self.algebra.field, DIM))
+        return all(self.apply(b) == b for b in map(self.algebra.basis, range(DIM)))
 
     def preserves_jordan_on_basis(self) -> bool:
         """Exact check phi(b_i b_j) = phi(b_i) phi(b_j) on all 378 basis
-        pairs; the images phi(b_i) are the columns of the matrix."""
+        pairs."""
         a = self.algebra
-        images = [AlbertElement(a, col) for col in zip(*self.matrix)]
+        images = [self.apply(a.basis(i)) for i in range(DIM)]
         for i in range(DIM):
             for j in range(i, DIM):
                 lhs = self.apply(jordan_mul(a.basis(i), a.basis(j)))
@@ -695,13 +683,12 @@ def phi(a: AlbertAlgebra, x) -> Automorphism:
 
     X^T Gamma X = Gamma and det X = 1 are checked first.  The rows are then
     built and checked as conjugation_between builds them, with five seeded
-    sample pairs, and go to the Automorphism as they are; its matrix is
-    unpacked only when asked for.  The complete 378-pair basis check is
-    preserves_jordan_on_basis().
+    sample pairs, and go to the Automorphism as they are.  The complete
+    378-pair basis check is preserves_jordan_on_basis().
     """
     x = [[a.field.element(v) for v in row] for row in x]
     _check_gamma_orthogonal(a, x)
-    return Automorphism(a, rows=_conjugation(a, a, x, a.field.one(), 5, _random.Random(947)))
+    return Automorphism(a, _conjugation(a, a, x, a.field.one(), 5, _random.Random(947)))
 
 
 _BLOCK = (0, 1, 2) + _SLOT_OFFSET  # x1, x2, x3 and the real parts of c1, c2, c3

@@ -1,11 +1,12 @@
-"""Small exact linear algebra over FieldElements (lists of lists).
+"""Small exact linear algebra over FieldElements (lists of lists): an
+oracle module, imported by `verify` and the tests and by no production
+module.
 
 One Gauss-Jordan elimination (_reduce) serves det, inverse and nullspace;
 matrices are immutable-by-convention lists of rows.  Sizes here are tiny
-(3x3 up to 27x27), so no cleverness is needed.  The congruence checks of
-diagonal forms do not come here: they run on the packed kernel
-(`qforms._gram_mismatch`).  mat_mul serves diagonalize's check of a
-general Gram matrix (`qforms._assert_congruent`) and the oracles.
+(3x3 up to 27x27), so no cleverness is needed.  Every congruence check of
+the library runs on the packed kernel (`qforms._gram_mismatch`); the dense
+products here are the independent route the tests check it against.
 """
 
 from __future__ import annotations
@@ -43,10 +44,6 @@ def mat_vec(a, v):
             acc = acc + row[j] * x
         out.append(acc)
     return out
-
-
-def mat_eq(a, b) -> bool:
-    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
 
 
 def _reduce(a):
@@ -105,9 +102,3 @@ def nullspace(a) -> list[list[FieldElement]]:
         basis.append(v)
     return basis
 
-
-def is_symmetric(a) -> bool:
-    n = len(a)
-    return all(len(r) == n for r in a) and all(
-        a[i][j] == a[j][i] for i in range(n) for j in range(i + 1, n)
-    )

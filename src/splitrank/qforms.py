@@ -31,10 +31,10 @@ checked one by one; each Witt report is proved once, by one exact
 congruence of q with H^i + <anisotropic part> on its packed basis, and the
 report's strings are read off the same packed columns.  The invariant
 cross-check of that report over Q lives in `verify` and the tests.  Every
-exact congruence check on a diagonal form is one packed-integer predicate
-(_gram_mismatch): the Gram of a diagonal form is its packed coefficient
-vector, so x^T G is one elementwise product per column, then dot products.  Only diagonalize's
-check of a general Gram matrix multiplies FieldElement matrices (linalg).
+exact congruence check is one packed-integer predicate (_gram_mismatch)
+on the map x -> G x: one elementwise product by the packed coefficient
+vector for a diagonal form, one compiled linear table for diagonalize's
+general Gram matrix, then dot products.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import partial
 
-from . import linalg
 from .errors import (
     DegenerateForm,
     FieldMismatch,
@@ -183,31 +183,6 @@ def form_from_json(obj: dict) -> QuadraticForm:
     return QuadraticForm(field_from_json(obj["field"]), scalar_literals(obj["coeffs"], "coeffs"), obj.get("label"))
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    """Symmetric matrix input for diagonalization."""
-
-    field: Field
-    entries: tuple
-
-    def __init__(self, field: Field, entries):
-        rows = tuple(tuple(field.element(x) for x in row) for row in entries)
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise InvalidInput("Gram matrix must be square")
-        if not linalg.is_symmetric([list(r) for r in rows]):
-            raise InvalidInput("Gram matrix must be symmetric")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "entries", rows)
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    def as_lists(self):
-        return [list(r) for r in self.entries]
-
-
 @dataclass
 class IsotropyResult:
     """Verdict with certificate for one isotropy decision."""
@@ -265,15 +240,23 @@ def _columns(matrix):
 # diagonalization
 # --------------------------------------------------------------------------
 
-def diagonalize(gram: GramMatrix):
-    """Symmetric Gauss congruence: returns (QuadraticForm, P) with
-    P^T G P diagonal equal to the form's coefficients, checked exactly.
-    Raises DegenerateForm (with the radical's basis) when the input is
+def diagonalize(field: Field, rows):
+    """Symmetric Gauss congruence: for the square symmetric matrix G of
+    `rows` (entries read as elements of field) returns (QuadraticForm, P)
+    with P^T G P diagonal equal to the form's coefficients, proved by one
+    packed congruence check.  Raises InvalidInput when G is not square and
+    symmetric, and DegenerateForm (with the radical's basis) when it is
     singular."""
-    f, n = gram.field, gram.dim
+    gram = [[field.element(x) for x in row] for row in rows]
+    n = len(gram)
+    if any(len(r) != n for r in gram):
+        raise InvalidInput("Gram matrix must be square")
+    if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(i + 1, n)):
+        raise InvalidInput("Gram matrix must be symmetric")
     if n == 0:
-        return QuadraticForm(f, []), []
-    g, p = gram.as_lists(), linalg.identity(f, n)
+        return QuadraticForm(field, []), []
+    zero, one = field.zero(), field.one()
+    g, p = [r[:] for r in gram], [[one if i == j else zero for j in range(n)] for i in range(n)]
 
     def add_col(dst, src, factor):
         # col_dst += factor * col_src, symmetrically, tracking P
@@ -291,7 +274,6 @@ def diagonalize(gram: GramMatrix):
         for r in range(n):
             p[r][i], p[r][j] = p[r][j], p[r][i]
 
-    one = f.one()
     for k in range(n):
         if g[k][k].is_zero():
             j = next((j for j in range(k + 1, n) if not g[j][j].is_zero()), None)
@@ -313,34 +295,29 @@ def diagonalize(gram: GramMatrix):
         raise DegenerateForm(
             f"Gram matrix has rank {n - len(radical)} < {n}", radical=rad_basis
         )
-    form = QuadraticForm(f, diag)
-    _assert_congruent(gram.as_lists(), p, list(form.coeffs))
-    return form, p
+    kernel = field.kernel
+    times = partial(kernel.packed_linear, kernel.linear_table(gram))
+    mismatch = _gram_mismatch(kernel, times, [kernel.pack(col) for col in _columns(p)], diag)
+    if mismatch:
+        raise InternalCheckFailed(f"congruence check failed: a wrong {mismatch} entry")
+    return QuadraticForm(field, diag), p
 
 
-def _assert_congruent(g, p, diag):
-    """P^T G P = diag for diagonalize's general symmetric G, by the
-    definition: the off-diagonal entries are tested first."""
-    m = linalg.mat_mul(linalg.mat_mul(_columns(p), g), p)
-    if any(not m[i][j].is_zero() for i in range(len(m)) for j in range(i + 1, len(m))):
-        raise InternalCheckFailed("congruence produced off-diagonal residue")
-    if any(m[i][i] != d for i, d in enumerate(diag)):
-        raise InternalCheckFailed("congruence check failed on diagonal")
-
-
-def _gram_mismatch(kernel, diagonal, packed, expected) -> str | None:
-    """Whether the packed columns x_i satisfy x_i^T G x_j = diag(expected),
-    for G = diag(d) given as the packed vector `diagonal` of the d_i,
+def _gram_mismatch(kernel, times, cols, expected) -> str | None:
+    """Whether the packed columns x_i satisfy x_i^T G x_j = diag(expected)
+    for a symmetric G given as `times`, the map x -> G x on packed vectors
+    (partial(kernel.packed_times, d) for G = diag(d) with d packed,
+    partial(kernel.packed_linear, kernel.linear_table(G)) for any G),
     decided on packed integers: "off-diagonal" when some pair i < j is not
     orthogonal (tested first), "diagonal" when some x_i^T G x_i is not
-    expected[i], else None.  The row x_i^T G is formed once per column, as
-    one elementwise product, and each entry is its dot product with x_j."""
-    forms = [kernel.packed_times(diagonal, x) for x in packed]
+    expected[i], else None.  G x_i is formed once per column, and each
+    entry is its dot product with x_j."""
+    forms = [times(x) for x in cols]
     dot, zero = kernel.packed_dot, kernel.packed_is_zero
-    if any(not zero(dot(u, y)) for i, u in enumerate(forms) for y in packed[i + 1:]):
+    if any(not zero(dot(u, y)) for i, u in enumerate(forms) for y in cols[i + 1:]):
         return "off-diagonal"
     values, den = kernel.pack(expected)
-    if not all(kernel.packed_eq(dot(u, x), ([v], den)) for u, x, v in zip(forms, packed, values)):
+    if not all(kernel.packed_eq(dot(u, x), ([v], den)) for u, x, v in zip(forms, cols, values)):
         return "diagonal"
     return None
 
@@ -526,29 +503,36 @@ def _integerize(coeffs: list[Fraction]) -> list[int]:
 
 def _search_integer(coeffs: list[int], bound: int):
     """Meet-in-the-middle over 0..bound per coordinate (signs never matter
-    for a diagonal form).  Returns a nonzero integer witness or None; the
-    table keeps the first vector of each value of the first half.  Value 0
-    keeps the zero vector, so a zero supported on the first half alone is
-    looked for only when no other zero is found."""
+    for a diagonal form).  Returns a nonzero integer witness or None.  The
+    first half keeps only its values, in product order (the last coordinate
+    fastest), and a set of them; a hit reads back the first vector of its
+    value from that value's index.  Value 0 reads the zero vector, so a
+    zero supported on the first half alone is looked for only when no other
+    zero is found."""
     n = len(coeffs)
     h1, h2 = coeffs[:(n + 1) // 2], coeffs[(n + 1) // 2:]
     if (bound + 1) ** len(h1) > _ENUM_CAP:
         raise SearchSpaceTooLarge(f"bound {bound} with dim {n}")
     sq = [x * x for x in range(bound + 1)]
 
-    def values(half):
-        return (sum(t) for t in itertools.product(*([c * s for s in sq] for c in half)))
+    def values(half):  # sum c x^2 over the vectors of half, in product order
+        out = [0]
+        for c in half:
+            scaled = [c * s for s in sq]
+            out = [v + t for v in out for t in scaled]
+        return out
 
-    keys = list(itertools.product(range(bound + 1), repeat=len(h1)))
-    firsts = list(values(h1))
-    table = dict(zip(reversed(firsts), reversed(keys)))
-    for ys, val in zip(itertools.product(range(bound + 1), repeat=len(h2)), values(h2)):
-        hit = table.get(-val)
-        if hit is None or (not any(hit) and not any(ys)):
-            continue
-        return list(hit) + list(ys)
-    hit = next((xs for xs, val in zip(keys, firsts) if val == 0 and any(xs)), None)
-    return None if hit is None else list(hit) + [0] * len(h2)
+    def vector(index, size):  # the index-th vector of product order: its base bound + 1 digits
+        return [index // (bound + 1) ** k % (bound + 1) for k in reversed(range(size))]
+
+    firsts = values(h1)
+    seen = set(firsts)
+    for j, val in enumerate(values(h2)):
+        if j and -val in seen:  # j = 0 is the zero vector, of value 0
+            return vector(firsts.index(-val), len(h1)) + vector(j, len(h2))
+    if firsts.count(0) == 1:
+        return None
+    return vector(firsts.index(0, 1), len(h1)) + [0] * len(h2)
 
 
 def _fp_witness(q: QuadraticForm):
@@ -1149,7 +1133,8 @@ def witt_decompose(q: QuadraticForm) -> WittDecomposition:
                     current[k] = f.element(s)
         index += 1
     basis = pairs + embed
-    if len(basis) != q.dim or _gram_mismatch(kernel, kernel.pack(q.coeffs), basis, [one, -one] * index + current):
+    times = partial(kernel.packed_times, kernel.pack(q.coeffs))
+    if len(basis) != q.dim or _gram_mismatch(kernel, times, basis, [one, -one] * index + current):
         raise InternalCheckFailed("recorded Witt basis fails congruence")
     return WittDecomposition(
         witt_index=index,
@@ -1197,7 +1182,7 @@ def equivalent_with_witness(q1: QuadraticForm, q2: QuadraticForm, p) -> bool:
     if any(len(row) != n for row in p):
         return False
     packed = [kernel.pack([q1.field.element(x) for x in col]) for col in _columns(p)]
-    return _gram_mismatch(kernel, kernel.pack(q1.coeffs), packed, list(q2.coeffs)) is None
+    return _gram_mismatch(kernel, partial(kernel.packed_times, kernel.pack(q1.coeffs)), packed, list(q2.coeffs)) is None
 
 
 # --------------------------------------------------------------------------

@@ -214,9 +214,10 @@ def reference_matrix_mul(x: AlbertElement, y: AlbertElement) -> list[list[CompEl
     ]
 
 
-def reference_apply(auto: Automorphism, x: AlbertElement) -> AlbertElement:
-    """The dense matrix-vector product: the oracle for Automorphism.apply."""
-    return AlbertElement(auto.algebra, linalg.mat_vec(auto.matrix, list(x.coords)))
+def reference_apply(matrix, x: AlbertElement) -> AlbertElement:
+    """The dense matrix-vector product of a 27x27 FieldElement matrix: the
+    oracle for Automorphism.apply on the rows compiled from that matrix."""
+    return AlbertElement(x.algebra, linalg.mat_vec(matrix, list(x.coords)))
 
 
 def reference_conjugation(src: AlbertAlgebra, dst: AlbertAlgebra, x):

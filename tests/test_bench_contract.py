@@ -11,13 +11,22 @@ resolve, and the names the bench's own code derives must equal `per_layer`.
 import importlib
 import json
 import re
+import sys
 from pathlib import Path
 
 import bench_modules
 
-import splitrank.cli  # noqa: F401  (imports every traced layer)
+# what bench/run.py's set_up imports, and so the layers a traced run sees
+import splitrank  # noqa: F401
+import splitrank.cli  # noqa: F401
+import splitrank.verify  # noqa: F401
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_set_up_imports_every_traced_layer():
+    missing = [layer for layer in bench_modules.load("tracer").TARGETS if f"splitrank.{layer}" not in sys.modules]
+    assert missing == []
 
 
 def test_every_target_resolves():

@@ -103,12 +103,23 @@ def test_front_end_enters_no_second_route(corpus):
     assert not hits, f"the front end entered: {hits}"
 
 
-def test_cli_imports_no_argparse():
+def _loaded_by_importing_cli(*names) -> list[str]:
+    """Which of the named modules `import splitrank.cli` loads, in a fresh
+    interpreter."""
     src = Path(__file__).resolve().parents[1] / "src"
-    code = "import sys, splitrank.cli; print('argparse' in sys.modules)"
+    code = f"import sys, splitrank.cli; print(*[m for m in {names!r} if m in sys.modules])"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                           env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.split()
+
+
+def test_cli_imports_no_argparse():
+    assert _loaded_by_importing_cli("argparse") == []
+
+
+def test_cli_imports_no_oracle_module():
+    # `splitrank verify` imports verify, and so linalg, when it runs
+    assert _loaded_by_importing_cli("splitrank.linalg", "splitrank.verify") == []
 
 
 def test_rank1_classify_decides_two_forms():

@@ -5,6 +5,7 @@ independent oracles (exhaustive residue checks, brute-force searches)."""
 import itertools
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -21,10 +22,8 @@ from splitrank.fields import FieldElement, prime_field, quad_ext, rationals
 from splitrank.qforms import (
     INF,
     METHOD_WITNESS,
-    GramMatrix,
     QuadraticForm,
     WittDecomposition,
-    _assert_congruent,
     _gram_mismatch,
     _split_step,
     diagonalize,
@@ -66,13 +65,12 @@ def hilbert2_oracle(a: int, b: int, k: int = 6) -> int:
 
 class TestDiagonalize:
     def test_already_diagonal(self):
-        form, p = diagonalize(GramMatrix(Q, [[1, 0], [0, -1]]))
+        form, p = diagonalize(Q, [[1, 0], [0, -1]])
         assert [c for c in form.coeffs] == [Q.element(1), Q.element(-1)]
         assert p == [[Q.element(1), Q.element(0)], [Q.element(0), Q.element(1)]]
 
     def test_hyperbolic_gram(self):
-        g = GramMatrix(Q, [[0, 1], [1, 0]])
-        form, p = diagonalize(g)
+        form, p = diagonalize(Q, [[0, 1], [1, 0]])
         # any congruent diagonal form: check invariants, not literals
         assert form.dim == 2
         assert equivalent(form, QuadraticForm(Q, [1, -1]))
@@ -82,7 +80,7 @@ class TestDiagonalize:
 
     def test_degenerate_reports_radical(self):
         with pytest.raises(DegenerateForm) as exc:
-            diagonalize(GramMatrix(Q, [[1, 1], [1, 1]]))
+            diagonalize(Q, [[1, 1], [1, 1]])
         rad = exc.value.radical
         assert len(rad) == 1
         v = rad[0]
@@ -90,7 +88,7 @@ class TestDiagonalize:
         assert (v[0] + v[1]).is_zero()
 
     def test_zero_pivot_fix(self):
-        form, p = diagonalize(GramMatrix(Q, [[0, 2], [2, 3]]))
+        form, p = diagonalize(Q, [[0, 2], [2, 3]])
         assert form.dim == 2 and not any(c.is_zero() for c in form.coeffs)
 
     def test_random_congruence(self):
@@ -102,7 +100,7 @@ class TestDiagonalize:
             m = [[Fraction(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
             sym = [[Q.element(m[i][j] + m[j][i]) for j in range(n)] for i in range(n)]
             try:
-                form, p = diagonalize(GramMatrix(Q, sym))
+                form, p = diagonalize(Q, sym)
             except DegenerateForm:
                 continue
             got = linalg.mat_mul(linalg.mat_mul([list(col) for col in zip(*p)], sym), p)
@@ -256,7 +254,7 @@ class TestOneProof:
     def test_one_congruence_check_per_decomposition(self, field, coeffs, monkeypatch):
         if field == RM7:
             _decide_from_dim_five(monkeypatch)
-        calls = {"_gram_mismatch": 0, "_assert_congruent": 0, "diagonalize": 0, "equivalent": 0}
+        calls = {"_gram_mismatch": 0, "diagonalize": 0, "equivalent": 0}
 
         def counted(name):
             run = getattr(qforms, name)
@@ -270,7 +268,7 @@ class TestOneProof:
         for name in calls:
             counted(name)
         witt_decompose(QuadraticForm(field, coeffs))
-        assert calls == {"_gram_mismatch": 1, "_assert_congruent": 0, "diagonalize": 0, "equivalent": 0}
+        assert calls == {"_gram_mismatch": 1, "diagonalize": 0, "equivalent": 0}
 
 
 class TestChecksBite:
@@ -288,16 +286,29 @@ class TestChecksBite:
         assert not equivalent_with_witness(q, target, _half_boosted(dec.basis, field))
 
     @pytest.mark.parametrize("field", [Q, F5, RM7], ids=str)
-    def test_assert_congruent_rejects_a_wrong_p(self, field):
+    def test_general_gram_check_names_each_wrong_p(self, field):
+        # diagonalize's check of a general Gram, the packed predicate on its
+        # compiled linear table: P[0][0] bumped scales the first column,
+        # e_1, so it stays orthogonal and only its value is wrong; the other
+        # tampers break an orthogonality
         g = [[field.element(x) for x in row] for row in ([1, 1, 0], [1, 0, 2], [0, 2, 3])]
-        form, p = diagonalize(GramMatrix(field, g))
+        form, p = diagonalize(field, g)
         assert list(form.coeffs)[:2] == [field.one(), -field.one()]
-        _assert_congruent(g, p, list(form.coeffs))
-        for r, c in ((0, 0), (0, 2), (2, 1)):
-            with pytest.raises(InternalCheckFailed, match="diagonal"):
-                _assert_congruent(g, _bumped(p, r, c, field), list(form.coeffs))
-        with pytest.raises(InternalCheckFailed, match="off-diagonal"):
-            _assert_congruent(g, _half_boosted(p, field), list(form.coeffs))
+        kernel = field.kernel
+        times = partial(kernel.packed_linear, kernel.linear_table(g))
+
+        def mismatch(p):
+            return _gram_mismatch(kernel, times, [kernel.pack(col) for col in _columns(p)], list(form.coeffs))
+
+        assert mismatch(p) is None
+        for (r, c), kind in (((0, 0), "diagonal"), ((0, 2), "off-diagonal"), ((2, 1), "off-diagonal")):
+            assert mismatch(_bumped(p, r, c, field)) == kind
+        assert mismatch(_half_boosted(p, field)) == "off-diagonal"
+
+    def test_diagonalize_takes_only_a_square_symmetric_matrix(self):
+        for rows in ([[1, 0]], [[1, 0], [0]], [[1, 2], [3, 1]]):
+            with pytest.raises(InvalidInput):
+                diagonalize(Q, rows)
 
     @pytest.mark.parametrize("coeffs", [[1, -4], [1, 1, 1], [3, 5, 2, 1, 4]], ids=str)
     def test_wrong_square_root_is_not_a_witness_over_fp(self, coeffs, monkeypatch):
@@ -334,13 +345,14 @@ class TestChecksBite:
             values = [want[i][i] for i in range(n)]
             assert want == [[values[i] if i == j else field.zero() for j in range(n)] for i in range(n)]
             packed = [kernel.pack(col) for col in cols]
-            assert _gram_mismatch(kernel, diagonal, packed, values) is None
+            times = partial(kernel.packed_times, diagonal)
+            assert _gram_mismatch(kernel, times, packed, values) is None
             for i in range(n):
                 tampered = values[:i] + [values[i] + field.one()] + values[i + 1:]
-                assert _gram_mismatch(kernel, diagonal, packed, tampered) == "diagonal"
+                assert _gram_mismatch(kernel, times, packed, tampered) == "diagonal"
             if n > 1:
                 mixed = kernel.pack([a + b for a, b in zip(cols[0], cols[1])])
-                assert _gram_mismatch(kernel, diagonal, [packed[0], mixed] + packed[2:], values) == "off-diagonal"
+                assert _gram_mismatch(kernel, times, [packed[0], mixed] + packed[2:], values) == "off-diagonal"
 
 
 class TestHilbert:
@@ -673,7 +685,7 @@ class TestSplitStep:
                     [coeffs[s1] * rj * rk + (coeffs[k] if j == i else field.zero()) for j, rj in enumerate(r)]
                     for i, (k, rk) in enumerate(zip(ks, r))
                 ]  # B(n_k, n_l) = a_s1 r_k r_l + delta_kl a_k
-                form, p = diagonalize(GramMatrix(field, gram))
+                form, p = diagonalize(field, gram)
                 for j, k in enumerate(ks):
                     col = [row[j] for row in p]
                     assert comp[k - 2] == form.coeffs[j]
@@ -836,6 +848,43 @@ class TestSearch:
         q = QuadraticForm(Q, [1, -1, 3, 5])
         w = isotropic_vector_search(q, 1)
         assert w is not None and q.evaluate(w).is_zero()
+
+    def test_meet_in_the_middle_returns_the_plain_scan_vector(self):
+        # the plain scan in the search's own order: second half outer, and
+        # for each ys the first xs of the first half that completes a zero,
+        # both in itertools.product order; the all-zero pair is skipped (so
+        # ys = 0 gives nothing), then a zero on the first half alone.  Some
+        # coefficient lists carry such a zero on their first two coordinates.
+        def scan(coeffs, bound):
+            h = (len(coeffs) + 1) // 2
+            box = range(bound + 1)
+
+            def value(xs, cs):
+                return sum(c * x * x for c, x in zip(cs, xs))
+
+            for ys in itertools.product(box, repeat=len(coeffs) - h):
+                target = -value(ys, coeffs[h:])
+                xs = next((xs for xs in itertools.product(box, repeat=h) if value(xs, coeffs[:h]) == target), None)
+                if xs is not None and any(xs + ys):
+                    return list(xs + ys)
+            for xs in itertools.product(box, repeat=h):
+                if any(xs) and value(xs, coeffs[:h]) == 0:
+                    return list(xs) + [0] * (len(coeffs) - h)
+            return None
+
+        rng = random.Random(2_305)
+        found = first_half = 0
+        for _ in range(400):
+            n, bound = rng.randint(1, 7), rng.randint(1, 3)
+            coeffs = [rng.choice((-1, 1)) * rng.randint(1, 12) for _ in range(n)]
+            if n >= 3 and rng.random() < 0.25:
+                c = rng.randint(1, 12)
+                coeffs[:2] = [c, -c * rng.choice((1, 4))]
+            want = scan(coeffs, bound)
+            assert qforms._search_integer(coeffs, bound) == want, (coeffs, bound)
+            found += want is not None
+            first_half += want is not None and not any(want[(n + 1) // 2:])
+        assert found >= 150 and first_half >= 10, (found, first_half)
 
 
 class TestFormBasics:
