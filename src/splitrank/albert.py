@@ -52,7 +52,7 @@ from .errors import (
     ZeroParameter,
 )
 from .fields import Field, FieldElement, PackedElement, lift, scalar_literals
-from .qforms import IsotropyResult, QuadraticForm, _gram_mismatch, is_isotropic
+from .qforms import IsotropyResult, QuadraticForm, _gram_mismatch, _with_units, is_isotropic
 
 DIM = 27
 _SLOT_OFFSET = (3, 11, 19)  # coordinate offsets of the c1, c2, c3 blocks
@@ -83,22 +83,29 @@ class AlbertAlgebra:
         return (self.field.one() + self.field.one()).inv()
 
     @cached_property
-    def _ratios(self):  # r_i scales conj(c_i) in the defining matrix (see the module docstring)
-        g1, g2, g3 = self.gamma
-        return (g2 / g3, g3 / g1, g1 / g2)
+    def _ratios(self):  # r_i scales conj(c_i) in the defining matrix: (g2/g3, g3/g1, g1/g2), packed
+        kernel = self.field.kernel
+        (g1, g2, g3), _ = kernel.pack(self.gamma)
+        return tuple(kernel.packed_over([u], v) for u, v in ((g2, g3), (g3, g1), (g1, g2)))
+
+    @property
+    def ratios(self) -> tuple[FieldElement, FieldElement, FieldElement]:
+        """The r_i as field elements, for the matrix route and the oracles."""
+        return tuple(self.field.kernel._unpack(*r)[0] for r in self._ratios)
 
     @cached_property
     def slot_forms(self) -> tuple[QuadraticForm, QuadraticForm, QuadraticForm]:
-        """The slot forms <1> + r_i N, i = 1..3 (see _SLOT_DIAG), built once:
-        r_i != 0 and N's coefficients are nonzero, so no coefficient is zero."""
-        one, norm = self.field.one(), self.octonions.norm_form().coeffs
-        return tuple(QuadraticForm._of(self.field, (one,) + tuple(r * c for c in norm)) for r in self._ratios)
+        """The slot forms <1> + r_i N, i = 1..3 (see _SLOT_DIAG), built once on
+        packed integers: r_i != 0 and N's coefficients are nonzero, so no coefficient is zero."""
+        kernel, norm = self.field.kernel, self.octonions.norm_form().packed
+        scaled = (kernel.packed_times(([r] * len(norm[0]), d), norm) for (r,), d in self._ratios)
+        return tuple(QuadraticForm._of(self.field, _with_units(kernel, [1], form)) for form in scaled)
 
     def _compile(self, keys, rows, n_out):
         """A template's table: the key (sign, factors) names sign * the
         product of the factors, which index (g1, g2, g3, 1/2, r_1, r_2, r_3,
         1/(2 r_1), ...), g the octonions' doubling parameters."""
-        half, ratios = self._half, self._ratios
+        half, ratios = self._half, self.ratios
         factors = self.octonions.params + (half,) + ratios + tuple(half / r for r in ratios)
         return self.field.kernel.monomial_table(rows, n_out, keys, factors)
 
@@ -196,11 +203,9 @@ class AlbertElement(PackedElement):
         xs = ",".join(str(x) for x in self.xs)
         return f"Albert(diag={xs}, c1={self.slot(1)!r}, c2={self.slot(2)!r}, c3={self.slot(3)!r})"
 
-    def to_json(self) -> dict:
-        return {
-            "x": [str(x) for x in self.xs],
-            "c": [self.slot(i).to_json() for i in (1, 2, 3)],
-        }
+    def to_json(self) -> dict:  # the literals of the packed coordinates
+        s = self.algebra.field.kernel.packed_strings(*self.packed)
+        return {"x": s[:3], "c": [s[off : off + 8] for off in _SLOT_OFFSET]}
 
 
 def albert_element_from_json(algebra: AlbertAlgebra, obj: dict) -> AlbertElement:
@@ -217,7 +222,7 @@ def to_matrix(x: AlbertElement) -> list[list[CompElement]]:
     """The literal Gamma-hermitian 3x3 octonion matrix of x."""
     a = x.algebra
     c = a.octonions
-    r1, r2, r3 = a._ratios  # (g2/g3, g3/g1, g1/g2)
+    r1, r2, r3 = a.ratios  # (g2/g3, g3/g1, g1/g2)
     x1, x2, x3 = x.xs
     c1, c2, c3 = x.slot(1), x.slot(2), x.slot(3)
     return [
@@ -232,7 +237,7 @@ def from_matrix(a: AlbertAlgebra, m) -> AlbertElement:
     exactly Gamma-hermitian with scalar diagonal; a violation is an
     internal-consistency failure, not user error.
     """
-    r1, r2, r3 = a._ratios  # (g2/g3, g3/g1, g1/g2)
+    r1, r2, r3 = a.ratios  # (g2/g3, g3/g1, g1/g2)
     for i in range(3):
         if not m[i][i].is_scalar():
             raise InternalCheckFailed("diagonal entry is not a scalar")
@@ -416,7 +421,7 @@ def quadratic_trace_form(a: AlbertAlgebra) -> QuadraticForm:
     half = a._half
     n = a.octonions.norm_form().coeffs
     expected = [half, half, half]
-    for ratio in a._ratios:
+    for ratio in a.ratios:
         expected.extend(ratio * c for c in n)
     _checked_gram(a, [a.basis(i) for i in range(DIM)], expected, "trace form")
     return QuadraticForm(a.field, expected, label="trace form")
@@ -575,7 +580,7 @@ def q0_data(a: AlbertAlgebra, u: AlbertElement, c: CompElement | None = None):
     groups.f4_kernel's closed form, which calls no E0 check."""
     basis = e0_subspace(a, u, c)
     one = a.field.one()
-    scale = a._ratios[u.xs.index(one)] * (one if c is None else c.norm())  # r_i N(c) for u = E_ii
+    scale = a.ratios[u.xs.index(one)] * (one if c is None else c.norm())  # r_i N(c) for u = E_ii
     expected = [one] + [scale * n for n in a.octonions.norm_form().coeffs]
     gram = _checked_gram(a, basis, expected, "Q0")
     return QuadraticForm(a.field, expected, label="Q0"), basis, gram
@@ -631,7 +636,8 @@ def _similitude(src: AlbertAlgebra, dst: AlbertAlgebra, x) -> FieldElement:
     gamma = kernel.pack(dst.gamma)
     cols = [kernel.pack(list(col)) for col in zip(*x)]
     lam = kernel._unpack(*kernel.packed_dot(gamma, kernel.packed_times(cols[0], cols[0])))[0] / src.gamma[0]
-    if lam.is_zero() or _gram_mismatch(kernel, partial(kernel.packed_times, gamma), cols, [lam * g for g in src.gamma]):
+    expected = kernel.pack([lam * g for g in src.gamma])
+    if lam.is_zero() or _gram_mismatch(kernel, partial(kernel.packed_times, gamma), cols, expected):
         raise NotGammaOrthogonal("X^T Gamma' X is not an invertible multiple of Gamma")
     return lam
 
@@ -735,7 +741,7 @@ def _conjugation_template():
 def _conjugation_table(src: AlbertAlgebra, dst: AlbertAlgebra):
     """_conjugation_template compiled for the ratios of src and dst."""
     keys, terms, _, n_out = _conjugation_template()
-    return src.field.kernel.monomial_table(terms, n_out, keys, src._ratios + dst._ratios)
+    return src.field.kernel.monomial_table(terms, n_out, keys, src.ratios + dst.ratios)
 
 
 def conjugation_between(src: AlbertAlgebra, dst: AlbertAlgebra, x, samples: int = 8, rng=None):

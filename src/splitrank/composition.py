@@ -13,10 +13,10 @@ multiplies the packed vectors, and it unpacks its coordinates only when
 they are read.
 The rule runs once per process on symbols; an algebra multiplies out its
 constants, signed monomials in the parameters, at its first use of the
-table.  The norm form N is the Pfister form <1,-g1> (x) ... (x) <1,-gk>, a
-closed form of the parameters (Springer-Veldkamp, ch. 1), so deciding with
-N builds no table; the exact proof that x conj(x) = N on the compiled table
-is an oracle of the tests and `splitrank verify`.
+table.  The norm form N is the Pfister form <1,-g1> (x) ... (x) <1,-gk>
+(Springer-Veldkamp, ch. 1), packed integer monomials in the parameters, so
+deciding with N builds no table; the exact proof that x conj(x) = N on the
+compiled table is an oracle of the tests and `splitrank verify`.
 """
 
 from __future__ import annotations
@@ -91,19 +91,20 @@ class CompositionAlgebra:
     # ------------------------------------------------------------------ forms
     @cached_property
     def _norm_form(self) -> QuadraticForm:
-        return QuadraticForm(self.field, pfister_diagonal(self.field, self.params), label="norm")
+        return QuadraticForm._of(self.field, pfister_diagonal(self.field, self.params), label="norm")
 
     def norm_form(self) -> QuadraticForm:
         """The norm as a diagonal form on the canonical basis: the Pfister
-        form <1,-g1> (x) ... (x) <1,-gk> of the parameters, <1> for k = 0."""
+        form <1,-g1> (x) ... (x) <1,-gk> of the parameters, <1> for k = 0,
+        whose coefficients are integer monomials in the packed parameters."""
         return self._norm_form
 
     def pure_norm_form(self) -> QuadraticForm:
         """Norm restricted to the trace-zero subspace span(e_1..e_{dim-1})."""
-        full = self.norm_form()
         if self.dim == 1:
             raise InvalidInput("dim-1 algebra has no pure part")
-        return QuadraticForm(self.field, full.coeffs[1:], label="pure norm")
+        nums, den = self.norm_form().packed
+        return QuadraticForm._of(self.field, (nums[1:], den), label="pure norm")
 
     def is_split(self) -> bool:
         """Split iff the norm form is isotropic."""
@@ -181,8 +182,8 @@ class CompElement(PackedElement):
     def __repr__(self):
         return "[" + ", ".join(str(c) for c in self.coords) + "]"
 
-    def to_json(self) -> list:
-        return [str(c) for c in self.coords]
+    def to_json(self) -> list:  # the literals of the packed coordinates
+        return self.algebra.field.kernel.packed_strings(*self.packed)
 
 
 def cayley_dickson(field: Field, params) -> CompositionAlgebra:

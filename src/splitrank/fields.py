@@ -22,10 +22,12 @@ FieldElements on exit, except where work chains maps: an octonion
 are both a `PackedElement`, which holds the packed vector and unpacks its
 coordinates when they are first read, so octonion, Jordan and matrix
 products, the slices that take octonion slots and matrix entries out of
-them, and their zero tests stay on integers; `qforms.witt_decompose`
-builds each split's columns on packed scalars (`_mul`, `_add`,
-`packed_over`), keeps them packed from split to split (`common_columns`,
-`packed_mix`), proves each report once on the packed basis
+them, and their zero tests stay on integers; a `qforms.QuadraticForm`
+holds its packed coefficients, which every isotropy decision reads;
+`qforms.witt_decompose` builds each split's columns on packed scalars
+(`_mul`, `_add`, `packed_over`), keeps them and the coefficients packed
+from split to split (`common_columns`, `packed_mix`, `packed_reduced`),
+proves each report once on the packed basis
 (`packed_times`, `packed_dot`) and writes the report's literals straight
 from it (`packed_strings`); the conjugations of
 `albert.conjugation_between` fill their rows from packed outputs
@@ -468,13 +470,6 @@ class Field:
             raise InvalidInput(f"{self} has no adjoined square root")
         return FieldElement(self, (Fraction(0), Fraction(1)))
 
-    def real_place_count(self) -> int:
-        if self.kind == RATIONALS:
-            return 1
-        if self.kind == QUAD_EXT:
-            return 2 if self.d > 0 else 0
-        return 0
-
     def random(self, rng, height: int = 9, nonzero: bool = False) -> FieldElement:
         """Seeded random element with numerators bounded by `height`, drawn
         as kernel.random_packed draws a coordinate."""
@@ -519,16 +514,25 @@ def field_from_json(obj: dict) -> Field:
 def lift(base: Field, ext: Field, xs) -> tuple[FieldElement, ...]:
     """The elements xs of base read as elements of ext: the identity when
     ext is base, the inclusion of Q in Q(sqrt d) otherwise."""
-    if ext == base:
-        return tuple(xs)
-    if base.kind == RATIONALS and ext.kind == QUAD_EXT:
-        return tuple(ext.element(x.value) for x in xs)
-    raise UnsupportedExtension(f"{base} -> {ext} is not a supported field extension")
+    return tuple(xs) if _is_base(base, ext) else tuple(ext.element(x.value) for x in xs)
+
+
+def lift_packed(base: Field, ext: Field, u):
+    """The packed vector u of base read in ext, as lift reads elements: a
+    numerator n over Q is the pair (n, 0) over Q(sqrt d)."""
+    return u if _is_base(base, ext) else ([(n, 0) for n in u[0]], u[1])
+
+
+def _is_base(base: Field, ext: Field) -> bool:
+    """ext == base; raises unless it is, or ext is Q(sqrt d) and base Q."""
+    if ext != base and (base.kind != RATIONALS or ext.kind != QUAD_EXT):
+        raise UnsupportedExtension(f"{base} -> {ext} is not a supported field extension")
+    return ext == base
 
 
 def _int_from_json(value, name: str) -> int:
-    """A JSON int (not a bool) or a decimal string.  The error echoes the
-    first 40 characters of a longer literal, and its length."""
+    """A JSON int (not a bool) or a decimal string; the error echoes the
+    literal as _shown cuts it."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+", value):
@@ -536,10 +540,14 @@ def _int_from_json(value, name: str) -> int:
             return int(value)
         except ValueError:  # more digits than int() reads
             pass
+    raise InvalidInput(f"{name} must be an integer or a decimal string, got {_shown(value)}")
+
+
+def _shown(value) -> str:
+    """repr(value) for an error message: its first 40 characters and its
+    length when it is longer, so that a long literal is not echoed."""
     shown = repr(value)
-    if len(shown) > 40:
-        shown = f"{shown[:40]}... ({len(shown)} characters)"
-    raise InvalidInput(f"{name} must be an integer or a decimal string, got {shown}")
+    return shown if len(shown) <= 40 else f"{shown[:40]}... ({len(shown)} characters)"
 
 
 def scalar_literals(items, what: str) -> list:
@@ -774,12 +782,12 @@ def parse_element(field: Field, text) -> FieldElement:
 
     Q: "5/6", "-3".  Fp: decimal residue.  QSqrt: "1/2+3/5*r", "-r", "2-r"
     where r stands for sqrt(d).  An ASCII '-' and the unicode minus are both
-    accepted.
+    accepted.  An error echoes the literal as _shown cuts it.
     """
     if isinstance(text, (int, Fraction)):
         return field.element(text)
     if not isinstance(text, str):
-        raise InvalidInput(f"cannot parse element from {text!r}")
+        raise InvalidInput(f"cannot parse element from {_shown(text)}")
     s = text.replace("−", "-").replace(" ", "")
     if not s:
         raise InvalidInput("empty element literal")
@@ -787,7 +795,7 @@ def parse_element(field: Field, text) -> FieldElement:
         try:
             return field.element(int(s))
         except ValueError:
-            raise InvalidInput(f"bad F_p literal {text!r}") from None
+            raise InvalidInput(f"bad F_p literal {_shown(text)}") from None
     if field.kind == RATIONALS:
         try:  # most literals are integers: int() is cheaper than Fraction's regex
             value = Fraction(int(s))
@@ -795,11 +803,11 @@ def parse_element(field: Field, text) -> FieldElement:
             try:
                 value = Fraction(s)
             except (ValueError, ZeroDivisionError):
-                raise InvalidInput(f"bad rational literal {text!r}") from None
+                raise InvalidInput(f"bad rational literal {_shown(text)}") from None
         return FieldElement(field, value)
     m = _LIT.match(s)
     if not m or (m.group("a") is None and m.group("r") is None):
-        raise InvalidInput(f"bad quadratic literal {text!r}")
+        raise InvalidInput(f"bad quadratic literal {_shown(text)}")
     try:
         a = Fraction(0)
         if m.group("a") is not None:
@@ -811,11 +819,11 @@ def parse_element(field: Field, text) -> FieldElement:
             b = Fraction(m.group("b")) if m.group("b") is not None else Fraction(1)
             sign = m.group("bsign")
             if sign is None and m.group("a") is not None:
-                raise InvalidInput(f"bad quadratic literal {text!r}")
+                raise InvalidInput(f"bad quadratic literal {_shown(text)}")
             if sign == "-" or (sign is None and m.group("asign") == "-"):
                 b = -b
     except (ValueError, ZeroDivisionError):  # a zero denominator, or digits past the int-string limit
-        raise InvalidInput(f"bad quadratic literal {text!r}") from None
+        raise InvalidInput(f"bad quadratic literal {_shown(text)}") from None
     return field.element((a, b))
 
 
@@ -832,7 +840,8 @@ class _Kernel:
     `packed_bilinear` and `packed_linear` take and return packed vectors
     (`pack` makes one, `random_packed` draws one, `_unpack` reads one), so
     maps chain without unpacking; `packed_eq` and `packed_is_zero` decide
-    on them.  `monomial_table` compiles every template table, and
+    on them, and `packed_reduced` puts one over its least denominator.
+    `monomial_table` compiles every template table, and
     `packed_table` a linear table of packed values, such as the outputs of
     a bilinear map; `table_matrix` unpacks a linear table.  `pack_sparse`
     packs only the nonzero entries of a vector, so unit vectors are born
@@ -917,7 +926,7 @@ class _Kernel:
 class _IntegerKernel(_Kernel):
     """Q and F_p: a packed vector is (ints, den); subclasses convert."""
 
-    _ZERO = 0
+    _ZERO, _ONE = 0, 1
 
     @staticmethod
     def _const(v):  # a packed value as the constant of a compiled term
@@ -957,6 +966,11 @@ class _IntegerKernel(_Kernel):
     @staticmethod
     def packed_is_zero(u) -> bool:
         return not any(u[0])
+
+    @staticmethod
+    def packed_reduced(u):  # u over the least common denominator of its entries: canonical
+        g = gcd(u[1], *u[0])
+        return [n // g for n in u[0]], u[1] // g
 
     def _monomials(self, keys, factors):
         """monomial_table's constants: n / d per key, reduced, over the lcm of the d."""
@@ -1029,7 +1043,7 @@ class _PrimeKernel(_IntegerKernel):
 class _QuadKernel(_Kernel):
     """Q(sqrt d): a packed vector is ([(a, b), ...], den)."""
 
-    _ZERO = (0, 0)
+    _ZERO, _ONE = (0, 0), (1, 0)
 
     def pack(self, elems):
         values = [e.value for e in elems]
@@ -1117,6 +1131,11 @@ class _QuadKernel(_Kernel):
     @staticmethod
     def packed_is_zero(u) -> bool:
         return not any(a or b for a, b in u[0])
+
+    @staticmethod
+    def packed_reduced(u):
+        g = gcd(u[1], *[x for pair in u[0] for x in pair])
+        return [(a // g, b // g) for a, b in u[0]], u[1] // g
 
     def _monomials(self, keys, factors):
         """As over Q, on (a + b sqrt d) / e, reduced by gcd(a, b, e)."""

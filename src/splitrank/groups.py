@@ -36,11 +36,12 @@ from dataclasses import dataclass, field as dc_field, replace
 from .albert import AlbertAlgebra, SlotNilpotent, conjugation_between, nilpotent_analysis
 from .composition import CompositionAlgebra
 from .errors import InternalCheckFailed, InvalidInput, NonNormalizableGamma
-from .fields import Field, lift
+from .fields import Field, lift, lift_packed
 from .qforms import (
     METHOD_WITNESS,
     IsotropyResult,
     QuadraticForm,
+    _with_units,
     is_isotropic,
 )
 
@@ -149,8 +150,8 @@ def _result_json(res: IsotropyResult) -> dict:
 # ---------------------------------------------------------------------------
 
 def _lifted(form: QuadraticForm, ext: Field) -> QuadraticForm:
-    """form with its coefficients read in ext (see fields.lift)."""
-    return QuadraticForm(ext, lift(form.field, ext, form.coeffs), label=form.label)
+    """form with its packed coefficients read in ext (see fields.lift_packed)."""
+    return QuadraticForm._of(ext, lift_packed(form.field, ext, form.packed), label=form.label)
 
 
 def _norm_over(norm: QuadraticForm, ext: Field, rank_base: RankReport) -> IsotropyResult:
@@ -299,7 +300,7 @@ def _spin_kernel(form: QuadraticForm, provenance: dict) -> KernelDescriptor:
         provenance={
             **provenance,
             "isotropic_vector": [one, one] + [zero] * 7,
-            "q0": QuadraticForm(f, [1, -1] + list(form.coeffs), label="Q0").to_json(),
+            "q0": QuadraticForm._of(f, _with_units(f.kernel, [1, -1], form.packed), label="Q0").to_json(),
             "split_basis": [[one if r == col else zero for r in range(9)] for col in range(9)],
             "anisotropy": _result_json(aniso),
         },
@@ -309,15 +310,17 @@ def _spin_kernel(form: QuadraticForm, provenance: dict) -> KernelDescriptor:
 def _spin_kernel_form(a: AlbertAlgebra, report: RankReport) -> tuple[QuadraticForm, dict]:
     """The kernel form -N' over k and its provenance, from the slot i and
     the zero (t, c0) of a rank-1 report's nilpotent, c = c0/t (see
-    f4_kernel); _spin_kernel decides its anisotropy."""
-    slot, (t, *c0), _ = report.nilpotent
-    inv = t.inv()
-    c = [x * inv for x in c0]
-    if a._ratios[slot - 1] * a.octonions.norm_form().evaluate(c) != -a.field.one():  # r_i N(c) on the closed form
+    f4_kernel), all on packed integers; _spin_kernel decides its anisotropy."""
+    slot, zero, _ = report.nilpotent
+    kernel = a.field.kernel
+    (t, *c0), _ = kernel.pack(zero)
+    c = kernel.packed_over(c0, t)
+    norm_c = kernel.packed_dot(a.octonions.norm_form().packed, kernel.packed_times(c, c))  # on the closed form
+    if not kernel.packed_eq(kernel.packed_times(a._ratios[slot - 1], norm_c), kernel.pack([-a.field.one()])):
         raise InternalCheckFailed("the rank certificate gives no slot element c with r_i N(c) = -1")
-    kernel = a.octonions.pure_norm_form().neg().coeffs  # Q0 = <1> - N = <1, -1> - N'
-    provenance = {"rank": 1, "slot": slot, "c": [str(x) for x in c], "idempotent": a.diag_unit(slot).to_json()}
-    return QuadraticForm(a.field, kernel, label="spin kernel"), provenance
+    provenance = {"rank": 1, "slot": slot, "c": kernel.packed_strings(*c), "idempotent": a.diag_unit(slot).to_json()}
+    form = a.octonions.pure_norm_form().neg().packed  # Q0 = <1> - N = <1, -1> - N'
+    return QuadraticForm._of(a.field, form, label="spin kernel"), provenance
 
 
 def f4_kernel(a: AlbertAlgebra, rank_report: RankReport | None = None) -> KernelDescriptor:
@@ -363,7 +366,7 @@ def f4_excellence(a: AlbertAlgebra, ext: Field) -> ExcellenceReport:
         form, provenance = _spin_kernel_form(a, rank_base)
         kernel_ext = _spin_kernel(_lifted(form, ext), provenance)
         descent = {
-            "form": QuadraticForm(a.field, form.coeffs, label="descent witness -N'").to_json(),
+            "form": QuadraticForm._of(a.field, form.packed, label="descent witness -N'").to_json(),
             "matching": "identity change of basis; the Q0 hyperbolic split "
             "commutes with base change coefficientwise",
             "kernel_split_basis": kernel_ext.provenance["split_basis"],

@@ -1,23 +1,24 @@
 """Quadratic-form engine: diagonalization, local invariants, isotropy,
 Witt decomposition and equivalence over Q, F_p and Q(sqrt(d)).
 
-All forms are diagonal <a1,...,an> with nonzero coefficients.  Decisions are
-exact and every verdict carries a certificate: an explicit witness vector for
-isotropy, or the invariant/place data that rules a witness out.  Witnesses
-are constructed (Legendre lattices and local-global splits, see the
-"constructive witnesses" section), never searched for beyond a height-1
-probe up to dimension 9; the bounded search stays as an oracle.  Over
-Q(sqrt(d)) only the dim >= 5 real-place fragment is decided, with witnesses
-for rational coefficients; everything else raises UnsupportedCase rather
-than guessing.
+All forms are diagonal <a1,...,an> with nonzero coefficients, held as one
+packed vector (Field.kernel).  Decisions are exact and every verdict carries
+a certificate: an explicit witness vector for isotropy, or the
+invariant/place data that rules a witness out.  Witnesses are constructed
+(Legendre lattices and local-global splits, see the "constructive
+witnesses" section), never searched for beyond a height-1 probe up to
+dimension 9; the bounded search stays as an oracle.  Over Q(sqrt(d)) only
+the dim >= 5 real-place fragment is decided, with witnesses for rational
+coefficients; everything else raises UnsupportedCase rather than guessing.
 
 Over Q one integer core answers every local question (section "the local
-layer over Q"): each coefficient is split once into its squarefree class
-and its primes, and one Hasse invariant and one local-isotropy rule on those
-integers serve is_isotropic, witt_index_by_invariants, equivalent,
-det_squareclass and the witness route, which looks the primes of a form up
-once and runs its lattices on integers (integral LLL).  hilbert_symbol and
-hasse_invariant are thin wrappers that check their arguments first.
+layer over Q"): each packed coefficient, reduced on its own, is split once
+into its squarefree class and its primes, and one Hasse invariant and one
+local-isotropy rule on those integers serve is_isotropic,
+witt_index_by_invariants, equivalent, det_squareclass and the witness route,
+which looks the primes of a form up once and runs its lattices on integers
+(integral LLL).  hilbert_symbol and hasse_invariant are thin wrappers that
+check their arguments first.
 
 A Witt decomposition keeps its basis as packed columns of Field.kernel and
 does the work of each hyperbolic split once, on packed integers and on the
@@ -61,10 +62,12 @@ from .fields import (
     RATIONALS,
     Field,
     FieldElement,
+    _sign_a_plus_b_sqrt_d,
     is_prime,
     least_nonresidue,
     legendre,
     prime_factors,
+    rational_sqrt,
     sqrt_mod_p,
 )
 
@@ -77,49 +80,56 @@ METHOD_COUNT = "finite_field_count"
 
 
 class QuadraticForm:
-    """Diagonal quadratic form over one of the supported fields."""
+    """Diagonal quadratic form over one of the supported fields, held as
+    the packed vector of its coefficients (fields.Field.kernel): every
+    decision reads it, and `coeffs` unpacks it on first read."""
 
-    __slots__ = ("field", "coeffs", "label")
+    __slots__ = ("field", "packed", "label", "_coeffs")
 
     def __init__(self, field: Field, coeffs, label: str | None = None):
         coeffs = tuple(field.element(c) for c in coeffs)
         if any(c.is_zero() for c in coeffs):
             raise InvalidInput("quadratic form coefficients must be nonzero")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "label", label)
+        for name, value in zip(self.__slots__, (field, field.kernel.pack(coeffs), label, coeffs)):
+            object.__setattr__(self, name, value)
 
     @classmethod
-    def _of(cls, field: Field, coeffs) -> QuadraticForm:
-        """The form on coefficients that are already nonzero elements of
-        field: no coercion and no zero test."""
+    def _of(cls, field: Field, packed, label: str | None = None) -> QuadraticForm:
+        """The form on a packed vector of field whose entries are already
+        nonzero: no coercion and no zero test."""
         q = object.__new__(cls)
-        object.__setattr__(q, "field", field)
-        object.__setattr__(q, "coeffs", tuple(coeffs))
-        object.__setattr__(q, "label", None)
+        for name, value in zip(cls.__slots__, (field, packed, label, None)):
+            object.__setattr__(q, name, value)
         return q
 
     def __setattr__(self, *a):
         raise AttributeError("QuadraticForm is immutable")
 
     @property
+    def coeffs(self) -> tuple[FieldElement, ...]:
+        if self._coeffs is None:
+            object.__setattr__(self, "_coeffs", self.field.kernel._unpack(*self.packed))
+        return self._coeffs
+
+    @property
     def dim(self) -> int:
-        return len(self.coeffs)
+        return len(self.packed[0])
 
     def __eq__(self, other):
         return (
             isinstance(other, QuadraticForm)
             and self.field == other.field
-            and self.coeffs == other.coeffs
+            and self.dim == other.dim
+            and self.field.kernel.packed_eq(self.packed, other.packed)
         )
 
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
+    def __hash__(self):  # over the least common denominator, whatever the one it is held over
+        nums, den = self.field.kernel.packed_reduced(self.packed)
+        return hash((self.field, tuple(nums), den))
 
     def __repr__(self):
-        body = ",".join(str(c) for c in self.coeffs)
         tag = f" {self.label!r}" if self.label else ""
-        return f"<{body}> over {self.field}{tag}"
+        return f"<{','.join(self.field.kernel.packed_strings(*self.packed))}> over {self.field}{tag}"
 
     def evaluate(self, vec) -> FieldElement:
         """q(vec) = sum a_i x_i^2, summed on packed integers."""
@@ -129,50 +139,59 @@ class QuadraticForm:
             raise InvalidInput(f"vector length {len(vec)} != dim {self.dim}")
         kernel = f.kernel
         x = kernel.pack(vec)
-        return kernel._unpack(*kernel.packed_dot(kernel.pack(self.coeffs), kernel.packed_times(x, x)))[0]
-
-    def det(self) -> FieldElement:
-        acc = self.field.one()
-        for c in self.coeffs:
-            acc = acc * c
-        return acc
+        return kernel._unpack(*kernel.packed_dot(self.packed, kernel.packed_times(x, x)))[0]
 
     def det_squareclass(self):
         """Canonical representative of the determinant square class (over
         Q the squarefree integer, from the split of each coefficient)."""
         k = self.field.kind
         if k == RATIONALS:
-            return _local_data(c.value for c in self.coeffs)[1]
-        d = self.det()
+            return _local_data(_pairs(*self.packed))[1]
         if k == PRIME_FIELD:
-            if legendre(d.value, self.field.p) == 1:
+            if legendre(math.prod(self.packed[0]), self.field.p) == 1:
                 return 1
             return least_nonresidue(self.field.p)
-        return d  # QSqrt: raw element, compared via is_square of ratios
+        return math.prod(self.coeffs, start=self.field.one())  # QSqrt: the raw det, compared via is_square
 
     def signature(self) -> tuple[int, int]:
         """(positive, negative) coefficient counts over R; rationals only."""
         if self.field.kind != RATIONALS:
             raise UnsupportedField("signature() is the rationals entry point")
-        pos = sum(1 for c in self.coeffs if c.value > 0)
+        pos = sum(1 for n in self.packed[0] if n > 0)
         return pos, self.dim - pos
 
     def signatures_all_places(self) -> list[tuple[int, int]]:
-        """Signatures at each real embedding (1 for Q, 2 or 0 for Q(sqrt d))."""
-        places = self.field.real_place_count()
-        signs = [c.real_signs() for c in self.coeffs] if places else []  # each coefficient's signs, once
-        positive = (sum(1 for s in signs if s[place] > 0) for place in range(places))
+        """Signatures at each real embedding (1 for Q, 2 or 0 for Q(sqrt d)), from the packed numerators."""
+        f, nums = self.field, self.packed[0]
+        if f.kind == RATIONALS:
+            return [self.signature()]
+        if f.kind == PRIME_FIELD or f.d < 0:
+            return []
+        positive = [sum(1 for a, b in nums if _sign_a_plus_b_sqrt_d(a, s * b, f.d) > 0) for s in (1, -1)]
         return [(pos, self.dim - pos) for pos in positive]
 
     def neg(self) -> QuadraticForm:
-        return QuadraticForm(self.field, [-c for c in self.coeffs])
+        kernel, (nums, den) = self.field.kernel, self.packed
+        return QuadraticForm._of(self.field, (kernel._reduce([kernel._times(v, -1) for v in nums]), den))
 
     def to_json(self) -> dict:
         return {
             "field": self.field.to_json(),
-            "coeffs": [str(c) for c in self.coeffs],
+            "coeffs": self.field.kernel.packed_strings(*self.packed),
             **({"label": self.label} if self.label else {}),
         }
+
+
+def _pairs(nums, den) -> list[tuple[int, int]]:
+    """The reduced (numerator, denominator) of each entry n / den of a packed
+    vector over Q: each coefficient keeps its own square class."""
+    return [(n // (g := math.gcd(n, den)), den // g) for n in nums]
+
+
+def _with_units(kernel, signs, u):
+    """The packed vector (s_1, ..., s_k, u_1, ..., u_n) for integers s_i."""
+    vals, den = u
+    return kernel._reduce([kernel._times(kernel._ONE, s * den) for s in signs] + list(vals)), den
 
 
 def form_from_json(obj: dict) -> QuadraticForm:
@@ -221,13 +240,13 @@ class WittDecomposition:
         return _columns([unpack(*col) for col in self.columns])
 
     def to_json(self) -> dict:
+        strings = self.anisotropic_part.field.kernel.packed_strings
         out = {
             "index": self.witt_index,
-            "anisotropic": [str(c) for c in self.anisotropic_part.coeffs],
+            "anisotropic": strings(*self.anisotropic_part.packed),
             "method": self.method,
         }
         if self.columns is not None:
-            strings = self.anisotropic_part.field.kernel.packed_strings
             out["witness"] = [strings(*col) for col in self.columns]
         return out
 
@@ -297,15 +316,15 @@ def diagonalize(field: Field, rows):
         )
     kernel = field.kernel
     times = partial(kernel.packed_linear, kernel.linear_table(gram))
-    mismatch = _gram_mismatch(kernel, times, [kernel.pack(col) for col in _columns(p)], diag)
+    mismatch = _gram_mismatch(kernel, times, [kernel.pack(col) for col in _columns(p)], kernel.pack(diag))
     if mismatch:
         raise InternalCheckFailed(f"congruence check failed: a wrong {mismatch} entry")
     return QuadraticForm(field, diag), p
 
 
 def _gram_mismatch(kernel, times, cols, expected) -> str | None:
-    """Whether the packed columns x_i satisfy x_i^T G x_j = diag(expected)
-    for a symmetric G given as `times`, the map x -> G x on packed vectors
+    """Whether the packed columns x_i satisfy x_i^T G x_j = diag(expected), a packed
+    vector, for a symmetric G given as `times`, the map x -> G x on packed vectors
     (partial(kernel.packed_times, d) for G = diag(d) with d packed,
     partial(kernel.packed_linear, kernel.linear_table(G)) for any G),
     decided on packed integers: "off-diagonal" when some pair i < j is not
@@ -316,7 +335,7 @@ def _gram_mismatch(kernel, times, cols, expected) -> str | None:
     dot, zero = kernel.packed_dot, kernel.packed_is_zero
     if any(not zero(dot(u, y)) for i, u in enumerate(forms) for y in cols[i + 1:]):
         return "off-diagonal"
-    values, den = kernel.pack(expected)
+    values, den = expected
     if not all(kernel.packed_eq(dot(u, x), ([v], den)) for u, x, v in zip(forms, cols, values)):
         return "diagonal"
     return None
@@ -334,26 +353,27 @@ def _gram_mismatch(kernel, times, cols, expected) -> str | None:
 # supplies is tested for primality.
 # --------------------------------------------------------------------------
 
-def _square_split(x) -> tuple[int, int | Fraction, set[int]]:
-    """x = s * m^2 for a nonzero rational x, with s a squarefree integer of
-    the sign of x and m > 0 (an integer when x is one), and the set of
-    primes of x."""
-    s, top, bottom = (-1 if x.numerator < 0 else 1), 1, 1
-    up, down = prime_factors(x.numerator), prime_factors(x.denominator)
+def _square_split(num: int, den: int) -> tuple[int, int, int, set[int]]:
+    """num / den = s * (top / bottom)^2 for a nonzero reduced fraction (den >
+    0), with s a squarefree integer of its sign and top, bottom coprime
+    positive integers (bottom = 1 when den is 1), and the set of primes of
+    num and den."""
+    s, top, bottom = (-1 if num < 0 else 1), 1, 1
+    up, down = prime_factors(num), prime_factors(den)
     for p, e in up.items():
         s, top = s * p ** (e % 2), top * p ** (e // 2)
     for p, e in down.items():
         s, bottom = s * p ** (e % 2), bottom * p ** ((e + 1) // 2)
-    return s, (top if bottom == 1 else Fraction(top, bottom)), up.keys() | down.keys()
+    return s, top, bottom, up.keys() | down.keys()
 
 
-def _local_data(values) -> tuple[list[int], int, list[int]]:
-    """The squarefree class of each nonzero rational, the class of their
-    product and the places that matter, S = {2} + the primes of every
-    numerator and denominator."""
+def _local_data(pairs) -> tuple[list[int], int, list[int]]:
+    """The squarefree class of each nonzero reduced fraction (num, den), the
+    class of their product and the places that matter, S = {2} + the
+    primes of every numerator and denominator."""
     classes, det, primes = [], 1, {2}
-    for x in values:
-        s, _, ps = _square_split(x)
+    for num, den in pairs:
+        s, _, _, ps = _square_split(num, den)
         g = math.gcd(det, s)
         classes.append(s)
         det = det * s // (g * g)
@@ -418,7 +438,7 @@ def hasse_invariant(q: QuadraticForm, place) -> int:
     if place != INF and not is_prime(int(place)):
         raise InvalidInput(f"place must be a prime or 'inf', got {place!r}")
     # n/d and n*d share a square class, and n*d needs no factoring
-    return _hasse([c.value.numerator * c.value.denominator for c in q.coeffs], place)
+    return _hasse([n * d for n, d in _pairs(*q.packed)], place)
 
 
 def _class_key(t: int, p: int) -> tuple[int, int]:
@@ -447,19 +467,19 @@ def _iso_at(ints: list[int], p: int) -> bool:
     return _local_isotropic(len(ints), math.prod(ints), _hasse(ints, p), p)
 
 
-def _obstruction(values):
+def _obstruction(pairs):
     """Hasse-Minkowski over Q for three or more nonzero rational
-    coefficients: None when the form is isotropic, else (method, detail) for
-    the place that rules a zero out.  That is the real place when the form
-    is definite, else (dims 3 and 4; Meyer covers the rest) the first prime
-    of S at which it is anisotropic."""
-    n = len(values)
-    pos = sum(1 for x in values if x > 0)
+    coefficients, reduced pairs (num, den): None when the form is isotropic,
+    else (method, detail) for the place that rules a zero out.  That is the
+    real place when the form is definite, else (dims 3 and 4; Meyer covers
+    the rest) the first prime of S at which it is anisotropic."""
+    n = len(pairs)
+    pos = sum(1 for x, _ in pairs if x > 0)
     if pos in (0, n):
         return METHOD_REAL, {"signature": [pos, n - pos], "place": INF}
     if n >= 5:
         return None
-    classes, det, primes = _local_data(values)
+    classes, det, primes = _local_data(pairs)
     for p in primes:
         if not _iso_at(classes, p):
             return METHOD_LOCAL, {"place": p, "det_squareclass": det, "hasse": _hasse(classes, p)}
@@ -473,7 +493,7 @@ def witt_index_by_invariants(q: QuadraticForm) -> int:
         raise UnsupportedField("invariant-based Witt index is a Q-only route")
     n = q.dim
     best = min(q.signature())
-    classes, det, primes = _local_data(c.value for c in q.coeffs)
+    classes, det, primes = _local_data(_pairs(*q.packed))
     for p in primes:
         m, d, e, count = n, det, _hasse(classes, p), 0
         while m > 0 and _local_isotropic(m, d, e, p):
@@ -495,10 +515,10 @@ def witt_index_by_invariants(q: QuadraticForm) -> int:
 _ENUM_CAP = 4_000_000
 
 
-def _integerize(coeffs: list[Fraction]) -> list[int]:
-    """Scale rational coefficients to integers (same zero set)."""
-    lcm = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (lcm // c.denominator) for c in coeffs]
+def _integerize(pairs) -> list[int]:
+    """Scale rational coefficients, reduced pairs (num, den), to integers (same zero set)."""
+    lcm = math.lcm(*(d for _, d in pairs))
+    return [n * (lcm // d) for n, d in pairs]
 
 
 def _search_integer(coeffs: list[int], bound: int):
@@ -543,7 +563,7 @@ def _fp_witness(q: QuadraticForm):
     a regular form of dim < 2 has no zero.
     """
     p = q.field.p
-    a = [c.value for c in q.coeffs]
+    a = q.packed[0]  # the residues
     n = q.dim
     if n < 2:
         return None
@@ -565,7 +585,7 @@ def _fp_witness(q: QuadraticForm):
 def _checked_fp_zero(q: QuadraticForm, vec):
     """vec over F_p, checked exactly: vec != 0 and sum a_i x_i^2 = 0 mod p."""
     p = q.field.p
-    if not any(x % p for x in vec) or sum(c.value * x * x for c, x in zip(q.coeffs, vec)) % p:
+    if not any(x % p for x in vec) or sum(c * x * x for c, x in zip(q.packed[0], vec)) % p:
         raise InternalCheckFailed("constructed vector is not a zero of the form")
     return tuple(q.field.element(x) for x in vec)
 
@@ -575,7 +595,7 @@ def isotropic_vector_search(q: QuadraticForm, height_bound: int):
     An oracle for tests and `verify`: the certificates are constructed."""
     k = q.field.kind
     if k == RATIONALS:
-        ints = _integerize([c.value for c in q.coeffs])
+        ints = _integerize(_pairs(*q.packed))
         vec = _search_integer(ints, height_bound)
         if vec is None:
             return None
@@ -587,7 +607,7 @@ def isotropic_vector_search(q: QuadraticForm, height_bound: int):
             for xs in itertools.product(range(p), repeat=n):
                 if not any(xs):
                     continue
-                if sum(c.value * x * x for c, x in zip(q.coeffs, xs)) % p == 0:
+                if sum(c * x * x for c, x in zip(q.packed[0], xs)) % p == 0:
                     return tuple(f.element(x) for x in xs)
             return None
         return _fp_witness(q)
@@ -621,33 +641,33 @@ def _primitive(vec: list[int]) -> list[int]:
     return [v // g for v in vec] if g > 1 else vec
 
 
-def _q_witness(values: list[Fraction]) -> list[int]:
-    """Nonzero integer zero of an isotropic form with rational coefficients:
-    the fixed height-1 probe up to dimension 9 (the largest of any fixture;
-    its table has 2^ceil(n/2) entries), then the construction on each
-    coefficient's own square class; checked exactly on the integerized
-    coefficients.  The probe stays because it is the cheapest route to a
-    height-1 zero of support 3 to 5, as of <-3, 6, 5, 2, -4>: without it,
-    such forms go through the Legendre lattice at 6 to 8 times the
-    bytecodes, and over the frozen output corpora the `witt_panel` median
-    rises 3.9% and its p90 27%."""
-    ints = _integerize(values)
+def _q_witness(pairs) -> list[int]:
+    """Nonzero integer zero of an isotropic form with rational coefficients,
+    reduced pairs (num, den): the fixed height-1 probe up to dimension 9
+    (the largest of any fixture; its table has 2^ceil(n/2) entries), then
+    the construction on each coefficient's own square class; checked
+    exactly on the integerized coefficients.  The probe stays because it is
+    the cheapest route to a height-1 zero of support 3 to 5, as of <-3, 6,
+    5, 2, -4>: without it, such forms go through the Legendre lattice at 6
+    to 8 times the bytecodes, and over the frozen output corpora the
+    `witt_panel` median rises 3.9% and its p90 27%."""
+    ints = _integerize(pairs)
     vec = _search_integer(ints, 1) if len(ints) <= 9 else None
     if vec is None:
-        vec = _solve(values)
+        vec = _solve(pairs)
     if not any(vec) or sum(c * x * x for c, x in zip(ints, vec)):
         raise InternalCheckFailed("constructed vector is not a zero of the form")
     return vec
 
 
-def _solve(values) -> list[int]:
-    """a_i = s_i m_i^2 for nonzero rationals a_i (m_i rational): a zero y
-    of <s_i> gives the zero x_i = y_i M / m_i, M = lcm of the numerators of
-    the m_i."""
-    split = [_square_split(c) for c in values]
-    y = _solve_sqf([s for s, _, _ in split])
-    big = math.lcm(*(m.numerator for _, m, _ in split))
-    return _primitive([v * m.denominator * (big // m.numerator) for v, (_, m, _) in zip(y, split)])
+def _solve(pairs) -> list[int]:
+    """a_i = s_i m_i^2 for nonzero rationals a_i, reduced pairs (num, den),
+    and m_i = top_i / bottom_i: a zero y of <s_i> gives the zero
+    x_i = y_i M / m_i, M = lcm of the top_i."""
+    split = [_square_split(n, d) for n, d in pairs]
+    y = _solve_sqf([s for s, _, _, _ in split])
+    big = math.lcm(*(top for _, top, _, _ in split))
+    return _primitive([v * bottom * (big // top) for v, (_, top, bottom, _) in zip(y, split)])
 
 
 def _solve_sqf(s: list[int]) -> list[int]:
@@ -760,8 +780,8 @@ def _split_solve(s: list[int], primes: list[int]) -> list[int]:
     (_, allowed, forced), pair, rest = min(plans, key=lambda plan: plan[0][0])
     a, r = [s[i] for i in pair], [s[i] for i in rest]
     t = _split_value(a, r, allowed, forced)
-    x = _solve(a + [-t])
-    y = _solve(r + [t])
+    x = _solve([(v, 1) for v in a + [-t]])
+    y = _solve([(v, 1) for v in r + [t]])
     vec = _pad(n, pair, [v * y[-1] for v in x[:2]])
     for i, v in zip(rest, y[:-1]):
         vec[i] = v * x[2]
@@ -922,15 +942,16 @@ def _qsqrt_witness(q: QuadraticForm):
     """Zero over Q(sqrt d) of a form with rational coefficients: the Q zero
     when q is indefinite over Q; otherwise (d < 0) a zero (s, x2, ...) of
     <d a1, a2, ...> over Q, which is indefinite of dim >= 5, gives
-    (s sqrt d, x2, ...).  None when a coefficient is irrational."""
-    f = q.field
-    if any(c.value[1] for c in q.coeffs):
+    (s sqrt d, x2, ...), read off the packed pairs.  None when a coefficient is irrational."""
+    f, (nums, den) = q.field, q.packed
+    if any(b for _, b in nums):
         return None
-    values = [c.value[0] for c in q.coeffs]
-    if not _definite(values):
-        return tuple(f.element(x) for x in _q_witness(values))
-    vec = _q_witness([f.d * values[0]] + values[1:])
-    return (f.sqrt_gen() * f.element(vec[0]),) + tuple(f.element(x) for x in vec[1:])
+    pairs = _pairs([a for a, _ in nums], den)
+    if not _definite([a for a, _ in pairs]):
+        return tuple(f.element(x) for x in _q_witness(pairs))
+    (a, b), *rest = pairs
+    vec = _q_witness([_pairs([f.d * a], b)[0]] + rest)
+    return (f.element((0, vec[0])),) + tuple(f.element(x) for x in vec[1:])
 
 
 # --------------------------------------------------------------------------
@@ -981,21 +1002,22 @@ def _is_isotropic_fp(q: QuadraticForm, want_witness: bool) -> IsotropyResult:
 
 
 def _is_isotropic_q(q: QuadraticForm, want_witness: bool) -> IsotropyResult:
-    n = q.dim
+    n, pairs = q.dim, _pairs(*q.packed)
     if n == 1:
         return IsotropyResult(False, METHOD_LOCAL, detail={"reason": "dim 1 regular"})
     if n == 2:
         # q(x, 1) = a1 x^2 + a2 = 0  <=>  x^2 = -a2/a1 (a square iff -a1 a2 is)
-        x = (-q.coeffs[1] / q.coeffs[0]).square_root()
+        (n1, d1), (n2, d2) = pairs
+        x = rational_sqrt(Fraction(-n2 * d1, d2 * n1))
         if x is None:
             return IsotropyResult(
                 False, METHOD_LOCAL, detail={"reason": "-det is not a square"}
             )
-        return IsotropyResult(True, METHOD_WITNESS, witness=(x, q.field.one()))
-    found = _obstruction([c.value for c in q.coeffs])
+        return IsotropyResult(True, METHOD_WITNESS, witness=(q.field.element(x), q.field.one()))
+    found = _obstruction(pairs)
     if found:
         return IsotropyResult(False, found[0], detail=found[1])
-    wit = tuple(q.field.element(v) for v in _q_witness([c.value for c in q.coeffs])) if want_witness else None
+    wit = tuple(q.field.element(v) for v in _q_witness(pairs)) if want_witness else None
     reason = "indefinite of dim >= 5 (Meyer)" if n >= 5 else "isotropic at every place (Hasse-Minkowski)"
     return IsotropyResult(True, METHOD_WITNESS if wit else METHOD_LOCAL, witness=wit, detail={"reason": reason})
 
@@ -1024,16 +1046,17 @@ def _is_isotropic_qsqrt(q: QuadraticForm, want_witness: bool) -> IsotropyResult:
 # Witt decomposition
 # --------------------------------------------------------------------------
 
-def _split_step(coeffs, witness):
-    """One hyperbolic split in the current diagonal coordinates <a_i>, in
-    closed form on the support S = (s0, s1, ..., s_{m-1}) of the witness v.
+def _split_step(current, witness):
+    """One hyperbolic split in the current diagonal coordinates <a_i> (the packed
+    vector current), in closed form on the support S = (s0, s1, ..., s_{m-1}) of v.
 
     Returns (S, u1, u2, cols, comp).  u1, u2 span the plane of the witness
     with q(u1)=1, q(u2)=-1, B(u1,u2)=0: with t = a_s0 v_s0^2 they are
     diag(t+1, t-1, ..., t-1) v / 2t and diag(t-1, t+1, ..., t+1) v / 2t.
     cols diagonalize q on the orthogonal complement, with the coefficients
-    comp, one per coordinate other than s0, s1, in coordinate order; a
-    coordinate off S passes through (None in cols, its own coefficient).
+    comp, a packed vector with one entry per coordinate other than s0, s1,
+    in coordinate order; a coordinate off S passes through (None in cols,
+    its own coefficient).
     With c_i = a_si v_si^2 and P_p = c_1 + ... + c_p, the column of s_p
     (2 <= p < m) is e_sp - (a_sp v_sp / P_{p-1}) sum_{1<=i<p} v_si e_si, of
     value a_sp P_p / P_{p-1}: the unit-triangular LDL^T of the n_k = e_k -
@@ -1048,32 +1071,33 @@ def _split_step(coeffs, witness):
     witt_decompose proves the whole basis once.  u1, u2 and the columns
     are packed vectors of Field.kernel on S, in the order of S.
     """
-    f = coeffs[0].field
-    kernel = f.kernel
+    kernel = witness[0].field.kernel
     mul, add, times, zero = kernel._mul, kernel._add, kernel._times, kernel._ZERO
     support = [i for i, x in enumerate(witness) if not x.is_zero()]
     m = len(support)
-    vals, den = kernel.pack([coeffs[i] for i in support] + [witness[i] for i in support] + [f.one()])
-    a, x = vals[:m], vals[m:2 * m]  # the coefficients and the witness over den; vals[-1] is 1 over den
+    (cvals, cden), (xvals, xden) = current, kernel.pack([witness[i] for i in support])
+    den = math.lcm(cden, xden)  # the coefficients a and the witness x on S, over den
+    a, x = [times(cvals[i], den // cden) for i in support], [times(v, den // xden) for v in xvals]
     c = [mul(ai, mul(xi, xi)) for ai, xi in zip(a, x)]  # a_si v_si^2 = c_i / den^3
     sums = kernel._reduce(list(itertools.accumulate(c[1:], add)))  # P_p = sums[p - 1] / den^3
     if any(kernel.packed_is_zero(([sums[p - 1]], 1)) for p in range(2, m - 1)):
         raise InternalCheckFailed("a prefix sum of the witness vanishes: it is not support-minimal")
     t = c[0]
-    cube = times(vals[-1], den * den)
+    cube = times(kernel._ONE, den ** 3)
     up, down, over = add(t, cube), add(t, times(cube, -1)), times(t, 2 * den)
     u1 = kernel.packed_over([mul(up, x[0])] + [mul(down, y) for y in x[1:]], over)
     u2 = kernel.packed_over([mul(down, x[0])] + [mul(up, y) for y in x[1:]], over)
-    rest = [i for i in range(len(coeffs)) if i not in support[:2]]
-    cols, comp = [None] * len(rest), [coeffs[i] for i in rest]
+    rest = [i for i in range(len(cvals)) if i not in support[:2]]
+    cols, comp = [None] * len(rest), [([cvals[i]], cden) for i in rest]
     for p in range(2, m):
         # (D e_sp - A_p X_p (X_1 e_s1 + ... + X_{p-1} e_s{p-1})) / D for D = sums[p - 2] and the
         # packed a_si = A_i / den, v_si = X_i / den; its value is A_p sums[p - 1] / (den D)
         r, prev = times(mul(a[p], x[p]), -1), sums[p - 2]
         k = support[p] - 2  # its place in rest
         cols[k] = kernel.packed_over([zero] + [mul(r, y) for y in x[1:p]] + [prev] + [zero] * (m - 1 - p), prev)
-        comp[k] = kernel._unpack(*kernel.packed_over([mul(a[p], sums[p - 1])], times(prev, den)))[0]
-    return support, u1, u2, cols, comp
+        comp[k] = kernel.packed_over([mul(a[p], sums[p - 1])], times(prev, den))
+    values, den = kernel.common_columns(comp)
+    return support, u1, u2, cols, kernel.packed_reduced(([v for v, in values], den))
 
 
 def witt_decompose(q: QuadraticForm) -> WittDecomposition:
@@ -1081,14 +1105,15 @@ def witt_decompose(q: QuadraticForm) -> WittDecomposition:
 
     The recorded basis T satisfies  T^T G T = diag(1,-1,...,1,-1, a_1..a_m)
     exactly, where <a_1..a_m> is the anisotropic part.  The basis is kept
-    as packed columns in original coordinates, one per current coordinate.
-    Each split (_split_step) is one closed form on the support S of its
-    witness, which is support-minimal.  It brings the |S| columns of S
-    to one denominator, and each of u1, u2 and its complement columns is
-    one integer combination of them (packed_mix); every other column passes
-    through untouched.  Over Q each new complement column with value s m^2
-    is scaled by 1/m (m an integer or a fraction), so the coefficients
-    carried on are squarefree integers.
+    as packed columns in original coordinates, one per current coordinate,
+    and the current coefficients as one packed vector.  Each split
+    (_split_step) is one closed form on the support S of its witness, which
+    is support-minimal.  It brings the |S| columns of S to one denominator,
+    and each of u1, u2 and its complement columns is one integer
+    combination of them (packed_mix); every other column passes through
+    untouched.  Over Q each new complement column with value s m^2 is
+    scaled by 1/m (m an integer or a fraction), so the coefficients carried
+    on are squarefree integers over the denominator 1.
 
     The splits are not checked one by one: the packed basis is proved once,
     by one exact congruence T^T G T = H^i + <a_1..a_m> (_gram_mismatch),
@@ -1101,10 +1126,8 @@ def witt_decompose(q: QuadraticForm) -> WittDecomposition:
     """
     f = q.field
     kernel = f.kernel
-    current = list(q.coeffs)
-    one = f.one()
-    (unit,), unit_den = kernel.pack([one])
-    embed = [([unit if j == i else kernel._ZERO for j in range(q.dim)], unit_den) for i in range(q.dim)]
+    current = q.packed
+    embed = [([kernel._ONE if j == i else kernel._ZERO for j in range(q.dim)], 1) for i in range(q.dim)]
     pairs = []
     index = 0
     while True:
@@ -1123,23 +1146,26 @@ def witt_decompose(q: QuadraticForm) -> WittDecomposition:
         rest = [i for i in range(len(embed)) if i not in support[:2]]  # the coordinates before the split
         embed = [embed[i] if col is None else kernel.packed_mix(base, col) for i, col in zip(rest, cols)]
         if f.kind == RATIONALS:
-            for k, (c, col) in enumerate(zip(current, cols)):
-                if col is None and index:
-                    continue  # squarefree since the first split
-                s, m, _ = _square_split(c.value)
-                if m != 1:  # the column over m = a/b: numerators times b, denominator times a
-                    nums, den = embed[k]
-                    embed[k] = [x * m.denominator for x in nums], den * m.numerator
-                    current[k] = f.element(s)
+            classes = []
+            for k, ((num, den), col) in enumerate(zip(_pairs(*current), cols)):
+                if col is None and index:  # squarefree since the first split
+                    classes.append(num)
+                    continue
+                s, top, bottom, _ = _square_split(num, den)
+                if (top, bottom) != (1, 1):  # the column over m = top / bottom
+                    nums, cden = embed[k]
+                    embed[k] = [x * bottom for x in nums], cden * top
+                classes.append(s)
+            current = classes, 1
         index += 1
     basis = pairs + embed
-    times = partial(kernel.packed_times, kernel.pack(q.coeffs))
-    if len(basis) != q.dim or _gram_mismatch(kernel, times, basis, [one, -one] * index + current):
+    times = partial(kernel.packed_times, q.packed)
+    if len(basis) != q.dim or _gram_mismatch(kernel, times, basis, _with_units(kernel, [1, -1] * index, current)):
         raise InternalCheckFailed("recorded Witt basis fails congruence")
     return WittDecomposition(
         witt_index=index,
         anisotropic_part=sub,
-        method=METHOD_WITNESS if not current else cert.method,
+        method=METHOD_WITNESS if not sub.dim else cert.method,
         columns=basis,
         anisotropy_certificate=cert,
     )
@@ -1164,8 +1190,8 @@ def equivalent(q1: QuadraticForm, q2: QuadraticForm) -> bool:
         return False
     if k == PRIME_FIELD:
         return q1.det_squareclass() == q2.det_squareclass()
-    c1, d1, s1 = _local_data(c.value for c in q1.coeffs)
-    c2, d2, s2 = _local_data(c.value for c in q2.coeffs)
+    c1, d1, s1 = _local_data(_pairs(*q1.packed))
+    c2, d2, s2 = _local_data(_pairs(*q2.packed))
     if d1 != d2 or q1.signature() != q2.signature():
         return False
     return all(_hasse(c1, p) == _hasse(c2, p) for p in {*s1, *s2})
@@ -1182,7 +1208,7 @@ def equivalent_with_witness(q1: QuadraticForm, q2: QuadraticForm, p) -> bool:
     if any(len(row) != n for row in p):
         return False
     packed = [kernel.pack([q1.field.element(x) for x in col]) for col in _columns(p)]
-    return _gram_mismatch(kernel, partial(kernel.packed_times, kernel.pack(q1.coeffs)), packed, list(q2.coeffs)) is None
+    return _gram_mismatch(kernel, partial(kernel.packed_times, q1.packed), packed, q2.packed) is None
 
 
 # --------------------------------------------------------------------------
@@ -1196,13 +1222,15 @@ def pfister(field: Field, slots) -> QuadraticForm:
         raise InvalidInput("pfister takes 1 to 3 slots")
     if any(s.is_zero() for s in slots):
         raise InvalidInput("pfister slots must be nonzero")
-    return QuadraticForm(field, pfister_diagonal(field, slots))
+    return QuadraticForm._of(field, pfister_diagonal(field, slots))
 
 
-def pfister_diagonal(field: Field, slots) -> list[FieldElement]:
-    """The diagonal of <1,-s1> (x) ... (x) <1,-sk> by doubling: entry m is
-    (-1)^|m| times the product of the slots at the bits of m; [1] for k = 0."""
-    coeffs = [field.one()]
-    for s in slots:
-        coeffs = coeffs + [-(s * c) for c in coeffs]
-    return coeffs
+def pfister_diagonal(field: Field, slots):
+    """The diagonal of <1,-s1> (x) ... (x) <1,-sk> (nonzero slots), packed by
+    doubling on integers: over the slots' common denominator D, entry m is
+    (-1)^|m| D^(k - |m|) times the slot numerators at the bits of m."""
+    kernel = field.kernel
+    (values, den), nums = kernel.pack(slots), [kernel._ONE]
+    for v in values:
+        nums = [kernel._times(c, den) for c in nums] + [kernel._times(kernel._mul(v, c), -1) for c in nums]
+    return kernel.packed_reduced((kernel._reduce(nums), den ** len(values)))

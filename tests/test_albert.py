@@ -338,7 +338,7 @@ class TestE0Q0:
         for b in basis:
             assert bilinear(b, a.unit()).is_zero() and bilinear(b, u).is_zero()
             assert jordan_mul(u, b).is_zero()
-        ratio = a._ratios[slot - 1]
+        ratio = a.ratios[slot - 1]
         want = [Q.element(1)] + [ratio * n for n in a.octonions.norm_form().coeffs]
         assert list(q0_form(a, u).coeffs) == want
 
@@ -347,7 +347,7 @@ class TestE0Q0:
         a = AlbertAlgebra(cayley_dickson(Q, [-1, -2, -3]), [2, -3, 5])
         c = a.octonions.element([1, 2, 0, -1, 0, 0, 3, 0])
         form, basis, _ = albert.q0_data(a, a.diag_unit(1), c)
-        scale = a._ratios[0] * c.norm()
+        scale = a.ratios[0] * c.norm()
         assert list(form.coeffs) == [Q.element(1)] + [scale * n for n in a.octonions.norm_form().coeffs]
         assert basis[2].slot(1) == c * a.octonions.basis(1)
 

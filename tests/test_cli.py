@@ -284,6 +284,20 @@ class TestExitCodes:
         code, out = run_cli(["witt", "--json", form % "7x"], capsys)
         assert code == 2 and "got '7x'" in json.loads(out)["error"]["message"]
 
+    @pytest.mark.parametrize("field", [{"kind": "Fp", "p": 7}, {"kind": "Q"}, {"kind": "QSqrt", "d": 2}], ids=["Fp", "Q", "QSqrt"])
+    def test_long_coefficient_is_echoed_short(self, field, capsys):
+        # a coefficient of 4,301 digits, one past int()'s limit, is refused
+        # by each field kind with the first 40 characters of its literal and
+        # its length; a short bad literal is echoed whole
+        form = {"field": field, "coeffs": ["1", "1", "9" * 4301]}
+        code, out = run_cli(["witt", "--json", json.dumps(form)], capsys)
+        error = json.loads(out)["error"]
+        assert code == 2 and error["kind"] == "InvalidInput" and len(out.encode()) < 1024
+        assert "(4303 characters)" in error["message"]
+        form["coeffs"][2] = "2x"
+        code, out = run_cli(["witt", "--json", json.dumps(form)], capsys)
+        assert code == 2 and json.loads(out)["error"]["message"].endswith("literal '2x'")
+
     @pytest.mark.parametrize("group", ["g2", "f4"])
     def test_excellence_unsupported_over_the_extension(self, group, capsys):
         # N is anisotropic over Q and split over Q(sqrt -7), and its descent

@@ -192,7 +192,7 @@ class TestF4Kernel:
         assert k.provenance["idempotent"] == a.diag_unit(slot).to_json()
         assert k.form.coeffs == a.octonions.pure_norm_form().neg().coeffs
         c = a.octonions.element([Q.element(x) for x in k.provenance["c"]])
-        assert a._ratios[slot - 1] * c.norm() == Q.element(-1)
+        assert a.ratios[slot - 1] * c.norm() == Q.element(-1)
         q0, _, _ = albert.q0_data(a, a.diag_unit(slot), c)
         assert q0.to_json() == k.provenance["q0"]
         cols = [[Q.element(v) for v in col] for col in k.provenance["split_basis"]]

@@ -25,8 +25,8 @@ from pathlib import Path
 
 import pytest
 
-from splitrank import albert, cli, composition, groups, linalg, qforms, verify
-from test_output_digests import command_argvs
+from splitrank import albert, cli, composition, fields, groups, linalg, qforms, verify
+from test_output_digests import command_argvs, corpus_argvs
 
 F4_RANK1 = json.dumps({"f4": {"octonion": {"field": {"kind": "Q"}, "params": ["-1", "-1", "-1"]}, "gamma": ["1", "-1", "1"]}})
 README = [
@@ -126,3 +126,19 @@ def test_rank1_classify_decides_two_forms():
     # the norm, then the first slot form, which is isotropic: the later slot
     # forms are not decided, because a rank-1 report prints none of them
     assert entered([README[0]])[qforms.is_isotropic.__code__] == 2
+
+
+# FieldElement add/mul/inv entered per operation of the f4_certify digest
+# corpus (204 operations): none since the forms are held packed, against
+# 32.4 (6,084 products and 516 inverses) when N, the Gamma ratios, the slot
+# forms and c = c0/t were FieldElement products.  Half an entry per
+# operation fails any route that goes back to one per operation.
+F4_SCALAR_OPS_CEILING = 0.5
+
+
+def test_f4_corpus_builds_its_forms_on_packed_integers():
+    argvs = corpus_argvs("f4_certify")
+    counts = entered(argvs)
+    element = fields.FieldElement  # __radd__ and __rmul__ share the code of __add__ and __mul__
+    ops = sum(counts[f.__code__] for f in (element.__add__, element.__mul__, element.inv))
+    assert ops <= F4_SCALAR_OPS_CEILING * len(argvs), f"{ops} scalar operations in {len(argvs)} operations"

@@ -145,10 +145,11 @@ def _decomposition(field):
 
 def _unpacked_split(coeffs, v):
     """_split_step with u1, u2 and the complement columns unpacked into
-    lists of FieldElements."""
-    unpack = coeffs[0].field.kernel._unpack
-    support, u1, u2, cols, comp = _split_step(coeffs, v)
-    return support, list(unpack(*u1)), list(unpack(*u2)), [col and list(unpack(*col)) for col in cols], comp
+    lists of FieldElements, and the complement coefficients too."""
+    kernel = coeffs[0].field.kernel
+    unpack = kernel._unpack
+    support, u1, u2, cols, comp = _split_step(kernel.pack(coeffs), v)
+    return support, list(unpack(*u1)), list(unpack(*u2)), [col and list(unpack(*col)) for col in cols], list(unpack(*comp))
 
 
 def _expanded_split(coeffs, v):
@@ -298,7 +299,7 @@ class TestChecksBite:
         times = partial(kernel.packed_linear, kernel.linear_table(g))
 
         def mismatch(p):
-            return _gram_mismatch(kernel, times, [kernel.pack(col) for col in _columns(p)], list(form.coeffs))
+            return _gram_mismatch(kernel, times, [kernel.pack(col) for col in _columns(p)], form.packed)
 
         assert mismatch(p) is None
         for (r, c), kind in (((0, 0), "diagonal"), ((0, 2), "off-diagonal"), ((2, 1), "off-diagonal")):
@@ -346,13 +347,13 @@ class TestChecksBite:
             assert want == [[values[i] if i == j else field.zero() for j in range(n)] for i in range(n)]
             packed = [kernel.pack(col) for col in cols]
             times = partial(kernel.packed_times, diagonal)
-            assert _gram_mismatch(kernel, times, packed, values) is None
+            assert _gram_mismatch(kernel, times, packed, kernel.pack(values)) is None
             for i in range(n):
                 tampered = values[:i] + [values[i] + field.one()] + values[i + 1:]
-                assert _gram_mismatch(kernel, times, packed, tampered) == "diagonal"
+                assert _gram_mismatch(kernel, times, packed, kernel.pack(tampered)) == "diagonal"
             if n > 1:
                 mixed = kernel.pack([a + b for a, b in zip(cols[0], cols[1])])
-                assert _gram_mismatch(kernel, times, [packed[0], mixed] + packed[2:], values) == "off-diagonal"
+                assert _gram_mismatch(kernel, times, [packed[0], mixed] + packed[2:], kernel.pack(values)) == "off-diagonal"
 
 
 class TestHilbert:
@@ -626,7 +627,7 @@ class TestSplitStep:
         assert _vanishing_prefix(coeffs, v)
         assert QuadraticForm(Q, coeffs).evaluate([v[i] if i in support else Q.zero() for i in range(len(v))]).is_zero()
         with pytest.raises(InternalCheckFailed, match="prefix sum"):
-            _split_step(coeffs, v)
+            _split_step(Q.kernel.pack(coeffs), v)
 
     def test_witnesses_have_no_vanishing_prefix_sum(self):
         # the split relies on this: every witness of is_isotropic is

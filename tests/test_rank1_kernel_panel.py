@@ -78,14 +78,14 @@ def test_every_rank1_kernel_is_certified():
             normalized, _ = normalize_gamma(a)
             q0 = q0_form(normalized, normalized.diag_unit(3))
             f = a.field
-            support, u1, u2, comp_cols, comp = _split_step(list(q0.coeffs), [f.one(), f.one()] + [f.zero()] * 7)
+            support, u1, u2, comp_cols, comp = _split_step(q0.packed, [f.one(), f.one()] + [f.zero()] * 7)
             u1, u2 = (list(f.kernel._unpack(*u)) for u in (u1, u2))  # packed on the support
             # the witness lives on the first two coordinates: the other seven pass through
             assert support == [0, 1] and comp_cols == [None] * 7, desc
             units = [[f.one() if j == i else f.zero() for j in range(9)] for i in range(2, 9)]
             assert report["provenance"]["q0"] == q0.to_json(), desc
             assert report["provenance"]["split_basis"] == [[str(x) for x in col] for col in [u1 + [f.zero()] * 7, u2 + [f.zero()] * 7] + units], desc
-            assert report["form"]["coeffs"] == [str(c) for c in comp], desc
+            assert report["form"]["coeffs"] == f.kernel.packed_strings(*comp), desc
 
 
 @pytest.mark.parametrize("index", [0, 1, 75, 146])

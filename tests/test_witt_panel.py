@@ -115,7 +115,7 @@ def test_each_split_maps_only_its_support(monkeypatch):
 
     def spied(coeffs, witness):
         out = split(coeffs, witness)
-        splits.append((len(coeffs), len(out[0]), maps[0]))
+        splits.append((len(coeffs[0]), len(out[0]), maps[0]))  # coeffs: the packed current coefficients
         return out
 
     packed_mix = fields._Kernel.packed_mix
