@@ -44,7 +44,6 @@ from .fields import (
     FieldElement,
     field_from_json,
     legendre,
-    parse_element,
     prime_field,
     quad_ext,
     rationals,

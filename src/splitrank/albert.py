@@ -2,8 +2,10 @@
 hermitian with respect to Gamma = diag(g1, g2, g3), under the symmetrized
 product x y = (x.y + y.x)/2.
 
-Elements are 27 coordinates (x1, x2, x3, c1, c2, c3) -- three diagonal
-scalars and three octonion slots -- so Gamma-hermitianness is structural.
+Gamma is held packed for the field's kernel (`gamma` unpacks it for the
+oracles).  Elements are 27 coordinates (x1, x2, x3, c1, c2, c3) -- three
+diagonal scalars and three octonion slots -- so Gamma-hermitianness is
+structural.
 An element is a fields.PackedElement, as an octonion is: it holds its
 coordinates packed for the field's kernel, so is_zero and == decide on
 integers; a product holds the packed vector that the kernel returns, an
@@ -51,7 +53,7 @@ from .errors import (
     UnsupportedIdempotent,
     ZeroParameter,
 )
-from .fields import Field, FieldElement, PackedElement, lift, scalar_literals
+from .fields import Field, FieldElement, PackedElement, lift_packed, scalar_literals
 from .qforms import IsotropyResult, QuadraticForm, _gram_mismatch, _with_units, is_isotropic
 
 DIM = 27
@@ -67,16 +69,21 @@ class AlbertAlgebra:
     dim = DIM
 
     def __init__(self, octonions: CompositionAlgebra, gamma):
-        gamma = tuple(octonions.field.element(g) for g in gamma)
+        kernel = octonions.field.kernel
+        packed = kernel.pack(gamma)
         if octonions.dim != 8:
             raise InvalidInput("the coordinate algebra must be an octonion algebra")
-        if len(gamma) != 3:
+        if len(packed[0]) != 3:
             raise InvalidInput("Gamma must have exactly three entries")
-        if any(g.is_zero() for g in gamma):
+        if kernel._ZERO in packed[0]:
             raise ZeroParameter("Gamma entries must be nonzero")
         self.octonions = octonions
-        self.gamma = gamma
+        self.packed_gamma = packed
         self.field = octonions.field  # N is the closed Pfister form of the params: nothing to compile or prove here
+
+    @cached_property
+    def gamma(self) -> tuple[FieldElement, FieldElement, FieldElement]:  # unpacked on first read, for the oracles
+        return self.field.kernel._unpack(*self.packed_gamma)
 
     @cached_property
     def _half(self):
@@ -85,7 +92,7 @@ class AlbertAlgebra:
     @cached_property
     def _ratios(self):  # r_i scales conj(c_i) in the defining matrix: (g2/g3, g3/g1, g1/g2), packed
         kernel = self.field.kernel
-        (g1, g2, g3), _ = kernel.pack(self.gamma)
+        (g1, g2, g3), _ = self.packed_gamma
         return tuple(kernel.packed_over([u], v) for u, v in ((g2, g3), (g3, g1), (g1, g2)))
 
     @property
@@ -132,15 +139,14 @@ class AlbertAlgebra:
         return self is other or (
             isinstance(other, AlbertAlgebra)
             and self.octonions == other.octonions
-            and self.gamma == other.gamma
+            and self.field.kernel.packed_eq(self.packed_gamma, other.packed_gamma)
         )
 
-    def __hash__(self):
-        return hash((self.octonions, self.gamma))
+    def __hash__(self):  # the literals are canonical
+        return hash((self.octonions, *self.field.kernel.packed_strings(*self.packed_gamma)))
 
     def __repr__(self):
-        g = ",".join(str(x) for x in self.gamma)
-        return f"H({self.octonions!r}; {g})"
+        return f"H({self.octonions!r}; {','.join(self.field.kernel.packed_strings(*self.packed_gamma))})"
 
     def _sparse(self, entries: dict) -> AlbertElement:
         """The element with the given nonzero coordinates, born packed."""
@@ -150,27 +156,26 @@ class AlbertAlgebra:
         return self._sparse({})
 
     def unit(self) -> AlbertElement:
-        one = self.field.one()
-        return self._sparse({0: one, 1: one, 2: one})
+        return self._sparse({0: 1, 1: 1, 2: 1})
 
     def diag_unit(self, i: int) -> AlbertElement:
         """The matrix unit E_ii (i in 1..3)."""
         return self.basis(i - 1)
 
     def basis(self, idx: int) -> AlbertElement:
-        return self._sparse({idx: self.field.one()})
+        return self._sparse({idx: 1})
 
     def element(self, xs, cs) -> AlbertElement:
-        """Build from three scalars and three octonion coordinate vectors."""
-        coords = [self.field.element(x) for x in xs]
-        if len(coords) != 3:
+        """Build from three scalars and three octonion coordinate vectors,
+        packed straight from them (see Field.payload)."""
+        values = list(xs)
+        if len(values) != 3:
             raise InvalidInput("need three diagonal scalars")
         for c in cs:
-            block = c.coords if isinstance(c, CompElement) else c
-            coords.extend(self.field.element(v) for v in block)
-        if len(coords) != DIM:
+            values.extend(c.coords if isinstance(c, CompElement) else c)
+        if len(values) != DIM:
             raise InvalidInput("need three octonion slots of eight coordinates")
-        return AlbertElement(self, coords)
+        return AlbertElement(self, packed=self.field.kernel.pack(values))
 
     def random(self, rng, height: int = 4) -> AlbertElement:
         return AlbertElement(self, [self.field.random(rng, height) for _ in range(DIM)])
@@ -178,7 +183,7 @@ class AlbertAlgebra:
     def to_json(self) -> dict:
         return {
             "octonion": self.octonions.to_json(),
-            "gamma": [str(g) for g in self.gamma],
+            "gamma": self.field.kernel.packed_strings(*self.packed_gamma),
         }
 
 
@@ -438,7 +443,7 @@ def is_idempotent(x: AlbertElement) -> bool:
 def is_primitive_idempotent(x: AlbertElement) -> bool:
     """Idempotent with Q(u) = 1/2, that is tr(u^2) = 1 (packed)."""
     kernel = x.algebra.field.kernel
-    return is_idempotent(x) and kernel.packed_eq(_packed_trace(x, x), kernel.pack([x.algebra.field.one()]))
+    return is_idempotent(x) and kernel.packed_eq(_packed_trace(x, x), kernel.pack([1]))
 
 
 def is_nilpotent(z: AlbertElement) -> bool:
@@ -459,8 +464,9 @@ _SLOT_DIAG = ((0, 1, -1), (-1, 0, 1), (1, -1, 0))
 
 
 class SlotNilpotent(NamedTuple):
-    """A rank-1 certificate: slot i, the zero w = (t, c0) of slot form i,
-    and z = t (E_jj - E_kk) + slot_i(c0), built once from w."""
+    """A rank-1 certificate: slot i, the zero w = (t, c0) of slot form i as
+    the packed witness of its isotropy, and z = t (E_jj - E_kk) +
+    slot_i(c0), born packed from w."""
 
     slot: int
     zero: tuple
@@ -468,14 +474,15 @@ class SlotNilpotent(NamedTuple):
 
 
 def _build_slot_nilpotent(a: AlbertAlgebra, slot: int, witness) -> SlotNilpotent:
-    """The certificate of the zero w = (t, c0) of slot form i: z is
-    square-zero by the identity above _SLOT_DIAG, as is_isotropic checks
-    the zero exactly."""
-    t, zero = witness[0], a.field.zero()
-    coords = [t if sgn > 0 else -t if sgn else zero for sgn in _SLOT_DIAG[slot - 1]] + [zero] * 24
-    off = _SLOT_OFFSET[slot - 1]
-    coords[off : off + 8] = witness[1:]
-    return SlotNilpotent(slot, tuple(witness), AlbertElement(a, coords))
+    """The certificate of the packed zero w = (t, c0) of slot form i, z
+    placed on w's integers: z is square-zero by the identity above
+    _SLOT_DIAG, as is_isotropic checks the zero exactly."""
+    kernel, off = a.field.kernel, _SLOT_OFFSET[slot - 1]
+    (t, *c0), den = witness
+    signed = {1: t, -1: kernel._reduce([kernel._times(t, -1)])[0], 0: kernel._ZERO}
+    nums = [signed[sgn] for sgn in _SLOT_DIAG[slot - 1]] + [kernel._ZERO] * 24
+    nums[off : off + 8] = c0
+    return SlotNilpotent(slot, witness, AlbertElement(a, packed=(nums, den)))
 
 
 def nilpotent_analysis(a: AlbertAlgebra):
@@ -521,7 +528,7 @@ def orthogonal_nilpotent_pair(a: AlbertAlgebra):
     vec = is_isotropic(c_alg.pure_norm_form(), want_witness=True).witness
     if vec is None:
         raise UnsupportedCase("no explicit vector is built for an irrational pure norm form")
-    c = CompElement(c_alg, [c_alg.field.zero()] + list(vec))
+    c = CompElement(c_alg, packed=([c_alg.field.kernel._ZERO] + vec[0], vec[1]))
     if c.is_zero() or not (c * c).is_zero():
         raise InternalCheckFailed("pure isotropic vector should square to zero")
     zero8 = c_alg.zero()
@@ -553,11 +560,11 @@ def e0_subspace(a: AlbertAlgebra, u: AlbertElement, c: CompElement | None = None
     if slot is None:
         raise UnsupportedIdempotent("E0/Q0 are implemented for the diagonal idempotents E11, E22, E33")
     f, kernel, off = a.field, a.field.kernel, _SLOT_OFFSET[slot - 1]
-    basis = [a._sparse({p: f.element(s) for p, s in enumerate(_SLOT_DIAG[slot - 1]) if s})]
+    basis = [a._sparse({p: s for p, s in enumerate(_SLOT_DIAG[slot - 1]) if s})]
     packed_c = None if c is None else c.packed
     frame, _ = kernel.pack_sparse(DIM, {})
     for m in range(8):
-        e_m = kernel.pack_sparse(8, {m: f.one()})
+        e_m = kernel.pack_sparse(8, {m: 1})
         v, den = e_m if c is None else kernel.packed_bilinear(a.octonions._product, packed_c, e_m)
         basis.append(AlbertElement(a, packed=(frame[:off] + v + frame[off + 8:], den)))
     unit, vanishes = a.unit(), kernel.packed_is_zero
@@ -632,8 +639,7 @@ def _similitude(src: AlbertAlgebra, dst: AlbertAlgebra, x) -> FieldElement:
     read off the (0, 0) entry, and the whole congruence is checked exactly
     by the packed predicate of every congruence check; then X^(-1) =
     lam^(-1) Gamma^(-1) X^T Gamma'."""
-    kernel = src.field.kernel
-    gamma = kernel.pack(dst.gamma)
+    kernel, gamma = src.field.kernel, dst.packed_gamma
     cols = [kernel.pack(list(col)) for col in zip(*x)]
     lam = kernel._unpack(*kernel.packed_dot(gamma, kernel.packed_times(cols[0], cols[0])))[0] / src.gamma[0]
     expected = kernel.pack([lam * g for g in src.gamma])
@@ -794,7 +800,8 @@ def base_change_albert(a: AlbertAlgebra, ext: Field) -> AlbertAlgebra:
     """H(C (x) L; Gamma) rebuilt over a supported extension L: the tests'
     oracle for groups.f4_excellence, which lifts the base-field
     certificates instead and has no caller of this."""
-    return AlbertAlgebra(base_change_comp(a.octonions, ext), lift(a.field, ext, a.gamma))
+    gamma = ext.kernel._unpack(*lift_packed(a.field, ext, a.packed_gamma))
+    return AlbertAlgebra(base_change_comp(a.octonions, ext), gamma)
 
 
 def albert_from_json(obj: dict) -> AlbertAlgebra:

@@ -1,7 +1,8 @@
 """Cayley-Dickson composition algebras up to octonions.
 
 An algebra is presented by its doubling parameters (g1, ..., gk), k <= 3,
-over a base field; dimension 2^k.  The product is fixed by the doubling rule
+over a base field, held packed for the field's kernel (`params` unpacks
+them for the oracles); dimension 2^k.  The product is fixed by the doubling rule
 
     (a, b)(c, d) = (a c + g d conj(b),  conj(a) d + c b)
 
@@ -29,7 +30,7 @@ from .errors import (
     TooManyDoublings,
     ZeroParameter,
 )
-from .fields import Field, FieldElement, PackedElement, lift
+from .fields import Field, FieldElement, PackedElement, lift_packed
 from .qforms import QuadraticForm, equivalent, is_isotropic, pfister_diagonal
 
 
@@ -37,18 +38,22 @@ class CompositionAlgebra:
     """Composition algebra of dimension 1, 2, 4 or 8 over a supported field."""
 
     def __init__(self, field: Field, params):
-        params = tuple(field.element(p) for p in params)
-        if len(params) > 3:
+        packed = field.kernel.pack(params)
+        if len(packed[0]) > 3:
             raise TooManyDoublings("dimension 16 refused: composition law fails")
-        if any(p.is_zero() for p in params):
+        if field.kernel._ZERO in packed[0]:
             raise ZeroParameter("doubling parameters must be nonzero")
         self.field = field
-        self.params = params
-        self.dim = 2 ** len(params)
+        self.packed_params = packed
+        self.dim = 2 ** len(packed[0])
+
+    @cached_property
+    def params(self) -> tuple[FieldElement, ...]:  # unpacked on first read, for the oracles
+        return self.field.kernel._unpack(*self.packed_params)
 
     @cached_property
     def _product(self):  # the compiled doubling template, built on first use
-        keys, _, rows = _doubling_template(len(self.params))
+        keys, _, rows = _doubling_template(len(self.packed_params[0]))
         return self.field.kernel.monomial_table(rows, self.dim, keys, self.params)
 
     # ----------------------------------------------------------------- basics
@@ -56,15 +61,15 @@ class CompositionAlgebra:
         return self is other or (
             isinstance(other, CompositionAlgebra)
             and self.field == other.field
-            and self.params == other.params
+            and self.dim == other.dim
+            and self.field.kernel.packed_eq(self.packed_params, other.packed_params)
         )
 
-    def __hash__(self):
-        return hash((self.field, self.params))
+    def __hash__(self):  # the literals are canonical
+        return hash((self.field, *self.field.kernel.packed_strings(*self.packed_params)))
 
     def __repr__(self):
-        body = ",".join(str(p) for p in self.params)
-        return f"CD({body}) over {self.field}" if body else f"CD() over {self.field}"
+        return f"CD({','.join(self.field.kernel.packed_strings(*self.packed_params))}) over {self.field}"
 
     def _sparse(self, entries: dict) -> CompElement:
         """The element with the given nonzero coordinates, born packed."""
@@ -74,16 +79,16 @@ class CompositionAlgebra:
         return self._sparse({})
 
     def one(self) -> CompElement:
-        return self._sparse({0: self.field.one()})
+        return self._sparse({0: 1})
 
     def basis(self, i: int) -> CompElement:
-        return self._sparse({i: self.field.one()})
+        return self._sparse({i: 1})
 
     def element(self, coords) -> CompElement:
         return CompElement(self, [self.field.element(c) for c in coords])
 
     def scalar(self, x) -> CompElement:
-        return self._sparse({0: self.field.element(x)})
+        return self._sparse({0: x})
 
     def random(self, rng, height: int = 5) -> CompElement:
         return CompElement(self, [self.field.random(rng, height) for _ in range(self.dim)])
@@ -91,7 +96,7 @@ class CompositionAlgebra:
     # ------------------------------------------------------------------ forms
     @cached_property
     def _norm_form(self) -> QuadraticForm:
-        return QuadraticForm._of(self.field, pfister_diagonal(self.field, self.params), label="norm")
+        return QuadraticForm._of(self.field, pfister_diagonal(self.field.kernel, self.packed_params), label="norm")
 
     def norm_form(self) -> QuadraticForm:
         """The norm as a diagonal form on the canonical basis: the Pfister
@@ -116,7 +121,7 @@ class CompositionAlgebra:
     def to_json(self) -> dict:
         return {
             "field": self.field.to_json(),
-            "params": [str(p) for p in self.params],
+            "params": self.field.kernel.packed_strings(*self.packed_params),
         }
 
 
@@ -205,7 +210,7 @@ def base_change_comp(c: CompositionAlgebra, ext: Field) -> CompositionAlgebra:
     doubling parameters.  No production route calls it: excellence lifts
     the certificates over the base field instead, and the tests keep this
     rebuild as their oracle."""
-    return CompositionAlgebra(ext, lift(c.field, ext, c.params))
+    return CompositionAlgebra(ext, ext.kernel._unpack(*lift_packed(c.field, ext, c.packed_params)))
 
 
 def comp_from_json(obj: dict) -> CompositionAlgebra:

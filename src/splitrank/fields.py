@@ -6,30 +6,35 @@ are residues.  No floating point appears anywhere (tests/test_exact_source.py
 scans the sources for it); real-embedding signs are decided by integer
 comparisons, and lattice enumeration bounds by integer square roots.
 
-Packed payloads.  FieldElement is the scalar type of every public function.
-The products that dominate the running time -- octonion products, Jordan
-products, the Albert matrix product and automorphism matrices -- are
-instead compiled once into tables of integer constants and run by
-`Field.kernel`, which is picked once per field kind.  `monomial_table`
-compiles every template table (octonion, Jordan, trace, matrix,
-conjugation), whose constants are signed monomials in the algebra's
-parameters.  The congruence checks of the quadratic-form engine compile
-nothing: their forms are diagonal, so a Gram is the packed coefficient
-vector and x^T G one elementwise product (`packed_times`).  A vector is
-packed into plain Python ints on entry and unpacked into canonical
-FieldElements on exit, except where work chains maps: an octonion
-(`composition.CompElement`) and an Albert element (`albert.AlbertElement`)
-are both a `PackedElement`, which holds the packed vector and unpacks its
-coordinates when they are first read, so octonion, Jordan and matrix
-products, the slices that take octonion slots and matrix entries out of
-them, and their zero tests stay on integers; a `qforms.QuadraticForm`
-holds its packed coefficients, which every isotropy decision reads;
-`qforms.witt_decompose` builds each split's columns on packed scalars
-(`_mul`, `_add`, `packed_over`), keeps them and the coefficients packed
-from split to split (`common_columns`, `packed_mix`, `packed_reduced`),
-proves each report once on the packed basis
-(`packed_times`, `packed_dot`) and writes the report's literals straight
-from it (`packed_strings`); the conjugations of
+Packed payloads.  Production holds every scalar in the packed vectors of
+`Field.kernel`, picked once per field kind; FieldElement, with operator
+arithmetic, is the scalar of the oracles (`verify`, the tests, the matrix
+route) and of helpers that take or return one scalar.  `Field.payload` is
+the one coercion: a literal, int, Fraction, (a, b) pair or element becomes
+its canonical payload with no element built; `Field.element` wraps it, and
+every kernel's `pack` calls it, so forms, octonion parameters and Gamma
+are packed straight from their literals.  `packed_strings` is the one
+literal writer, of the reports and of FieldElement.__str__.  The products
+that dominate the running time -- octonion, Jordan, the Albert matrix
+product, automorphism matrices -- are compiled once into tables of integer
+constants: `monomial_table` compiles every template table (octonion,
+Jordan, trace, matrix, conjugation), whose constants are signed monomials
+in the algebra's parameters.  The congruence checks of the quadratic-form
+engine compile nothing: their forms are diagonal, so a Gram is the packed
+coefficient vector and x^T G one elementwise product (`packed_times`).
+Packed data unpacks into FieldElements only where an oracle reads it: an
+octonion (`composition.CompElement`) and an Albert element
+(`albert.AlbertElement`) are both a `PackedElement`, which unpacks its
+coordinates when they are first read, so products, slices and zero tests
+stay on integers; a `qforms.QuadraticForm`, the parameters of a
+`composition.CompositionAlgebra` and the Gamma of an
+`albert.AlbertAlgebra` have lazy views (`coeffs`, `params`, `gamma`); an
+isotropy witness is a packed vector, read in an extension by
+`lift_packed`.  `qforms.witt_decompose` builds each split's columns on
+packed scalars (`_mul`, `_add`, `packed_over`), keeps them and the
+coefficients packed from split to split (`common_columns`, `packed_mix`,
+`packed_reduced`) and proves each report once on the packed basis
+(`packed_times`, `packed_dot`); the conjugations of
 `albert.conjugation_between` fill their rows from packed outputs
 (`packed_table`), and their sampled checks draw packed vectors
 (`random_packed`, with the draws of `Field.random`) and compare them:
@@ -446,23 +451,69 @@ class Field:
         return self.element(1)
 
     def element(self, value) -> FieldElement:
-        """Coerce an int, Fraction, (a, b) pair, literal string, or element."""
-        if isinstance(value, FieldElement):
+        """value as an element of this field: one of its elements as it is,
+        and anything else that payload reads wrapped around its payload."""
+        payload = self.payload(value)
+        return value if type(value) is FieldElement else FieldElement(self, payload)
+
+    def payload(self, value):
+        """The canonical payload of value, as FieldElement.value holds it, with
+        no element built: a literal string (_literal), an int, a Fraction,
+        an (a, b) pair over Q(sqrt d), or an element of this field."""
+        if type(value) is FieldElement:
             if value.field is not self and value.field != self:
                 raise FieldMismatch(f"element of {value.field} is not in {self}")
-            return value
+            return value.value
         if isinstance(value, str):
-            return parse_element(self, value)
+            return self._literal(value)
         if self.kind == PRIME_FIELD:
             if isinstance(value, Fraction):
-                return self.element(value.numerator) / self.element(value.denominator)
-            return FieldElement(self, int(value) % self.p)
+                if value.denominator % self.p == 0:
+                    raise DivisionByZero(f"inverse of 0 in {self}")
+                return value.numerator * pow(value.denominator, -1, self.p) % self.p
+            return int(value) % self.p
         if self.kind == RATIONALS:
-            return FieldElement(self, Fraction(value))
+            return Fraction(value)
         if isinstance(value, tuple):
             a, b = value
-            return FieldElement(self, (Fraction(a), Fraction(b)))
-        return FieldElement(self, (Fraction(value), Fraction(0)))
+            return Fraction(a), Fraction(b)
+        return Fraction(value), Fraction(0)
+
+    def _literal(self, text: str):
+        """The payload of a literal.  Q: "5/6", "-3" (what Fraction reads).
+        F_p: a decimal integer.  Q(sqrt d): "1/2+3/5*r", "-r", "2-r", where
+        r stands for sqrt(d).  An ASCII '-' and the unicode minus are both
+        accepted, and so are spaces, except one that splits a number or a
+        fraction.  An error echoes the literal as _shown cuts it."""
+        s = text.replace("−", "-")
+        if " " in s:
+            if _SPLIT_NUMBER.search(s):
+                raise InvalidInput(f"a space splits a number in the literal {_shown(text)}")
+            s = s.replace(" ", "")
+        if not s:
+            raise InvalidInput("empty element literal")
+        if self.kind == PRIME_FIELD:
+            try:
+                return int(s) % self.p
+            except ValueError:
+                raise InvalidInput(f"bad F_p literal {_shown(text)}") from None
+        if self.kind == RATIONALS:
+            try:  # most literals are integers: int() is cheaper than Fraction's regex
+                return Fraction(int(s))
+            except ValueError:
+                try:
+                    return Fraction(s)
+                except (ValueError, ZeroDivisionError):
+                    raise InvalidInput(f"bad rational literal {_shown(text)}") from None
+        m = _LIT.match(s)
+        if not m or (m["a"] is None and m["r"] is None) or (m["r"] and m["a"] and not m["bsign"]):
+            raise InvalidInput(f"bad quadratic literal {_shown(text)}")
+        try:  # a sign before a lone "r" is b's
+            a = Fraction(m["a"] or 0) * (-1 if m["asign"] == "-" else 1)
+            b = Fraction(m["b"] or 1) * (-1 if (m["bsign"] or m["asign"]) == "-" else 1) if m["r"] else Fraction(0)
+        except (ValueError, ZeroDivisionError):  # a zero denominator, or digits past the int-string limit
+            raise InvalidInput(f"bad quadratic literal {_shown(text)}") from None
+        return a, b
 
     def sqrt_gen(self) -> FieldElement:
         """The generator sqrt(d) of a quadratic extension."""
@@ -511,23 +562,15 @@ def field_from_json(obj: dict) -> Field:
     raise InvalidInput(f"unknown field kind {kind!r}")
 
 
-def lift(base: Field, ext: Field, xs) -> tuple[FieldElement, ...]:
-    """The elements xs of base read as elements of ext: the identity when
-    ext is base, the inclusion of Q in Q(sqrt d) otherwise."""
-    return tuple(xs) if _is_base(base, ext) else tuple(ext.element(x.value) for x in xs)
-
-
 def lift_packed(base: Field, ext: Field, u):
-    """The packed vector u of base read in ext, as lift reads elements: a
-    numerator n over Q is the pair (n, 0) over Q(sqrt d)."""
-    return u if _is_base(base, ext) else ([(n, 0) for n in u[0]], u[1])
-
-
-def _is_base(base: Field, ext: Field) -> bool:
-    """ext == base; raises unless it is, or ext is Q(sqrt d) and base Q."""
-    if ext != base and (base.kind != RATIONALS or ext.kind != QUAD_EXT):
+    """The packed vector u of base read in ext: u itself when ext is base,
+    and for the inclusion of Q in Q(sqrt d) each numerator n as the pair
+    (n, 0).  Any other pair of fields raises UnsupportedExtension."""
+    if ext == base:
+        return u
+    if base.kind != RATIONALS or ext.kind != QUAD_EXT:
         raise UnsupportedExtension(f"{base} -> {ext} is not a supported field extension")
-    return ext == base
+    return [(n, 0) for n in u[0]], u[1]
 
 
 def _int_from_json(value, name: str) -> int:
@@ -596,7 +639,7 @@ class FieldElement:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             try:
-                other = self.field.element(other)
+                return self.value == self.field.payload(other)
             except (InvalidInput, DivisionByZero):
                 return NotImplemented
         if not isinstance(other, FieldElement):
@@ -732,20 +775,9 @@ class FieldElement:
     def __repr__(self):
         return f"<{self} in {self.field}>"
 
-    def __str__(self):
-        if self.field.kind == QUAD_EXT:
-            return _quad_str(*self.value)
-        return str(self.value)
-
-
-def _quad_str(a: Fraction, b: Fraction) -> str:
-    """The literal of a + b*r, r = sqrt(d): "a", "b*r" or "a+b*r"."""
-    if b == 0:
-        return str(a)
-    rpart = f"{abs(b)}*r"
-    if a == 0:
-        return f"-{rpart}" if b < 0 else rpart
-    return f"{a}{'-' if b < 0 else '+'}{rpart}"
+    def __str__(self):  # the literal that the reports write: the kernel's one writer
+        kernel = self.field.kernel
+        return kernel.packed_strings(*kernel.pack([self]))[0]
 
 
 # the slot setters, bypassing the immutability guard in __setattr__
@@ -775,56 +807,8 @@ _LIT = re.compile(
     rf"^(?P<asign>[+-])?(?P<a>{_FRAC}(?![\d/*r]))?"
     rf"(?:(?P<bsign>[+-])?(?:(?P<b>{_FRAC})\*)?(?P<r>r))?$"
 )
-
-
-def parse_element(field: Field, text) -> FieldElement:
-    """Parse an element literal.
-
-    Q: "5/6", "-3".  Fp: decimal residue.  QSqrt: "1/2+3/5*r", "-r", "2-r"
-    where r stands for sqrt(d).  An ASCII '-' and the unicode minus are both
-    accepted.  An error echoes the literal as _shown cuts it.
-    """
-    if isinstance(text, (int, Fraction)):
-        return field.element(text)
-    if not isinstance(text, str):
-        raise InvalidInput(f"cannot parse element from {_shown(text)}")
-    s = text.replace("−", "-").replace(" ", "")
-    if not s:
-        raise InvalidInput("empty element literal")
-    if field.kind == PRIME_FIELD:
-        try:
-            return field.element(int(s))
-        except ValueError:
-            raise InvalidInput(f"bad F_p literal {_shown(text)}") from None
-    if field.kind == RATIONALS:
-        try:  # most literals are integers: int() is cheaper than Fraction's regex
-            value = Fraction(int(s))
-        except ValueError:
-            try:
-                value = Fraction(s)
-            except (ValueError, ZeroDivisionError):
-                raise InvalidInput(f"bad rational literal {_shown(text)}") from None
-        return FieldElement(field, value)
-    m = _LIT.match(s)
-    if not m or (m.group("a") is None and m.group("r") is None):
-        raise InvalidInput(f"bad quadratic literal {_shown(text)}")
-    try:
-        a = Fraction(0)
-        if m.group("a") is not None:
-            a = Fraction(m.group("a"))
-            if m.group("asign") == "-":
-                a = -a
-        b = Fraction(0)
-        if m.group("r") is not None:
-            b = Fraction(m.group("b")) if m.group("b") is not None else Fraction(1)
-            sign = m.group("bsign")
-            if sign is None and m.group("a") is not None:
-                raise InvalidInput(f"bad quadratic literal {_shown(text)}")
-            if sign == "-" or (sign is None and m.group("asign") == "-"):
-                b = -b
-    except (ValueError, ZeroDivisionError):  # a zero denominator, or digits past the int-string limit
-        raise InvalidInput(f"bad quadratic literal {_shown(text)}") from None
-    return field.element((a, b))
+# a space between two characters of a number or a fraction, as in "1 2" or "3 /4"
+_SPLIT_NUMBER = re.compile(r"[\w./] +[\w./]")
 
 
 # ---------------------------------------------------------------------------
@@ -849,8 +833,8 @@ class _Kernel:
     of a packed vector), `_dot` pairs two lists of them, `packed_times` and
     `packed_dot` two packed vectors (a diagonal Gram times x, and x^T G y),
     and `packed_over` packs a list of them over one nonzero one.
-    `packed_strings` writes a packed vector's literals, as str() writes its
-    unpacked entries."""
+    `packed_strings` writes a packed vector's literals, the one writer of
+    literals (FieldElement.__str__ calls it)."""
 
     def __init__(self, field: Field):
         self.field = field
@@ -988,7 +972,7 @@ class _IntegerKernel(_Kernel):
 
 class _RationalKernel(_IntegerKernel):
     def pack(self, elems):
-        values = [e.value for e in elems]
+        values = list(map(self.field.payload, elems))
         den = lcm(*[v.denominator for v in values])
         return [v.numerator * (den // v.denominator) for v in values], den
 
@@ -1017,7 +1001,7 @@ class _PrimeKernel(_IntegerKernel):
     """F_p: packed outputs are residues over the denominator 1."""
 
     def pack(self, elems):
-        return [e.value for e in elems], 1
+        return list(map(self.field.payload, elems)), 1
 
     def _reduce(self, nums):
         p = self.field.p
@@ -1046,7 +1030,7 @@ class _QuadKernel(_Kernel):
     _ZERO, _ONE = (0, 0), (1, 0)
 
     def pack(self, elems):
-        values = [e.value for e in elems]
+        values = list(map(self.field.payload, elems))
         den = lcm(*[a.denominator for a, _ in values], *[b.denominator for _, b in values])
         return [
             (a.numerator * (den // a.denominator), b.numerator * (den // b.denominator))
@@ -1059,7 +1043,13 @@ class _QuadKernel(_Kernel):
 
     @staticmethod
     def packed_strings(pairs, den):
-        return [_quad_str(Fraction(a, den), Fraction(b, den)) for a, b in pairs]
+        """The literal of each a + b r, r = sqrt(d): "a", "b*r" or "a+b*r",
+        with a and |b| written as over Q."""
+        parts = _RationalKernel.packed_strings([x for a, b in pairs for x in (a, abs(b))], den)
+        return [
+            f"{a_str if a else ''}{'-' if b < 0 else '+' if a else ''}{b_str}*r" if b else a_str
+            for (a, b), a_str, b_str in zip(pairs, parts[::2], parts[1::2])
+        ]
 
     def random_packed(self, rng, n, height):  # a and then b of each coordinate, drawn as over Q
         nums, den = _RationalKernel.random_packed(rng, 2 * n, height)

@@ -19,7 +19,7 @@ re-check z^2 = 0 and the E0/Q0 Gram in the Albert algebra.
 
 Excellence builds nothing over the extension L, and L = k takes the same
 route as every other L.  The k-report is computed once and lifted
-(fields.lift).  Decided over L, on lifted k coefficients: the isotropy of
+(fields.lift_packed).  Decided over L, on lifted k coefficients: the isotropy of
 N, of the three slot forms and of the kernel form -N'; a norm that only L
 splits (d < 0) gets the Q(sqrt d) descent vector.  Every other certificate
 over L is the k certificate read in L, its checks made over k.  The
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field as dc_field, replace
 from .albert import AlbertAlgebra, SlotNilpotent, conjugation_between, nilpotent_analysis
 from .composition import CompositionAlgebra
 from .errors import InternalCheckFailed, InvalidInput, NonNormalizableGamma
-from .fields import Field, lift, lift_packed
+from .fields import Field, lift_packed
 from .qforms import (
     METHOD_WITNESS,
     IsotropyResult,
@@ -85,12 +85,12 @@ class RankReport:
     @property
     def certificate(self) -> dict:
         if self.norm.isotropic:
-            return {"kind": CERT_SPLIT, "norm_isotropy": _result_json(self.norm)}
+            return {"kind": CERT_SPLIT, "norm_isotropy": self.norm.to_json()}
         if self.group_type == G2:
-            return {"kind": CERT_NORM_ANISO, "norm_anisotropy": _result_json(self.norm)}
+            return {"kind": CERT_NORM_ANISO, "norm_anisotropy": self.norm.to_json()}
         if self.nilpotent is not None:
             return {"kind": CERT_NILPOTENT, "element": self.nilpotent.element.to_json()}
-        return {"kind": CERT_THREE_FORM, "slot_forms": [_result_json(r) for r in self.slot_forms]}
+        return {"kind": CERT_THREE_FORM, "slot_forms": [r.to_json() for r in self.slot_forms]}
 
     def to_json(self) -> dict:
         return {
@@ -138,13 +138,6 @@ class ExcellenceReport:
         }
 
 
-def _result_json(res: IsotropyResult) -> dict:
-    out = {"isotropic": res.isotropic, "method": res.method, "detail": res.detail}
-    if res.witness is not None:
-        out["witness"] = [str(v) for v in res.witness]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # lifting base-field data to an extension
 # ---------------------------------------------------------------------------
@@ -168,7 +161,7 @@ def _norm_over(norm: QuadraticForm, ext: Field, rank_base: RankReport) -> Isotro
         raise InternalCheckFailed("N is isotropic over the base field but not over the extension")
     if k_split.witness is None:  # an irrational parameter over Q(sqrt d): the verdict stands without one
         return res
-    return replace(res, method=METHOD_WITNESS, witness=lift(norm.field, ext, k_split.witness))
+    return replace(res, method=METHOD_WITNESS, witness=lift_packed(norm.field, ext, k_split.witness))
 
 
 # ---------------------------------------------------------------------------
@@ -289,20 +282,20 @@ def _spin_kernel(form: QuadraticForm, provenance: dict) -> KernelDescriptor:
     """The rank-1 descriptor of the kernel form -N' = Q0 - <1, -1>, split
     off Q0 on the identity basis; its anisotropy is decided over the field
     of form.  provenance holds the rank, slot, c and idempotent."""
-    f = form.field
+    kernel = form.field.kernel
     aniso = is_isotropic(form, want_witness=False)
     if aniso.isotropic:
         raise InternalCheckFailed("rank-1 kernel form is isotropic")
-    one, zero = str(f.one()), str(f.zero())
+    one, zero = kernel.packed_strings([kernel._ONE, kernel._ZERO], 1)
     return KernelDescriptor(
         KIND_SPIN,
         form=form,
         provenance={
             **provenance,
             "isotropic_vector": [one, one] + [zero] * 7,
-            "q0": QuadraticForm._of(f, _with_units(f.kernel, [1, -1], form.packed), label="Q0").to_json(),
+            "q0": QuadraticForm._of(form.field, _with_units(kernel, [1, -1], form.packed), label="Q0").to_json(),
             "split_basis": [[one if r == col else zero for r in range(9)] for col in range(9)],
-            "anisotropy": _result_json(aniso),
+            "anisotropy": aniso.to_json(),
         },
     )
 
@@ -311,12 +304,11 @@ def _spin_kernel_form(a: AlbertAlgebra, report: RankReport) -> tuple[QuadraticFo
     """The kernel form -N' over k and its provenance, from the slot i and
     the zero (t, c0) of a rank-1 report's nilpotent, c = c0/t (see
     f4_kernel), all on packed integers; _spin_kernel decides its anisotropy."""
-    slot, zero, _ = report.nilpotent
+    slot, ((t, *c0), _), _ = report.nilpotent
     kernel = a.field.kernel
-    (t, *c0), _ = kernel.pack(zero)
     c = kernel.packed_over(c0, t)
     norm_c = kernel.packed_dot(a.octonions.norm_form().packed, kernel.packed_times(c, c))  # on the closed form
-    if not kernel.packed_eq(kernel.packed_times(a._ratios[slot - 1], norm_c), kernel.pack([-a.field.one()])):
+    if not kernel.packed_eq(kernel.packed_times(a._ratios[slot - 1], norm_c), kernel.pack([-1])):
         raise InternalCheckFailed("the rank certificate gives no slot element c with r_i N(c) = -1")
     provenance = {"rank": 1, "slot": slot, "c": kernel.packed_strings(*c), "idempotent": a.diag_unit(slot).to_json()}
     form = a.octonions.pure_norm_form().neg().packed  # Q0 = <1> - N = <1, -1> - N'

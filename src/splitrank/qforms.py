@@ -87,10 +87,10 @@ class QuadraticForm:
     __slots__ = ("field", "packed", "label", "_coeffs")
 
     def __init__(self, field: Field, coeffs, label: str | None = None):
-        coeffs = tuple(field.element(c) for c in coeffs)
-        if any(c.is_zero() for c in coeffs):
+        packed = field.kernel.pack(coeffs)
+        if field.kernel._ZERO in packed[0]:
             raise InvalidInput("quadratic form coefficients must be nonzero")
-        for name, value in zip(self.__slots__, (field, field.kernel.pack(coeffs), label, coeffs)):
+        for name, value in zip(self.__slots__, (field, packed, label, None)):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -133,12 +133,10 @@ class QuadraticForm:
 
     def evaluate(self, vec) -> FieldElement:
         """q(vec) = sum a_i x_i^2, summed on packed integers."""
-        f = self.field
-        vec = [f.element(v) for v in vec]
-        if len(vec) != self.dim:
-            raise InvalidInput(f"vector length {len(vec)} != dim {self.dim}")
-        kernel = f.kernel
+        kernel = self.field.kernel
         x = kernel.pack(vec)
+        if len(x[0]) != self.dim:
+            raise InvalidInput(f"vector length {len(x[0])} != dim {self.dim}")
         return kernel._unpack(*kernel.packed_dot(self.packed, kernel.packed_times(x, x)))[0]
 
     def det_squareclass(self):
@@ -204,8 +202,10 @@ def form_from_json(obj: dict) -> QuadraticForm:
 
 @dataclass
 class IsotropyResult:
-    """Verdict with certificate for one isotropy decision."""
+    """Verdict with certificate for one isotropy decision over field: the
+    witness, if any, is a packed vector of field.kernel; to_json writes it."""
 
+    field: Field
     isotropic: bool
     method: str
     witness: tuple | None = None
@@ -213,6 +213,12 @@ class IsotropyResult:
 
     def __bool__(self):
         return self.isotropic
+
+    def to_json(self) -> dict:
+        out = {"isotropic": self.isotropic, "method": self.method, "detail": self.detail}
+        if self.witness is not None:
+            out["witness"] = self.field.kernel.packed_strings(*self.witness)
+        return out
 
 
 @dataclass
@@ -556,7 +562,7 @@ def _search_integer(coeffs: list[int], bound: int):
 
 
 def _fp_witness(q: QuadraticForm):
-    """Deterministic nonzero isotropic vector over F_p, or None.
+    """Deterministic nonzero isotropic vector over F_p, packed, or None.
 
     dim >= 3 always succeeds (fix tail = (1,0,..), solve the binary equation
     a1 x^2 + a2 y^2 = m by sweeping x); dim 2 is an exact square test, and
@@ -583,11 +589,11 @@ def _fp_witness(q: QuadraticForm):
 
 
 def _checked_fp_zero(q: QuadraticForm, vec):
-    """vec over F_p, checked exactly: vec != 0 and sum a_i x_i^2 = 0 mod p."""
+    """The residues vec, packed, checked exactly: vec != 0 and sum a_i x_i^2 = 0 mod p."""
     p = q.field.p
     if not any(x % p for x in vec) or sum(c * x * x for c, x in zip(q.packed[0], vec)) % p:
         raise InternalCheckFailed("constructed vector is not a zero of the form")
-    return tuple(q.field.element(x) for x in vec)
+    return [x % p for x in vec], 1
 
 
 def isotropic_vector_search(q: QuadraticForm, height_bound: int):
@@ -610,7 +616,7 @@ def isotropic_vector_search(q: QuadraticForm, height_bound: int):
                 if sum(c * x * x for c, x in zip(q.packed[0], xs)) % p == 0:
                     return tuple(f.element(x) for x in xs)
             return None
-        return _fp_witness(q)
+        return q.field.kernel._unpack(*w) if (w := _fp_witness(q)) else None
     raise UnsupportedField("bounded search is for Q and F_p forms")
 
 
@@ -939,19 +945,19 @@ def _short_vectors(b, lam, d, weights, bound: int) -> list[list[int]]:
 
 
 def _qsqrt_witness(q: QuadraticForm):
-    """Zero over Q(sqrt d) of a form with rational coefficients: the Q zero
-    when q is indefinite over Q; otherwise (d < 0) a zero (s, x2, ...) of
-    <d a1, a2, ...> over Q, which is indefinite of dim >= 5, gives
+    """Packed zero over Q(sqrt d) of a form with rational coefficients: the
+    Q zero when q is indefinite over Q; otherwise (d < 0) a zero (s, x2,
+    ...) of <d a1, a2, ...> over Q, which is indefinite of dim >= 5, gives
     (s sqrt d, x2, ...), read off the packed pairs.  None when a coefficient is irrational."""
-    f, (nums, den) = q.field, q.packed
+    nums, den = q.packed
     if any(b for _, b in nums):
         return None
     pairs = _pairs([a for a, _ in nums], den)
     if not _definite([a for a, _ in pairs]):
-        return tuple(f.element(x) for x in _q_witness(pairs))
+        return [(x, 0) for x in _q_witness(pairs)], 1
     (a, b), *rest = pairs
-    vec = _q_witness([_pairs([f.d * a], b)[0]] + rest)
-    return (f.element((0, vec[0])),) + tuple(f.element(x) for x in vec[1:])
+    s, *vec = _q_witness([_pairs([q.field.d * a], b)[0]] + rest)
+    return [(0, s)] + [(x, 0) for x in vec], 1
 
 
 # --------------------------------------------------------------------------
@@ -965,15 +971,15 @@ def is_isotropic(q: QuadraticForm, want_witness: bool = True) -> IsotropyResult:
     Q: Hasse-Minkowski through Hilbert symbols; Meyer for dim >= 5.
     Q(sqrt d): the dim >= 5 real-place rule; anything else raises.
 
-    The witness is constructed, never searched for: over Q and F_p every
-    isotropic verdict carries one when want_witness is set.  Over Q(sqrt d)
-    it is built for rational coefficients only; with an irrational
+    The witness is constructed, never searched for, and packed: over Q and
+    F_p every isotropic verdict carries one when want_witness is set.  Over
+    Q(sqrt d) it is built for rational coefficients only; with an irrational
     coefficient the verdict stands without a witness.
     """
     k = q.field.kind
     n = q.dim
     if n == 0:
-        return IsotropyResult(False, METHOD_LOCAL, detail={"reason": "empty form"})
+        return IsotropyResult(q.field, False, METHOD_LOCAL, detail={"reason": "empty form"})
     if k == PRIME_FIELD:
         return _is_isotropic_fp(q, want_witness)
     if k == RATIONALS:
@@ -982,44 +988,44 @@ def is_isotropic(q: QuadraticForm, want_witness: bool = True) -> IsotropyResult:
 
 
 def _is_isotropic_fp(q: QuadraticForm, want_witness: bool) -> IsotropyResult:
-    n, p = q.dim, q.field.p
+    f, n, p = q.field, q.dim, q.field.p
     if n == 1:
-        return IsotropyResult(False, METHOD_COUNT, detail={"reason": "dim 1 regular"})
+        return IsotropyResult(f, False, METHOD_COUNT, detail={"reason": "dim 1 regular"})
     if n == 2:
         # one square root of -a2/a1 decides and builds the witness (x, 1)
         w = _fp_witness(q)
         if w is None:
             return IsotropyResult(
-                False, METHOD_COUNT,
+                f, False, METHOD_COUNT,
                 detail={"reason": "-a1*a2 is a nonresidue", "p": p},
             )
-        return IsotropyResult(True, METHOD_WITNESS, witness=w)
+        return IsotropyResult(f, True, METHOD_WITNESS, witness=w)
     w = _fp_witness(q) if want_witness else None
     return IsotropyResult(
-        True, METHOD_WITNESS if w else METHOD_COUNT, witness=w,
+        f, True, METHOD_WITNESS if w else METHOD_COUNT, witness=w,
         detail={"reason": "dim >= 3 over a finite field"},
     )
 
 
 def _is_isotropic_q(q: QuadraticForm, want_witness: bool) -> IsotropyResult:
-    n, pairs = q.dim, _pairs(*q.packed)
+    f, n, pairs = q.field, q.dim, _pairs(*q.packed)
     if n == 1:
-        return IsotropyResult(False, METHOD_LOCAL, detail={"reason": "dim 1 regular"})
+        return IsotropyResult(f, False, METHOD_LOCAL, detail={"reason": "dim 1 regular"})
     if n == 2:
         # q(x, 1) = a1 x^2 + a2 = 0  <=>  x^2 = -a2/a1 (a square iff -a1 a2 is)
         (n1, d1), (n2, d2) = pairs
         x = rational_sqrt(Fraction(-n2 * d1, d2 * n1))
         if x is None:
             return IsotropyResult(
-                False, METHOD_LOCAL, detail={"reason": "-det is not a square"}
+                f, False, METHOD_LOCAL, detail={"reason": "-det is not a square"}
             )
-        return IsotropyResult(True, METHOD_WITNESS, witness=(q.field.element(x), q.field.one()))
+        return IsotropyResult(f, True, METHOD_WITNESS, witness=([x.numerator, x.denominator], x.denominator))
     found = _obstruction(pairs)
     if found:
-        return IsotropyResult(False, found[0], detail=found[1])
-    wit = tuple(q.field.element(v) for v in _q_witness(pairs)) if want_witness else None
+        return IsotropyResult(f, False, found[0], detail=found[1])
+    wit = (_q_witness(pairs), 1) if want_witness else None
     reason = "indefinite of dim >= 5 (Meyer)" if n >= 5 else "isotropic at every place (Hasse-Minkowski)"
-    return IsotropyResult(True, METHOD_WITNESS if wit else METHOD_LOCAL, witness=wit, detail={"reason": reason})
+    return IsotropyResult(f, True, METHOD_WITNESS if wit else METHOD_LOCAL, witness=wit, detail={"reason": reason})
 
 
 def _is_isotropic_qsqrt(q: QuadraticForm, want_witness: bool) -> IsotropyResult:
@@ -1031,13 +1037,13 @@ def _is_isotropic_qsqrt(q: QuadraticForm, want_witness: bool) -> IsotropyResult:
     for place, (pos, neg) in enumerate(q.signatures_all_places()):  # none when d < 0
         if pos == 0 or neg == 0:
             return IsotropyResult(
-                False, METHOD_REAL,
+                q.field, False, METHOD_REAL,
                 detail={"real_place": place, "signature": [pos, neg]},
             )
     wit = _qsqrt_witness(q) if want_witness else None
     places = "no real places" if q.field.d < 0 else "indefinite at every real place"
     return IsotropyResult(
-        True, METHOD_WITNESS if wit else METHOD_REAL, witness=wit,
+        q.field, True, METHOD_WITNESS if wit else METHOD_REAL, witness=wit,
         detail={"reason": f"{places}, dim >= 5"},
     )
 
@@ -1046,9 +1052,10 @@ def _is_isotropic_qsqrt(q: QuadraticForm, want_witness: bool) -> IsotropyResult:
 # Witt decomposition
 # --------------------------------------------------------------------------
 
-def _split_step(current, witness):
+def _split_step(kernel, current, witness):
     """One hyperbolic split in the current diagonal coordinates <a_i> (the packed
-    vector current), in closed form on the support S = (s0, s1, ..., s_{m-1}) of v.
+    vector current of kernel), in closed form on the support S = (s0, s1, ...,
+    s_{m-1}) of the packed witness v.
 
     Returns (S, u1, u2, cols, comp).  u1, u2 span the plane of the witness
     with q(u1)=1, q(u2)=-1, B(u1,u2)=0: with t = a_s0 v_s0^2 they are
@@ -1071,11 +1078,11 @@ def _split_step(current, witness):
     witt_decompose proves the whole basis once.  u1, u2 and the columns
     are packed vectors of Field.kernel on S, in the order of S.
     """
-    kernel = witness[0].field.kernel
     mul, add, times, zero = kernel._mul, kernel._add, kernel._times, kernel._ZERO
-    support = [i for i, x in enumerate(witness) if not x.is_zero()]
+    (cvals, cden), (wvals, xden) = current, witness
+    support = [i for i, x in enumerate(wvals) if x != zero]
     m = len(support)
-    (cvals, cden), (xvals, xden) = current, kernel.pack([witness[i] for i in support])
+    xvals = [wvals[i] for i in support]
     den = math.lcm(cden, xden)  # the coefficients a and the witness x on S, over den
     a, x = [times(cvals[i], den // cden) for i in support], [times(v, den // xden) for v in xvals]
     c = [mul(ai, mul(xi, xi)) for ai, xi in zip(a, x)]  # a_si v_si^2 = c_i / den^3
@@ -1140,7 +1147,7 @@ def witt_decompose(q: QuadraticForm) -> WittDecomposition:
                 f"isotropy of {sub} is proved, but no explicit vector is built "
                 "for irrational coefficients"
             )
-        support, u1, u2, cols, current = _split_step(current, cert.witness)
+        support, u1, u2, cols, current = _split_step(kernel, current, cert.witness)
         base = kernel.common_columns([embed[i] for i in support])
         pairs += [kernel.packed_mix(base, u) for u in (u1, u2)]
         rest = [i for i in range(len(embed)) if i not in support[:2]]  # the coordinates before the split
@@ -1207,7 +1214,7 @@ def equivalent_with_witness(q1: QuadraticForm, q2: QuadraticForm, p) -> bool:
     n, kernel = q1.dim, q1.field.kernel
     if any(len(row) != n for row in p):
         return False
-    packed = [kernel.pack([q1.field.element(x) for x in col]) for col in _columns(p)]
+    packed = [kernel.pack(col) for col in _columns(p)]
     return _gram_mismatch(kernel, partial(kernel.packed_times, q1.packed), packed, q2.packed) is None
 
 
@@ -1217,20 +1224,21 @@ def equivalent_with_witness(q1: QuadraticForm, q2: QuadraticForm, p) -> bool:
 
 def pfister(field: Field, slots) -> QuadraticForm:
     """<1,-s1> (x) ... (x) <1,-sk> as an explicit 2^k-dim diagonal form."""
-    slots = [field.element(s) for s in slots]
-    if not 1 <= len(slots) <= 3:
-        raise InvalidInput("pfister takes 1 to 3 slots")
-    if any(s.is_zero() for s in slots):
-        raise InvalidInput("pfister slots must be nonzero")
-    return QuadraticForm._of(field, pfister_diagonal(field, slots))
-
-
-def pfister_diagonal(field: Field, slots):
-    """The diagonal of <1,-s1> (x) ... (x) <1,-sk> (nonzero slots), packed by
-    doubling on integers: over the slots' common denominator D, entry m is
-    (-1)^|m| D^(k - |m|) times the slot numerators at the bits of m."""
     kernel = field.kernel
-    (values, den), nums = kernel.pack(slots), [kernel._ONE]
+    packed = kernel.pack(slots)
+    if not 1 <= len(packed[0]) <= 3:
+        raise InvalidInput("pfister takes 1 to 3 slots")
+    if kernel._ZERO in packed[0]:
+        raise InvalidInput("pfister slots must be nonzero")
+    return QuadraticForm._of(field, pfister_diagonal(kernel, packed))
+
+
+def pfister_diagonal(kernel, slots):
+    """The diagonal of <1,-s1> (x) ... (x) <1,-sk> for a packed vector of
+    nonzero slots, packed by doubling on integers: over the slots' common
+    denominator D, entry m is (-1)^|m| D^(k - |m|) times the slot
+    numerators at the bits of m."""
+    (values, den), nums = slots, [kernel._ONE]
     for v in values:
         nums = [kernel._times(c, den) for c in nums] + [kernel._times(kernel._mul(v, c), -1) for c in nums]
     return kernel.packed_reduced((kernel._reduce(nums), den ** len(values)))

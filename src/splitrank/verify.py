@@ -242,10 +242,8 @@ def fp_equivalent_bruteforce(q1: QuadraticForm, q2: QuadraticForm) -> bool:
     n = q1.dim
     if q2.dim != n:
         return False
-    f = q1.field
     for entries in itertools.product(range(p), repeat=n * n):
-        mat = [[f.element(entries[i * n + j]) for j in range(n)] for i in range(n)]
-        if equivalent_with_witness(q1, q2, mat):
+        if equivalent_with_witness(q1, q2, [entries[i * n : (i + 1) * n] for i in range(n)]):
             return True
     return False
 
@@ -363,7 +361,7 @@ def suite_qforms(seed: int = DEFAULT_SEED) -> list[CheckResult]:
 
     def pfister_hyperbolic():
         for signs in itertools.product((1, -1), repeat=3):
-            q = pfister(f, [f.element(s) for s in signs])
+            q = pfister(f, signs)
             if is_isotropic(q, want_witness=False).isotropic and witt_decompose(q).witt_index != q.dim // 2:
                 yield f"{q}"
 
@@ -553,8 +551,8 @@ def suite_groups(seed: int = DEFAULT_SEED) -> list[CheckResult]:
                 w = is_isotropic(a1.slot_forms[2], want_witness=True).witness
                 report = replace(report, nilpotent=_build_slot_nilpotent(a1, 3, w))
             k = f4_kernel(a1, report)
-            u, c = a1.diag_unit(slot), graves.element([q_field.element(v) for v in k.provenance["c"]])
-            cols = [[q_field.element(v) for v in col] for col in k.provenance["split_basis"]]
+            u, c = a1.diag_unit(slot), graves.element(k.provenance["c"])
+            cols = k.provenance["split_basis"]  # literals, packed as they stand
             combo = QuadraticForm(q_field, [1, -1] + list(k.form.coeffs))
             if (
                 k.provenance["slot"] != slot

@@ -164,7 +164,7 @@ class TestSplit:
         assert alg.is_split()
         cert = alg.split_certificate()
         assert cert.witness is not None
-        assert alg.norm_form().evaluate(cert.witness).is_zero()
+        assert alg.norm_form().evaluate(F7.kernel._unpack(*cert.witness)).is_zero()
 
     def test_graves_over_gaussian_split(self):
         alg = base_change_comp(cayley_dickson(Q, [-1, -1, -1]), quad_ext(-1))

@@ -21,7 +21,6 @@ from splitrank.fields import (
     PRIMALITY_LIMIT,
     is_prime,
     legendre,
-    parse_element,
     prime_factors,
     prime_field,
     quad_ext,
@@ -178,15 +177,35 @@ class TestParsing:
             (R2, "3*r", (Fraction(0), Fraction(3))),
             (R2, "-21*r", (Fraction(0), Fraction(-21))),
             (R2, "12/5*r", (Fraction(0), Fraction(12, 5))),
+            # spaces between the parts of a literal are read
+            (Q, " -3/4 ", Fraction(-3, 4)),
+            (F7, "- 12", 2),
+            (R2, "1/2 + 3/5 * r", (Fraction(1, 2), Fraction(3, 5))),
+            (R2, "- r", (Fraction(0), Fraction(-1))),
         ],
     )
     def test_literals(self, field, literal, value):
-        assert parse_element(field, literal).value == value
+        assert field.element(literal).value == value
+
+    # a space inside a number or a fraction is refused, not dropped: "1 2" is
+    # not 12, over any field kind and from the command line
+    @pytest.mark.parametrize(
+        "field,literal",
+        [(Q, "1 2"), (Q, "-3 /4"), (Q, "3/ 4"), (Q, "1 e3"), (F7, "1 2"), (F7, "- 1 0"),
+         (R2, "1 2"), (R2, "1 2+r"), (R2, "1+2 3*r"), (R2, "1/2 +3/5 0*r")],
+        ids=str,
+    )
+    def test_space_inside_a_number_is_refused(self, field, literal, capsys):
+        with pytest.raises(InvalidInput):
+            field.element(literal)
+        form = json.dumps({"field": field.to_json(), "coeffs": [literal, "-1", "1"]})
+        assert cli.main(["witt", "--json", form]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["kind"] == "InvalidInput"
 
     @pytest.mark.parametrize("bad", ["", "x", "1//2", "2r", "21r", "1/0", "1+2"])
     def test_bad_literals(self, bad):
         with pytest.raises(InvalidInput):
-            parse_element(R2, bad)
+            R2.element(bad)
 
     # integers are read by int() before the Fraction parser: the accepted
     # rational literals and their values stay those of Fraction(literal)
@@ -195,13 +214,13 @@ class TestParsing:
         [("+5", 5), ("1_0", 10), ("−3", -3), ("3/4", Fraction(3, 4)), ("1e3", 1000), ("0.5", Fraction(1, 2)), ("007", 7)],
     )
     def test_rational_literal_values(self, literal, value):
-        got = parse_element(Q, literal).value
+        got = Q.element(literal).value
         assert type(got) is Fraction and got == value
 
     @pytest.mark.parametrize("bad", ["", "x", "1//2", "2r", "21r", "1/0", "1+2", "1__0", "0x10", "9" * 4301])
     def test_bad_rational_literals(self, bad, capsys):
         with pytest.raises(InvalidInput):
-            parse_element(Q, bad)
+            Q.element(bad)
         form = json.dumps({"field": {"kind": "Q"}, "coeffs": ["1", "1", bad]})
         assert cli.main(["witt", "--json", form]) == 2
         assert json.loads(capsys.readouterr().out)["error"]["kind"] == "InvalidInput"
@@ -211,9 +230,9 @@ class TestParsing:
         # Fraction raises ValueError on more than 4,300 digits, as the Q
         # parser already reports
         with pytest.raises(InvalidInput):
-            parse_element(R2, bad)
+            R2.element(bad)
         with pytest.raises(InvalidInput):
-            parse_element(Q, "9" * 5000)
+            Q.element("9" * 5000)
 
     def test_roundtrip(self):
         import random
@@ -223,7 +242,7 @@ class TestParsing:
             for height in (9, 1000):
                 for _ in range(50):
                     x = f.random(rng, height)
-                    assert parse_element(f, str(x)) == x
+                    assert f.element(str(x)) == x
 
 
 class TestJson:

@@ -203,12 +203,12 @@ class TestF4Kernel:
     def test_wrong_c_is_refused(self, tamper):
         a = AlbertAlgebra(GRAVES, [2, -2, 1])
         report = f4_rank(a)
-        t, *c0 = report.nilpotent.zero
+        t, *c0 = Q.kernel._unpack(*report.nilpotent.zero)
         if tamper == "doubled":
             c0 = [x + x for x in c0]
         else:
             c0[next(m for m, x in enumerate(c0) if x.is_zero())] = Q.element(1)
-        tampered = replace(report, nilpotent=report.nilpotent._replace(zero=(t, *c0)))
+        tampered = replace(report, nilpotent=report.nilpotent._replace(zero=Q.kernel.pack([t, *c0])))
         with pytest.raises(InternalCheckFailed, match="r_i N"):
             f4_kernel(a, tampered)
 

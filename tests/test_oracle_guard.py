@@ -128,17 +128,15 @@ def test_rank1_classify_decides_two_forms():
     assert entered([README[0]])[qforms.is_isotropic.__code__] == 2
 
 
-# FieldElement add/mul/inv entered per operation of the f4_certify digest
-# corpus (204 operations): none since the forms are held packed, against
-# 32.4 (6,084 products and 516 inverses) when N, the Gamma ratios, the slot
-# forms and c = c0/t were FieldElement products.  Half an entry per
-# operation fails any route that goes back to one per operation.
-F4_SCALAR_OPS_CEILING = 0.5
-
-
-def test_f4_corpus_builds_its_forms_on_packed_integers():
-    argvs = corpus_argvs("f4_certify")
-    counts = entered(argvs)
-    element = fields.FieldElement  # __radd__ and __rmul__ share the code of __add__ and __mul__
-    ops = sum(counts[f.__code__] for f in (element.__add__, element.__mul__, element.inv))
-    assert ops <= F4_SCALAR_OPS_CEILING * len(argvs), f"{ops} scalar operations in {len(argvs)} operations"
+# FieldElements built per operation of the three digest corpora: none since
+# every command keeps its scalars packed from the input literal to the
+# report, against 16.5 (witt_panel), 16.6 (f4_certify) and 13.1 (commands)
+# when each literal and each witness coordinate became a FieldElement that
+# was packed again or printed with str().  No element built means no
+# FieldElement arithmetic either (32.4 products and inverses per f4_certify
+# operation when the forms were FieldElement products).
+@pytest.mark.parametrize("corpus", ["witt_panel", "f4_certify", "commands"])
+def test_commands_keep_their_scalars_packed(corpus):
+    argvs = corpus_argvs(corpus)
+    built = entered(argvs)[fields.FieldElement.__init__.__code__]
+    assert built == 0, f"{built} FieldElements built in {len(argvs)} {corpus} operations"

@@ -138,17 +138,23 @@ def _decomposition(field):
         q = QuadraticForm(field, coeffs)
         return q, witt_decompose(q)
     q = QuadraticForm(field, [1, 2, 3, 5, 7, 11])
-    cols, comp = _expanded_split(list(q.coeffs), is_isotropic(q).witness)
+    cols, comp = _expanded_split(list(q.coeffs), _vector(is_isotropic(q)))
     columns = [field.kernel.pack(col) for col in cols]
     return q, WittDecomposition(1, QuadraticForm(field, comp), METHOD_WITNESS, columns=columns)
 
 
+def _vector(res):
+    """The packed witness of an isotropy result, unpacked into FieldElements."""
+    return res.field.kernel._unpack(*res.witness)
+
+
 def _unpacked_split(coeffs, v):
-    """_split_step with u1, u2 and the complement columns unpacked into
-    lists of FieldElements, and the complement coefficients too."""
+    """_split_step on the vector v of FieldElements, with u1, u2 and the
+    complement columns unpacked into lists of FieldElements, and the
+    complement coefficients too."""
     kernel = coeffs[0].field.kernel
     unpack = kernel._unpack
-    support, u1, u2, cols, comp = _split_step(kernel.pack(coeffs), v)
+    support, u1, u2, cols, comp = _split_step(kernel, kernel.pack(coeffs), kernel.pack(v))
     return support, list(unpack(*u1)), list(unpack(*u2)), [col and list(unpack(*col)) for col in cols], list(unpack(*comp))
 
 
@@ -193,7 +199,7 @@ def _decide_from_dim_five(monkeypatch):
     decide = qforms.is_isotropic
 
     def stub(q, want_witness=True):
-        return decide(q, want_witness) if q.dim >= 5 else qforms.IsotropyResult(False, qforms.METHOD_REAL)
+        return decide(q, want_witness) if q.dim >= 5 else qforms.IsotropyResult(q.field, False, qforms.METHOD_REAL)
 
     monkeypatch.setattr(qforms, "is_isotropic", stub)
 
@@ -217,8 +223,8 @@ class TestOneProof:
         witt_decompose(q)  # the honest splits pass the one check
         split, bumped = qforms._split_step, []
 
-        def corrupted(coeffs, witness):
-            support, u1, u2, cols, comp = split(coeffs, witness)
+        def corrupted(kernel, coeffs, witness):
+            support, u1, u2, cols, comp = split(kernel, coeffs, witness)
             spots = [None] if part == "u1" else [k for k, c in enumerate(cols) if c is not None]
             if spots and not bumped:
                 # the packed vector, unpacked, bumped in its first entry and packed again
@@ -422,7 +428,7 @@ class TestHasse:
 class TestIsotropy:
     def test_hyperbolic_plane(self):
         res = is_isotropic(QuadraticForm(Q, [1, -1]))
-        assert res.isotropic and QuadraticForm(Q, [1, -1]).evaluate(res.witness).is_zero()
+        assert res.isotropic and QuadraticForm(Q, [1, -1]).evaluate(_vector(res)).is_zero()
 
     def test_positive_definite(self):
         res = is_isotropic(QuadraticForm(Q, [1] * 8))
@@ -438,7 +444,7 @@ class TestIsotropy:
         ]
         assert found  # e.g. (1, 2, 0): 1 + 4 = 5
         res = is_isotropic(q)
-        assert res.isotropic and q.evaluate(res.witness).is_zero()
+        assert res.isotropic and q.evaluate(_vector(res)).is_zero()
 
     def test_ternary_anisotropic_at_two(self):
         # <1,-2,-3>: exhaustive residue check mod 8 shows no primitive
@@ -456,7 +462,7 @@ class TestIsotropy:
     def test_ternary_isotropic_with_witness(self):
         q = QuadraticForm(Q, [1, 2, -3])
         res = is_isotropic(q)
-        assert res.isotropic and q.evaluate(res.witness).is_zero()
+        assert res.isotropic and q.evaluate(_vector(res)).is_zero()
 
     def test_meyer_indefinite_dim5(self):
         assert is_isotropic(QuadraticForm(Q, [1, 1, 1, 1, -7])).isotropic
@@ -471,7 +477,7 @@ class TestIsotropy:
         res = is_isotropic(q_im)
         assert res.isotropic
         if res.witness is not None:
-            assert q_im.evaluate(res.witness).is_zero()
+            assert q_im.evaluate(_vector(res)).is_zero()
 
     def test_qsqrt_indefinite_at_one_place_only(self):
         # 1+sqrt2 is positive at the first embedding, negative at the second:
@@ -493,7 +499,7 @@ class TestIsotropy:
                 res = is_isotropic(q)
                 assert res.isotropic == found, (p, a1, a2)
                 if found:
-                    assert q.evaluate(res.witness).is_zero() and any(not c.is_zero() for c in res.witness)
+                    assert q.evaluate(_vector(res)).is_zero() and any(not c.is_zero() for c in _vector(res))
 
     def test_qsqrt_small_dim_unsupported(self):
         with pytest.raises(UnsupportedCase):
@@ -627,7 +633,7 @@ class TestSplitStep:
         assert _vanishing_prefix(coeffs, v)
         assert QuadraticForm(Q, coeffs).evaluate([v[i] if i in support else Q.zero() for i in range(len(v))]).is_zero()
         with pytest.raises(InternalCheckFailed, match="prefix sum"):
-            _split_step(Q.kernel.pack(coeffs), v)
+            _split_step(Q.kernel, Q.kernel.pack(coeffs), Q.kernel.pack(v))
 
     def test_witnesses_have_no_vanishing_prefix_sum(self):
         # the split relies on this: every witness of is_isotropic is
@@ -652,9 +658,10 @@ class TestSplitStep:
         for field, low, high, draw in cases:
             for _ in range(150):
                 coeffs = [field.element(draw()) for _ in range(rng.randint(low, high))]
-                v = is_isotropic(QuadraticForm(field, coeffs)).witness
-                if v is None:
+                res = is_isotropic(QuadraticForm(field, coeffs))
+                if res.witness is None:
                     continue
+                v = _vector(res)
                 assert not _vanishing_prefix(coeffs, v), (field, coeffs, v)
                 support = sum(not x.is_zero() for x in v)
                 assert field.kind != "Fp" or support <= 3
@@ -718,13 +725,13 @@ class TestConstructedWitnesses:
         d = witt_decompose(q)
         assert d.basis is not None and d.witt_index == witt_index_by_invariants(q)
         res = is_isotropic(q)
-        assert res.isotropic and q.evaluate(res.witness).is_zero()
+        assert res.isotropic and q.evaluate(_vector(res)).is_zero()
 
     def test_imaginary_field_witness_from_a_definite_rational_form(self):
         ri = quad_ext(-7)
         q = QuadraticForm(ri, [1, 2, 3, 5, 7, 11])
         res = is_isotropic(q)
-        assert res.method == "explicit_witness" and q.evaluate(res.witness).is_zero()
+        assert res.method == "explicit_witness" and q.evaluate(_vector(res)).is_zero()
 
     def test_irrational_coefficients_keep_the_verdict_without_a_witness(self):
         q = QuadraticForm(quad_ext(-7), [1, 1, 1, 1, (0, 1)])
@@ -745,7 +752,7 @@ class TestConstructedWitnesses:
         monkeypatch.setattr(qforms, "_solve_sqf", lambda s: seen.append(list(s)) or solve(s))
         q = QuadraticForm(field, coeffs)
         res = is_isotropic(q)
-        assert res.isotropic and q.evaluate(res.witness).is_zero()
+        assert res.isotropic and q.evaluate(_vector(res)).is_zero()
         assert seen[0] == [-182131855477, 9790, 5, 143515722083, 71]
 
     def test_seeded_differential_panel(self):
@@ -759,7 +766,7 @@ class TestConstructedWitnesses:
             q = QuadraticForm(Q, coeffs)
             res = is_isotropic(q)
             if res.isotropic:
-                assert res.witness is not None and q.evaluate(res.witness).is_zero(), coeffs
+                assert res.witness is not None and q.evaluate(_vector(res)).is_zero(), coeffs
             d = witt_decompose(q)
             assert d.basis is not None, coeffs
             assert d.witt_index == witt_index_by_invariants(q), coeffs

@@ -78,7 +78,7 @@ def test_every_rank1_kernel_is_certified():
             normalized, _ = normalize_gamma(a)
             q0 = q0_form(normalized, normalized.diag_unit(3))
             f = a.field
-            support, u1, u2, comp_cols, comp = _split_step(q0.packed, [f.one(), f.one()] + [f.zero()] * 7)
+            support, u1, u2, comp_cols, comp = _split_step(f.kernel, q0.packed, f.kernel.pack([1, 1] + [0] * 7))
             u1, u2 = (list(f.kernel._unpack(*u)) for u in (u1, u2))  # packed on the support
             # the witness lives on the first two coordinates: the other seven pass through
             assert support == [0, 1] and comp_cols == [None] * 7, desc

@@ -191,7 +191,7 @@ class TestSplitValueBudget:
     def test_within_the_budget(self):
         q = QuadraticForm(rationals(), self.COEFFS)
         res = is_isotropic(q)
-        assert res.isotropic and q.evaluate(res.witness).is_zero()
+        assert res.isotropic and q.evaluate(q.field.kernel._unpack(*res.witness)).is_zero()
 
     def test_past_the_budget_is_a_typed_limit(self, monkeypatch):
         monkeypatch.setattr(qforms, "_SPLIT_VALUE_BUDGET", 100)

@@ -113,8 +113,8 @@ def test_each_split_maps_only_its_support(monkeypatch):
     # columns of the support S; every other column passes through untouched
     split, maps, splits = qforms._split_step, [0], []
 
-    def spied(coeffs, witness):
-        out = split(coeffs, witness)
+    def spied(kernel, coeffs, witness):
+        out = split(kernel, coeffs, witness)
         splits.append((len(coeffs[0]), len(out[0]), maps[0]))  # coeffs: the packed current coefficients
         return out
 
