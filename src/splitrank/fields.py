@@ -51,19 +51,20 @@ Fractions.  `verify.reference_octonion_mul` and
 `verify.reference_matrix_mul` are plain FieldElement oracles for the
 kernels.
 
-Factoring.  `prime_factors` is trial division below 1000, then `_split`
-on each composite cofactor: an exact perfect-power test, Pollard rho
-(Brent's variant) up to a fixed step cap, then Lenstra's elliptic-curve
-method on Montgomery curves (stage 1 to B1, standard continuation to B2),
-until the B1 of its curves, summed and times the bit length of the
-cofactor, would pass `_ECM_WORK`, where it raises InputTooLarge.
-Every prime is proven by `is_prime`.  Factorizations are remembered per
-integer (an lru of 4096), and the primes above the trial limit in a
-registry of the same size, oldest dropped first: a gcd with their product
-divides a composite cofactor by the registered primes before `_split`
-runs, so a large prime is split out once, however many products it turns
-up in, for as long as it stays registered.  `clear_factor_caches` empties
-both.
+Factoring.  `prime_factors` is trial division by the sieved primes below
+1000, then `_split` on each composite cofactor: an exact perfect-power
+test, Pollard rho (Brent's variant) up to a fixed step cap, then Lenstra's
+elliptic-curve method on Montgomery curves (stage 1 to B1, standard
+continuation to B2), until the B1 of its curves, summed and times the bit
+length of the cofactor, would pass `_ECM_WORK`, where it raises
+InputTooLarge.  A cofactor below 10^6 has no prime factor below its square
+root, so it is prime with no test; every larger prime is proven by
+`is_prime`.  Factorizations are remembered per integer (an lru of 4096),
+and the primes above the trial limit in a registry of the same size,
+oldest dropped first: a gcd with their product divides a composite
+cofactor by the registered primes before `_split` runs, so a large prime
+is split out once, however many products it turns up in, for as long as
+it stays registered.  `clear_factor_caches` empties both.
 """
 
 from __future__ import annotations
@@ -301,11 +302,13 @@ def _primes(lo: int, hi: int) -> list[int]:
 
 def prime_factors(n: int) -> dict[int, int]:
     """{prime: exponent} of |n| in increasing order ({} for 0 and +-1):
-    trial division below 1000, then on a composite cofactor a root test,
-    Brent's rho within its step cap and ECM (Lenstra 1987, on Montgomery's
-    curves) within its work budget, past which it raises InputTooLarge.
-    Every prime is proven by is_prime, so a factor of PRIMALITY_LIMIT or
-    more that passes every Miller-Rabin base raises InputTooLarge.
+    trial division by the primes below 1000, then on a composite cofactor
+    a root test, Brent's rho within its step cap and ECM (Lenstra 1987, on
+    Montgomery's curves) within its work budget, past which it raises
+    InputTooLarge.  A cofactor below 10^6 is prime (it has no factor below
+    1000), and every larger prime is proven by is_prime, so a factor of
+    PRIMALITY_LIMIT or more that passes every Miller-Rabin base raises
+    InputTooLarge.
     Factorizations are remembered per |n|, and each prime above the trial
     limit is remembered once found: a composite cofactor is divided by a
     known prime before it is split.  Each call returns a fresh dict."""
@@ -313,8 +316,8 @@ def prime_factors(n: int) -> dict[int, int]:
 
 
 _CACHE_SIZE = 4096
-# The primes above the trial limit that is_prime has proved, oldest first,
-# and their product: a large prime turns up again inside other products
+# The primes above the trial limit found so far, oldest first, and their
+# product: a large prime turns up again inside other products
 # (g_j a next to r_i a, 2N after N), and should be split out only once.
 _LARGE_PRIMES: dict[int, None] = {}
 _large_product = 1
@@ -324,16 +327,16 @@ _large_product = 1
 def _prime_factors(n: int) -> tuple[tuple[int, int], ...]:
     global _large_product
     out: dict[int, int] = {}
-    p = 2
-    while p < _TRIAL_LIMIT and p * p <= n:
+    for p in _sieve(1 << _TRIAL_LIMIT.bit_length()):
+        if p >= _TRIAL_LIMIT or p * p > n:
+            break
         while n % p == 0:
             n //= p
             out[p] = out.get(p, 0) + 1
-        p += 1 if p == 2 else 2
     todo = [n] if n > 1 else []
     while todo:
-        m = todo.pop()
-        if is_prime(m):
+        m = todo.pop()  # no prime below the trial limit divides m: below its square, m is prime
+        if m < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(m):
             out[m] = out.get(m, 0) + 1
             if m > _TRIAL_LIMIT and m not in _LARGE_PRIMES:
                 _LARGE_PRIMES[m] = None

@@ -11,14 +11,17 @@ dimension 9; the bounded search stays as an oracle.  Over Q(sqrt(d)) only
 the dim >= 5 real-place fragment is decided, with witnesses for rational
 coefficients; everything else raises UnsupportedCase rather than guessing.
 
-Over Q one integer core answers every local question (section "the local
-layer over Q"): each packed coefficient, reduced on its own, is split once
-into its squarefree class and its primes, and one Hasse invariant and one
-local-isotropy rule on those integers serve is_isotropic,
-witt_index_by_invariants, equivalent, det_squareclass and the witness route,
-which looks the primes of a form up once and runs its lattices on integers
-(integral LLL).  hilbert_symbol and hasse_invariant are thin wrappers that
-check their arguments first.
+Over Q one layer of square classes answers every local question (section
+"the local layer over Q"): each packed coefficient, reduced on its own, is
+split once into its squarefree class and its primes, and at each prime of
+a form its coefficients' square classes are computed once, as indices whose
+product is an XOR.  The Hilbert symbol, local isotropy and the classes a
+witness split may take are lookups in small tables keyed by the kind of the
+prime (2, 1 mod 4 or 3 mod 4), built on first use.  They serve
+is_isotropic, witt_index_by_invariants, equivalent and the witness route,
+which runs its lattices on integers (integral LLL, and a Fincke-Pohst that
+stops at the least zero, within a node budget).  hilbert_symbol and
+hasse_invariant are thin wrappers that check their arguments first.
 
 A Witt decomposition keeps its basis as packed columns of Field.kernel and
 does the work of each hyperbolic split once, on packed integers and on the
@@ -44,7 +47,7 @@ import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from .errors import (
     DegenerateForm,
@@ -348,12 +351,20 @@ def _gram_mismatch(kernel, times, cols, expected) -> str | None:
 
 
 # --------------------------------------------------------------------------
-# the local layer over Q: one integer core
+# the local layer over Q: square classes and their tables
 #
 # Each coefficient is split once into its squarefree class and its primes
 # (_square_split, one lookup of the cached factors of its numerator and of
-# its denominator).  Hasse invariants, local isotropy and Hasse-Minkowski
-# (Serre, A Course in Arithmetic, ch. IV) then run on those integers for the
+# its denominator).  At a prime p a nonzero rational has one of 8 (p = 2)
+# or 4 (p odd) square classes, held as an index whose bits multiply by XOR:
+# bit 0 the parity of the valuation, bit 1 the unit's Legendre symbol (-1
+# sets it) at odd p, or u = 3 mod 4 at 2, and bit 2 u = +-3 mod 8 at 2
+# (_square_class).  A form's classes at p are computed once per form and
+# prime; the Hilbert symbol, local isotropy and the classes a split may take
+# are then lookups in small tables keyed by the kind of the prime (2, 1 mod
+# 4 or 3 mod 4) and the classes, built on first use (_local_tables,
+# _split_classes).  Hasse invariants, local isotropy and Hasse-Minkowski
+# (Serre, A Course in Arithmetic, ch. III-IV) run on those tables for the
 # decisions, the Witt index, equivalence and the witness route alike.  The
 # public wrappers check their arguments; only a place that the caller
 # supplies is tested for primality.
@@ -387,45 +398,66 @@ def _local_data(pairs) -> tuple[list[int], int, list[int]]:
     return classes, det, sorted(primes)
 
 
-def _val_unit(n: int, p: int) -> tuple[int, int]:
+def _square_class(t: int, p: int) -> int:
+    """The index of the square class of the nonzero integer t in Q_p: 0
+    exactly when t is a square, and the index of a product is the XOR of
+    the indices."""
     v = 0
-    while n % p == 0:
-        n //= p
+    while t % p == 0:
+        t //= p
         v += 1
-    return v, n
+    if p == 2:  # bit 1: t = 3 mod 4; bit 2: t = 3 or 5 mod 8
+        return (v & 1) | (t & 2) | ((t + 2) & 4)
+    return (v & 1) | (2 if legendre(t, p) < 0 else 0)
 
 
-def _symbol(a: int, b: int, place) -> int:
-    """Hilbert symbol (a,b) at a rational place; a, b nonzero integers."""
-    if place == INF:
-        return -1 if (a < 0 and b < 0) else 1
-    p = int(place)
-    if p == 2:
-        alpha, u = _val_unit(a, 2)
-        beta, v = _val_unit(b, 2)
-        e = ((u - 1) // 2) * ((v - 1) // 2)
-        e += alpha * ((v * v - 1) // 8) + beta * ((u * u - 1) // 8)
-        return -1 if e % 2 else 1
-    alpha, u = _val_unit(a, p)
-    beta, v = _val_unit(b, p)
-    s = 1
-    if (alpha * beta * ((p - 1) // 2)) % 2:
-        s = -s
-    if beta % 2:
-        s *= legendre(u, p)
-    if alpha % 2:
-        s *= legendre(v, p)
-    return s
+def _classes_at(ints, p: int) -> list[int]:
+    return [_square_class(t, p) for t in ints]
 
 
-def _hasse(ints: list[int], place) -> int:
-    """prod_{i<j} (a_i, a_j)_place  (the i<j convention, fixed), for
-    integers in the square classes of the coefficients."""
-    eps = 1
-    for i, a in enumerate(ints):
-        for b in ints[i + 1:]:
-            eps *= _symbol(a, b, place)
-    return eps
+@cache
+def _local_tables(kind: int):
+    """(hilbert, minus_one, isotropic) for the primes p of one kind, kind =
+    p & 3 (2 for p = 2, else p mod 4), built on first use from the closed
+    forms of the Hilbert symbol (Serre, ch. III, thm. 1):
+    hilbert[x][y] is 1 when (x, y)_p = -1, for class indices x and y;
+    minus_one is the class of -1; isotropic[n][d][e] says whether a form
+    of rank n (5 standing for n >= 5) with determinant class d and Hasse
+    invariant (-1)^e is isotropic over Q_p (ch. IV, thm. 6)."""
+    size = 8 if kind == 2 else 4
+    if kind == 2:  # (-1)^(eps(u) eps(v) + alpha omega(v) + beta omega(u)); -1 = 7 mod 8 has eps 1, omega 0
+        hilbert = [[(x >> 1 & y >> 1 & 1) ^ (x & y >> 2 & 1) ^ (y & x >> 2 & 1) for y in range(size)] for x in range(size)]
+        minus_one = 2
+    else:  # (-1)^(alpha beta eps(p)) (u/p)^beta (v/p)^alpha
+        sign = kind >> 1  # eps(p) = (p - 1) / 2 mod 2
+        hilbert = [[(x & y & sign) ^ (x >> 1 & y) ^ (y >> 1 & x) for y in range(size)] for x in range(size)]
+        minus_one = 2 * sign
+    table = [[[False, False] for _ in range(size)] for _ in range(6)]
+    for d in range(size):
+        for e in (0, 1):
+            table[2][d][e] = d == minus_one  # -det is a square
+            table[3][d][e] = hilbert[minus_one][d ^ minus_one] == e  # (-1, -det) = eps
+            table[4][d][e] = d != 0 or e != hilbert[minus_one][minus_one] ^ 1  # not (det = 1 and eps = -(-1, -1))
+            table[5][d][e] = True
+    return hilbert, minus_one, table
+
+
+def _hasse_data(hilbert, classes) -> tuple[int, int]:
+    """(the class of the determinant, e) for the Hasse invariant (-1)^e =
+    prod_{i<j} (a_i, a_j) (the i<j convention, fixed) of the classes:
+    prod_j (a_1 ... a_{j-1}, a_j), one lookup a coefficient."""
+    det = e = 0
+    for c in classes:
+        e ^= hilbert[det][c]
+        det ^= c
+    return det, e
+
+
+def _isotropic_at(p: int, classes) -> bool:
+    """Isotropy over Q_p of the diagonal form with these class indices at p."""
+    hilbert, _, isotropic = _local_tables(p & 3)
+    det, e = _hasse_data(hilbert, classes)
+    return isotropic[min(len(classes), 5)][det][e]
 
 
 def hilbert_symbol(a: FieldElement, b: FieldElement, place) -> int:
@@ -444,33 +476,12 @@ def hasse_invariant(q: QuadraticForm, place) -> int:
     if place != INF and not is_prime(int(place)):
         raise InvalidInput(f"place must be a prime or 'inf', got {place!r}")
     # n/d and n*d share a square class, and n*d needs no factoring
-    return _hasse([n * d for n, d in _pairs(*q.packed)], place)
-
-
-def _class_key(t: int, p: int) -> tuple[int, int]:
-    """Square class of t in Q_p: valuation parity and unit class; t is a
-    square exactly when the key is (0, 1)."""
-    v, u = _val_unit(t, p)
-    return v % 2, (u % 8 if p == 2 else legendre(u, p))
-
-
-def _local_isotropic(n: int, det: int, eps: int, p: int) -> bool:
-    """Isotropy of a rank-n Q_p form with the given determinant class and
-    Hasse invariant, at a prime p."""
-    if n <= 1:
-        return False
-    if n == 2:
-        return _class_key(-det, p) == (0, 1)
-    if n == 3:
-        return _symbol(-1, -det, p) == eps
-    if n == 4:
-        return not (_class_key(det, p) == (0, 1) and eps == -_symbol(-1, -1, p))
-    return True
-
-
-def _iso_at(ints: list[int], p: int) -> bool:
-    """Isotropy over Q_p of the diagonal form with integer coefficients."""
-    return _local_isotropic(len(ints), math.prod(ints), _hasse(ints, p), p)
+    ints = [n * d for n, d in _pairs(*q.packed)]
+    if place == INF:  # (a, b)_inf = -1 exactly when a, b < 0
+        neg = sum(1 for t in ints if t < 0)
+        return -1 if neg * (neg - 1) // 2 % 2 else 1
+    p = int(place)
+    return -1 if _hasse_data(_local_tables(p & 3)[0], _classes_at(ints, p))[1] else 1
 
 
 def _obstruction(pairs):
@@ -487,8 +498,10 @@ def _obstruction(pairs):
         return None
     classes, det, primes = _local_data(pairs)
     for p in primes:
-        if not _iso_at(classes, p):
-            return METHOD_LOCAL, {"place": p, "det_squareclass": det, "hasse": _hasse(classes, p)}
+        hilbert, _, isotropic = _local_tables(p & 3)
+        d, e = _hasse_data(hilbert, _classes_at(classes, p))
+        if not isotropic[n][d][e]:
+            return METHOD_LOCAL, {"place": p, "det_squareclass": det, "hasse": -1 if e else 1}
     return None
 
 
@@ -501,10 +514,12 @@ def witt_index_by_invariants(q: QuadraticForm) -> int:
     best = min(q.signature())
     classes, det, primes = _local_data(_pairs(*q.packed))
     for p in primes:
-        m, d, e, count = n, det, _hasse(classes, p), 0
-        while m > 0 and _local_isotropic(m, d, e, p):
-            m, d, count = m - 2, -d, count + 1
-            e *= _symbol(-1, d, p)
+        hilbert, minus_one, isotropic = _local_tables(p & 3)
+        d, e = _hasse_data(hilbert, _classes_at(classes, p))
+        m, count = n, 0
+        while m > 0 and isotropic[min(m, 5)][d][e]:  # split off a plane: q = H + q', d' = -d, e' = e + (-1, d')
+            m, d, count = m - 2, d ^ minus_one, count + 1
+            e ^= hilbert[minus_one][d]
         best = min(best, count)
         if best == 0:
             return 0
@@ -679,8 +694,9 @@ def _solve(pairs) -> list[int]:
 def _solve_sqf(s: list[int]) -> list[int]:
     """Zero of an isotropic form with squarefree coefficients, supported on
     as few and as small coefficients as the local tests allow.  The primes
-    are looked up once per form; a 3- or 4-dim subform is tested at 2 and at
-    the primes of its coefficients (at any other odd prime it is isotropic)."""
+    and the square classes at each of them are looked up once per form; a
+    3- or 4-dim subform is tested at 2 and at the primes of its
+    coefficients (at any other odd prime it is isotropic)."""
     n = len(s)
     for i, j in itertools.combinations(range(n), 2):
         if s[i] == -s[j]:
@@ -693,13 +709,17 @@ def _solve_sqf(s: list[int]) -> list[int]:
         idx = _meyer_indices(s)
         return _pad(n, idx, _solve_sqf([s[i] for i in idx]))
     primes = [prime_factors(x).keys() for x in s]
+    local = {p: _classes_at(s, p) for p in sorted({2}.union(*primes))}
     for size in range(3, n):
         for idx in sorted(itertools.combinations(range(n), size), key=lambda c: sorted(abs(s[i]) for i in c)):
-            sub, places = [s[i] for i in idx], sorted({2}.union(*(primes[i] for i in idx)))
-            if not _definite(sub) and all(_iso_at(sub, p) for p in places):
+            sub = [s[i] for i in idx]
+            if _definite(sub):
+                continue
+            places = {p: [local[p][i] for i in idx] for p in sorted({2}.union(*(primes[i] for i in idx)))}
+            if all(_isotropic_at(p, classes) for p, classes in places.items()):
                 # a 4-subform has no isotropic 3-subform: those came first
                 return _pad(n, idx, _ternary(*sub) if size == 3 else _split_solve(sub, places))
-    return _split_solve(s, sorted({2}.union(*primes)))
+    return _split_solve(s, local)
 
 
 def _meyer_indices(s: list[int]) -> list[int]:
@@ -713,32 +733,41 @@ def _meyer_indices(s: list[int]) -> list[int]:
     return sorted(pick)
 
 
-def _class_reps(p: int) -> list[int]:
-    if p == 2:
-        return [u << v for v in (0, 1) for u in (1, 3, 5, 7)]
-    n = least_nonresidue(p)
-    return [1, n, p, n * p]
+@cache
+def _split_classes(kind: int, da: int, ea: int, dr: int, er: int, rank: int) -> frozenset[int]:
+    """The classes c at a prime of this kind for which <a1,a2,-c> and rest
+    + <c> are both isotropic, for (det class, Hasse exponent) (da, ea) of
+    <a1,a2> and (dr, er) of rest, of the given rank; one table entry, built
+    on first use.  eps(f + <c>) = eps(f) (det f, c)_p."""
+    hilbert, minus_one, isotropic = _local_tables(kind)
+    three, other = isotropic[3], isotropic[min(rank + 1, 5)]
+    return frozenset(
+        c for c in range(len(hilbert))
+        if three[minus_one ^ da ^ c][ea ^ hilbert[da][minus_one ^ c]] and other[dr ^ c][er ^ hilbert[dr][c]]
+    )
 
 
-def _split_plan(a: list[int], rest: list[int], primes: list[int]):
-    """The square classes of t allowed at each prime of S = primes, for which
-    <a1,a2,-t> and rest + <t> are both isotropic over Q_p, and the product
-    of the primes of S that must divide t to an odd power.  A class c costs
-    two Hilbert symbols: eps(f + <c>) = eps(f) (det f, c)_p."""
-    da, dr = a[0] * a[1], math.prod(rest)
-    allowed = {}
-    for p in primes:
-        ea, er = _hasse(a, p), _hasse(rest, p)
-        allowed[p] = {
-            _class_key(c, p) for c in _class_reps(p)
-            if _local_isotropic(3, -da * c, ea * _symbol(da, -c, p), p)
-            and _local_isotropic(len(rest) + 1, dr * c, er * _symbol(dr, c, p), p)
-        }
-    if not all(allowed.values()):
-        raise InternalCheckFailed(f"<{a}> + <{rest}> has no common value at a prime")
-    forced = math.prod(p for p in primes if all(v for v, _ in allowed[p]))
-    share = math.prod(Fraction(len(allowed[p]), 8 if p == 2 else 4) for p in primes)
-    return forced / share, allowed, forced
+def _split_plan(local, pair, rest):
+    """For q = <a1,a2> + rest with a = the coefficients at the indices pair
+    and rest at the indices rest, and local = {p: the class indices of q's
+    coefficients at p} over the primes of S: the square classes of t allowed
+    at each prime of S, for which <a1,a2,-t> and rest + <t> are both
+    isotropic over Q_p (a lookup in _split_classes), the product of the
+    primes of S that must divide t to an odd power, and the ratio of that
+    product to the share of the classes allowed, the size of t that the
+    plan promises."""
+    allowed, forced, sizes, counts = {}, 1, 1, 1
+    for p, classes in local.items():
+        hilbert = _local_tables(p & 3)[0]
+        da, ea = _hasse_data(hilbert, [classes[i] for i in pair])
+        dr, er = _hasse_data(hilbert, [classes[i] for i in rest])
+        allowed[p] = ok = _split_classes(p & 3, da, ea, dr, er, len(rest))
+        if not ok:
+            raise InternalCheckFailed(f"the split {pair} + {rest} has no common value at {p}")
+        if all(c & 1 for c in ok):
+            forced *= p
+        sizes, counts = sizes * len(hilbert), counts * len(ok)
+    return Fraction(forced * sizes, counts), allowed, forced
 
 
 # t candidates _split_value may test: 68,818 is the most any test, golden,
@@ -759,7 +788,7 @@ def _split_value(a: list[int], rest: list[int], allowed, forced: int) -> int:
         for t in (forced * k, -forced * k):
             if _definite(a + [-t]) or _definite(rest + [t]):
                 continue
-            if any(_class_key(t, p) not in classes for p, classes in allowed.items()):
+            if any(_square_class(t, p) not in classes for p, classes in allowed.items()):
                 continue
             if all(
                 e % 2 == 0 or p in allowed or all(legendre(x, p) == 1 for x in need)
@@ -772,17 +801,18 @@ def _split_value(a: list[int], rest: list[int], allowed, forced: int) -> int:
     )
 
 
-def _split_solve(s: list[int], primes: list[int]) -> list[int]:
-    """q = <a1,a2> + rest (dim 4 or 5, S = primes), over the pair whose allowed
-    classes promise the smallest t: with t from _split_value, zeros (x1, x2, u)
-    of <a1,a2,-t> and (y, w) of rest + <t> glue to (w x1, w x2, u y).  u = 0
+def _split_solve(s: list[int], local) -> list[int]:
+    """q = <a1,a2> + rest (dim 4 or 5; local = {p: the class indices of s
+    at p} over the primes of S), over the pair whose allowed classes
+    promise the smallest t: with t from _split_value, zeros (x1, x2, u) of
+    <a1,a2,-t> and (y, w) of rest + <t> glue to (w x1, w x2, u y).  u = 0
     would need a2 = -a1 and w = 0 an isotropic rest, and _solve_sqf returns
     both cases before it gets here; _q_witness checks the glued zero."""
     n = len(s)
     plans = []
     for pair in itertools.combinations(range(n), 2):
         rest = [i for i in range(n) if i not in pair]
-        plans.append((_split_plan([s[i] for i in pair], [s[i] for i in rest], primes), pair, rest))
+        plans.append((_split_plan(local, pair, rest), pair, rest))
     (_, allowed, forced), pair, rest = min(plans, key=lambda plan: plan[0][0])
     a, r = [s[i] for i in pair], [s[i] for i in rest]
     t = _split_value(a, r, allowed, forced)
@@ -826,8 +856,8 @@ def _legendre(a: int, b: int, c: int) -> list[int]:
     (x2, a, 0), (x3, ra, 1).  By Minkowski it has a nonzero vector in the
     Holzer box |x| <= sqrt(b|c|), |y| <= sqrt(a|c|), |z| <= sqrt(ab), and
     there q is 0 or m; the box lies in {a x^2 + b y^2 + |c| z^2 <= 3m},
-    which is enumerated over an LLL-reduced basis.  A vector with q = m
-    gives the zero (xz - by, ax + yz, z^2 + ab), because
+    which is searched over an LLL-reduced basis (_least_zero).  A vector
+    with q = m gives the zero (xz - by, ax + yz, z^2 + ab), because
     (a x^2 + b y^2)(z^2 + ab) = a(xz - by)^2 + b(ax + yz)^2."""
     m = -a * b * c
     ra = _sqrt_mod(-c * pow(b, -1, a), a)
@@ -835,17 +865,13 @@ def _legendre(a: int, b: int, c: int) -> list[int]:
     rc = _sqrt_mod(-b * pow(a, -1, -c), -c)
     x2 = _crt((rc * a, 0), (-c, b))
     x3 = _crt((rc * ra, pow(rb, -1, b)), (-c, b))
-    weights = (a, b, -c)
-    fallback = None
-    for x, y, z in _short_vectors(*_lll([[-b * c, 0, 0], [x2, a, 0], [x3, ra, 1]], weights), weights, 3 * m):
-        value = a * x * x + b * y * y + c * z * z
-        if value == 0:
-            return [x, y, z]
-        if value == m and fallback is None:
-            fallback = [x * z - b * y, a * x + y * z, z * z + a * b]
-    if fallback is None:
+    found = _least_zero(*_lll([[-b * c, 0, 0], [x2, a, 0], [x3, ra, 1]], (a, b, -c)), (a, b, c), m, 3 * m)
+    if found is None:
         raise InternalCheckFailed(f"no zero of <{a},{b},{c}> in its Legendre lattice")
-    return fallback
+    x, y, z = found
+    if a * x * x + b * y * y + c * z * z:  # q = m
+        return [x * z - b * y, a * x + y * z, z * z + a * b]
+    return found
 
 
 def _sqrt_mod(x: int, n: int) -> int:
@@ -889,7 +915,9 @@ def _lll(basis, weights):
     k = 1
     while k < n:
         for j in range(k - 1, -1, -1):
-            q = round(Fraction(lam[k][j], d[j + 1]))
+            q, r = divmod(lam[k][j], d[j + 1])  # mu rounded half to even: d[j + 1] > 0
+            if 2 * r > d[j + 1] or (2 * r == d[j + 1] and q & 1):
+                q += 1
             if q:
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
                 for i in range(j):
@@ -912,36 +940,79 @@ def _lll(basis, weights):
     return b, lam, d
 
 
-def _short_vectors(b, lam, d, weights, bound: int) -> list[list[int]]:
-    """The nonzero vectors of the lattice with rows b (integer Gram-Schmidt
-    data lam, d as from _lll) whose weighted norm is at most bound, shortest
-    first (Fincke-Pohst on integers).  The norm of sum x_i b_i is
-    sum N_i y_i^2 with N_i = d[i+1]/d[i] and y_i = x_i + sum_{j>i} mu_ji x_j,
-    mu_ji = lam[j][i]/d[i+1].  With D = lcm(d[1..n-1]) the test
-    sum (D N_i) (D y_i)^2 <= D^3 bound is on integers, and isqrt cuts the
-    range of each x_i exactly."""
+# Fincke-Pohst nodes _least_zero may visit for one lattice: 31 is the most
+# any test, golden, `verify --seed 1729` or bench workload (seeds 1-10) needs
+_LATTICE_NODE_BUDGET = 10_000
+
+
+def _least_zero(b, lam, d, coeffs, m: int, bound: int) -> list[int] | None:
+    """Among the nonzero vectors v of the lattice with rows b (integer
+    Gram-Schmidt data lam, d as from _lll for the weights |c_i|) whose
+    weighted norm sum |c_i| v_i^2 is at most bound: the least (norm, v) with
+    q(v) = sum c_i v_i^2 = 0, or when there is none the least with q(v) =
+    m, or None.  Fincke-Pohst on integers, as branch and bound: the norm of
+    sum x_i b_i is sum N_i y_i^2 with N_i = d[i+1]/d[i] and y_i = x_i +
+    sum_{j>i} mu_ji x_j, mu_ji = lam[j][i]/d[i+1], and with D = lcm(d[1..n-1])
+    the partial norms sum_{j>=i} (D N_j) (D y_j)^2 are integers, compared
+    with D^3 times the bound.  Each level runs x_i outward from the centre,
+    so the partial norms grow and the first one past the bound ends the
+    level.  The bound starts at the least LLL row that is a zero, and drops
+    to the norm of each better zero found: no node whose partial norm
+    passes the best zero so far is entered.  Past _LATTICE_NODE_BUDGET
+    nodes it raises InputTooLarge."""
     n = len(b)
+    weights = [abs(c) for c in coeffs]
     den = math.lcm(*d[1:n])
     mu = [[lam[j][i] * (den // d[i + 1]) for i in range(j)] for j in range(n)]
     norms = [d[i + 1] * (den // d[i]) for i in range(n)]
-    coef = [0] * n
-    found = []
+    cube = den ** 3
+    zero, fallback = None, None  # the least (norm, v) so far with q = 0, and with q = m
+    for row in b:
+        for v in (row, [-x for x in row]):
+            norm = sum(w * x * x for w, x in zip(weights, v))
+            if norm <= bound and not sum(c * x * x for c, x in zip(coeffs, v)) and (zero is None or (norm, v) < zero):
+                zero = norm, v
+    limit = cube * (bound if zero is None else zero[0])
+    coef, nodes = [0] * n, 0
 
-    def walk(i, left):
-        if i < 0:
-            vec = [sum(c * row[k] for c, row in zip(coef, b)) for k in range(n)]
-            if any(vec):
-                found.append((sum(w * x * x for w, x in zip(weights, vec)), vec))
-            return
+    def walk(i, used):
+        nonlocal zero, fallback, limit, nodes
         centre = sum(mu[j][i] * coef[j] for j in range(i + 1, n))  # D y_i = D x_i + centre
-        half = math.isqrt(left // norms[i])
-        for x in range(-((half + centre) // den), (half - centre) // den + 1):
+        up = (den - 2 * centre) // (2 * den)  # the x_i nearest to -centre / D
+        down = up - 1
+        while True:
+            t_up, t_down = den * up + centre, den * down + centre
+            if t_up * t_up <= t_down * t_down:
+                x, t, up = up, t_up, up + 1
+            else:
+                x, t, down = down, t_down, down - 1
+            part = used + norms[i] * t * t
+            if part > limit:
+                break
+            nodes += 1
+            if nodes > _LATTICE_NODE_BUDGET:
+                raise InputTooLarge(
+                    f"Fincke-Pohst search of the Legendre lattice of <{','.join(map(str, coeffs))}>: "
+                    f"more than {_LATTICE_NODE_BUDGET} nodes"
+                )
             coef[i] = x
-            walk(i - 1, left - norms[i] * (den * x + centre) ** 2)
+            if i:
+                walk(i - 1, part)
+                continue
+            v = [sum(c * row[k] for c, row in zip(coef, b)) for k in range(n)]
+            if not any(v):
+                continue
+            cand = sum(w * x * x for w, x in zip(weights, v)), v
+            value = sum(c * x * x for c, x in zip(coeffs, v))
+            if value == 0 and (zero is None or cand < zero):
+                zero, limit = cand, cube * cand[0]
+            elif value == m and zero is None and (fallback is None or cand < fallback):
+                fallback = cand
         coef[i] = 0
 
-    walk(n - 1, den ** 3 * bound)
-    return [vec for _, vec in sorted(found)]
+    walk(n - 1, 0)
+    best = zero or fallback
+    return None if best is None else best[1]
 
 
 def _qsqrt_witness(q: QuadraticForm):
@@ -1201,7 +1272,11 @@ def equivalent(q1: QuadraticForm, q2: QuadraticForm) -> bool:
     c2, d2, s2 = _local_data(_pairs(*q2.packed))
     if d1 != d2 or q1.signature() != q2.signature():
         return False
-    return all(_hasse(c1, p) == _hasse(c2, p) for p in {*s1, *s2})
+    for p in {*s1, *s2}:
+        hilbert = _local_tables(p & 3)[0]
+        if _hasse_data(hilbert, _classes_at(c1, p))[1] != _hasse_data(hilbert, _classes_at(c2, p))[1]:
+            return False
+    return True
 
 
 def equivalent_with_witness(q1: QuadraticForm, q2: QuadraticForm, p) -> bool:

@@ -397,16 +397,42 @@ def _odd_hilbert_oracle(a: int, b: int, p: int) -> int:
     """Solvability of z^2 = a x^2 + b y^2 over Q_p (odd p) by exhaustive
     search mod p^3.  Primitive solutions cannot have x, y both divisible by
     p when val(a), val(b) <= 1, so scanning the rest against the squares
-    mod p^3 is complete, and p^3 leaves Hensel lifting margin."""
+    mod p^3 is complete, and p^3 leaves Hensel lifting margin.  The scan
+    runs on bitsets of residues: x a unit and y any, then x any and y a
+    unit; for each value a x^2, the set of values b y^2 shifted by it (a
+    rotation of the bitset) meets the squares or not."""
     mod = p**3
-    squares = {z * z % mod for z in range(mod)}
-    for x in range(mod):
-        for y in range(mod):
-            if x % p == 0 and y % p == 0:
-                continue
-            if (a * x * x + b * y * y) % mod in squares:
-                return 1
-    return -1
+    full = (1 << mod) - 1
+
+    def bits(values):
+        return sum(1 << v for v in set(values))
+
+    squares = bits(z * z % mod for z in range(mod))
+
+    def meets(xs, ys):
+        ys = bits(b * y * y % mod for y in ys)
+        return any(((ys << u) | (ys >> (mod - u))) & full & squares for u in {a * x * x % mod for x in xs})
+
+    units = [x for x in range(mod) if x % p]
+    return 1 if meets(units, range(mod)) or meets(range(mod), units) else -1
+
+
+class TestSymbolTable:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_every_class_pair_matches_the_oracle(self, p):
+        # one representative u p^v of each square class at p, every ordered pair
+        if p == 2:
+            reps = [u << v for v in (0, 1) for u in (1, 3, 5, 7)]
+        else:
+            nonresidue = next(n for n in range(2, p) if n not in {x * x % p for x in range(p)})
+            reps = [1, nonresidue, p, nonresidue * p]
+        index = {qforms._square_class(c, p): c for c in reps}
+        assert sorted(index) == list(range(len(reps)))
+        hilbert, minus_one, _ = qforms._local_tables(p & 3)
+        assert minus_one == qforms._square_class(-1, p)
+        for (x, a), (y, b) in itertools.product(index.items(), repeat=2):
+            want = hilbert2_oracle(a, b) if p == 2 else _odd_hilbert_oracle(a, b, p)
+            assert (-1 if hilbert[x][y] else 1) == want, (a, b, p)
 
 
 class TestHasse:
