@@ -61,6 +61,7 @@ _SLOT_OFFSET = (3, 11, 19)  # coordinate offsets of the c1, c2, c3 blocks
 # (row, column) of c1, c2, c3 in the defining matrix; the transposed
 # position holds r_i conj(c_i)
 _SLOT_POSITION = ((1, 2), (2, 0), (0, 1))
+_CAYLEY_DRAWS = 50  # skew K that so_gamma_sample draws before it gives up on an invertible I + S
 
 
 class AlbertAlgebra:
@@ -612,13 +613,13 @@ def torus_element(field: Field, av, bv):
     return [[av, bv, z], [bv, av, z], [z, z, one]]
 
 
-def so_gamma_sample(a: AlbertAlgebra, rng, retries: int = 50):
+def so_gamma_sample(a: AlbertAlgebra, rng):
     """Random X with X^T Gamma X = Gamma, det X = 1, via the Cayley transform
     X = (I - S)(I + S)^(-1) = 2 adj(I + S) / det(I + S) - I over S =
     Gamma^(-1) K with K skew; X is checked as phi checks its input."""
     f = a.field
     one, g_inv = f.one(), [g.inv() for g in a.gamma]
-    for _ in range(retries):
+    for _ in range(_CAYLEY_DRAWS):
         k12, k13, k23 = (f.random(rng, 3) for _ in range(3))
         k = [[None, k12, k13], [-k12, None, k23], [-k13, -k23, None]]
         m = [[one if i == j else k[i][j] * g_inv[i] for j in range(3)] for i in range(3)]  # I + S
@@ -631,7 +632,7 @@ def so_gamma_sample(a: AlbertAlgebra, rng, retries: int = 50):
         x = [[c * v - one if i == j else c * v for j, v in enumerate(row)] for i, row in enumerate(adj)]
         _check_gamma_orthogonal(a, x)
         return x
-    raise SingularCayley(f"no invertible I + S in {retries} draws")
+    raise SingularCayley(f"no invertible I + S in {_CAYLEY_DRAWS} draws")
 
 
 def _similitude(src: AlbertAlgebra, dst: AlbertAlgebra, x) -> FieldElement:

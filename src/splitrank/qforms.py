@@ -11,17 +11,17 @@ dimension 9; the bounded search stays as an oracle.  Over Q(sqrt(d)) only
 the dim >= 5 real-place fragment is decided, with witnesses for rational
 coefficients; everything else raises UnsupportedCase rather than guessing.
 
-Over Q one layer of square classes answers every local question (section
-"the local layer over Q"): each packed coefficient, reduced on its own, is
-split once into its squarefree class and its primes, and at each prime of
-a form its coefficients' square classes are computed once, as indices whose
-product is an XOR.  The Hilbert symbol, local isotropy and the classes a
-witness split may take are lookups in small tables keyed by the kind of the
-prime (2, 1 mod 4 or 3 mod 4), built on first use.  They serve
-is_isotropic, witt_index_by_invariants, equivalent and the witness route,
-which runs its lattices on integers (integral LLL, and a Fincke-Pohst that
-stops at the least zero, within a node budget).  hilbert_symbol and
-hasse_invariant are thin wrappers that check their arguments first.
+Over Q one local record answers every local question (section "the local
+layer over Q"): each packed coefficient, reduced on its own, is split once
+into its squarefree class and that class's primes, and the record holds,
+at 2 and each of those primes, the coefficients' square classes (indices
+whose product is an XOR), the determinant class and the Hasse bit.  The
+Hilbert symbol, local isotropy and the classes a witness split may take
+are lookups in small tables keyed by the kind of the prime, built on first
+use.  Decisions, Witt index, equivalence and the witness route read the
+record; the witness route runs its lattices on integers (integral LLL, and
+a Fincke-Pohst that stops at the least zero, within a node budget).
+hilbert_symbol and hasse_invariant check their arguments first.
 
 A Witt decomposition keeps its basis as packed columns of Field.kernel and
 does the work of each hyperbolic split once, on packed integers and on the
@@ -353,49 +353,56 @@ def _gram_mismatch(kernel, times, cols, expected) -> str | None:
 # --------------------------------------------------------------------------
 # the local layer over Q: square classes and their tables
 #
-# Each coefficient is split once into its squarefree class and its primes
-# (_square_split, one lookup of the cached factors of its numerator and of
-# its denominator).  At a prime p a nonzero rational has one of 8 (p = 2)
-# or 4 (p odd) square classes, held as an index whose bits multiply by XOR:
-# bit 0 the parity of the valuation, bit 1 the unit's Legendre symbol (-1
-# sets it) at odd p, or u = 3 mod 4 at 2, and bit 2 u = +-3 mod 8 at 2
-# (_square_class).  A form's classes at p are computed once per form and
-# prime; the Hilbert symbol, local isotropy and the classes a split may take
-# are then lookups in small tables keyed by the kind of the prime (2, 1 mod
-# 4 or 3 mod 4) and the classes, built on first use (_local_tables,
-# _split_classes).  Hasse invariants, local isotropy and Hasse-Minkowski
-# (Serre, A Course in Arithmetic, ch. III-IV) run on those tables for the
-# decisions, the Witt index, equivalence and the witness route alike.  The
-# public wrappers check their arguments; only a place that the caller
-# supplies is tested for primality.
+# Each coefficient is split once into its squarefree class s and the
+# primes of s (_square_split, one lookup of the cached factors of its
+# numerator and of its denominator).  At a prime p a nonzero rational has
+# one of 8 (p = 2) or 4 (p odd) square classes, held as an index whose bits
+# multiply by XOR: bit 0 the parity of the valuation, bit 1 the unit's
+# Legendre symbol (-1 sets it) at odd p, or u = 3 mod 4 at 2, and bit 2 u =
+# +-3 mod 8 at 2 (_square_class).  A form's local record {p: (classes, d,
+# e)}, the class indices, determinant class and Hasse bit at p, is built
+# once (_local_data) over S = {2} + the primes of the classes: at an odd
+# prime off S every class is a unit and e = 0, so the form is isotropic
+# there for n >= 3 and has the generic local Witt index.  The Hilbert
+# symbol, local isotropy and the classes a split may take are lookups in
+# small tables keyed by the kind of the prime (2, 1 mod 4 or 3 mod 4) and
+# the classes, built on first use (_local_tables, _split_classes), for the
+# decisions, the Witt index, equivalence and the witness route alike
+# (Serre, A Course in Arithmetic, ch. III-IV).  The public wrappers check
+# their arguments; only a place that the caller supplies is tested for
+# primality.
 # --------------------------------------------------------------------------
 
-def _square_split(num: int, den: int) -> tuple[int, int, int, set[int]]:
+def _square_split(num: int, den: int) -> tuple[int, int, int, list[int]]:
     """num / den = s * (top / bottom)^2 for a nonzero reduced fraction (den >
     0), with s a squarefree integer of its sign and top, bottom coprime
-    positive integers (bottom = 1 when den is 1), and the set of primes of
-    num and den."""
-    s, top, bottom = (-1 if num < 0 else 1), 1, 1
-    up, down = prime_factors(num), prime_factors(den)
-    for p, e in up.items():
-        s, top = s * p ** (e % 2), top * p ** (e // 2)
-    for p, e in down.items():
-        s, bottom = s * p ** (e % 2), bottom * p ** ((e + 1) // 2)
-    return s, top, bottom, up.keys() | down.keys()
+    positive integers (bottom = 1 when den is 1), and the primes of s."""
+    s, top, bottom, primes = (-1 if num < 0 else 1), 1, 1, []
+    for p, e in prime_factors(num).items():
+        top *= p ** (e // 2)
+        if e % 2:
+            s *= p
+            primes.append(p)
+    for p, e in prime_factors(den).items():
+        bottom *= p ** ((e + 1) // 2)
+        if e % 2:
+            s *= p
+            primes.append(p)
+    return s, top, bottom, primes
 
 
-def _local_data(pairs) -> tuple[list[int], int, list[int]]:
+def _local_data(pairs) -> tuple[list[int], int, dict]:
     """The squarefree class of each nonzero reduced fraction (num, den), the
-    class of their product and the places that matter, S = {2} + the
-    primes of every numerator and denominator."""
-    classes, det, primes = [], 1, {2}
+    class of their product, and their local record (_record) over S = {2} +
+    the primes of the classes."""
+    classes, det, places = [], 1, {2}
     for num, den in pairs:
-        s, _, _, ps = _square_split(num, den)
+        s, _, _, primes = _square_split(num, den)
         g = math.gcd(det, s)
         classes.append(s)
         det = det * s // (g * g)
-        primes |= ps
-    return classes, det, sorted(primes)
+        places.update(primes)
+    return classes, det, _record({p: [_square_class(s, p) for s in classes] for p in sorted(places)})
 
 
 def _square_class(t: int, p: int) -> int:
@@ -409,10 +416,6 @@ def _square_class(t: int, p: int) -> int:
     if p == 2:  # bit 1: t = 3 mod 4; bit 2: t = 3 or 5 mod 8
         return (v & 1) | (t & 2) | ((t + 2) & 4)
     return (v & 1) | (2 if legendre(t, p) < 0 else 0)
-
-
-def _classes_at(ints, p: int) -> list[int]:
-    return [_square_class(t, p) for t in ints]
 
 
 @cache
@@ -453,11 +456,12 @@ def _hasse_data(hilbert, classes) -> tuple[int, int]:
     return det, e
 
 
-def _isotropic_at(p: int, classes) -> bool:
-    """Isotropy over Q_p of the diagonal form with these class indices at p."""
-    hilbert, _, isotropic = _local_tables(p & 3)
-    det, e = _hasse_data(hilbert, classes)
-    return isotropic[min(len(classes), 5)][det][e]
+def _record(local) -> dict[int, tuple[list[int], int, int]]:
+    """The local record {p: (classes, d, e)} of a form from the class
+    indices of its coefficients at each of its places, local = {p:
+    classes}: d is the class of the determinant at p and (-1)^e the Hasse
+    invariant there (_hasse_data)."""
+    return {p: (classes, *_hasse_data(_local_tables(p & 3)[0], classes)) for p, classes in local.items()}
 
 
 def hilbert_symbol(a: FieldElement, b: FieldElement, place) -> int:
@@ -475,13 +479,13 @@ def hasse_invariant(q: QuadraticForm, place) -> int:
         raise UnsupportedField("Hasse invariants are implemented over Q only")
     if place != INF and not is_prime(int(place)):
         raise InvalidInput(f"place must be a prime or 'inf', got {place!r}")
-    # n/d and n*d share a square class, and n*d needs no factoring
-    ints = [n * d for n, d in _pairs(*q.packed)]
     if place == INF:  # (a, b)_inf = -1 exactly when a, b < 0
-        neg = sum(1 for t in ints if t < 0)
+        neg = q.dim - q.signature()[0]
         return -1 if neg * (neg - 1) // 2 % 2 else 1
+    # the record's entry at p needs only the classes there, and n/d and n*d
+    # share a square class: no coefficient is factored
     p = int(place)
-    return -1 if _hasse_data(_local_tables(p & 3)[0], _classes_at(ints, p))[1] else 1
+    return -1 if _record({p: [_square_class(n * d, p) for n, d in _pairs(*q.packed)]})[p][2] else 1
 
 
 def _obstruction(pairs):
@@ -496,11 +500,9 @@ def _obstruction(pairs):
         return METHOD_REAL, {"signature": [pos, n - pos], "place": INF}
     if n >= 5:
         return None
-    classes, det, primes = _local_data(pairs)
-    for p in primes:
-        hilbert, _, isotropic = _local_tables(p & 3)
-        d, e = _hasse_data(hilbert, _classes_at(classes, p))
-        if not isotropic[n][d][e]:
+    _, det, record = _local_data(pairs)
+    for p, (_, d, e) in record.items():
+        if not _local_tables(p & 3)[2][n][d][e]:
             return METHOD_LOCAL, {"place": p, "det_squareclass": det, "hasse": -1 if e else 1}
     return None
 
@@ -512,10 +514,9 @@ def witt_index_by_invariants(q: QuadraticForm) -> int:
         raise UnsupportedField("invariant-based Witt index is a Q-only route")
     n = q.dim
     best = min(q.signature())
-    classes, det, primes = _local_data(_pairs(*q.packed))
-    for p in primes:
+    _, det, record = _local_data(_pairs(*q.packed))
+    for p, (_, d, e) in record.items():
         hilbert, minus_one, isotropic = _local_tables(p & 3)
-        d, e = _hasse_data(hilbert, _classes_at(classes, p))
         m, count = n, 0
         while m > 0 and isotropic[min(m, 5)][d][e]:  # split off a plane: q = H + q', d' = -d, e' = e + (-1, d')
             m, d, count = m - 2, d ^ minus_one, count + 1
@@ -523,7 +524,7 @@ def witt_index_by_invariants(q: QuadraticForm) -> int:
         best = min(best, count)
         if best == 0:
             return 0
-    # generic odd primes not dividing any coefficient
+    # the odd primes off S, where every class is a unit: the generic local index
     if n % 2:
         return min(best, (n - 1) // 2)
     return min(best, n // 2 if (-1) ** (n // 2) * det == 1 else (n - 2) // 2)
@@ -686,16 +687,16 @@ def _solve(pairs) -> list[int]:
     and m_i = top_i / bottom_i: a zero y of <s_i> gives the zero
     x_i = y_i M / m_i, M = lcm of the top_i."""
     split = [_square_split(n, d) for n, d in pairs]
-    y = _solve_sqf([s for s, _, _, _ in split])
+    y = _solve_sqf([s for s, _, _, _ in split], [primes for _, _, _, primes in split])
     big = math.lcm(*(top for _, top, _, _ in split))
     return _primitive([v * bottom * (big // top) for v, (_, top, bottom, _) in zip(y, split)])
 
 
-def _solve_sqf(s: list[int]) -> list[int]:
-    """Zero of an isotropic form with squarefree coefficients, supported on
-    as few and as small coefficients as the local tests allow.  The primes
-    and the square classes at each of them are looked up once per form; a
-    3- or 4-dim subform is tested at 2 and at the primes of its
+def _solve_sqf(s: list[int], primes: list[list[int]]) -> list[int]:
+    """Zero of an isotropic form with squarefree coefficients s (and the
+    primes of each), supported on as few and as small coefficients as the
+    local tests allow.  Its local record is built once; a 3- or 4-dim
+    subform's is read off it at 2 and the primes of the subform's
     coefficients (at any other odd prime it is isotropic)."""
     n = len(s)
     for i, j in itertools.combinations(range(n), 2):
@@ -707,19 +708,18 @@ def _solve_sqf(s: list[int]) -> list[int]:
         return _ternary(*s)
     if n >= 6:
         idx = _meyer_indices(s)
-        return _pad(n, idx, _solve_sqf([s[i] for i in idx]))
-    primes = [prime_factors(x).keys() for x in s]
-    local = {p: _classes_at(s, p) for p in sorted({2}.union(*primes))}
+        return _pad(n, idx, _solve_sqf([s[i] for i in idx], [primes[i] for i in idx]))
+    record = _record({p: [_square_class(x, p) for x in s] for p in sorted({2}.union(*primes))})
     for size in range(3, n):
         for idx in sorted(itertools.combinations(range(n), size), key=lambda c: sorted(abs(s[i]) for i in c)):
             sub = [s[i] for i in idx]
             if _definite(sub):
                 continue
-            places = {p: [local[p][i] for i in idx] for p in sorted({2}.union(*(primes[i] for i in idx)))}
-            if all(_isotropic_at(p, classes) for p, classes in places.items()):
+            places = _record({p: [record[p][0][i] for i in idx] for p in sorted({2}.union(*(primes[i] for i in idx)))})
+            if all(_local_tables(p & 3)[2][size][d][e] for p, (_, d, e) in places.items()):
                 # a 4-subform has no isotropic 3-subform: those came first
                 return _pad(n, idx, _ternary(*sub) if size == 3 else _split_solve(sub, places))
-    return _split_solve(s, local)
+    return _split_solve(s, record)
 
 
 def _meyer_indices(s: list[int]) -> list[int]:
@@ -747,21 +747,21 @@ def _split_classes(kind: int, da: int, ea: int, dr: int, er: int, rank: int) -> 
     )
 
 
-def _split_plan(local, pair, rest):
+def _split_plan(record, pair, rest):
     """For q = <a1,a2> + rest with a = the coefficients at the indices pair
-    and rest at the indices rest, and local = {p: the class indices of q's
-    coefficients at p} over the primes of S: the square classes of t allowed
-    at each prime of S, for which <a1,a2,-t> and rest + <t> are both
-    isotropic over Q_p (a lookup in _split_classes), the product of the
-    primes of S that must divide t to an odd power, and the ratio of that
-    product to the share of the classes allowed, the size of t that the
-    plan promises."""
+    and rest at the indices rest, and q's local record over the primes of S
+    (_record): the square classes of t allowed at each prime of S, for
+    which <a1,a2,-t> and rest + <t> are both isotropic over Q_p (a lookup
+    in _split_classes), the product of the primes of S that must divide t
+    to an odd power, and the ratio of that product to the share of the
+    classes allowed, the size of t that the plan promises.  The rest's data
+    follow from q's: eps(q) = eps(a) eps(rest) (det a, det rest)_p."""
     allowed, forced, sizes, counts = {}, 1, 1, 1
-    for p, classes in local.items():
+    for p, (classes, d, e) in record.items():
         hilbert = _local_tables(p & 3)[0]
         da, ea = _hasse_data(hilbert, [classes[i] for i in pair])
-        dr, er = _hasse_data(hilbert, [classes[i] for i in rest])
-        allowed[p] = ok = _split_classes(p & 3, da, ea, dr, er, len(rest))
+        dr = d ^ da
+        allowed[p] = ok = _split_classes(p & 3, da, ea, dr, e ^ ea ^ hilbert[da][dr], len(rest))
         if not ok:
             raise InternalCheckFailed(f"the split {pair} + {rest} has no common value at {p}")
         if all(c & 1 for c in ok):
@@ -801,18 +801,18 @@ def _split_value(a: list[int], rest: list[int], allowed, forced: int) -> int:
     )
 
 
-def _split_solve(s: list[int], local) -> list[int]:
-    """q = <a1,a2> + rest (dim 4 or 5; local = {p: the class indices of s
-    at p} over the primes of S), over the pair whose allowed classes
-    promise the smallest t: with t from _split_value, zeros (x1, x2, u) of
-    <a1,a2,-t> and (y, w) of rest + <t> glue to (w x1, w x2, u y).  u = 0
-    would need a2 = -a1 and w = 0 an isotropic rest, and _solve_sqf returns
-    both cases before it gets here; _q_witness checks the glued zero."""
+def _split_solve(s: list[int], record) -> list[int]:
+    """q = <a1,a2> + rest (dim 4 or 5, with its local record), over the
+    pair whose allowed classes promise the smallest t: with t from
+    _split_value, zeros (x1, x2, u) of <a1,a2,-t> and (y, w) of rest + <t>
+    glue to (w x1, w x2, u y).  u = 0 would need a2 = -a1 and w = 0 an
+    isotropic rest, and _solve_sqf returns both cases before it gets here;
+    _q_witness checks the glued zero."""
     n = len(s)
     plans = []
     for pair in itertools.combinations(range(n), 2):
         rest = [i for i in range(n) if i not in pair]
-        plans.append((_split_plan(local, pair, rest), pair, rest))
+        plans.append((_split_plan(record, pair, rest), pair, rest))
     (_, allowed, forced), pair, rest = min(plans, key=lambda plan: plan[0][0])
     a, r = [s[i] for i in pair], [s[i] for i in rest]
     t = _split_value(a, r, allowed, forced)
@@ -1268,15 +1268,12 @@ def equivalent(q1: QuadraticForm, q2: QuadraticForm) -> bool:
         return False
     if k == PRIME_FIELD:
         return q1.det_squareclass() == q2.det_squareclass()
-    c1, d1, s1 = _local_data(_pairs(*q1.packed))
-    c2, d2, s2 = _local_data(_pairs(*q2.packed))
+    _, d1, r1 = _local_data(_pairs(*q1.packed))
+    _, d2, r2 = _local_data(_pairs(*q2.packed))
     if d1 != d2 or q1.signature() != q2.signature():
         return False
-    for p in {*s1, *s2}:
-        hilbert = _local_tables(p & 3)[0]
-        if _hasse_data(hilbert, _classes_at(c1, p))[1] != _hasse_data(hilbert, _classes_at(c2, p))[1]:
-            return False
-    return True
+    # the primes where the Hasse invariant is -1: e = 0 off a form's record
+    return {p for p, (_, _, e) in r1.items() if e} == {p for p, (_, _, e) in r2.items() if e}
 
 
 def equivalent_with_witness(q1: QuadraticForm, q2: QuadraticForm, p) -> bool:

@@ -44,7 +44,7 @@ from .albert import (
     trace,
 )
 from .composition import CompElement, cayley_dickson
-from .fields import legendre, prime_field, quad_ext, rationals
+from .fields import legendre, prime_factors, prime_field, quad_ext, rationals
 from .groups import (
     KIND_SPIN,
     VERDICT_EXCELLENT,
@@ -57,7 +57,6 @@ from .groups import (
 from .qforms import (
     INF,
     QuadraticForm,
-    _local_data,
     equivalent,
     equivalent_with_witness,
     hilbert_symbol,
@@ -356,7 +355,8 @@ def suite_qforms(seed: int = DEFAULT_SEED) -> list[CheckResult]:
         for _ in range(100):
             a = f.element(Fraction(rng.randint(-20, 20) or 3, rng.randint(1, 20)))
             b = f.element(Fraction(rng.randint(-20, 20) or 5, rng.randint(1, 20)))
-            if prod(hilbert_symbol(a, b, v) for v in [INF, *_local_data([a.value.as_integer_ratio(), b.value.as_integer_ratio()])[2]]) != 1:
+            every_prime = {2}.union(*(prime_factors(n) for x in (a, b) for n in x.value.as_integer_ratio()))
+            if prod(hilbert_symbol(a, b, v) for v in [INF, *every_prime]) != 1:
                 yield f"a={a} b={b}"
 
     def pfister_hyperbolic():

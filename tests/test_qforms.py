@@ -18,7 +18,7 @@ from splitrank.errors import (
     UnsupportedCase,
     UnsupportedField,
 )
-from splitrank.fields import FieldElement, prime_field, quad_ext, rationals
+from splitrank.fields import FieldElement, prime_factors, prime_field, quad_ext, rationals
 from splitrank.qforms import (
     INF,
     METHOD_WITNESS,
@@ -435,6 +435,46 @@ class TestSymbolTable:
             assert (-1 if hilbert[x][y] else 1) == want, (a, b, p)
 
 
+class TestLocalRecord:
+    # squarefree classes of both signs with their primes; s m^2 / k^2 for m, k <= 30
+    CLASSES = [s for s in range(1, 31) if all(e == 1 for e in prime_factors(s).values())]
+
+    def test_record_keeps_the_odd_primes_and_drops_only_unramified_places(self):
+        # the record's places are exactly 2 and the primes of odd exponent;
+        # at every other prime of a numerator or denominator each class is
+        # a unit, so e = 0 there, the form is isotropic for n >= 3 and the
+        # local walk of witt_index_by_invariants stays at the generic bound
+        rng = random.Random(44)
+        dropped = 0
+        for _ in range(400):
+            n = rng.randint(2, 5)
+            coeffs = [
+                rng.choice((-1, 1)) * rng.choice(self.CLASSES) * Fraction(rng.randint(1, 30), rng.randint(1, 30)) ** 2
+                for _ in range(n)
+            ]
+            pairs = [c.as_integer_ratio() for c in coeffs]
+            exponents = [{**prime_factors(num), **prime_factors(den)} for num, den in pairs]
+            every = {2}.union(*exponents)
+            odd = {2}.union(*({p for p, e in exps.items() if e % 2} for exps in exponents))
+            _, det, record = qforms._local_data(pairs)
+            assert list(record) == sorted(odd), coeffs
+            wide = qforms._record({p: [qforms._square_class(num * den, p) for num, den in pairs] for p in sorted(every)})
+            assert {p: wide[p] for p in odd} == record, coeffs
+            generic = (n - 1) // 2 if n % 2 else n // 2 if (-1) ** (n // 2) * det == 1 else (n - 2) // 2
+            for p in every - odd:
+                classes, d, e = wide[p]
+                hilbert, minus_one, isotropic = qforms._local_tables(p & 3)
+                assert not any(c & 1 for c in classes) and e == 0, (coeffs, p)
+                assert n < 3 or isotropic[min(n, 5)][d][e], (coeffs, p)
+                m, count = n, 0
+                while m > 0 and isotropic[min(m, 5)][d][e]:
+                    m, d, count = m - 2, d ^ minus_one, count + 1
+                    e ^= hilbert[minus_one][d]
+                assert count >= generic, (coeffs, p)
+                dropped += 1
+        assert dropped > 300
+
+
 class TestHasse:
     def test_all_ones(self):
         q = QuadraticForm(Q, [1, 1])
@@ -449,6 +489,14 @@ class TestHasse:
         # pairs (-1,-1)_2 = -1 (oracle-checked above), so the product is +1.
         q = QuadraticForm(Q, [1] + [-1] * 8)
         assert hasse_invariant(q, 2) == (-1) ** 28 == 1
+
+    def test_a_given_place_needs_no_factoring(self, monkeypatch):
+        # a product of two 30-digit primes, past the factoring budget: the
+        # symbol at a named place reads the classes there alone
+        monkeypatch.setattr(qforms, "prime_factors", lambda n: pytest.fail(f"factored {n}"))
+        big = Q.element(-29499844054057586972697208966483124454769326642083079697007)
+        assert hilbert_symbol(big, Q.element(2), 3) == 1
+        assert hilbert_symbol(big, Q.element(5), 5) == -1  # (-n, 5)_5 = (-n/5) = (3/5) for n = 2 mod 5
 
 
 class TestIsotropy:
@@ -775,7 +823,7 @@ class TestConstructedWitnesses:
         coeffs = [Fraction(-858833, 212069), Fraction(160, 979), 5, Fraction(904931, 634372), 71]
         seen = []
         solve = qforms._solve_sqf
-        monkeypatch.setattr(qforms, "_solve_sqf", lambda s: seen.append(list(s)) or solve(s))
+        monkeypatch.setattr(qforms, "_solve_sqf", lambda s, primes: seen.append(list(s)) or solve(s, primes))
         q = QuadraticForm(field, coeffs)
         res = is_isotropic(q)
         assert res.isotropic and q.evaluate(_vector(res)).is_zero()
@@ -815,6 +863,13 @@ class TestEquivalence:
         q3 = QuadraticForm(Q, [2, 14])
         assert q1.det_squareclass() == q3.det_squareclass()
         assert equivalent(q1, q3) == (hasse_invariant(q1, 7) == hasse_invariant(q3, 7))
+
+    def test_hasse_obstruction_at_a_prime_of_one_record(self):
+        # <3,3> has Hasse invariant -1 at 2 and at 3, where <1,1> has no
+        # entry: either order must see it; <9,25/4> has only 2 in its record
+        q1, q2, q3 = (QuadraticForm(Q, c) for c in ([1, 1], [3, 3], [9, Fraction(25, 4)]))
+        assert not equivalent(q1, q2) and not equivalent(q2, q1)
+        assert equivalent(q1, q3) and equivalent(q3, q1)
 
     def test_f7_example_against_bruteforce(self):
         q1 = QuadraticForm(F7, [1, 2])

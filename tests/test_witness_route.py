@@ -21,7 +21,7 @@ import pytest
 from splitrank import cli, qforms
 from splitrank.errors import InputTooLarge
 from splitrank.fields import prime_factors, rationals
-from splitrank.qforms import QuadraticForm, _least_zero, _lll, _split_plan, _square_class, is_isotropic
+from splitrank.qforms import QuadraticForm, _least_zero, _lll, _record, _split_plan, _square_class, is_isotropic
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -305,7 +305,7 @@ def _brute_plan(s, pair, rest, primes):
 
 def _plan(s, pair, rest, primes):
     """_split_plan on the classes of s, its allowed classes read back as keys."""
-    key, allowed, forced = _split_plan({p: [_square_class(x, p) for x in s] for p in primes}, pair, rest)
+    key, allowed, forced = _split_plan(_record({p: [_square_class(x, p) for x in s] for p in primes}), pair, rest)
     keys = {p: {_square_class(c, p): _class_key(c, p) for c in _class_reps(p)} for p in primes}
     return key, {p: {keys[p][c] for c in classes} for p, classes in allowed.items()}, forced
 
@@ -324,7 +324,7 @@ def test_split_plan_matches_per_candidate_local_isotropy():
         if not all(brute.values()):
             empty += 1
             with pytest.raises(qforms.InternalCheckFailed):
-                _split_plan({p: [_square_class(x, p) for x in s] for p in primes}, pair, rest)
+                _split_plan(_record({p: [_square_class(x, p) for x in s] for p in primes}), pair, rest)
             continue
         key, allowed, forced = _plan(s, pair, rest, primes)
         assert allowed == brute, (s, pair)
