@@ -23,8 +23,11 @@ X theta X^(-1) by a scalar 3x3 matrix X (phi, conjugation_between) come
 from their blocks: a per-process template spells out, bilinear in
 (X, X^(-1)), the 6x6 block on (x1, x2, x3) and the real parts of the slots,
 the 3x3 block that the imaginary parts share, and the hermitian relations;
-one packed-kernel call evaluates them.  verify.reference_conjugation is
-the literal definition.
+one packed-kernel call evaluates them.  phi checks its rows on five seeded
+sample pairs that an algebra draws, with their products and traces, once
+(AlbertAlgebra._phi_samples), so a call multiplies out only the images;
+so_gamma_sample runs the Cayley transform on packed integers.
+verify.reference_conjugation is the literal definition.
 
 Slot positions follow the defining matrix:
 
@@ -134,6 +137,13 @@ class AlbertAlgebra:
     @cached_property
     def _automorphism_table(self):  # the compiled conjugation template for phi, built on the first call
         return _conjugation_table(self, self)
+
+    @cached_property
+    def _phi_samples(self):
+        """phi's five sample pairs (p, q), drawn from Random(947) at its first
+        call, with p q and tr(p p): its checks then multiply out only the
+        images."""
+        return tuple(_sample_pairs(self, 5, _random.Random(947)))
 
     # ----------------------------------------------------------------- basics
     def __eq__(self, other):
@@ -615,47 +625,64 @@ def torus_element(field: Field, av, bv):
 
 def so_gamma_sample(a: AlbertAlgebra, rng):
     """Random X with X^T Gamma X = Gamma, det X = 1, via the Cayley transform
-    X = (I - S)(I + S)^(-1) = 2 adj(I + S) / det(I + S) - I over S =
-    Gamma^(-1) K with K skew; X is checked as phi checks its input."""
-    f = a.field
-    one, g_inv = f.one(), [g.inv() for g in a.gamma]
+    X = (I - S)(I + S)^(-1) = 2 adj(Gamma + K) Gamma / det(Gamma + K) - I
+    over S = Gamma^(-1) K with K skew, on packed integers (K drawn with the
+    rng calls of Field.random); X is checked as phi checks its input."""
+    kernel = a.field.kernel
+    mul, add, times = kernel._mul, kernel._add, kernel._times
+    g, gd = a.packed_gamma
     for _ in range(_CAYLEY_DRAWS):
-        k12, k13, k23 = (f.random(rng, 3) for _ in range(3))
-        k = [[None, k12, k13], [-k12, None, k23], [-k13, -k23, None]]
-        m = [[one if i == j else k[i][j] * g_inv[i] for j in range(3)] for i in range(3)]  # I + S
-        adj = [[m[(j + 1) % 3][(i + 1) % 3] * m[(j + 2) % 3][(i + 2) % 3]
-                - m[(j + 1) % 3][(i + 2) % 3] * m[(j + 2) % 3][(i + 1) % 3] for j in range(3)] for i in range(3)]
-        det = m[0][0] * adj[0][0] + m[0][1] * adj[1][0] + m[0][2] * adj[2][0]
-        if det.is_zero():
+        (k12, k13, k23), kd = kernel.random_packed(rng, 3, 3)
+        # N = gd kd (Gamma + K): g_i kd on the diagonal, gd k_ij off it
+        k12, k13, k23 = times(k12, gd), times(k13, gd), times(k23, gd)
+        n = [[times(g[0], kd), k12, k13],
+             [times(k12, -1), times(g[1], kd), k23],
+             [times(k13, -1), times(k23, -1), times(g[2], kd)]]
+        adj = [[add(mul(n[(j + 1) % 3][(i + 1) % 3], n[(j + 2) % 3][(i + 2) % 3]),
+                    times(mul(n[(j + 1) % 3][(i + 2) % 3], n[(j + 2) % 3][(i + 1) % 3]), -1))
+                for j in range(3)] for i in range(3)]
+        det = add(add(mul(n[0][0], adj[0][0]), mul(n[0][1], adj[1][0])), mul(n[0][2], adj[2][0]))
+        (det,) = kernel._reduce([det])
+        if det == kernel._ZERO:
             continue
-        c = (one + one) / det
-        x = [[c * v - one if i == j else c * v for j, v in enumerate(row)] for i, row in enumerate(adj)]
+        # adj(Gamma + K) / det(Gamma + K) = gd kd adj(N) / det(N), and Gamma = g / gd
+        nums = [times(mul(adj[i][j], g[j]), 2 * kd) for i in range(3) for j in range(3)]
+        for i in (0, 4, 8):
+            nums[i] = add(nums[i], times(det, -1))
+        entries = kernel._unpack(*kernel.packed_over(nums, det))
+        x = [list(entries[i:i + 3]) for i in (0, 3, 6)]
         _check_gamma_orthogonal(a, x)
         return x
     raise SingularCayley(f"no invertible I + S in {_CAYLEY_DRAWS} draws")
 
 
-def _similitude(src: AlbertAlgebra, dst: AlbertAlgebra, x) -> FieldElement:
-    """lam with X^T Gamma' X = lam Gamma (Gamma of src, Gamma' of dst): lam is
-    read off the (0, 0) entry, and the whole congruence is checked exactly
-    by the packed predicate of every congruence check; then X^(-1) =
-    lam^(-1) Gamma^(-1) X^T Gamma'."""
+def _similitude(src: AlbertAlgebra, dst: AlbertAlgebra, x):
+    """(lam, cols) with X^T Gamma' X = lam Gamma (Gamma of src, Gamma' of
+    dst) and cols the packed columns of X: lam is read off the (0, 0)
+    entry, and the whole congruence is checked exactly by the packed
+    predicate of every congruence check; then X^(-1) = lam^(-1) Gamma^(-1)
+    X^T Gamma'."""
     kernel, gamma = src.field.kernel, dst.packed_gamma
     cols = [kernel.pack(list(col)) for col in zip(*x)]
     lam = kernel._unpack(*kernel.packed_dot(gamma, kernel.packed_times(cols[0], cols[0])))[0] / src.gamma[0]
     expected = kernel.pack([lam * g for g in src.gamma])
     if lam.is_zero() or _gram_mismatch(kernel, partial(kernel.packed_times, gamma), cols, expected):
         raise NotGammaOrthogonal("X^T Gamma' X is not an invertible multiple of Gamma")
-    return lam
+    return lam, cols
 
 
 def _check_gamma_orthogonal(a: AlbertAlgebra, x):
-    """X^T Gamma X = Gamma and det X = 1, for X of FieldElements of a."""
-    one = a.field.one()
-    if _similitude(a, a, x) != one:
+    """X^T Gamma X = Gamma and det X = 1, for X of FieldElements of a; the
+    determinant is the triple product of the packed columns."""
+    kernel = a.field.kernel
+    lam, ((u, ud), (v, vd), (w, wd)) = _similitude(a, a, x)
+    if lam != a.field.one():
         raise NotGammaOrthogonal("X^T Gamma X != Gamma")
-    cofactors = [x[1][(j + 1) % 3] * x[2][(j + 2) % 3] - x[1][(j + 2) % 3] * x[2][(j + 1) % 3] for j in range(3)]
-    if x[0][0] * cofactors[0] + x[0][1] * cofactors[1] + x[0][2] * cofactors[2] != one:
+    mul, add, times = kernel._mul, kernel._add, kernel._times
+    det = kernel._ZERO
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):  # u . (v x w)
+        det = add(det, mul(u[i], add(mul(v[j], w[k]), times(mul(v[k], w[j]), -1))))
+    if not kernel.packed_eq((kernel._reduce([det]), ud * vd * wd), ([kernel._ONE], 1)):
         raise NotGammaOrthogonal("det X != 1")
 
 
@@ -696,12 +723,15 @@ def phi(a: AlbertAlgebra, x) -> Automorphism:
 
     X^T Gamma X = Gamma and det X = 1 are checked first.  The rows are then
     built and checked as conjugation_between builds them, with five seeded
-    sample pairs, and go to the Automorphism as they are.  The complete
-    378-pair basis check is preserves_jordan_on_basis().
+    sample pairs, and go to the Automorphism as they are.  The pairs, drawn
+    from Random(947), and their products p q and traces tr(p p) are drawn
+    once per algebra (_phi_samples); every call checks multiplicativity and
+    Q on all five, and the unit.  The complete 378-pair basis check is
+    preserves_jordan_on_basis().
     """
     x = [[a.field.element(v) for v in row] for row in x]
     _check_gamma_orthogonal(a, x)
-    return Automorphism(a, _conjugation(a, a, x, a.field.one(), 5, _random.Random(947)))
+    return Automorphism(a, _conjugation(a, a, x, a.field.one(), a._phi_samples))
 
 
 _BLOCK = (0, 1, 2) + _SLOT_OFFSET  # x1, x2, x3 and the real parts of c1, c2, c3
@@ -767,13 +797,26 @@ def conjugation_between(src: AlbertAlgebra, dst: AlbertAlgebra, x, samples: int 
     if src.octonions != dst.octonions:
         raise AlgebraMismatch("conjugation needs a common coordinate algebra")
     x = [[src.field.element(v) for v in row] for row in x]
-    rows = _conjugation(src, dst, x, _similitude(src, dst, x), samples, rng)
+    lam, _ = _similitude(src, dst, x)
+    rows = _conjugation(src, dst, x, lam, _sample_pairs(src, samples, rng) if rng is not None else ())
     return src.field.kernel.table_matrix(rows, DIM)
 
 
-def _conjugation(src: AlbertAlgebra, dst: AlbertAlgebra, x, lam, samples: int, rng):
+def _sample_pairs(src: AlbertAlgebra, n: int, rng):
+    """n sample pairs (p, q), drawn from rng as packed vectors, each with p q
+    and tr(p p) in src: (p, q, pq, tpp)."""
+    kernel = src.field.kernel
+    for _ in range(n):
+        p, q = kernel.random_packed(rng, DIM, 3), kernel.random_packed(rng, DIM, 3)
+        yield p, q, kernel.packed_bilinear(src._product, p, q), kernel.packed_bilinear(src._trace, p, p)
+
+
+def _conjugation(src: AlbertAlgebra, dst: AlbertAlgebra, x, lam, samples):
     """conjugation_between's checked compiled rows, for X of FieldElements
-    whose similitude X^T Gamma' X = lam Gamma its caller has proved."""
+    whose similitude X^T Gamma' X = lam Gamma its caller has proved.  Each
+    sample (p, q, pq, tpp) of src (_sample_pairs; phi's are drawn once per
+    algebra, _phi_samples) checks phi(pq) = phi(p) phi(q) and tr(phi(p)^2)
+    = tpp on the rows; the unit is checked on every call."""
     kernel = src.field.kernel
     w = [(lam * g).inv() for g in src.gamma]  # X^(-1) = lam^(-1) Gamma^(-1) X^T Gamma'
     y = [x[j][i] * dst.gamma[j] * w[i] for i in range(3) for j in range(3)]
@@ -784,12 +827,11 @@ def _conjugation(src: AlbertAlgebra, dst: AlbertAlgebra, x, lam, samples: int, r
         raise InternalCheckFailed("an image is not Gamma-hermitian with a scalar diagonal")
     rows = kernel.packed_table(DIM, [(r, j, v) for v, spots in zip(out, fill) for r, j in spots], den)
     bil, lin, same = kernel.packed_bilinear, kernel.packed_linear, kernel.packed_eq
-    for _ in range(samples if rng is not None else 0):
-        p, q = kernel.random_packed(rng, DIM, 3), kernel.random_packed(rng, DIM, 3)
+    for p, q, pq, tpp in samples:
         mp, mq = lin(rows, p), lin(rows, q)
-        if not same(lin(rows, bil(src._product, p, q)), bil(dst._product, mp, mq)):
+        if not same(lin(rows, pq), bil(dst._product, mp, mq)):
             raise InternalCheckFailed("conjugation is not multiplicative")
-        if not same(bil(dst._trace, mp, mp), bil(src._trace, p, p)):
+        if not same(bil(dst._trace, mp, mp), tpp):
             raise InternalCheckFailed("conjugation does not preserve Q")
     unit = dst.unit().packed
     if not same(lin(rows, unit), unit):

@@ -37,7 +37,10 @@ coefficients packed from split to split (`common_columns`, `packed_mix`,
 (`packed_times`, `packed_dot`); the conjugations of
 `albert.conjugation_between` fill their rows from packed outputs
 (`packed_table`), and their sampled checks draw packed vectors
-(`random_packed`, with the draws of `Field.random`) and compare them:
+(`random_packed`, with the draws of `Field.random`) and compare them; the
+Cayley transform of `albert.so_gamma_sample` draws its skew matrix the
+same way and runs on packed scalars (`_mul`, `_add`, `_times`,
+`packed_over`):
 
     Q         integer numerators over one positive common denominator
     F_p       integer residues (the denominator is 1), reduced mod p once
@@ -942,7 +945,13 @@ class _IntegerKernel(_Kernel):
     def packed_linear(self, table, xp):
         rows, den = table
         x, xd = xp
-        return self._reduce([sum(c * x[j] for j, c in row) for row in rows]), den * xd
+        out = []
+        for row in rows:  # a plain loop: a generator per row costs more than the few terms it sums
+            s = 0
+            for j, c in row:
+                s += c * x[j]
+            out.append(s)
+        return self._reduce(out), den * xd
 
     @staticmethod
     def packed_eq(u, v) -> bool:

@@ -147,7 +147,7 @@ class QuadraticForm:
         Q the squarefree integer, from the split of each coefficient)."""
         k = self.field.kind
         if k == RATIONALS:
-            return _local_data(_pairs(*self.packed))[1]
+            return _local_data(_pairs(*self.packed))[0]
         if k == PRIME_FIELD:
             if legendre(math.prod(self.packed[0]), self.field.p) == 1:
                 return 1
@@ -391,10 +391,10 @@ def _square_split(num: int, den: int) -> tuple[int, int, int, list[int]]:
     return s, top, bottom, primes
 
 
-def _local_data(pairs) -> tuple[list[int], int, dict]:
-    """The squarefree class of each nonzero reduced fraction (num, den), the
-    class of their product, and their local record (_record) over S = {2} +
-    the primes of the classes."""
+def _local_data(pairs) -> tuple[int, dict]:
+    """The squarefree class of the product of nonzero reduced fractions
+    (num, den), and their local record (_record) over S = {2} + the primes
+    of their squarefree classes."""
     classes, det, places = [], 1, {2}
     for num, den in pairs:
         s, _, _, primes = _square_split(num, den)
@@ -402,7 +402,7 @@ def _local_data(pairs) -> tuple[list[int], int, dict]:
         classes.append(s)
         det = det * s // (g * g)
         places.update(primes)
-    return classes, det, _record({p: [_square_class(s, p) for s in classes] for p in sorted(places)})
+    return det, _record({p: [_square_class(s, p) for s in classes] for p in sorted(places)})
 
 
 def _square_class(t: int, p: int) -> int:
@@ -500,7 +500,7 @@ def _obstruction(pairs):
         return METHOD_REAL, {"signature": [pos, n - pos], "place": INF}
     if n >= 5:
         return None
-    _, det, record = _local_data(pairs)
+    det, record = _local_data(pairs)
     for p, (_, d, e) in record.items():
         if not _local_tables(p & 3)[2][n][d][e]:
             return METHOD_LOCAL, {"place": p, "det_squareclass": det, "hasse": -1 if e else 1}
@@ -514,7 +514,7 @@ def witt_index_by_invariants(q: QuadraticForm) -> int:
         raise UnsupportedField("invariant-based Witt index is a Q-only route")
     n = q.dim
     best = min(q.signature())
-    _, det, record = _local_data(_pairs(*q.packed))
+    det, record = _local_data(_pairs(*q.packed))
     for p, (_, d, e) in record.items():
         hilbert, minus_one, isotropic = _local_tables(p & 3)
         m, count = n, 0
@@ -1268,8 +1268,8 @@ def equivalent(q1: QuadraticForm, q2: QuadraticForm) -> bool:
         return False
     if k == PRIME_FIELD:
         return q1.det_squareclass() == q2.det_squareclass()
-    _, d1, r1 = _local_data(_pairs(*q1.packed))
-    _, d2, r2 = _local_data(_pairs(*q2.packed))
+    d1, r1 = _local_data(_pairs(*q1.packed))
+    d2, r2 = _local_data(_pairs(*q2.packed))
     if d1 != d2 or q1.signature() != q2.signature():
         return False
     # the primes where the Hasse invariant is -1: e = 0 off a form's record

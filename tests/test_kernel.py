@@ -293,12 +293,75 @@ def test_corrupted_conjugation_rows_are_caught(name, monkeypatch):
         rows[r][t] = _bump(rows[r][t], 1, den)  # an entry is (j, constant...)
         return rows, den
 
+    phi(a, x)  # clean: draws phi's sample pairs and their products once
+    assert "_phi_samples" in vars(a)
     monkeypatch.setattr(f.kernel, "packed_table", corrupted)
     conjugation_between(a, a, x)  # no samples: only the unit is checked
     with pytest.raises(InternalCheckFailed):
         conjugation_between(a, a, x, samples=5, rng=random.Random(6))
-    with pytest.raises(InternalCheckFailed):
+    with pytest.raises(InternalCheckFailed):  # the warm samples still check the new rows
         phi(a, x)
+
+
+def _cayley_oracle(a, rng):
+    """The FieldElement Cayley transform that so_gamma_sample replaced:
+    X = 2 adj(I + S) / det(I + S) - I over S = Gamma^(-1) K, K skew."""
+    f = a.field
+    one, g_inv = f.one(), [g.inv() for g in a.gamma]
+    for _ in range(50):
+        k12, k13, k23 = (f.random(rng, 3) for _ in range(3))
+        k = [[None, k12, k13], [-k12, None, k23], [-k13, -k23, None]]
+        m = [[one if i == j else k[i][j] * g_inv[i] for j in range(3)] for i in range(3)]  # I + S
+        adj = [[m[(j + 1) % 3][(i + 1) % 3] * m[(j + 2) % 3][(i + 2) % 3]
+                - m[(j + 1) % 3][(i + 2) % 3] * m[(j + 2) % 3][(i + 1) % 3] for j in range(3)] for i in range(3)]
+        det = m[0][0] * adj[0][0] + m[0][1] * adj[1][0] + m[0][2] * adj[2][0]
+        if not det.is_zero():
+            c = (one + one) / det
+            return [[c * v - one if i == j else c * v for j, v in enumerate(row)] for i, row in enumerate(adj)]
+    raise AssertionError("no invertible I + S")
+
+
+@pytest.mark.parametrize("name", list(FIELDS))
+def test_packed_cayley_transform_matches_fieldelement_formula(name):
+    """so_gamma_sample's packed Cayley transform returns the matrix of the
+    FieldElement formula and leaves the rng where that formula did (over
+    F_5 some draws are singular and skipped)."""
+    a = _algebra(FIELDS[name])
+    for seed in range(50):
+        rng, old = random.Random(seed), random.Random(seed)
+        x = so_gamma_sample(a, rng)
+        assert x == _cayley_oracle(a, old)
+        _assert_payloads([v for row in x for v in row])
+        assert rng.random() == old.random()
+
+
+@pytest.mark.parametrize("name", ["Q", "F10007", "Q(sqrt-7)"])
+def test_phi_rows_are_the_seeded_conjugation_rows(name):
+    """phi's rows, checked on the sample pairs drawn once per algebra, are
+    the rows conjugation_between fills with the same five seeded pairs,
+    on a first call and on a warm one."""
+    a = _algebra(FIELDS[name])
+    for seed in (7, 8):
+        x = so_gamma_sample(a, random.Random(seed))
+        want = conjugation_between(a, a, x, samples=5, rng=random.Random(947))
+        assert a.field.kernel.table_matrix(phi(a, x).rows, 27) == want
+
+
+@pytest.mark.parametrize("name", ["Q", "F10007"])
+def test_integer_packed_linear_matches_table_matrix(name):
+    """_IntegerKernel.packed_linear is the table's matrix times the vector,
+    with an empty row giving zero."""
+    f = FIELDS[name]
+    k = f.kernel
+    rng = random.Random(9)
+    for height in HEIGHTS:
+        matrix = [_coords(f, rng, 9, height, 0.5) for _ in range(7)]
+        matrix[3] = [f.zero()] * 9
+        table = k.linear_table(matrix)
+        assert table[0][3] == []
+        xs = _coords(f, rng, 9, height, 0.8)
+        want = [sum((c * v for c, v in zip(row, xs)), f.zero()) for row in k.table_matrix(table, 9)]
+        assert k._unpack(*k.packed_linear(table, k.pack(xs))) == tuple(want)
 
 
 @pytest.mark.parametrize("name", list(FIELDS))

@@ -456,7 +456,7 @@ class TestLocalRecord:
             exponents = [{**prime_factors(num), **prime_factors(den)} for num, den in pairs]
             every = {2}.union(*exponents)
             odd = {2}.union(*({p for p, e in exps.items() if e % 2} for exps in exponents))
-            _, det, record = qforms._local_data(pairs)
+            det, record = qforms._local_data(pairs)
             assert list(record) == sorted(odd), coeffs
             wide = qforms._record({p: [qforms._square_class(num * den, p) for num, den in pairs] for p in sorted(every)})
             assert {p: wide[p] for p in odd} == record, coeffs
