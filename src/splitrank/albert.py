@@ -12,8 +12,10 @@ integers; a product holds the packed vector that the kernel returns, an
 octonion slot and an entry of matrix_mul hold slices of one, and each
 unpacks its coordinates only when they are read.
 jordan_mul runs the coordinate formula: its 531 terms over 71 symbolic
-constants are spelled out once per process, and an algebra multiplies out
-only the constants, on the kernel's integers, at its first product.  The
+constants are spelled out once per process and generated into one
+straight-line integer function that all fields share, and an algebra
+multiplies out only the 71 constants, on the kernel's integers, at its
+first product; each product passes them to that function.  The
 raw matrix product matrix_mul is a second, independent table, derived
 likewise from to_matrix's slot layout and the octonion table; its
 symmetrization is the matrix route that jordan_mul is checked against, and
@@ -375,8 +377,9 @@ def jordan_mul(x: AlbertElement, y: AlbertElement) -> AlbertElement:
     where x = (x_i; c_i) and y = (y_i; d_i).  _jordan_template spells the
     formula out term by term, once per process, with symbolic constants;
     on its first product an algebra has the field's packed kernel multiply
-    the constants out (AlbertAlgebra._compile) and compile the terms.  The
-    product stays packed until its coordinates are read.
+    the constants out (AlbertAlgebra._compile), and each product passes
+    them to the template's generated integer code.  The product stays
+    packed until its coordinates are read.
     _jordan_from_matrices, the matrix route, is the oracle it is tested
     against.
     """

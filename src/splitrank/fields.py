@@ -16,10 +16,16 @@ every kernel's `pack` calls it, so forms, octonion parameters and Gamma
 are packed straight from their literals.  `packed_strings` is the one
 literal writer, of the reports and of FieldElement.__str__.  The products
 that dominate the running time -- octonion, Jordan, the Albert matrix
-product, automorphism matrices -- are compiled once into tables of integer
-constants: `monomial_table` compiles every template table (octonion,
-Jordan, trace, matrix, conjugation), whose constants are signed monomials
-in the algebra's parameters.  The congruence checks of the quadratic-form
+product, automorphism matrices -- are bilinear templates, each generated
+once per process into one straight-line integer function (`_evaluator`)
+that every field and algebra shares: `monomial_table` compiles every
+template table (octonion, Jordan, trace, matrix, conjugation) into that
+function, the algebra's constants -- signed monomials in its parameters,
+multiplied out on packed integers -- and their denominator.  The
+constants are arguments of the generated code, never literals in it.
+Over Q and F_p a product is one call of the evaluator; over Q(sqrt d) it
+is three (Karatsuba on the two integer parts of x and y) per nonzero part
+of the constants.  The congruence checks of the quadratic-form
 engine compile nothing: their forms are diagonal, so a Gram is the packed
 coefficient vector and x^T G one elementwise product (`packed_times`).
 Packed data unpacks into FieldElements only where an oracle reads it: an
@@ -821,11 +827,49 @@ _SPLIT_NUMBER = re.compile(r"[\w./] +[\w./]")
 # packed kernels (see the module docstring)
 # ---------------------------------------------------------------------------
 
+def _evaluator_source(rows, n_out, n_keys):
+    """The source of `evaluate(c, x, y)`, the straight-line integer code of
+    a template: rows[i] holds ((j, k), n) for out_k += c_n x_i y_j, and
+    output k is returned as the sum over keys n of c_n*(x_i*(y_j + ...) +
+    ...).  It reads n_keys constants and len(rows) coordinates of x and of
+    y, all unpacked into the locals c<n>, x<i> and y<j>: the constants are
+    arguments, so the source holds only names built from template indices."""
+    sums = [{} for _ in range(n_out)]  # sums[k][n][i]: the j of the terms c_n x_i y_j of output k
+    for i, row in enumerate(rows):
+        for (j, k), n in row:
+            sums[k].setdefault(n, {}).setdefault(i, []).append(f"y{j}")
+
+    def total(parts):
+        return parts[0] if len(parts) == 1 else f"({' + '.join(parts)})"
+
+    def output(by_key):
+        keyed = (f"c{n}*{total([f'x{i}*{total(ys)}' for i, ys in by_x.items()])}" for n, by_x in by_key.items())
+        return " + ".join(keyed) or "0"
+
+    unpack = (("c", n_keys), ("x", len(rows)), ("y", len(rows)))
+    lines = ["def evaluate(c, x, y):", *(f"    {''.join(f'{v}{m}, ' for m in range(count))}= {v}" for v, count in unpack)]
+    lines += ["    return [", *(f"        {output(by_key)}," for by_key in sums), "    ]"]
+    return "\n".join(lines) + "\n"
+
+
+@cache
+def _evaluator(rows, n_out, n_keys):
+    """_evaluator_source compiled once per process, shared by every field
+    and algebra that compiles the template (the constants are arguments).
+    The code runs with no builtins."""
+    namespace = {"__builtins__": {}}
+    exec(compile(_evaluator_source(rows, n_out, n_keys), "<bilinear template>", "exec"), namespace)
+    return namespace["evaluate"]
+
+
 class _Kernel:
     """Bilinear and linear maps compiled to integer constants over one
-    common denominator.  A bilinear table holds, for each x coordinate i,
-    the terms (j, k, constant...) of out_k += c x_i y_j; a linear table holds
-    one sparse row of (j, constant...) per output coordinate.
+    common denominator.  A bilinear table is (evaluate, constants, den):
+    evaluate(c, x, y) is the template's generated integer code, which
+    returns out_k = sum of c_n x_i y_j over its terms, and the constants
+    are the algebra's per-key values c_n (over Q(sqrt d) their two integer
+    parts).  A linear table holds one sparse row of (j, constant...) per
+    output coordinate.
 
     `packed_bilinear` and `packed_linear` take and return packed vectors
     (`pack` makes one, `random_packed` draws one, `_unpack` reads one), so
@@ -857,9 +901,10 @@ class _Kernel:
         """Compile out_k = sum of c_n x_i y_j over the entries ((j, k), n)
         of rows[i], where the key (sign, fs) = keys[n] names the monomial
         c_n = sign * prod(factors[f] for f in fs) (1 for empty fs): each
-        is multiplied out on packed integers and reduced with one gcd."""
-        packed, den = self._monomials(keys, [self.pack([v]) for v in factors])
-        return [[jk + packed[n] for jk, n in row] for row in rows], n_out, den
+        is multiplied out on packed integers and reduced with one gcd.
+        The table is (the template's evaluator, the constants, den)."""
+        consts, den = self._monomials(keys, [self.pack([v]) for v in factors])
+        return _evaluator(rows, n_out, len(keys)), consts, den
 
     @staticmethod
     def _reduce(nums):
@@ -933,14 +978,8 @@ class _IntegerKernel(_Kernel):
         return sum(map(operator.mul, u, v))
 
     def packed_bilinear(self, table, xp, yp):
-        rows, n_out, den = table
-        (x, xd), (y, yd) = xp, yp
-        out = [0] * n_out
-        for xi, row in zip(x, rows):
-            if xi:
-                for j, k, c in row:
-                    out[k] += c * xi * y[j]
-        return self._reduce(out), den * xd * yd
+        evaluate, c, den = table
+        return self._reduce(evaluate(c, xp[0], yp[0])), den * xp[1] * yp[1]
 
     def packed_linear(self, table, xp):
         rows, den = table
@@ -979,7 +1018,7 @@ class _IntegerKernel(_Kernel):
             g = gcd(n, d)
             out.append((sign * n // g, d // g))
         den = lcm(*[d for _, d in out])
-        return [(v,) for v in self._reduce([n * (den // d) for n, d in out])], den
+        return self._reduce([n * (den // d) for n, d in out]), den
 
 
 class _RationalKernel(_IntegerKernel):
@@ -1096,19 +1135,23 @@ class _QuadKernel(_Kernel):
         return [self._mul(n, conj) for n in nums], abs(norm)
 
     def packed_bilinear(self, table, xp, yp):
-        rows, n_out, den = table
+        """The integer evaluator run three times per nonzero part of the
+        constants (Karatsuba): with P, Q and S its values on (xa, ya),
+        (xb, yb) and (xa + xb, ya + yb), the part's value on x and y is
+        P + d Q + (S - P - Q) sqrt(d), and the part cb is then multiplied
+        by sqrt(d)."""
+        evaluate, (ca, cb), den = table
         (x, xd), (y, yd) = xp, yp
         d = self.field.d
-        out_a, out_b = [0] * n_out, [0] * n_out
-        for (xa, xb), row in zip(x, rows):
-            if xa or xb:
-                dxb = d * xb
-                for j, k, ca, cb, dcb in row:
-                    ya, yb = y[j]
-                    pa = xa * ya + dxb * yb
-                    pb = xa * yb + xb * ya
-                    out_a[k] += ca * pa + dcb * pb
-                    out_b[k] += ca * pb + cb * pa
+        (xa, xb), (ya, yb) = zip(*x), zip(*y)
+        xs, ys = tuple(map(operator.add, xa, xb)), tuple(map(operator.add, ya, yb))
+        p, q, s = evaluate(ca, xa, ya), evaluate(ca, xb, yb), evaluate(ca, xs, ys)
+        out_a = [u + d * v for u, v in zip(p, q)]
+        out_b = [w - u - v for u, v, w in zip(p, q, s)]
+        if any(cb):  # sqrt(d) (A + B sqrt(d)) = d B + A sqrt(d)
+            p, q, s = evaluate(cb, xa, ya), evaluate(cb, xb, yb), evaluate(cb, xs, ys)
+            out_a = [a + d * (w - u - v) for a, u, v, w in zip(out_a, p, q, s)]
+            out_b = [b + u + d * v for b, u, v in zip(out_b, p, q)]
         return list(zip(out_a, out_b)), den * xd * yd
 
     def packed_linear(self, table, xp):
@@ -1140,7 +1183,8 @@ class _QuadKernel(_Kernel):
         return [(a // g, b // g) for a, b in u[0]], u[1] // g
 
     def _monomials(self, keys, factors):
-        """As over Q, on (a + b sqrt d) / e, reduced by gcd(a, b, e)."""
+        """As over Q, on (a + b sqrt d) / e, reduced by gcd(a, b, e): the
+        constants are held as their two integer parts (ca, cb)."""
         d, out = self.field.d, []
         for sign, fs in keys:
             a, b, e = 1, 0, 1
@@ -1150,7 +1194,7 @@ class _QuadKernel(_Kernel):
             g = gcd(a, b, e)
             out.append((sign * a // g, sign * b // g, e // g))
         den = lcm(*[e for _, _, e in out])
-        return [self._const((a * (den // e), b * (den // e))) for a, b, e in out], den
+        return ([a * (den // e) for a, _, e in out], [b * (den // e) for _, b, e in out]), den
 
 
 _KERNELS = {RATIONALS: _RationalKernel, PRIME_FIELD: _PrimeKernel, QUAD_EXT: _QuadKernel}

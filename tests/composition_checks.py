@@ -9,19 +9,22 @@ this proof checks it against N for every x at once.
 
 from collections import defaultdict
 
-from splitrank.composition import CompositionAlgebra
+from table_terms import per_term
+
+from splitrank.composition import CompositionAlgebra, _doubling_template
 from splitrank.errors import InternalCheckFailed
 
 
 def check_norm_table(alg: CompositionAlgebra):
-    """x -> x conj(x), read off the terms of alg's compiled table as a
+    """x -> x conj(x), read off the terms of alg's compiled table (its
+    constants over the doubling template, table_terms.per_term) as a
     quadratic map (a term c x_i y_j of output k gives s_j c x_i x_j, s_0 = 1,
     s_j = -1 for j > 0), must be norm_form() in its scalar output and vanish
     in its pure outputs.  Coefficients are compared as packed integers, so
     the check holds for every x; a mismatch raises InternalCheckFailed."""
     kernel = alg.field.kernel
     norm, nden = kernel.pack(alg.norm_form().coeffs)
-    rows, _, den = alg._product
+    rows, _, den = per_term(kernel, _doubling_template(len(alg.packed_params[0]))[2], alg.dim, alg._product)
     # sums[k, i, j, part], i <= j: x_i x_j in output k of x conj(x) minus N, over den nden
     sums = defaultdict(int, {(0, m, m, part): -den * v for m, n in enumerate(norm) for part, v in enumerate(kernel._const(n))})
     for i, row in enumerate(rows):

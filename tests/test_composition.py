@@ -2,14 +2,15 @@
 oracle verify.reference_octonion_mul, norms, splitness, isomorphism, base
 change."""
 
-import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from composition_checks import check_norm_table
+from table_terms import corrupted
 
 from splitrank.composition import (
+    _doubling_template,
     base_change_comp,
     cayley_dickson,
     comp_isomorphic,
@@ -137,17 +138,16 @@ class TestNormForm:
         ids=["Q", "F5", "Q(sqrt-7)"],
     )
     def test_corrupted_table_entry_rejected(self, field, params):
-        # every single-term corruption of the compiled table that multiplies,
-        # a flipped sign or a doubled constant, changes a coefficient of
-        # x -> x conj(x), in dimensions 2, 4 and 8; the closed norm form
-        # needs no table, so the proof is the test-side one
+        # every corruption of one per-key constant of the compiled table
+        # that multiplies, a flipped sign or a doubled constant, changes a
+        # coefficient of x -> x conj(x), in dimensions 2, 4 and 8; the closed
+        # norm form needs no table, so the proof is the test-side one
         for n in (1, 2, 3):
-            for i, t in itertools.product(range(2**n), repeat=2):
+            for key in range(len(_doubling_template(n)[0])):
                 for corrupt in (lambda v: -v, lambda v: 2 * v):
                     alg = cayley_dickson(field, params[:n])
-                    row = alg._product[0][i]
-                    j, k, *c = row[t]
-                    row[t] = (j, k, *map(corrupt, c))
+                    evaluate, consts, den = alg._product
+                    alg._product = evaluate, corrupted(field.kernel, consts, key, corrupt), den
                     with pytest.raises(InternalCheckFailed):
                         check_norm_table(alg)
             alg = cayley_dickson(field, params[:n])

@@ -1,9 +1,16 @@
 """No floating point in the library: the README and the `fields` docstring
 promise exact arithmetic everywhere, so no source file under src/ holds a
-float literal, a call of `float`, or a square root from `math`."""
+float literal, a call of `float`, or a square root from `math`, and no
+generated evaluator of a bilinear template holds a float, a division or a
+power, or any name but its own locals."""
 
 import ast
+import re
 from pathlib import Path
+
+from splitrank.albert import _conjugation_template, _jordan_template, _matrix_template
+from splitrank.composition import _doubling_template
+from splitrank.fields import _evaluator_source
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "splitrank"
 
@@ -32,3 +39,37 @@ def test_the_scan_sees_each_form():
     assert [what for _, what in _floating_point(ast.parse(text))] == [
         "from math import sqrt", "literal 1e-06", "float", "math.sqrt",
     ]
+
+
+def _templates():
+    """(name, rows, n_out, n_keys) of every template that a table compiles."""
+    for n in range(4):
+        keys, _, rows = _doubling_template(n)
+        yield f"doubling {n}", rows, 2**n, len(keys)
+    keys, rows, trace_keys, trace_rows = _jordan_template()
+    yield "jordan", rows, 27, len(keys)
+    yield "trace", trace_rows, 1, len(trace_keys)
+    keys, rows = _matrix_template()
+    yield "matrix", rows, 72, len(keys)
+    keys, rows, _, n_out = _conjugation_template()
+    yield "conjugation", rows, n_out, len(keys)
+
+
+# the node types of a generated evaluator: unpacking assignments and one returned list of sums of products
+_EVALUATOR_NODES = (
+    ast.Module, ast.FunctionDef, ast.arguments, ast.arg, ast.Assign, ast.Tuple, ast.Name, ast.Store, ast.Load,
+    ast.Return, ast.List, ast.BinOp, ast.Add, ast.Mult, ast.Constant,
+)
+
+
+def test_generated_evaluators_are_integer_code_on_their_locals():
+    for name, rows, n_out, n_keys in _templates():
+        tree = ast.parse(_evaluator_source(rows, n_out, n_keys))
+        nodes = list(ast.walk(tree))
+        assert list(_floating_point(tree)) == [], name
+        assert not [n for n in nodes if isinstance(n, (ast.Div, ast.FloorDiv, ast.Pow))], name
+        assert all(isinstance(n, _EVALUATOR_NODES) for n in nodes), name
+        assert all(n.value == 0 and type(n.value) is int for n in nodes if isinstance(n, ast.Constant)), name
+        names = {n.id for n in nodes if isinstance(n, ast.Name)}
+        assert all(re.fullmatch(r"[cxy]\d*", v) for v in names), name
+        assert {f"c{m}" for m in range(n_keys)} | {f"{v}{m}" for v in "xy" for m in range(len(rows))} <= names, name

@@ -17,6 +17,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from table_terms import bumped
 
 from splitrank import albert
 from splitrank.albert import (
@@ -24,6 +25,7 @@ from splitrank.albert import (
     Automorphism,
     _conjugation_template,
     _jordan_from_matrices,
+    _matrix_template,
     bilinear,
     conjugation_between,
     jordan_mul,
@@ -171,10 +173,10 @@ def test_corrupted_matrix_table_breaks_the_matrix_route(name):
     a = _algebra(FIELDS[name])
     e = a.basis(0)
     assert jordan_mul(e, e) == _jordan_from_matrices(a, e, e)
-    rows, _, den = a._matrix_product
-    # the term x_0 y_0 -> coordinate 0 of entry (0, 0): the scalar x1 y1
-    t = next(i for i, term in enumerate(rows[0]) if term[:2] == (0, 0))
-    rows[0][t] = _bump(rows[0][t], 2, den)  # a term is (j, k, constant...)
+    evaluate, consts, den = a._matrix_product
+    # the key of the term x_0 y_0 -> coordinate 0 of entry (0, 0): the scalar x1 y1
+    n = next(n for jk, n in _matrix_template()[1][0] if jk == (0, 0))
+    a._matrix_product = evaluate, bumped(a.field.kernel, consts, n, den), den
     assert matrix_mul(e, e) != reference_matrix_mul(e, e)
     assert jordan_mul(e, e) != _jordan_from_matrices(a, e, e)
 
@@ -229,13 +231,12 @@ def test_one_wrong_conjugation_constant_is_caught(name, monkeypatch):
         f = Field(f.kind, f.p, f.d)  # a kernel of its own, patched below
         multiply, calls = f.kernel._monomials, []
 
-        def tampered(named, factors, n=n, calls=calls, multiply=multiply):
-            packed, den = multiply(named, factors)
+        def tampered(named, factors, n=n, calls=calls, multiply=multiply, kernel=f.kernel):
+            consts, den = multiply(named, factors)
             if tuple(named) == keys:  # the constant's value (over Q(sqrt d) its rational part) + 1
-                packed = list(packed)
-                packed[n] = (packed[n][0] + den,) + packed[n][1:]
+                consts = bumped(kernel, consts, n, den)
                 calls.append(n)
-            return packed, den
+            return consts, den
 
         monkeypatch.setattr(f.kernel, "_monomials", tampered)
         a = _algebra(f)

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import pytest
 from composition_checks import check_norm_table
+from table_terms import TEMPLATES, bumped, per_term
 
 from splitrank import cli
 from splitrank.albert import (
@@ -134,15 +135,20 @@ def test_closed_norm_matches_the_table_on_the_panel():
 
 def test_compiled_tables_match_golden():
     """The octonion, Jordan, trace, matrix and conjugation tables of 18
-    panel algebras, pinned by the sha256 of their repr: a change to the
-    compile route must leave every table == to the one it compiled before."""
+    panel algebras, pinned by the sha256 of the repr of their per-term
+    expansion (table_terms.per_term, the form the kernels once looped
+    over): a change to the compile route must leave every constant of
+    every term as it compiled before."""
     golden = json.loads((Path(__file__).parent / "golden" / "albert_tables.json").read_text())
     fields = [e["algebra"]["octonion"]["field"] for e in golden]
     assert len(golden) >= 15 and {f["p"] for f in fields if f["kind"] == "Fp"} == set(PRIMES)
     assert sum(f["kind"] == "Q" for f in fields) >= 5 and sum(f["kind"] == "QSqrt" for f in fields) >= 5
     for entry in golden:
         a = albert_from_json(entry["algebra"])
-        got = {name: hashlib.sha256(repr(attrgetter(name)(a)).encode()).hexdigest() for name in entry["sha256"]}
+        got = {
+            name: hashlib.sha256(repr(per_term(a.field.kernel, *TEMPLATES[name](), attrgetter(name)(a))).encode()).hexdigest()
+            for name in entry["sha256"]
+        }
         assert got == entry["sha256"], entry["algebra"]
     assert set(got) == {"octonions._product", "_product", "_trace", "_matrix_product", "_automorphism_table"}
 
@@ -174,13 +180,12 @@ def test_one_wrong_constant_fails_the_panel(field, monkeypatch):
             calls = []
             multiply = f.kernel._monomials
 
-            def tampered(named, factors, table=table, keys=keys, n=n, calls=calls, multiply=multiply):
-                packed, den = multiply(named, factors)
+            def tampered(named, factors, table=table, keys=keys, n=n, calls=calls, multiply=multiply, kernel=f.kernel):
+                consts, den = multiply(named, factors)
                 if tuple(named) == keys:  # the constant's value (over Q(sqrt d) its rational part) + 1
-                    packed = list(packed)
-                    packed[n] = (packed[n][0] + den,) + packed[n][1:]
+                    consts = bumped(kernel, consts, n, den)
                     calls.append(table)
-                return packed, den
+                return consts, den
 
             monkeypatch.setattr(f.kernel, "_monomials", tampered)
             c = cayley_dickson(f, params)
@@ -260,17 +265,19 @@ ROUTES += [["classify", "--json", G2_GRAVES], ["classify", "--json", json.dumps(
 
 
 def test_templates_stay_unbuilt_by_witt():
-    """Importing the CLI and running witt builds no template and imports
-    no oracle module, so commands that build no algebra pay nothing for
-    them; nor does an algebra, whose norm N is the closed Pfister form of
-    its params.  The octonion and Jordan templates wait for the first
-    Jordan or trace product (here phi's checks), the matrix one for
-    matrix_mul and the conjugation one for the first phi.
+    """Importing the CLI and running witt builds no template, generates
+    no evaluator and imports no oracle module, so commands that build no
+    algebra pay nothing for them; nor does an algebra, whose norm N is the
+    closed Pfister form of its params.  The octonion and Jordan templates
+    wait for the first Jordan or trace product (here phi's checks), the
+    matrix one for matrix_mul and the conjugation one for the first phi;
+    phi generates the Jordan, trace and conjugation evaluators and no other.
 
     F4 classify at ranks 0, 4 and 1, F4 kernel and excellence (over
     Q(sqrt 2) and Q(sqrt -7)) at ranks 0, 1 and 4, G2 classify at ranks 0
     and 2 and G2 excellence over Q(sqrt 2) and Q(sqrt -7) derive no
-    template and compile no octonion or Albert table in their algebras.
+    template, generate no evaluator and compile no octonion or Albert
+    table in their algebras.
     The rank-1 certificates are closed forms: production checks the exact
     zero of the slot form behind z and r_i N(c) = -1, and the Jordan
     identities they imply (z^2 = 0, the E0 conditions, the Q0 Gram) are
@@ -280,11 +287,11 @@ def test_templates_stay_unbuilt_by_witt():
     code = (
         "import contextlib, io, json, sys\n"
         "import splitrank.cli\n"
-        "from splitrank import albert, composition\n"
+        "from splitrank import albert, composition, fields\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    rc = splitrank.cli.main(['witt', '--json', {form!r}])\n"
         "caches = [composition._doubling_template, albert._jordan_template, albert._matrix_template,\n"
-        "          albert._conjugation_template]\n"
+        "          albert._conjugation_template, fields._evaluator]\n"
         "sizes = lambda: [c.cache_info().currsize for c in caches]\n"
         "before = sizes() + ['splitrank.verify' in sys.modules]\n"
         "a = albert.albert_from_json({'octonion': {'field': {'kind': 'Q'}, 'params': [-1, -1, -1]}, 'gamma': [1, 1, 1]})\n"
@@ -304,18 +311,24 @@ def test_templates_stay_unbuilt_by_witt():
         "after_routes = sizes()\n"
         "albert.phi(a, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])\n"
         "after_phi = sizes()\n"
+        "jordan_keys, jordan_rows, trace_keys, trace_rows = albert._jordan_template()\n"
+        "conjugation_keys, conjugation_rows, _, n_out = albert._conjugation_template()\n"
+        "phi_evaluators = [a._product[0] is fields._evaluator(jordan_rows, 27, len(jordan_keys)),\n"
+        "                  a._trace[0] is fields._evaluator(trace_rows, 1, len(trace_keys)),\n"
+        "                  a._automorphism_table[0] is fields._evaluator(conjugation_rows, n_out, len(conjugation_keys))]\n"
         "tables = ('_product', '_trace', '_matrix_product', '_automorphism_table')\n"
         "def compiled(b):\n"
         "    c = getattr(b, 'octonions', b)\n"
         "    return [t for t in tables if b is not c and t in vars(b)] + ['octonions._product'] * ('_product' in vars(c))\n"
-        "print(json.dumps([rc, before, built, after_routes, after_phi, reports, list(map(compiled, algebras))]))\n"
+        "print(json.dumps([rc, before, built, after_routes, after_phi, phi_evaluators, reports, list(map(compiled, algebras))]))\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    rc, before, built, after_routes, after_phi, reports, compiled = json.loads(out.stdout.strip().splitlines()[-1])
-    assert [rc, before, built, after_routes] == [0, [0, 0, 0, 0, False], [0, 0, 0, 0], [0, 0, 0, 0]]
-    assert after_phi == [1, 1, 0, 1]
+    rc, before, built, after_routes, after_phi, phi_evaluators, reports, compiled = json.loads(out.stdout.strip().splitlines()[-1])
+    assert [rc, before, built, after_routes] == [0, [0, 0, 0, 0, 0, False], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0]]
+    assert after_phi == [1, 1, 0, 1, 3]
+    assert phi_evaluators == [True, True, True]
     assert [_ranks(r) for r in reports] == [[0], [4], [4], [1]] + [
         [0], [0, 0], [0, 4],
         [1], [1, 1], [1, 4],
