@@ -391,14 +391,16 @@ def least_nonresidue(p: int) -> int:
 
 
 def sqrt_mod_p(a: int, p: int) -> int | None:
-    """Square root mod odd prime p via Tonelli-Shanks, or None."""
+    """Square root mod odd prime p, or None: at p = 3 mod 4 it is
+    a^((p+1)/4), checked by squaring it, else Tonelli-Shanks."""
     a %= p
     if a == 0:
         return 0
+    if p % 4 == 3:
+        r = pow(a, (p + 1) // 4, p)
+        return r if r * r % p == a else None
     if legendre(a, p) != 1:
         return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
     # Tonelli-Shanks
     q, s = p - 1, 0
     while q % 2 == 0:

@@ -15,13 +15,15 @@ Over Q one local record answers every local question (section "the local
 layer over Q"): each packed coefficient, reduced on its own, is split once
 into its squarefree class and that class's primes, and the record holds,
 at 2 and each of those primes, the coefficients' square classes (indices
-whose product is an XOR), the determinant class and the Hasse bit.  The
-Hilbert symbol, local isotropy and the classes a witness split may take
-are lookups in small tables keyed by the kind of the prime, built on first
-use.  Decisions, Witt index, equivalence and the witness route read the
-record; the witness route runs its lattices on integers (integral LLL, and
-a Fincke-Pohst that stops at the least zero, within a node budget).
-hilbert_symbol and hasse_invariant check their arguments first.
+whose product is an XOR), the determinant class and the Hasse bit, built
+prime by prime as it is read.  The Hilbert symbol, local isotropy and the
+classes a witness split may take are lookups in small tables keyed by the
+kind of the prime, built on first use.  Decisions, Witt index, equivalence
+and the witness route read the record; the witness route runs its
+lattices on integers (integral LLL, and a Fincke-Pohst that stops at the
+least zero, within a node budget), both written out for the three rows of
+the Legendre lattice, the only lattice it meets.  hilbert_symbol and
+hasse_invariant check their arguments first.
 
 A Witt decomposition keeps its basis as packed columns of Field.kernel and
 does the work of each hyperbolic split once, on packed integers and on the
@@ -361,7 +363,8 @@ def _gram_mismatch(kernel, times, cols, expected) -> str | None:
 # Legendre symbol (-1 sets it) at odd p, or u = 3 mod 4 at 2, and bit 2 u =
 # +-3 mod 8 at 2 (_square_class).  A form's local record {p: (classes, d,
 # e)}, the class indices, determinant class and Hasse bit at p, is built
-# once (_local_data) over S = {2} + the primes of the classes: at an odd
+# prime by prime, in increasing order and only as far as it is read
+# (_local_data, _record), over S = {2} + the primes of the classes: at an odd
 # prime off S every class is a unit and e = 0, so the form is isotropic
 # there for n >= 3 and has the generic local Witt index.  The Hilbert
 # symbol, local isotropy and the classes a split may take are lookups in
@@ -391,10 +394,10 @@ def _square_split(num: int, den: int) -> tuple[int, int, int, list[int]]:
     return s, top, bottom, primes
 
 
-def _local_data(pairs) -> tuple[int, dict]:
+def _local_data(pairs):
     """The squarefree class of the product of nonzero reduced fractions
-    (num, den), and their local record (_record) over S = {2} + the primes
-    of their squarefree classes."""
+    (num, den), and their local record (_record, read lazily) over S = {2}
+    + the primes of their squarefree classes."""
     classes, det, places = [], 1, {2}
     for num, den in pairs:
         s, _, _, primes = _square_split(num, den)
@@ -402,7 +405,7 @@ def _local_data(pairs) -> tuple[int, dict]:
         classes.append(s)
         det = det * s // (g * g)
         places.update(primes)
-    return det, _record({p: [_square_class(s, p) for s in classes] for p in sorted(places)})
+    return det, _record(places, lambda p: [_square_class(s, p) for s in classes])
 
 
 def _square_class(t: int, p: int) -> int:
@@ -456,12 +459,16 @@ def _hasse_data(hilbert, classes) -> tuple[int, int]:
     return det, e
 
 
-def _record(local) -> dict[int, tuple[list[int], int, int]]:
-    """The local record {p: (classes, d, e)} of a form from the class
-    indices of its coefficients at each of its places, local = {p:
-    classes}: d is the class of the determinant at p and (-1)^e the Hasse
-    invariant there (_hasse_data)."""
-    return {p: (classes, *_hasse_data(_local_tables(p & 3)[0], classes)) for p, classes in local.items()}
+def _record(places, classes_at):
+    """The local record of a form at its places, prime by prime in
+    increasing order: the pairs (p, (classes, d, e)), for the class indices
+    classes = classes_at(p) of its coefficients at p, d the class of the
+    determinant there and (-1)^e the Hasse invariant (_hasse_data).  Each
+    prime is built as it is read, so a reader that stops at one prime pays
+    for none after it; dict() of it is the whole record {p: (classes, d, e)}."""
+    for p in sorted(places):
+        classes = classes_at(p)
+        yield p, (classes, *_hasse_data(_local_tables(p & 3)[0], classes))
 
 
 def hilbert_symbol(a: FieldElement, b: FieldElement, place) -> int:
@@ -484,8 +491,8 @@ def hasse_invariant(q: QuadraticForm, place) -> int:
         return -1 if neg * (neg - 1) // 2 % 2 else 1
     # the record's entry at p needs only the classes there, and n/d and n*d
     # share a square class: no coefficient is factored
-    p = int(place)
-    return -1 if _record({p: [_square_class(n * d, p) for n, d in _pairs(*q.packed)]})[p][2] else 1
+    [(_, (_, _, e))] = _record([int(place)], lambda p: [_square_class(n * d, p) for n, d in _pairs(*q.packed)])
+    return -1 if e else 1
 
 
 def _obstruction(pairs):
@@ -493,7 +500,8 @@ def _obstruction(pairs):
     coefficients, reduced pairs (num, den): None when the form is isotropic,
     else (method, detail) for the place that rules a zero out.  That is the
     real place when the form is definite, else (dims 3 and 4; Meyer covers
-    the rest) the first prime of S at which it is anisotropic."""
+    the rest) the first prime of S at which it is anisotropic: the record
+    is built up to that prime and no further."""
     n = len(pairs)
     pos = sum(1 for x, _ in pairs if x > 0)
     if pos in (0, n):
@@ -501,7 +509,7 @@ def _obstruction(pairs):
     if n >= 5:
         return None
     det, record = _local_data(pairs)
-    for p, (_, d, e) in record.items():
+    for p, (_, d, e) in record:
         if not _local_tables(p & 3)[2][n][d][e]:
             return METHOD_LOCAL, {"place": p, "det_squareclass": det, "hasse": -1 if e else 1}
     return None
@@ -515,7 +523,7 @@ def witt_index_by_invariants(q: QuadraticForm) -> int:
     n = q.dim
     best = min(q.signature())
     det, record = _local_data(_pairs(*q.packed))
-    for p, (_, d, e) in record.items():
+    for p, (_, d, e) in record:
         hilbert, minus_one, isotropic = _local_tables(p & 3)
         m, count = n, 0
         while m > 0 and isotropic[min(m, 5)][d][e]:  # split off a plane: q = H + q', d' = -d, e' = e + (-1, d')
@@ -709,14 +717,18 @@ def _solve_sqf(s: list[int], primes: list[list[int]]) -> list[int]:
     if n >= 6:
         idx = _meyer_indices(s)
         return _pad(n, idx, _solve_sqf([s[i] for i in idx], [primes[i] for i in idx]))
-    record = _record({p: [_square_class(x, p) for x in s] for p in sorted({2}.union(*primes))})
+    record = dict(_record({2}.union(*primes), lambda p: [_square_class(x, p) for x in s]))
     for size in range(3, n):
         for idx in sorted(itertools.combinations(range(n), size), key=lambda c: sorted(abs(s[i]) for i in c)):
             sub = [s[i] for i in idx]
             if _definite(sub):
                 continue
-            places = _record({p: [record[p][0][i] for i in idx] for p in sorted({2}.union(*(primes[i] for i in idx)))})
-            if all(_local_tables(p & 3)[2][size][d][e] for p, (_, d, e) in places.items()):
+            places = {}  # the subform's record, up to its first anisotropic prime
+            for p, (classes, d, e) in _record({2}.union(*(primes[i] for i in idx)), lambda p: [record[p][0][i] for i in idx]):
+                if not _local_tables(p & 3)[2][size][d][e]:
+                    break
+                places[p] = classes, d, e
+            else:
                 # a 4-subform has no isotropic 3-subform: those came first
                 return _pad(n, idx, _ternary(*sub) if size == 3 else _split_solve(sub, places))
     return _split_solve(s, record)
@@ -859,13 +871,16 @@ def _legendre(a: int, b: int, c: int) -> list[int]:
     which is searched over an LLL-reduced basis (_least_zero).  A vector
     with q = m gives the zero (xz - by, ax + yz, z^2 + ab), because
     (a x^2 + b y^2)(z^2 + ab) = a(xz - by)^2 + b(ax + yz)^2."""
-    m = -a * b * c
-    ra = _sqrt_mod(-c * pow(b, -1, a), a)
+    n, m = -c, -a * b * c
+    ra = _sqrt_mod(n * pow(b, -1, a), a)
     rb = _sqrt_mod(-a * pow(c, -1, b), b)
-    rc = _sqrt_mod(-b * pow(a, -1, -c), -c)
-    x2 = _crt((rc * a, 0), (-c, b))
-    x3 = _crt((rc * ra, pow(rb, -1, b)), (-c, b))
-    found = _least_zero(*_lll([[-b * c, 0, 0], [x2, a, 0], [x3, ra, 1]], (a, b, -c)), (a, b, c), m, 3 * m)
+    rc = _sqrt_mod(-b * pow(a, -1, n), n)
+    # x2 = rc a mod |c|, 0 mod b and x3 = rc ra mod |c|, 1/rb mod b, each
+    # by one CRT step over the inverse of |c| mod b
+    inv, r2, r3 = pow(n, -1, b), rc * a % n, rc * ra % n
+    x2 = r2 + n * (-r2 * inv % b)
+    x3 = r3 + n * ((pow(rb, -1, b) - r3) * inv % b)
+    found = _least_zero(*_lll(((b * n, 0, 0), (x2, a, 0), (x3, ra, 1)), (a, b, n)), (a, b, c), m, 3 * m)
     if found is None:
         raise InternalCheckFailed(f"no zero of <{a},{b},{c}> in its Legendre lattice")
     x, y, z = found
@@ -876,68 +891,71 @@ def _legendre(a: int, b: int, c: int) -> list[int]:
 
 def _sqrt_mod(x: int, n: int) -> int:
     """A square root of x modulo the squarefree n > 0 (CRT over its primes)."""
-    roots, primes = [], []
+    root, big = 0, 1
     for p in prime_factors(n):
         r = x % 2 if p == 2 else sqrt_mod_p(x, p)
         if r is None:
             raise InternalCheckFailed(f"ternary form is anisotropic at {p}")
-        roots.append(r)
-        primes.append(p)
-    return _crt(roots, primes)
+        root += big * ((r - root) * pow(big, -1, p) % p)
+        big *= p
+    return root % big
 
 
-def _crt(residues, moduli) -> int:
-    x, big = 0, 1
-    for r, n in zip(residues, moduli):
-        x += big * ((r - x) * pow(big, -1, n) % n)
-        big *= n
-    return x % big
+def _nearest(num: int, den: int) -> int:
+    """num / den rounded half to even, for den > 0."""
+    q, r = divmod(num, den)
+    if 2 * r > den or (2 * r == den and q & 1):
+        q += 1
+    return q
 
 
 def _lll(basis, weights):
-    """LLL reduction (delta = 3/4) of integer rows for sum w_i u_i v_i, on
-    integers (Cohen, A Course in Computational Algebraic Number Theory,
-    alg. 2.6.7): d[i] is the Gram determinant of the first i rows and
-    lam[i][j] = d[j+1] mu_ij.  Row k is size-reduced from row k-1 down, mu
-    rounded half to even, before the Lovasz test.  Returns (rows, lam, d)."""
-    b = [list(v) for v in basis]
-    n = len(b)
-    lam, d = [[0] * n for _ in range(n)], [1]
-    for i in range(n):
-        for j in range(i + 1):
-            u = sum(w * x * y for w, x, y in zip(weights, b[i], b[j]))
-            for k in range(j):
-                u = (d[k + 1] * u - lam[i][k] * lam[j][k]) // d[k]
-            if j < i:
-                lam[i][j] = u
-            else:
-                d.append(u)
-    k = 1
-    while k < n:
-        for j in range(k - 1, -1, -1):
-            q, r = divmod(lam[k][j], d[j + 1])  # mu rounded half to even: d[j + 1] > 0
-            if 2 * r > d[j + 1] or (2 * r == d[j + 1] and q & 1):
-                q += 1
-            if q:
-                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                for i in range(j):
-                    lam[k][i] -= q * lam[j][i]
-                lam[k][j] -= q * d[j + 1]
-        m = lam[k][k - 1]
-        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] * d[k] - 4 * m * m:
-            k += 1
+    """LLL reduction (delta = 3/4) of three integer rows for sum w_i u_i v_i,
+    on integers (Cohen, A Course in Computational Algebraic Number Theory,
+    alg. 2.6.7), written out for its one dimension: d_i is the Gram
+    determinant of the first i rows and l_ij = d_{j+1} mu_ij.  Row k is
+    size-reduced from row k-1 down, mu rounded half to even, before the
+    Lovasz test; a swap goes back to k = 1.  Returns (rows, lam, d) as
+    lists, lam[i][j] = l_ij."""
+    w0, w1, w2 = weights
+    b0, b1, b2 = basis
+    (x0, x1, x2), (y0, y1, y2), (z0, z1, z2) = b0, b1, b2
+    d1 = w0 * x0 * x0 + w1 * x1 * x1 + w2 * x2 * x2
+    l10 = w0 * y0 * x0 + w1 * y1 * x1 + w2 * y2 * x2
+    l20 = w0 * z0 * x0 + w1 * z1 * x1 + w2 * z2 * x2
+    d2 = d1 * (w0 * y0 * y0 + w1 * y1 * y1 + w2 * y2 * y2) - l10 * l10
+    l21 = d1 * (w0 * z0 * y0 + w1 * z1 * y1 + w2 * z2 * y2) - l20 * l10
+    d3 = (d2 * (d1 * (w0 * z0 * z0 + w1 * z1 * z1 + w2 * z2 * z2) - l20 * l20) - l21 * l21) // d1
+    while True:
+        # k = 1
+        q = _nearest(l10, d1)
+        if q:
+            b1 = (b1[0] - q * b0[0], b1[1] - q * b0[1], b1[2] - q * b0[2])
+            l10 -= q * d1
+        if 4 * d2 < 3 * d1 * d1 - 4 * l10 * l10:
+            b0, b1 = b1, b0
+            big = (d2 + l10 * l10) // d1
+            t = l21
+            l21 = (d2 * l20 - l10 * t) // d1
+            l20 = (big * t + l10 * l21) // d2
+            d1 = big
             continue
-        b[k], b[k - 1] = b[k - 1], b[k]
-        for j in range(k - 1):
-            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
-        big = (d[k - 1] * d[k + 1] + m * m) // d[k]
-        for i in range(k + 1, n):
-            t = lam[i][k]
-            lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
-            lam[i][k - 1] = (big * t + m * lam[i][k]) // d[k + 1]
-        d[k] = big
-        k = max(k - 1, 1)
-    return b, lam, d
+        # k = 2
+        q = _nearest(l21, d2)
+        if q:
+            b2 = (b2[0] - q * b1[0], b2[1] - q * b1[1], b2[2] - q * b1[2])
+            l20 -= q * l10
+            l21 -= q * d2
+        q = _nearest(l20, d1)
+        if q:
+            b2 = (b2[0] - q * b0[0], b2[1] - q * b0[1], b2[2] - q * b0[2])
+            l20 -= q * d1
+        if 4 * d3 * d1 >= 3 * d2 * d2 - 4 * l21 * l21:
+            break
+        b1, b2 = b2, b1
+        l10, l20 = l20, l10
+        d2 = (d1 * d3 + l21 * l21) // d2
+    return [list(b0), list(b1), list(b2)], [[0, 0, 0], [l10, 0, 0], [l20, l21, 0]], [1, d1, d2, d3]
 
 
 # Fincke-Pohst nodes _least_zero may visit for one lattice: 31 is the most
@@ -946,73 +964,101 @@ _LATTICE_NODE_BUDGET = 10_000
 
 
 def _least_zero(b, lam, d, coeffs, m: int, bound: int) -> list[int] | None:
-    """Among the nonzero vectors v of the lattice with rows b (integer
+    """Among the nonzero vectors v of the lattice with three rows b (integer
     Gram-Schmidt data lam, d as from _lll for the weights |c_i|) whose
     weighted norm sum |c_i| v_i^2 is at most bound: the least (norm, v) with
     q(v) = sum c_i v_i^2 = 0, or when there is none the least with q(v) =
     m, or None.  Fincke-Pohst on integers, as branch and bound: the norm of
     sum x_i b_i is sum N_i y_i^2 with N_i = d[i+1]/d[i] and y_i = x_i +
-    sum_{j>i} mu_ji x_j, mu_ji = lam[j][i]/d[i+1], and with D = lcm(d[1..n-1])
+    sum_{j>i} mu_ji x_j, mu_ji = lam[j][i]/d[i+1], and with D = lcm(d[1], d[2])
     the partial norms sum_{j>=i} (D N_j) (D y_j)^2 are integers, compared
-    with D^3 times the bound.  Each level runs x_i outward from the centre,
-    so the partial norms grow and the first one past the bound ends the
-    level.  The bound starts at the least LLL row that is a zero, and drops
-    to the norm of each better zero found: no node whose partial norm
-    passes the best zero so far is entered.  Past _LATTICE_NODE_BUDGET
-    nodes it raises InputTooLarge."""
-    n = len(b)
-    weights = [abs(c) for c in coeffs]
-    den = math.lcm(*d[1:n])
-    mu = [[lam[j][i] * (den // d[i + 1]) for i in range(j)] for j in range(n)]
-    norms = [d[i + 1] * (den // d[i]) for i in range(n)]
-    cube = den ** 3
-    zero, fallback = None, None  # the least (norm, v) so far with q = 0, and with q = m
+    with D^3 times the bound.  Three nested loops, over x_2, x_1 and x_0,
+    each run outward from its centre, so the partial norms grow and the
+    first one past the bound ends the loop.  The bound starts at the least
+    LLL row that is a zero, and drops to the norm of each better zero found:
+    no node whose partial norm passes the best zero so far is entered.  Past
+    _LATTICE_NODE_BUDGET nodes it raises InputTooLarge."""
+    (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = b
+    c0, c1, c2 = coeffs
+    w0, w1, w2 = abs(c0), abs(c1), abs(c2)
+    d1, d2, d3 = d[1], d[2], d[3]
+    den = math.lcm(d1, d2)
+    f1, f2 = den // d1, den // d2
+    mu10, mu20, mu21 = lam[1][0] * f1, lam[2][0] * f1, lam[2][1] * f2
+    n0, n1, n2 = d1 * den, d2 * f1, d3 * f2  # D N_i
+    zero = fallback = None  # the least (norm, v) so far with q = 0, and with q = m
     for row in b:
-        for v in (row, [-x for x in row]):
-            norm = sum(w * x * x for w, x in zip(weights, v))
-            if norm <= bound and not sum(c * x * x for c, x in zip(coeffs, v)) and (zero is None or (norm, v) < zero):
+        for v in (tuple(row), tuple(-x for x in row)):
+            norm = w0 * v[0] * v[0] + w1 * v[1] * v[1] + w2 * v[2] * v[2]
+            if norm <= bound and not c0 * v[0] * v[0] + c1 * v[1] * v[1] + c2 * v[2] * v[2] and (zero is None or (norm, v) < zero):
                 zero = norm, v
+    cube, two = den ** 3, 2 * den
     limit = cube * (bound if zero is None else zero[0])
-    coef, nodes = [0] * n, 0
-
-    def walk(i, used):
-        nonlocal zero, fallback, limit, nodes
-        centre = sum(mu[j][i] * coef[j] for j in range(i + 1, n))  # D y_i = D x_i + centre
-        up = (den - 2 * centre) // (2 * den)  # the x_i nearest to -centre / D
-        down = up - 1
+    nodes, budget = 0, _LATTICE_NODE_BUDGET
+    # each loop: t = D y_i = D x_i + centre at x = up (t_up) and x = down (t_down), the
+    # nearest to -centre / D first; the one of smaller |t| is taken and moved out
+    up2, t_up2, down2, t_down2 = 0, 0, -1, -den
+    while True:
+        if t_up2 * t_up2 <= t_down2 * t_down2:
+            x2, t, up2, t_up2 = up2, t_up2, up2 + 1, t_up2 + den
+        else:
+            x2, t, down2, t_down2 = down2, t_down2, down2 - 1, t_down2 - den
+        part2 = n2 * t * t
+        if part2 > limit:
+            break
+        nodes += 1
+        if nodes > budget:
+            raise _too_many_nodes(coeffs)
+        centre = mu21 * x2
+        up1 = (den - 2 * centre) // two
+        down1, t_up1 = up1 - 1, den * up1 + centre
+        t_down1 = t_up1 - den
         while True:
-            t_up, t_down = den * up + centre, den * down + centre
-            if t_up * t_up <= t_down * t_down:
-                x, t, up = up, t_up, up + 1
+            if t_up1 * t_up1 <= t_down1 * t_down1:
+                x1, t, up1, t_up1 = up1, t_up1, up1 + 1, t_up1 + den
             else:
-                x, t, down = down, t_down, down - 1
-            part = used + norms[i] * t * t
-            if part > limit:
+                x1, t, down1, t_down1 = down1, t_down1, down1 - 1, t_down1 - den
+            part1 = part2 + n1 * t * t
+            if part1 > limit:
                 break
             nodes += 1
-            if nodes > _LATTICE_NODE_BUDGET:
-                raise InputTooLarge(
-                    f"Fincke-Pohst search of the Legendre lattice of <{','.join(map(str, coeffs))}>: "
-                    f"more than {_LATTICE_NODE_BUDGET} nodes"
-                )
-            coef[i] = x
-            if i:
-                walk(i - 1, part)
-                continue
-            v = [sum(c * row[k] for c, row in zip(coef, b)) for k in range(n)]
-            if not any(v):
-                continue
-            cand = sum(w * x * x for w, x in zip(weights, v)), v
-            value = sum(c * x * x for c, x in zip(coeffs, v))
-            if value == 0 and (zero is None or cand < zero):
-                zero, limit = cand, cube * cand[0]
-            elif value == m and zero is None and (fallback is None or cand < fallback):
-                fallback = cand
-        coef[i] = 0
-
-    walk(n - 1, 0)
+            if nodes > budget:
+                raise _too_many_nodes(coeffs)
+            centre = mu10 * x1 + mu20 * x2
+            up0 = (den - 2 * centre) // two
+            down0, t_up0 = up0 - 1, den * up0 + centre
+            t_down0 = t_up0 - den
+            # the leaf x0 b0 + x1 b1 + x2 b2, less its x0 b0
+            e0, e1, e2 = x1 * q0 + x2 * r0, x1 * q1 + x2 * r1, x1 * q2 + x2 * r2
+            while True:
+                if t_up0 * t_up0 <= t_down0 * t_down0:
+                    x0, t, up0, t_up0 = up0, t_up0, up0 + 1, t_up0 + den
+                else:
+                    x0, t, down0, t_down0 = down0, t_down0, down0 - 1, t_down0 - den
+                if part1 + n0 * t * t > limit:
+                    break
+                nodes += 1
+                if nodes > budget:
+                    raise _too_many_nodes(coeffs)
+                v0, v1, v2 = x0 * p0 + e0, x0 * p1 + e1, x0 * p2 + e2
+                if not (v0 or v1 or v2):
+                    continue
+                s0, s1, s2 = v0 * v0, v1 * v1, v2 * v2
+                cand = w0 * s0 + w1 * s1 + w2 * s2, (v0, v1, v2)
+                value = c0 * s0 + c1 * s1 + c2 * s2
+                if value == 0 and (zero is None or cand < zero):
+                    zero, limit = cand, cube * cand[0]
+                elif value == m and zero is None and (fallback is None or cand < fallback):
+                    fallback = cand
     best = zero or fallback
-    return None if best is None else best[1]
+    return None if best is None else list(best[1])
+
+
+def _too_many_nodes(coeffs) -> InputTooLarge:
+    return InputTooLarge(
+        f"Fincke-Pohst search of the Legendre lattice of <{','.join(map(str, coeffs))}>: "
+        f"more than {_LATTICE_NODE_BUDGET} nodes"
+    )
 
 
 def _qsqrt_witness(q: QuadraticForm):
@@ -1273,7 +1319,7 @@ def equivalent(q1: QuadraticForm, q2: QuadraticForm) -> bool:
     if d1 != d2 or q1.signature() != q2.signature():
         return False
     # the primes where the Hasse invariant is -1: e = 0 off a form's record
-    return {p for p, (_, _, e) in r1.items() if e} == {p for p, (_, _, e) in r2.items() if e}
+    return {p for p, (_, _, e) in r1 if e} == {p for p, (_, _, e) in r2 if e}
 
 
 def equivalent_with_witness(q1: QuadraticForm, q2: QuadraticForm, p) -> bool:

@@ -1,8 +1,9 @@
 """No floating point in the library: the README and the `fields` docstring
 promise exact arithmetic everywhere, so no source file under src/ holds a
-float literal, a call of `float`, or a square root from `math`, and no
-generated evaluator of a bilinear template holds a float, a division or a
-power, or any name but its own locals."""
+float literal, a call of `float`, or a square root from `math`, no integer
+kernel of the witness route holds a true division (which returns a float,
+exact only below 2^53), and no generated evaluator of a bilinear template
+holds a float, a division or a power, or any name but its own locals."""
 
 import ast
 import re
@@ -39,6 +40,33 @@ def test_the_scan_sees_each_form():
     assert [what for _, what in _floating_point(ast.parse(text))] == [
         "from math import sqrt", "literal 1e-06", "float", "math.sqrt",
     ]
+
+
+# the integer kernels of the witness route over Q: the Legendre lattice, its
+# root lines, its LLL and its Fincke-Pohst search
+WITNESS_KERNELS = ("_legendre", "_sqrt_mod", "_nearest", "_lll", "_least_zero")
+
+
+def _true_divisions(tree, names):
+    """(function, line) of each `/` or `/=` in the functions of tree named in names."""
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.name in names:
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                    yield fn.name, node.lineno
+
+
+def test_witness_kernels_are_integer_code():
+    tree = ast.parse((SRC / "qforms.py").read_text())
+    kernels = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name in WITNESS_KERNELS]
+    assert sorted(fn.name for fn in kernels) == sorted(WITNESS_KERNELS)
+    assert list(_true_divisions(tree, WITNESS_KERNELS)) == []
+    assert [what for fn in kernels for _, what in _floating_point(fn)] == []
+
+
+def test_the_division_scan_sees_a_planted_division():
+    text = "def _lll(x, y):\n    q = x // y\n    return x / y\n\ndef _nearest(x, y):\n    x /= y\n\ndef other(x, y):\n    return x / y\n"
+    assert list(_true_divisions(ast.parse(text), WITNESS_KERNELS)) == [("_lll", 3), ("_nearest", 6)]
 
 
 def _templates():

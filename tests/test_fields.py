@@ -25,6 +25,7 @@ from splitrank.fields import (
     prime_field,
     quad_ext,
     rationals,
+    sqrt_mod_p,
 )
 from splitrank.qforms import QuadraticForm, witt_decompose
 
@@ -159,6 +160,17 @@ class TestLegendre:
             squares = {(x * x) % p for x in range(1, p)}
             for a in range(1, p):
                 assert legendre(a, p) == (1 if a in squares else -1)
+
+    def test_square_roots_agree_with_enumeration(self):
+        # p = 3 mod 4 (the root checked by squaring) and p = 1 mod 4 (Tonelli-Shanks)
+        for p in (3, 7, 11, 19, 43, 5, 13, 17, 41, 97):
+            squares = {x * x % p for x in range(p)}
+            for a in range(-p, 2 * p):
+                r = sqrt_mod_p(a, p)
+                if a % p in squares:
+                    assert r is not None and 0 <= r < p and r * r % p == a % p, (a, p)
+                else:
+                    assert r is None, (a, p)
 
 
 class TestParsing:

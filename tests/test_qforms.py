@@ -456,9 +456,10 @@ class TestLocalRecord:
             exponents = [{**prime_factors(num), **prime_factors(den)} for num, den in pairs]
             every = {2}.union(*exponents)
             odd = {2}.union(*({p for p, e in exps.items() if e % 2} for exps in exponents))
-            det, record = qforms._local_data(pairs)
+            det, lazy = qforms._local_data(pairs)
+            record = dict(lazy)
             assert list(record) == sorted(odd), coeffs
-            wide = qforms._record({p: [qforms._square_class(num * den, p) for num, den in pairs] for p in sorted(every)})
+            wide = dict(qforms._record(every, lambda p: [qforms._square_class(num * den, p) for num, den in pairs]))
             assert {p: wide[p] for p in odd} == record, coeffs
             generic = (n - 1) // 2 if n % 2 else n // 2 if (-1) ** (n // 2) * det == 1 else (n - 2) // 2
             for p in every - odd:

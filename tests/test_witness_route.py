@@ -1,8 +1,11 @@
-"""The integer witness route against its Fraction predecessors: the integral
-LLL and the pruned Fincke-Pohst against a Fraction Gram-Schmidt oracle, the
-square-class tables of _split_plan against a per-candidate local isotropy
-test on the integer Hilbert-symbol formulas kept below, and the work
-budgets of _split_value and of the Legendre lattice search."""
+"""The integer witness route against its predecessors: the integral LLL and
+the pruned Fincke-Pohst against a Fraction Gram-Schmidt oracle, their
+three-row forms against the n-row integral LLL and the recursive search
+they replaced (kept below as the oracles of the result and of the node
+count), the square-class tables of _split_plan against a per-candidate
+local isotropy test on the integer Hilbert-symbol formulas kept below,
+and the work budgets of _split_value and of the Legendre lattice
+search."""
 
 import contextlib
 import io
@@ -20,8 +23,17 @@ import pytest
 
 from splitrank import cli, qforms
 from splitrank.errors import InputTooLarge
-from splitrank.fields import prime_factors, rationals
-from splitrank.qforms import QuadraticForm, _least_zero, _lll, _record, _split_plan, _square_class, is_isotropic
+from splitrank.fields import is_prime, prime_factors, rationals
+from splitrank.qforms import (
+    QuadraticForm,
+    _legendre,
+    _least_zero,
+    _lll,
+    _record,
+    _split_plan,
+    _square_class,
+    is_isotropic,
+)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -101,6 +113,110 @@ def fraction_short_vectors(b, weights, bound):
     return [vec for _, vec in sorted(found)]
 
 
+def integral_lll(basis, weights):
+    """The integral LLL for any number of rows, as the library ran it before
+    its three-row form: Cohen, alg. 2.6.7, delta = 3/4, mu rounded half to
+    even.  Returns (rows, lam, d)."""
+    b = [list(v) for v in basis]
+    n = len(b)
+    lam, d = [[0] * n for _ in range(n)], [1]
+    for i in range(n):
+        for j in range(i + 1):
+            u = sum(w * x * y for w, x, y in zip(weights, b[i], b[j]))
+            for k in range(j):
+                u = (d[k + 1] * u - lam[i][k] * lam[j][k]) // d[k]
+            if j < i:
+                lam[i][j] = u
+            else:
+                d.append(u)
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            q, r = divmod(lam[k][j], d[j + 1])
+            if 2 * r > d[j + 1] or (2 * r == d[j + 1] and q & 1):
+                q += 1
+            if q:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                for i in range(j):
+                    lam[k][i] -= q * lam[j][i]
+                lam[k][j] -= q * d[j + 1]
+        m = lam[k][k - 1]
+        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] * d[k] - 4 * m * m:
+            k += 1
+            continue
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        big = (d[k - 1] * d[k + 1] + m * m) // d[k]
+        for i in range(k + 1, n):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
+            lam[i][k - 1] = (big * t + m * lam[i][k]) // d[k + 1]
+        d[k] = big
+        k = max(k - 1, 1)
+    return b, lam, d
+
+
+def recursive_least_zero(b, lam, d, coeffs, m, bound, budget=math.inf):
+    """The recursive Fincke-Pohst the library ran before its three nested
+    loops, for any number of rows: (the least zero, else the least vector
+    with q = m, else None; the nodes visited), or InputTooLarge with the
+    library's message past budget nodes."""
+    n = len(b)
+    weights = [abs(c) for c in coeffs]
+    den = math.lcm(*d[1:n])
+    mu = [[lam[j][i] * (den // d[i + 1]) for i in range(j)] for j in range(n)]
+    norms = [d[i + 1] * (den // d[i]) for i in range(n)]
+    cube = den ** 3
+    zero, fallback = None, None
+    for row in b:
+        for v in (row, [-x for x in row]):
+            norm = sum(w * x * x for w, x in zip(weights, v))
+            if norm <= bound and not sum(c * x * x for c, x in zip(coeffs, v)) and (zero is None or (norm, v) < zero):
+                zero = norm, v
+    limit = cube * (bound if zero is None else zero[0])
+    coef, nodes = [0] * n, 0
+
+    def walk(i, used):
+        nonlocal zero, fallback, limit, nodes
+        centre = sum(mu[j][i] * coef[j] for j in range(i + 1, n))
+        up = (den - 2 * centre) // (2 * den)
+        down = up - 1
+        while True:
+            t_up, t_down = den * up + centre, den * down + centre
+            if t_up * t_up <= t_down * t_down:
+                x, t, up = up, t_up, up + 1
+            else:
+                x, t, down = down, t_down, down - 1
+            part = used + norms[i] * t * t
+            if part > limit:
+                break
+            nodes += 1
+            if nodes > budget:
+                raise InputTooLarge(
+                    f"Fincke-Pohst search of the Legendre lattice of <{','.join(map(str, coeffs))}>: "
+                    f"more than {budget} nodes"
+                )
+            coef[i] = x
+            if i:
+                walk(i - 1, part)
+                continue
+            v = [sum(c * row[k] for c, row in zip(coef, b)) for k in range(n)]
+            if not any(v):
+                continue
+            cand = sum(w * x * x for w, x in zip(weights, v)), v
+            value = sum(c * x * x for c, x in zip(coeffs, v))
+            if value == 0 and (zero is None or cand < zero):
+                zero, limit = cand, cube * cand[0]
+            elif value == m and zero is None and (fallback is None or cand < fallback):
+                fallback = cand
+        coef[i] = 0
+
+    walk(n - 1, 0)
+    best = zero or fallback
+    return (None if best is None else best[1]), nodes
+
+
 def _lattice(rng):
     """A nonsingular weighted 3x3 lattice: every other draw has the
     triangular shape of a Legendre lattice, the rest are dense."""
@@ -121,8 +237,9 @@ def test_integral_lll_matches_the_fraction_oracle():
     swaps = 0
     for _ in range(600):
         basis, weights = _lattice(rng)
-        expected = fraction_lll(basis, weights)
-        assert _lll(basis, weights)[0] == expected, (basis, weights)
+        expected, reduced = fraction_lll(basis, weights), _lll(basis, weights)
+        assert reduced[0] == expected, (basis, weights)
+        assert reduced == integral_lll(basis, weights), (basis, weights)  # lam and d too
         swaps += expected != basis
     assert swaps > 300  # the panel is not made of reduced bases
 
@@ -163,12 +280,11 @@ def _planted_zero(basis, weights, rng):
             return [weights[0] * z * z, weights[1] * z * z, -(weights[0] * x * x + weights[1] * y * y)], u
 
 
-def test_pruned_enumeration_returns_the_first_zero_of_the_sorted_list():
-    # on the panel's lattices, every other one with a planted zero, the
-    # least (norm, vector) zero in the ellipsoid, else the least with q = m
-    # for a value m taken in it
+def _enumeration_panel():
+    """The searches of the enumeration panel, each with the oracle's sorted
+    list of its ellipsoid: every other lattice with a planted zero, and m a
+    value taken in the ellipsoid."""
     rng = random.Random(9_151)
-    zeros = fallbacks = 0
     for k in range(600):
         basis, weights = _lattice(rng)
         if k % 2:
@@ -183,8 +299,15 @@ def test_pruned_enumeration_returns_the_first_zero_of_the_sorted_list():
             bound = max(bound, min(sum(w * x * x for w, x in zip(norms, u)), 20 * shortest))
         listed = fraction_short_vectors(expected, norms, bound)
         m = _values([rng.choice(listed)], coeffs)[0]
-        want = _first_in_sorted_list(listed, coeffs, m)
-        assert _least_zero(*_lll(basis, norms), coeffs, m, bound) == want, (basis, coeffs, m, bound)
+        yield (*_lll(basis, norms), coeffs, m, bound), listed
+
+
+def test_pruned_enumeration_returns_the_first_zero_of_the_sorted_list():
+    # the least (norm, vector) zero in the ellipsoid, else the least with q = m
+    zeros = fallbacks = 0
+    for args, listed in _enumeration_panel():
+        coeffs, m = args[3], args[4]
+        assert _least_zero(*args) == _first_in_sorted_list(listed, coeffs, m), args
         has_zero = 0 in _values(listed, coeffs)
         zeros, fallbacks = zeros + has_zero, fallbacks + (not has_zero)
     assert zeros > 200 and fallbacks > 250
@@ -208,6 +331,132 @@ def test_pruned_enumeration_without_a_zero_returns_the_first_q_equal_m_vector():
         want = _first_in_sorted_list(listed, coeffs, m)
         assert want is not None and _least_zero(*reduced, coeffs, m, 30) == want, m
     assert _least_zero(*reduced, coeffs, 31, 30) is None  # |q| <= norm <= 30
+
+
+def _next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+def isotropic_triples(height, count):
+    """count seeded (a, b, c), a, b > 0 > c squarefree and pairwise coprime,
+    each of absolute value at most height and a product of one or two
+    primes below min(height, 10^15) drawn from a pool of up to 24 (or 1,
+    where the pool is too short for three coefficients).  Each odd prime
+    p of a coefficient has -(product of the other two) a square mod p, so
+    the form is isotropic at every odd prime, at the real place, and so at
+    2 by the product formula.  Each prime is factored once, so the factor
+    cache registers it and a product of two is split by division."""
+    rng = random.Random(f"triples:{height}")
+    top = min(height, 10**15)
+    pool = sorted({_next_prime(max(2, round(top ** rng.random()))) for _ in range(24)})
+    for q in pool:
+        prime_factors(q)
+    triples = []
+    while len(triples) < count:
+        left, coeffs = rng.sample(pool, len(pool)), []
+        for _ in range(3):
+            coef = 1
+            for _ in range(rng.choice((1, 1, 2) if len(pool) > 6 else (0, 1, 1, 2))):
+                if left and coef * left[-1] <= height:
+                    coef *= left.pop()
+            coeffs.append(coef)
+        a, b, c = coeffs[0], coeffs[1], -coeffs[2]
+        if (a, b, c) not in triples and all(
+            pow(-other % p, (p - 1) // 2, p) == 1
+            for coef, other in ((a, b * c), (b, a * c), (c, a * b))
+            for p in pool
+            if p > 2 and coef % p == 0
+        ):
+            triples.append((a, b, c))
+    return triples
+
+
+def legendre_lattices(monkeypatch, triples):
+    """The arguments (b, lam, d, coeffs, m, bound) of the search of each
+    triple's Legendre lattice; each triple's zero is checked on the way."""
+    seen = []
+    search = qforms._least_zero
+    monkeypatch.setattr(qforms, "_least_zero", lambda *args: seen.append(args) or search(*args))
+    for a, b, c in triples:
+        x, y, z = _legendre(a, b, c)
+        assert (x, y, z) != (0, 0, 0) and a * x * x + b * y * y + c * z * z == 0, (a, b, c)
+    monkeypatch.setattr(qforms, "_least_zero", search)
+    assert len(seen) == len(triples)
+    return seen
+
+
+def _panel_searches():
+    """The searches of the two 600-lattice panels: every lattice of the LLL
+    panel with its own coefficients at three times its shortest row, and
+    the enumeration panel's searches."""
+    rng = random.Random(2_670)
+    for _ in range(600):
+        basis, weights = _lattice(rng)
+        coeffs = [weights[0], weights[1], -weights[2]]
+        reduced = _lll(basis, weights)
+        shortest = min(sum(w * x * x for w, x in zip(weights, row)) for row in reduced[0])
+        yield (*reduced, coeffs, -coeffs[0] * coeffs[1] * coeffs[2], 3 * shortest)
+    for args, _ in _enumeration_panel():
+        yield args
+
+
+def _same_search_as_the_oracle(monkeypatch, args):
+    """The three-loop search gives the recursive oracle's result, and for
+    every budget from 1 to the oracle's node count it raises, with the same
+    message, exactly when the oracle does.  Returns the node count."""
+    want, nodes = recursive_least_zero(*args)
+    assert _least_zero(*args) == want, args
+    for budget in range(1, nodes + 1):
+        monkeypatch.setattr(qforms, "_LATTICE_NODE_BUDGET", budget)
+        try:
+            recursive_least_zero(*args, budget=budget)
+        except InputTooLarge as err:
+            with pytest.raises(InputTooLarge) as mine:
+                _least_zero(*args)
+            assert str(mine.value) == str(err), args
+        else:
+            assert _least_zero(*args) == want, args
+    monkeypatch.undo()
+    return nodes
+
+
+HEIGHTS = (10, 10**6, 10**20, 10**30)
+
+
+def test_three_row_lll_matches_the_n_row_integral_lll_at_height(monkeypatch):
+    # rows, lam and d on the Legendre lattices of seeded triples
+    recorded = []
+    lll = qforms._lll
+    monkeypatch.setattr(qforms, "_lll", lambda *args: recorded.append(args) or lll(*args))
+    for height in HEIGHTS:
+        for a, b, c in isotropic_triples(height, 10):
+            _legendre(a, b, c)
+    monkeypatch.undo()
+    assert len(recorded) == 10 * len(HEIGHTS)
+    for basis, weights in recorded:
+        assert _lll(basis, weights) == integral_lll(basis, weights), (basis, weights)
+
+
+def test_unrolled_search_matches_the_recursive_oracle_on_the_panels(monkeypatch):
+    outcomes = {"zero": 0, "fallback": 0, "none": 0}
+    for args in _panel_searches():
+        _same_search_as_the_oracle(monkeypatch, args)
+        found = _least_zero(*args)
+        coeffs = args[3]
+        kind = "none" if found is None else "fallback" if sum(c * x * x for c, x in zip(coeffs, found)) else "zero"
+        outcomes[kind] += 1
+    assert min(outcomes.values()) > 0, outcomes  # each of the three results is met
+
+
+@pytest.mark.parametrize("height", HEIGHTS)
+def test_unrolled_search_matches_the_recursive_oracle_at_height(monkeypatch, height):
+    triples = isotropic_triples(height, 25)
+    largest = max(max(abs(x) for x in t) for t in triples)
+    assert math.isqrt(height) < largest <= height  # the draw reaches the upper half of its row's digits
+    nodes = [_same_search_as_the_oracle(monkeypatch, args) for args in legendre_lattices(monkeypatch, triples)]
+    assert max(nodes) > 1
 
 
 def _squarefree(rng, height):
@@ -303,9 +552,13 @@ def _brute_plan(s, pair, rest, primes):
     return {p: {_class_key(c, p) for c in _class_reps(p) if _iso_at(a + [-c], p) and _iso_at(r + [c], p)} for p in primes}
 
 
+def _record_of(s, primes):
+    return dict(_record(primes, lambda p: [_square_class(x, p) for x in s]))
+
+
 def _plan(s, pair, rest, primes):
     """_split_plan on the classes of s, its allowed classes read back as keys."""
-    key, allowed, forced = _split_plan(_record({p: [_square_class(x, p) for x in s] for p in primes}), pair, rest)
+    key, allowed, forced = _split_plan(_record_of(s, primes), pair, rest)
     keys = {p: {_square_class(c, p): _class_key(c, p) for c in _class_reps(p)} for p in primes}
     return key, {p: {keys[p][c] for c in classes} for p, classes in allowed.items()}, forced
 
@@ -324,7 +577,7 @@ def test_split_plan_matches_per_candidate_local_isotropy():
         if not all(brute.values()):
             empty += 1
             with pytest.raises(qforms.InternalCheckFailed):
-                _split_plan(_record({p: [_square_class(x, p) for x in s] for p in primes}), pair, rest)
+                _split_plan(_record_of(s, primes), pair, rest)
             continue
         key, allowed, forced = _plan(s, pair, rest, primes)
         assert allowed == brute, (s, pair)
