@@ -7,9 +7,12 @@ a certificate: an explicit witness vector for isotropy, or the
 invariant/place data that rules a witness out.  Witnesses are constructed
 (Legendre lattices and local-global splits, see the "constructive
 witnesses" section), never searched for beyond a height-1 probe up to
-dimension 9; the bounded search stays as an oracle.  Over Q(sqrt(d)) only
-the dim >= 5 real-place fragment is decided, with witnesses for rational
-coefficients; everything else raises UnsupportedCase rather than guessing.
+dimension 9; the bounded search stays as an oracle.  Each field's rule
+only decides (section "isotropy decisions"); is_isotropic alone builds the
+witness and checks it once, on the packed coefficients of the form it
+certifies, whatever the field.  Over Q(sqrt(d)) only the dim >= 5
+real-place fragment is decided, with witnesses for rational coefficients;
+everything else raises UnsupportedCase rather than guessing.
 
 Over Q one local record answers every local question (section "the local
 layer over Q"): each packed coefficient, reduced on its own, is split once
@@ -230,36 +233,32 @@ class IsotropyResult:
 class WittDecomposition:
     """q ~ index * <1,-1>  |  anisotropic_part, with the basis recorded.
 
-    `columns` (when present) are the basis columns in original coordinates,
-    packed vectors of the field's kernel, with T^T G T = diag(1,-1,...,1,-1,
-    anisotropic coefficients) exactly for the matrix T they form.  The
-    report's literals are read off them; `basis` unpacks T into rows of
+    `columns` are the basis columns in original coordinates, packed vectors
+    of the field's kernel, with T^T G T = diag(1,-1,...,1,-1, anisotropic
+    coefficients) exactly for the matrix T they form.  The report's
+    literals are read off them; `basis` unpacks T into rows of
     FieldElements for a caller that asks for it.
     """
 
     witt_index: int
     anisotropic_part: QuadraticForm
     method: str
-    columns: list | None = None
+    columns: list
     anisotropy_certificate: IsotropyResult | None = None
 
     @property
-    def basis(self) -> list | None:
-        if self.columns is None:
-            return None
+    def basis(self) -> list:
         unpack = self.anisotropic_part.field.kernel._unpack
         return _columns([unpack(*col) for col in self.columns])
 
     def to_json(self) -> dict:
         strings = self.anisotropic_part.field.kernel.packed_strings
-        out = {
+        return {
             "index": self.witt_index,
             "anisotropic": strings(*self.anisotropic_part.packed),
             "method": self.method,
+            "witness": [strings(*col) for col in self.columns],
         }
-        if self.columns is not None:
-            out["witness"] = [strings(*col) for col in self.columns]
-        return out
 
 
 def _columns(matrix):
@@ -472,7 +471,7 @@ def _record(places, classes_at):
 
 
 def hilbert_symbol(a: FieldElement, b: FieldElement, place) -> int:
-    """(a,b)_place for nonzero rationals; place is an odd prime, 2, or "inf"."""
+    """(a,b)_place for nonzero rationals; place is "inf" or a prime int."""
     if a.field.kind != RATIONALS or b.field.kind != RATIONALS:
         raise UnsupportedField("Hilbert symbols are implemented over Q only")
     if a.is_zero() or b.is_zero():
@@ -481,17 +480,18 @@ def hilbert_symbol(a: FieldElement, b: FieldElement, place) -> int:
 
 
 def hasse_invariant(q: QuadraticForm, place) -> int:
-    """prod_{i<j} (a_i, a_j)_place  (the i<j convention, fixed)."""
+    """prod_{i<j} (a_i, a_j)_place  (the i<j convention, fixed); a place
+    other than "inf" or an int that is_prime proves prime raises InvalidInput."""
     if q.field.kind != RATIONALS:
         raise UnsupportedField("Hasse invariants are implemented over Q only")
-    if place != INF and not is_prime(int(place)):
+    if place != INF and (type(place) is not int or not is_prime(place)):
         raise InvalidInput(f"place must be a prime or 'inf', got {place!r}")
     if place == INF:  # (a, b)_inf = -1 exactly when a, b < 0
         neg = q.dim - q.signature()[0]
         return -1 if neg * (neg - 1) // 2 % 2 else 1
     # the record's entry at p needs only the classes there, and n/d and n*d
     # share a square class: no coefficient is factored
-    [(_, (_, _, e))] = _record([int(place)], lambda p: [_square_class(n * d, p) for n, d in _pairs(*q.packed)])
+    [(_, (_, _, e))] = _record([place], lambda p: [_square_class(n * d, p) for n, d in _pairs(*q.packed)])
     return -1 if e else 1
 
 
@@ -586,38 +586,26 @@ def _search_integer(coeffs: list[int], bound: int):
 
 
 def _fp_witness(q: QuadraticForm):
-    """Deterministic nonzero isotropic vector over F_p, packed, or None.
+    """Deterministic nonzero isotropic vector over F_p, packed residues, of
+    a form of dim >= 2; is_isotropic checks it.
 
     dim >= 3 always succeeds (fix tail = (1,0,..), solve the binary equation
-    a1 x^2 + a2 y^2 = m by sweeping x); dim 2 is an exact square test, and
-    a regular form of dim < 2 has no zero.
+    a1 x^2 + a2 y^2 = m by sweeping x); dim 2 is an exact square test, None
+    when it fails.
     """
     p = q.field.p
     a = q.packed[0]  # the residues
     n = q.dim
-    if n < 2:
-        return None
     if n == 2:
-        s = (-a[1] * pow(a[0], -1, p)) % p
-        r = sqrt_mod_p(s, p)
-        if r is None:
-            return None
-        return _checked_fp_zero(q, [r, 1])
+        r = sqrt_mod_p(-a[1] * pow(a[0], -1, p) % p, p)
+        return None if r is None else ([r, 1], 1)
     m = (-a[2]) % p
     for x in range(p):
         rhs = (m - a[0] * x * x) % p
         y = sqrt_mod_p(rhs * pow(a[1], -1, p) % p, p)
         if y is not None:
-            return _checked_fp_zero(q, [x, y, 1] + [0] * (n - 3))
+            return [x, y, 1] + [0] * (n - 3), 1
     raise InternalCheckFailed("binary F_p equation had no solution")
-
-
-def _checked_fp_zero(q: QuadraticForm, vec):
-    """The residues vec, packed, checked exactly: vec != 0 and sum a_i x_i^2 = 0 mod p."""
-    p = q.field.p
-    if not any(x % p for x in vec) or sum(c * x * x for c, x in zip(q.packed[0], vec)) % p:
-        raise InternalCheckFailed("constructed vector is not a zero of the form")
-    return [x % p for x in vec], 1
 
 
 def isotropic_vector_search(q: QuadraticForm, height_bound: int):
@@ -640,7 +628,8 @@ def isotropic_vector_search(q: QuadraticForm, height_bound: int):
                 if sum(c * x * x for c, x in zip(q.packed[0], xs)) % p == 0:
                     return tuple(f.element(x) for x in xs)
             return None
-        return q.field.kernel._unpack(*w) if (w := _fp_witness(q)) else None
+        w = is_isotropic(q).witness
+        return None if w is None else q.field.kernel._unpack(*w)
     raise UnsupportedField("bounded search is for Q and F_p forms")
 
 
@@ -675,19 +664,15 @@ def _q_witness(pairs) -> list[int]:
     """Nonzero integer zero of an isotropic form with rational coefficients,
     reduced pairs (num, den): the fixed height-1 probe up to dimension 9
     (the largest of any fixture; its table has 2^ceil(n/2) entries), then
-    the construction on each coefficient's own square class; checked
-    exactly on the integerized coefficients.  The probe stays because it is
+    the construction on each coefficient's own square class; is_isotropic
+    checks it on the form it certifies.  The probe stays because it is
     the cheapest route to a height-1 zero of support 3 to 5, as of <-3, 6,
     5, 2, -4>: without it, such forms go through the Legendre lattice at 6
     to 8 times the bytecodes, and over the frozen output corpora the
     `witt_panel` median rises 3.9% and its p90 27%."""
     ints = _integerize(pairs)
     vec = _search_integer(ints, 1) if len(ints) <= 9 else None
-    if vec is None:
-        vec = _solve(pairs)
-    if not any(vec) or sum(c * x * x for c, x in zip(ints, vec)):
-        raise InternalCheckFailed("constructed vector is not a zero of the form")
-    return vec
+    return _solve(pairs) if vec is None else vec
 
 
 def _solve(pairs) -> list[int]:
@@ -819,7 +804,7 @@ def _split_solve(s: list[int], record) -> list[int]:
     _split_value, zeros (x1, x2, u) of <a1,a2,-t> and (y, w) of rest + <t>
     glue to (w x1, w x2, u y).  u = 0 would need a2 = -a1 and w = 0 an
     isotropic rest, and _solve_sqf returns both cases before it gets here;
-    _q_witness checks the glued zero."""
+    is_isotropic checks the glued zero on the form it certifies."""
     n = len(s)
     plans = []
     for pair in itertools.combinations(range(n), 2):
@@ -1088,64 +1073,64 @@ def is_isotropic(q: QuadraticForm, want_witness: bool = True) -> IsotropyResult:
     Q: Hasse-Minkowski through Hilbert symbols; Meyer for dim >= 5.
     Q(sqrt d): the dim >= 5 real-place rule; anything else raises.
 
-    The witness is constructed, never searched for, and packed: over Q and
-    F_p every isotropic verdict carries one when want_witness is set.  Over
-    Q(sqrt d) it is built for rational coefficients only; with an irrational
-    coefficient the verdict stands without a witness.
+    Each field's rule only decides: it returns (isotropic, the method of a
+    verdict without a witness, detail, witness), the witness None, a packed
+    vector (a binary form's, built by the square root that decides) or a
+    builder, which this gate alone calls, when want_witness is set.  Over
+    Q(sqrt d) the builder gives None for an irrational coefficient, and the
+    verdict stands without a witness.
+    Every witness is checked here, once, on q's packed coefficients:
+    nonzero and q(w) = 0 exactly, else InternalCheckFailed.
     """
-    k = q.field.kind
+    if not q.dim:
+        isotropic, method, detail, witness = False, METHOD_LOCAL, {"reason": "empty form"}, None
+    else:
+        k = q.field.kind
+        rule = _is_isotropic_fp if k == PRIME_FIELD else _is_isotropic_q if k == RATIONALS else _is_isotropic_qsqrt
+        isotropic, method, detail, witness = rule(q)
+    if callable(witness):
+        witness = witness() if want_witness else None
+    if witness is not None:
+        kernel = q.field.kernel
+        value = kernel.packed_dot(q.packed, kernel.packed_times(witness, witness))
+        if kernel.packed_is_zero(witness) or not kernel.packed_is_zero(value):
+            raise InternalCheckFailed(f"constructed vector is not a zero of the form {q}")
+        method = METHOD_WITNESS
+    return IsotropyResult(q.field, isotropic, method, witness=witness, detail=detail)
+
+
+def _is_isotropic_fp(q: QuadraticForm):
     n = q.dim
-    if n == 0:
-        return IsotropyResult(q.field, False, METHOD_LOCAL, detail={"reason": "empty form"})
-    if k == PRIME_FIELD:
-        return _is_isotropic_fp(q, want_witness)
-    if k == RATIONALS:
-        return _is_isotropic_q(q, want_witness)
-    return _is_isotropic_qsqrt(q, want_witness)
-
-
-def _is_isotropic_fp(q: QuadraticForm, want_witness: bool) -> IsotropyResult:
-    f, n, p = q.field, q.dim, q.field.p
     if n == 1:
-        return IsotropyResult(f, False, METHOD_COUNT, detail={"reason": "dim 1 regular"})
+        return False, METHOD_COUNT, {"reason": "dim 1 regular"}, None
     if n == 2:
         # one square root of -a2/a1 decides and builds the witness (x, 1)
         w = _fp_witness(q)
         if w is None:
-            return IsotropyResult(
-                f, False, METHOD_COUNT,
-                detail={"reason": "-a1*a2 is a nonresidue", "p": p},
-            )
-        return IsotropyResult(f, True, METHOD_WITNESS, witness=w)
-    w = _fp_witness(q) if want_witness else None
-    return IsotropyResult(
-        f, True, METHOD_WITNESS if w else METHOD_COUNT, witness=w,
-        detail={"reason": "dim >= 3 over a finite field"},
-    )
+            return False, METHOD_COUNT, {"reason": "-a1*a2 is a nonresidue", "p": q.field.p}, None
+        return True, METHOD_COUNT, {}, w
+    return True, METHOD_COUNT, {"reason": "dim >= 3 over a finite field"}, partial(_fp_witness, q)
 
 
-def _is_isotropic_q(q: QuadraticForm, want_witness: bool) -> IsotropyResult:
-    f, n, pairs = q.field, q.dim, _pairs(*q.packed)
+def _is_isotropic_q(q: QuadraticForm):
+    n, pairs = q.dim, _pairs(*q.packed)
     if n == 1:
-        return IsotropyResult(f, False, METHOD_LOCAL, detail={"reason": "dim 1 regular"})
+        return False, METHOD_LOCAL, {"reason": "dim 1 regular"}, None
     if n == 2:
         # q(x, 1) = a1 x^2 + a2 = 0  <=>  x^2 = -a2/a1 (a square iff -a1 a2 is)
         (n1, d1), (n2, d2) = pairs
         x = rational_sqrt(Fraction(-n2 * d1, d2 * n1))
         if x is None:
-            return IsotropyResult(
-                f, False, METHOD_LOCAL, detail={"reason": "-det is not a square"}
-            )
-        return IsotropyResult(f, True, METHOD_WITNESS, witness=([x.numerator, x.denominator], x.denominator))
+            return False, METHOD_LOCAL, {"reason": "-det is not a square"}, None
+        return True, METHOD_LOCAL, {}, ([x.numerator, x.denominator], x.denominator)
     found = _obstruction(pairs)
     if found:
-        return IsotropyResult(f, False, found[0], detail=found[1])
-    wit = (_q_witness(pairs), 1) if want_witness else None
+        return False, *found, None
     reason = "indefinite of dim >= 5 (Meyer)" if n >= 5 else "isotropic at every place (Hasse-Minkowski)"
-    return IsotropyResult(f, True, METHOD_WITNESS if wit else METHOD_LOCAL, witness=wit, detail={"reason": reason})
+    return True, METHOD_LOCAL, {"reason": reason}, lambda: (_q_witness(pairs), 1)
 
 
-def _is_isotropic_qsqrt(q: QuadraticForm, want_witness: bool) -> IsotropyResult:
+def _is_isotropic_qsqrt(q: QuadraticForm):
     n = q.dim
     if n < 5:
         raise UnsupportedCase(
@@ -1153,16 +1138,9 @@ def _is_isotropic_qsqrt(q: QuadraticForm, want_witness: bool) -> IsotropyResult:
         )
     for place, (pos, neg) in enumerate(q.signatures_all_places()):  # none when d < 0
         if pos == 0 or neg == 0:
-            return IsotropyResult(
-                q.field, False, METHOD_REAL,
-                detail={"real_place": place, "signature": [pos, neg]},
-            )
-    wit = _qsqrt_witness(q) if want_witness else None
+            return False, METHOD_REAL, {"real_place": place, "signature": [pos, neg]}, None
     places = "no real places" if q.field.d < 0 else "indefinite at every real place"
-    return IsotropyResult(
-        q.field, True, METHOD_WITNESS if wit else METHOD_REAL, witness=wit,
-        detail={"reason": f"{places}, dim >= 5"},
-    )
+    return True, METHOD_REAL, {"reason": f"{places}, dim >= 5"}, partial(_qsqrt_witness, q)
 
 
 # --------------------------------------------------------------------------

@@ -499,6 +499,15 @@ class TestHasse:
         assert hilbert_symbol(big, Q.element(2), 3) == 1
         assert hilbert_symbol(big, Q.element(5), 5) == -1  # (-n, 5)_5 = (-n/5) = (3/5) for n = 2 mod 5
 
+    @pytest.mark.parametrize("place", [3.7, "3", "x", True], ids=repr)
+    def test_a_place_is_inf_or_a_prime_int(self, place):
+        # no truncation of a float to 3, no string read as a number, a
+        # typed error rather than int()'s ValueError, and no bool as an int
+        with pytest.raises(InvalidInput, match="place must be"):
+            hasse_invariant(QuadraticForm(Q, [1, 3]), place)
+        with pytest.raises(InvalidInput, match="place must be"):
+            hilbert_symbol(Q.element(1), Q.element(3), place)
+
 
 class TestIsotropy:
     def test_hyperbolic_plane(self):
@@ -579,6 +588,55 @@ class TestIsotropy:
     def test_qsqrt_small_dim_unsupported(self):
         with pytest.raises(UnsupportedCase):
             is_isotropic(QuadraticForm(R2, [1, 1, 1, 1]))
+
+
+# one isotropic form per field kind whose witness is built on demand, its
+# witness builder, and the method of its verdict without a witness
+BUILT_WITNESSES = {
+    "Fp": (QuadraticForm(F7, [1, 1, 1]), "_fp_witness", "finite_field_count"),
+    "Q": (QuadraticForm(Q, [1, 2, -3]), "_q_witness", "local_invariants"),
+    "QSqrt": (QuadraticForm(RM7, [1, 1, 1, 1, 1]), "_qsqrt_witness", "real_places"),
+}
+
+
+def _wrong_witness(q, zero):
+    """A packed vector of q's length that is not a zero of q: the zero
+    vector, or (1, 0, ..., 0), whose value is the nonzero a_1."""
+    kernel = q.field.kernel
+    return kernel.pack([q.field.zero() if zero or i else q.field.one() for i in range(q.dim)])
+
+
+class TestOneWitnessCheck:
+    """is_isotropic alone builds, checks and reports every witness: a rule
+    only decides, and a builder is called only when a witness is wanted."""
+
+    @pytest.mark.parametrize("zero", [False, True], ids=["not_a_zero", "zero_vector"])
+    @pytest.mark.parametrize("kind", sorted(BUILT_WITNESSES))
+    def test_a_wrong_witness_from_any_builder_is_refused(self, kind, zero, monkeypatch):
+        q, builder, _ = BUILT_WITNESSES[kind]
+        assert is_isotropic(q).method == METHOD_WITNESS
+        wrong = _wrong_witness(q, zero)
+        if kind == "Q":  # _q_witness returns the integer vector; the rule packs it
+            wrong = wrong[0]
+        monkeypatch.setattr(qforms, builder, lambda *args: wrong)
+        with pytest.raises(InternalCheckFailed, match="not a zero"):
+            is_isotropic(q)
+
+    @pytest.mark.parametrize("kind", sorted(BUILT_WITNESSES))
+    def test_no_witness_is_built_unless_wanted(self, kind, monkeypatch):
+        q, builder, method = BUILT_WITNESSES[kind]
+        monkeypatch.setattr(qforms, builder, lambda *args: pytest.fail(f"{builder} ran"))
+        res = is_isotropic(q, want_witness=False)
+        assert res.isotropic and res.witness is None and res.method == method
+
+    def test_the_search_oracle_reads_the_checked_fp_witness(self, monkeypatch):
+        # past its enumeration cap the F_p search returns is_isotropic's
+        # witness, so a wrong builder is caught there too
+        q = QuadraticForm(prime_field(10007), [1, 1, 1])
+        assert q.evaluate(isotropic_vector_search(q, 1)).is_zero()
+        monkeypatch.setattr(qforms, "_fp_witness", lambda *args: _wrong_witness(q, False))
+        with pytest.raises(InternalCheckFailed, match="not a zero"):
+            isotropic_vector_search(q, 1)
 
 
 class TestWitt:
