@@ -4,50 +4,17 @@ Constructs Cayley-Dickson composition algebras and Albert algebras over Q,
 F_p (p >= 5) and Q(sqrt d), classifies the split rank of their automorphism
 groups, computes anisotropic-kernel quadratic forms, and verifies excellence
 over explicit quadratic extensions -- all in exact arithmetic.
+
+The top level holds what the commands use: the algebra, field and form
+constructors with their JSON readers, the isotropy and Witt decisions, and
+the rank, kernel and excellence reports.  jordan_mul, matrix_mul, phi and
+so_gamma_sample stay here because bench/workloads.py reads them.  Every
+other function, the oracles among them, is imported from its module.
 """
 
-from .albert import (
-    AlbertAlgebra,
-    AlbertElement,
-    Automorphism,
-    albert_from_json,
-    albert_element_from_json,
-    base_change_albert,
-    bilinear,
-    conjugation_between,
-    e0_subspace,
-    is_idempotent,
-    is_nilpotent,
-    is_primitive_idempotent,
-    jordan_mul,
-    matrix_mul,
-    nilpotent_witness,
-    norm_Q,
-    orthogonal_nilpotent_pair,
-    phi,
-    q0_form,
-    quadratic_trace_form,
-    so_gamma_sample,
-    torus_element,
-    trace,
-)
-from .composition import (
-    CompElement,
-    CompositionAlgebra,
-    base_change_comp,
-    cayley_dickson,
-    comp_from_json,
-    comp_isomorphic,
-)
-from .fields import (
-    Field,
-    FieldElement,
-    field_from_json,
-    legendre,
-    prime_field,
-    quad_ext,
-    rationals,
-)
+from .albert import AlbertAlgebra, albert_from_json, jordan_mul, matrix_mul, phi, so_gamma_sample
+from .composition import CompositionAlgebra, cayley_dickson, comp_from_json
+from .fields import Field, field_from_json, prime_field, quad_ext, rationals
 from .groups import (
     ExcellenceReport,
     KernelDescriptor,
@@ -57,23 +24,7 @@ from .groups import (
     f4_rank,
     g2_excellence,
     g2_rank,
-    normalize_gamma,
 )
-from .qforms import (
-    IsotropyResult,
-    QuadraticForm,
-    WittDecomposition,
-    diagonalize,
-    equivalent,
-    equivalent_with_witness,
-    form_from_json,
-    hasse_invariant,
-    hilbert_symbol,
-    is_isotropic,
-    isotropic_vector_search,
-    pfister,
-    witt_decompose,
-    witt_index_by_invariants,
-)
+from .qforms import IsotropyResult, QuadraticForm, WittDecomposition, form_from_json, is_isotropic, witt_decompose
 
 __version__ = "0.1.0"

@@ -45,7 +45,7 @@ from functools import cache, cached_property, partial
 from itertools import product
 from typing import NamedTuple
 
-from .composition import CompElement, CompositionAlgebra, _bits, _doubling_template, base_change_comp
+from .composition import CompElement, CompositionAlgebra, _bits, _doubling_template, base_change_comp, comp_from_json
 from .errors import (
     AlgebraMismatch,
     InternalCheckFailed,
@@ -58,7 +58,7 @@ from .errors import (
     UnsupportedIdempotent,
     ZeroParameter,
 )
-from .fields import Field, FieldElement, PackedElement, lift_packed, scalar_literals
+from .fields import Field, FieldElement, PackedElement, _shown, lift_packed, scalar_literals
 from .qforms import IsotropyResult, QuadraticForm, _gram_mismatch, _with_units, is_isotropic
 
 DIM = 27
@@ -193,12 +193,6 @@ class AlbertAlgebra:
     def random(self, rng, height: int = 4) -> AlbertElement:
         return AlbertElement(self, [self.field.random(rng, height) for _ in range(DIM)])
 
-    def to_json(self) -> dict:
-        return {
-            "octonion": self.octonions.to_json(),
-            "gamma": self.field.kernel.packed_strings(*self.packed_gamma),
-        }
-
 
 class AlbertElement(PackedElement):
     """27-coordinate element (x1, x2, x3, c1, c2, c3)."""
@@ -228,7 +222,7 @@ class AlbertElement(PackedElement):
 
 def albert_element_from_json(algebra: AlbertAlgebra, obj: dict) -> AlbertElement:
     if not isinstance(obj, dict) or "x" not in obj or "c" not in obj or not isinstance(obj["c"], list):
-        raise InvalidInput(f"bad Albert element: {obj!r}")
+        raise InvalidInput(f"bad Albert element: {_shown(obj)}")
     return algebra.element(scalar_literals(obj["x"], "x"), [scalar_literals(c, "c") for c in obj["c"]])
 
 
@@ -458,16 +452,6 @@ def is_primitive_idempotent(x: AlbertElement) -> bool:
     """Idempotent with Q(u) = 1/2, that is tr(u^2) = 1 (packed)."""
     kernel = x.algebra.field.kernel
     return is_idempotent(x) and kernel.packed_eq(_packed_trace(x, x), kernel.pack([1]))
-
-
-def is_nilpotent(z: AlbertElement) -> bool:
-    """z != 0 with z^2 = 0 or z^3 = 0 (degree <= 3 by power-associativity)."""
-    if z.is_zero():
-        return False
-    z2 = jordan_mul(z, z)
-    if z2.is_zero():
-        return True
-    return jordan_mul(z2, z).is_zero()
 
 
 # The diagonals of the slot nilpotents: for slot i and its diagonal pair
@@ -705,9 +689,6 @@ class Automorphism:
             raise AlgebraMismatch("element from a different algebra")
         return AlbertElement(self.algebra, packed=self.algebra.field.kernel.packed_linear(self.rows, x.packed))
 
-    def is_identity(self) -> bool:
-        return all(self.apply(b) == b for b in map(self.algebra.basis, range(DIM)))
-
     def preserves_jordan_on_basis(self) -> bool:
         """Exact check phi(b_i b_j) = phi(b_i) phi(b_j) on all 378 basis
         pairs."""
@@ -851,8 +832,6 @@ def base_change_albert(a: AlbertAlgebra, ext: Field) -> AlbertAlgebra:
 
 
 def albert_from_json(obj: dict) -> AlbertAlgebra:
-    from .composition import comp_from_json
-
     if not isinstance(obj, dict) or "octonion" not in obj or "gamma" not in obj:
-        raise InvalidInput(f"bad Albert-algebra descriptor: {obj!r}")
+        raise InvalidInput(f"bad Albert-algebra descriptor: {_shown(obj)}")
     return AlbertAlgebra(comp_from_json(obj["octonion"]), scalar_literals(obj["gamma"], "gamma"))

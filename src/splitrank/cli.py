@@ -83,7 +83,7 @@ def _load_input(opts) -> dict:
         raise InvalidInput("provide exactly one of --json or --in")
     raw = opts["json"]
     if raw is None:
-        with open(opts["in"]) as fh:
+        with open(opts["in"], "rb") as fh:  # json.loads decodes UTF-8, -16 and -32, and refuses other bytes
             raw = fh.read()
     try:
         obj = json.loads(raw)

@@ -24,14 +24,9 @@ from __future__ import annotations
 
 from functools import cache, cached_property
 
-from .errors import (
-    AlgebraMismatch,
-    InvalidInput,
-    TooManyDoublings,
-    ZeroParameter,
-)
-from .fields import Field, FieldElement, PackedElement, lift_packed
-from .qforms import QuadraticForm, equivalent, is_isotropic, pfister_diagonal
+from .errors import InvalidInput, TooManyDoublings, ZeroParameter
+from .fields import Field, FieldElement, PackedElement, _shown, field_from_json, lift_packed, scalar_literals
+from .qforms import QuadraticForm, is_isotropic, pfister_diagonal
 
 
 class CompositionAlgebra:
@@ -196,15 +191,6 @@ def cayley_dickson(field: Field, params) -> CompositionAlgebra:
     return CompositionAlgebra(field, params)
 
 
-def comp_isomorphic(c1: CompositionAlgebra, c2: CompositionAlgebra) -> bool:
-    """Norm forms classify composition algebras of equal dimension."""
-    if c1.field != c2.field:
-        raise AlgebraMismatch("isomorphism test needs a common base field")
-    if c1.dim != c2.dim:
-        return False
-    return equivalent(c1.norm_form(), c2.norm_form())
-
-
 def base_change_comp(c: CompositionAlgebra, ext: Field) -> CompositionAlgebra:
     """Rebuild the algebra over a supported extension from its lifted
     doubling parameters.  No production route calls it: excellence lifts
@@ -214,8 +200,6 @@ def base_change_comp(c: CompositionAlgebra, ext: Field) -> CompositionAlgebra:
 
 
 def comp_from_json(obj: dict) -> CompositionAlgebra:
-    from .fields import field_from_json, scalar_literals
-
     if not isinstance(obj, dict) or "field" not in obj or "params" not in obj:
-        raise InvalidInput(f"bad composition-algebra descriptor: {obj!r}")
+        raise InvalidInput(f"bad composition-algebra descriptor: {_shown(obj)}")
     return CompositionAlgebra(field_from_json(obj["field"]), scalar_literals(obj["params"], "params"))

@@ -441,13 +441,13 @@ class Field:
             if self.p is not None or self.d is not None:
                 raise InvalidInput("rationals take no parameters")
         elif self.kind == PRIME_FIELD:
-            if self.p is None or self.p in (2, 3) or not is_prime(self.p):
-                raise InvalidInput(f"prime field needs a prime p >= 5, got {self.p}")
+            if type(self.p) is not int or self.p in (2, 3) or not is_prime(self.p):
+                raise InvalidInput(f"prime field needs a prime p >= 5, got {_shown(self.p)}")
         elif self.kind == QUAD_EXT:
-            if self.d is None or self.d in (0, 1) or any(e > 1 for e in prime_factors(self.d).values()):
-                raise InvalidInput(f"quadratic extension needs squarefree d not in {{0,1}}, got {self.d}")
+            if type(self.d) is not int or self.d in (0, 1) or any(e > 1 for e in prime_factors(self.d).values()):
+                raise InvalidInput(f"quadratic extension needs squarefree d not in {{0,1}}, got {_shown(self.d)}")
         else:
-            raise InvalidInput(f"unknown field kind {self.kind!r}")
+            raise InvalidInput(f"unknown field kind {_shown(self.kind)}")
         object.__setattr__(self, "kernel", _KERNELS[self.kind](self))
 
     # ------------------------------------------------------------------ basics
@@ -472,26 +472,29 @@ class Field:
 
     def payload(self, value):
         """The canonical payload of value, as FieldElement.value holds it, with
-        no element built: a literal string (_literal), an int, a Fraction,
-        an (a, b) pair over Q(sqrt d), or an element of this field."""
+        no element built: a literal string (_literal), an int (not a bool),
+        a Fraction, an (a, b) pair of those numbers over Q(sqrt d), or an
+        element of this field.  Anything else, a float among them, is
+        InvalidInput."""
         if type(value) is FieldElement:
             if value.field is not self and value.field != self:
                 raise FieldMismatch(f"element of {value.field} is not in {self}")
             return value.value
         if isinstance(value, str):
             return self._literal(value)
-        if self.kind == PRIME_FIELD:
-            if isinstance(value, Fraction):
-                if value.denominator % self.p == 0:
-                    raise DivisionByZero(f"inverse of 0 in {self}")
-                return value.numerator * pow(value.denominator, -1, self.p) % self.p
-            return int(value) % self.p
-        if self.kind == RATIONALS:
-            return Fraction(value)
-        if isinstance(value, tuple):
-            a, b = value
-            return Fraction(a), Fraction(b)
-        return Fraction(value), Fraction(0)
+        if type(value) in _EXACT:
+            if self.kind == RATIONALS:
+                return Fraction(value)
+            if self.kind == QUAD_EXT:
+                return Fraction(value), Fraction(0)
+            if type(value) is int:
+                return value % self.p
+            if value.denominator % self.p == 0:
+                raise DivisionByZero(f"inverse of 0 in {self}")
+            return value.numerator * pow(value.denominator, -1, self.p) % self.p
+        if self.kind == QUAD_EXT and type(value) is tuple and len(value) == 2 and all(type(v) in _EXACT for v in value):
+            return Fraction(value[0]), Fraction(value[1])
+        raise InvalidInput(f"a scalar of {self} is a literal string, an int or a Fraction, got {_shown(value)}")
 
     def _literal(self, text: str):
         """The payload of a literal.  Q: "5/6", "-3" (what Fraction reads).
@@ -529,12 +532,6 @@ class Field:
             raise InvalidInput(f"bad quadratic literal {_shown(text)}") from None
         return a, b
 
-    def sqrt_gen(self) -> FieldElement:
-        """The generator sqrt(d) of a quadratic extension."""
-        if self.kind != QUAD_EXT:
-            raise InvalidInput(f"{self} has no adjoined square root")
-        return FieldElement(self, (Fraction(0), Fraction(1)))
-
     def random(self, rng, height: int = 9, nonzero: bool = False) -> FieldElement:
         """Seeded random element with numerators bounded by `height`, drawn
         as kernel.random_packed draws a coordinate."""
@@ -565,7 +562,7 @@ def quad_ext(d: int) -> Field:
 
 def field_from_json(obj: dict) -> Field:
     if not isinstance(obj, dict) or "kind" not in obj:
-        raise InvalidInput(f"bad field descriptor: {obj!r}")
+        raise InvalidInput(f"bad field descriptor: {_shown(obj)}")
     kind = obj["kind"]
     if kind == "Q":
         return rationals()
@@ -573,7 +570,7 @@ def field_from_json(obj: dict) -> Field:
         return prime_field(_int_from_json(obj.get("p"), "p"))
     if kind == "QSqrt":
         return quad_ext(_int_from_json(obj.get("d"), "d"))
-    raise InvalidInput(f"unknown field kind {kind!r}")
+    raise InvalidInput(f"unknown field kind {_shown(kind)}")
 
 
 def lift_packed(base: Field, ext: Field, u):
@@ -611,10 +608,10 @@ def scalar_literals(items, what: str) -> list:
     """A JSON array of scalars, each a string or an int (not a bool), as it
     stands: the constructor it is passed to coerces each literal once."""
     if not isinstance(items, list):
-        raise InvalidInput(f"{what} must be a JSON array, got {items!r}")
+        raise InvalidInput(f"{what} must be a JSON array, got {_shown(items)}")
     bad = [v for v in items if isinstance(v, bool) or not isinstance(v, (str, int))]
     if bad:
-        raise InvalidInput(f"{what}: a scalar must be a string or an integer, got {bad[0]!r}")
+        raise InvalidInput(f"{what}: a scalar must be a string or an integer, got {_shown(bad[0])}")
     return items
 
 
@@ -735,9 +732,6 @@ class FieldElement:
         return out
 
     # -------------------------------------------------------------- queries
-    def is_square(self) -> bool:
-        return self.square_root() is not None
-
     def square_root(self) -> FieldElement | None:
         """Exact square-root witness, or None when not a square."""
         f = self.field
@@ -823,6 +817,7 @@ _LIT = re.compile(
 )
 # a space between two characters of a number or a fraction, as in "1 2" or "3 /4"
 _SPLIT_NUMBER = re.compile(r"[\w./] +[\w./]")
+_EXACT = (int, Fraction)  # the number types that Field.payload reads (a bool is not one)
 
 
 # ---------------------------------------------------------------------------

@@ -70,12 +70,15 @@ from .fields import (
     RATIONALS,
     Field,
     FieldElement,
+    _shown,
     _sign_a_plus_b_sqrt_d,
+    field_from_json,
     is_prime,
     least_nonresidue,
     legendre,
     prime_factors,
     rational_sqrt,
+    scalar_literals,
     sqrt_mod_p,
 )
 
@@ -149,7 +152,8 @@ class QuadraticForm:
 
     def det_squareclass(self):
         """Canonical representative of the determinant square class (over
-        Q the squarefree integer, from the split of each coefficient)."""
+        Q the squarefree integer, from the split of each coefficient); Q
+        and F_p only."""
         k = self.field.kind
         if k == RATIONALS:
             return _local_data(_pairs(*self.packed))[0]
@@ -157,7 +161,7 @@ class QuadraticForm:
             if legendre(math.prod(self.packed[0]), self.field.p) == 1:
                 return 1
             return least_nonresidue(self.field.p)
-        return math.prod(self.coeffs, start=self.field.one())  # QSqrt: the raw det, compared via is_square
+        raise UnsupportedField("det_squareclass() is the Q and F_p entry point")
 
     def signature(self) -> tuple[int, int]:
         """(positive, negative) coefficient counts over R; rationals only."""
@@ -201,10 +205,8 @@ def _with_units(kernel, signs, u):
 
 
 def form_from_json(obj: dict) -> QuadraticForm:
-    from .fields import field_from_json, scalar_literals
-
     if not isinstance(obj, dict) or "coeffs" not in obj or "field" not in obj:
-        raise InvalidInput(f"bad form descriptor: {obj!r}")
+        raise InvalidInput(f"bad form descriptor: {_shown(obj)}")
     return QuadraticForm(field_from_json(obj["field"]), scalar_literals(obj["coeffs"], "coeffs"), obj.get("label"))
 
 

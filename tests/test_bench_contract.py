@@ -8,6 +8,7 @@ line stays valid JSON.  These tests catch that in tier-1: every target must
 resolve, and the names the bench's own code derives must equal `per_layer`.
 """
 
+import ast
 import importlib
 import json
 import re
@@ -17,7 +18,7 @@ from pathlib import Path
 import bench_modules
 
 # what bench/run.py's set_up imports, and so the layers a traced run sees
-import splitrank  # noqa: F401
+import splitrank
 import splitrank.cli  # noqa: F401
 import splitrank.verify  # noqa: F401
 
@@ -37,6 +38,15 @@ def test_every_target_resolves():
             for part in dotted.split("."):
                 owner = getattr(owner, part, None)
             assert callable(owner), f"splitrank.{layer}.{dotted} is not a callable"
+
+
+def test_every_package_name_the_workloads_read_resolves():
+    # bench/workloads.py calls the package as `sr`, the splitrank that
+    # bench/run.py imports: each sr.<name> it reads must be on the top level
+    tree = ast.parse((ROOT / "bench" / "workloads.py").read_text())
+    names = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and getattr(n.value, "id", None) == "sr"}
+    assert names, "bench/workloads.py reads no sr.<name>"
+    assert sorted(n for n in names if not hasattr(splitrank, n)) == []
 
 
 def test_traced_metric_names_are_per_layer():

@@ -10,9 +10,11 @@ import os
 import random
 import subprocess
 import sys
+import types
 
 import pytest
 
+import splitrank
 from splitrank import cli
 from splitrank.cli import main
 from splitrank.errors import InternalCheckFailed
@@ -29,6 +31,7 @@ F4_RANK1 = json.dumps(
     }
 )
 G2_GRAVES = json.dumps({"g2": {"field": {"kind": "Q"}, "params": ["-1", "-1", "-1"]}})
+LONG = [str(i) for i in range(20000)]  # a JSON array of 20,000 literals
 
 
 def run_cli(args, capsys):
@@ -159,6 +162,15 @@ class TestExitCodes:
         path.write_text(F4_RANK1)
         code, _ = run_cli(["classify", "--json", F4_RANK1, "--in", str(path)], capsys)
         assert code == 2
+
+    def test_non_utf8_in_file(self, tmp_path, capsys):
+        # the file is read as bytes, which json.loads decodes or refuses:
+        # these are invalid input (exit 2), not a UnicodeDecodeError
+        path = tmp_path / "x.json"
+        path.write_bytes(bytes.fromhex("fffe00626164"))
+        code, out = run_cli(["witt", "--in", str(path)], capsys)
+        assert code == 2
+        assert json.loads(out)["error"]["kind"] == "InvalidInput"
 
     def test_char_3_rejected(self, capsys):
         bad = json.dumps({"g2": {"field": {"kind": "Fp", "p": 3}, "params": ["1", "1", "1"]}})
@@ -298,6 +310,27 @@ class TestExitCodes:
         code, out = run_cli(["witt", "--json", json.dumps(form)], capsys)
         assert code == 2 and json.loads(out)["error"]["message"].endswith("literal '2x'")
 
+    @pytest.mark.parametrize(
+        "command,desc",
+        [
+            ("witt", {"field": {"kind": "Q"}, "coefs": LONG}),
+            ("witt", {"field": {"knd": "Q", "x": LONG}, "coeffs": [1, -1]}),
+            ("witt", {"field": {"kind": "Q" * 20000}, "coeffs": [1, -1]}),
+            ("witt", {"field": {"kind": "Q"}, "coeffs": {"c": LONG}}),
+            ("witt", {"field": {"kind": "Q"}, "coeffs": [1, LONG]}),
+            ("classify", {"g2": {"field": {"kind": "Q"}, "parms": LONG}}),
+            ("classify", {"f4": {"octonion": {"field": {"kind": "Q"}, "params": [-1, -1, -1]}, "gama": LONG}}),
+        ],
+        ids=["form", "field", "field-kind", "coeffs-object", "coeffs-item", "composition", "albert"],
+    )
+    def test_long_descriptor_is_echoed_short(self, command, desc, capsys):
+        # a malformed descriptor of 20,000 entries is refused with the first
+        # 40 characters of its repr and its length
+        code, out = run_cli([command, "--json", json.dumps(desc)], capsys)
+        error = json.loads(out)["error"]
+        assert code == 2 and error["kind"] == "InvalidInput" and len(out.encode()) < 1024
+        assert error["message"].endswith(" characters)")
+
     @pytest.mark.parametrize("group", ["g2", "f4"])
     def test_excellence_unsupported_over_the_extension(self, group, capsys):
         # N is anisotropic over Q and split over Q(sqrt -7), and its descent
@@ -379,6 +412,20 @@ def test_closed_stdout_exits_quietly(argv):
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (cli.EXIT_BROKEN_PIPE, "")
+
+
+def test_top_level_is_the_commands_surface():
+    # what the commands use, and the four names bench/workloads.py reads
+    # besides albert_from_json; every other name is imported from its module
+    public = {n for n, v in vars(splitrank).items() if not n.startswith("_") and not isinstance(v, types.ModuleType)}
+    assert public == {
+        "AlbertAlgebra", "albert_from_json", "CompositionAlgebra", "cayley_dickson", "comp_from_json",
+        "Field", "field_from_json", "rationals", "prime_field", "quad_ext",
+        "QuadraticForm", "form_from_json", "is_isotropic", "IsotropyResult", "witt_decompose", "WittDecomposition",
+        "g2_rank", "f4_rank", "f4_kernel", "g2_excellence", "f4_excellence",
+        "RankReport", "KernelDescriptor", "ExcellenceReport",
+        "jordan_mul", "matrix_mul", "phi", "so_gamma_sample",
+    }
 
 
 def test_console_entrypoint_runs():

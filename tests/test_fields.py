@@ -83,6 +83,48 @@ class TestConstruction:
         for d in (2, 3, 5, -1, -7, 30):
             quad_ext(d)
 
+    @pytest.mark.parametrize(
+        "build", [lambda: prime_field(7.0), lambda: prime_field(True), lambda: prime_field("7"), lambda: quad_ext(2.0),
+                  lambda: quad_ext(Fraction(-7)), lambda: quad_ext("2")],
+        ids=["p-float", "p-bool", "p-str", "d-float", "d-fraction", "d-str"],
+    )
+    def test_parameter_must_be_an_int(self, build):
+        # F7.0 had float residues and compared equal to F7; a float d went
+        # into the products of the Q(sqrt d) kernel
+        with pytest.raises(InvalidInput):
+            build()
+
+
+class TestPayload:
+    """Field.payload reads exact numbers and literals only: a float was
+    truncated or expanded to its binary fraction, and a bool read as 1."""
+
+    @pytest.mark.parametrize("field", [Q, F7, R2], ids=str)
+    @pytest.mark.parametrize(
+        "value", [1.5, 0.1, float("nan"), float("inf"), True, False, None, [1], 1j],
+        ids=["1.5", "0.1", "nan", "inf", "True", "False", "None", "list", "complex"],
+    )
+    def test_inexact_scalar_rejected(self, field, value):
+        with pytest.raises(InvalidInput):
+            field.element(value)
+
+    @pytest.mark.parametrize(
+        "value", [(1.5, 0), (0, 0.5), (True, 1), ("1", "2"), (1, 2, 3), [1, 2]],
+        ids=["a-float", "b-float", "a-bool", "strings", "triple", "list"],
+    )
+    def test_bad_pair_rejected(self, value):
+        with pytest.raises(InvalidInput):
+            R2.element(value)
+
+    @pytest.mark.parametrize("field", [Q, F7], ids=str)
+    def test_pair_only_over_quadratic_fields(self, field):
+        with pytest.raises(InvalidInput):
+            field.element((1, 2))
+
+    def test_float_coefficient_of_a_form_rejected(self):
+        with pytest.raises(InvalidInput):
+            QuadraticForm(F7, [1.9, 2, 3])
+
 
 class TestIsSquare:
     def test_rational_witness(self):

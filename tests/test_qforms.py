@@ -178,7 +178,7 @@ def _expanded_split(coeffs, v):
 
 def _bumped(matrix, r, c, field):
     out = [row[:] for row in matrix]
-    out[r][c] = out[r][c] + (field.sqrt_gen() if field == RM7 else field.one())
+    out[r][c] = out[r][c] + field.element("r" if field == RM7 else 1)
     return out
 
 
@@ -229,7 +229,7 @@ class TestOneProof:
             if spots and not bumped:
                 # the packed vector, unpacked, bumped in its first entry and packed again
                 entries = list(field.kernel._unpack(*(u1 if part == "u1" else cols[spots[0]])))
-                entries[0] = entries[0] + (field.sqrt_gen() if field == RM7 else field.one())
+                entries[0] = entries[0] + field.element("r" if field == RM7 else 1)
                 if part == "u1":
                     u1 = field.kernel.pack(entries)
                 else:
@@ -922,6 +922,13 @@ class TestEquivalence:
         q3 = QuadraticForm(Q, [2, 14])
         assert q1.det_squareclass() == q3.det_squareclass()
         assert equivalent(q1, q3) == (hasse_invariant(q1, 7) == hasse_invariant(q3, 7))
+
+    @pytest.mark.parametrize("field", [R2, RM7], ids=str)
+    def test_det_squareclass_is_for_q_and_fp(self, field):
+        # over Q(sqrt d) it returned the raw determinant, no square-class
+        # representative, and nothing calls it there
+        with pytest.raises(UnsupportedField):
+            QuadraticForm(field, [1, 2, 3]).det_squareclass()
 
     def test_hasse_obstruction_at_a_prime_of_one_record(self):
         # <3,3> has Hasse invariant -1 at 2 and at 3, where <1,1> has no
