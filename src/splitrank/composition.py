@@ -113,12 +113,6 @@ class CompositionAlgebra:
     def split_certificate(self):
         return is_isotropic(self.norm_form(), want_witness=True)
 
-    def to_json(self) -> dict:
-        return {
-            "field": self.field.to_json(),
-            "params": self.field.kernel.packed_strings(*self.packed_params),
-        }
-
 
 @cache
 def _doubling_template(n: int):

@@ -685,9 +685,6 @@ class FieldElement:
     def __sub__(self, other):
         return self + (-self._check(other))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._check(other)
         k = self.field.kind
@@ -715,21 +712,6 @@ class FieldElement:
 
     def __truediv__(self, other):
         return self * self._check(other).inv()
-
-    def __rtruediv__(self, other):
-        return self.field.element(other) * self.inv()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inv() ** (-n)
-        out = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     # -------------------------------------------------------------- queries
     def square_root(self) -> FieldElement | None:

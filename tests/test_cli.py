@@ -19,7 +19,7 @@ from splitrank import cli
 from splitrank.cli import main
 from splitrank.errors import InternalCheckFailed
 from test_golden import EXAMPLES
-from test_oracle_guard import README
+from census import README
 from test_output_digests import CORPORA, corpus_argvs
 
 F4_RANK1 = json.dumps(

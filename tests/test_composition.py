@@ -212,6 +212,6 @@ class TestBaseChange:
     def test_json_roundtrip(self):
         from splitrank.composition import comp_from_json
 
-        alg = cayley_dickson(quad_ext(5), [(0, 1), -1, (2, -1)])
-        back = comp_from_json(alg.to_json())
-        assert back == alg
+        # the octonions of a g2 descriptor, in the literals that the reports write
+        desc = {"field": {"kind": "QSqrt", "d": 5}, "params": ["1*r", "-1", "2-1*r"]}
+        assert comp_from_json(desc) == cayley_dickson(quad_ext(5), [(0, 1), -1, (2, -1)])

@@ -59,10 +59,6 @@ class TestArithmetic:
         x = R2.element((Fraction(2, 3), Fraction(-1, 5)))
         assert x * x.inv() == R2.one()
 
-    def test_pow(self):
-        assert F7.element(3) ** 6 == F7.one()
-        assert Q.element(2) ** -2 == Q.element(Fraction(1, 4))
-
 
 class TestConstruction:
     def test_char_2_3_rejected(self):
