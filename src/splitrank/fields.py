@@ -70,8 +70,8 @@ InputTooLarge.  A cofactor below 10^6 has no prime factor below its square
 root, so it is prime with no test; every larger prime is proven by
 `is_prime`.  Factorizations are remembered per integer (an lru of 4096),
 and the primes above the trial limit in a registry of the same size,
-oldest dropped first: a gcd with their product divides a composite
-cofactor by the registered primes before `_split` runs, so a large prime
+oldest dropped first: a composite cofactor is divided by the first
+registered prime that divides it before `_split` runs, so a large prime
 is split out once, however many products it turns up in, for as long as
 it stays registered.  `clear_factor_caches` empties both.
 """
@@ -186,7 +186,8 @@ def _iroot(m: int, k: int) -> int:
 def _rho(n: int) -> int | None:
     """A nontrivial factor of an odd composite n by Brent's variant of
     Pollard rho (deterministic: x -> x^2 + c from 2, for c = 1, 2, 3), or
-    None once r passes _RHO_MAX_R with gcd 1 or every c meets n itself."""
+    None once r passes _RHO_MAX_R with gcd 1 or every c meets n itself.
+    A later c splits what x^2 + 1 meets whole (1009 * 1709): ECM cannot."""
     for c in (1, 2, 3):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
@@ -319,22 +320,21 @@ def prime_factors(n: int) -> dict[int, int]:
     PRIMALITY_LIMIT or more that passes every Miller-Rabin base raises
     InputTooLarge.
     Factorizations are remembered per |n|, and each prime above the trial
-    limit is remembered once found: a composite cofactor is divided by a
-    known prime before it is split.  Each call returns a fresh dict."""
+    limit is remembered once found: a composite cofactor is divided by the
+    first remembered prime that divides it before it is split.  Each call
+    returns a fresh dict."""
     return dict(_prime_factors(abs(n)))
 
 
 _CACHE_SIZE = 4096
-# The primes above the trial limit found so far, oldest first, and their
-# product: a large prime turns up again inside other products
-# (g_j a next to r_i a, 2N after N), and should be split out only once.
+# The primes above the trial limit found so far, oldest first: a large
+# prime turns up again inside other products (g_j a next to r_i a, 2N
+# after N), and should be split out only once.
 _LARGE_PRIMES: dict[int, None] = {}
-_large_product = 1
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _prime_factors(n: int) -> tuple[tuple[int, int], ...]:
-    global _large_product
     out: dict[int, int] = {}
     for p in _sieve(1 << _TRIAL_LIMIT.bit_length()):
         if p >= _TRIAL_LIMIT or p * p > n:
@@ -349,28 +349,18 @@ def _prime_factors(n: int) -> tuple[tuple[int, int], ...]:
             out[m] = out.get(m, 0) + 1
             if m > _TRIAL_LIMIT and m not in _LARGE_PRIMES:
                 _LARGE_PRIMES[m] = None
-                _large_product *= m
                 if len(_LARGE_PRIMES) > _CACHE_SIZE:
-                    oldest = next(iter(_LARGE_PRIMES))
-                    del _LARGE_PRIMES[oldest]
-                    _large_product //= oldest
+                    del _LARGE_PRIMES[next(iter(_LARGE_PRIMES))]
         else:
-            g = gcd(m, _large_product)  # the part of m made of registered primes
-            if g == m:
-                g = next(q for q in _LARGE_PRIMES if m % q == 0)
-            f = g if g > 1 else _split(m)
+            f = next((q for q in _LARGE_PRIMES if m % q == 0), None) or _split(m)
             todo += [f, m // f]
     return tuple(sorted(out.items()))
 
 
 def clear_factor_caches() -> None:
-    """Forget every factorization and registered prime: the lru, the
-    registry and its product together (a registry emptied alone would leave
-    primes in the product that no scan can find)."""
-    global _large_product
+    """Forget every factorization (the lru) and registered prime."""
     _prime_factors.cache_clear()
     _LARGE_PRIMES.clear()
-    _large_product = 1
 
 
 def legendre(a: int, p: int) -> int:

@@ -384,6 +384,33 @@ class TestVerify:
         assert len(report["checks"]) == 6 and all(c["suite"] == "groups" for c in report["checks"])
 
 
+    def test_failing_albert_checks_name_the_algebra_and_elements(self, monkeypatch, capsys):
+        # wrong references fail the octonion and matrix-route checks at their
+        # first pair (and matrix_mul's, whose reference multiplies octonions
+        # by the wrong one); each detail is the algebra's repr, then x= and
+        # y= with the elements' JSON literals
+        from splitrank import verify
+        from splitrank.albert import jordan_mul
+
+        octonions, jordan = [], []
+        monkeypatch.setattr(verify, "reference_octonion_mul",
+                            lambda x, y: octonions.append((x, y)) or x * y + x.algebra.one())
+        monkeypatch.setattr(verify, "_jordan_from_matrices",
+                            lambda a, x, y: jordan.append((a, x, y)) or jordan_mul(x, y) + a.unit())
+        code, out = run_cli(["verify", "--suite", "albert"], capsys)
+        report = json.loads(out)
+        assert code == 4 and report["passed"] is False
+        failed = {c["name"].split(" (")[0]: c["detail"] for c in report["checks"] if not c["ok"]}
+        assert list(failed) == ["jordan_mul = matrix route", "octonion product = FieldElement reference",
+                                "matrix_mul = FieldElement reference"]
+        assert len(jordan) == 1
+        (a, x, y), (u, v) = jordan[0], octonions[0]
+        assert repr(a) == "H(CD(-1,-1,-1) over Q; 1,-1,1)" and repr(u.algebra) == "CD(-1,-1,-1) over Q"
+        assert failed["jordan_mul = matrix route"] == f"{a!r}: x={x.to_json()} y={y.to_json()}"
+        assert failed["octonion product = FieldElement reference"] == f"{u.algebra!r}: x={u.to_json()} y={v.to_json()}"
+        assert failed["matrix_mul = FieldElement reference"].startswith(f"{a!r}: x={{'x': [")
+        assert len(x.to_json()["c"]) == 3 and len(u.to_json()) == 8
+
 class TestOutFile:
     def test_out_writes_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"

@@ -349,51 +349,52 @@ class TestFactoring:
 
     def test_rho_splits_each_large_prime_once(self, monkeypatch):
         # a prime above the trial limit, once found, divides the later
-        # cofactors it turns up in before _split runs on them
+        # cofactors it turns up in before _split runs on them: after p q,
+        # only 10007 * 10009, made of no registered prime, is split
         p, q, r = (next(n for n in range(m, m + 1000) if is_prime(n)) for m in (10**10, 2 * 10**10, 3 * 10**10))
-        rho, found = fields._split, []
-
-        def recorded(n):
-            found.append(rho(n))
-            return found[-1]
-
-        monkeypatch.setattr(fields, "_split", recorded)
-        fields._prime_factors.cache_clear()
+        split, calls = fields._split, []
+        monkeypatch.setattr(fields, "_split", lambda n: calls.append(n) or split(n))
         monkeypatch.setattr(fields, "_LARGE_PRIMES", {})
-        monkeypatch.setattr(fields, "_large_product", 1)
-        for n in (p * q, 3 * p * q * r, 7 * p * r, q * r, p * p * q, -2 * r**3, 10007 * 10009 * q):
+        fields._prime_factors.cache_clear()
+        assert prime_factors(p * q) == {p: 1, q: 1} and calls == [p * q]
+        assert prime_factors(3 * p * q * r) == {3: 1, p: 1, q: 1, r: 1}
+        for n in (7 * p * r, q * r, p * p * q, -2 * r**3, 10007 * 10009 * q):
             got = prime_factors(n)
             assert prod(b**e for b, e in got.items()) == abs(n) and all(is_prime(b) for b in got)
-        primes = [f for f in found if is_prime(f)]
-        assert primes and len(primes) == len(set(primes))
+        assert calls == [p * q, 10007 * 10009]
+        assert sorted(fields._LARGE_PRIMES) == [10007, 10009, p, q, r]
 
     def test_registry_gcd_lookup_and_eviction(self, monkeypatch):
-        # a gcd with the running product finds the registered part of a
-        # cofactor, a scan splits a product of registered primes, and the
-        # oldest prime leaves the product with the registry
-        rho, split = fields._split, []
-        monkeypatch.setattr(fields, "_split", lambda n: split.append(n) or rho(n))
+        # the first registered prime that divides a cofactor splits it off
+        # with no call of _split, and a registry past its size drops its
+        # oldest prime, which the next cofactor then has to split again
+        split, calls = fields._split, []
+        monkeypatch.setattr(fields, "_split", lambda n: calls.append(n) or split(n))
         monkeypatch.setattr(fields, "_CACHE_SIZE", 3)
         monkeypatch.setattr(fields, "_LARGE_PRIMES", {})
-        monkeypatch.setattr(fields, "_large_product", 1)
         fields._prime_factors.cache_clear()
         assert prime_factors(1009 * 1013) == {1009: 1, 1013: 1}
+        oldest, newer = fields._LARGE_PRIMES
         assert prime_factors(1013 * 1019 * 1021) == {1013: 1, 1019: 1, 1021: 1}
-        assert split == [1009 * 1013, 1019 * 1021]
-        assert sorted(fields._LARGE_PRIMES) == [1013, 1019, 1021] and fields._large_product == 1013 * 1019 * 1021
-        assert prime_factors(1013 * 1019) == {1013: 1, 1019: 1} and len(split) == 2
-        assert prime_factors(1009 * 1031) == {1009: 1, 1031: 1} and split[2:] == [1009 * 1031]
-        assert fields._large_product == prod(fields._LARGE_PRIMES)
+        assert calls == [1009 * 1013, 1019 * 1021]
+        assert oldest not in fields._LARGE_PRIMES and list(fields._LARGE_PRIMES)[0] == newer
+        assert sorted(fields._LARGE_PRIMES) == sorted({newer, 1019, 1021})
+        assert prime_factors(1019 * 1021) == {1019: 1, 1021: 1} and len(calls) == 2
+        assert prime_factors(oldest * 1031) == {oldest: 1, 1031: 1} and calls[2:] == [oldest * 1031]
+        assert len(fields._LARGE_PRIMES) == 3 and newer not in fields._LARGE_PRIMES
 
     def test_clearing_the_caches_keeps_factoring(self):
-        # the lru, the registry and its product are emptied together: a
-        # registry emptied alone left its primes in the product, and the
-        # next lookup found the product but no prime to divide by
+        # the lru and the registry are emptied together, or the registry
+        # alone with the lru kept: either way every later lookup factors
         n = 10000000019 * 526315789477
         first = prime_factors(n)
         fields.clear_factor_caches()
-        assert not fields._LARGE_PRIMES and fields._large_product == 1
+        assert not fields._LARGE_PRIMES and fields._prime_factors.cache_info().currsize == 0
         assert prime_factors(n) == first == {10000000019: 1, 526315789477: 1}
+        assert set(fields._LARGE_PRIMES) == set(first)
+        fields._LARGE_PRIMES.clear()  # the lru still holds n
+        assert prime_factors(19 * n) == {19: 1, **first}
+        assert prime_factors(n * n) == {10000000019: 2, 526315789477: 2}
 
     def test_primality_limit(self):
         # psi_12 is a strong pseudoprime to every base up to 37
@@ -461,6 +462,16 @@ class TestSplitPanel:
             p, q, r = primes[a], primes[b], primes[c]
             assert self._factored(p * q * r) == {p: 1, q: 1, r: 1}
         assert self._factored(primes[1] ** 2 * primes[2]) == {primes[1]: 2, primes[2]: 1}
+
+    def test_rho_retries_what_x2_plus_1_meets_whole(self):
+        # x -> x^2 + 1 meets n itself on 1009 * 1709, in the batch and in
+        # its one-step redo, and ECM cannot split n: both primes are below
+        # B2, so every curve's gcd is n.  x -> x^2 + 2 splits it.
+        n = 1009 * 1709
+        assert fields._rho(n) in (1009, 1709)
+        with pytest.raises(InputTooLarge):
+            fields._ecm(n)
+        assert self._factored(n) == {1009: 1, 1709: 1}
 
     def test_seed_1_semiprime(self):
         # the witt_panel semiprime of seed 1: rho uses its whole budget, ECM splits it

@@ -1,4 +1,5 @@
-"""The CLI's outputs, byte for byte, as one committed check.
+"""The CLI's outputs, byte for byte and verdict for verdict, as committed
+checks.
 
 tests/golden/output_digests.json holds one short sha256 of the exit code
 and stdout of each operation of three frozen corpora:
@@ -13,9 +14,22 @@ and stdout of each operation of three frozen corpora:
   bench/.
 It also holds one sha256 of each op list, so that a change in a
 generator reads "op list changed" and not "output changed", and one
-sha256 over all outputs of a corpus in order.  A change of output
-on purpose regenerates the file, and CHANGES.md says which operations
-changed and why:
+sha256 over all outputs of a corpus in order.
+
+tests/golden/verdict_digests.json holds, in the same layout and from the
+same run of each operation, the digests of its verdict: the exit code,
+the error kind and every report key but those that carry a witness
+route's choices (HIDDEN below: the witnesses, the nilpotent element, the
+idempotent and its c, the isotropic vector, the split bases and the
+matching) and the error message, with the `coeffs` and `anisotropic`
+lists as their lengths.  So a change of witness route that keeps every
+rank, index, kernel kind, verdict and method changes output digests only.
+
+The rule for a change of output: a change may regenerate
+output_digests.json only if verdict_digests.json stays unchanged, every
+changed output passes bench/checker.py, and CHANGES.md lists the changed
+operations and says why they changed.  One command rewrites both files
+from one run of each corpus:
 
     PYTHONPATH=src python tests/test_output_digests.py
 """
@@ -29,9 +43,16 @@ from pathlib import Path
 import pytest
 
 import bench_modules
+import census
 from splitrank.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "output_digests.json"
+VERDICTS = Path(__file__).parent / "golden" / "verdict_digests.json"
+# The report keys that carry a witness route's choices: no verdict reads them.
+HIDDEN = frozenset({"witness", "element", "c", "idempotent", "isotropic_vector", "split_basis",
+                    "kernel_split_basis", "matching"})
+# The lists that a verdict reads as their lengths.
+COUNTED = frozenset({"coeffs", "anisotropic"})
 # workload: (its block generator in bench/workloads.py, seeds, blocks per seed)
 BENCH_CORPUS = {"witt_panel": ("witt_blocks", (1, 2, 3, 4), 6), "f4_certify": ("f4_blocks", (1, 2, 3), 4)}
 CORPORA = sorted(BENCH_CORPUS) + ["commands"]
@@ -110,31 +131,101 @@ def corpus_argvs(corpus: str) -> list[list[str]]:
     return command_argvs() if corpus == "commands" else _bench_argvs(corpus)
 
 
-def digests(argvs: list[list[str]]) -> dict:
-    """The committed record of one op list: see the module docstring."""
-    total, outputs = hashlib.sha256(), []
-    for argv in argvs:
-        rc, text = _workloads().call_cli(main, argv)
-        record = f"{rc}\n{text}".encode()
-        total.update(record)
-        outputs.append(hashlib.sha256(record).hexdigest()[:12])
+def _verdict(value):
+    if isinstance(value, dict):
+        return {k: len(v) if k in COUNTED else _verdict(v) for k, v in value.items() if k not in HIDDEN}
+    if isinstance(value, list):
+        return [_verdict(v) for v in value]
+    return value
+
+
+def records(rc: int, text: str) -> tuple[bytes, bytes]:
+    """What the two digests of one operation hash: its exit code and
+    stdout, and its verdict (see the module docstring)."""
+    report = json.loads(text)
+    if "error" in report:
+        report = {**report, "error": {k: v for k, v in report["error"].items() if k != "message"}}
+    return f"{rc}\n{text}".encode(), f"{rc}\n{json.dumps(_verdict(report), sort_keys=True)}".encode()
+
+
+def _record(argvs: list[list[str]], hashed: tuple[bytes, ...]) -> dict:
     return {
         "ops_sha256": hashlib.sha256(json.dumps(argvs).encode()).hexdigest(),
-        "outputs_sha256": total.hexdigest(),
-        "outputs": outputs,
+        "outputs_sha256": hashlib.sha256(b"".join(hashed)).hexdigest(),
+        "outputs": [hashlib.sha256(h).hexdigest()[:12] for h in hashed],
     }
+
+
+@functools.cache
+def digests(corpus: str) -> tuple[list[list[str]], dict, dict]:
+    """The argvs of one corpus and the committed records of their outputs
+    and of their verdicts, from one run of each operation."""
+    argvs = corpus_argvs(corpus)
+    outputs, verdicts = zip(*(records(*_workloads().call_cli(main, argv)) for argv in argvs))
+    return argvs, _record(argvs, outputs), _record(argvs, verdicts)
+
+
+def _compare(golden: Path, corpus: str, argvs: list[list[str]], got: dict, what: str) -> None:
+    want = json.loads(golden.read_text())[corpus]
+    assert got["ops_sha256"] == want["ops_sha256"], f"op list changed: the generator draws other {corpus} operations"
+    for i, (argv, g, w) in enumerate(zip(argvs, got["outputs"], want["outputs"])):
+        assert g == w, f"{what} changed at {corpus} operation {i}: splitrank {' '.join(argv)}"
+    assert got["outputs_sha256"] == want["outputs_sha256"]
 
 
 @pytest.mark.parametrize("workload", CORPORA)
 def test_outputs_are_unchanged(workload):
-    want = json.loads(GOLDEN.read_text())[workload]
-    argvs = corpus_argvs(workload)
-    got = digests(argvs)
-    assert got["ops_sha256"] == want["ops_sha256"], f"op list changed: the generator draws other {workload} operations"
-    for i, (argv, g, w) in enumerate(zip(argvs, got["outputs"], want["outputs"])):
-        assert g == w, f"output changed at {workload} operation {i}: splitrank {' '.join(argv)}"
-    assert got["outputs_sha256"] == want["outputs_sha256"]
+    argvs, outputs, _ = digests(workload)
+    _compare(GOLDEN, workload, argvs, outputs, "output")
+
+
+@pytest.mark.parametrize("workload", CORPORA)
+def test_verdicts_are_unchanged(workload):
+    argvs, _, verdicts = digests(workload)
+    _compare(VERDICTS, workload, argvs, verdicts, "verdict")
+
+
+# (README example, path into its report, new value): a changed verdict
+_VERDICT_FIELDS = [
+    (0, ["rank"], 4),
+    (0, ["method"], "real_places"),
+    (2, ["index"], 0),
+    (2, ["method"], "explicit_witness"),
+    (3, ["kind"], "trivial"),
+    (4, ["verdict"], "not_excellent"),
+]
+# a changed witness coordinate, and a changed anisotropic coefficient
+_ROUTE_FIELDS = [
+    (0, ["certificate", "element", "c", 0, 7], "2"),
+    (2, ["witness", 0, 2], "-1"),
+    (2, ["anisotropic", 0], "4"),
+    (3, ["provenance", "isotropic_vector", 0], "3"),
+]
+
+
+def test_verdict_digest_reads_verdicts_not_witnesses():
+    outputs = [_workloads().call_cli(main, argv) for argv in census.README]
+
+    def changed(example, rc, text):  # (byte digest changed, verdict digest changed)
+        return tuple(a != b for a, b in zip(records(*outputs[example]), records(rc, text)))
+
+    def tampered(example, path, value):
+        rc, text = outputs[example]
+        report = json.loads(text)
+        assert json.dumps(report, indent=2) + "\n" == text  # so a rewrite changes the path only
+        *inner, last = path
+        functools.reduce(lambda node, key: node[key], inner, report)[last] = value
+        return changed(example, rc, json.dumps(report, indent=2) + "\n")
+
+    for example, (rc, text) in enumerate(outputs):
+        assert rc == 0 and changed(example, 3, text) == (True, True)
+    for example, path, value in _VERDICT_FIELDS:
+        assert tampered(example, path, value) == (True, True), path
+    for example, path, value in _ROUTE_FIELDS:
+        assert tampered(example, path, value) == (True, False), path
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({w: digests(corpus_argvs(w)) for w in sorted(CORPORA)}, indent=1) + "\n")
+    runs = {w: digests(w) for w in sorted(CORPORA)}
+    GOLDEN.write_text(json.dumps({w: run[1] for w, run in runs.items()}, indent=1) + "\n")
+    VERDICTS.write_text(json.dumps({w: run[2] for w, run in runs.items()}, indent=1) + "\n")
